@@ -131,13 +131,22 @@ class EventQueue:
         """A live in-heap entry was cancelled; forget it from the count."""
         self._live -= 1
 
-    def push(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute ``time``; return a handle."""
+    def post(self, time: float, callback: Callable[..., None], args: tuple) -> list:
+        """Schedule ``callback(*args)`` at absolute ``time`` without a handle.
+
+        The push the simulator's per-event path uses: no :class:`Event`
+        is allocated for callers that never cancel.  Returns the raw
+        heap entry.
+        """
         entry = [time, self._seq, callback, args, True]
         self._seq += 1
         heapq.heappush(self._heap, entry)
         self._live += 1
-        return Event(entry, self)
+        return entry
+
+    def push(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``callback(*args)`` at absolute ``time``; return a handle."""
+        return Event(self.post(time, callback, args), self)
 
     def pop_entry(self) -> Optional[list]:
         """Remove and return the earliest live entry
@@ -195,8 +204,8 @@ class EventQueue:
                 self._live += 1
             return
         if seq is None:
-            seq = self._seq
-            self._seq += 1
+            self.post(time, callback, args)
+            return
         heapq.heappush(self._heap, [time, seq, callback, args, True])
         self._live += 1
 

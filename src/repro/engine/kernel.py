@@ -28,16 +28,17 @@ class SimulationKernel:
 
     def __init__(self) -> None:
         self._queue = EventQueue()
-        self._now = 0.0
+        #: Current simulation time in cycles.  A plain attribute, not a
+        #: property: every model callback reads it once per event.
+        self.now = 0.0
         self._events_processed = 0
         self._running = False
+        #: Handle-free ``post(time, callback, args)`` at an absolute time,
+        #: for model components whose event times are monotone by
+        #: construction: no past-time check, no :class:`Event` allocated.
+        self.post = self._queue.post
 
     # --- clock ---------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in cycles."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of events fired so far; a deterministic work proxy."""
@@ -52,13 +53,13 @@ class SimulationKernel:
         """Schedule ``callback`` to fire ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._queue.push(self._now + delay, callback, *args)
+        return self._queue.push(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback`` at absolute ``time`` cycles."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule into the past (time={time}, now={self.now})"
             )
         return self._queue.push(time, callback, *args)
 
@@ -81,20 +82,22 @@ class SimulationKernel:
                 popped = queue.pop_entry()
                 if popped is None:
                     break
-                time, seq, callback, args = popped[:4]
+                time = popped[0]
                 if until is not None and time > until:
                     # Re-insert the *same* entry list: its seq keeps the
                     # FIFO slot among same-time events, and Event handles
                     # wrapping it stay live (cancellable) across the pause.
-                    queue.push_entry(time, callback, args, seq=seq, entry=popped)
-                    self._now = until
+                    queue.push_entry(
+                        time, popped[2], popped[3], seq=popped[1], entry=popped
+                    )
+                    self.now = until
                     break
-                self._now = time
+                self.now = time
                 # Count before firing: checkpoints are taken *inside* a
                 # callback (kernel boundaries), and the snapshot must
                 # include the event that carried the simulation there.
                 self._events_processed += 1
-                callback(*args)
+                popped[2](*popped[3])
                 fired += 1
         finally:
             self._running = False
@@ -114,7 +117,7 @@ class SimulationKernel:
         and bit-identical state comparison across resets breaks.
         """
         self._queue.reset()
-        self._now = 0.0
+        self.now = 0.0
         self._events_processed = 0
 
     # --- checkpointing ----------------------------------------------------------
@@ -132,7 +135,7 @@ class SimulationKernel:
                 "events pending"
             )
         return {
-            "now": self._now,
+            "now": self.now,
             "events_processed": self._events_processed,
             "queue_seq": self._queue.seq,
         }
@@ -143,6 +146,6 @@ class SimulationKernel:
             raise SimulationError(
                 "cannot restore the clock over a non-empty event queue"
             )
-        self._now = float(state["now"])
+        self.now = float(state["now"])
         self._events_processed = int(state["events_processed"])
         self._queue.seq = int(state["queue_seq"])

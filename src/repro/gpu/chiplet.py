@@ -19,6 +19,7 @@ inter-chiplet network.  Following Table V:
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Tuple
 
 from repro.engine.resource import BandwidthResource
@@ -55,6 +56,7 @@ class McmMemory:
         self._sms_per_chiplet = chiplet.num_sms
         self._line_size = chiplet.line_size
         self._request_bytes = chiplet.noc_request_bytes
+        self._noc_latency = chiplet.effective_noc_latency
         self.remote_accesses = 0
         self.local_accesses = 0
 
@@ -92,34 +94,25 @@ class McmMemory:
             self.local_accesses += 1
             return local.access(local_sm, line, now)
 
-        # Remote access: L1 and MSHR handling on the local chiplet, then the
-        # inter-chiplet round trip into the home chiplet's LLC/DRAM.
+        # Remote access: the local chiplet's own access path (L1, MSHR,
+        # local NoC both ways) around a detour to the home chiplet.
         self.remote_accesses += 1
-        cfg = self.config.chiplet
-        l1 = local.l1s[local_sm]
-        if l1.cache.access(line):
-            local.l1_hits += 1
-            return now + cfg.l1_hit_latency, 0
-        local.l1_misses += 1
-        pending = l1.in_flight.get(line)
-        if pending is not None and pending > now:
-            l1.merged += 1
-            local.merged += 1
-            return pending, 3
+        return local.access(
+            local_sm, line, now, partial(self._home_leg, chiplet_id, home_id)
+        )
+
+    def _home_leg(
+        self, chiplet_id: int, home_id: int, line: int, t: float
+    ) -> Tuple[float, int]:
+        """The inter-chiplet round trip into the home chiplet's LLC/DRAM."""
         home = self.subsystems[home_id]
-        t = l1.mshrs.acquire(now) + cfg.l1_hit_latency
-        t = local.noc_request.transfer(t, self._request_bytes) + cfg.noc_latency
-        t = self.links_request[chiplet_id].transfer(t, self._request_bytes)
-        t += self.config.inter_chiplet_latency
-        t = home.noc_request.transfer(t, self._request_bytes) + cfg.noc_latency
+        hop = self.config.inter_chiplet_latency
+        noc_latency = self._noc_latency
+        t = self.links_request[chiplet_id].transfer(t, self._request_bytes) + hop
+        t = home.noc_request.transfer(t, self._request_bytes) + noc_latency
         t, where = home.llc_dram_path(line, t)
-        t = home.noc_response.transfer(t, self._line_size) + cfg.noc_latency
-        t = self.links_response[home_id].transfer(t, self._line_size)
-        t += self.config.inter_chiplet_latency
-        t = local.noc_response.transfer(t, self._line_size) + cfg.noc_latency
-        l1.in_flight[line] = t
-        l1.mshrs.hold(t)
-        return t, where
+        t = home.noc_response.transfer(t, self._line_size) + noc_latency
+        return self.links_response[home_id].transfer(t, self._line_size) + hop, where
 
     # --- aggregate statistics ----------------------------------------------
     @property

@@ -43,16 +43,22 @@ class _WarpRun:
     """Mutable per-warp execution cursor."""
 
     __slots__ = (
-        "sm_id", "cta_key", "compute", "lines", "idx", "tail", "offset",
+        "sm", "cta_key", "compute", "lines", "idx", "end", "tail", "offset",
         "started",
     )
 
-    def __init__(self, sm_id: int, cta_key: int, trace: WarpTrace) -> None:
-        self.sm_id = sm_id
+    def __init__(
+        self, sm: StreamingMultiprocessor, cta_key: int, trace: WarpTrace
+    ) -> None:
+        # _advance_warp skips StreamingMultiprocessor.issue's sign check.
+        if trace.compute and min(trace.compute) < 0:
+            raise SimulationError(f"SM {sm.sm_id}: negative burst in {trace.compute}")
+        self.sm = sm
         self.cta_key = cta_key
         self.compute = trace.compute
         self.lines = trace.lines
         self.idx = 0
+        self.end = len(trace.lines)
         self.tail = trace.tail_compute
         self.offset = trace.start_offset
         self.started = False
@@ -69,6 +75,7 @@ class GPUSimulator:
     ) -> None:
         validate_config(config)
         self.config = config
+        self._issue_width = config.issue_width
         self.kernel_clock = SimulationKernel()
         if memory_factory is None and memory is None:
             memory_factory = lambda: MemorySubsystem(config)  # noqa: E731
@@ -102,6 +109,9 @@ class GPUSimulator:
         """
         if self._workload is not None:
             raise SimulationError("GPUSimulator instances are single-use")
+        # Before validation, which builds CTA 0 of every kernel and so
+        # generates them: wall_time_s has always covered trace generation.
+        wall_start = _time.perf_counter()
         validate_trace(workload)
         # Self-arm paranoia mode (REPRO_VERIFY=1): installing here means
         # direct simulate() callers and pool workers get the checked run
@@ -115,7 +125,6 @@ class GPUSimulator:
         tracer = get_tracer()
         self._tracer = tracer if tracer.enabled else None
         run_start_us = tracer.now_us() if self._tracer is not None else 0.0
-        wall_start = _time.perf_counter()
         if not (checkpointer is not None and self._try_resume(workload)):
             self._prewarm(workload)
             self._kernel_index = 0
@@ -204,15 +213,14 @@ class GPUSimulator:
         key = self._cta_seq
         self._cta_seq += 1
         self._live_ctas[key] = len(cta.warps)
+        post = self.kernel_clock.post
+        advance = self._advance_warp
         for warp_trace in cta.warps:
-            run = _WarpRun(sm_id, key, warp_trace)
+            run = _WarpRun(sm, key, warp_trace)
             # Launch stagger applies to the initial wave only: backfilled
             # CTAs start at their predecessor's (already spread) completion
             # time, so re-staggering them would just waste issue slots.
-            offset = run.offset if stagger else 0.0
-            self.kernel_clock.schedule_at(
-                now + offset, self._advance_warp, run
-            )
+            post(now + (run.offset if stagger else 0.0), advance, (run,))
 
     def _cta_done(self, cta_key: int, now: float, sm_id: int) -> None:
         del self._live_ctas[cta_key]
@@ -389,21 +397,38 @@ class GPUSimulator:
 
     # --- warp execution -----------------------------------------------------
     def _advance_warp(self, run: _WarpRun) -> None:
-        now = self.kernel_clock.now
-        sm = self.sms[run.sm_id]
+        """The per-event callback: one compute burst and one memory access.
+
+        Inlines ``StreamingMultiprocessor.issue`` and re-schedules through
+        the handle-free ``post``: completions never precede ``now`` and no
+        warp event is ever cancelled (docs/ARCHITECTURE.md, "Hot path").
+        """
+        clock = self.kernel_clock
+        now = clock.now
+        sm = run.sm
         if not run.started:
             run.started = True
             sm.warp_started(now)
         idx = run.idx
-        if idx < len(run.lines):
+        if idx < run.end:
             # Compute burst plus the memory instruction itself, then the
             # access; the warp resumes when the data arrives.
-            finish = sm.issue(now, run.compute[idx] + 1)
-            completion, __ = self.memory.access(run.sm_id, run.lines[idx], finish)
+            burst = run.compute[idx] + 1
+            sm.warp_instructions += burst
+            service = burst / self._issue_width
+            pipeline = sm.pipeline
+            start = pipeline._next_free
+            if now > start:
+                start = now
+            finish = start + service
+            pipeline._next_free = finish
+            pipeline._busy_time += service
+            pipeline._requests += 1
+            completion, __ = self.memory.access(sm.sm_id, run.lines[idx], finish)
             self._accesses += 1
             sm.accesses += 1
             run.idx = idx + 1
-            self.kernel_clock.schedule_at(completion, self._advance_warp, run)
+            clock.post(completion, self._advance_warp, (run,))
             return
         # Tail compute, then the warp retires.
         finish = sm.issue(now, run.tail) if run.tail else now
@@ -412,7 +437,7 @@ class GPUSimulator:
         if remaining:
             self._live_ctas[run.cta_key] = remaining
         else:
-            self._cta_done(run.cta_key, finish, run.sm_id)
+            self._cta_done(run.cta_key, finish, sm.sm_id)
 
     # --- results ---------------------------------------------------------------
     def _build_result(self, wall_time_s: float) -> SimulationResult:

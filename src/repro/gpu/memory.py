@@ -23,7 +23,8 @@ Structure per the paper's Table III:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine.resource import BandwidthResource, FifoServer, TokenPool
 from repro.exceptions import ConfigurationError
@@ -31,6 +32,12 @@ from repro.gpu.cache import SetAssocCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.dram import BankedDram
 from repro.memory_regions import BYPASS_BASE
+
+#: The latency-jitter LCG (Knuth's MMIX constants) and its output scale.
+_LCG_MUL = 6364136223846793005
+_LCG_INC = 1442695040888963407
+_MASK_64 = 0xFFFFFFFFFFFFFFFF
+_TWO_53 = float(1 << 53)
 
 #: Result tags for where an access was served.
 L1_HIT = 0
@@ -113,10 +120,20 @@ class MemorySubsystem:
             if config.dram_model == "banked"
             else []
         )
+        # Constants of the access path, bound once instead of read off
+        # ``config`` per access.
+        self._num_slices = config.llc_slices
+        self._num_mcs = config.num_mcs
         self._slice_service = 1.0 / config.llc_slice_throughput
         self._line_size = config.line_size
         self._request_bytes = config.noc_request_bytes
+        self._request_service = config.noc_request_bytes / self.noc_request.bytes_per_cycle
+        self._response_service = config.line_size / self.noc_response.bytes_per_cycle
+        self._mc_service = config.line_size / config.mc_bytes_per_cycle
         self._noc_latency = config.effective_noc_latency
+        self._l1_hit_latency = config.l1_hit_latency
+        self._llc_latency = config.llc_latency
+        self._dram_latency = config.dram_latency
         # Deterministic LCG driving per-access latency jitter (see
         # GPUConfig.latency_jitter): reproducible, yet decorrelates warps.
         self._rng_state = 0x9E3779B97F4A7C15
@@ -134,14 +151,6 @@ class MemorySubsystem:
         # Deliberately absent from state_dict: injected corruption is
         # not model state.
         self._drop_miss_budget = 0
-
-    def _jitter_factor(self) -> float:
-        """Next latency multiplier in [1 - j, 1 + j] from the LCG."""
-        if self._jitter == 0.0:
-            return 1.0
-        self._rng_state = (self._rng_state * 6364136223846793005 + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
-        u = (self._rng_state >> 11) / float(1 << 53)
-        return 1.0 + self._jitter * (2.0 * u - 1.0)
 
     # --- address mapping -------------------------------------------------
     # Lines are hashed before interleaving (as real GPU memory systems
@@ -171,17 +180,42 @@ class MemorySubsystem:
             slices[self.hash_line(line) % n].fill(line)
 
     # --- the access path ----------------------------------------------------
-    def access(self, sm_id: int, line: int, now: float) -> Tuple[float, int]:
+    # Straight-line code (docs/ARCHITECTURE.md, "Hot path"): it inlines
+    # SetAssocCache.access, TokenPool.acquire/hold, BandwidthResource.transfer
+    # and FifoServer.service, writing the same fields of the same objects
+    # those methods would.  The objects still own the state; the methods
+    # are the reference the differential test replays against.
+    def access(
+        self,
+        sm_id: int,
+        line: int,
+        now: float,
+        llc_leg: Optional[Callable[[int, float], Tuple[float, int]]] = None,
+    ) -> Tuple[float, int]:
         """Resolve one warp memory access to ``line`` issued at ``now``.
 
         Returns ``(completion_time, where)`` with ``where`` one of
         :data:`L1_HIT`, :data:`LLC_HIT`, :data:`DRAM`, :data:`MERGED`.
+
+        ``llc_leg(line, t)`` replaces :meth:`llc_dram_path` between the
+        request and response NoC hops of a primary miss: the multi-chiplet
+        model passes a detour through the line's home chiplet.
         """
-        config = self.config
         l1 = self.l1s[sm_id]
-        if l1.cache.access(line):
+        cache = l1.cache
+        cache_set = cache._sets[line % cache.num_sets]
+        if line in cache_set:
+            del cache_set[line]
+            cache_set[line] = None
+            cache.hits += 1
             self.l1_hits += 1
-            return now + config.l1_hit_latency, L1_HIT
+            return now + self._l1_hit_latency, L1_HIT
+        cache.misses += 1
+        if len(cache_set) >= cache.assoc:
+            for victim in cache_set:  # the oldest key, without a call
+                break
+            del cache_set[victim]
+        cache_set[line] = None
         if self._drop_miss_budget > 0:
             self._drop_miss_budget -= 1
         else:
@@ -189,20 +223,55 @@ class MemorySubsystem:
 
         # Merge with an in-flight miss to the same line (secondary miss):
         # no new NoC/LLC/DRAM traffic, data arrives with the primary.
-        pending = l1.in_flight.get(line)
-        if pending is not None and pending > now:
-            l1.merged += 1
-            self.merged += 1
-            return pending, MERGED
+        in_flight = l1.in_flight
+        if line in in_flight:
+            pending = in_flight[line]
+            if pending > now:
+                l1.merged += 1
+                self.merged += 1
+                return pending, MERGED
 
-        # Primary miss: take an MSHR, cross the NoC, probe the LLC slice.
-        t = l1.mshrs.acquire(now) + config.l1_hit_latency
-        t = self.noc_request.transfer(t, self._request_bytes) + self._noc_latency
-        t, where = self.llc_dram_path(line, t)
-        # Response line crosses the NoC back to the SM.
-        t = self.noc_response.transfer(t, self._line_size) + self._noc_latency
-        l1.in_flight[line] = t
-        l1.mshrs.hold(t)
+        # Primary miss: wait for an MSHR, cross the NoC, probe the LLC side.
+        t = now
+        mshrs = l1.mshrs
+        releases = mshrs._releases
+        full = len(releases) >= mshrs.capacity
+        if full:
+            if releases[0] > now:
+                t = releases[0]
+            mshrs._wait_time += t - now
+        t += self._l1_hit_latency
+        link = self.noc_request
+        if link._next_free > t:
+            t = link._next_free
+        service = self._request_service
+        t += service
+        link._next_free = t
+        link._busy_time += service
+        link._requests += 1
+        link._bytes_moved += self._request_bytes
+        t += self._noc_latency
+        if llc_leg is None:
+            t, where = self.llc_dram_path(line, t)
+        else:
+            t, where = llc_leg(line, t)
+
+        # Response line crosses the NoC back to the SM and frees the MSHR.
+        link = self.noc_response
+        if link._next_free > t:
+            t = link._next_free
+        service = self._response_service
+        t += service
+        link._next_free = t
+        link._busy_time += service
+        link._requests += 1
+        link._bytes_moved += self._line_size
+        t += self._noc_latency
+        in_flight[line] = t
+        if full:
+            heappop(releases)
+        heappush(releases, t)
+        mshrs._acquired += 1
         self._prune_countdown -= 1
         if self._prune_countdown <= 0:
             self._prune_countdown = 4096
@@ -212,40 +281,71 @@ class MemorySubsystem:
     def llc_dram_path(self, line: int, t: float) -> Tuple[float, int]:
         """LLC slice probe plus DRAM on a miss; the post-NoC leg of a request.
 
-        Exposed separately so the multi-chiplet model can route a remote
-        request into its *home* chiplet's LLC/DRAM after crossing the
-        inter-chiplet network.
+        Separate from :meth:`access` so the multi-chiplet model can route a
+        remote request into its *home* chiplet's LLC/DRAM after crossing
+        the inter-chiplet network.
         """
-        config = self.config
-        hashed = self.hash_line(line)
-        slice_id = hashed % len(self.llc_slices)
-        t = self.llc_ports[slice_id].service(t, self._slice_service)
-        if line >= BYPASS_BASE:
-            # No-allocate streaming hint: never cached in the LLC.
-            self.llc_misses += 1
-            return self._dram_access(hashed, line, t), DRAM
-        hit = self.llc_slices[slice_id].access(line)
-        t += config.llc_latency * self._jitter_factor()
-        if hit:
-            self.llc_hits += 1
-            return t, LLC_HIT
+        hashed = ((line * 0x9E3779B97F4A7C15) & _MASK_64) >> 20  # hash_line
+        slice_id = hashed % self._num_slices
+        port = self.llc_ports[slice_id]
+        if port._next_free > t:
+            t = port._next_free
+        service = self._slice_service
+        t += service
+        port._next_free = t
+        port._busy_time += service
+        port._requests += 1
+        jitter = self._jitter
+        if line < BYPASS_BASE:
+            cache = self.llc_slices[slice_id]
+            cache_set = cache._sets[line % cache.num_sets]
+            hit = line in cache_set
+            if hit:
+                del cache_set[line]
+                cache.hits += 1
+            else:
+                cache.misses += 1
+                if len(cache_set) >= cache.assoc:
+                    for victim in cache_set:
+                        break
+                    del cache_set[victim]
+            cache_set[line] = None
+            scale = 1.0
+            if jitter:
+                state = self._rng_state = (
+                    self._rng_state * _LCG_MUL + _LCG_INC
+                ) & _MASK_64
+                scale += jitter * (2.0 * ((state >> 11) / _TWO_53) - 1.0)
+            t += self._llc_latency * scale
+            if hit:
+                self.llc_hits += 1
+                return t, LLC_HIT
+        # An LLC miss, or a no-allocate streaming line (never cached).
         self.llc_misses += 1
-        return self._dram_access(hashed, line, t), DRAM
 
-    def _dram_access(self, hashed: int, line: int, t: float) -> float:
-        """One line read through the configured memory backend."""
-        config = self.config
+        # One line read through the configured memory backend.
         if self.banked_mcs:
             # Banked model: row-buffer state supplies the latency variation
             # (no synthetic jitter on top); a fixed controller overhead
             # stands in for command queues and the PHY.
             banked = self.banked_mcs[hashed % len(self.banked_mcs)]
-            return banked.access(t, line) + 0.5 * config.dram_latency
-        mc = self.mcs[hashed % len(self.mcs)]
-        return (
-            mc.transfer(t, self._line_size)
-            + config.dram_latency * self._jitter_factor()
-        )
+            return banked.access(t, line) + 0.5 * self._dram_latency, DRAM
+        mc = self.mcs[hashed % self._num_mcs]
+        if mc._next_free > t:
+            t = mc._next_free
+        service = self._mc_service
+        t += service
+        mc._next_free = t
+        mc._busy_time += service
+        mc._requests += 1
+        mc._bytes_moved += self._line_size
+        scale = 1.0
+        if jitter:
+            state = self._rng_state = (
+                self._rng_state * _LCG_MUL + _LCG_INC
+            ) & _MASK_64
+            scale += jitter * (2.0 * ((state >> 11) / _TWO_53) - 1.0)
+        return t + self._dram_latency * scale, DRAM
 
     # --- statistics ------------------------------------------------------------
     @property

@@ -24,7 +24,7 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from repro.exceptions import TraceError
-from repro.trace.kernel import KernelTrace, WorkloadTrace
+from repro.trace.kernel import WorkloadTrace
 
 
 def interleave_cta(warp_lines: List[np.ndarray]) -> np.ndarray:
@@ -75,18 +75,16 @@ def iter_interleaved(
     window_size = num_virtual_sms * ctas_per_sm
     chunk = 32  # references per CTA per interleave round
     for kernel in workload.kernels:
+        compiled = kernel.compiled()
+        if stats is not None:
+            stats.warp_instructions += compiled.warp_instructions
+            stats.accesses += len(compiled.lines)
+            stats.ctas += kernel.num_ctas
         for start in range(0, kernel.num_ctas, window_size):
-            window = []
-            for cta_id in range(start, min(start + window_size, kernel.num_ctas)):
-                cta = kernel.build_cta(cta_id)
-                if stats is not None:
-                    stats.warp_instructions += cta.warp_instructions
-                    stats.accesses += cta.num_accesses
-                    stats.ctas += 1
-                lines = interleave_cta([
-                    np.asarray(w.lines, dtype=np.int64) for w in cta.warps
-                ])
-                window.append((cta_id % num_virtual_sms, lines))
+            window = [
+                (cta_id % num_virtual_sms, interleave_cta(compiled.warp_lines(cta_id)))
+                for cta_id in range(start, min(start + window_size, kernel.num_ctas))
+            ]
             offset = 0
             remaining = True
             while remaining:

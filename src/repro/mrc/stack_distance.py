@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
-import numpy as np
-
 from repro.exceptions import PredictionError
 
 #: Histogram bucket index used for cold (first-reference) accesses.
@@ -25,35 +23,33 @@ COLD = -1
 
 class FenwickTree:
     """A Fenwick tree over positions 1..n supporting point add and prefix
-    sum, growing geometrically as positions beyond ``n`` are touched."""
+    sum, doubling as positions beyond ``n`` are touched.
+
+    Nodes are plain Python ints in a list (NumPy scalars cost several
+    times more per scalar operation), and ``n`` is kept a power of two:
+    doubling then only has to append zeros and set the new root, because
+    every other new node covers new (empty) positions only.
+    """
 
     def __init__(self, capacity: int = 1024) -> None:
-        self._size = max(2, capacity)
-        self._tree = np.zeros(self._size + 1, dtype=np.int64)
-        self._points = np.zeros(self._size + 1, dtype=np.int64)
+        self._size = 2
+        while self._size < capacity:
+            self._size *= 2
+        self._tree = [0] * (self._size + 1)
 
     def _grow(self, needed: int) -> None:
-        new_size = self._size
-        while new_size < needed:
-            new_size *= 2
-        points = np.zeros(new_size + 1, dtype=np.int64)
-        points[: self._size + 1] = self._points
-        self._points = points
-        self._size = new_size
-        # O(n) Fenwick construction from point values.
-        tree = points.copy()
-        for i in range(1, new_size + 1):
-            parent = i + (i & -i)
-            if parent <= new_size:
-                tree[parent] += tree[i]
-        self._tree = tree
+        tree = self._tree
+        while self._size < needed:
+            total = tree[self._size]  # the root covers 1..size
+            tree.extend([0] * self._size)
+            self._size *= 2
+            tree[self._size] = total
 
     def add(self, index: int, delta: int) -> None:
         if index < 1:
             raise PredictionError(f"Fenwick index must be >= 1, got {index}")
         if index > self._size:
             self._grow(index)
-        self._points[index] += delta
         tree = self._tree
         size = self._size
         while index <= size:
@@ -70,7 +66,7 @@ class FenwickTree:
         while index > 0:
             total += tree[index]
             index -= index & -index
-        return int(total)
+        return total
 
     def range_sum(self, lo: int, hi: int) -> int:
         """Sum of values at positions lo..hi inclusive."""
@@ -105,8 +101,9 @@ class StackDistanceProfiler:
             self.cold_misses += 1
         else:
             # Distinct lines touched strictly between the two accesses:
-            # count of "last occurrence" markers in (last, pos).
-            distance = self._fenwick.range_sum(last + 1, pos - 1)
+            # count of "last occurrence" markers in (last, pos).  Every
+            # marker sits before pos, one per distinct line seen so far.
+            distance = len(self._last_pos) - self._fenwick.prefix_sum(last)
             self._histogram[distance] = self._histogram.get(distance, 0) + 1
             self._fenwick.add(last, -1)
         self._fenwick.add(pos, 1)

@@ -5,8 +5,9 @@ a handful of warps; a warp trace is an alternating sequence of compute
 bursts and memory accesses at cache-line granularity.  Traces are built
 lazily and deterministically — ``build_cta(cta_id)`` always returns the
 same trace for the same spec and seed — so the timing simulator and the
-miss-rate-curve collector replay identical streams without storing the
-whole workload in memory.
+miss-rate-curve collector replay identical streams.  Generated kernels
+are held as flat arrays (:class:`~repro.trace.kernel.CompiledKernel`),
+never as Python objects per access.
 """
 
 from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace

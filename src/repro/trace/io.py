@@ -12,57 +12,40 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import List
-
 import numpy as np
 
 from repro.exceptions import TraceError
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import CompiledKernel, KernelTrace, WorkloadTrace
 
 FORMAT_VERSION = 1
 
 
 def save_trace(workload: WorkloadTrace, path: str) -> None:
     """Materialize every CTA of ``workload`` and write it to ``path``."""
-    lines: List[np.ndarray] = []
-    compute: List[np.ndarray] = []
-    warp_lengths: List[int] = []
-    warp_tails: List[int] = []
-    warp_offsets: List[float] = []
-    cta_warp_counts: List[int] = []
-    kernel_meta = []
-    for kernel in workload.kernels:
-        kernel_meta.append(
-            {
-                "name": kernel.name,
-                "num_ctas": kernel.num_ctas,
-                "threads_per_cta": kernel.threads_per_cta,
-            }
-        )
-        for cta in kernel.iter_ctas():
-            cta_warp_counts.append(cta.num_warps)
-            for warp in cta.warps:
-                lines.append(np.asarray(warp.lines, dtype=np.int64))
-                compute.append(np.asarray(warp.compute, dtype=np.int64))
-                warp_lengths.append(warp.num_accesses)
-                warp_tails.append(warp.tail_compute)
-                warp_offsets.append(warp.start_offset)
+    parts = [kernel.compiled() for kernel in workload.kernels]
     header = {
         "version": FORMAT_VERSION,
         "name": workload.name,
         "footprint_bytes": workload.footprint_bytes,
         "metadata": _jsonable(workload.metadata),
-        "kernels": kernel_meta,
+        "kernels": [
+            {
+                "name": kernel.name,
+                "num_ctas": kernel.num_ctas,
+                "threads_per_cta": kernel.threads_per_cta,
+            }
+            for kernel in workload.kernels
+        ],
     }
     np.savez_compressed(
         path,
         header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        lines=np.concatenate(lines) if lines else np.empty(0, dtype=np.int64),
-        compute=np.concatenate(compute) if compute else np.empty(0, dtype=np.int64),
-        warp_lengths=np.asarray(warp_lengths, dtype=np.int64),
-        warp_tails=np.asarray(warp_tails, dtype=np.int64),
-        warp_offsets=np.asarray(warp_offsets, dtype=np.float64),
-        cta_warp_counts=np.asarray(cta_warp_counts, dtype=np.int64),
+        lines=np.concatenate([p.lines for p in parts]),
+        compute=np.concatenate([p.compute for p in parts]),
+        warp_lengths=np.concatenate([np.diff(p.warp_bounds) for p in parts]),
+        warp_tails=np.concatenate([p.tails for p in parts]),
+        warp_offsets=np.concatenate([p.offsets for p in parts]),
+        cta_warp_counts=np.concatenate([np.diff(p.cta_bounds) for p in parts]),
     )
 
 
@@ -82,37 +65,29 @@ def load_trace(path: str) -> WorkloadTrace:
         warp_offsets = data["warp_offsets"]
         cta_warp_counts = data["cta_warp_counts"]
 
-    warp_ends = np.cumsum(warp_lengths)
-    warp_starts = warp_ends - warp_lengths
-    cta_warp_ends = np.cumsum(cta_warp_counts)
-    cta_warp_starts = cta_warp_ends - cta_warp_counts
-
+    warp_bounds = np.concatenate(([0], np.cumsum(warp_lengths)))
+    cta_bounds = np.concatenate(([0], np.cumsum(cta_warp_counts)))
     kernels = []
     cta_base = 0
     for meta in header["kernels"]:
         num_ctas = int(meta["num_ctas"])
-
-        def build_cta(cta_id: int, base=cta_base) -> CTATrace:
-            index = base + cta_id
-            warps = []
-            for w in range(int(cta_warp_starts[index]), int(cta_warp_ends[index])):
-                lo, hi = int(warp_starts[w]), int(warp_ends[w])
-                warps.append(
-                    WarpTrace(
-                        compute[lo:hi].tolist(),
-                        lines[lo:hi].tolist(),
-                        tail_compute=int(warp_tails[w]),
-                        start_offset=float(warp_offsets[w]),
-                    )
-                )
-            return CTATrace(cta_id, warps)
-
+        # Cut this kernel's CTAs out of the file-wide arrays and rebase
+        # both index arrays to the cut.
+        first, last = cta_bounds[[cta_base, cta_base + num_ctas]].tolist()
+        lo, hi = warp_bounds[[first, last]].tolist()
+        compiled = CompiledKernel(
+            lines[lo:hi], compute[lo:hi],
+            warp_bounds[first : last + 1] - lo,
+            warp_tails[first:last], warp_offsets[first:last],
+            cta_bounds[cta_base : cta_base + num_ctas + 1] - first,
+        )
         kernels.append(
             KernelTrace(
                 name=meta["name"],
                 num_ctas=num_ctas,
                 threads_per_cta=int(meta["threads_per_cta"]),
-                build_cta=build_cta,
+                build_cta=compiled.build_cta,
+                compiled=lambda compiled=compiled: compiled,
             )
         )
         cta_base += num_ctas

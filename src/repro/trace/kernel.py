@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from repro.exceptions import TraceError
 
@@ -72,25 +74,115 @@ class CTATrace:
         return sum(w.num_accesses for w in self.warps)
 
 
+@dataclass(eq=False)
+class CompiledKernel:
+    """Every CTA of one kernel, generated once, as flat arrays.
+
+    Warps are numbered in CTA-then-warp order.  Warp ``w`` owns
+    ``lines[warp_bounds[w]:warp_bounds[w + 1]]`` (``compute`` alike),
+    runs ``tails[w]`` warp instructions after its last access and starts
+    ``offsets[w]`` cycles late; CTA ``c`` owns warps
+    ``cta_bounds[c]:cta_bounds[c + 1]``.  The arrays are shared by every
+    reader and never handed out: :meth:`build_cta` copies one CTA into
+    fresh Python lists per call, :meth:`warp_lines` returns views for
+    read-only functional replay.
+    """
+
+    lines: np.ndarray
+    compute: np.ndarray
+    warp_bounds: np.ndarray
+    tails: np.ndarray
+    offsets: np.ndarray
+    cta_bounds: np.ndarray
+
+    @classmethod
+    def from_pieces(
+        cls,
+        lines: Sequence[np.ndarray],
+        compute: Sequence[np.ndarray],
+        warp_lengths: Sequence[int],
+        tails: Sequence[int],
+        offsets: Sequence[float],
+        cta_warp_counts: Sequence[int],
+    ) -> "CompiledKernel":
+        """Assemble from consecutive pieces of the two streams (any
+        granularity) and per-warp / per-CTA lists, CTA-then-warp order."""
+        return cls(
+            np.concatenate(lines),
+            np.concatenate(compute),
+            np.concatenate(([0], np.cumsum(warp_lengths))),
+            np.asarray(tails, dtype=np.int64),
+            np.asarray(offsets, dtype=np.float64),
+            np.concatenate(([0], np.cumsum(cta_warp_counts))),
+        )
+
+    @classmethod
+    def from_ctas(cls, ctas: Iterable[CTATrace]) -> "CompiledKernel":
+        """Materialise CTAs that only exist as Python-list traces."""
+        lines, compute, lengths, tails, offsets, counts = [], [], [], [], [], []
+        for cta in ctas:
+            counts.append(len(cta.warps))
+            for warp in cta.warps:
+                lines.append(np.asarray(warp.lines, dtype=np.int64))
+                compute.append(np.asarray(warp.compute, dtype=np.int64))
+                lengths.append(len(warp.lines))
+                tails.append(warp.tail_compute)
+                offsets.append(warp.start_offset)
+        return cls.from_pieces(lines, compute, lengths, tails, offsets, counts)
+
+    @property
+    def warp_instructions(self) -> int:
+        """Total warp instructions: compute bursts + memory instructions."""
+        return int(self.compute.sum()) + len(self.lines) + int(self.tails.sum())
+
+    def build_cta(self, cta_id: int) -> CTATrace:
+        first, last = self.cta_bounds[cta_id : cta_id + 2].tolist()
+        bounds = self.warp_bounds[first : last + 1].tolist()
+        base = bounds[0]
+        lines = self.lines[base : bounds[-1]].tolist()
+        compute = self.compute[base : bounds[-1]].tolist()
+        tails = self.tails[first:last].tolist()
+        offsets = self.offsets[first:last].tolist()
+        return CTATrace(cta_id, [
+            WarpTrace(
+                compute[lo - base : hi - base], lines[lo - base : hi - base],
+                tail_compute=tail, start_offset=offset,
+            )
+            for lo, hi, tail, offset in zip(bounds, bounds[1:], tails, offsets)
+        ])
+
+    def warp_lines(self, cta_id: int) -> List[np.ndarray]:
+        """Read-only views of one CTA's per-warp line streams."""
+        first, last = self.cta_bounds[cta_id : cta_id + 2].tolist()
+        bounds = self.warp_bounds[first : last + 1].tolist()
+        lines = self.lines
+        return [lines[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 @dataclass
 class KernelTrace:
     """A kernel launch: ``num_ctas`` CTAs built on demand.
 
     ``build_cta`` must be deterministic in ``cta_id``; simulators may call
     it multiple times (timing run, MRC collection) and rely on identical
-    results.
+    results.  ``compiled()`` returns the kernel as flat arrays, for
+    array-at-a-time readers: a producer that holds such arrays passes a
+    (lazy) accessor for them, otherwise they are built from ``build_cta``.
     """
 
     name: str
     num_ctas: int
     threads_per_cta: int
     build_cta: Callable[[int], CTATrace]
+    compiled: Optional[Callable[[], CompiledKernel]] = None
 
     def __post_init__(self) -> None:
         if self.num_ctas < 1:
             raise TraceError(f"kernel {self.name}: num_ctas must be >= 1")
         if self.threads_per_cta < 1:
             raise TraceError(f"kernel {self.name}: threads_per_cta must be >= 1")
+        if self.compiled is None:
+            self.compiled = lambda: CompiledKernel.from_ctas(self.iter_ctas())
 
     @property
     def warps_per_cta(self) -> int:
@@ -119,20 +211,13 @@ class WorkloadTrace:
         return sum(k.num_ctas for k in self.kernels)
 
     def count_instructions(self, threads_per_warp: int = 32) -> int:
-        """Total thread instructions; walks every CTA (use on small traces)."""
-        total = 0
-        for kernel in self.kernels:
-            for cta in kernel.iter_ctas():
-                total += cta.warp_instructions
-        return total * threads_per_warp
+        """Total thread instructions; generates every CTA."""
+        warp_instructions = sum(k.compiled().warp_instructions for k in self.kernels)
+        return warp_instructions * threads_per_warp
 
     def count_accesses(self) -> int:
-        """Total warp-level memory accesses; walks every CTA."""
-        total = 0
-        for kernel in self.kernels:
-            for cta in kernel.iter_ctas():
-                total += cta.num_accesses
-        return total
+        """Total warp-level memory accesses; generates every CTA."""
+        return sum(len(k.compiled().lines) for k in self.kernels)
 
     def iter_accesses(self) -> Iterator[int]:
         """All line addresses in CTA-then-warp program order.
@@ -141,7 +226,4 @@ class WorkloadTrace:
         interleaving model (see :mod:`repro.mrc.interleave`).
         """
         for kernel in self.kernels:
-            for cta in kernel.iter_ctas():
-                for warp in cta.warps:
-                    for line in warp.lines:
-                        yield line
+            yield from kernel.compiled().lines.tolist()

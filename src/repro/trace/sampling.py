@@ -110,17 +110,13 @@ class SievePlan:
 
 
 def kernel_signature(index: int, kernel: KernelTrace) -> KernelSignature:
-    """Compute one kernel's signature by walking its CTAs once."""
-    instructions = 0
-    accesses = 0
-    for cta in kernel.iter_ctas():
-        instructions += cta.warp_instructions
-        accesses += cta.num_accesses
+    """Compute one kernel's signature from its compiled arrays."""
+    compiled = kernel.compiled()
     return KernelSignature(
         index=index,
         name=kernel.name,
-        warp_instructions=instructions,
-        accesses=accesses,
+        warp_instructions=compiled.warp_instructions,
+        accesses=len(compiled.lines),
     )
 
 

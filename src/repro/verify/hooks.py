@@ -114,16 +114,16 @@ def _make_checked_run(kernel_mod):
                         f"(time={time}, seq={seq}); the queue's lazy-"
                         "cancellation compaction is broken"
                     )
-                if time < self._now:
+                if time < self.now:
                     raise InvariantError(
                         f"clock would run backwards: event (time={time}, "
-                        f"seq={seq}) fired at now={self._now}"
+                        f"seq={seq}) fired at now={self.now}"
                     )
                 if until is not None and time > until:
                     queue.push_entry(time, callback, args, seq=seq, entry=popped)
-                    self._now = until
+                    self.now = until
                     break
-                self._now = time
+                self.now = time
                 self._events_processed += 1
                 callback(*args)
                 fired += 1

@@ -44,13 +44,13 @@ what makes bfs and bs sub-linear under weak scaling.
 from __future__ import annotations
 
 import math
-from typing import Callable, List
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import WorkloadError
 from repro.memory_regions import BYPASS_BASE
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import CompiledKernel, KernelTrace, WorkloadTrace
 from repro.trace import patterns
 from repro.units import MB
 from repro.workloads.spec import BenchmarkSpec, KernelShape
@@ -87,25 +87,51 @@ def _cta_rng(seed: int, kernel_idx: int, cta_id: int) -> np.random.Generator:
     return np.random.default_rng((seed, kernel_idx, cta_id))
 
 
-def _warp_traces(
+#: One CTA as the family builders emit it: the warps' line and compute
+#: streams back to back, then per-warp access counts and launch offsets.
+_CtaArrays = Tuple[np.ndarray, np.ndarray, List[int], List[float]]
+
+
+def _cta_arrays(
     lines_per_warp: List[np.ndarray],
     cpa: float,
     rng: np.random.Generator,
     lead_in: int = 0,
-) -> List[WarpTrace]:
-    warps = []
+) -> _CtaArrays:
+    compute = []
+    offsets = []
     for lines in lines_per_warp:
-        n = len(lines)
-        compute = patterns.interleave_compute(n, cpa, rng)
+        compute.append(patterns.interleave_compute(len(lines), cpa, rng))
         # Stagger warp launch (scheduler and launch overhead) so warps do
         # not issue memory in lockstep: identical warp periods would
         # otherwise resonate into synchronized request bursts no real GPU
         # exhibits.  The offset is idle time, not instructions.
-        offset = float(rng.integers(0, lead_in)) if lead_in > 0 else 0.0
-        warps.append(
-            WarpTrace(compute.tolist(), lines.tolist(), start_offset=offset)
-        )
-    return warps
+        offsets.append(float(rng.integers(0, lead_in)) if lead_in > 0 else 0.0)
+    # One array per CTA, not per warp: the pieces of a whole kernel are
+    # alive at once while it compiles.
+    return (
+        np.concatenate(lines_per_warp),
+        np.concatenate(compute),
+        [len(lines) for lines in lines_per_warp],
+        offsets,
+    )
+
+
+def _compile_kernel(
+    build: Callable[[int], _CtaArrays], num_ctas: int
+) -> CompiledKernel:
+    """Run a family's per-CTA builder over the whole grid, once."""
+    lines, compute, lengths, offsets, counts = [], [], [], [], []
+    for cta_id in range(num_ctas):
+        cta_lines, cta_compute, cta_lengths, cta_offsets = build(cta_id)
+        lines.append(cta_lines)
+        compute.append(cta_compute)
+        lengths += cta_lengths
+        offsets += cta_offsets
+        counts.append(len(cta_lengths))
+    return CompiledKernel.from_pieces(
+        lines, compute, lengths, [0] * len(lengths), offsets, counts
+    )
 
 
 class _TraceContext:
@@ -127,7 +153,7 @@ class _TraceContext:
         self.cpa = spec.param("cpa", 8.0)
         self.apw = int(spec.param("apw", 24))
         # Default start-up stagger: comparable to one memory round trip so
-        # warp generations decorrelate (see _warp_traces); overridable.
+        # warp generations decorrelate (see _cta_arrays); overridable.
         self.lead_in = int(
             spec.param("lead_in", max(900, round(2 * self.cpa * self.apw)))
         )
@@ -155,7 +181,7 @@ class _TraceContext:
 
 def _sweep_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], CTATrace]:
+) -> Callable[[int], _CtaArrays]:
     hot_lines = ctx.footprint_lines("hot_mb", ctx.spec.footprint_mb)
     cold_frac = ctx.spec.param("cold_frac", 0.0)
     # Short-range locality: each swept line is touched ``l1_reuse`` times
@@ -169,7 +195,7 @@ def _sweep_kernel(
         1, ctx.footprint_lines() - hot_lines if cold_frac > 0 else 1
     )
 
-    def build(cta_id: int) -> CTATrace:
+    def build(cta_id: int) -> _CtaArrays:
         rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
         per_warp = []
         for w in range(warps):
@@ -190,21 +216,21 @@ def _sweep_kernel(
                 ) % cold_lines_total
                 hot = np.where(is_cold, cold, hot)
             per_warp.append(hot)
-        return CTATrace(cta_id, _warp_traces(per_warp, ctx.cpa, rng, ctx.lead_in))
+        return _cta_arrays(per_warp, ctx.cpa, rng, ctx.lead_in)
 
     return build
 
 
 def _irregular_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], CTATrace]:
+) -> Callable[[int], _CtaArrays]:
     fp_lines = ctx.footprint_lines()
     zipf_exp = ctx.spec.param("zipf_exp", 0.0)
     warps = shape.warps_per_cta
     base_apw = ctx.apw
     kbase = STREAM_BASE + kernel_idx * _KERNEL_STRIDE
 
-    def build(cta_id: int) -> CTATrace:
+    def build(cta_id: int) -> _CtaArrays:
         rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
         factor = ctx.cta_work_factor(rng)
         apw = max(2, int(round(base_apw * factor)))
@@ -215,14 +241,14 @@ def _irregular_kernel(
             else:
                 lines = patterns.uniform_random(kbase, fp_lines, apw, rng)
             per_warp.append(lines)
-        return CTATrace(cta_id, _warp_traces(per_warp, ctx.cpa, rng, ctx.lead_in))
+        return _cta_arrays(per_warp, ctx.cpa, rng, ctx.lead_in)
 
     return build
 
 
 def _stream_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], CTATrace]:
+) -> Callable[[int], _CtaArrays]:
     fp_lines = ctx.footprint_lines()
     random_access = ctx.spec.param("random", 0.0) > 0
     no_reuse = ctx.spec.param("no_reuse", 0.0) > 0
@@ -230,7 +256,7 @@ def _stream_kernel(
     apw = ctx.apw
     kbase = STREAM_BASE + kernel_idx * _KERNEL_STRIDE
 
-    def build(cta_id: int) -> CTATrace:
+    def build(cta_id: int) -> _CtaArrays:
         rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
         per_warp = []
         for w in range(warps):
@@ -245,14 +271,14 @@ def _stream_kernel(
                 start = (gidx * apw) % fp_lines
                 lines = kbase + (start + np.arange(apw, dtype=np.int64)) % fp_lines
             per_warp.append(lines)
-        return CTATrace(cta_id, _warp_traces(per_warp, ctx.cpa, rng, ctx.lead_in))
+        return _cta_arrays(per_warp, ctx.cpa, rng, ctx.lead_in)
 
     return build
 
 
 def _tiled_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], CTATrace]:
+) -> Callable[[int], _CtaArrays]:
     """Tiled compute kernels (gemm-style).
 
     Each warp works on a private tile of ``apw`` lines re-read ``reps``
@@ -268,7 +294,7 @@ def _tiled_kernel(
     apw = ctx.apw
     kbase = TILE_BASE + kernel_idx * _KERNEL_STRIDE
 
-    def build(cta_id: int) -> CTATrace:
+    def build(cta_id: int) -> _CtaArrays:
         rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
         per_warp = []
         for w in range(warps):
@@ -277,14 +303,14 @@ def _tiled_kernel(
             per_warp.append(
                 kbase + (start + np.arange(apw, dtype=np.int64)) % fp_lines
             )
-        return CTATrace(cta_id, _warp_traces(per_warp, folded_cpa, rng, ctx.lead_in))
+        return _cta_arrays(per_warp, folded_cpa, rng, ctx.lead_in)
 
     return build
 
 
 def _chase_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], CTATrace]:
+) -> Callable[[int], _CtaArrays]:
     fp_lines = ctx.footprint_lines()
     levels = int(ctx.spec.param("levels", 5))
     # Pick the fanout so the full tree holds about fp_lines nodes.
@@ -292,7 +318,7 @@ def _chase_kernel(
     walks = max(1, ctx.apw // levels)
     warps = shape.warps_per_cta
 
-    def build(cta_id: int) -> CTATrace:
+    def build(cta_id: int) -> _CtaArrays:
         rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
         factor = ctx.cta_work_factor(rng)
         nwalks = max(1, int(round(walks * factor)))
@@ -300,14 +326,14 @@ def _chase_kernel(
             patterns.pointer_chase_tree(TREE_BASE, levels, fanout, nwalks, rng)
             for __ in range(warps)
         ]
-        return CTATrace(cta_id, _warp_traces(per_warp, ctx.cpa, rng, ctx.lead_in))
+        return _cta_arrays(per_warp, ctx.cpa, rng, ctx.lead_in)
 
     return build
 
 
 def _hotcold_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], CTATrace]:
+) -> Callable[[int], _CtaArrays]:
     # The hot region models shared reusable state (graph nodes, frontier
     # heads, accumulators); set ``hot_scaled`` when it grows with the
     # weak-scaling input (bfs graphs), leave 0 when it is fixed state.
@@ -320,7 +346,7 @@ def _hotcold_kernel(
     apw = ctx.apw
     kbase = COLD_BASE + kernel_idx * _KERNEL_STRIDE
 
-    def build(cta_id: int) -> CTATrace:
+    def build(cta_id: int) -> _CtaArrays:
         rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
         factor = ctx.cta_work_factor(rng)
         n = max(2, int(round(apw * factor)))
@@ -336,14 +362,14 @@ def _hotcold_kernel(
             # fresh lines per warp, so the MPKI floor never caches away.
             cold = kbase + gidx * apw * 4 + np.arange(n, dtype=np.int64)
             per_warp.append(np.where(is_hot, hot, cold))
-        return CTATrace(cta_id, _warp_traces(per_warp, ctx.cpa, rng, ctx.lead_in))
+        return _cta_arrays(per_warp, ctx.cpa, rng, ctx.lead_in)
 
     return build
 
 
 def _generated_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], CTATrace]:
+) -> Callable[[int], _CtaArrays]:
     """Composite family for grammar-generated specs (:mod:`repro.zoo`).
 
     A generated spec carries one :class:`~repro.zoo.grammar.PhaseSpec`
@@ -394,6 +420,14 @@ _FAMILIES = {
 }
 
 
+#: ``(key, [CompiledKernel or None per kernel])`` of the most recently
+#: requested trace.  One entry, no knob: a prediction runs two simulations
+#: and a miss-rate-curve pass over the same trace back to back, and the
+#: later ones reuse what the first generated.  Replaced as soon as another
+#: trace is requested, so it holds one workload's arrays (~16 B/access).
+_compiled_slot: Tuple[Optional[tuple], List[Optional[CompiledKernel]]] = (None, [])
+
+
 def build_trace(
     spec: BenchmarkSpec,
     work_scale: float = 1.0,
@@ -405,23 +439,40 @@ def build_trace(
     ``work_scale`` implements weak scaling (1.0 is the 8-SM-sized input;
     Table IV doubles it per doubling of system size); ``capacity_scale``
     must match the simulated GPU's miniaturization factor.
+
+    Each kernel's CTAs are generated on first use, all at once, into a
+    :class:`~repro.trace.kernel.CompiledKernel` that later traces of the
+    same arguments share (``_compiled_slot``).
     """
+    global _compiled_slot
     if spec.family not in _FAMILIES:
         raise WorkloadError(
             f"{spec.abbr}: unknown generator family {spec.family!r}"
         )
     ctx = _TraceContext(spec, work_scale, capacity_scale, seed)
     family = _FAMILIES[spec.family]
+    # repr() of the frozen spec covers every field, phases included.
+    key = (repr(spec), work_scale, capacity_scale, seed)
+    if _compiled_slot[0] != key:
+        _compiled_slot = (key, [None] * len(spec.kernels))
+    slots = _compiled_slot[1]
     kernels = []
     for kernel_idx, shape in enumerate(spec.kernels):
         num_ctas = _clamped_ctas(shape, work_scale)
         build = family(ctx, shape, kernel_idx, num_ctas)
+
+        def compiled(kernel_idx=kernel_idx, build=build, num_ctas=num_ctas):
+            if slots[kernel_idx] is None:
+                slots[kernel_idx] = _compile_kernel(build, num_ctas)
+            return slots[kernel_idx]
+
         kernels.append(
             KernelTrace(
                 name=f"{spec.abbr}-k{kernel_idx}",
                 num_ctas=num_ctas,
                 threads_per_cta=shape.threads_per_cta,
-                build_cta=build,
+                build_cta=lambda cta_id, c=compiled: c().build_cta(cta_id),
+                compiled=compiled,
             )
         )
     metadata = {

@@ -1,0 +1,44 @@
+"""Work-counter gate on the simulator's per-event path.
+
+Python calls per simulated event is a deterministic count — it repeats
+exactly on every host — so it gates at ±0 where a wall-clock timer could
+not: a change that puts a layer back between the event loop and the
+memory model fails here instead of hiding in timing noise.  The count is
+taken the way the perf benchmark's ``engine.calls_per_event`` probe
+takes it (``call`` and ``c_call`` profile events over one
+``compute_sim(va, 8, 0.05, 0)``, trace generation included).
+"""
+
+import sys
+
+from repro.analysis.runner import compute_sim
+from repro.workloads import build_trace, get_benchmark
+
+#: The flat path measures 13.2 when the trace has to be generated inside
+#: the run (28.0 before it was flattened).  Trace generation is ~2.5 of
+#: those and goes through NumPy's Python wrappers, so the gate leaves room
+#: for another NumPy's wrappers — not for one more call per event.
+CALLS_PER_EVENT_BUDGET = 14.0
+
+
+def test_calls_per_event_within_budget():
+    va = get_benchmark("va")
+    # Whatever ran before, the run below generates its own trace: asking
+    # for a different one empties the compiled-trace slot.
+    build_trace(va, work_scale=0.04)
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = compute_sim(va, 8, 0.05, 0)
+    finally:
+        sys.setprofile(previous)
+    # The flattening changed how much Python runs per event, never the
+    # events themselves.
+    assert result.events == 11480
+    assert calls[0] / result.events <= CALLS_PER_EVENT_BUDGET

@@ -119,3 +119,59 @@ class TestMcmScaling:
         wl4 = workload(num_ctas=64, accesses=8, stride=32)
         r4 = simulate_mcm(tiny_mcm(4), wl4)
         assert r4.cycles < r2.cycles
+
+
+class TestRemoteSharesTheLocalPath:
+    """The remote path runs the chiplet's own ``MemorySubsystem.access``
+    around a home-chiplet detour; three things a hand-copied L1 front
+    half used to get wrong."""
+
+    def remote_setup(self, **chiplet_overrides):
+        config = tiny_mcm()
+        if chiplet_overrides:
+            config = replace(
+                config, chiplet=replace(config.chiplet, **chiplet_overrides)
+            )
+        mem = McmMemory(config)
+        # Chiplet 0 first-touches the pages; SM 2 (chiplet 1) is remote.
+        for line in range(0, 8192, 32):
+            mem.home_of(line, toucher=0)
+        return mem
+
+    def test_remote_misses_prune_the_merge_table(self):
+        mem = self.remote_setup()
+        l1 = mem.subsystems[1].l1s[0]
+        now = 0.0
+        for line in range(8192):  # two prune periods of remote misses
+            done, __ = mem.access(2, line, now)
+            now = done + 1.0  # every fill has landed before the next miss
+        assert mem.remote_accesses == 8192
+        # Unpruned, the table would hold every line ever missed.
+        assert len(l1.in_flight) <= 4096
+
+    def test_drop_miss_budget_applies_to_remote_accesses(self):
+        mem = self.remote_setup()
+        local = mem.subsystems[1]
+        local._drop_miss_budget = 3
+        for line in range(5):
+            mem.access(2, line, 0.0)
+        assert mem.remote_accesses == 5
+        assert local._drop_miss_budget == 0
+        assert local.l1_misses == 2  # three increments swallowed
+
+    @pytest.mark.parametrize("topology", ["mesh", "ring"])
+    def test_remote_latency_uses_the_topology_noc_latency(self, topology):
+        # 16 NoC endpoints per chiplet: enough for both topologies to
+        # average more than one hop.  SM 8 is chiplet 1's first.
+        size = dict(num_sms=8, llc_slices=8)
+        crossbar = self.remote_setup(**size)
+        derated = self.remote_setup(noc_topology=topology, **size)
+        t_crossbar, __ = crossbar.access(8, 0, 0.0)
+        t_derated, __ = derated.access(8, 0, 0.0)
+        assert derated.remote_accesses == 1
+        chiplet = derated.config.chiplet
+        extra_hop = chiplet.effective_noc_latency - chiplet.noc_latency
+        assert extra_hop > 0
+        # Four NoC traversals (local and home, each way) pay the
+        # topology's latency; the derated bisection adds transfer time.
+        assert t_derated - t_crossbar >= 4 * extra_hop

@@ -1,9 +1,11 @@
 """Memory-subsystem tests: access path, merging, MSHRs, statistics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.memory import DRAM, L1_HIT, LLC_HIT, MERGED, MemorySubsystem
+from repro.memory_regions import BYPASS_BASE
 
 
 def small_config(**overrides) -> GPUConfig:
@@ -150,3 +152,108 @@ class TestStatistics:
         extra = mem.extra_stats(1000.0)
         assert 0.0 <= extra["noc_utilization"] <= 1.0
         assert extra["l1_merged"] == 0.0
+
+
+def reference_access(mem: MemorySubsystem, sm_id: int, line: int, now: float):
+    """The access path composed from the public primitives.
+
+    What ``MemorySubsystem.access`` inlines, written as the chain of
+    ``SetAssocCache.access`` / ``TokenPool.acquire``+``hold`` /
+    ``BandwidthResource.transfer`` / ``FifoServer.service`` calls it
+    stands for — the executable definition the flat path must match.
+    """
+    cfg = mem.config
+
+    def jitter_factor():
+        if cfg.latency_jitter == 0.0:
+            return 1.0
+        mem._rng_state = (
+            mem._rng_state * 6364136223846793005 + 1442695040888963407
+        ) & 0xFFFFFFFFFFFFFFFF
+        u = (mem._rng_state >> 11) / float(1 << 53)
+        return 1.0 + cfg.latency_jitter * (2.0 * u - 1.0)
+
+    def dram(hashed, t):
+        if mem.banked_mcs:
+            banked = mem.banked_mcs[hashed % len(mem.banked_mcs)]
+            return banked.access(t, line) + 0.5 * cfg.dram_latency
+        mc = mem.mcs[hashed % len(mem.mcs)]
+        return mc.transfer(t, cfg.line_size) + cfg.dram_latency * jitter_factor()
+
+    l1 = mem.l1s[sm_id]
+    if l1.cache.access(line):
+        mem.l1_hits += 1
+        return now + cfg.l1_hit_latency, L1_HIT
+    mem.l1_misses += 1
+    pending = l1.in_flight.get(line)
+    if pending is not None and pending > now:
+        l1.merged += 1
+        mem.merged += 1
+        return pending, MERGED
+    t = l1.mshrs.acquire(now) + cfg.l1_hit_latency
+    t = mem.noc_request.transfer(t, cfg.noc_request_bytes) + cfg.effective_noc_latency
+    hashed = mem.hash_line(line)
+    slice_id = hashed % len(mem.llc_slices)
+    t = mem.llc_ports[slice_id].service(t, 1.0 / cfg.llc_slice_throughput)
+    if line >= BYPASS_BASE:
+        mem.llc_misses += 1
+        t, where = dram(hashed, t), DRAM
+    else:
+        hit = mem.llc_slices[slice_id].access(line)
+        t += cfg.llc_latency * jitter_factor()
+        if hit:
+            mem.llc_hits += 1
+            where = LLC_HIT
+        else:
+            mem.llc_misses += 1
+            t, where = dram(hashed, t), DRAM
+    t = mem.noc_response.transfer(t, cfg.line_size) + cfg.effective_noc_latency
+    l1.in_flight[line] = t
+    l1.mshrs.hold(t)
+    mem._prune_countdown -= 1
+    if mem._prune_countdown <= 0:
+        mem._prune_countdown = 4096
+        l1.prune_in_flight(now)
+    return t, where
+
+
+#: (sm, line pick, time step): few distinct lines over tiny caches, so a
+#: short stream already hits, merges, evicts and waits for MSHRs.
+ACCESS_STREAM = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.integers(0, 39),
+        st.sampled_from([0.0, 0.0, 1.0, 7.5, 400.0, 5000.0]),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+class TestFlatPathMatchesPrimitives:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stream=ACCESS_STREAM,
+        jitter=st.sampled_from([0.0, 0.25]),
+        dram_model=st.sampled_from(["simple", "banked"]),
+        topology=st.sampled_from(["crossbar", "mesh"]),
+    )
+    def test_differential(self, stream, jitter, dram_model, topology):
+        cfg = small_config(
+            l1_size=4 * 128, l1_assoc=2, l1_mshrs=2,
+            llc_size=16 * 128, llc_assoc=2, num_mcs=2,
+            latency_jitter=jitter, dram_model=dram_model,
+            noc_topology=topology,
+        )
+        flat, reference = MemorySubsystem(cfg), MemorySubsystem(cfg)
+        # A shortened prune period so streams this short cross it.
+        flat._prune_countdown = reference._prune_countdown = 20
+        now = 0.0
+        for sm_id, pick, step in stream:
+            now += step
+            # Every fourth line carries the LLC no-allocate hint.
+            line = BYPASS_BASE + pick if pick % 4 == 3 else pick * 3
+            assert flat.access(sm_id, line, now) == reference_access(
+                reference, sm_id, line, now
+            )
+        assert flat.state_dict() == reference.state_dict()

@@ -1,10 +1,12 @@
 """Exact stack-distance profiler tests, verified against a brute-force
 reference implementation and a reference LRU simulation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import PredictionError
+from repro.trace import patterns
 from repro.mrc.stack_distance import (
     COLD,
     FenwickTree,
@@ -64,6 +66,25 @@ class TestFenwickTree:
         with pytest.raises(PredictionError):
             FenwickTree().prefix_sum(-1)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=9),
+        st.lists(
+            st.tuples(st.integers(1, 600), st.integers(-3, 3)), max_size=60
+        ),
+    )
+    def test_repeated_doubling_matches_a_plain_array(self, capacity, updates):
+        """Growth only appends zeros and sets the new root; every prefix
+        must still read as if the tree had been built full-size."""
+        tree = FenwickTree(capacity)
+        plain = [0] * 601
+        for index, delta in updates:
+            tree.add(index, delta)
+            plain[index] += delta
+            assert tree.prefix_sum(index) == sum(plain[: index + 1])
+        assert tree.prefix_sum(600) == sum(plain)
+        assert all(type(node) is int for node in tree._tree)
+
 
 class TestStackDistances:
     def test_textbook_example(self):
@@ -112,6 +133,49 @@ class TestStackDistances:
         p.access(1)
         with pytest.raises(PredictionError):
             p.misses_at(-1)
+
+
+#: Fifteen capacities from one line to past every stream's footprint.
+CAPACITIES = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
+
+
+def stream_random(rng, n):
+    return rng.integers(0, 700, size=n).tolist()
+
+
+def stream_cyclic_sweep(rng, n):
+    return (patterns.cyclic_sweep(0, 300, n, offset=17)).tolist()
+
+
+def stream_pointer_chase(rng, n):
+    return patterns.pointer_chase_tree(0, 4, 6, n // 4 + 1, rng).tolist()[:n]
+
+
+class TestAgainstMultiCapacityLRU:
+    """The profiler's curve equals exact LRU simulation at every capacity,
+    on the three stream shapes the benchmarks are made of, and on streams
+    that outgrow ``expected_length`` several times over."""
+
+    @pytest.mark.parametrize(
+        "make", [stream_random, stream_cyclic_sweep, stream_pointer_chase]
+    )
+    @pytest.mark.parametrize("expected_length", [1 << 16, 64, 1])
+    def test_curve_equals_lru(self, make, expected_length):
+        stream = make(np.random.default_rng(7), 5000)
+        profiler = StackDistanceProfiler(expected_length)
+        profiler.consume(stream)
+        lru = MultiCapacityLRU(CAPACITIES)
+        lru.consume(stream)
+        assert profiler.miss_curve(CAPACITIES) == lru.miss_curve(CAPACITIES)
+        assert profiler.accesses == len(stream)
+
+    def test_growth_does_not_change_the_histogram(self):
+        stream = stream_random(np.random.default_rng(3), 4000)
+        roomy, grown = StackDistanceProfiler(1 << 16), StackDistanceProfiler(2)
+        roomy.consume(stream)
+        grown.consume(stream)
+        assert grown.histogram() == roomy.histogram()
+        assert grown.cold_misses == roomy.cold_misses
 
 
 class TestMultiCapacityLRU:

@@ -4,16 +4,17 @@ The strong-scaling workflow needs MPKI as a function of LLC capacity.
 Collecting it through detailed timing simulation would defeat the purpose,
 so — following the literature the paper builds on — this package provides
 
-* :mod:`repro.mrc.stack_distance` — an exact single-pass reuse/stack
-  distance histogram (Conte et al. [20]) using a Fenwick tree, evaluated
-  at every capacity of interest in one pass;
+* :mod:`repro.mrc.stack_distance` — exact reuse/stack distances (Conte
+  et al. [20]), counted offline on the whole stream and read at every
+  capacity of interest, plus the streaming Fenwick-tree profiler they
+  are tested against;
 * :mod:`repro.mrc.statstack` — a StatStack-flavoured statistical
   approximation (Eklov and Hagersten [23]) built from forward reuse
   distances, much cheaper than exact stack distances;
 * :mod:`repro.mrc.interleave` — a GPU-aware interleaving model in the
   spirit of Nugteren et al. [49]: per-warp streams are merged round-robin
-  across warps, CTAs and SMs and filtered through functional L1s to form
-  the LLC reference stream;
+  across warps, CTAs and SMs into the stream the functional L1 filter
+  turns into the LLC reference stream;
 * :mod:`repro.mrc.collector` — the end-to-end collector: workload trace →
   LLC stream → :class:`~repro.mrc.curve.MissRateCurve`;
 * :mod:`repro.mrc.cliff` — region analysis (pre-cliff / cliff /

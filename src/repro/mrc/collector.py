@@ -2,8 +2,8 @@
 
 Pipeline (Section V-A of the paper): functional trace → GPU-aware
 interleaving (:mod:`repro.mrc.interleave`) → per-virtual-SM functional L1
-filtering → LLC reference stream → stack-distance profiling → MPKI at
-every LLC capacity of interest, all in a single pass over the trace.
+filtering → LLC reference stream → stack distances → MPKI at every LLC
+capacity of interest.  Each stage handles the whole stream as arrays.
 
 This path involves no timing simulation, which is what makes miss-rate
 curves orders of magnitude cheaper to collect than scale-model
@@ -15,16 +15,18 @@ from __future__ import annotations
 import time as _time
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.exceptions import PredictionError
-from repro.gpu.cache import SetAssocCache
 from repro.gpu.config import GPUConfig
 from repro.memory_regions import BYPASS_BASE
 from repro.mrc.curve import MissRateCurve
-from repro.mrc.interleave import StreamStats, iter_interleaved
-from repro.mrc.stack_distance import MultiCapacityLRU, StackDistanceProfiler
-from repro.mrc.statstack import ReuseDistanceSampler, statstack_miss_ratios
+from repro.mrc.interleave import interleaved_stream
+from repro.mrc.stack_distance import (
+    MultiCapacityLRU, previous_occurrences, stack_distances,
+)
+from repro.mrc.statstack import reuse_miss_ratios
 from repro.trace.kernel import WorkloadTrace
-
 
 def paper_capacity_points(
     baseline: Optional[GPUConfig] = None,
@@ -33,6 +35,30 @@ def paper_capacity_points(
     """Nominal LLC capacities of the paper's systems (2.125 ... 34 MB)."""
     base = baseline if baseline is not None else GPUConfig.paper_baseline()
     return [base.scaled(n).llc_size for n in sizes]
+
+
+def l1_miss_mask(
+    vsm: np.ndarray, lines: np.ndarray, num_sets: int, assoc: int
+) -> np.ndarray:
+    """Which accesses of an interleaved stream miss their virtual SM's L1.
+
+    An ``assoc``-way LRU set holds the ``assoc`` lines of the set touched
+    most recently, so an access hits iff fewer than ``assoc`` distinct
+    lines of its set were touched since the last access to its line: a
+    stack distance below ``assoc`` on the virtual SM's own stream
+    regrouped, in order, by set.  No cache is simulated.
+    """
+    misses = np.ones(len(lines), dtype=bool)
+    by_vsm = np.argsort(vsm, kind="stable")
+    ends = np.cumsum(np.bincount(vsm)).tolist()
+    # One virtual SM at a time keeps the temporaries small.
+    for first, end in zip([0] + ends, ends):
+        own = by_vsm[first:end]
+        sets = (lines[own] % num_sets).astype(np.min_scalar_type(num_sets))
+        by_set = own[np.argsort(sets, kind="stable")]  # radix sort if 16-bit
+        distances = stack_distances(previous_occurrences(lines[by_set]))
+        misses[by_set[(distances >= 0) & (distances < assoc)]] = False
+    return misses
 
 
 def collect_miss_rate_curve(
@@ -48,12 +74,20 @@ def collect_miss_rate_curve(
     system points); the configured ``capacity_scale`` converts them to
     simulated lines.  ``method`` selects the profiler:
 
-    * ``"stack"`` — exact single-pass stack distances (default);
-    * ``"lru"`` — exact multi-capacity LRU simulation;
+    * ``"stack"`` — exact stack distances, counted offline (default);
+    * ``"lru"`` — exact multi-capacity LRU simulation, the independent
+      reference for ``"stack"``;
     * ``"statstack"`` — statistical estimate from reuse distances.
     """
+    if method not in ("stack", "lru", "statstack"):
+        raise PredictionError(
+            f"unknown MRC method {method!r}; use stack, lru or statstack"
+        )
     cfg = config if config is not None else GPUConfig.paper_baseline()
-    caps = list(capacities_bytes) if capacities_bytes else paper_capacity_points(cfg)
+    # Any sequence, NumPy arrays included; elements become Python numbers.
+    caps = np.asarray(() if capacities_bytes is None else capacities_bytes).tolist()
+    if not caps:
+        caps = paper_capacity_points(cfg)
     if any(c <= 0 for c in caps):
         raise PredictionError(f"capacities must be positive: {caps}")
     cap_lines = [
@@ -61,56 +95,39 @@ def collect_miss_rate_curve(
     ]
 
     start = _time.perf_counter()
-    l1s = [
-        SetAssocCache(cfg.l1_sets, cfg.l1_assoc, name=f"mrc-l1-{i}")
-        for i in range(num_virtual_sms)
-    ]
-    if method == "stack":
-        profiler = StackDistanceProfiler()
-    elif method == "lru":
-        profiler = MultiCapacityLRU(cap_lines)
-    elif method == "statstack":
-        profiler = ReuseDistanceSampler()
-    else:
-        raise PredictionError(
-            f"unknown MRC method {method!r}; use stack, lru or statstack"
-        )
-
-    ctas_per_sm = 6
-    llc_accesses = 0
-    l1_accesses = 0
-    bypass_misses = 0
-    stream_stats = StreamStats()
-    for vsm, chunk in iter_interleaved(
-        workload, num_virtual_sms, ctas_per_sm, stats=stream_stats
-    ):
-        l1 = l1s[vsm]
-        l1_access = l1.access
-        profile = profiler.access
-        for line in chunk.tolist():
-            l1_accesses += 1
-            if not l1_access(line):
-                llc_accesses += 1
-                if line >= BYPASS_BASE:
-                    # No-allocate streaming hint: misses at every capacity.
-                    bypass_misses += 1
-                else:
-                    profile(line)
-
+    vsm, lines = interleaved_stream(workload, num_virtual_sms, ctas_per_sm=6)
+    l1_accesses = len(lines)
+    llc = lines[l1_miss_mask(vsm, lines, cfg.l1_sets, cfg.l1_assoc)]
+    llc_accesses = len(llc)
     if llc_accesses == 0:
         raise PredictionError(
             f"{workload.name}: no LLC accesses reached the profiler"
         )
-    profiled = llc_accesses - bypass_misses
-    if method == "statstack":
-        ratios = statstack_miss_ratios(profiler, cap_lines)
-        misses = [r * profiled + bypass_misses for r in ratios]
+    # No-allocate streaming hint: bypass lines miss at every capacity.
+    profiled = llc[llc < BYPASS_BASE]
+    bypass_misses = llc_accesses - len(profiled)
+    del vsm, lines, llc  # the largest arrays alive; the counting needs room
+    if method == "lru":
+        lru = MultiCapacityLRU(cap_lines)
+        for first in range(0, len(profiled), 4096):  # bounds the int objects alive
+            lru.consume(profiled[first : first + 4096].tolist())
+        misses = lru.miss_curve(cap_lines)
     else:
-        misses = [float(m) + bypass_misses for m in profiler.miss_curve(cap_lines)]
+        previous = previous_occurrences(profiled)
+        cold = np.count_nonzero(previous < 0)
+        if method == "stack":
+            distances = stack_distances(previous)  # COLD is below any capacity
+            misses = [cold + np.count_nonzero(distances >= c) for c in cap_lines]
+        else:
+            warm = np.flatnonzero(previous >= 0)
+            ratios = reuse_miss_ratios(
+                warm - previous[warm] - 1, cold, len(profiled), cap_lines
+            )
+            misses = [r * len(profiled) for r in ratios]
+    misses = [float(m) + bypass_misses for m in misses]
     ratios = [m / llc_accesses for m in misses]
 
-    # Thread instructions were accumulated during the interleaving pass.
-    thread_instructions = stream_stats.thread_instructions(32)
+    thread_instructions = workload.count_instructions(32)
     kilo_instructions = thread_instructions / 1000.0
     mpki = [m / kilo_instructions for m in misses]
     elapsed = _time.perf_counter() - start

@@ -1,24 +1,94 @@
-"""Exact single-pass stack-distance (reuse-distance) profiling.
+"""Exact stack-distance (reuse-distance) profiling.
 
-Implements the classic single-pass algorithm (Conte et al. [20], Mattson's
-stack algorithm): one traversal of the reference stream yields a stack
-distance histogram from which the miss count of *every* fully-associative
-LRU capacity can be read — the property that makes miss-rate-curve
+Implements the classic stack algorithm (Conte et al. [20], Mattson): the
+stack distance of a reference — the distinct lines touched since the
+previous reference to its line — yields the miss count of *every*
+fully-associative LRU capacity, the property that makes miss-rate-curve
 collection two orders of magnitude cheaper than timing simulation.
 
-The distinct-lines-since-last-access count is maintained with a Fenwick
-(binary indexed) tree over stream positions holding a 1 at the last
-occurrence of each line.
+:func:`previous_occurrences` and :func:`stack_distances` count offline on
+a whole stream held as arrays (what the collector runs).
+:class:`StackDistanceProfiler` takes one reference at a time, keeping a
+Fenwick (binary indexed) tree over stream positions with a 1 at the last
+occurrence of each line: the streaming API, and the oracle the array pass
+is tested against.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
+import numpy as np
+
 from repro.exceptions import PredictionError
 
 #: Histogram bucket index used for cold (first-reference) accesses.
 COLD = -1
+
+
+def previous_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Position of the previous reference to the same key, ``COLD`` if none."""
+    order = np.argsort(keys, kind="stable")  # equal keys stay in stream order
+    sorted_keys = keys[order]
+    repeats = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    previous = np.full(len(keys), COLD, dtype=np.int32)
+    previous[order[repeats + 1]] = order[repeats]
+    return previous
+
+
+def stack_distances(previous: np.ndarray) -> np.ndarray:
+    """Stack distance of every reference of a stream (``COLD`` for first
+    references), given its :func:`previous_occurrences`.
+
+    Of the references between ``i`` and the previous one ``p`` to its
+    line, those repeating a line already touched in between add nothing,
+    and ``j`` is such a repeat exactly when ``previous[j]`` lies in
+    between too (which already implies ``j > p``):
+
+        distance(i) = (i - p - 1) - #{j < i : previous[j] > p}
+    """
+    warm = np.flatnonzero(previous >= 0)
+    last = previous[warm]
+    # Non-cold references have distinct ``previous``: rank them 0..m-1.
+    is_last = np.zeros(len(previous), dtype=bool)
+    is_last[last] = True
+    rank = np.cumsum(is_last, dtype=np.int32)[last] - 1
+    distances = np.full(len(previous), COLD, dtype=np.int32)
+    distances[warm] = warm - last - 1 - _earlier_greater(rank)
+    return distances
+
+
+def _earlier_greater(values: np.ndarray) -> np.ndarray:
+    """``#{j < i : values[j] > values[i]}`` for a permutation of ``0..m-1``,
+    in O(m log m) array operations.
+
+    An MSB-first radix sort that counts as it goes: each level splits
+    every bucket (values sharing the bits above) on the next bit, keeping
+    stream order, and a value with a 0 there is smaller than exactly the
+    earlier values of its bucket with a 1.  The values being a
+    permutation, a bucket is an aligned block of slots with as many zeros
+    as ones (the last may lack ones only), so ranks within a bucket follow
+    from ranks within the whole arrangement by arithmetic.
+    """
+    # 32-bit state: half the memory traffic (streams are far below 2**29).
+    slots = np.arange(len(values), dtype=np.int32)
+    counts = np.zeros(len(values), dtype=np.int32)
+    arranged = values
+    for bit in range((len(values) - 1).bit_length() - 1, -1, -1):
+        one = (arranged >> bit) & 1
+        ones_before = np.cumsum(one, dtype=np.int32) - one
+        # Ones, and zeros, in the buckets before this slot's bucket.
+        target = (slots >> (bit + 1)) << bit
+        counts += (one ^ 1) * (ones_before - target)
+        # Zeros move to the front of their bucket, ones behind the zeros.
+        target += slots - ones_before
+        target += one * ((1 << bit) + 2 * ones_before - slots)
+        target = target.astype(np.intp)
+        moved, moved_counts = np.empty_like(arranged), np.empty_like(counts)
+        moved[target] = arranged
+        moved_counts[target] = counts
+        arranged, counts = moved, moved_counts
+    return counts[values]  # the arrangement ends sorted: slot v holds value v
 
 
 class FenwickTree:
@@ -76,7 +146,7 @@ class FenwickTree:
 
 
 class StackDistanceProfiler:
-    """Single-pass exact stack-distance histogram.
+    """Streaming exact stack-distance histogram.
 
     Feed line addresses with :meth:`access` (or :meth:`consume`); read
     misses for any capacity with :meth:`misses_at` once done.
@@ -154,8 +224,8 @@ class MultiCapacityLRU:
     capacities, in one pass.
 
     Functionally a restriction of :class:`StackDistanceProfiler` to known
-    capacities; kept because one dict operation per capacity is faster in
-    CPython than Fenwick bookkeeping on long streams.
+    capacities that shares no code with it or :func:`stack_distances`:
+    the collector's ``"lru"`` method, the reference for ``"stack"``.
     """
 
     def __init__(self, capacities_lines: Sequence[int]) -> None:

@@ -75,17 +75,25 @@ def statstack_miss_ratios(
     max_window: int = 1 << 20,
 ) -> List[float]:
     """Estimated miss ratios (misses per access) at the given capacities."""
-    if sampler.accesses == 0:
+    return reuse_miss_ratios(
+        np.asarray(sampler.reuse_distances, dtype=np.int64),
+        sampler.cold_misses, sampler.accesses, capacities_lines, max_window,
+    )
+
+
+def reuse_miss_ratios(
+    rds: np.ndarray, cold: int, total: int,
+    capacities_lines: Sequence[int], max_window: int = 1 << 20,
+) -> List[float]:
+    """:func:`statstack_miss_ratios` of a stream of ``total`` references,
+    ``cold`` first ones and the rest with forward reuse distances ``rds``."""
+    if total == 0:
         raise PredictionError("no accesses sampled")
-    rds = np.asarray(sampler.reuse_distances, dtype=np.int64)
     if len(rds):
         max_window = int(min(max_window, max(int(rds.max()) + 1, 2)))
     else:
         max_window = 2
     unique = expected_unique(rds, max_window)
-    n = len(rds)
-    cold = sampler.cold_misses
-    total = sampler.accesses
     out = []
     for capacity in capacities_lines:
         if capacity < 1:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -84,8 +84,7 @@ class CompiledKernel:
     ``offsets[w]`` cycles late; CTA ``c`` owns warps
     ``cta_bounds[c]:cta_bounds[c + 1]``.  The arrays are shared by every
     reader and never handed out: :meth:`build_cta` copies one CTA into
-    fresh Python lists per call, :meth:`warp_lines` returns views for
-    read-only functional replay.
+    fresh Python lists per call; array-at-a-time readers only read.
     """
 
     lines: np.ndarray
@@ -94,27 +93,6 @@ class CompiledKernel:
     tails: np.ndarray
     offsets: np.ndarray
     cta_bounds: np.ndarray
-
-    @classmethod
-    def from_pieces(
-        cls,
-        lines: Sequence[np.ndarray],
-        compute: Sequence[np.ndarray],
-        warp_lengths: Sequence[int],
-        tails: Sequence[int],
-        offsets: Sequence[float],
-        cta_warp_counts: Sequence[int],
-    ) -> "CompiledKernel":
-        """Assemble from consecutive pieces of the two streams (any
-        granularity) and per-warp / per-CTA lists, CTA-then-warp order."""
-        return cls(
-            np.concatenate(lines),
-            np.concatenate(compute),
-            np.concatenate(([0], np.cumsum(warp_lengths))),
-            np.asarray(tails, dtype=np.int64),
-            np.asarray(offsets, dtype=np.float64),
-            np.concatenate(([0], np.cumsum(cta_warp_counts))),
-        )
 
     @classmethod
     def from_ctas(cls, ctas: Iterable[CTATrace]) -> "CompiledKernel":
@@ -128,7 +106,14 @@ class CompiledKernel:
                 lengths.append(len(warp.lines))
                 tails.append(warp.tail_compute)
                 offsets.append(warp.start_offset)
-        return cls.from_pieces(lines, compute, lengths, tails, offsets, counts)
+        return cls(
+            np.concatenate(lines),
+            np.concatenate(compute),
+            np.concatenate(([0], np.cumsum(lengths))),
+            np.asarray(tails, dtype=np.int64),
+            np.asarray(offsets, dtype=np.float64),
+            np.concatenate(([0], np.cumsum(counts))),
+        )
 
     @property
     def warp_instructions(self) -> int:
@@ -150,13 +135,6 @@ class CompiledKernel:
             )
             for lo, hi, tail, offset in zip(bounds, bounds[1:], tails, offsets)
         ])
-
-    def warp_lines(self, cta_id: int) -> List[np.ndarray]:
-        """Read-only views of one CTA's per-warp line streams."""
-        first, last = self.cta_bounds[cta_id : cta_id + 2].tolist()
-        bounds = self.warp_bounds[first : last + 1].tolist()
-        lines = self.lines
-        return [lines[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass

@@ -21,6 +21,8 @@ benchmark:
 
 from __future__ import annotations
 
+from typing import Sequence, Tuple
+
 import numpy as np
 
 from repro.exceptions import TraceError
@@ -79,13 +81,20 @@ def zipf(
     lines spread across LLC slices should pass a scattered ``base`` or
     post-process.
     """
-    _check_positive(ws_lines=ws_lines, count=count)
+    _check_positive(count=count)
+    weights = zipf_weights(ws_lines, exponent)
+    return base + rng.choice(ws_lines, size=count, p=weights).astype(np.int64)
+
+
+def zipf_weights(ws_lines: int, exponent: float) -> np.ndarray:
+    """Popularity of each of ``ws_lines`` lines under :func:`zipf`."""
+    _check_positive(ws_lines=ws_lines)
     if exponent <= 0:
         raise TraceError(f"zipf exponent must be positive, got {exponent}")
     ranks = np.arange(1, ws_lines + 1, dtype=np.float64)
     weights = ranks**-exponent
     weights /= weights.sum()
-    return base + rng.choice(ws_lines, size=count, p=weights).astype(np.int64)
+    return weights
 
 
 def stencil_rows(
@@ -124,18 +133,30 @@ def pointer_chase_tree(
     data that causes LLC-slice camping in B-tree style workloads.
     """
     _check_positive(levels=levels, fanout=fanout, walks=walks)
-    out = np.empty(walks * levels, dtype=np.int64)
-    level_base = np.zeros(levels, dtype=np.int64)
-    acc = 0
-    for level in range(levels):
-        level_base[level] = acc
-        acc += fanout**level
-    node = np.zeros(walks, dtype=np.int64)
-    for level in range(levels):
-        out[level::levels] = base + level_base[level] + node
-        if level + 1 < levels:
-            node = node * fanout + rng.integers(0, fanout, size=walks, dtype=np.int64)
-    return out
+    picks = [
+        rng.integers(0, fanout, size=walks, dtype=np.int64)
+        for __ in range(levels - 1)
+    ]
+    return tree_paths(base, fanout, walks, picks)
+
+
+def tree_paths(
+    base: int, fanout: int, walks: int, picks: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Lines of ``walks`` root-to-leaf walks, one walk after the other.
+
+    ``picks[k][i]`` is the child walk ``i`` takes below level ``k``; the
+    tree has ``len(picks) + 1`` levels.
+    """
+    out = np.empty((walks, len(picks) + 1), dtype=np.int64)
+    out[:, 0] = base
+    level_base = 1  # nodes above the level being filled
+    node = 0
+    for level, pick in enumerate(picks, start=1):
+        node = node * fanout + pick
+        out[:, level] = base + level_base + node
+        level_base += fanout**level
+    return out.reshape(-1)
 
 
 def hot_cold(
@@ -175,11 +196,19 @@ def interleave_compute(
     """
     if num_accesses <= 0:
         raise TraceError(f"num_accesses must be positive, got {num_accesses}")
-    if mean_compute < 0:
-        raise TraceError(f"mean_compute must be >= 0, got {mean_compute}")
+    low, high = burst_range(mean_compute, jitter)
     if jitter <= 0:
         return np.full(num_accesses, int(round(mean_compute)), dtype=np.int64)
-    low = mean_compute * (1.0 - jitter)
-    high = mean_compute * (1.0 + jitter)
-    bursts = rng.uniform(low, high, size=num_accesses)
+    return round_bursts(rng.uniform(low, high, size=num_accesses))
+
+
+def burst_range(mean_compute: float, jitter: float = 0.25) -> Tuple[float, float]:
+    """The interval :func:`interleave_compute` draws burst lengths from."""
+    if mean_compute < 0:
+        raise TraceError(f"mean_compute must be >= 0, got {mean_compute}")
+    return mean_compute * (1.0 - jitter), mean_compute * (1.0 + jitter)
+
+
+def round_bursts(bursts: np.ndarray) -> np.ndarray:
+    """Drawn burst lengths as non-negative whole instruction counts."""
     return np.maximum(0, np.rint(bursts)).astype(np.int64)

@@ -44,7 +44,7 @@ what makes bfs and bs sub-linear under weak scaling.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,55 +83,64 @@ def _clamped_ctas(shape: KernelShape, work_scale: float) -> int:
     return max(1, min(MAX_CTAS, scaled))
 
 
-def _cta_rng(seed: int, kernel_idx: int, cta_id: int) -> np.random.Generator:
-    return np.random.default_rng((seed, kernel_idx, cta_id))
+class _Grid:
+    """The draws of one kernel's grid, CTA by CTA.
 
+    Drawing is the only per-CTA work in trace generation, and its order is
+    the determinism contract: CTA ``c`` of kernel ``k`` owns a PCG64 stream
+    seeded ``(seed, k, c)`` and draws the family's values first, then per
+    warp its compute bursts followed by its launch offset
+    (:meth:`draw_warps`).  Consecutive draws from one distribution may be
+    fused into one sized call — same stream — but never reordered.
+    Everything that does not draw runs once, on the whole kernel.
+    """
 
-#: One CTA as the family builders emit it: the warps' line and compute
-#: streams back to back, then per-warp access counts and launch offsets.
-_CtaArrays = Tuple[np.ndarray, np.ndarray, List[int], List[float]]
+    def __init__(
+        self, ctx: "_TraceContext", cpa: float, kernel_idx: int,
+        num_ctas: int, warps: int,
+    ) -> None:
+        self.warps = warps
+        self.num_warps = num_ctas * warps
+        self._seeds = [(ctx.seed, kernel_idx, cta_id) for cta_id in range(num_ctas)]
+        self._burst_range = patterns.burst_range(cpa)
+        self._lead_in = ctx.lead_in
+        self._bursts: List[np.ndarray] = []
+        self._offsets: List[int] = []
+        self._lengths: List[int] = []
 
+    def rngs(self) -> Iterator[np.random.Generator]:
+        # What ``default_rng(seed)`` builds, minus its argument sniffing.
+        return map(np.random.Generator, map(np.random.PCG64, self._seeds))
 
-def _cta_arrays(
-    lines_per_warp: List[np.ndarray],
-    cpa: float,
-    rng: np.random.Generator,
-    lead_in: int = 0,
-) -> _CtaArrays:
-    compute = []
-    offsets = []
-    for lines in lines_per_warp:
-        compute.append(patterns.interleave_compute(len(lines), cpa, rng))
-        # Stagger warp launch (scheduler and launch overhead) so warps do
-        # not issue memory in lockstep: identical warp periods would
-        # otherwise resonate into synchronized request bursts no real GPU
-        # exhibits.  The offset is idle time, not instructions.
-        offsets.append(float(rng.integers(0, lead_in)) if lead_in > 0 else 0.0)
-    # One array per CTA, not per warp: the pieces of a whole kernel are
-    # alive at once while it compiles.
-    return (
-        np.concatenate(lines_per_warp),
-        np.concatenate(compute),
-        [len(lines) for lines in lines_per_warp],
-        offsets,
-    )
+    def draw_warps(self, rng: np.random.Generator, accesses: int) -> None:
+        """The draws that end a CTA whose warps make ``accesses`` each."""
+        low, high = self._burst_range
+        lead_in = self._lead_in
+        uniform, integers = rng.uniform, rng.integers
+        bursts, offsets = self._bursts, self._offsets
+        for __ in range(self.warps):
+            bursts.append(uniform(low, high, accesses))
+            # Stagger warp launch (scheduler and launch overhead) so warps
+            # do not issue memory in lockstep: identical warp periods would
+            # otherwise resonate into synchronized request bursts no real
+            # GPU exhibits.  The offset is idle time, not instructions.
+            if lead_in > 0:
+                offsets.append(integers(0, lead_in))
+        self._lengths.append(accesses)
 
+    def warp_lengths(self) -> np.ndarray:
+        return np.repeat(np.asarray(self._lengths, dtype=np.int64), self.warps)
 
-def _compile_kernel(
-    build: Callable[[int], _CtaArrays], num_ctas: int
-) -> CompiledKernel:
-    """Run a family's per-CTA builder over the whole grid, once."""
-    lines, compute, lengths, offsets, counts = [], [], [], [], []
-    for cta_id in range(num_ctas):
-        cta_lines, cta_compute, cta_lengths, cta_offsets = build(cta_id)
-        lines.append(cta_lines)
-        compute.append(cta_compute)
-        lengths += cta_lengths
-        offsets += cta_offsets
-        counts.append(len(cta_lengths))
-    return CompiledKernel.from_pieces(
-        lines, compute, lengths, [0] * len(lengths), offsets, counts
-    )
+    def compile(self, lines: np.ndarray) -> CompiledKernel:
+        offsets = self._offsets if self._lead_in > 0 else [0] * self.num_warps
+        return CompiledKernel(
+            lines,
+            patterns.round_bursts(np.concatenate(self._bursts)),
+            np.concatenate(([0], np.cumsum(self.warp_lengths()))),
+            np.zeros(self.num_warps, dtype=np.int64),
+            np.asarray(offsets, dtype=np.float64),
+            np.arange(0, self.num_warps + 1, self.warps),
+        )
 
 
 class _TraceContext:
@@ -153,7 +162,7 @@ class _TraceContext:
         self.cpa = spec.param("cpa", 8.0)
         self.apw = int(spec.param("apw", 24))
         # Default start-up stagger: comparable to one memory round trip so
-        # warp generations decorrelate (see _cta_arrays); overridable.
+        # warp generations decorrelate (see _Grid.draw_warps); overridable.
         self.lead_in = int(
             spec.param("lead_in", max(900, round(2 * self.cpa * self.apw)))
         )
@@ -176,109 +185,97 @@ class _TraceContext:
 
 
 # --------------------------------------------------------------------------
-# Family builders: each returns a build_cta callable for one kernel.
+# Family builders: each generates one whole kernel.
 # --------------------------------------------------------------------------
 
 def _sweep_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], _CtaArrays]:
+) -> CompiledKernel:
     hot_lines = ctx.footprint_lines("hot_mb", ctx.spec.footprint_mb)
     cold_frac = ctx.spec.param("cold_frac", 0.0)
     # Short-range locality: each swept line is touched ``l1_reuse`` times
     # back to back (register blocking / multiple fields per element); the
     # repeats hit the private L1, as they do in the real kernels.
     l1_reuse = max(1, int(ctx.spec.param("l1_reuse", 2)))
-    warps = shape.warps_per_cta
-    apw = ctx.apw
-    distinct = max(1, apw // l1_reuse)
+    distinct = max(1, ctx.apw // l1_reuse)
+    accesses = distinct * l1_reuse
     cold_lines_total = max(
         1, ctx.footprint_lines() - hot_lines if cold_frac > 0 else 1
     )
-
-    def build(cta_id: int) -> _CtaArrays:
-        rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
-        per_warp = []
-        for w in range(warps):
-            gidx = cta_id * warps + w
-            hot = patterns.cyclic_sweep(
-                HOT_BASE, hot_lines, distinct, offset=gidx * distinct
-            )
-            hot = np.repeat(hot, l1_reuse)
-            if cold_frac > 0:
-                # One-shot streaming traffic carries the LLC no-allocate
-                # hint so it adds bandwidth pressure and an MPKI floor
-                # without polluting the shared cache.
-                n = len(hot)
-                is_cold = rng.random(n) < cold_frac
-                cold_start = (gidx * n) % cold_lines_total
-                cold = BYPASS_BASE + (
-                    cold_start + np.arange(n, dtype=np.int64)
-                ) % cold_lines_total
-                hot = np.where(is_cold, cold, hot)
-            per_warp.append(hot)
-        return _cta_arrays(per_warp, ctx.cpa, rng, ctx.lead_in)
-
-    return build
+    grid = _Grid(ctx, ctx.cpa, kernel_idx, num_ctas, shape.warps_per_cta)
+    cold_draws = []
+    for rng in grid.rngs():
+        if cold_frac > 0:
+            cold_draws.append(rng.random(grid.warps * accesses))
+        grid.draw_warps(rng, accesses)
+    # Warp g sweeps ``distinct`` lines from g * distinct on: back to back,
+    # the warps of the grid make one long sweep.
+    lines = np.repeat(
+        patterns.cyclic_sweep(HOT_BASE, hot_lines, grid.num_warps * distinct),
+        l1_reuse,
+    )
+    if cold_frac > 0:
+        # One-shot streaming traffic carries the LLC no-allocate hint so it
+        # adds bandwidth pressure and an MPKI floor without polluting the
+        # shared cache.
+        cold = patterns.cyclic_sweep(BYPASS_BASE, cold_lines_total, len(lines))
+        lines = np.where(np.concatenate(cold_draws) < cold_frac, cold, lines)
+    return grid.compile(lines)
 
 
 def _irregular_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], _CtaArrays]:
+) -> CompiledKernel:
     fp_lines = ctx.footprint_lines()
     zipf_exp = ctx.spec.param("zipf_exp", 0.0)
-    warps = shape.warps_per_cta
-    base_apw = ctx.apw
-    kbase = STREAM_BASE + kernel_idx * _KERNEL_STRIDE
-
-    def build(cta_id: int) -> _CtaArrays:
-        rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
-        factor = ctx.cta_work_factor(rng)
-        apw = max(2, int(round(base_apw * factor)))
-        per_warp = []
-        for __ in range(warps):
-            if zipf_exp > 0:
-                lines = patterns.zipf(HOT_BASE, fp_lines, apw, rng, zipf_exp)
-            else:
-                lines = patterns.uniform_random(kbase, fp_lines, apw, rng)
-            per_warp.append(lines)
-        return _cta_arrays(per_warp, ctx.cpa, rng, ctx.lead_in)
-
-    return build
+    if zipf_exp > 0:
+        base = HOT_BASE
+        weights = patterns.zipf_weights(fp_lines, zipf_exp)
+    else:
+        base = STREAM_BASE + kernel_idx * _KERNEL_STRIDE
+    grid = _Grid(ctx, ctx.cpa, kernel_idx, num_ctas, shape.warps_per_cta)
+    picks = []
+    for rng in grid.rngs():
+        apw = max(2, int(round(ctx.apw * ctx.cta_work_factor(rng))))
+        count = grid.warps * apw
+        if zipf_exp > 0:
+            picks.append(rng.choice(fp_lines, size=count, p=weights))
+        else:
+            picks.append(rng.integers(0, fp_lines, size=count, dtype=np.int64))
+        grid.draw_warps(rng, apw)
+    return grid.compile(base + np.concatenate(picks))
 
 
 def _stream_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], _CtaArrays]:
+) -> CompiledKernel:
     fp_lines = ctx.footprint_lines()
     random_access = ctx.spec.param("random", 0.0) > 0
     no_reuse = ctx.spec.param("no_reuse", 0.0) > 0
-    warps = shape.warps_per_cta
-    apw = ctx.apw
     kbase = STREAM_BASE + kernel_idx * _KERNEL_STRIDE
-
-    def build(cta_id: int) -> _CtaArrays:
-        rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
-        per_warp = []
-        for w in range(warps):
-            gidx = cta_id * warps + w
-            if random_access:
-                lines = patterns.uniform_random(kbase, fp_lines, apw, rng)
-            elif no_reuse:
-                # Fresh lines per access: models kernels that never touch
-                # the same data twice (ht): every reference is a cold miss.
-                lines = kbase + gidx * apw + np.arange(apw, dtype=np.int64)
-            else:
-                start = (gidx * apw) % fp_lines
-                lines = kbase + (start + np.arange(apw, dtype=np.int64)) % fp_lines
-            per_warp.append(lines)
-        return _cta_arrays(per_warp, ctx.cpa, rng, ctx.lead_in)
-
-    return build
+    grid = _Grid(ctx, ctx.cpa, kernel_idx, num_ctas, shape.warps_per_cta)
+    count = grid.warps * ctx.apw
+    picks = []
+    for rng in grid.rngs():
+        if random_access:
+            picks.append(rng.integers(0, fp_lines, size=count, dtype=np.int64))
+        grid.draw_warps(rng, ctx.apw)
+    total = num_ctas * count
+    if random_access:
+        lines = kbase + np.concatenate(picks)
+    elif no_reuse:
+        # Fresh lines per access: models kernels that never touch the
+        # same data twice (ht): every reference is a cold miss.
+        lines = patterns.sequential(kbase, total)
+    else:
+        # Warp g streams ``apw`` lines from g * apw on, wrapping.
+        lines = patterns.cyclic_sweep(kbase, fp_lines, total)
+    return grid.compile(lines)
 
 
 def _tiled_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], _CtaArrays]:
+) -> CompiledKernel:
     """Tiled compute kernels (gemm-style).
 
     Each warp works on a private tile of ``apw`` lines re-read ``reps``
@@ -290,50 +287,55 @@ def _tiled_kernel(
     fp_lines = ctx.footprint_lines()
     reps = max(1, int(ctx.spec.param("reps", 3)))
     folded_cpa = reps * (ctx.cpa + 1.0) - 1.0
-    warps = shape.warps_per_cta
-    apw = ctx.apw
     kbase = TILE_BASE + kernel_idx * _KERNEL_STRIDE
-
-    def build(cta_id: int) -> _CtaArrays:
-        rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
-        per_warp = []
-        for w in range(warps):
-            gidx = cta_id * warps + w
-            start = (gidx * apw) % max(1, fp_lines)
-            per_warp.append(
-                kbase + (start + np.arange(apw, dtype=np.int64)) % fp_lines
-            )
-        return _cta_arrays(per_warp, folded_cpa, rng, ctx.lead_in)
-
-    return build
+    grid = _Grid(ctx, folded_cpa, kernel_idx, num_ctas, shape.warps_per_cta)
+    for rng in grid.rngs():
+        grid.draw_warps(rng, ctx.apw)
+    # Warp g owns the ``apw`` lines from g * apw on, wrapping.
+    return grid.compile(
+        patterns.cyclic_sweep(kbase, fp_lines, grid.num_warps * ctx.apw)
+    )
 
 
 def _chase_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], _CtaArrays]:
+) -> CompiledKernel:
     fp_lines = ctx.footprint_lines()
     levels = int(ctx.spec.param("levels", 5))
     # Pick the fanout so the full tree holds about fp_lines nodes.
     fanout = max(2, int(round(fp_lines ** (1.0 / max(1, levels - 1)))))
     walks = max(1, ctx.apw // levels)
-    warps = shape.warps_per_cta
+    grid = _Grid(ctx, ctx.cpa, kernel_idx, num_ctas, shape.warps_per_cta)
+    draws = []
+    for rng in grid.rngs():
+        nwalks = max(1, int(round(walks * ctx.cta_work_factor(rng))))
+        # Per warp, one child pick per walk for each level below the root.
+        draws.append(
+            rng.integers(
+                0, fanout, size=grid.warps * (levels - 1) * nwalks, dtype=np.int64
+            )
+        )
+        grid.draw_warps(rng, nwalks * levels)
+    draws = np.concatenate(draws)
+    # Walk i of a warp finds its pick for level k at k * nwalks + i of the
+    # warp's (levels - 1) * nwalks draws.
+    nwalks = grid.warp_lengths() // levels
+    first_draw = np.cumsum(nwalks * (levels - 1)) - nwalks * (levels - 1)
+    walk = _positions_in_runs(nwalks) + np.repeat(first_draw, nwalks)
+    stride = np.repeat(nwalks, nwalks)
+    picks = [draws[walk + level * stride] for level in range(levels - 1)]
+    return grid.compile(patterns.tree_paths(TREE_BASE, fanout, len(walk), picks))
 
-    def build(cta_id: int) -> _CtaArrays:
-        rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
-        factor = ctx.cta_work_factor(rng)
-        nwalks = max(1, int(round(walks * factor)))
-        per_warp = [
-            patterns.pointer_chase_tree(TREE_BASE, levels, fanout, nwalks, rng)
-            for __ in range(warps)
-        ]
-        return _cta_arrays(per_warp, ctx.cpa, rng, ctx.lead_in)
 
-    return build
+def _positions_in_runs(lengths: np.ndarray) -> np.ndarray:
+    """``0 .. n-1`` for each run length ``n`` in turn."""
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
 
 
 def _hotcold_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], _CtaArrays]:
+) -> CompiledKernel:
     # The hot region models shared reusable state (graph nodes, frontier
     # heads, accumulators); set ``hot_scaled`` when it grows with the
     # weak-scaling input (bfs graphs), leave 0 when it is fixed state.
@@ -342,44 +344,31 @@ def _hotcold_kernel(
         hot_lines = max(1, int(round(hot_lines * ctx.work_scale)))
     hot_frac = ctx.spec.param("hot_frac", 0.2)
     zipf_exp = ctx.spec.param("zipf_exp", 1.1)
-    warps = shape.warps_per_cta
-    apw = ctx.apw
+    if zipf_exp > 0:
+        weights = patterns.zipf_weights(hot_lines, zipf_exp)
     kbase = COLD_BASE + kernel_idx * _KERNEL_STRIDE
-
-    def build(cta_id: int) -> _CtaArrays:
-        rng = _cta_rng(ctx.seed, kernel_idx, cta_id)
-        factor = ctx.cta_work_factor(rng)
-        n = max(2, int(round(apw * factor)))
-        per_warp = []
-        for w in range(warps):
-            gidx = cta_id * warps + w
-            is_hot = rng.random(n) < hot_frac
+    grid = _Grid(ctx, ctx.cpa, kernel_idx, num_ctas, shape.warps_per_cta)
+    hot_draws, picks = [], []
+    for rng in grid.rngs():
+        n = max(2, int(round(ctx.apw * ctx.cta_work_factor(rng))))
+        for __ in range(grid.warps):
+            hot_draws.append(rng.random(n))
             if zipf_exp > 0:
-                hot = patterns.zipf(HOT_BASE, hot_lines, n, rng, zipf_exp)
+                picks.append(rng.choice(hot_lines, size=n, p=weights))
             else:
-                hot = patterns.uniform_random(HOT_BASE, hot_lines, n, rng)
-            # Cold traffic (edge lists, one-shot payload data) never repeats:
-            # fresh lines per warp, so the MPKI floor never caches away.
-            cold = kbase + gidx * apw * 4 + np.arange(n, dtype=np.int64)
-            per_warp.append(np.where(is_hot, hot, cold))
-        return _cta_arrays(per_warp, ctx.cpa, rng, ctx.lead_in)
+                picks.append(rng.integers(0, hot_lines, size=n, dtype=np.int64))
+        grid.draw_warps(rng, n)
+    lengths = grid.warp_lengths()
+    # Cold traffic (edge lists, one-shot payload data) never repeats:
+    # fresh lines per warp, so the MPKI floor never caches away.
+    first_cold = kbase + np.arange(grid.num_warps, dtype=np.int64) * (ctx.apw * 4)
+    cold = np.repeat(first_cold, lengths) + _positions_in_runs(lengths)
+    is_hot = np.concatenate(hot_draws) < hot_frac
+    return grid.compile(np.where(is_hot, HOT_BASE + np.concatenate(picks), cold))
 
-    return build
 
-
-def _generated_kernel(
-    ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
-) -> Callable[[int], _CtaArrays]:
-    """Composite family for grammar-generated specs (:mod:`repro.zoo`).
-
-    A generated spec carries one :class:`~repro.zoo.grammar.PhaseSpec`
-    per kernel; each kernel delegates to its phase's underlying family
-    with the phase parameters overlaid.  The original ``kernel_idx``
-    is passed through so every phase keeps its own RNG stream and
-    (for private regions) its own address range; sweep/hotspot phases
-    deliberately share ``HOT_BASE`` so working-set ramps and phased
-    mixes reuse the same hot region across phases.
-    """
+def _phase(ctx: _TraceContext, kernel_idx: int):
+    """The grammar phase behind kernel ``kernel_idx`` of a generated spec."""
     phases = getattr(ctx.spec, "phases", None)
     if not phases:
         raise WorkloadError(
@@ -392,6 +381,23 @@ def _generated_kernel(
             f"{ctx.spec.abbr}: phase {kernel_idx} names unknown family "
             f"{phase.family!r}"
         )
+    return phase
+
+
+def _generated_kernel(
+    ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
+) -> CompiledKernel:
+    """Composite family for grammar-generated specs (:mod:`repro.zoo`).
+
+    A generated spec carries one :class:`~repro.zoo.grammar.PhaseSpec`
+    per kernel; each kernel delegates to its phase's underlying family
+    with the phase parameters overlaid.  The original ``kernel_idx``
+    is passed through so every phase keeps its own RNG stream and
+    (for private regions) its own address range; sweep/hotspot phases
+    deliberately share ``HOT_BASE`` so working-set ramps and phased
+    mixes reuse the same hot region across phases.
+    """
+    phase = _phase(ctx, kernel_idx)
     sub_spec = BenchmarkSpec(
         abbr=f"{ctx.spec.abbr}.p{kernel_idx}",
         name=f"{ctx.spec.name} phase {kernel_idx}",
@@ -451,6 +457,10 @@ def build_trace(
         )
     ctx = _TraceContext(spec, work_scale, capacity_scale, seed)
     family = _FAMILIES[spec.family]
+    if spec.family == "generated":
+        # Kernels are generated on first use; a bad spec is rejected now.
+        for kernel_idx in range(len(spec.kernels)):
+            _phase(ctx, kernel_idx)
     # repr() of the frozen spec covers every field, phases included.
     key = (repr(spec), work_scale, capacity_scale, seed)
     if _compiled_slot[0] != key:
@@ -459,11 +469,10 @@ def build_trace(
     kernels = []
     for kernel_idx, shape in enumerate(spec.kernels):
         num_ctas = _clamped_ctas(shape, work_scale)
-        build = family(ctx, shape, kernel_idx, num_ctas)
 
-        def compiled(kernel_idx=kernel_idx, build=build, num_ctas=num_ctas):
+        def compiled(kernel_idx=kernel_idx, shape=shape, num_ctas=num_ctas):
             if slots[kernel_idx] is None:
-                slots[kernel_idx] = _compile_kernel(build, num_ctas)
+                slots[kernel_idx] = family(ctx, shape, kernel_idx, num_ctas)
             return slots[kernel_idx]
 
         kernels.append(

@@ -7,7 +7,7 @@ from repro.exceptions import PredictionError, TraceError
 from repro.gpu.config import GPUConfig
 from repro.memory_regions import BYPASS_BASE
 from repro.mrc.collector import collect_miss_rate_curve, paper_capacity_points
-from repro.mrc.interleave import StreamStats, interleave_cta, iter_interleaved
+from repro.mrc.interleave import interleaved_stream
 from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
 from repro.units import MB
 
@@ -37,32 +37,62 @@ class TestPaperCapacityPoints:
         ]
 
 
+def one_cta(*warp_lines):
+    cta = CTATrace(0, [WarpTrace([1] * len(w), list(w)) for w in warp_lines])
+    return WorkloadTrace("w", [KernelTrace("k", 1, 64, [cta].__getitem__)])
+
+
 class TestInterleave:
     def test_equal_length_round_robin(self):
-        a = np.array([1, 2, 3])
-        b = np.array([10, 20, 30])
-        merged = interleave_cta([a, b])
-        assert merged.tolist() == [1, 10, 2, 20, 3, 30]
+        vsm, lines = interleaved_stream(one_cta([1, 2, 3], [10, 20, 30]))
+        assert lines.tolist() == [1, 10, 2, 20, 3, 30]
+        assert vsm.tolist() == [0] * 6
 
     def test_unequal_lengths(self):
-        a = np.array([1, 2, 3])
-        b = np.array([10])
-        merged = interleave_cta([a, b])
-        assert merged.tolist() == [1, 10, 2, 3]
+        __, lines = interleaved_stream(one_cta([1, 2, 3], [10]))
+        assert lines.tolist() == [1, 10, 2, 3]
 
-    def test_empty_cta_rejected(self):
+    def test_needs_an_sm_and_a_slot(self):
         with pytest.raises(TraceError):
-            interleave_cta([])
+            interleaved_stream(one_cta([1]), num_virtual_sms=0)
+        with pytest.raises(TraceError):
+            interleaved_stream(one_cta([1]), ctas_per_sm=0)
+
+    def test_kernel_without_accesses(self):
+        idle = KernelTrace("idle", 3, 32, lambda i: CTATrace(i, [WarpTrace([], [], 4)]))
+        busy = one_cta([5, 6]).kernels[0]
+        vsm, lines = interleaved_stream(WorkloadTrace("w", [idle, busy, idle]))
+        assert (vsm.tolist(), lines.tolist()) == ([0, 0], [5, 6])
+        with pytest.raises(PredictionError, match="no LLC accesses"):
+            collect_miss_rate_curve(WorkloadTrace("w", [idle]), config=cfg(1.0))
 
     def test_stats_accumulate(self):
         wl = sweep_workload(100, num_ctas=4, apw=8)
-        stats = StreamStats()
-        chunks = list(iter_interleaved(wl, 2, 2, stats=stats))
-        assert stats.ctas == 4
-        assert stats.accesses == 4 * 2 * 8
-        assert stats.warp_instructions == 4 * 2 * 8 * 2  # compute 1 + access
-        total = sum(len(c) for __, c in chunks)
-        assert total == stats.accesses
+        vsm, lines = interleaved_stream(wl, 2, 2)
+        assert len(lines) == wl.count_accesses() == 4 * 2 * 8
+        assert wl.count_instructions(1) == 4 * 2 * 8 * 2  # compute 1 + access
+        # CTAs go to virtual SMs round-robin, all four in one window.
+        assert np.bincount(vsm).tolist() == [32, 32]
+
+    def test_ctas_of_a_window_take_turns_of_32(self):
+        # Three CTAs of one warp each, 40 / 70 / 5 accesses, two per window.
+        def build(cta_id):
+            n = (40, 70, 5)[cta_id]
+            return CTATrace(
+                cta_id, [WarpTrace([0] * n, [100 * cta_id + i for i in range(n)])]
+            )
+
+        wl = WorkloadTrace("w", [KernelTrace("k", 3, 32, build)])
+        vsm, lines = interleaved_stream(wl, 2, 1)
+        assert lines.tolist() == (
+            list(range(0, 32)) + list(range(100, 132))
+            + list(range(32, 40)) + list(range(132, 164))
+            + list(range(164, 170))
+            + list(range(200, 205))
+        )
+        assert vsm.tolist() == (
+            [0] * 32 + [1] * 32 + [0] * 8 + [1] * 32 + [1] * 6 + [0] * 5
+        )
 
 
 class TestCollector:
@@ -131,3 +161,34 @@ class TestCollector:
         wl = sweep_workload(100, num_ctas=4, apw=8)
         with pytest.raises(PredictionError):
             collect_miss_rate_curve(wl, capacities_bytes=[0], config=cfg(1.0))
+        with pytest.raises(PredictionError):
+            collect_miss_rate_curve(
+                wl, capacities_bytes=np.array([1 * MB, -1]), config=cfg(1.0)
+            )
+
+    @pytest.mark.parametrize("make", [np.array, tuple], ids=["ndarray", "tuple"])
+    def test_capacities_as_any_sequence(self, make):
+        wl = sweep_workload(1000, num_ctas=16, apw=16)
+        expected = collect_miss_rate_curve(
+            wl, capacities_bytes=[1 * MB, 2 * MB], config=cfg(1.0)
+        )
+        curve = collect_miss_rate_curve(
+            wl, capacities_bytes=make([1 * MB, 2 * MB]), config=cfg(1.0)
+        )
+        assert curve.capacities_bytes == (1 * MB, 2 * MB)
+        assert all(type(c) is int for c in curve.capacities_bytes)
+        assert curve.mpki == expected.mpki
+
+    @pytest.mark.parametrize("empty", [(), [], np.array([])])
+    def test_no_capacities_means_the_paper_points(self, empty):
+        wl = sweep_workload(1000, num_ctas=16, apw=16)
+        curve = collect_miss_rate_curve(wl, capacities_bytes=empty, config=cfg(1.0))
+        assert list(curve.capacities_bytes) == paper_capacity_points(cfg(1.0))
+
+    def test_method_is_checked_before_any_work(self):
+        def build(cta_id):
+            raise AssertionError("the trace must not be generated")
+
+        wl = WorkloadTrace("w", [KernelTrace("k", 4, 32, build)])
+        with pytest.raises(PredictionError, match="magic"):
+            collect_miss_rate_curve(wl, config=cfg(1.0), method="magic")

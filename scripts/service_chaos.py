@@ -11,6 +11,10 @@ never a hung connection or a silent drop.
 Phases:
 
   baseline       no faults; cold completes, warm repeat is a cache hit
+                 answered without admission, and ``/statsz`` accounts
+                 for every request exactly once: ``service.requests =
+                 service.cache_hits + service.admitted +
+                 service.coalesced + Σ service.rejects.*``
   worker-death   ``die`` directive: the poisoned config fails cleanly,
                  healthy configs keep completing, workers are recycled
   flaky-retry    ``fail:...:1``: one injected failure, the retry wins
@@ -25,7 +29,9 @@ Phases:
   breaker        repeated deaths trip the per-config breaker: fast 503
                  with the streak in the body, healthy configs unaffected
   overload       queue depth 2, one worker: concurrent burst gets
-                 explicit 429 + Retry-After, never unbounded queueing
+                 explicit 429 + Retry-After, never unbounded queueing;
+                 cache hits sent into the same burst are 200, never
+                 429 — a memoized answer takes no queue slot
   drain          SIGTERM mid-load: in-flight finishes (200), queued
                  drains (503 ``drained``), manifest records the
                  casualties, exit code is 75
@@ -160,6 +166,17 @@ def check(condition, message, violations):
         print(f"  VIOLATION: {message}", file=sys.stderr)
 
 
+def unaccounted(counters):
+    """``service.requests`` minus the outcomes that must add up to it."""
+    outcomes = sum(
+        value for name, value in counters.items()
+        if name in ("service.cache_hits", "service.admitted",
+                    "service.coalesced")
+        or name.startswith("service.rejects.")
+    )
+    return counters.get("service.requests", 0) - outcomes
+
+
 def check_terminal(status, data, label, violations):
     check(
         data.get("status") in TERMINAL,
@@ -189,6 +206,15 @@ def phase_baseline(rng, quick, violations):
         check(
             stats["store"]["hits"] >= 1,
             "baseline: /statsz shows no store hit after a warm request",
+            violations,
+        )
+        counters = stats["metrics"]["counters"]
+        check(
+            counters.get("service.cache_hits") == 1
+            and counters.get("service.admitted") == 1
+            and unaccounted(counters) == 0,
+            "baseline: one cold run and one warm hit should count 1 "
+            f"admitted + 1 cache hit and nothing unaccounted, got {counters}",
             violations,
         )
     print("  phase baseline: ok")
@@ -389,6 +415,16 @@ def phase_overload(rng, quick, violations):
             except Exception as error:  # noqa: BLE001 - harness boundary
                 errors.append(f"overload request {index}: {error!r}")
 
+        # One memoized config, answered before the burst saturates the
+        # queue and asked for again while it is saturated.
+        warm = body_for("dct", seed=99)
+        status, data, _ = phase.request(warm)
+        check(
+            status == 200 and not data["cached"],
+            f"overload: warm-up run should be a fresh 200, got {status} {data}",
+            violations,
+        )
+
         threads = [
             threading.Thread(target=fire, args=(index,))
             for index in range(burst)
@@ -396,9 +432,17 @@ def phase_overload(rng, quick, violations):
         for thread in threads:
             thread.start()
             time.sleep(0.05)
+        hits = [phase.request(warm)[:2] for _ in range(burst)]
+        depth = phase.stats()["queue"]["depth"]
         for thread in threads:
             thread.join()
         check(not errors, f"overload: transport errors {errors}", violations)
+        check(
+            all(status == 200 and data["cached"] for status, data in hits),
+            "overload: cache hits during the burst must be 200, never 429 "
+            f"(queue depth {depth} of 2), got {[s for s, _ in hits]}",
+            violations,
+        )
         statuses = [r[0] for r in results if r]
         rejected = [r for r in results if r and r[0] == 429]
         check(

@@ -7,7 +7,10 @@ The minimum end-to-end story a deploy must tell, against a real
 1. the server announces its port and ``/readyz`` turns 200;
 2. a cold ``/predict`` completes with a fresh run (``cached: false``);
 3. the same request again is a cache hit — verified twice: the
-   response says ``cached: true`` AND ``/statsz`` shows the store hit;
+   response says ``cached: true`` AND ``/statsz`` shows the store hit —
+   and it was answered without being admitted: every request is
+   accounted for exactly once, ``service.requests = service.cache_hits
+   + service.admitted + service.coalesced + Σ service.rejects.*``;
 4. SIGTERM lands *while a request is in flight*: the client still gets
    its 200, the process exits 75 (EX_TEMPFAIL: drained, rerun to
    resume), and the in-flight result is durable in the store.
@@ -95,6 +98,17 @@ def request(host, port, body, path="/predict", method="POST", timeout=120):
         conn.close()
 
 
+def unaccounted(counters: dict) -> int:
+    """``service.requests`` minus the outcomes that must add up to it."""
+    outcomes = sum(
+        value for name, value in counters.items()
+        if name in ("service.cache_hits", "service.admitted",
+                    "service.coalesced")
+        or name.startswith("service.rejects.")
+    )
+    return counters.get("service.requests", 0) - outcomes
+
+
 def main() -> int:
     tmp = tempfile.mkdtemp(prefix="service-smoke-")
     store_root = os.path.join(tmp, "results", "simcache")
@@ -133,14 +147,25 @@ def main() -> int:
             fail(f"warm predict: expected a cache hit, got {status} {data}")
         if data["key"] != key:
             fail(f"warm predict answered a different key: {data['key']}")
-        hits_after = request(host, port, None, "/statsz", "GET")[1][
-            "store"]["hits"]
+        stats = request(host, port, None, "/statsz", "GET")[1]
+        hits_after = stats["store"]["hits"]
         if hits_after <= hits_before:
             fail(
                 f"/statsz store hits did not grow ({hits_before} -> "
                 f"{hits_after}); the warm answer was not served by the store"
             )
-        print(f"[service-smoke] warm hit ({hits_before} -> {hits_after})")
+        counters = stats["metrics"]["counters"]
+        if (
+            counters.get("service.cache_hits") != 1
+            or counters.get("service.admitted") != 1
+            or unaccounted(counters)
+        ):
+            fail(
+                "one cold run and one warm hit should count 1 admitted + "
+                f"1 cache hit and nothing unaccounted, got {counters}"
+            )
+        print(f"[service-smoke] warm hit ({hits_before} -> {hits_after}), "
+              "not admitted")
 
         # 4. SIGTERM mid-request: the in-flight run is answered and
         #    durable, and the exit code says "drained".

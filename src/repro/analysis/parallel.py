@@ -52,6 +52,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis import runner as _runner
@@ -110,8 +111,13 @@ class RunRequest:
         if self.kind not in KINDS:
             raise ReproError(f"unknown run kind {self.kind!r}")
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """The run's cache key, derived on first use and kept for the
+        request's life: it is asked for at every hand-off (lookup,
+        journal, manifest, merge).  A request is a frozen value — to
+        change the run, ``dataclasses.replace`` it (a new request, a new
+        key) rather than mutating the spec's ``params`` underneath it."""
         if self.kind == "sim":
             return _runner.sim_key(self.spec, self.size, self.work_scale, self.seed)
         if self.kind == "mcm":

@@ -35,6 +35,7 @@ import os
 import traceback
 import warnings
 from dataclasses import MISSING, asdict, fields
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.analysis.faults import (
@@ -59,7 +60,7 @@ from repro.mrc import MissRateCurve, collect_miss_rate_curve
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import get_tracer
 from repro.workloads import build_trace
-from repro.workloads.spec import BenchmarkSpec
+from repro.workloads.spec import BenchmarkSpec, KernelShape
 
 DEFAULT_CACHE = os.path.join("results", "simcache")
 
@@ -74,16 +75,27 @@ def default_jobs() -> int:
 
 # --- cache keys ----------------------------------------------------------------
 
+#: Largest SM / chiplet count a request may name (the wire API's ``size``
+#: limit); also what bounds the config-digest memo below.
+MAX_SYSTEM_SIZE = 4096
+
+#: Every KernelShape field participates, so editing any grid property
+#: (num_ctas, threads_per_cta, work_share, ...) invalidates the cached runs.
+_KERNEL_FIELDS = tuple(sorted(f.name for f in fields(KernelShape)))
+
+
 def _spec_digest(spec: BenchmarkSpec, extra: str = "") -> str:
+    # Derived from the spec's *contents* on every call — ``params`` is a
+    # mutable mapping, so nothing here may be memoized on spec identity.
     payload = repr(
         (
             spec.abbr,
             spec.family,
             sorted(spec.params.items()),
-            # Every KernelShape field participates, so editing any grid
-            # property (num_ctas, threads_per_cta, work_share, ...)
-            # invalidates the cached runs.
-            [tuple(sorted(asdict(k).items())) for k in spec.kernels],
+            [
+                tuple((name, getattr(k, name)) for name in _KERNEL_FIELDS)
+                for k in spec.kernels
+            ],
             spec.footprint_mb,
             extra,
         )
@@ -95,13 +107,27 @@ def _config_digest(config) -> str:
     return hashlib.sha256(repr(config).encode()).hexdigest()[:16]
 
 
+# The system half of a key is a pure function of one integer, so it is
+# derived once per size.  ``typed``: ``scaled(8.0)`` names its config
+# differently from ``scaled(8)`` and must not share the entry.
+@lru_cache(maxsize=MAX_SYSTEM_SIZE, typed=True)
+def _gpu_digest(num_sms: Optional[int] = None) -> str:
+    """Digest of the paper baseline, scaled to ``num_sms`` when given."""
+    config = GPUConfig.paper_baseline()
+    return _config_digest(config if num_sms is None else config.scaled(num_sms))
+
+
+@lru_cache(maxsize=MAX_SYSTEM_SIZE, typed=True)
+def _mcm_digest(num_chiplets: int) -> str:
+    return _config_digest(McmConfig.paper_target().scaled(num_chiplets))
+
+
 def sim_key(spec: BenchmarkSpec, num_sms: int, work_scale: float, seed: int) -> str:
-    config = GPUConfig.paper_baseline().scaled(num_sms)
     return "|".join(
         (
             "sim",
             _spec_digest(spec, f"w={work_scale},seed={seed}"),
-            _config_digest(config),
+            _gpu_digest(num_sms),
         )
     )
 
@@ -109,23 +135,21 @@ def sim_key(spec: BenchmarkSpec, num_sms: int, work_scale: float, seed: int) -> 
 def mcm_key(
     spec: BenchmarkSpec, num_chiplets: int, work_scale: float, seed: int
 ) -> str:
-    config = McmConfig.paper_target().scaled(num_chiplets)
     return "|".join(
         (
             "mcm",
             _spec_digest(spec, f"w={work_scale},seed={seed}"),
-            _config_digest(config),
+            _mcm_digest(num_chiplets),
         )
     )
 
 
 def mrc_key(spec: BenchmarkSpec, work_scale: float, method: str, seed: int) -> str:
-    config = GPUConfig.paper_baseline()
     return "|".join(
         (
             "mrc",
             _spec_digest(spec, f"w={work_scale},m={method},seed={seed}"),
-            _config_digest(config),
+            _gpu_digest(),
         )
     )
 

@@ -30,17 +30,19 @@ same primitives the batch path already trusts:
 
 Request lifecycle (see ``docs/ARCHITECTURE.md`` § "Service")::
 
-    POST /predict --> admit --> queue --> execute --> memoize --> 200
-                       |          |          |
-                       |          |          +-- worker died/failed  500
-                       |          |          +-- deadline exceeded   504 shed
-                       |          +-- deadline before a worker free  504 shed
-                       |          +-- SIGTERM drain                  503 drained
-                       +-- invalid body                              400
-                       +-- body too large                            413
-                       +-- queue full                                429 + Retry-After
-                       +-- circuit breaker open                      503
-                       +-- draining                                  503
+    POST /predict --> resolve --> admit --> queue --> execute --> memoize --> 200
+                       |            |         |          |
+                       |            |         |          +-- worker died/failed  500
+                       |            |         |          +-- deadline exceeded   504 shed
+                       |            |         +-- deadline before a worker free  504 shed
+                       |            |         +-- SIGTERM drain                  503 drained
+                       |            +-- circuit breaker open                     503
+                       |            +-- queue full                               429 + Retry-After
+                       +-- invalid body                                          400
+                       +-- body too large                                        413
+                       +-- draining                                              503
+                       +-- same config in flight                  join it (coalesced)
+                       +-- memoized answer                  hit --> 200, never admitted
 """
 
 from repro.service.api import (

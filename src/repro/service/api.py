@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.analysis.parallel import KINDS, RunRequest
+from repro.analysis.runner import MAX_SYSTEM_SIZE
 from repro.exceptions import ReproError
 from repro.workloads import get_benchmark
 
@@ -48,7 +50,7 @@ _ALLOWED_FIELDS = frozenset(
     )
 )
 
-_MAX_SIZE = 4096
+_MAX_WORK_SCALE = 4096.0
 _MAX_SEED = 2 ** 31 - 1
 
 
@@ -76,7 +78,11 @@ class PredictionRequest:
     #: Client-chosen retry token: same token, same work, one execution.
     idempotency_key: Optional[str] = None
 
-    def to_run_request(self) -> RunRequest:
+    @cached_property
+    def run_request(self) -> RunRequest:
+        """The batch-layer run this request maps onto, built once:
+        :func:`parse_prediction_request` resolves it to validate the
+        benchmark and admission reads the same object (and its key)."""
         spec = get_benchmark(self.benchmark, weak=self.weak)
         return RunRequest(
             kind=self.kind,
@@ -131,8 +137,9 @@ def parse_prediction_request(body: bytes) -> PredictionRequest:
     )
     if kind in ("sim", "mcm"):
         _require(
-            1 <= size <= _MAX_SIZE,
-            f"size must be in [1, {_MAX_SIZE}] for kind {kind!r}, got {size}",
+            1 <= size <= MAX_SYSTEM_SIZE,
+            f"size must be in [1, {MAX_SYSTEM_SIZE}] for kind {kind!r}, "
+            f"got {size}",
         )
     else:
         _require(size == 0, "size does not apply to kind 'mrc'; omit it")
@@ -144,8 +151,8 @@ def parse_prediction_request(body: bytes) -> PredictionRequest:
     )
     work_scale = float(work_scale)
     _require(
-        0.0 < work_scale <= float(_MAX_SIZE),
-        f"work_scale must be in (0, {_MAX_SIZE}], got {work_scale}",
+        0.0 < work_scale <= _MAX_WORK_SCALE,
+        f"work_scale must be in (0, {_MAX_WORK_SCALE:g}], got {work_scale}",
     )
 
     seed = data.get("seed", 0)
@@ -194,7 +201,7 @@ def parse_prediction_request(body: bytes) -> PredictionRequest:
     # Resolve the benchmark now so an unknown abbreviation is a 400 at
     # admission, not a failed run that costs a queue slot and a worker.
     try:
-        request.to_run_request()
+        request.run_request  # built here, kept on the request for admission
     except ReproError as error:
         raise ApiError(str(error))
     return request

@@ -71,7 +71,6 @@ class Job:
         "attempts",
         "error",
         "payload",
-        "cached",
         "done",
         "abort",
         "enqueued_at",
@@ -91,8 +90,6 @@ class Job:
         self.attempts = 0
         self.error: Optional[str] = None
         self.payload: Optional[dict] = None
-        #: True when the response was served from the store, not a run.
-        self.cached = False
         self.done = asyncio.Event()
         #: Set when nobody is waiting any more: the supervisor races the
         #: worker future against this and kills the worker if it wins.
@@ -130,7 +127,6 @@ class Job:
         state: str,
         payload: Optional[dict] = None,
         error: Optional[str] = None,
-        cached: bool = False,
     ) -> None:
         """Transition to a terminal state exactly once and wake waiters."""
         if self.terminal:
@@ -138,7 +134,6 @@ class Job:
         self.state = state
         self.payload = payload
         self.error = error
-        self.cached = cached
         self.done.set()
 
 
@@ -147,10 +142,10 @@ class JobTable:
 
     Terminal jobs leave the key table immediately (their waiters hold
     direct references), so a later request for the same config starts a
-    fresh job — the memoized result will answer it from the store
-    without one anyway.  Idempotency aliases persist for the process
-    lifetime, bounded, so a client retry *after* completion still maps
-    to the same cache key rather than duplicating work.
+    fresh job — or none at all: a memoized result is answered from the
+    store before a job exists.  Idempotency aliases persist for the
+    process lifetime, bounded, so a client retry *after* completion
+    still maps to the same cache key rather than duplicating work.
     """
 
     #: Retained idempotency aliases; beyond this the oldest are evicted

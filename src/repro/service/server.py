@@ -29,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import warnings
 from typing import Optional, Tuple
 
@@ -61,6 +62,12 @@ from repro.service.supervisor import Supervisor
 __all__ = ["PredictionService"]
 
 _MAX_HEADER_BYTES = 16 * 1024
+
+#: One deadline for reading a whole request, head and body.
+_REQUEST_DEADLINE_S = 30.0
+
+#: The blank line that ends a request head, CRLF or bare LF.
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
 
 _STATUS_TEXT = {
     200: "OK",
@@ -144,12 +151,18 @@ class PredictionService:
         self.jobs.reap(job)
 
     # --- admission ---------------------------------------------------------
-    async def _admit(self, body: bytes) -> Tuple[Job, bool]:
-        """Validate, dedupe and enqueue one request.
+    async def _admit(
+        self, body: bytes
+    ) -> Tuple[str, Optional[Job], Optional[dict]]:
+        """Validate one request and find what answers it.
 
-        Returns ``(job, attached)`` — ``attached`` meaning the request
-        joined an existing in-flight job instead of enqueueing a new
-        one.  Raises :class:`ApiError` (maps to 4xx/5xx) on refusal.
+        Returns ``(key, job, payload)``.  A memoized answer comes back
+        as ``payload`` with no job: it never takes a queue slot, so
+        backpressure cannot refuse it.  Otherwise ``job`` is the
+        in-flight job the request joined or the new one it enqueued.
+        The order is the contract — validate, drain, idempotency alias,
+        live job, store, breaker, queue.  Raises :class:`ApiError`
+        (maps to 4xx/5xx) or :class:`QueueFull` on refusal.
         """
         request = parse_prediction_request(body)
         registry = get_registry()
@@ -157,18 +170,13 @@ class PredictionService:
             registry.inc("service.rejects.draining")
             raise ApiError("service is draining; retry elsewhere", status=503)
 
-        run_request = request.to_run_request()
+        run_request = request.run_request
         key = run_request.key
-        loop = asyncio.get_running_loop()
-        deadline_s = min(
-            request.deadline_s or self.config.default_deadline_s,
-            self.config.max_deadline_s,
-        )
-        deadline = loop.time() + deadline_s
+        token = request.idempotency_key
 
         # Idempotent retry: same token, same work, one execution.
-        if request.idempotency_key is not None:
-            aliased = self.jobs.resolve_alias(request.idempotency_key)
+        if token is not None:
+            aliased = self.jobs.resolve_alias(token)
             if aliased is not None and aliased != key:
                 raise ApiError(
                     "idempotency_key was previously used for a different "
@@ -177,12 +185,25 @@ class PredictionService:
                 )
 
         existing = self.jobs.active(key)
+        if existing is None:
+            cached = self.store.get(key)
+            if cached is not None:
+                if token is not None:
+                    self.jobs.remember_alias(token, key)
+                registry.inc("service.cache_hits")
+                return key, None, cached
+
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + min(
+            request.deadline_s or self.config.default_deadline_s,
+            self.config.max_deadline_s,
+        )
         if existing is not None:
             existing.attach(deadline)
-            if request.idempotency_key is not None:
-                self.jobs.remember_alias(request.idempotency_key, key)
+            if token is not None:
+                self.jobs.remember_alias(token, key)
             registry.inc("service.coalesced")
-            return existing, True
+            return key, existing, None
 
         if self.breaker.open_for(key):
             registry.inc("service.rejects.breaker")
@@ -207,10 +228,10 @@ class PredictionService:
         except QueueFull:
             registry.inc("service.rejects.queue_full")
             raise
-        self.jobs.register(job, request.idempotency_key)
+        self.jobs.register(job, token)
         registry.inc("service.admitted")
         registry.set_gauge("service.queue_depth", float(self.queue.depth))
-        return job, False
+        return key, job, None
 
     async def _predict(self, body: bytes) -> Tuple[int, dict, Tuple]:
         loop = asyncio.get_running_loop()
@@ -219,7 +240,7 @@ class PredictionService:
         registry.inc("service.requests")
 
         try:
-            job, _attached = await self._admit(body)
+            key, job, payload = await self._admit(body)
         except ApiError as error:
             if error.status == 400:
                 registry.inc("service.rejects.invalid")
@@ -235,51 +256,46 @@ class PredictionService:
                 (("Retry-After", str(max(1, int(error.retry_after_s)))),),
             )
 
-        # Memoized answer: no queue wait, no worker.  The job was still
-        # admitted first so idempotency aliases and coalescing stay
-        # coherent; a cached job is finished on the spot.
-        cached = self.store.get(job.key)
-        if cached is not None and not job.terminal:
-            job.finish(COMPLETED, payload=cached, cached=True)
-            self.jobs.reap(job)
-            registry.inc("service.cache_hits")
-
-        try:
-            remaining = max(0.0, job.deadline - loop.time())
-            await asyncio.wait_for(job.done.wait(), timeout=remaining + 0.05)
-        except asyncio.TimeoutError:
-            job.detach()
-            registry.inc("service.shed")
-            registry.observe(
-                "service.latency_ms", (loop.time() - started) * 1000.0
-            )
-            return (
-                504,
-                {
-                    "status": "shed",
-                    "key": job.key,
-                    "error": "deadline expired before a result was ready",
-                },
-                (),
-            )
+        # A memoized answer is complete as it stands; a job is waited for.
+        state, error = COMPLETED, None
+        if job is not None:
+            try:
+                remaining = max(0.0, job.deadline - loop.time())
+                await asyncio.wait_for(
+                    job.done.wait(), timeout=remaining + 0.05
+                )
+            except asyncio.TimeoutError:
+                job.detach()
+                registry.inc("service.shed")
+                registry.observe(
+                    "service.latency_ms", (loop.time() - started) * 1000.0
+                )
+                return (
+                    504,
+                    {
+                        "status": "shed",
+                        "key": key,
+                        "error": "deadline expired before a result was ready",
+                    },
+                    (),
+                )
+            state, payload, error = job.state, job.payload, job.error
+            if state == SHED:
+                registry.inc("service.shed")
 
         latency_ms = (loop.time() - started) * 1000.0
         registry.observe("service.latency_ms", latency_ms)
-        status = _STATE_STATUS.get(job.state, 500)
         body_out = {
-            "status": job.state,
-            "key": job.key,
-            "cached": job.cached,
+            "status": state,
+            "key": key,
+            "cached": job is None,
             "latency_ms": round(latency_ms, 3),
         }
-        if job.state == COMPLETED:
-            body_out["result"] = job.payload
-        elif job.state == SHED:
-            registry.inc("service.shed")
-            body_out["error"] = job.error
+        if state == COMPLETED:
+            body_out["result"] = payload
         else:
-            body_out["error"] = job.error
-        return status, body_out, ()
+            body_out["error"] = error
+        return _STATE_STATUS.get(state, 500), body_out, ()
 
     # --- plain GET routes --------------------------------------------------
     def _statsz(self) -> dict:
@@ -311,34 +327,39 @@ class PredictionService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Tuple[str, str, bytes]:
-        try:
-            request_line = await asyncio.wait_for(
-                reader.readline(), timeout=10.0
-            )
-        except asyncio.TimeoutError:
-            raise _HttpError(400, "timed out reading the request line")
-        if not request_line:
-            raise ConnectionError("client closed before sending a request")
-        parts = request_line.decode("latin-1").split()
+        """Head (CRLF or bare-LF line endings), then body.  The head
+        normally arrives in one segment, so the loop reads once; a
+        trickling client costs one short search per segment, and the
+        header limit bounds how many."""
+        buffer, end = b"", None
+        while end is None and len(buffer) <= _MAX_HEADER_BYTES:
+            chunk = await reader.read(_MAX_HEADER_BYTES)
+            if not chunk:
+                if not buffer:
+                    raise ConnectionError("client closed before sending a request")
+                break  # EOF ends the head, as it would have ended a line
+            # The blank line may straddle segments: back up three bytes.
+            searched = max(0, len(buffer) - 3)
+            buffer += chunk
+            end = _HEAD_END.search(buffer, searched)
+        head, body = buffer, b""
+        if end is not None:
+            head, body = buffer[: end.start()], buffer[end.end():]
+        if len(head) > _MAX_HEADER_BYTES:
+            raise _HttpError(431, "request headers too large")
+
+        lines = head.decode("latin-1").split("\n")
+        parts = lines[0].split()
         if len(parts) < 3:
             raise _HttpError(400, "malformed request line")
         method, path = parts[0].upper(), parts[1]
-
         content_length = 0
-        header_bytes = 0
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=10.0)
-            header_bytes += len(line)
-            if header_bytes > _MAX_HEADER_BYTES:
-                raise _HttpError(431, "request headers too large")
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
+                if not value.strip().isdecimal():
                     raise _HttpError(400, "bad Content-Length header")
+                content_length = int(value)
 
         if content_length > self.config.max_body_bytes:
             raise _HttpError(
@@ -346,23 +367,25 @@ class PredictionService:
                 f"body of {content_length} bytes exceeds the "
                 f"{self.config.max_body_bytes}-byte limit",
             )
-        body = b""
-        if content_length:
+        if len(body) < content_length:
             try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(content_length), timeout=30.0
-                )
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
+                body += await reader.readexactly(content_length - len(body))
+            except asyncio.IncompleteReadError:
                 raise _HttpError(400, "body shorter than Content-Length")
-        return method, path, body
+        return method, path, body[:content_length]
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
             try:
-                method, path, body = await self._read_request(reader)
-            except _HttpError as error:
+                # One deadline for the whole request, head and body.
+                method, path, body = await asyncio.wait_for(
+                    self._read_request(reader), timeout=_REQUEST_DEADLINE_S
+                )
+            except (asyncio.TimeoutError, _HttpError) as error:
+                if not isinstance(error, _HttpError):
+                    error = _HttpError(400, "timed out reading the request")
                 writer.write(
                     _response_bytes(
                         error.status, {"status": "rejected", "error": str(error)}

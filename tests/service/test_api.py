@@ -26,7 +26,7 @@ class TestValidBodies:
         assert request.size == 8
         assert request.work_scale == 1.0
         assert request.deadline_s is None
-        run = request.to_run_request()
+        run = request.run_request
         assert run.key and run.spec.abbr == "va"
 
     def test_defaults_kind_sim_and_method_stack(self):
@@ -55,7 +55,7 @@ class TestValidBodies:
     def test_distinct_configs_get_distinct_keys(self):
         first = parse_prediction_request(body(benchmark="va", size=8))
         second = parse_prediction_request(body(benchmark="va", size=8, seed=1))
-        assert first.to_run_request().key != second.to_run_request().key
+        assert first.run_request.key != second.run_request.key
 
 
 class TestRejectedBodies:

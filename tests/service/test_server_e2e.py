@@ -9,22 +9,10 @@ every assertion: worker spawn costs ~1s and is the dominant term.
 """
 
 import asyncio
-import http.client
-import json
 
 from repro.service import PredictionService, ServiceConfig
 
-
-def post(port, body, path="/predict", method="POST", timeout=120):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        payload = None if body is None else json.dumps(body)
-        conn.request(method, path, payload)
-        response = conn.getresponse()
-        return response.status, json.loads(response.read() or b"{}")
-    finally:
-        conn.close()
-
+from .harness import post
 
 BODY = {
     "kind": "sim",

@@ -3,15 +3,14 @@
 The paper's Figure 1 shows three archetypes — super-linear (dct),
 sub-linear (bfs) and linear (pf).  The harness regenerates the IPC
 series for all five paper system sizes, checks the classification against
-Table II for the whole suite, and benchmarks one detailed simulation.
+Table II for the whole suite.
 """
 
 import pytest
 
 from conftest import emit
 from repro.analysis.experiments import figure1_scaling
-from repro.gpu import GPUConfig, simulate
-from repro.workloads import STRONG_SCALING, build_trace, strong_scaling_names
+from repro.workloads import strong_scaling_names
 
 
 @pytest.fixture(scope="module")
@@ -51,15 +50,3 @@ class TestFullSuiteClassification:
             f"{abbr}: measured {result.measured_class[abbr]}, "
             f"paper says {result.expected_class[abbr]}"
         )
-
-
-def test_bench_detailed_simulation_8sm(benchmark):
-    """Wall-clock of one 8-SM scale-model simulation (bfs)."""
-    def run():
-        config = GPUConfig.paper_system(8)
-        trace = build_trace(STRONG_SCALING["bfs"],
-                            capacity_scale=config.capacity_scale)
-        return simulate(config, trace)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert result.ipc > 0

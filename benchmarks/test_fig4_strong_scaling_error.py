@@ -10,7 +10,6 @@ import pytest
 
 from conftest import emit
 from repro.analysis.experiments import figure4_strong_accuracy
-from repro.core.baselines import make_predictor
 from repro.core.model import ScaleModelPredictor
 from repro.workloads import STRONG_SCALING, ScalingBehavior
 
@@ -82,8 +81,8 @@ class TestFigure4b:
         )
 
 
-def test_bench_prediction_is_instantaneous(benchmark, runner):
-    """The artifact's claim: 'the prediction step is instantaneous'."""
+def test_prediction_from_cached_profile(runner):
+    """The prediction step needs only two scale-model runs and a curve."""
     from repro.core.profile import ScaleModelProfile
 
     spec = STRONG_SCALING["dct"]
@@ -94,21 +93,5 @@ def test_bench_prediction_is_instantaneous(benchmark, runner):
         f_mem=sims[16].memory_stall_fraction,
         curve=runner.miss_rate_curve(spec),
     )
-
-    def predict_all():
-        predictor = ScaleModelPredictor(profile)
-        return [predictor.predict(t).ipc for t in (32, 64, 128)]
-
-    values = benchmark(predict_all)
-    assert all(v > 0 for v in values)
-
-
-def test_bench_baseline_fit_and_predict(benchmark):
-    def fit_predict():
-        out = []
-        for name in ("proportional", "linear", "power-law", "logarithmic"):
-            p = make_predictor(name).fit([8, 16], [100.0, 190.0])
-            out.append(p.predict(128))
-        return out
-
-    assert len(benchmark(fit_predict)) == 4
+    predictor = ScaleModelPredictor(profile)
+    assert all(predictor.predict(t).ipc > 0 for t in (32, 64, 128))

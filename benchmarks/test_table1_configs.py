@@ -1,7 +1,6 @@
 """Table I / Table III: system configurations via proportional scaling.
 
-Regenerates the configuration table and benchmarks the derivation cost
-(which the paper's methodology relies on being trivial).
+Regenerates the configuration table.
 """
 
 import pytest
@@ -31,10 +30,3 @@ class TestTable1:
             cfg = GPUConfig.paper_system(sms)
             assert cfg.num_mcs == mcs
             assert cfg.mc_bandwidth_bps == pytest.approx(145 * GBPS)
-
-
-def test_bench_config_derivation(benchmark):
-    """Deriving a scale model from the baseline is microseconds."""
-    base = GPUConfig.paper_baseline()
-    result = benchmark(lambda: [base.scaled(n) for n in (8, 16, 32, 64)])
-    assert len(result) == 4

@@ -1,7 +1,7 @@
 """Table II: the strong-scaling benchmark catalog.
 
 Checks that the catalog reproduces the published suite composition,
-footprints and scaling classes, and benchmarks trace generation.
+footprints and scaling classes, and that every trace builds.
 """
 
 import pytest
@@ -77,11 +77,4 @@ class TestTable2:
             cta1 = t1.kernels[0].build_cta(0)
             cta2 = t2.kernels[0].build_cta(0)
             assert cta1.warps[0].lines == cta2.warps[0].lines, abbr
-
-
-def test_bench_trace_generation(benchmark):
-    """Building one dct CTA trace (the per-CTA generation cost)."""
-    trace = build_trace(STRONG_SCALING["dct"])
-    kernel = trace.kernels[1]
-    cta = benchmark(kernel.build_cta, 7)
-    assert cta.num_warps == kernel.warps_per_cta
+            assert cta1.num_warps == t1.kernels[0].warps_per_cta, abbr

@@ -65,12 +65,5 @@ class TestTable4:
             large = build_trace(spec, work_scale=4).count_accesses()
             assert large == pytest.approx(4 * small, rel=0.25), abbr
 
-
-def test_bench_weak_trace_scaling(benchmark):
-    """Generating a 16x weak-scaled trace (the 128-SM input)."""
-    spec = WEAK_SCALING["va"]
-    trace = benchmark.pedantic(
-        build_trace, args=(spec,), kwargs={"work_scale": 16.0},
-        rounds=1, iterations=1,
-    )
-    assert trace.num_ctas == 8192
+    def test_va_128sm_input_has_8192_ctas(self):
+        assert build_trace(WEAK_SCALING["va"], work_scale=16.0).num_ctas == 8192

@@ -1,21 +1,13 @@
 #!/usr/bin/env python3
-"""Load generator for the prediction service: the ``service`` bench family.
+"""Load generator for the prediction service.
 
 Boots an ephemeral server (or targets ``--url``), drives ``--clients``
 concurrent closed-loop clients through a seeded mix of cache hits and
 misses, and reports latency percentiles, shed rate and throughput:
 
   PYTHONPATH=src python scripts/service_load.py --quick
-  PYTHONPATH=src python scripts/service_load.py --merge-into BENCH_7.json
 
-``--merge-into`` grafts the measured block onto an existing
-``BENCH_*.json`` artifact as its optional ``service`` family, which the
-:mod:`repro.bench.compare` trajectory gate then holds to tolerances
-(latency may grow 2.5x, throughput may halve, shed rate may rise 15
-points) — enough slack for host noise, not for an accidentally serial
-dispatch loop.
-
-Every response must still be terminal (completed / shed / rejected);
+Every response must be terminal (completed / shed / rejected);
 a transport error or hung connection fails the run regardless of how
 good the percentiles look.
 
@@ -188,9 +180,6 @@ def main(argv=None) -> int:
                         help="per-request deadline_s sent to the server")
     parser.add_argument("--quick", action="store_true",
                         help="4 clients x 3 requests (CI tier)")
-    parser.add_argument("--merge-into", default=None,
-                        help="graft the service block onto this "
-                        "BENCH_*.json artifact")
     parser.add_argument("--out", default=None,
                         help="also write the raw block to this path")
     args = parser.parse_args(argv)
@@ -255,18 +244,6 @@ def main(argv=None) -> int:
         with open(args.out, "w") as handle:
             json.dump(block, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if args.merge_into:
-        with open(args.merge_into) as handle:
-            document = json.load(handle)
-        document["service"] = {
-            key: value
-            for key, value in block.items()
-            if key not in ("statuses",)
-        }
-        with open(args.merge_into, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"[load] merged service block into {args.merge_into}")
     return 0
 
 

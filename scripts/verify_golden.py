@@ -33,11 +33,11 @@ from repro.analysis.runner import CachedRunner
 from repro.exceptions import ReproError
 from repro.obs import bootstrap
 from repro.resilience import apply_memory_limit, install_shutdown_handlers
-from repro.bench import matrix_for_tier
 from repro.verify.golden import (
     DEFAULT_LEDGER_PATH,
     audit_store,
     build_ledger,
+    golden_tier,
     load_ledger,
     save_ledger,
 )
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
                         help="ledger path (default: %(default)s)")
     parser.add_argument("--tier", choices=("quick", "full"),
                         default="quick",
-                        help="bench tier to pin (default quick)")
+                        help="golden tier to pin (default quick)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the recomputation "
                              "(default 1; --jobs 4 against a serially "
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
     apply_memory_limit()
     arm_from_flag(args.verify)
 
-    matrix = matrix_for_tier(args.tier)
+    tier = golden_tier(args.tier)
     cache_dir = args.cache_dir
     temp_cache = cache_dir is None
     if temp_cache:
@@ -106,26 +106,26 @@ def main(argv=None) -> int:
     try:
         runner = _make_runner(cache_dir, args.jobs)
         if args.bless:
-            document = build_ledger(matrix, runner, args.reason)
+            document = build_ledger(tier, runner, args.reason)
             runner.flush()
             save_ledger(document, args.ledger)
             print(
                 f"blessed {args.ledger}: {len(document['entries'])} "
-                f"entries ({matrix.tier} tier, seed {matrix.seed}) — "
+                f"entries ({tier.name} tier, seed {tier.seed}) — "
                 f"reason: {args.reason}"
             )
             return EXIT_OK
 
         ledger = load_ledger(args.ledger)
-        if ledger.get("tier") != matrix.tier:
+        if ledger.get("tier") != tier.name:
             raise ReproError(
                 f"ledger pins the {ledger.get('tier')!r} tier but "
-                f"--tier {matrix.tier} was requested; re-bless or pick "
+                f"--tier {tier.name} was requested; re-bless or pick "
                 "the matching tier"
             )
         # Recompute through build_ledger's own run loop so audit and
         # bless exercise identical execution paths, then diff digests.
-        build_ledger(matrix, runner, reason="(audit recomputation)")
+        build_ledger(tier, runner, reason="(audit recomputation)")
         runner.flush()
         report = audit_store(ledger, runner.store)
         print(report.summary())

@@ -16,9 +16,9 @@ Three pieces:
   first_artifact_divergence`, the differential that proves a resumed
   campaign converged to the uninterrupted artifact.
 
-``repro.zoo.campaign`` and ``repro.bench.harness`` both execute through
-this runtime; ``scripts/campaign_chaos.py`` kill -9s it at seeded
-points and asserts the contract holds.
+``repro.zoo.campaign`` executes through this runtime;
+``scripts/campaign_chaos.py`` kill -9s it at seeded points and asserts
+the contract holds.
 """
 
 from repro.campaign.diff import ArtifactDivergence, first_artifact_divergence

@@ -1,7 +1,7 @@
 """Resumable unit-by-unit campaign execution with budgets.
 
-:func:`run_units` is the one loop every campaign driver (zoo sweep,
-bench harness) executes through.  It walks the plan's units **in plan
+:func:`run_units` is the one loop every campaign driver (today the
+zoo sweep) executes through.  It walks the plan's units **in plan
 order**, and for each one either
 
 * reuses the sealed outcome from the :class:`~repro.campaign.journal.

@@ -65,26 +65,12 @@ __all__ = [
     "validate_trace_events",
     "write_chrome_trace",
     "write_metrics",
-    "run_phase",
     "peak_rss_bytes",
     "sample_peak_rss",
     "PEAK_RSS_GAUGE",
     "OBS_ENV",
     "SPILL_ENV",
 ]
-
-
-def run_phase(name: str, **args):
-    """Span context manager for one named phase of a run.
-
-    Phases are the coarse, human-named stages of a campaign ("cold
-    campaign", "warm campaign", "accuracy") — one level above the
-    per-run spans the profile hooks record.  They export under the
-    ``phase`` category so a Chrome trace shows the run's outline at a
-    glance, and the benchmark harness uses the recorded durations to
-    cross-check its own wall-clock measurements.
-    """
-    return get_tracer().span(f"phase:{name}", cat="phase", **args)
 
 _log = get_logger("obs")
 

@@ -9,7 +9,17 @@ and audits against the ledger:
   changed — either a bug, or an intentional model change that must be
   re-blessed explicitly (``--bless --reason "..."``), never silently;
 * an **absence** means the tier definition and the ledger disagree —
-  the ledger must be re-blessed after matrix changes.
+  the ledger must be re-blessed after a tier change.
+
+The tier itself is defined here (:class:`GoldenTier`): every audit runs
+the *same* workloads at the same sizes with the same seed, so every
+deterministic payload field is bit-stable across runs and machines.
+
+* **quick** — one fast representative per scaling class (the classes of
+  Table II), small target; about a minute serially, the tier the
+  checked-in ledger and CI pin;
+* **full** — every Table II benchmark, two targets; the release-gate
+  tier (tens of minutes).
 
 Because serial and parallel execution produce identical payloads for
 every deterministic field, a ledger blessed from a serial run audited
@@ -33,16 +43,23 @@ from typing import Dict, List, Optional, Tuple
 from repro.exceptions import ReproError
 from repro.fsio import atomic_write_text
 from repro.verify.digest import payload_digest
+from repro.workloads import STRONG_SCALING
+from repro.workloads.spec import BenchmarkSpec
 
 __all__ = [
     "AuditReport",
     "DEFAULT_LEDGER_PATH",
+    "GoldenCase",
+    "GoldenTier",
     "LEDGER_VERSION",
     "audit_store",
     "build_ledger",
+    "full_tier",
+    "golden_tier",
     "ledger_requests",
     "load_ledger",
     "pin_store",
+    "quick_tier",
     "save_ledger",
 ]
 
@@ -50,22 +67,102 @@ DEFAULT_LEDGER_PATH = os.path.join("results", "golden", "ledger.json")
 LEDGER_VERSION = 1
 
 
-def ledger_requests(matrix) -> List:
-    """The runs a bench matrix pins: one sim per size plus one MRC per case.
+@dataclass(frozen=True)
+class GoldenCase:
+    """One benchmark's slot in a tier."""
 
-    Mirrors the bench harness's request list exactly — the golden tier
-    and the perf tier must cover the same runs or drift could hide in
-    the gap between them.
+    abbr: str
+    scales: Tuple[int, ...] = (8, 16)
+    targets: Tuple[int, ...] = (32,)
+
+    def __post_init__(self) -> None:
+        if self.abbr not in STRONG_SCALING:
+            raise ReproError(f"unknown benchmark {self.abbr!r} in golden tier")
+        if len(self.scales) < 2:
+            raise ReproError(
+                f"{self.abbr}: scale-model prediction needs >= 2 scale points"
+            )
+        if not self.targets:
+            raise ReproError(f"{self.abbr}: at least one target size required")
+        largest = max(self.scales)
+        if any(t < largest for t in self.targets):
+            raise ReproError(
+                f"{self.abbr}: targets {self.targets} must not be smaller "
+                f"than the largest scale model ({largest})"
+            )
+
+    @property
+    def spec(self) -> BenchmarkSpec:
+        return STRONG_SCALING[self.abbr]
+
+    @property
+    def sizes(self) -> Tuple[int, ...]:
+        """All system sizes this case simulates (scales then targets)."""
+        return tuple(self.scales) + tuple(self.targets)
+
+
+@dataclass(frozen=True)
+class GoldenTier:
+    """A deterministic set of cases plus the seed they all run under."""
+
+    name: str
+    cases: Tuple[GoldenCase, ...]
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.cases:
+            raise ReproError(f"{self.name}: empty golden tier")
+        abbrs = [case.abbr for case in self.cases]
+        if len(set(abbrs)) != len(abbrs):
+            raise ReproError(f"{self.name}: duplicate benchmarks in tier: {abbrs}")
+
+
+def quick_tier() -> GoldenTier:
+    """One fast representative per scaling class.
+
+    Representatives were picked by measured serial runtime: ``va``,
+    ``btree`` and ``bs`` are the cheapest members of their classes at
+    a few seconds per simulation.
     """
+    return GoldenTier(
+        name="quick",
+        cases=(
+            GoldenCase("va"),      # super-linear (miss-rate cliff)
+            GoldenCase("btree"),   # sub-linear (CTA tails / imbalance)
+            GoldenCase("bs"),      # linear (balanced, compute-bound)
+        ),
+    )
+
+
+def full_tier() -> GoldenTier:
+    """Every Table II benchmark, two prediction targets."""
+    return GoldenTier(
+        name="full",
+        cases=tuple(
+            GoldenCase(abbr, targets=(32, 64)) for abbr in STRONG_SCALING
+        ),
+    )
+
+
+def golden_tier(name: str) -> GoldenTier:
+    if name == "quick":
+        return quick_tier()
+    if name == "full":
+        return full_tier()
+    raise ReproError(f"unknown golden tier {name!r}; expected quick or full")
+
+
+def ledger_requests(tier: GoldenTier) -> List:
+    """The runs a tier pins: one sim per size plus one MRC per case."""
     from repro.analysis.parallel import RunRequest
 
     requests = [
-        RunRequest("sim", case.spec, size=size, seed=matrix.seed)
-        for case in matrix.cases
+        RunRequest("sim", case.spec, size=size, seed=tier.seed)
+        for case in tier.cases
         for size in case.sizes
     ]
     requests.extend(
-        RunRequest("mrc", case.spec, seed=matrix.seed) for case in matrix.cases
+        RunRequest("mrc", case.spec, seed=tier.seed) for case in tier.cases
     )
     return requests
 
@@ -83,7 +180,7 @@ def _entry_for(request, digest: str) -> Dict[str, object]:
 
 
 def build_ledger(
-    matrix,
+    tier: GoldenTier,
     runner,
     reason: str,
     blessed_at: Optional[str] = None,
@@ -95,7 +192,7 @@ def build_ledger(
     ``REPRO_VERIFY=1`` is also a full paranoia sweep of the tier.
     """
     entries: Dict[str, Dict[str, object]] = {}
-    for request in ledger_requests(matrix):
+    for request in ledger_requests(tier):
         if request.kind == "sim":
             runner.simulate(
                 request.spec, request.size, request.work_scale, request.seed
@@ -115,8 +212,8 @@ def build_ledger(
         blessed_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return {
         "version": LEDGER_VERSION,
-        "tier": matrix.tier,
-        "seed": matrix.seed,
+        "tier": tier.name,
+        "seed": tier.seed,
         "blessed_at": blessed_at,
         "reason": reason,
         "entries": entries,

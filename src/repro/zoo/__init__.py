@@ -40,7 +40,6 @@ from repro.zoo.campaign import (
     plan_payload,
     run_campaign,
     validate_campaign_artifact,
-    zoo_bench_block,
 )
 from repro.zoo.report import render_campaign
 
@@ -64,5 +63,4 @@ __all__ = [
     "sample_spec",
     "spec_from_payload",
     "validate_campaign_artifact",
-    "zoo_bench_block",
 ]

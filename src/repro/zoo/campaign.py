@@ -47,7 +47,6 @@ __all__ = [
     "plan_payload",
     "run_campaign",
     "validate_campaign_artifact",
-    "zoo_bench_block",
 ]
 
 ZOO_SCHEMA_VERSION = 1
@@ -340,7 +339,7 @@ def run_campaign(
 
 
 # --------------------------------------------------------------------------
-# Validation and the bench bridge
+# Validation
 # --------------------------------------------------------------------------
 
 def _is_number(value: object) -> bool:
@@ -481,31 +480,3 @@ def validate_campaign_artifact(document: object) -> List[str]:
                 ("completed", "planned", "remaining"),
             )
     return problems
-
-
-def zoo_bench_block(artifact: Mapping) -> dict:
-    """Distill a campaign artifact into the bench ``zoo`` family block."""
-    problems = validate_campaign_artifact(dict(artifact))
-    if problems:
-        raise ReproError(
-            "cannot bridge an invalid zoo artifact: " + "; ".join(problems[:3])
-        )
-    if "partial" in artifact:
-        raise ReproError(
-            "cannot bridge a partial zoo artifact into the bench zoo "
-            "family: finish (resume) the campaign first"
-        )
-    accuracy = artifact["accuracy"]
-    campaign = artifact["campaign"]
-    return {
-        "workloads": campaign["workloads"],
-        "runs": campaign["runs"],
-        "campaign_wall_s": campaign["wall_s"],
-        "workloads_per_sec": campaign["workloads_per_sec"],
-        "regime_match_rate": accuracy["regime_match_rate"],
-        "mape_pct": accuracy["mape_pct"],
-        "per_regime": {
-            regime: {"mape_pct": block["mape_pct"], "count": block["count"]}
-            for regime, block in artifact["regimes"].items()
-        },
-    }

@@ -389,7 +389,7 @@ def expr_from_json(document: object) -> Expr:
 class GeneratedSpec(BenchmarkSpec):
     """A grammar-generated workload, runnable anywhere a
     :class:`~repro.workloads.spec.BenchmarkSpec` is (cached runner,
-    parallel prefetch, MRC collection, bench matrix).
+    parallel prefetch, MRC collection).
 
     One kernel per phase; the ``generated`` family in
     :mod:`repro.workloads.generators` dispatches each kernel to its

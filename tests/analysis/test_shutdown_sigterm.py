@@ -20,7 +20,7 @@ SRC = os.path.join(
     "src",
 )
 
-# A small campaign slow enough (~3 s per run) that a SIGTERM a few
+# A small campaign slow enough (~2.3 s per run) that a SIGTERM a few
 # seconds after READY is guaranteed to land mid-batch.  Completed
 # results merge to the store when the batch winds down (the drain path
 # merges too), so the parent cannot watch the shard for progress — it
@@ -71,9 +71,11 @@ def test_sigterm_mid_batch_drains_resumably(tmp_path, jobs):
     )
     try:
         assert proc.stdout.readline().strip() == "READY"
-        # ~5 s into an ~18 s (serial) / ~9 s (pool) batch: some runs are
-        # done, some are in flight, some were never started.
-        time.sleep(5.0)
+        # ~3 s into an ~14 s (serial) / ~7 s (pool, three waves of two)
+        # batch: some runs are done, some are in flight, some were never
+        # started — on a host twice as slow the first wave is still in
+        # flight and completes during the drain.
+        time.sleep(3.0)
         assert proc.poll() is None, proc.communicate()
         proc.send_signal(signal.SIGTERM)
         out, err = proc.communicate(timeout=120)

@@ -8,6 +8,7 @@ test_campaign`, so every prefix of a 6-workload plan is cheap to drill.
 """
 
 import json
+import os
 
 import pytest
 
@@ -118,17 +119,24 @@ def test_stop_before_first_workload_is_incomplete_not_an_artifact(tmp_path):
 def test_budgeted_invocations_ratchet_to_the_same_artifact(tmp_path):
     plan = make_plan()
     reference = run_campaign(plan, FakeRunner())
+    # Each invocation prefetches only the runs of the two workloads it
+    # may newly execute — never a sealed one's, never one past the cap.
+    new_runs = 2 * (len(plan.sizes) + 1)
     for cap in (2, 4):
+        runner = CountingRunner()
         artifact = run_campaign(
             plan,
-            CountingRunner(),
+            runner,
             journal=make_journal(tmp_path, plan),
             budget=CampaignBudget(max_workloads=cap),
         )
         assert validate_campaign_artifact(artifact) == []
         assert artifact["partial"]["reason"] == "workload-budget"
         assert artifact["partial"]["completed"] == cap
-    final = run_campaign(plan, CountingRunner(), journal=make_journal(tmp_path, plan))
+        assert runner.prefetched == new_runs
+    runner = CountingRunner()
+    final = run_campaign(plan, runner, journal=make_journal(tmp_path, plan))
+    assert runner.prefetched == new_runs
     assert "partial" not in final
     assert first_artifact_divergence(final, reference) is None
 
@@ -168,3 +176,19 @@ def test_completed_journal_replays_without_any_execution(tmp_path):
     )
     assert replay_runner.simulated == 0
     assert first_artifact_divergence(replayed, reference) is None
+
+
+#: Work-counter gate, the small-input twin of the perf benchmark's
+#: ``campaign.bytes_per_unit``: this sealed 6-workload journal measures
+#: 844.5–844.7 bytes per workload today (header and complete marker
+#: included; each record is mostly the spec payload plus its digest).
+#: ~5 % headroom absorbs timestamp digits, not a second copy of a field.
+JOURNAL_BYTES_PER_UNIT_BUDGET = 887
+
+
+def test_journal_bytes_per_sealed_unit_within_budget(tmp_path):
+    plan = make_plan()
+    journal = make_journal(tmp_path, plan)
+    run_campaign(plan, FakeRunner(), journal=journal)
+    assert journal.complete and len(journal.completed) == N
+    assert os.path.getsize(journal.path) / N <= JOURNAL_BYTES_PER_UNIT_BUDGET

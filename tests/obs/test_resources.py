@@ -1,8 +1,7 @@
-"""Peak-RSS gauge and run-phase span tests."""
+"""Peak-RSS gauge tests."""
 
-from repro.obs import PEAK_RSS_GAUGE, peak_rss_bytes, run_phase, sample_peak_rss
+from repro.obs import PEAK_RSS_GAUGE, peak_rss_bytes, sample_peak_rss
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
 
 
 class TestPeakRss:
@@ -22,26 +21,3 @@ class TestPeakRss:
         value = sample_peak_rss(registry)
         assert registry.gauge(PEAK_RSS_GAUGE).value == value
         assert value == peak_rss_bytes()
-
-
-class TestRunPhase:
-    def test_disabled_tracer_is_noop(self):
-        with run_phase("bench.cold", tier="quick"):
-            pass  # must not raise nor record anywhere
-
-    def test_records_phase_category_span(self, tmp_path):
-        tracer = Tracer()
-        tracer.enable()
-        import repro.obs.tracing as tracing
-        original = tracing._TRACER
-        tracing._TRACER = tracer
-        try:
-            with run_phase("bench.cold", tier="quick"):
-                pass
-        finally:
-            tracing._TRACER = original
-        events = tracer.events()
-        assert len(events) == 1
-        assert events[0]["name"] == "phase:bench.cold"
-        assert events[0]["cat"] == "phase"
-        assert events[0]["args"]["tier"] == "quick"

@@ -6,11 +6,11 @@ import os
 import pytest
 
 from repro.analysis.simcache import ResultStore
-from repro.bench import matrix_for_tier
 from repro.exceptions import ReproError
 from repro.verify.golden import (
     LEDGER_VERSION,
     audit_store,
+    golden_tier,
     ledger_requests,
     load_ledger,
     pin_store,
@@ -119,19 +119,19 @@ class TestSaveLoad:
 
 class TestLedgerRequests:
     def test_mirrors_quick_tier_exactly(self):
-        matrix = matrix_for_tier("quick")
-        requests = ledger_requests(matrix)
+        tier = golden_tier("quick")
+        requests = ledger_requests(tier)
         sims = [r for r in requests if r.kind == "sim"]
         mrcs = [r for r in requests if r.kind == "mrc"]
-        assert len(sims) == sum(len(case.sizes) for case in matrix.cases)
-        assert len(mrcs) == len(matrix.cases)
+        assert len(sims) == sum(len(case.sizes) for case in tier.cases)
+        assert len(mrcs) == len(tier.cases)
         assert len({r.key for r in requests}) == len(requests)
-        assert all(r.seed == matrix.seed for r in requests)
+        assert all(r.seed == tier.seed for r in requests)
 
     def test_shipped_ledger_matches_tier_definition(self):
         # results/golden/ledger.json must cover exactly the quick tier;
-        # a matrix change without a re-bless is a CI-visible drift.
+        # a tier change without a re-bless is a CI-visible drift.
         ledger = load_ledger()  # repo-root default path (pytest cwd)
-        requests = ledger_requests(matrix_for_tier("quick"))
+        requests = ledger_requests(golden_tier("quick"))
         assert set(ledger["entries"]) == {r.key for r in requests}
         assert ledger["tier"] == "quick"

@@ -20,7 +20,6 @@ from repro.zoo import (
     render_campaign,
     run_campaign,
     validate_campaign_artifact,
-    zoo_bench_block,
 )
 
 MB = 2**20
@@ -169,28 +168,6 @@ class TestValidator:
         artifact["workloads"][0]["measured"] = "cubic"
         problems = validate_campaign_artifact(artifact)
         assert any("measured" in p for p in problems)
-
-
-class TestBenchBridge:
-    def test_bench_block_shape(self):
-        artifact = run_fake_campaign()
-        block = zoo_bench_block(artifact)
-        assert block["workloads"] == 6
-        assert block["regime_match_rate"] == 1.0
-        assert sorted(block["per_regime"]) == sorted(REGIMES)
-        for stats in block["per_regime"].values():
-            assert set(stats) == {"mape_pct", "count"}
-
-    def test_bench_block_validates_under_bench_schema(self):
-        from tests.bench.test_schema import make_artifact
-        from repro.bench import validate_artifact
-
-        document = make_artifact(zoo=zoo_bench_block(run_fake_campaign()))
-        assert validate_artifact(document) == []
-
-    def test_invalid_artifact_refused(self):
-        with pytest.raises(ReproError, match="invalid zoo artifact"):
-            zoo_bench_block({"kind": "junk"})
 
 
 class TestReport:

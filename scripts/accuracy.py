@@ -3,13 +3,12 @@
 the strong-scaling scenario (the Figure 4 experiment), using the cached
 runner so repeated invocations only re-simulate what changed.
 
-Usage: python scripts/accuracy.py [abbr ...] [--target 128] [--no-cache]
-                                  [--jobs N] [--max-retries R]
-                                  [--run-timeout S] [--keep-going]
-                                  [--checkpoint-interval N]
-                                  [--checkpoint-dir DIR] [--no-resume]
-                                  [--trace-out T.json] [--metrics-out M.json]
-                                  [--log-format human|json]
+Usage: python scripts/accuracy.py [abbr ...] [--targets 64,128]
+                                  [--scales 8,16] [execution flags]
+
+The execution flags (``--jobs``, ``--keep-going``, ``--no-cache``, ...)
+are the group every campaign entry point shares; see
+``repro.analysis.cli.add_execution_flags`` or ``scripts/README.md``.
 """
 
 from __future__ import annotations
@@ -17,28 +16,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.faults import ExecutionPolicy
+from repro.analysis.cli import add_execution_flags, build_runner
 from repro.analysis.parallel import RunRequest
-from repro.analysis.runner import (
-    CachedRunner,
-    DEFAULT_CACHE,
-    default_checkpoint_policy,
-    default_jobs,
-)
-from repro.checkpoint import default_checkpoint_interval, parse_checkpoint_interval
 from repro.core import METHOD_NAMES, ScaleModelPredictor, ScaleModelProfile
 from repro.core.baselines import make_predictor
 from repro.exceptions import ReproError, ShutdownRequested
-from repro.obs import bootstrap
-from repro.resilience import (
-    EXIT_FAILURES,
-    EXIT_INTERRUPTED,
-    EXIT_OK,
-    apply_memory_limit,
-    install_shutdown_handlers,
-    preflight_disk,
-)
-from repro.verify.runtime import arm_from_flag
+from repro.resilience import EXIT_FAILURES, EXIT_INTERRUPTED, EXIT_OK
 from repro.workloads import STRONG_SCALING
 
 
@@ -47,77 +30,9 @@ def main(argv=None) -> int:
     parser.add_argument("benchmarks", nargs="*")
     parser.add_argument("--targets", default="64,128")
     parser.add_argument("--scales", default="8,16")
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--max-retries", type=int, default=None,
-                        help="re-executions of a failed run (default 2)")
-    parser.add_argument("--run-timeout", type=float, default=None,
-                        help="per-run watchdog timeout in seconds")
-    parser.add_argument("--keep-going", action="store_true",
-                        help="skip benchmarks whose runs fail; exit 1 "
-                             "with a failure summary")
-    parser.add_argument("--retry-quarantined", action="store_true",
-                        help="re-attempt configs the per-config circuit "
-                             "breaker would skip (see results/failures/)")
-    # Parsed tolerantly (warn + default on garbage), so no type=int here.
-    parser.add_argument("--checkpoint-interval", default=None,
-                        help="kernel boundaries between mid-run snapshots "
-                             "(0 disables; default: "
-                             "REPRO_CHECKPOINT_INTERVAL or 1)")
-    parser.add_argument("--checkpoint-dir", default=None,
-                        help="snapshot directory "
-                             "(default: results/checkpoints)")
-    parser.add_argument("--no-resume", action="store_true",
-                        help="keep writing checkpoints but always start "
-                             "runs cold")
-    parser.add_argument("--trace-out", default=None,
-                        help="write a Chrome trace_event JSON of the run")
-    parser.add_argument("--metrics-out", default=None,
-                        help="write the metrics snapshot as JSON")
-    parser.add_argument("--log-format", choices=("human", "json"),
-                        default=None,
-                        help="stderr diagnostics format (default human)")
-    parser.add_argument("--verify", action="store_true",
-                        help="paranoia mode: assert engine/model "
-                             "invariants at every kernel boundary and "
-                             "event-queue operation (equivalent to "
-                             "REPRO_VERIFY=1; workers inherit it)")
+    add_execution_flags(parser)
     args = parser.parse_args(argv)
-    obs = bootstrap(args.trace_out, args.metrics_out, args.log_format)
-    coordinator = install_shutdown_handlers()
-    coordinator.reset()
-    apply_memory_limit()
-    arm_from_flag(args.verify)
-
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    defaults = ExecutionPolicy()
-    policy = ExecutionPolicy(
-        max_retries=(
-            defaults.max_retries
-            if args.max_retries is None
-            else args.max_retries
-        ),
-        run_timeout=args.run_timeout,
-        keep_going=args.keep_going,
-        retry_quarantined=args.retry_quarantined,
-    )
-    checkpoint = default_checkpoint_policy(
-        None if args.no_cache else DEFAULT_CACHE,
-        interval=parse_checkpoint_interval(
-            args.checkpoint_interval, default_checkpoint_interval()
-        ),
-        resume=not args.no_resume,
-        root=args.checkpoint_dir,
-    )
-    runner = CachedRunner(
-        None if args.no_cache else DEFAULT_CACHE, jobs=jobs, policy=policy,
-        checkpoint=checkpoint,
-    )
-    preflight_disk(
-        runner.store.root,
-        runner.manifest.root,
-        runner.checkpoint.root if runner.checkpoint else None,
-    )
+    obs, _, runner = build_runner(args)
     names = args.benchmarks or list(STRONG_SCALING)
     targets = [int(t) for t in args.targets.split(",")]
     scales = [int(s) for s in args.scales.split(",")]

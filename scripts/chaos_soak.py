@@ -159,9 +159,10 @@ def run_trial(
                     f"trial {trial}: completed result {outcome.key} "
                     "missing from the reloaded store"
                 )
-        # 3: every terminal failure is in the manifest.
+        # 3: every run that did not complete is in the manifest (a
+        # skipped one through the records that tripped its breaker).
         recorded = manifest_keys(root)
-        for outcome in report.manifest_outcomes:
+        for outcome in report.failures:
             if outcome.key not in recorded:
                 problems.append(
                     f"trial {trial}: {outcome.status} run {outcome.key} "

@@ -29,26 +29,10 @@ import sys
 import time
 
 from repro.analysis import experiments as exp
-from repro.analysis.faults import ExecutionPolicy
-from repro.analysis.runner import (
-    CachedRunner,
-    DEFAULT_CACHE,
-    default_checkpoint_policy,
-    default_jobs,
-)
-from repro.checkpoint import default_checkpoint_interval, parse_checkpoint_interval
+from repro.analysis.cli import add_execution_flags, build_runner
 from repro.analysis.tables import render_percent
 from repro.exceptions import ReproError, ShutdownRequested
-from repro.obs import bootstrap
-from repro.resilience import (
-    EXIT_FAILURES,
-    EXIT_INTERRUPTED,
-    EXIT_OK,
-    apply_memory_limit,
-    install_shutdown_handlers,
-    preflight_disk,
-)
-from repro.verify.runtime import arm_from_flag
+from repro.resilience import EXIT_FAILURES, EXIT_INTERRUPTED, EXIT_OK
 
 OUT_DIR = os.path.join("results", "experiments")
 
@@ -64,97 +48,9 @@ def save(name: str, text: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for simulation cache misses "
-             "(default: REPRO_JOBS or cpu_count()-1; 1 disables the pool)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=None,
-        help="re-executions of a failed run before it is recorded as a "
-             "casualty (default 2)",
-    )
-    parser.add_argument(
-        "--run-timeout", type=float, default=None,
-        help="per-run watchdog timeout in seconds for pool execution "
-             "(default: unlimited)",
-    )
-    parser.add_argument(
-        "--keep-going", action="store_true",
-        help="complete every experiment that can run when one fails; "
-             "exit 1 with a failure summary instead of a traceback",
-    )
-    parser.add_argument(
-        "--retry-quarantined", action="store_true",
-        help="re-attempt configs the per-config circuit breaker would "
-             "skip (see results/failures/)",
-    )
-    # Parsed tolerantly (warn + default on garbage), so no type=int here.
-    parser.add_argument(
-        "--checkpoint-interval", default=None,
-        help="kernel boundaries between mid-run snapshots (0 disables; "
-             "default: REPRO_CHECKPOINT_INTERVAL or 1)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir", default=None,
-        help="snapshot directory (default: results/checkpoints)",
-    )
-    parser.add_argument(
-        "--no-resume", action="store_true",
-        help="keep writing checkpoints but always start runs cold",
-    )
-    parser.add_argument(
-        "--trace-out", default=None,
-        help="write a Chrome trace_event JSON of the whole sweep",
-    )
-    parser.add_argument(
-        "--metrics-out", default=None,
-        help="write the metrics snapshot (counters, gauges, histogram "
-             "quantiles) as JSON",
-    )
-    parser.add_argument(
-        "--log-format", choices=("human", "json"), default=None,
-        help="stderr diagnostics format (default human)",
-    )
-    parser.add_argument(
-        "--verify", action="store_true",
-        help="paranoia mode: assert engine/model invariants at every "
-             "kernel boundary and event-queue operation (equivalent to "
-             "REPRO_VERIFY=1; workers inherit it)",
-    )
+    add_execution_flags(parser, no_cache=False)
     args = parser.parse_args(argv)
-    obs = bootstrap(args.trace_out, args.metrics_out, args.log_format)
-    coordinator = install_shutdown_handlers()
-    coordinator.reset()
-    apply_memory_limit()
-    arm_from_flag(args.verify)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    defaults = ExecutionPolicy()
-    policy = ExecutionPolicy(
-        max_retries=(
-            defaults.max_retries
-            if args.max_retries is None
-            else args.max_retries
-        ),
-        run_timeout=args.run_timeout,
-        keep_going=args.keep_going,
-        retry_quarantined=args.retry_quarantined,
-    )
-    checkpoint = default_checkpoint_policy(
-        DEFAULT_CACHE,
-        interval=parse_checkpoint_interval(
-            args.checkpoint_interval, default_checkpoint_interval()
-        ),
-        resume=not args.no_resume,
-        root=args.checkpoint_dir,
-    )
-    runner = CachedRunner(jobs=jobs, policy=policy, checkpoint=checkpoint)
-    preflight_disk(
-        runner.store.root,
-        runner.manifest.root,
-        runner.checkpoint.root if runner.checkpoint else None,
-        OUT_DIR,
-    )
+    obs, _, runner = build_runner(args, OUT_DIR)
     # Monotonic: this clock feeds the duration report below, and the
     # wall clock can step (NTP) mid-sweep.
     t0 = time.monotonic()
@@ -304,7 +200,7 @@ def main(argv=None) -> int:
     stats = runner.stats()
     print(f"total: {time.monotonic() - t0:.0f}s; cache hits={stats['hits']} "
           f"misses={stats['misses']} flushes={stats['flushes']} "
-          f"entries={stats['entries']} jobs={jobs}")
+          f"entries={stats['entries']} jobs={runner.jobs}")
     print(runner.execution_health())
     obs.finalize(extra_metrics={"runner": runner.metrics})
     if interrupted:

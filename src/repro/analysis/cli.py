@@ -10,9 +10,9 @@ Usage::
     gpu-scale-experiments fig8
     gpu-scale-experiments all
 
-Simulations are cached in sharded JSONL files under ``results/simcache/``
-(a legacy ``results/simcache.json`` is imported transparently); the first
-run of the heavier experiments takes minutes, repeats are instantaneous.
+Simulations are cached in sharded JSONL files under
+``results/simcache/``; the first run of the heavier experiments takes
+minutes, repeats are instantaneous.
 ``--jobs N`` (or ``REPRO_JOBS``) fans cache misses out across N worker
 processes; results are identical to a serial run.
 
@@ -85,23 +85,20 @@ EXPERIMENTS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gpu-scale-experiments",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--target", type=int, default=128,
-                        help="target size for fig4 (64 or 128)")
-    parser.add_argument("--benchmarks", default=None,
-                        help="comma-separated benchmark subset")
-    parser.add_argument("--cache", default=DEFAULT_CACHE,
-                        help="result-store directory (default results/simcache)")
-    parser.add_argument("--no-cache", action="store_true")
+def add_execution_flags(
+    parser: argparse.ArgumentParser, no_cache: bool = True
+) -> None:
+    """Declare the execution flags every campaign entry point shares
+    (this CLI, ``scripts/run_all_experiments.py``, ``scripts/accuracy.py``);
+    :func:`build_runner` consumes them.  ``no_cache=False`` leaves out
+    ``--no-cache`` for entry points that always persist."""
+    if no_cache:
+        parser.add_argument("--no-cache", action="store_true",
+                            help="keep results in memory only")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for cache misses "
-                             "(default: REPRO_JOBS or cpu_count()-1)")
+                             "(default: REPRO_JOBS or cpu_count()-1; "
+                             "1 disables the pool)")
     parser.add_argument("--max-retries", type=int, default=None,
                         help="re-executions of a failed run before it is "
                              "recorded as a casualty (default 2)")
@@ -109,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-run watchdog timeout in seconds for "
                              "pool execution (default: unlimited)")
     parser.add_argument("--keep-going", action="store_true",
-                        help="finish the remaining experiments when one "
-                             "fails; exit 1 with a failure summary")
+                        help="finish everything that can run when a run "
+                             "fails; exit 1 with a failure summary "
+                             "instead of a traceback")
     parser.add_argument("--retry-quarantined", action="store_true",
                         help="re-attempt configs the per-config circuit "
                              "breaker would skip (see results/failures/)")
@@ -139,13 +137,37 @@ def build_parser() -> argparse.ArgumentParser:
                              "at every kernel boundary and event-queue "
                              "operation (equivalent to REPRO_VERIFY=1; "
                              "workers inherit it)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gpu-scale-experiments",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("--target", type=int, default=128,
+                        help="target size for fig4 (64 or 128)")
+    parser.add_argument("--benchmarks", default=None,
+                        help="comma-separated benchmark subset")
+    parser.add_argument("--cache", default=DEFAULT_CACHE,
+                        help="result-store directory (default results/simcache)")
+    add_execution_flags(parser)
     return parser
+
+
+def _cache_path(args):
+    """The store location the flags select: ``--no-cache`` wins, then
+    ``--cache`` where the entry point has one, else the default."""
+    if getattr(args, "no_cache", False):
+        return None
+    return getattr(args, "cache", DEFAULT_CACHE)
 
 
 def build_checkpoint(args):
     """Map the CLI's checkpoint flags onto a CheckpointPolicy (or None)."""
     return default_checkpoint_policy(
-        None if args.no_cache else args.cache,
+        _cache_path(args),
         interval=parse_checkpoint_interval(
             args.checkpoint_interval, default_checkpoint_interval()
         ),
@@ -167,6 +189,38 @@ def build_policy(args) -> ExecutionPolicy:
         keep_going=args.keep_going,
         retry_quarantined=args.retry_quarantined,
     )
+
+
+def build_runner(args, *output_dirs: str):
+    """Start a campaign process from :func:`add_execution_flags`' flags.
+
+    Returns ``(obs, coordinator, runner)``.  The order matters:
+    observability first, so the profiling hooks are installed before the
+    runner constructs its store (shard loads are traced too); then
+    resilience — the first SIGINT/SIGTERM drains (exit 75, resumable),
+    the second force-quits, and ``REPRO_MAX_RSS`` caps this process the
+    same way the pool initializer caps the workers; then paranoia mode,
+    the runner, and a free-space preflight over everything the campaign
+    writes (``output_dirs`` adds the caller's own targets).
+    """
+    obs = bootstrap(args.trace_out, args.metrics_out, args.log_format)
+    coordinator = install_shutdown_handlers()
+    coordinator.reset()
+    apply_memory_limit()
+    arm_from_flag(args.verify)
+    runner = CachedRunner(
+        _cache_path(args),
+        jobs=args.jobs if args.jobs is not None else default_jobs(),
+        policy=build_policy(args),
+        checkpoint=build_checkpoint(args),
+    )
+    preflight_disk(
+        runner.store.root,
+        runner.ledger.root,
+        runner.checkpoint.root if runner.checkpoint else None,
+        *output_dirs,
+    )
+    return obs, coordinator, runner
 
 
 def run_experiment(name: str, args, runner: CachedRunner, out) -> None:
@@ -214,29 +268,8 @@ def run_experiment(name: str, args, runner: CachedRunner, out) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Observability first: the profiling hooks must be installed before
-    # the runner constructs its store (shard loads are traced too).
-    obs = bootstrap(args.trace_out, args.metrics_out, args.log_format)
+    obs, coordinator, runner = build_runner(args)
     log = get_logger("cli")
-    # Resilience: first SIGINT/SIGTERM drains (exit 75, resumable),
-    # second force-quits; REPRO_MAX_RSS caps this process the same way
-    # the pool initializer caps the workers.
-    coordinator = install_shutdown_handlers()
-    coordinator.reset()
-    apply_memory_limit()
-    arm_from_flag(args.verify)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    runner = CachedRunner(
-        None if args.no_cache else args.cache,
-        jobs=jobs,
-        policy=build_policy(args),
-        checkpoint=build_checkpoint(args),
-    )
-    preflight_disk(
-        runner.store.root,
-        runner.manifest.root,
-        runner.checkpoint.root if runner.checkpoint else None,
-    )
     names = (
         ["table1", "table5", "fig1", "fig2", "fig4", "fig5", "fig6",
          "fig7", "fig8", "artifact"]
@@ -286,8 +319,7 @@ def main(argv=None) -> int:
             "%s",
             "cache: {hits} hits, {misses} misses, {flushes} flushes, "
             "{entries} entries, {quarantined_shards} quarantined shards, "
-            "{schema_mismatches} schema mismatches, "
-            "{legacy_imported} legacy entries imported (jobs={jobs})".format(
+            "{schema_mismatches} schema mismatches (jobs={jobs})".format(
                 **stats
             ),
         )

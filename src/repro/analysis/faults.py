@@ -1,20 +1,28 @@
-"""Fault-tolerant execution primitives for the parallel runner.
+"""Fault-tolerant execution primitives shared by every execution path.
 
 Large simulation campaigns treat worker faults as expected events, not
 fatal ones: a single raising run, a hung run or a dead worker process
-must cost exactly that run, never the batch.  This module holds the
-pieces :class:`repro.analysis.parallel.ParallelRunner` uses to deliver
-that contract:
+must cost exactly that run, never the batch.  This module holds what
+the lazy path (:class:`repro.analysis.runner.CachedRunner`), the batch
+path (:class:`repro.analysis.parallel.ParallelRunner`) and the service
+(:mod:`repro.service`) all use to deliver that contract:
 
 * :class:`ExecutionPolicy` — the retry/timeout/degradation knobs
   (``--max-retries``, ``--run-timeout``, ``--keep-going`` on the CLIs).
 * :class:`RunOutcome` — the per-run execution record: ok, failed or
-  timed out, with the attempt count and the captured traceback.
+  timed out, with the attempt count and the captured traceback;
+  :meth:`RunOutcome.of` is the one constructor from a request and
+  :func:`failure_status` the one ``failed``-vs-``oom`` classifier.
 * :class:`BatchReport` — the per-batch aggregate: outcomes in key order,
-  pool-death count, whether execution degraded to serial.
+  pool-death count, whether execution degraded to serial;
+  :func:`health_sentence` is the one summary line.
 * :class:`FailureManifest` — append-only ``results/failures/<shard>.jsonl``
   records with enough context (kind, benchmark, size, scale, seed,
   method, traceback) to re-run every casualty.
+* :class:`FailureLedger` — the manifest plus the live per-config
+  failure streaks and the circuit-breaker gate over them: the one
+  recording rule (:meth:`FailureLedger.record`) and the one answer to
+  "is this config tripped?" (:meth:`FailureLedger.tripped`).
 * **Deterministic fault injection** — the ``REPRO_FAULT_INJECT``
   environment variable arms :func:`maybe_inject`, which the worker entry
   point calls before every attempt.  Tests (and CI) use it to exercise
@@ -74,19 +82,23 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import time
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import fsio
 from repro.exceptions import ReproError
+from repro.resilience import breaker_threshold, env_float
 
 __all__ = [
     "ExecutionPolicy",
     "RunOutcome",
     "BatchReport",
     "FailureManifest",
+    "FailureLedger",
     "InjectedFaultError",
     "FAULT_INJECT_ENV",
     "IO_OPS",
@@ -105,6 +117,8 @@ __all__ = [
     "next_io_fault",
     "reset_io_faults",
     "retryable",
+    "failure_status",
+    "health_sentence",
 ]
 
 FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
@@ -120,12 +134,11 @@ OOM = "oom"
 #: config is fine — a rerun picks it up from the cache as a miss.
 INTERRUPTED = "interrupted"
 #: The per-config circuit breaker skipped the run (see
-#: repro.resilience.CircuitBreaker); zero attempts were made.
+#: :class:`FailureLedger`); zero attempts were made.
 SKIPPED = "skipped"
 
-#: Statuses the failure manifest records (skipped runs are not
-#: re-recorded: they already have the entries that tripped the breaker).
-MANIFEST_STATUSES = frozenset((FAILED, TIMEOUT, OOM, INTERRUPTED))
+#: Terminal failures: the statuses that count toward a config's streak.
+_STREAK_STATUSES = frozenset((FAILED, TIMEOUT, OOM))
 
 #: Write-seam labels the filesystem directives can target.
 IO_OPS = ("store", "checkpoint", "trace", "metrics", "manifest", "journal")
@@ -151,14 +164,19 @@ _SHARD_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
 _DEFAULT_HANG_SECONDS = 3600.0
 
 
+def failure_status(error: BaseException) -> str:
+    """The terminal status an attempt that raised ``error`` ends in."""
+    return OOM if isinstance(error, MemoryError) else FAILED
+
+
 def retryable(error: BaseException) -> bool:
     """Whether the execution layer may re-run after this exception.
 
-    ``MemoryError`` is terminal: under the ``REPRO_MAX_RSS`` ceiling the
+    An ``oom`` is terminal: under the ``REPRO_MAX_RSS`` ceiling the
     retry would make the same allocations and die the same death, and
     without the ceiling a retry invites the OOM killer.
     """
-    return not isinstance(error, MemoryError)
+    return failure_status(error) != OOM
 
 
 class InjectedFaultError(ReproError):
@@ -222,6 +240,34 @@ class RunOutcome:
     #: Simulated cycles the resume skipped re-executing.
     cycles_saved: float = 0.0
 
+    @classmethod
+    def of(
+        cls,
+        request,
+        status: str,
+        attempts: int,
+        error: Optional[str] = None,
+        meta: Optional[dict] = None,
+    ) -> "RunOutcome":
+        """How ``request`` (a :class:`repro.analysis.parallel.RunRequest`)
+        ended; ``meta`` is the resume telemetry ``execute_attempt``
+        returns beside a payload."""
+        meta = meta or {}
+        return cls(
+            key=request.key,
+            kind=request.kind,
+            shard=request.spec.abbr,
+            status=status,
+            attempts=attempts,
+            error=error,
+            size=request.size,
+            work_scale=request.work_scale,
+            seed=request.seed,
+            method=request.method,
+            resumed_from_kernel=meta.get("resumed_from_kernel"),
+            cycles_saved=float(meta.get("cycles_saved", 0.0)),
+        )
+
     @property
     def ok(self) -> bool:
         return self.status == OK
@@ -253,19 +299,10 @@ class BatchReport:
         return tuple(o for o in self.outcomes if not o.ok)
 
     @property
-    def manifest_outcomes(self) -> Tuple[RunOutcome, ...]:
-        """The failures the manifest records (skips are not re-recorded)."""
-        return tuple(
-            o for o in self.outcomes if o.status in MANIFEST_STATUSES
-        )
-
-    @property
-    def interrupted(self) -> Tuple[RunOutcome, ...]:
-        return tuple(o for o in self.outcomes if o.status == INTERRUPTED)
-
-    @property
     def retries(self) -> int:
-        return sum(o.attempts - 1 for o in self.outcomes)
+        # Zero-attempt outcomes (skipped, interrupted before they
+        # started) made no retry, not minus one.
+        return sum(max(0, o.attempts - 1) for o in self.outcomes)
 
     @property
     def checkpoints_resumed(self) -> int:
@@ -276,42 +313,50 @@ class BatchReport:
         return sum(o.cycles_saved for o in self.outcomes if o.resumed)
 
     def counts(self) -> Dict[str, int]:
+        by_status = Counter(o.status for o in self.outcomes)
         return {
-            "ok": self.executed,
-            "failed": sum(1 for o in self.outcomes if o.status == FAILED),
-            "timeout": sum(1 for o in self.outcomes if o.status == TIMEOUT),
-            "oom": sum(1 for o in self.outcomes if o.status == OOM),
-            "interrupted": sum(
-                1 for o in self.outcomes if o.status == INTERRUPTED
-            ),
-            "skipped": sum(1 for o in self.outcomes if o.status == SKIPPED),
+            "ok": by_status[OK],
+            "failed": by_status[FAILED],
+            "timeout": by_status[TIMEOUT],
+            "oom": by_status[OOM],
+            "interrupted": by_status[INTERRUPTED],
+            "skipped": by_status[SKIPPED],
             "retries": self.retries,
             "pool_deaths": self.pool_deaths,
             "resumed": self.checkpoints_resumed,
         }
 
     def summary(self) -> str:
-        counts = self.counts()
-        text = (
-            "execution: {ok} ok, {failed} failed, {timeout} timed out, "
-            "{retries} retries, {pool_deaths} pool deaths".format(**counts)
+        return health_sentence(
+            self.counts(), self.cycles_saved, self.degraded_to_serial
         )
-        # Resilience statuses only appear when present, so the wording
-        # scripts and tests grep stays byte-identical on healthy runs.
-        if counts["oom"]:
-            text += f", {counts['oom']} out of memory"
-        if counts["interrupted"]:
-            text += f", {counts['interrupted']} interrupted"
-        if counts["skipped"]:
-            text += f", {counts['skipped']} skipped (circuit breaker)"
-        if self.checkpoints_resumed:
-            text += (
-                f", {self.checkpoints_resumed} resumed from checkpoints "
-                f"({self.cycles_saved:.0f} cycles saved)"
-            )
-        if self.degraded_to_serial:
-            text += " (degraded to serial)"
-        return text
+
+
+def health_sentence(
+    counts: Dict[str, int], cycles_saved: float, degraded: bool
+) -> str:
+    """The one-line execution summary, from :meth:`BatchReport.counts`
+    keys.  Scripts and tests grep it, so the wording is fixed."""
+    text = (
+        "execution: {ok} ok, {failed} failed, {timeout} timed out, "
+        "{retries} retries, {pool_deaths} pool deaths".format(**counts)
+    )
+    # Resilience statuses only appear when present, so the wording stays
+    # byte-identical on healthy runs.
+    if counts["oom"]:
+        text += f", {counts['oom']} out of memory"
+    if counts["interrupted"]:
+        text += f", {counts['interrupted']} interrupted"
+    if counts["skipped"]:
+        text += f", {counts['skipped']} skipped (circuit breaker)"
+    if counts["resumed"]:
+        text += (
+            f", {counts['resumed']} resumed from checkpoints "
+            f"({cycles_saved:.0f} cycles saved)"
+        )
+    if degraded:
+        text += " (degraded to serial)"
+    return text
 
 
 class FailureManifest:
@@ -343,11 +388,10 @@ class FailureManifest:
     def append(self, outcomes: Iterable[RunOutcome]) -> int:
         """Append one record per outcome; returns the number written.
 
-        Outcomes are recorded with their status as-is — ``ok`` records
-        exist too: they close a key's failure streak so the circuit
-        breaker (:class:`repro.resilience.CircuitBreaker`) re-admits a
-        config that recovered.  Manifest I/O must never mask the failure
-        it is recording, so filesystem errors degrade to a warning.
+        Outcomes are recorded with their status as-is; which outcomes
+        get here is :meth:`FailureLedger.record`'s decision.  Manifest
+        I/O must never mask the failure it is recording, so filesystem
+        errors degrade to a warning.
         """
         if not self.root:
             return 0
@@ -434,17 +478,22 @@ class FailureManifest:
 
 def manifest_max_bytes() -> int:
     """The per-shard rotation ceiling in bytes (0 = rotation disabled)."""
-    from repro.resilience import env_float
-
     megabytes = env_float(MANIFEST_MAX_MB_ENV, _DEFAULT_MANIFEST_MAX_MB)
     return int(megabytes * 1024 * 1024)
 
 
-def _streaks_from_lines(lines: Iterable[str]) -> Dict[str, int]:
-    """Per-key consecutive-failure counts, mirroring the breaker's scan:
-    ``ok`` resets, terminal failures increment, ``streak`` records (from
-    an earlier rotation) seed the count, anything else is ignored."""
-    streaks: Dict[str, int] = {}
+def _streaks_from_lines(
+    lines: Iterable[str], streaks: Optional[Dict[str, int]] = None
+) -> Dict[str, int]:
+    """Fold manifest lines into per-key consecutive-failure counts.
+
+    The one reading of the manifest format: ``ok`` resets, terminal
+    failures increment, ``streak`` records (left by a rotation) seed the
+    count, anything else (``interrupted``, foreign or torn lines) is
+    ignored.  ``streaks`` carries counts in from earlier shards.
+    """
+    if streaks is None:
+        streaks = {}
     for line in lines:
         if not line.strip():
             continue
@@ -464,9 +513,149 @@ def _streaks_from_lines(lines: Iterable[str]) -> Dict[str, int]:
             count = record.get("count")
             if isinstance(count, int) and not isinstance(count, bool):
                 streaks[key] = max(0, count)
-        elif status in (FAILED, TIMEOUT, OOM):
+        elif status in _STREAK_STATUSES:
             streaks[key] = streaks.get(key, 0) + 1
     return streaks
+
+
+class FailureLedger:
+    """Failure accounting for one results directory: the manifest, the
+    live per-config streaks and the circuit-breaker gate over them.
+
+    Every execution path — lazy in-process runs, serial and pooled
+    batches, service jobs — reports its outcomes to :meth:`record` and
+    asks :meth:`tripped` before starting a run, so "what counts toward a
+    streak, when a streak gates a run and what is written to the
+    manifest" has one answer.  A :class:`CachedRunner` and the
+    :class:`ParallelRunner` it drives share one ledger, as does a whole
+    service process.
+
+    Streaks are seeded once, lazily, from the manifest shards on disk
+    (``*.jsonl``; a rotation's ``.old`` copy would double-count) and
+    kept live afterwards, so a config that fails in this process gates
+    in this process.  ``threshold`` (``None`` =
+    ``REPRO_BREAKER_THRESHOLD`` or 3) is the streak that trips a config;
+    ``0`` disables the gate.  ``root=None`` switches persistence off,
+    not the gate: a memory-only service still trips and recovers.
+
+    Streak mutation is lock-guarded: service outcomes normally arrive on
+    the event loop, but nothing forbids racing recorders, and a lost
+    increment would be a config that fails forever without tripping.
+    """
+
+    def __init__(
+        self, root: Optional[str], threshold: Optional[int] = None
+    ) -> None:
+        self.manifest = FailureManifest(root)
+        self.threshold = (
+            threshold if threshold is not None else breaker_threshold()
+        )
+        #: Times any config's streak reached the threshold.
+        self.trips = 0
+        self._streaks: Optional[Dict[str, int]] = None
+        self._lock = threading.Lock()
+
+    @property
+    def root(self) -> Optional[str]:
+        return self.manifest.root
+
+    @property
+    def enabled(self) -> bool:
+        return self.threshold > 0
+
+    def _live(self) -> Dict[str, int]:
+        if self._streaks is None:
+            with self._lock:
+                if self._streaks is None:
+                    self._streaks = self._seed()
+        return self._streaks
+
+    def _seed(self) -> Dict[str, int]:
+        streaks: Dict[str, int] = {}
+        root = self.root
+        if not (self.enabled and root and os.path.isdir(root)):
+            return streaks
+        for fname in sorted(os.listdir(root)):
+            if not fname.endswith(".jsonl"):
+                continue
+            path = os.path.join(root, fname)
+            try:
+                with open(path) as fh:
+                    _streaks_from_lines(fh, streaks)
+            except OSError as error:
+                warnings.warn(f"circuit breaker: cannot read {path}: {error}")
+        return streaks
+
+    def streak(self, key: str) -> int:
+        """Terminal failures recorded for ``key`` since its last success."""
+        return self._live().get(key, 0)
+
+    def tripped(self, key: str) -> bool:
+        """True when ``key``'s streak has reached the threshold."""
+        return self.enabled and self.streak(key) >= self.threshold
+
+    def refusal(self, request, policy: ExecutionPolicy) -> Optional[str]:
+        """Why ``request`` must not start under ``policy``, or ``None``.
+
+        Only ``keep_going`` campaigns skip: a fail-fast run is the
+        operator asking for the error itself, and ``retry_quarantined``
+        forces every config through.
+        """
+        if (
+            not policy.keep_going
+            or policy.retry_quarantined
+            or not self.tripped(request.key)
+        ):
+            return None
+        where = f" in {self.root}" if self.root else ""
+        return (
+            f"circuit breaker open for {request.kind}|{request.spec.abbr}: "
+            f"{self.streak(request.key)} consecutive terminal failures"
+            f"{where}; rerun with --retry-quarantined to retry this config"
+        )
+
+    def record(self, outcomes: Iterable[RunOutcome]) -> None:
+        """Apply the recording rule to finished runs.
+
+        A terminal ``failed``/``timeout``/``oom`` counts toward its
+        key's streak and is appended to the manifest; an ``ok`` resets
+        the streak and is appended only when it closed one (healthy
+        configs never reach the manifest); ``interrupted`` is appended
+        without counting — being drained says nothing about the config;
+        ``skipped`` is neither (the records that tripped it are there).
+        """
+        streaks = self._live()
+        appended: List[RunOutcome] = []
+        with self._lock:
+            for outcome in outcomes:
+                if outcome.status in _STREAK_STATUSES:
+                    count = streaks.get(outcome.key, 0) + 1
+                    streaks[outcome.key] = count
+                    if count == self.threshold:
+                        self.trips += 1
+                elif outcome.status == OK:
+                    if not streaks.get(outcome.key):
+                        continue
+                    streaks[outcome.key] = 0
+                elif outcome.status != INTERRUPTED:
+                    continue
+                appended.append(outcome)
+        self.manifest.append(appended)
+
+    def snapshot(self) -> dict:
+        """The ``/statsz`` breaker block."""
+        streaks = self._live()
+        with self._lock:
+            open_configs = sum(
+                1 for streak in streaks.values()
+                if self.enabled and streak >= self.threshold
+            )
+        return {
+            "enabled": self.enabled,
+            "threshold": self.threshold,
+            "open_configs": open_configs,
+            "trips": self.trips,
+        }
 
 
 # --- deterministic fault injection ---------------------------------------------

@@ -30,9 +30,15 @@ Faults are isolated per run, never per batch:
   that run (status ``oom``, never retried); the pool initializer
   applies the ceiling per worker and ignores SIGINT so the coordinator
   owns the drain.
-* On ``keep_going`` batches a per-config circuit breaker skips configs
-  whose manifest shows a streak of terminal failures
-  (``--retry-quarantined`` re-arms them; a success closes the streak).
+* On ``keep_going`` batches the per-config circuit breaker
+  (:class:`repro.analysis.faults.FailureLedger`) skips configs with a
+  streak of terminal failures (``--retry-quarantined`` re-arms them; a
+  success closes the streak).
+
+:func:`execute_attempt` is the one body of a run attempt: this module's
+serial and pool paths, the lazy misses of
+:class:`repro.analysis.runner.CachedRunner` and the service's worker
+slots all execute through it.
 
 Serial execution of the same batch produces identical payloads for every
 deterministic field; only ``wall_time_s`` (a host-time measurement)
@@ -43,7 +49,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import signal
 import time
 import traceback
@@ -53,30 +58,29 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis import runner as _runner
 from repro.analysis.faults import (
-    FAILED,
     INTERRUPTED,
     OK,
-    OOM,
     SKIPPED,
     TIMEOUT,
     BatchReport,
     ExecutionPolicy,
-    FailureManifest,
+    FailureLedger,
     RunOutcome,
+    failure_status,
     kernel_kill_hook,
     maybe_inject,
     retryable,
 )
-from repro.analysis.simcache import ResultStore
-from repro.checkpoint import CheckpointPolicy, default_checkpoint_interval
+from repro.analysis.simcache import ResultStore, sibling_dir
+from repro.checkpoint import CheckpointPolicy
 from repro.exceptions import ExecutionError, ReproError, ShutdownRequested
 from repro.obs.profile_hooks import ensure_worker
 from repro.obs.tracing import get_tracer
-from repro.resilience import CircuitBreaker, apply_memory_limit, get_coordinator
+from repro.resilience import apply_memory_limit, get_coordinator
 from repro.verify.runtime import ensure_paranoia
 from repro.workloads.spec import BenchmarkSpec
 
@@ -85,6 +89,7 @@ __all__ = [
     "ParallelRunner",
     "execute_request",
     "execute_attempt",
+    "settle_outcomes",
     "worker_init",
     "shutdown_pool",
 ]
@@ -153,24 +158,6 @@ def execute_request(
     return request.key, request.spec.abbr, payload
 
 
-def _checkpointer_for(request: RunRequest, checkpoint, allow_exit: bool):
-    """Per-attempt checkpointer from a :class:`CheckpointPolicy`, or None.
-
-    MRC collections have no kernel boundaries to snapshot; the
-    ``die-at-kernel`` fault hook is armed here so an injected crash only
-    fires after a snapshot is durable.
-    """
-    if checkpoint is None or request.kind == "mrc":
-        return None
-    return checkpoint.checkpointer_for(
-        request.key,
-        on_checkpoint=kernel_kill_hook(
-            request.key, request.kind, request.spec.abbr,
-            allow_exit=allow_exit,
-        ),
-    )
-
-
 def execute_attempt(
     request: RunRequest,
     attempt: int = 1,
@@ -208,7 +195,19 @@ def execute_attempt(
                 request.key, request.kind, request.spec.abbr, attempt,
                 allow_exit=allow_exit,
             )
-            checkpointer = _checkpointer_for(request, checkpoint, allow_exit)
+            checkpointer = None
+            if checkpoint is not None and request.kind != "mrc":
+                # MRC collections have no kernel boundaries to snapshot.
+                # The ``die-at-kernel`` hook is armed through the
+                # checkpointer so an injected crash only fires after a
+                # snapshot is durable.
+                checkpointer = checkpoint.checkpointer_for(
+                    request.key,
+                    on_checkpoint=kernel_kill_hook(
+                        request.key, request.kind, request.spec.abbr,
+                        allow_exit=allow_exit,
+                    ),
+                )
             key, shard, payload = execute_request(
                 request, checkpointer=checkpointer
             )
@@ -265,13 +264,6 @@ def shutdown_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-# Historical (pre-service) private names; the watchdog machinery is now
-# shared with repro.service.supervisor, so the public names above are
-# canonical.
-_worker_init = worker_init
-_shutdown_pool = shutdown_pool
-
-
 class _BatchState:
     """Mutable pool-health bookkeeping threaded through one batch."""
 
@@ -280,42 +272,45 @@ class _BatchState:
         self.degraded = False
 
 
-def _outcome(
+def _park(
+    outcomes: Dict[str, RunOutcome],
     request: RunRequest,
-    status: str,
     attempts: int,
-    error: Optional[str] = None,
-    meta: Optional[dict] = None,
-) -> RunOutcome:
-    meta = meta or {}
-    return RunOutcome(
-        key=request.key,
-        kind=request.kind,
-        shard=request.spec.abbr,
-        status=status,
-        attempts=attempts,
-        error=error,
-        size=request.size,
-        work_scale=request.work_scale,
-        seed=request.seed,
-        method=request.method,
-        resumed_from_kernel=meta.get("resumed_from_kernel"),
-        cycles_saved=float(meta.get("cycles_saved", 0.0)),
+    what: str = "run",
+) -> None:
+    """Mark a run a graceful shutdown kept from (re)starting."""
+    outcomes[request.key] = RunOutcome.of(
+        request, INTERRUPTED, attempts,
+        f"graceful shutdown: {what} was never started",
     )
+
+
+def settle_outcomes(
+    store: ResultStore, ledger: FailureLedger, outcomes: Tuple[RunOutcome, ...]
+) -> None:
+    """What finished runs owe the books, whichever path ran them: resume
+    telemetry to the store, the recording rule to the ledger."""
+    for outcome in outcomes:
+        if outcome.resumed:
+            store.record_resume(outcome.cycles_saved)
+    ledger.record(outcomes)
 
 
 class ParallelRunner:
     """Executes the cache misses of a request batch across processes.
 
     ``policy`` governs retries, timeouts and degradation (see
-    :class:`repro.analysis.faults.ExecutionPolicy`); the failure manifest
-    is written under ``<store parent>/failures/`` unless ``manifest_root``
-    overrides it (``None`` with a memory-only store disables it).
-    ``checkpoint`` governs intra-run snapshots: by default (with a
-    persistent store) runs checkpoint under ``<store parent>/checkpoints/``
-    and a retried run resumes from its latest valid snapshot; pass an
-    explicit :class:`repro.checkpoint.CheckpointPolicy` to relocate or
-    disable it.  Memory-only stores never checkpoint.
+    :class:`repro.analysis.faults.ExecutionPolicy`).  ``ledger`` is the
+    failure accounting the batch gates on and records to; a
+    :class:`repro.analysis.runner.CachedRunner` passes its own so lazy
+    and batch runs share one, and a standalone runner opens the ledger
+    of ``<store parent>/failures/`` (memory-only for a memory-only
+    store).  ``checkpoint`` governs intra-run snapshots: by default
+    (with a persistent store) runs checkpoint under
+    ``<store parent>/checkpoints/`` and a retried run resumes from its
+    latest valid snapshot; pass an explicit
+    :class:`repro.checkpoint.CheckpointPolicy` to relocate or disable
+    it.  Memory-only stores never checkpoint.
     """
 
     def __init__(
@@ -323,24 +318,17 @@ class ParallelRunner:
         store: ResultStore,
         jobs: int = 0,
         policy: Optional[ExecutionPolicy] = None,
-        manifest_root: Optional[str] = None,
         checkpoint: Optional[CheckpointPolicy] = None,
+        ledger: Optional[FailureLedger] = None,
     ) -> None:
         self.store = store
         self.jobs = jobs if jobs >= 1 else _runner.default_jobs()
         self.policy = policy or ExecutionPolicy()
-        if manifest_root is None and store.root:
-            manifest_root = os.path.join(
-                os.path.dirname(store.root), "failures"
-            )
-        self.manifest = FailureManifest(manifest_root)
-        if checkpoint is None and store.root:
-            checkpoint = CheckpointPolicy(
-                root=os.path.join(
-                    os.path.dirname(store.root) or ".", "checkpoints"
-                ),
-                interval=default_checkpoint_interval(),
-            )
+        self.ledger = ledger or FailureLedger(
+            sibling_dir(store.root, "failures"), self.policy.breaker_threshold
+        )
+        if checkpoint is None:
+            checkpoint = _runner.default_checkpoint_policy(store.root)
         self.checkpoint = checkpoint
         self.last_report = BatchReport()
 
@@ -358,8 +346,8 @@ class ParallelRunner:
         Duplicate descriptors are collapsed; results merge into the
         store sorted by key, so the shard contents do not depend on
         worker scheduling.  Completed results are merged *before* any
-        failure propagates; failed runs are appended to the failure
-        manifest and — unless ``policy.keep_going`` — reported as one
+        failure propagates; every outcome is reported to the ledger and
+        — unless ``policy.keep_going`` — failures are raised as one
         :class:`repro.exceptions.ExecutionError` at the end.
 
         A graceful shutdown (:class:`repro.exceptions.ShutdownRequested`
@@ -389,7 +377,7 @@ class ParallelRunner:
         outcomes: Dict[str, RunOutcome] = {}
         executed: List[Tuple[str, str, dict]] = []
         state = _BatchState()
-        pending, breaker = self._apply_breaker(pending, outcomes)
+        pending = self._skip_tripped(pending, outcomes)
         shutdown: Optional[BaseException] = None
         try:
             if pending:
@@ -411,37 +399,21 @@ class ParallelRunner:
         if shutdown is not None:
             for request in pending:
                 if request.key not in outcomes:
-                    outcomes[request.key] = _outcome(
-                        request, INTERRUPTED, 0,
-                        "graceful shutdown: run was never started",
-                    )
+                    _park(outcomes, request, 0)
         report = BatchReport(
             outcomes=tuple(outcomes[key] for key in sorted(outcomes)),
             pool_deaths=state.pool_deaths,
             degraded_to_serial=state.degraded,
         )
         self.last_report = report
-        for outcome in report.outcomes:
-            if outcome.resumed:
-                self.store.record_resume(outcome.cycles_saved)
-        to_record = list(report.manifest_outcomes)
-        if breaker.enabled:
-            # A success after recorded failures appends an ``ok`` record
-            # so the breaker's streak for that config closes.
-            to_record.extend(
-                outcome
-                for outcome in report.outcomes
-                if outcome.ok and breaker.consecutive_failures(outcome.key) > 0
-            )
-        if to_record:
-            self.manifest.append(to_record)
+        settle_outcomes(self.store, self.ledger, report.outcomes)
         if shutdown is not None:
             raise shutdown
         failures = report.failures
         if failures and not self.policy.keep_going:
             where = (
-                f"; failure manifest: {self.manifest.root}"
-                if self.manifest.root
+                f"; failure manifest: {self.ledger.root}"
+                if self.ledger.root
                 else ""
             )
             raise ExecutionError(
@@ -451,50 +423,85 @@ class ParallelRunner:
             )
         return report
 
-    def _apply_breaker(
+    def _skip_tripped(
         self,
         pending: List[RunRequest],
         outcomes: Dict[str, RunOutcome],
-    ) -> Tuple[List[RunRequest], CircuitBreaker]:
-        """Drop breaker-tripped configs from a ``keep_going`` batch.
+    ) -> List[RunRequest]:
+        """Drop the configs the ledger refuses under this policy.
 
-        Tripped runs get a ``skipped`` outcome (zero attempts, not
-        re-recorded in the manifest).  Only ``keep_going`` batches skip:
-        a fail-fast batch is the operator explicitly asking for the
-        error.  ``retry_quarantined`` forces every config through.
+        Refused runs get a ``skipped`` outcome: zero attempts, not
+        re-recorded in the manifest.
         """
-        breaker = CircuitBreaker(
-            self.manifest.root, self.policy.breaker_threshold
-        )
-        if (
-            not self.policy.keep_going
-            or self.policy.retry_quarantined
-            or not breaker.enabled
-        ):
-            return pending, breaker
         kept: List[RunRequest] = []
         for request in pending:
-            if breaker.tripped(request.key):
-                outcomes[request.key] = _outcome(
-                    request, SKIPPED, 0,
-                    "circuit breaker open: "
-                    f"{breaker.consecutive_failures(request.key)} "
-                    "consecutive terminal failures in "
-                    f"{self.manifest.root}; rerun with --retry-quarantined "
-                    "to retry this config",
-                )
-            else:
+            refusal = self.ledger.refusal(request, self.policy)
+            if refusal is None:
                 kept.append(request)
+            else:
+                outcomes[request.key] = RunOutcome.of(
+                    request, SKIPPED, 0, refusal
+                )
         skipped = len(pending) - len(kept)
         if skipped:
             warnings.warn(
                 f"circuit breaker: skipping {skipped} config(s) with "
-                f">= {breaker.threshold} consecutive terminal failures "
+                f">= {self.ledger.threshold} consecutive terminal failures "
                 "on record; rerun with --retry-quarantined to retry them"
             )
-        return kept, breaker
+        return kept
 
     # --- execution paths -------------------------------------------------------
+    def _conclude(
+        self,
+        request: RunRequest,
+        attempt: int,
+        result: Callable[[], Tuple[str, str, dict, dict]],
+        outcomes: Dict[str, RunOutcome],
+        executed: List[Tuple[str, str, dict]],
+        draining: bool = False,
+    ) -> bool:
+        """Fold one finished attempt into the batch; True means retry.
+
+        ``result`` returns what :func:`execute_attempt` returned or
+        raises what it raised (``future.result`` on the pool paths).
+        A success is staged for the merge.  A failure with retry budget
+        left returns True — the caller re-queues the run at
+        ``attempt + 1`` after ``policy.backoff(attempt)`` — and any
+        other failure is terminal.  ``BrokenProcessPool`` is the pool's
+        failure, not the run's, and propagates.  While ``draining``
+        nothing is retried and a casualty says nothing about the config,
+        so it is recorded ``interrupted``.
+        """
+        try:
+            key, shard, payload, meta = result()
+        except Exception as error:
+            if draining:
+                outcomes[request.key] = RunOutcome.of(
+                    request, INTERRUPTED, attempt,
+                    "graceful shutdown: attempt failed while draining:\n"
+                    + traceback.format_exc(),
+                )
+                return False
+            if isinstance(error, BrokenProcessPool):
+                raise
+            if retryable(error) and attempt <= self.policy.max_retries:
+                tracer = get_tracer()
+                if tracer.enabled:
+                    tracer.instant(
+                        "run.retry", cat="run",
+                        args={"key": request.key, "attempt": attempt},
+                    )
+                return True
+            outcomes[request.key] = RunOutcome.of(
+                request, failure_status(error), attempt,
+                traceback.format_exc(),
+            )
+            return False
+        executed.append((key, shard, payload))
+        outcomes[request.key] = RunOutcome.of(request, OK, attempt, meta=meta)
+        return False
+
     def _run_serial(
         self,
         items: List[Tuple[RunRequest, int]],
@@ -509,43 +516,22 @@ class ParallelRunner:
         drain marks the not-yet-started remainder ``interrupted`` and
         raises, leaving completed results for the caller to merge.
         """
-        policy = self.policy
         coordinator = get_coordinator()
         for index, (request, attempt) in enumerate(items):
             if coordinator.requested:
                 for late_request, late_attempt in items[index:]:
-                    outcomes[late_request.key] = _outcome(
-                        late_request, INTERRUPTED, late_attempt - 1,
-                        "graceful shutdown: run was never started",
-                    )
+                    _park(outcomes, late_request, late_attempt - 1)
                 coordinator.check()
-            while True:
-                try:
-                    key, shard, payload, meta = execute_attempt(
-                        request, attempt, allow_exit=False,
-                        checkpoint=self.checkpoint,
-                    )
-                except Exception as error:
-                    if retryable(error) and attempt <= policy.max_retries:
-                        tracer = get_tracer()
-                        if tracer.enabled:
-                            tracer.instant(
-                                "run.retry", cat="run",
-                                args={"key": request.key, "attempt": attempt},
-                            )
-                        time.sleep(policy.backoff(attempt))
-                        attempt += 1
-                        continue
-                    status = OOM if isinstance(error, MemoryError) else FAILED
-                    outcomes[request.key] = _outcome(
-                        request, status, attempt, traceback.format_exc()
-                    )
-                    break
-                executed.append((key, shard, payload))
-                outcomes[request.key] = _outcome(
-                    request, OK, attempt, meta=meta
-                )
-                break
+            while self._conclude(
+                request, attempt,
+                lambda: execute_attempt(
+                    request, attempt, allow_exit=False,
+                    checkpoint=self.checkpoint,
+                ),
+                outcomes, executed,
+            ):
+                time.sleep(self.policy.backoff(attempt))
+                attempt += 1
 
     def _run_pool(
         self,
@@ -563,9 +549,13 @@ class ParallelRunner:
         retries: List[Tuple[float, int, RunRequest, int]] = []
         seq = itertools.count()
         inflight: Dict = {}  # future -> (request, attempt, deadline)
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=worker_init
-        )
+
+        def spawn() -> ProcessPoolExecutor:
+            return ProcessPoolExecutor(
+                max_workers=workers, initializer=worker_init
+            )
+
+        pool = spawn()
         try:
             while queue or retries or inflight:
                 if coordinator.requested:
@@ -618,50 +608,25 @@ class ParallelRunner:
                     for future in done:
                         request, attempt, _ = inflight.pop(future)
                         try:
-                            key, shard, payload, meta = future.result()
+                            retry = self._conclude(
+                                request, attempt, future.result,
+                                outcomes, executed,
+                            )
                         except BrokenProcessPool:
                             # The casualty is unknown (any worker may have
                             # died); resubmit at the same attempt number.
                             queue.append((request, attempt))
                             broken = True
-                        except Exception as error:
-                            if (
-                                retryable(error)
-                                and attempt <= policy.max_retries
-                            ):
-                                tracer = get_tracer()
-                                if tracer.enabled:
-                                    tracer.instant(
-                                        "run.retry", cat="run",
-                                        args={
-                                            "key": request.key,
-                                            "attempt": attempt,
-                                        },
-                                    )
-                                heapq.heappush(
-                                    retries,
-                                    (
-                                        time.monotonic()
-                                        + policy.backoff(attempt),
-                                        next(seq),
-                                        request,
-                                        attempt + 1,
-                                    ),
-                                )
-                            else:
-                                status = (
-                                    OOM
-                                    if isinstance(error, MemoryError)
-                                    else FAILED
-                                )
-                                outcomes[request.key] = _outcome(
-                                    request, status, attempt,
-                                    traceback.format_exc(),
-                                )
-                        else:
-                            executed.append((key, shard, payload))
-                            outcomes[request.key] = _outcome(
-                                request, OK, attempt, meta=meta
+                            continue
+                        if retry:
+                            heapq.heappush(
+                                retries,
+                                (
+                                    time.monotonic() + policy.backoff(attempt),
+                                    next(seq),
+                                    request,
+                                    attempt + 1,
+                                ),
                             )
                 if broken:
                     for future, (request, attempt, _) in inflight.items():
@@ -698,9 +663,7 @@ class ParallelRunner:
                         retries.clear()
                         self._run_serial(remaining, outcomes, executed)
                         return
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers, initializer=worker_init
-                    )
+                    pool = spawn()
                     continue
                 # Per-run timeout sweep: abandon expired runs, recycle the
                 # pool (a hung worker keeps its slot forever otherwise)
@@ -721,7 +684,7 @@ class ParallelRunner:
                                 "run.timeout", cat="run",
                                 args={"key": request.key, "attempt": attempt},
                             )
-                        outcomes[request.key] = _outcome(
+                        outcomes[request.key] = RunOutcome.of(
                             request, TIMEOUT, attempt,
                             f"run exceeded the per-run timeout of "
                             f"{policy.run_timeout}s",
@@ -731,9 +694,7 @@ class ParallelRunner:
                         queue.append((request, attempt))
                     inflight.clear()
                     shutdown_pool(pool)
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers, initializer=worker_init
-                    )
+                    pool = spawn()
         finally:
             shutdown_pool(pool)
 
@@ -755,15 +716,9 @@ class ParallelRunner:
         rerun needs to pick up.
         """
         for request, attempt in queue:
-            outcomes[request.key] = _outcome(
-                request, INTERRUPTED, attempt - 1,
-                "graceful shutdown: run was never started",
-            )
+            _park(outcomes, request, attempt - 1)
         for _, _, request, attempt in retries:
-            outcomes[request.key] = _outcome(
-                request, INTERRUPTED, attempt - 1,
-                "graceful shutdown: retry was never started",
-            )
+            _park(outcomes, request, attempt - 1, what="retry")
         queue.clear()
         retries.clear()
         if not inflight:
@@ -777,25 +732,14 @@ class ParallelRunner:
         done, not_done = wait(set(inflight), timeout=timeout)
         for future in done:
             request, attempt, _ = inflight.pop(future)
-            try:
-                key, shard, payload, meta = future.result()
-            except BaseException:
-                # No retries during a drain; a worker casualty here says
-                # nothing about the config, so record it as interrupted.
-                outcomes[request.key] = _outcome(
-                    request, INTERRUPTED, attempt,
-                    "graceful shutdown: attempt failed while draining:\n"
-                    + traceback.format_exc(),
-                )
-            else:
-                executed.append((key, shard, payload))
-                outcomes[request.key] = _outcome(
-                    request, OK, attempt, meta=meta
-                )
+            self._conclude(
+                request, attempt, future.result, outcomes, executed,
+                draining=True,
+            )
         for future in not_done:
             request, attempt, _ = inflight.pop(future)
             future.cancel()
-            outcomes[request.key] = _outcome(
+            outcomes[request.key] = RunOutcome.of(
                 request, INTERRUPTED, attempt,
                 "graceful shutdown: run abandoned at its timeout deadline",
             )

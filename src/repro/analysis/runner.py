@@ -9,23 +9,27 @@ affected entries.
 
 Persistence goes through :class:`repro.analysis.simcache.ResultStore`:
 one append-only JSONL shard per benchmark under ``results/simcache/``,
-tolerant of corruption and crash-safe (see that module's docstring).  A
-legacy single-file ``results/simcache.json`` is imported transparently.
+tolerant of corruption and crash-safe (see that module's docstring).
 
-Cache misses can be fanned out across processes: build the run list up
-front, wrap each run in a :class:`repro.analysis.parallel.RunRequest`
-and call :meth:`CachedRunner.prefetch`.  Parallel and serial execution
-produce identical results for every deterministic field — each run is a
-pure function of (spec, scale, seed); only ``wall_time_s``, a host-time
-measurement, varies between executions.
+A miss is one :class:`repro.analysis.parallel.RunRequest` run through
+:func:`repro.analysis.parallel.execute_attempt` — in this process, once,
+with the original exception propagating, when a ``simulate`` /
+``simulate_mcm`` / ``miss_rate_curve`` call finds nothing cached; or
+fanned out across processes with retries and a watchdog when the run
+list is built up front and handed to :meth:`CachedRunner.prefetch`.
+Both produce identical results for every deterministic field — each run
+is a pure function of (spec, scale, seed); only ``wall_time_s``, a
+host-time measurement, varies between executions — and both report
+their outcomes to the runner's one
+:class:`repro.analysis.faults.FailureLedger`, so a config that keeps
+failing is counted, gated and recorded the same way whichever path ran
+it (``docs/ARCHITECTURE.md`` § "A run, end to end").
 
-Execution is fault-tolerant (see :mod:`repro.analysis.faults` and
-``docs/ARCHITECTURE.md`` § "Fault tolerance"): worker failures are
-isolated per run, retried, timed out and recorded; completed results
-always reach the store, and :meth:`CachedRunner.execution_health`
-summarizes the casualties.  Cached payloads whose schema drifted (e.g.
-after a field was added to :class:`SimulationResult`) degrade to a miss
-plus a ``schema_mismatches`` stat, never a ``TypeError``.
+Completed results always reach the store, and
+:meth:`CachedRunner.execution_health` summarizes the casualties.  Cached
+payloads whose schema drifted (e.g. after a field was added to
+:class:`SimulationResult`) degrade to a miss plus a
+``schema_mismatches`` stat, never a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -33,27 +37,26 @@ from __future__ import annotations
 import hashlib
 import os
 import traceback
-import warnings
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, fields
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
+# ``parallel`` imports this module for the keys and compute functions
+# below; each side only touches the other at call time.
+from repro.analysis import parallel as _parallel
 from repro.analysis.faults import (
-    FAILED,
     OK,
-    OOM,
     BatchReport,
     ExecutionPolicy,
-    FailureManifest,
+    FailureLedger,
     RunOutcome,
-    kernel_kill_hook,
-    maybe_inject,
+    failure_status,
+    health_sentence,
 )
-from repro.analysis.simcache import ResultStore
+from repro.analysis.simcache import ResultStore, sibling_dir
 from repro.checkpoint import CheckpointPolicy, default_checkpoint_interval
 from repro.exceptions import ExecutionError, ReproError
-from repro.resilience import CircuitBreaker, get_coordinator, tolerant_env
-from repro.verify.runtime import ensure_paranoia
+from repro.resilience import get_coordinator, tolerant_env
 from repro.gpu import GPUConfig, McmConfig, simulate, simulate_mcm
 from repro.gpu.results import SimulationResult
 from repro.mrc import MissRateCurve, collect_miss_rate_curve
@@ -283,10 +286,9 @@ def default_checkpoint_policy(
     ``REPRO_CHECKPOINT_INTERVAL`` (default: every kernel boundary).
     """
     if root is None:
-        store_root, _ = _resolve_cache_path(cache_path)
-        if not store_root:
+        root = sibling_dir(cache_path, "checkpoints")
+        if root is None:
             return None
-        root = os.path.join(os.path.dirname(store_root) or ".", "checkpoints")
     return CheckpointPolicy(
         root=root,
         interval=(
@@ -296,21 +298,12 @@ def default_checkpoint_policy(
     )
 
 
-def _resolve_cache_path(
-    cache_path: Optional[str],
-) -> Tuple[Optional[str], Optional[str]]:
-    """Map a user-facing cache path to ``(store_root, legacy_json_path)``.
-
-    A ``.json`` path (the pre-sharding cache location) selects the
-    sibling directory as the store root and imports the file itself;
-    anything else is the store root directly, with ``<root>.json``
-    imported when present.
-    """
-    if cache_path is None:
-        return None, None
-    if cache_path.endswith(".json"):
-        return cache_path[: -len(".json")], cache_path
-    return cache_path, cache_path + ".json"
+#: The ``exec.<name>`` counters behind :meth:`CachedRunner.stats` and
+#: :meth:`CachedRunner.execution_health`.
+_EXEC_COUNTERS = (
+    "ok", "failed", "timeout", "retries", "pool_deaths",
+    "oom", "interrupted", "skipped",
+)
 
 
 class CachedRunner:
@@ -328,25 +321,19 @@ class CachedRunner:
         policy: Optional[ExecutionPolicy] = None,
         checkpoint: Optional[CheckpointPolicy] = None,
     ) -> None:
-        self.cache_path = cache_path
-        root, legacy = _resolve_cache_path(cache_path)
-        self.store = ResultStore(root, legacy_path=legacy)
+        self.store = ResultStore(cache_path)
         self.jobs = jobs if jobs is not None else 1
-        self.policy = policy
+        self.policy = policy or ExecutionPolicy()
         if checkpoint is None:
             checkpoint = default_checkpoint_policy(cache_path)
         self.checkpoint = checkpoint
         self.last_report: Optional[BatchReport] = None
-        # The lazy in-process paths share the pool path's failure
-        # manifest (and therefore its circuit breaker): serial runs must
-        # feed the same per-config failure accounting as parallel ones.
-        manifest_root = (
-            os.path.join(os.path.dirname(self.store.root) or ".", "failures")
-            if self.store.root
-            else None
+        # One ledger for the lazy in-process runs and every batch this
+        # runner prefetches: serial and parallel runs feed, and are
+        # gated by, the same per-config failure accounting.
+        self.ledger = FailureLedger(
+            sibling_dir(cache_path, "failures"), self.policy.breaker_threshold
         )
-        self.manifest = FailureManifest(manifest_root)
-        self._breaker: Optional[CircuitBreaker] = None
         # Per-instance registry: tests build several runners per process,
         # so hit/miss/execution telemetry must not conflate through the
         # process-wide registry.  Exporters merge it in with a ``runner.``
@@ -376,125 +363,91 @@ class CachedRunner:
         """
         if self.jobs <= 1:
             return 0
-        from repro.analysis.parallel import ParallelRunner
-
-        runner = ParallelRunner(
+        runner = _parallel.ParallelRunner(
             self.store, jobs=self.jobs, policy=self.policy,
-            checkpoint=self.checkpoint,
+            checkpoint=self.checkpoint, ledger=self.ledger,
         )
         try:
             return runner.run_batch(requests)
         finally:
+            self.last_report = runner.last_report
             self._absorb_report(runner.last_report)
 
-    def _absorb_report(self, report: Optional[BatchReport]) -> None:
-        if report is None:
-            return
-        self.last_report = report
+    def _absorb_report(self, report: BatchReport) -> None:
+        """Count a report's outcomes into the ``exec.*`` telemetry."""
         for status, count in report.counts().items():
             self.metrics.inc(f"exec.{status}", count)
 
-    def _checkpointer_for(self, key: str, kind: str, shard: str):
-        """Per-run checkpointer for the lazy in-process path, or None.
+    # --- lookups ---------------------------------------------------------------
+    def _lookup(self, key: str, kind: str, rehydrate):
+        """The hit path: key -> store -> rehydrate -> count.
 
-        ``allow_exit=False``: an injected ``die-at-kernel`` crash raises
-        instead of killing the host process, mirroring serial execution
-        everywhere else.
+        Returns ``None`` on a miss — nothing stored, or a stored payload
+        whose schema drifted — after counting it as one.  No request is
+        built here; only a miss pays for that.
         """
-        if self.checkpoint is None:
-            return None
-        return self.checkpoint.checkpointer_for(
-            key,
-            on_checkpoint=kernel_kill_hook(key, kind, shard, allow_exit=False),
-        )
-
-    # --- cache telemetry -------------------------------------------------------
-    def _record_hit(self, kind: str) -> None:
-        self.metrics.inc("runner.hits")
+        cached = self.store.get(key)
+        value = None
+        if cached is not None:
+            value = rehydrate(cached)
+            if value is None:
+                self.store.record_schema_mismatch(key)
+        hit = value is not None
+        self.metrics.inc("runner.hits" if hit else "runner.misses")
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.instant("run.hit", cat="run", args={"kind": kind})
-
-    def _record_miss(self, kind: str) -> None:
-        self.metrics.inc("runner.misses")
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant("run.miss", cat="run", args={"kind": kind})
+            tracer.instant(
+                "run.hit" if hit else "run.miss", cat="run",
+                args={"kind": kind},
+            )
+        return value
 
     def _absorb_result(self, result: SimulationResult) -> None:
         """Mirror a computed result's event counts into the registry."""
         for name, value in result.counters().items():
             self.metrics.inc(f"sim.{name}", value)
 
-    # --- resilience (lazy in-process paths) ------------------------------------
-    def _lazy_breaker(self) -> CircuitBreaker:
-        if self._breaker is None:
-            policy = self.policy or ExecutionPolicy()
-            self._breaker = CircuitBreaker(
-                self.manifest.root, policy.breaker_threshold
-            )
-        return self._breaker
+    # --- lazy in-process execution ---------------------------------------------
+    def _execute(self, request: "_parallel.RunRequest") -> dict:
+        """Run one miss here and now; returns the stored payload.
 
-    def _run_guarded(
-        self,
-        key: str,
-        kind: str,
-        shard: str,
-        compute: Callable[[], object],
-        size: int = 0,
-        work_scale: float = 1.0,
-        seed: int = 0,
-        method: str = "stack",
-    ):
-        """Breaker gate + manifest accounting around one lazy run.
-
-        Mirrors the pool path's contract for serial execution: a tripped
-        config on a ``keep_going`` policy raises immediately (the CLI's
-        keep-going handler skips it without burning a compute attempt),
-        a failed compute lands in the failure manifest before the
-        exception propagates, and a success after recorded failures
-        appends the ``ok`` record that closes the breaker streak.
+        The lazy path is the batch path's contract at one attempt: a
+        tripped config on a ``keep_going`` policy is refused before it
+        computes (the CLI's keep-going handler skips it), the attempt
+        body is :func:`repro.analysis.parallel.execute_attempt` — fault
+        injection, checkpoint resume and paranoia mode included — and
+        the outcome reaches the ledger and the ``exec.*`` telemetry
+        before a failure's original exception propagates.
         """
         # Serial campaigns drain at run granularity: a requested
         # shutdown stops before the next compute starts (everything
         # completed so far is already flushed, flush_every=1).
         get_coordinator().check()
-        # Self-arm paranoia mode for the lazy in-process paths — MRC
-        # collections in particular never pass through a simulator's own
-        # self-arm, and the curve check hooks this module's compute_mrc.
-        ensure_paranoia()
-        policy = self.policy or ExecutionPolicy()
-        breaker = self._lazy_breaker()
-        if (
-            policy.keep_going
-            and not policy.retry_quarantined
-            and breaker.tripped(key)
-        ):
-            raise ExecutionError(
-                f"circuit breaker open for {kind}|{shard}: "
-                f"{breaker.consecutive_failures(key)} consecutive terminal "
-                f"failures in {self.manifest.root}; rerun with "
-                "--retry-quarantined to retry this config"
-            )
-
-        def outcome(status: str, error: Optional[str] = None) -> RunOutcome:
-            return RunOutcome(
-                key=key, kind=kind, shard=shard, status=status,
-                attempts=1, error=error, size=size,
-                work_scale=work_scale, seed=seed, method=method,
-            )
-
+        refusal = self.ledger.refusal(request, self.policy)
+        if refusal is not None:
+            raise ExecutionError(refusal)
         try:
-            result = compute()
+            key, shard, payload, meta = _parallel.execute_attempt(
+                request, 1, allow_exit=False, checkpoint=self.checkpoint
+            )
         except Exception as error:
-            status = OOM if isinstance(error, MemoryError) else FAILED
-            self.manifest.append([outcome(status, traceback.format_exc())])
+            self._settle(
+                RunOutcome.of(
+                    request, failure_status(error), 1, traceback.format_exc()
+                )
+            )
             raise
-        if breaker.enabled and breaker.consecutive_failures(key) > 0:
-            self.manifest.append([outcome(OK)])
-        return result
+        self._settle(RunOutcome.of(request, OK, 1, meta=meta))
+        self.store.put(key, payload, shard=shard)
+        return payload
+
+    def _settle(self, outcome: RunOutcome) -> None:
+        report = BatchReport(outcomes=(outcome,))
+        _parallel.settle_outcomes(self.store, self.ledger, report.outcomes)
+        self._absorb_report(report)
 
     # --- timing runs ------------------------------------------------------------
+    # A miss returns the rehydrated stored payload: what the next hit will.
     def simulate(
         self,
         spec: BenchmarkSpec,
@@ -503,37 +456,13 @@ class CachedRunner:
         seed: int = 0,
     ) -> SimulationResult:
         key = sim_key(spec, num_sms, work_scale, seed)
-        cached = self.store.get(key)
-        if cached is not None:
-            result = result_from_payload(cached)
-            if result is not None:
-                self._record_hit("sim")
-                return result
-            self.store.record_schema_mismatch(key)
-        self._record_miss("sim")
-
-        def compute() -> SimulationResult:
-            # The lazy path is one in-process attempt; the fault-injection
-            # hook arms here too so REPRO_FAULT_INJECT exercises the CLIs'
-            # keep-going handling end to end, not just the pool workers.
-            maybe_inject(key, "sim", spec.abbr, attempt=1, allow_exit=False)
-            ckpt = self._checkpointer_for(key, "sim", spec.abbr)
-            with get_tracer().span(
-                f"run.sim:{spec.abbr}", cat="run", sms=num_sms
-            ):
-                result = compute_sim(
-                    spec, num_sms, work_scale, seed, checkpointer=ckpt
-                )
-            if ckpt is not None and ckpt.resumed_from is not None:
-                self.store.record_resume(ckpt.cycles_saved)
-            return result
-
-        result = self._run_guarded(
-            key, "sim", spec.abbr, compute,
-            size=num_sms, work_scale=work_scale, seed=seed,
-        )
-        self._absorb_result(result)
-        self.store.put(key, asdict(result), shard=spec.abbr)
+        result = self._lookup(key, "sim", result_from_payload)
+        if result is None:
+            request = _parallel.RunRequest(
+                "sim", spec, num_sms, work_scale, seed
+            )
+            result = result_from_payload(self._execute(request))
+            self._absorb_result(result)
         return result
 
     def simulate_mcm(
@@ -544,34 +473,13 @@ class CachedRunner:
         seed: int = 0,
     ) -> SimulationResult:
         key = mcm_key(spec, num_chiplets, work_scale, seed)
-        cached = self.store.get(key)
-        if cached is not None:
-            result = result_from_payload(cached)
-            if result is not None:
-                self._record_hit("mcm")
-                return result
-            self.store.record_schema_mismatch(key)
-        self._record_miss("mcm")
-
-        def compute() -> SimulationResult:
-            maybe_inject(key, "mcm", spec.abbr, attempt=1, allow_exit=False)
-            ckpt = self._checkpointer_for(key, "mcm", spec.abbr)
-            with get_tracer().span(
-                f"run.mcm:{spec.abbr}", cat="run", chiplets=num_chiplets
-            ):
-                result = compute_mcm(
-                    spec, num_chiplets, work_scale, seed, checkpointer=ckpt
-                )
-            if ckpt is not None and ckpt.resumed_from is not None:
-                self.store.record_resume(ckpt.cycles_saved)
-            return result
-
-        result = self._run_guarded(
-            key, "mcm", spec.abbr, compute,
-            size=num_chiplets, work_scale=work_scale, seed=seed,
-        )
-        self._absorb_result(result)
-        self.store.put(key, asdict(result), shard=spec.abbr)
+        result = self._lookup(key, "mcm", result_from_payload)
+        if result is None:
+            request = _parallel.RunRequest(
+                "mcm", spec, num_chiplets, work_scale, seed
+            )
+            result = result_from_payload(self._execute(request))
+            self._absorb_result(result)
         return result
 
     # --- miss-rate curves ------------------------------------------------------
@@ -583,38 +491,19 @@ class CachedRunner:
         seed: int = 0,
     ) -> MissRateCurve:
         key = mrc_key(spec, work_scale, method, seed)
-        cached = self.store.get(key)
-        if cached is not None:
-            curve = safe_curve_from_payload(cached)
-            if curve is not None:
-                self._record_hit("mrc")
-                return curve
-            self.store.record_schema_mismatch(key)
-        self._record_miss("mrc")
-
-        def compute() -> MissRateCurve:
-            maybe_inject(key, "mrc", spec.abbr, attempt=1, allow_exit=False)
-            with get_tracer().span(
-                f"run.mrc:{spec.abbr}", cat="run", method=method
-            ):
-                return compute_mrc(spec, work_scale, method, seed)
-
-        curve = self._run_guarded(
-            key, "mrc", spec.abbr, compute,
-            work_scale=work_scale, seed=seed, method=method,
-        )
-        self.store.put(key, curve_payload(curve), shard=spec.abbr)
+        curve = self._lookup(key, "mrc", safe_curve_from_payload)
+        if curve is None:
+            request = _parallel.RunRequest(
+                "mrc", spec, work_scale=work_scale, seed=seed, method=method
+            )
+            curve = curve_from_payload(self._execute(request))
         return curve
 
     # --- housekeeping ----------------------------------------------------------
     def _exec_counts(self) -> Dict[str, int]:
-        """Execution-outcome counters in their historical ``exec_*`` keys."""
         return {
-            f"exec_{status}": self.metrics.counter(f"exec.{status}").value
-            for status in (
-                "ok", "failed", "timeout", "retries", "pool_deaths",
-                "oom", "interrupted", "skipped",
-            )
+            name: self.metrics.counter(f"exec.{name}").value
+            for name in _EXEC_COUNTERS
         }
 
     def stats(self) -> Dict[str, int]:
@@ -624,40 +513,23 @@ class CachedRunner:
         merged["runner_hits"] = self.hits
         merged["runner_misses"] = self.misses
         merged["jobs"] = self.jobs
-        merged.update(self._exec_counts())
+        for name, value in self._exec_counts().items():
+            merged[f"exec_{name}"] = value
         return merged
 
     def execution_health(self) -> str:
-        """One-line end-of-run execution summary for CLI/script output.
-
-        A formatted view over the runner's metrics registry; the wording
-        predates the registry and is kept stable for scripts and tests
-        that grep it.
-        """
-        counts = self._exec_counts()
-        text = (
-            "execution: {exec_ok} ok, {exec_failed} failed, "
-            "{exec_timeout} timed out, {exec_retries} retries, "
-            "{exec_pool_deaths} pool deaths".format(**counts)
-        )
-        # Resilience statuses only appear when present, keeping the
-        # baseline wording byte-identical on healthy runs.
-        if counts["exec_oom"]:
-            text += f", {counts['exec_oom']} out of memory"
-        if counts["exec_interrupted"]:
-            text += f", {counts['exec_interrupted']} interrupted"
-        if counts["exec_skipped"]:
-            text += f", {counts['exec_skipped']} skipped (circuit breaker)"
+        """One-line end-of-run execution summary for CLI/script output:
+        :func:`repro.analysis.faults.health_sentence` over every run
+        this runner executed, lazy or prefetched."""
         store = self.store.stats()
-        resumed = store.get("checkpoints_resumed", 0)
-        if resumed:
-            text += (
-                f", {resumed} resumed from checkpoints "
-                f"({store.get('cycles_saved', 0.0):.0f} cycles saved)"
-            )
-        if self.last_report is not None and self.last_report.degraded_to_serial:
-            text += " (degraded to serial)"
-        return text
+        counts = self._exec_counts()
+        counts["resumed"] = store.get("checkpoints_resumed", 0)
+        return health_sentence(
+            counts,
+            store.get("cycles_saved", 0.0),
+            self.last_report is not None
+            and self.last_report.degraded_to_serial,
+        )
 
     def flush(self) -> None:
         self.store.flush()

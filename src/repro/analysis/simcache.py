@@ -31,13 +31,10 @@ Durability rules:
   from memory and the next flush (e.g. after space recovers) retries.
   A shard whose append failed mid-line gets a newline guard first, so a
   torn record can never concatenate with the next one.
-* **Legacy import.** A pre-existing single-file ``simcache.json`` is
-  imported on load (entries the shards do not already have); a truncated
-  or corrupt legacy file degrades to a warning, never a crash.
 
-Telemetry (hits, misses, flushes, corrupt lines, quarantined shards,
-legacy imports) is exposed through :meth:`ResultStore.stats` and logged
-by the experiment CLI.
+Telemetry (hits, misses, flushes, corrupt lines, quarantined shards) is
+exposed through :meth:`ResultStore.stats` and logged by the experiment
+CLI.
 """
 
 from __future__ import annotations
@@ -54,14 +51,20 @@ from repro.obs.tracing import get_tracer
 from repro.resilience import get_disk_guard
 from repro.verify.digest import content_digest
 
-__all__ = ["ResultStore", "DEFAULT_STORE_ROOT", "LEGACY_CACHE_FILE"]
-
-DEFAULT_STORE_ROOT = os.path.join("results", "simcache")
-LEGACY_CACHE_FILE = os.path.join("results", "simcache.json")
+__all__ = ["ResultStore", "sibling_dir"]
 
 QUARANTINE_DIR = "quarantine"
 
 _SHARD_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
+
+
+def sibling_dir(store_root: Optional[str], name: str) -> Optional[str]:
+    """``<store parent>/<name>``: where the failure manifest
+    (``failures``) and the checkpoints (``checkpoints``) live beside a
+    result store.  A memory-only store (no root) has no siblings."""
+    if not store_root:
+        return None
+    return os.path.join(os.path.dirname(store_root) or ".", name)
 
 
 def _shard_filename(shard: str) -> str:
@@ -97,13 +100,11 @@ class ResultStore:
     def __init__(
         self,
         root: Optional[str],
-        legacy_path: Optional[str] = None,
         flush_every: int = 1,
     ) -> None:
         if flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
         self.root = root
-        self.legacy_path = legacy_path
         self.flush_every = flush_every
         self._entries: Dict[str, dict] = {}
         self._pending: List[Tuple[str, str, dict]] = []  # (shard, key, payload)
@@ -122,8 +123,6 @@ class ResultStore:
             "digest_mismatches": 0,
             "schema_mismatches": 0,
             "quarantined_shards": 0,
-            "legacy_imported": 0,
-            "legacy_corrupt": 0,
             "checkpoints_resumed": 0,
             "cycles_saved": 0.0,
             "skipped_flushes": 0,
@@ -136,12 +135,6 @@ class ResultStore:
         self._warned_write_failure = False
         if self.root:
             self._load_shards()
-        if self.legacy_path:
-            self._import_legacy()
-            if self._pending:
-                # Migrated entries become sharded immediately so the next
-                # load is served from the store alone.
-                self.flush()
         self._stats["entries"] = len(self._entries)
 
     # --- lookups ---------------------------------------------------------------
@@ -161,16 +154,6 @@ class ResultStore:
     def contains(self, key: str) -> bool:
         """Membership test that does not touch the hit/miss telemetry."""
         return key in self._entries
-
-    def peek(self, key: str) -> Optional[dict]:
-        """Payload lookup that does not touch the hit/miss telemetry.
-
-        The service's admission path answers "would this be a cache
-        hit?" without committing to serving it; counting those probes
-        as hits would inflate the cache stats the ``/statsz`` endpoint
-        and the CI smoke assert on.
-        """
-        return self._entries.get(key)
 
     @property
     def pending(self) -> int:
@@ -363,39 +346,3 @@ class ResultStore:
             f"simcache: shard {path} had corrupt lines; original moved to "
             f"{dest}, {len(salvaged)} records salvaged"
         )
-
-    def _import_legacy(self) -> None:
-        """Import a legacy single-file ``simcache.json`` if one exists.
-
-        Imported entries are staged as pending so they reach the shards
-        with the next flush; the legacy file itself is left untouched
-        (imports are idempotent: keys already in a shard are skipped).
-        """
-        path = self.legacy_path
-        if not path or not os.path.isfile(path):
-            return
-        try:
-            with open(path) as fh:
-                legacy = json.load(fh)
-            if not isinstance(legacy, dict):
-                raise ValueError("legacy cache is not a JSON object")
-        except (json.JSONDecodeError, ValueError, OSError, UnicodeDecodeError) as error:
-            self._stats["legacy_corrupt"] += 1
-            warnings.warn(
-                f"simcache: legacy cache {path} is unreadable ({error}); "
-                "starting from the sharded store only"
-            )
-            return
-        imported = 0
-        for key, payload in legacy.items():
-            if not isinstance(key, str) or not isinstance(payload, dict):
-                self._stats["corrupt_lines"] += 1
-                continue
-            if key in self._entries:
-                continue
-            shard = str(payload.get("workload", "misc"))
-            self._entries[key] = payload
-            if self.root:
-                self._pending.append((shard, key, payload))
-            imported += 1
-        self._stats["legacy_imported"] += imported

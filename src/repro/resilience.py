@@ -1,4 +1,4 @@
-"""Resilience layer: graceful shutdown, resource guards, circuit breakers.
+"""Resilience layer: graceful shutdown, resource guards, tolerant knobs.
 
 Long simulation campaigns die in boring ways: an operator hits Ctrl-C,
 a disk fills up mid-flush, one worker eats all the RAM, or one broken
@@ -18,11 +18,10 @@ module makes those events survivable instead of fatal:
   ceiling (``REPRO_MAX_RSS``, e.g. ``2G``) so a pathological run raises
   :class:`MemoryError` — mapped to a non-retryable run outcome — instead
   of taking the whole worker pool (or the host) down with it.
-* :class:`CircuitBreaker` — per-config failure accounting over the
-  append-only manifest (``results/failures/``): a config with
-  :data:`DEFAULT_BREAKER_THRESHOLD` consecutive terminal failures is
-  *skipped* on later ``--keep-going`` invocations until
-  ``--retry-quarantined`` re-arms it (a success resets the count).
+* :func:`breaker_threshold` — the per-config circuit breaker's knob
+  (``REPRO_BREAKER_THRESHOLD``); the breaker itself is
+  :class:`repro.analysis.faults.FailureLedger`, which owns the failure
+  manifest it counts over.
 
 Exit-code contract for every CLI entry point (documented in
 ``docs/ARCHITECTURE.md`` § "Resilience")::
@@ -41,14 +40,13 @@ cache and the checkpoints.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import signal
 import sys
 import time
 import warnings
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.exceptions import ShutdownRequested
 from repro.obs.metrics import get_registry
@@ -72,7 +70,6 @@ __all__ = [
     "preflight_disk",
     "parse_size",
     "apply_memory_limit",
-    "CircuitBreaker",
     "breaker_threshold",
     "parse_tolerant",
     "tolerant_env",
@@ -93,15 +90,6 @@ DEFAULT_DISK_CHECK_INTERVAL = 5.0
 MAX_RSS_ENV = "REPRO_MAX_RSS"
 BREAKER_THRESHOLD_ENV = "REPRO_BREAKER_THRESHOLD"
 DEFAULT_BREAKER_THRESHOLD = 3
-
-#: RunOutcome statuses a breaker counts as terminal failures.  Literal
-#: mirrors of repro.analysis.faults.{FAILED,TIMEOUT,OOM} — this module
-#: must stay import-free of the analysis package (which imports it).
-_BREAKER_FAILURE_STATUSES = frozenset(("failed", "timeout", "oom"))
-_BREAKER_RESET_STATUS = "ok"
-#: Synthetic record left by failure-manifest rotation: carries the
-#: key's consecutive-failure count at rotation time.
-_BREAKER_STREAK_STATUS = "streak"
 
 
 # --- tolerant environment parsing -------------------------------------------------
@@ -445,94 +433,6 @@ def apply_memory_limit(env: Optional[str] = None) -> Optional[int]:
 
 
 # --- per-config circuit breaker --------------------------------------------------
-
-class CircuitBreaker:
-    """Skip configs whose manifest shows a streak of terminal failures.
-
-    Reads the append-only failure manifest shards
-    (``results/failures/<shard>.jsonl``) and counts, per run key, the
-    failure records (``failed``/``timeout``/``oom``) since the last
-    ``ok`` record; ``interrupted`` and ``skipped`` records do not count
-    — being drained by a SIGTERM says nothing about the config.  A key
-    whose streak reaches ``threshold`` is *tripped*: ``--keep-going``
-    batches skip it (status ``skipped``, zero attempts) instead of
-    burning the retry budget on a deterministically-broken spec, until
-    ``--retry-quarantined`` forces a re-run — whose success appends an
-    ``ok`` record and closes the breaker again.
-
-    Counting is load-time only (manifests are small, appends are
-    chronological per shard); the breaker holds no open file handles.
-    """
-
-    def __init__(self, root: Optional[str], threshold: Optional[int] = None):
-        self.root = root
-        self.threshold = (
-            threshold if threshold is not None else breaker_threshold()
-        )
-        self._streaks: Optional[Dict[str, int]] = None
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.root) and self.threshold > 0
-
-    def _load(self) -> Dict[str, int]:
-        if self._streaks is not None:
-            return self._streaks
-        streaks: Dict[str, int] = {}
-        if self.enabled and os.path.isdir(self.root):
-            for fname in sorted(os.listdir(self.root)):
-                if not fname.endswith(".jsonl"):
-                    continue
-                self._scan(os.path.join(self.root, fname), streaks)
-        self._streaks = streaks
-        return streaks
-
-    def _scan(self, path: str, streaks: Dict[str, int]) -> None:
-        try:
-            with open(path) as fh:
-                raw_lines = fh.readlines()
-        except OSError as error:
-            warnings.warn(f"circuit breaker: cannot read {path}: {error}")
-            return
-        for line in raw_lines:
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # truncated trailing line: append-only contract
-            if not isinstance(record, dict):
-                continue
-            key = record.get("key")
-            status = record.get("status")
-            if not isinstance(key, str):
-                continue
-            if status == _BREAKER_RESET_STATUS:
-                streaks[key] = 0
-            elif status == _BREAKER_STREAK_STATUS:
-                # A manifest rotation (repro.analysis.faults) compacted
-                # this key's history to its consecutive-failure count;
-                # seed the streak from it so semantics survive rotation.
-                count = record.get("count")
-                if isinstance(count, int) and not isinstance(count, bool):
-                    streaks[key] = max(0, count)
-            elif status in _BREAKER_FAILURE_STATUSES:
-                streaks[key] = streaks.get(key, 0) + 1
-
-    def consecutive_failures(self, key: str) -> int:
-        """Terminal failures recorded for ``key`` since its last success."""
-        return self._load().get(key, 0)
-
-    def tripped(self, key: str) -> bool:
-        """True when ``key`` should be skipped (streak >= threshold)."""
-        return (
-            self.enabled
-            and self.consecutive_failures(key) >= self.threshold
-        )
-
-    def tripped_keys(self, keys: Iterable[str]) -> list:
-        return [key for key in keys if self.tripped(key)]
-
 
 def breaker_threshold(default: int = DEFAULT_BREAKER_THRESHOLD) -> int:
     """Threshold from ``REPRO_BREAKER_THRESHOLD`` (0 disables), tolerant."""

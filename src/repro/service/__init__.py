@@ -9,9 +9,10 @@ same primitives the batch path already trusts:
 
 * **Admission control** (:mod:`repro.service.admission`): a bounded
   queue with explicit backpressure — a full queue answers ``429`` with
-  ``Retry-After``, never unbounded memory; per-config circuit breakers
-  (the manifest-backed :class:`repro.resilience.CircuitBreaker`) answer
-  ``503`` without burning a worker on a known-broken config.
+  ``Retry-After``, never unbounded memory; the per-config circuit
+  breaker (the batch paths' :class:`repro.analysis.faults.FailureLedger`
+  over the same manifest directory) answers ``503`` without burning a
+  worker on a known-broken config.
 * **Deadlines** (:mod:`repro.service.jobs`): every request carries one
   (client-supplied or the service default) and it propagates all the
   way into the worker as a run timeout — a client that gave up is never

@@ -1,15 +1,14 @@
 """Admission control: the decisions made before a job earns a queue slot.
 
-Two gates live here:
+Two gates decide, and only one lives here:
 
-* :class:`ServiceBreaker` — the live, per-config circuit breaker.  It
-  seeds its streak counts from the on-disk failure manifest (the same
-  :class:`repro.resilience.CircuitBreaker` accounting the batch CLIs
-  use, so service and batch share one quarantine history) and then
-  tracks outcomes in memory as they happen, appending each to the
-  manifest so the history survives a restart.  An open breaker is a
-  fast-fail 503: no queue slot, no worker, and the response says which
-  config is quarantined and how deep the streak is.
+* the per-config circuit breaker is the service's
+  :class:`repro.analysis.faults.FailureLedger` — the same class, the
+  same manifest directory and therefore the same quarantine history as
+  the batch CLIs.  It seeds its streaks from disk once, tracks outcomes
+  live as jobs finish and appends each to the manifest so the history
+  survives a restart.  An open breaker is a fast-fail 503: no queue
+  slot, no worker, and the response says how deep the streak is.
 * :func:`retry_after_hint` — the backoff the 429 path advertises.  It
   scales with queue depth over drain rate so the hint reflects reality
   instead of a constant the client learns to ignore.
@@ -17,20 +16,7 @@ Two gates live here:
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional
-
-from repro.analysis.faults import (
-    FAILED as RUN_FAILED,
-    OK as RUN_OK,
-    OOM as RUN_OOM,
-    TIMEOUT as RUN_TIMEOUT,
-    FailureManifest,
-    RunOutcome,
-)
-from repro.resilience import CircuitBreaker
-
-__all__ = ["ServiceBreaker", "retry_after_hint"]
+__all__ = ["retry_after_hint"]
 
 
 def retry_after_hint(
@@ -48,100 +34,3 @@ def retry_after_hint(
     mean_run_s = mean_run_s if mean_run_s > 0 else floor_s
     estimate = depth * mean_run_s / workers
     return min(60.0, max(floor_s, estimate))
-
-
-class ServiceBreaker:
-    """Per-config circuit breaker with live accounting.
-
-    The batch :class:`~repro.resilience.CircuitBreaker` counts streaks
-    at *load* time — right for a CLI that starts, runs, exits.  A
-    service trips and recovers while running, so this wrapper keeps the
-    streaks in memory (seeded from the manifest once) and mirrors every
-    transition back into the manifest.  Streak mutation is guarded by a
-    lock: outcomes normally arrive on the event loop, but nothing in
-    the contract forbids racing recorders (tests do, harnesses may),
-    and a lost increment here would mean a config that fails forever
-    without ever tripping — or trips counted twice.
-    """
-
-    def __init__(
-        self, manifest_root: Optional[str], threshold: Optional[int] = None
-    ) -> None:
-        self._seed = CircuitBreaker(manifest_root, threshold)
-        self.threshold = self._seed.threshold
-        self.manifest = FailureManifest(manifest_root)
-        self._streaks: Optional[Dict[str, int]] = None
-        self._lock = threading.Lock()
-        self.trips = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.threshold > 0
-
-    def _counts(self) -> Dict[str, int]:
-        if self._streaks is None:
-            with self._lock:
-                if self._streaks is None:
-                    seeded: Dict[str, int] = {}
-                    if self._seed.enabled:
-                        seeded = {
-                            key: streak
-                            for key, streak in self._seed._load().items()
-                            if streak > 0
-                        }
-                    self._streaks = seeded
-        return self._streaks
-
-    def streak(self, key: str) -> int:
-        return self._counts().get(key, 0)
-
-    def open_for(self, key: str) -> bool:
-        """True when requests for ``key`` should fast-fail."""
-        return self.enabled and self.streak(key) >= self.threshold
-
-    def record_failure(self, outcome: RunOutcome) -> None:
-        """Count one terminal failure and persist it to the manifest."""
-        counts = self._counts()
-        with self._lock:
-            before = counts.get(outcome.key, 0)
-            counts[outcome.key] = before + 1
-            if self.enabled and before + 1 == self.threshold:
-                self.trips += 1
-        self.manifest.append([outcome])
-
-    def record_success(self, outcome: RunOutcome) -> None:
-        """Close a key's streak; appends the ``ok`` record only when a
-        streak existed (matching the batch runner, which keeps healthy
-        configs out of the manifest entirely)."""
-        counts = self._counts()
-        with self._lock:
-            had_streak = counts.get(outcome.key, 0) > 0
-            if had_streak:
-                counts[outcome.key] = 0
-        if had_streak:
-            self.manifest.append([outcome])
-
-    def record(self, outcome: RunOutcome) -> None:
-        """Route one outcome: failures count, ``ok`` closes, the rest
-        (shed/drained → ``interrupted``) are manifested without touching
-        the streak — being drained says nothing about the config."""
-        if outcome.status == RUN_OK:
-            self.record_success(outcome)
-        elif outcome.status in (RUN_FAILED, RUN_TIMEOUT, RUN_OOM):
-            self.record_failure(outcome)
-        else:
-            self.manifest.append([outcome])
-
-    def snapshot(self) -> dict:
-        counts = self._counts()
-        open_keys = [
-            key
-            for key, streak in counts.items()
-            if self.enabled and streak >= self.threshold
-        ]
-        return {
-            "enabled": self.enabled,
-            "threshold": self.threshold,
-            "open_configs": len(open_keys),
-            "trips": self.trips,
-        }

@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import re
 import warnings
 from typing import Optional, Tuple
 
 from repro.analysis.faults import INTERRUPTED as RUN_INTERRUPTED
-from repro.analysis.faults import RunOutcome
-from repro.analysis.simcache import ResultStore
+from repro.analysis.faults import FailureLedger
+from repro.analysis.simcache import ResultStore, sibling_dir
 from repro.exceptions import ReproError
 from repro.obs.metrics import get_registry
 from repro.obs.resources import current_rss_bytes, peak_rss_bytes
@@ -45,7 +44,7 @@ from repro.resilience import (
     get_coordinator,
     preflight_disk,
 )
-from repro.service.admission import ServiceBreaker, retry_after_hint
+from repro.service.admission import retry_after_hint
 from repro.service.api import ApiError, parse_prediction_request
 from repro.service.config import ServiceConfig
 from repro.service.jobs import (
@@ -82,6 +81,9 @@ _STATUS_TEXT = {
     504: "Gateway Timeout",
 }
 
+#: Manifest note on a job the drain retired (recorded ``interrupted``).
+_DRAINED_NOTE = "service drained before completion"
+
 #: HTTP status each terminal job state answers with.
 _STATE_STATUS = {COMPLETED: 200, FAILED: 500, SHED: 504, DRAINED: 503}
 
@@ -112,12 +114,12 @@ class PredictionService:
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.store = ResultStore(config.store_root)
-        manifest_root = None
-        if config.store_root:
-            manifest_root = os.path.join(
-                os.path.dirname(config.store_root) or ".", "failures"
-            )
-        self.breaker = ServiceBreaker(manifest_root, config.breaker_threshold)
+        # Beside the store, so service and batch CLIs share one
+        # quarantine history; memory-only with a memory-only store.
+        self.breaker = FailureLedger(
+            sibling_dir(config.store_root, "failures"),
+            config.breaker_threshold,
+        )
         self.queue = AdmissionQueue(config.queue_depth)
         self.jobs = JobTable()
         self.supervisor = Supervisor(
@@ -147,7 +149,7 @@ class PredictionService:
             self._mean_run_s = 0.8 * self._mean_run_s + 0.2 * max(
                 0.01, elapsed
             )
-        self.breaker.record(outcome)
+        self.breaker.record([outcome])
         self.jobs.reap(job)
 
     # --- admission ---------------------------------------------------------
@@ -205,7 +207,7 @@ class PredictionService:
             registry.inc("service.coalesced")
             return key, existing, None
 
-        if self.breaker.open_for(key):
+        if self.breaker.tripped(key):
             registry.inc("service.rejects.breaker")
             raise ApiError(
                 f"circuit breaker open for this configuration "
@@ -482,7 +484,7 @@ class PredictionService:
                 error="service drained before the run started; "
                 "the failure manifest records it for a batch rerun",
             )
-            self._account_drained(job)
+            self.supervisor.job_finished(job, RUN_INTERRUPTED, _DRAINED_NOTE)
 
         # Running jobs finish under their own deadlines; belt of 2x the
         # default deadline in case a deadline computation went wrong.
@@ -494,7 +496,7 @@ class PredictionService:
         # was cancelled by the drain timeout) is retired the same way.
         for job in self.jobs.live_jobs():
             job.finish(DRAINED, error="service drained mid-flight")
-            self._account_drained(job)
+            self.supervisor.job_finished(job, RUN_INTERRUPTED, _DRAINED_NOTE)
 
         self.store.flush()
         if self.store.pending:
@@ -507,20 +509,3 @@ class PredictionService:
             await self._server.wait_closed()
         self._exit_code = exit_code
         self._stop.set()
-
-    def _account_drained(self, job: Job) -> None:
-        get_registry().inc(f"service.jobs.{DRAINED}")
-        outcome = RunOutcome(
-            key=job.key,
-            kind=job.request.kind,
-            shard=job.shard,
-            status=RUN_INTERRUPTED,
-            attempts=job.attempts,
-            error="service drained before completion",
-            size=job.request.size,
-            work_scale=job.request.work_scale,
-            seed=job.request.seed,
-            method=job.request.method,
-        )
-        self.breaker.record(outcome)
-        self.jobs.reap(job)

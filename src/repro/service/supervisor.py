@@ -37,9 +37,9 @@ from repro.analysis.faults import (
     FAILED as RUN_FAILED,
     INTERRUPTED as RUN_INTERRUPTED,
     OK as RUN_OK,
-    OOM as RUN_OOM,
     TIMEOUT as RUN_TIMEOUT,
     RunOutcome,
+    failure_status,
     retryable,
 )
 from repro.analysis.parallel import (
@@ -60,24 +60,6 @@ def _swallow_result(future: asyncio.Future) -> None:
     BrokenProcessPool a recycle provokes) never logs as unretrieved."""
     if not future.cancelled():
         future.exception()
-
-
-def _job_outcome(
-    job: Job, status: str, error: Optional[str] = None
-) -> RunOutcome:
-    request = job.request
-    return RunOutcome(
-        key=job.key,
-        kind=request.kind,
-        shard=job.shard,
-        status=status,
-        attempts=job.attempts,
-        error=error,
-        size=request.size,
-        work_scale=request.work_scale,
-        seed=request.seed,
-        method=request.method,
-    )
 
 
 class WorkerSlot:
@@ -153,16 +135,14 @@ class WorkerSlot:
             # queue skipped it; don't burn a worker on an answer nobody
             # will read.
             job.finish(SHED, error="no waiters remained at dispatch")
-            supervisor.job_finished(job, _job_outcome(job, RUN_INTERRUPTED))
+            supervisor.job_finished(job, RUN_INTERRUPTED)
             return
         policy_retries = supervisor.config.max_retries
         while True:
             remaining = job.deadline - loop.time()
             if remaining <= 0:
                 job.finish(SHED, error="deadline expired before the run started")
-                supervisor.job_finished(
-                    job, _job_outcome(job, RUN_TIMEOUT, "deadline expired")
-                )
+                supervisor.job_finished(job, RUN_TIMEOUT, "deadline expired")
                 return
             job.attempts += 1
             pool = self._ensure_pool()
@@ -201,15 +181,15 @@ class WorkerSlot:
                 except Exception as error:  # noqa: BLE001 - worker verdicts
                     if retryable(error) and job.attempts <= policy_retries:
                         continue
-                    status = (
-                        RUN_OOM if isinstance(error, MemoryError) else RUN_FAILED
+                    self._fail(
+                        job, traceback.format_exc(),
+                        status=failure_status(error),
                     )
-                    self._fail(job, traceback.format_exc(), status=status)
                     return
                 else:
                     job.finish(COMPLETED, payload=payload)
                     supervisor.store_result(key, shard, payload)
-                    supervisor.job_finished(job, _job_outcome(job, RUN_OK))
+                    supervisor.job_finished(job, RUN_OK)
                     return
             # Abort or timeout won the race: the worker is still running
             # something nobody wants — kill it, don't abandon it.
@@ -218,7 +198,7 @@ class WorkerSlot:
             self._recycle()
             if job.abort.is_set():
                 job.finish(SHED, error="every waiter gave up mid-run")
-                supervisor.job_finished(job, _job_outcome(job, RUN_INTERRUPTED))
+                supervisor.job_finished(job, RUN_INTERRUPTED)
             else:
                 job.finish(
                     SHED,
@@ -226,14 +206,13 @@ class WorkerSlot:
                     "attempt(s); worker recycled",
                 )
                 supervisor.job_finished(
-                    job,
-                    _job_outcome(job, RUN_TIMEOUT, "run exceeded its deadline"),
+                    job, RUN_TIMEOUT, "run exceeded its deadline"
                 )
             return
 
     def _fail(self, job: Job, error: str, status: str = RUN_FAILED) -> None:
         job.finish(FAILED, error=error)
-        self.supervisor.job_finished(job, _job_outcome(job, status, error))
+        self.supervisor.job_finished(job, status, error)
 
 
 class Supervisor:
@@ -345,5 +324,9 @@ class Supervisor:
     def store_result(self, key: str, shard: str, payload: dict) -> None:
         self._on_result(key, shard, payload)
 
-    def job_finished(self, job: Job, outcome: RunOutcome) -> None:
-        self._on_outcome(job, outcome)
+    def job_finished(
+        self, job: Job, status: str, error: Optional[str] = None
+    ) -> None:
+        self._on_outcome(
+            job, RunOutcome.of(job.request, status, job.attempts, error)
+        )

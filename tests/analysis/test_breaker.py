@@ -2,18 +2,18 @@
 terminal failures on record is skipped by later ``keep_going``
 invocations, ``--retry-quarantined`` forces it through, and a success
 closes the streak with an ``ok`` manifest record — on both the batch
-(pool) path and the lazy serial path."""
+(pool) path and the lazy serial path, which share one live
+:class:`repro.analysis.faults.FailureLedger` per runner."""
 
 import json
 
 import pytest
 
-from repro.analysis.faults import OK, SKIPPED, ExecutionPolicy
+from repro.analysis.faults import OK, SKIPPED, ExecutionPolicy, FailureLedger
 from repro.analysis.parallel import ParallelRunner, RunRequest
 from repro.analysis.runner import CachedRunner
 from repro.analysis.simcache import ResultStore
 from repro.exceptions import ExecutionError, ReproError
-from repro.resilience import CircuitBreaker
 from repro.workloads import get_benchmark
 
 VA = get_benchmark("va", weak=True)
@@ -76,7 +76,7 @@ class TestBatchBreaker:
         assert store.contains(request.key)
         closing = manifest_records(tmp_path)[-1]
         assert closing["status"] == OK and closing["key"] == request.key
-        breaker = CircuitBreaker(str(tmp_path / "failures"), threshold=2)
+        breaker = FailureLedger(str(tmp_path / "failures"), threshold=2)
         assert not breaker.tripped(request.key)
 
     def test_fail_fast_batches_never_skip(self, tmp_path, monkeypatch):
@@ -159,6 +159,87 @@ class TestLazyBreaker:
         assert "1 skipped (circuit breaker)" in runner.execution_health()
 
 
+class TestOneAnswerInsideAProcess:
+    """A runner's lazy calls and its batches share one live ledger, so
+    "is this config tripped?" has the answer a fresh process would give
+    as soon as the streak reaches the threshold — not one invocation
+    later."""
+
+    def test_lazy_runner_sees_the_failures_it_recorded(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "fail:sim|va")
+        root = str(tmp_path / "simcache")
+        runner = CachedRunner(root, jobs=1, policy=policy())
+        for _ in range(2):
+            with pytest.raises(ReproError, match="injected failure"):
+                runner.simulate(VA, 8)
+        # Streak at threshold 2: the same runner now refuses, exactly
+        # as a new runner on the same store does.
+        for gated in (runner, CachedRunner(root, policy=policy())):
+            for _ in range(2):
+                with pytest.raises(ExecutionError, match="circuit breaker open"):
+                    gated.simulate(VA, 8)
+        assert len(manifest_records(tmp_path)) == 2
+        assert runner.stats()["exec_failed"] == 2
+
+    def test_lazy_and_batch_calls_gate_alike(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "fail:sim|va")
+        runner = CachedRunner(
+            str(tmp_path / "simcache"), jobs=2, policy=policy()
+        )
+        request = RunRequest("sim", VA, size=8)
+        # One failure through the pool, one through the lazy path.
+        runner.prefetch([request, RunRequest("sim", VA, size=16)])
+        with pytest.raises(ReproError, match="injected failure"):
+            runner.simulate(VA, 8)
+        assert runner.ledger.streak(request.key) == 2
+        with pytest.raises(ExecutionError, match="circuit breaker open"):
+            runner.simulate(VA, 8)
+        with pytest.warns(UserWarning, match="circuit breaker"):
+            runner.prefetch([request])
+        (outcome,) = runner.last_report.outcomes
+        assert outcome.status == SKIPPED and outcome.attempts == 0
+        # A success closes the streak for both paths at once.
+        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        forced = CachedRunner(
+            str(tmp_path / "simcache"), jobs=2,
+            policy=policy(retry_quarantined=True),
+        )
+        forced.simulate(VA, 8)
+        assert forced.ledger.streak(request.key) == 0
+        assert manifest_records(tmp_path)[-1]["status"] == OK
+
+    def test_every_path_writes_the_same_manifest_records(
+        self, tmp_path, monkeypatch
+    ):
+        # The same injected failure through the lazy path, a serial
+        # batch and a pooled batch: records equal in every field but
+        # the timestamp and the traceback text.
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "fail:sim|va")
+        requests = [RunRequest("sim", VA, size=size) for size in (8, 16)]
+        written = {}
+        for path in ("lazy", "serial", "pool"):
+            root = tmp_path / path
+            if path == "lazy":
+                runner = CachedRunner(str(root / "simcache"), policy=policy())
+                for request in requests:
+                    with pytest.raises(ReproError, match="injected failure"):
+                        runner.simulate(VA, request.size)
+            else:
+                ParallelRunner(
+                    ResultStore(str(root / "simcache")),
+                    jobs=1 if path == "serial" else 2, policy=policy(),
+                ).run_batch_report(requests)
+            records = sorted(manifest_records(root), key=lambda r: r["key"])
+            for record in records:
+                assert record.pop("recorded_at") > 0
+                assert "InjectedFaultError" in record.pop("error")
+            written[path] = records
+        assert len(written["lazy"]) == 2
+        assert written["lazy"] == written["serial"] == written["pool"]
+
+
 class TestBreakerConcurrency:
     """Racing recorders must not double-trip a config or lose the
     closing ``ok`` record, and concurrent manifest appends must never
@@ -175,15 +256,13 @@ class TestBreakerConcurrency:
     def test_racing_failures_trip_exactly_once(self, tmp_path):
         import threading
 
-        from repro.service.admission import ServiceBreaker
-
-        breaker = ServiceBreaker(str(tmp_path / "failures"), threshold=3)
+        breaker = FailureLedger(str(tmp_path / "failures"), threshold=3)
         barrier = threading.Barrier(8)
 
         def hammer():
             barrier.wait()
             for _ in range(25):
-                breaker.record_failure(self._outcome("failed"))
+                breaker.record([self._outcome("failed")])
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         for thread in threads:
@@ -193,7 +272,7 @@ class TestBreakerConcurrency:
         # 200 racing failures: every one counted, the trip counted once.
         assert breaker.streak("cfg-key") == 200
         assert breaker.trips == 1
-        assert breaker.open_for("cfg-key")
+        assert breaker.tripped("cfg-key")
         records = manifest_records(tmp_path)
         assert len(records) == 200
         assert all(r["status"] == "failed" for r in records)
@@ -203,25 +282,23 @@ class TestBreakerConcurrency:
     ):
         import threading
 
-        from repro.service.admission import ServiceBreaker
-
-        breaker = ServiceBreaker(str(tmp_path / "failures"), threshold=2)
+        breaker = FailureLedger(str(tmp_path / "failures"), threshold=2)
         for _ in range(2):
-            breaker.record_failure(self._outcome("failed", key="sick"))
-        assert breaker.open_for("sick")
+            breaker.record([self._outcome("failed", key="sick")])
+        assert breaker.tripped("sick")
 
         barrier = threading.Barrier(5)
 
         def fail_other(index):
             barrier.wait()
             for _ in range(20):
-                breaker.record_failure(
-                    self._outcome("failed", key=f"other-{index}")
+                breaker.record(
+                    [self._outcome("failed", key=f"other-{index}")]
                 )
 
         def recover():
             barrier.wait()
-            breaker.record_success(self._outcome("ok", key="sick"))
+            breaker.record([self._outcome("ok", key="sick")])
 
         threads = [
             threading.Thread(target=fail_other, args=(index,))
@@ -233,7 +310,7 @@ class TestBreakerConcurrency:
             thread.join()
 
         # The recovery closed the streak despite the surrounding storm...
-        assert not breaker.open_for("sick")
+        assert not breaker.tripped("sick")
         assert breaker.streak("sick") == 0
         records = manifest_records(tmp_path)
         ok_records = [r for r in records if r["status"] == "ok"]
@@ -242,7 +319,7 @@ class TestBreakerConcurrency:
         # would have raised on malformed JSON).
         assert len(records) == 2 + 80 + 1
         # A fresh load-time breaker reads the same verdicts back.
-        reloaded = CircuitBreaker(str(tmp_path / "failures"), threshold=2)
+        reloaded = FailureLedger(str(tmp_path / "failures"), threshold=2)
         assert not reloaded.tripped("sick")
         assert reloaded.tripped("other-0")
 
@@ -274,8 +351,8 @@ class TestBreakerConcurrency:
         assert len(records) == 3
         assert all(r["status"] == "failed" for r in records)
         assert all(r["key"] == request.key for r in records)
-        breaker = CircuitBreaker(str(tmp_path / "failures"), threshold=2)
-        assert breaker.consecutive_failures(request.key) == 3
+        breaker = FailureLedger(str(tmp_path / "failures"), threshold=2)
+        assert breaker.streak(request.key) == 3
 
 
 class TestCliFlag:

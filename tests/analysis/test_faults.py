@@ -14,7 +14,9 @@ import pytest
 
 from repro.analysis.faults import (
     FAILED,
+    INTERRUPTED,
     OK,
+    SKIPPED,
     TIMEOUT,
     BatchReport,
     ExecutionPolicy,
@@ -290,6 +292,41 @@ class TestCachedRunnerWiring:
         assert runner.stats()["exec_ok"] == 1
 
 
+    def test_lazy_runs_count_in_execution_telemetry(
+        self, tmp_path, monkeypatch
+    ):
+        # In-process runs are runs: one success and four injected
+        # failures show up in exec_* exactly as a batch's would.
+        policy = ExecutionPolicy(
+            max_retries=0, keep_going=True, breaker_threshold=0, **FAST
+        )
+        runner = CachedRunner(str(tmp_path / "simcache"), jobs=1, policy=policy)
+        runner.simulate(BP, 8)
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "fail:sim|va")
+        for _ in range(4):
+            with pytest.raises(InjectedFaultError):
+                runner.simulate(VA, 8)
+        stats = runner.stats()
+        assert stats["exec_ok"] == 1
+        assert stats["exec_failed"] == 4
+        assert stats["exec_retries"] == 0
+        assert runner.execution_health() == (
+            "execution: 1 ok, 4 failed, 0 timed out, 0 retries, "
+            "0 pool deaths"
+        )
+
+    def test_lazy_memory_error_counts_as_oom(self, tmp_path, monkeypatch):
+        runner = CachedRunner(str(tmp_path / "simcache"))
+        monkeypatch.setattr(
+            "repro.analysis.runner.compute_mrc",
+            lambda *a, **k: (_ for _ in ()).throw(MemoryError("rss cap")),
+        )
+        with pytest.raises(MemoryError):
+            runner.miss_rate_curve(VA)
+        assert runner.stats()["exec_oom"] == 1
+        assert "1 out of memory" in runner.execution_health()
+
+
 class TestWorkflowDegradation:
     def test_prefetch_failure_degrades_to_in_process(self, monkeypatch):
         from repro.core.workflow import predict_strong_scaling
@@ -449,6 +486,24 @@ class TestManifestAndReportUnits:
         text = report.summary()
         assert "1 ok" in text and "1 failed" in text
         assert "1 timed out" in text and "degraded to serial" in text
+
+
+    def test_retries_never_go_negative(self):
+        # Zero-attempt outcomes (skipped, interrupted before starting)
+        # made no retry; a drained batch must not print "-8 retries".
+        report = BatchReport(
+            outcomes=tuple(
+                RunOutcome(f"k{i}", "sim", "va", INTERRUPTED, attempts=0)
+                for i in range(8)
+            )
+            + (
+                RunOutcome("s", "sim", "va", SKIPPED, attempts=0),
+                RunOutcome("r", "sim", "va", OK, attempts=3),
+            ),
+        )
+        assert report.retries == 2
+        assert report.counts()["retries"] == 2
+        assert "2 retries" in report.summary()
 
 
 class TestCliKeepGoing:

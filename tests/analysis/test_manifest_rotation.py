@@ -13,11 +13,11 @@ from repro.analysis.faults import (
     OK,
     STREAK,
     TIMEOUT,
+    FailureLedger,
     FailureManifest,
     RunOutcome,
     manifest_max_bytes,
 )
-from repro.resilience import CircuitBreaker
 
 #: Rotation ceiling small enough that any append rotates (~104 bytes).
 _TINY = "0.0001"
@@ -94,15 +94,15 @@ class TestBreakerSemantics:
     def test_streaks_survive_rotation(self, root, monkeypatch):
         manifest = FailureManifest(root)
         manifest.append([outcome("sim|bad", FAILED)] * 3)
-        before = CircuitBreaker(root, threshold=3)
+        before = FailureLedger(root, threshold=3)
         assert before.tripped("sim|bad")
         monkeypatch.setenv(MANIFEST_MAX_MB_ENV, _TINY)
         with pytest.warns(UserWarning, match="rotated"):
             manifest.append([outcome("sim|other", FAILED)])
-        after = CircuitBreaker(root, threshold=3)
-        assert after.consecutive_failures("sim|bad") == 3
+        after = FailureLedger(root, threshold=3)
+        assert after.streak("sim|bad") == 3
         assert after.tripped("sim|bad")
-        assert after.consecutive_failures("sim|other") == 1
+        assert after.streak("sim|other") == 1
         assert not after.tripped("sim|other")
 
     def test_ok_after_rotation_still_closes_the_breaker(
@@ -112,11 +112,11 @@ class TestBreakerSemantics:
         manifest = FailureManifest(root)
         with pytest.warns(UserWarning, match="rotated"):
             manifest.append([outcome("sim|bad", FAILED)] * 3)
-        assert CircuitBreaker(root, threshold=3).tripped("sim|bad")
+        assert FailureLedger(root, threshold=3).tripped("sim|bad")
         with pytest.warns(UserWarning, match="rotated"):
             manifest.append([outcome("sim|bad", OK)])
-        breaker = CircuitBreaker(root, threshold=3)
-        assert breaker.consecutive_failures("sim|bad") == 0
+        breaker = FailureLedger(root, threshold=3)
+        assert breaker.streak("sim|bad") == 0
         assert not breaker.tripped("sim|bad")
 
     def test_repeated_rotations_accumulate_streaks(self, root, monkeypatch):
@@ -126,4 +126,4 @@ class TestBreakerSemantics:
             with pytest.warns(UserWarning, match="rotated"):
                 manifest.append([outcome("sim|bad", FAILED)])
         # Each rotation seeded the next scan from its streak record.
-        assert CircuitBreaker(root, threshold=3).tripped("sim|bad")
+        assert FailureLedger(root, threshold=3).tripped("sim|bad")

@@ -1,7 +1,7 @@
 """Cached-runner tests: memoization, invalidation, persistence.
 
-The deeper cache-subsystem tests (corruption quarantine, legacy
-migration, parallel execution) live in ``tests/test_runner_cache.py``;
+The deeper cache-subsystem tests (corruption quarantine, parallel
+execution) live in ``tests/test_runner_cache.py``;
 these cover the runner's user-facing memoization contract.
 """
 

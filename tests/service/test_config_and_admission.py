@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro.analysis.faults import RunOutcome
-from repro.service.admission import ServiceBreaker, retry_after_hint
+from repro.analysis.faults import FailureLedger, RunOutcome
+from repro.service.admission import retry_after_hint
 from repro.service.config import (
     DEFAULT_DEADLINE_ENV,
     DEFAULT_QUEUE_DEPTH,
@@ -83,19 +83,19 @@ class TestServiceBreaker:
         (root / "va.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in records)
         )
-        breaker = ServiceBreaker(str(root), threshold=2)
-        assert breaker.open_for("sick")
-        assert not breaker.open_for("healed")
+        breaker = FailureLedger(str(root), threshold=2)
+        assert breaker.tripped("sick")
+        assert not breaker.tripped("healed")
 
     def test_trips_then_success_closes_with_an_ok_record(self, tmp_path):
         root = tmp_path / "failures"
-        breaker = ServiceBreaker(str(root), threshold=2)
-        breaker.record(outcome("cfg", "failed"))
-        assert not breaker.open_for("cfg")
-        breaker.record(outcome("cfg", "timeout"))
-        assert breaker.open_for("cfg") and breaker.trips == 1
-        breaker.record(outcome("cfg", "ok"))
-        assert not breaker.open_for("cfg")
+        breaker = FailureLedger(str(root), threshold=2)
+        breaker.record([outcome("cfg", "failed")])
+        assert not breaker.tripped("cfg")
+        breaker.record([outcome("cfg", "timeout")])
+        assert breaker.tripped("cfg") and breaker.trips == 1
+        breaker.record([outcome("cfg", "ok")])
+        assert not breaker.tripped("cfg")
         statuses = [
             json.loads(line)["status"]
             for line in (root / "va.jsonl").read_text().splitlines()
@@ -106,29 +106,38 @@ class TestServiceBreaker:
         self, tmp_path
     ):
         root = tmp_path / "failures"
-        breaker = ServiceBreaker(str(root), threshold=2)
-        breaker.record(outcome("clean", "ok"))
+        breaker = FailureLedger(str(root), threshold=2)
+        breaker.record([outcome("clean", "ok")])
         assert not (root / "va.jsonl").exists()
 
     def test_interrupted_is_manifested_without_counting(self, tmp_path):
         root = tmp_path / "failures"
-        breaker = ServiceBreaker(str(root), threshold=1)
-        breaker.record(outcome("cfg", "interrupted"))
-        assert not breaker.open_for("cfg")
+        breaker = FailureLedger(str(root), threshold=1)
+        breaker.record([outcome("cfg", "interrupted")])
+        assert not breaker.tripped("cfg")
         (line,) = (root / "va.jsonl").read_text().splitlines()
         assert json.loads(line)["status"] == "interrupted"
 
     def test_threshold_zero_disables(self, tmp_path):
-        breaker = ServiceBreaker(str(tmp_path / "failures"), threshold=0)
+        breaker = FailureLedger(str(tmp_path / "failures"), threshold=0)
         for _ in range(5):
-            breaker.record(outcome("cfg", "failed"))
-        assert not breaker.open_for("cfg")
+            breaker.record([outcome("cfg", "failed")])
+        assert not breaker.tripped("cfg")
         assert breaker.snapshot()["enabled"] is False
 
+    def test_memory_only_ledger_still_trips_and_recovers(self):
+        # ``--store ''``: no manifest directory, the gate stays live.
+        breaker = FailureLedger(None, threshold=2)
+        breaker.record([outcome("cfg", "failed"), outcome("cfg", "oom")])
+        assert breaker.tripped("cfg")
+        assert breaker.snapshot()["open_configs"] == 1
+        breaker.record([outcome("cfg", "ok")])
+        assert not breaker.tripped("cfg")
+
     def test_snapshot_counts_open_configs(self, tmp_path):
-        breaker = ServiceBreaker(str(tmp_path / "failures"), threshold=1)
-        breaker.record(outcome("one", "failed"))
-        breaker.record(outcome("two", "oom"))
+        breaker = FailureLedger(str(tmp_path / "failures"), threshold=1)
+        breaker.record([outcome("one", "failed")])
+        breaker.record([outcome("two", "oom")])
         snap = breaker.snapshot()
         assert snap["open_configs"] == 2 and snap["trips"] == 2
         assert snap["threshold"] == 1

@@ -1,7 +1,8 @@
 """Resilience-layer unit tests: the shutdown coordinator, the disk
 guard, size/threshold parsing, the per-process memory ceiling and the
-circuit breaker's manifest accounting (integration with the execution
-paths lives in ``tests/analysis/test_breaker.py``)."""
+circuit breaker's manifest accounting — the failure ledger's reading of
+the manifest (integration with the execution paths lives in
+``tests/analysis/test_breaker.py``)."""
 
 import json
 import os
@@ -13,12 +14,12 @@ import warnings
 import pytest
 
 from repro import resilience
+from repro.analysis.faults import FailureLedger
 from repro.exceptions import ShutdownRequested
 from repro.obs.metrics import get_registry
 from repro.resilience import (
     DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_MIN_FREE_MB,
-    CircuitBreaker,
     DiskGuard,
     ShutdownCoordinator,
     apply_memory_limit,
@@ -292,8 +293,8 @@ class TestCircuitBreakerAccounting:
     def test_streak_of_terminal_failures_trips(self, tmp_path):
         root = str(tmp_path / "failures")
         write_manifest(root, [record("k", s) for s in ("failed", "timeout", "oom")])
-        breaker = CircuitBreaker(root, threshold=3)
-        assert breaker.consecutive_failures("k") == 3
+        breaker = FailureLedger(root, threshold=3)
+        assert breaker.streak("k") == 3
         assert breaker.tripped("k")
         assert not breaker.tripped("other")
 
@@ -303,8 +304,8 @@ class TestCircuitBreakerAccounting:
             root,
             [record("k", "failed"), record("k", "failed"), record("k", "ok")],
         )
-        breaker = CircuitBreaker(root, threshold=2)
-        assert breaker.consecutive_failures("k") == 0
+        breaker = FailureLedger(root, threshold=2)
+        assert breaker.streak("k") == 0
         assert not breaker.tripped("k")
 
     def test_interrupted_and_skipped_do_not_count(self, tmp_path):
@@ -319,8 +320,8 @@ class TestCircuitBreakerAccounting:
                 record("k", "failed"),
             ],
         )
-        breaker = CircuitBreaker(root, threshold=3)
-        assert breaker.consecutive_failures("k") == 2
+        breaker = FailureLedger(root, threshold=3)
+        assert breaker.streak("k") == 2
         assert not breaker.tripped("k")
 
     def test_torn_and_foreign_lines_are_tolerated(self, tmp_path):
@@ -335,22 +336,26 @@ class TestCircuitBreakerAccounting:
                 '{"key": "k", "sta',  # torn trailing line
             ],
         )
-        breaker = CircuitBreaker(root, threshold=2)
-        assert breaker.consecutive_failures("k") == 2
+        breaker = FailureLedger(root, threshold=2)
+        assert breaker.streak("k") == 2
         assert breaker.tripped("k")
 
     def test_threshold_zero_or_no_root_disables(self, tmp_path):
         root = str(tmp_path / "failures")
         write_manifest(root, [record("k", "failed")] * 10)
-        assert not CircuitBreaker(root, threshold=0).enabled
-        assert not CircuitBreaker(root, threshold=0).tripped("k")
-        assert not CircuitBreaker(None, threshold=3).enabled
-        assert not CircuitBreaker(None, threshold=3).tripped("k")
+        assert not FailureLedger(root, threshold=0).enabled
+        assert not FailureLedger(root, threshold=0).tripped("k")
+        # No root switches persistence off, not the gate: a fresh
+        # memory-only ledger has read nothing, so it trips nothing.
+        assert FailureLedger(None, threshold=3).enabled
+        assert not FailureLedger(None, threshold=3).tripped("k")
 
     def test_tripped_keys_filters(self, tmp_path):
         root = str(tmp_path / "failures")
         write_manifest(
             root, [record("bad", "failed")] * 3 + [record("good", "failed")]
         )
-        breaker = CircuitBreaker(root, threshold=3)
-        assert breaker.tripped_keys(["bad", "good", "new"]) == ["bad"]
+        breaker = FailureLedger(root, threshold=3)
+        assert [
+            key for key in ("bad", "good", "new") if breaker.tripped(key)
+        ] == ["bad"]

@@ -1,6 +1,5 @@
 """Simulation-cache subsystem tests: stale-key invalidation, crash
-tolerance (corrupt shards, truncated legacy files), legacy migration and
-serial-vs-parallel result identity."""
+tolerance (corrupt shards) and serial-vs-parallel result identity."""
 
 import json
 import os
@@ -107,50 +106,6 @@ class TestCorruptShardQuarantine:
         runner.simulate(tiny_spec, 8)
         assert runner.hits == 1
         assert runner.stats()["quarantined_shards"] == 0
-
-
-class TestLegacyMigration:
-    def test_legacy_entries_served_and_sharded(self, tmp_path, tiny_spec):
-        # Build a legacy single-file cache holding one current-format run.
-        donor_root = str(tmp_path / "donor")
-        donor = CachedRunner(donor_root)
-        result = donor.simulate(tiny_spec, 8)
-        legacy = {key: payload for key, payload in donor.store.items()}
-        root = str(tmp_path / "simcache")
-        with open(root + ".json", "w") as fh:
-            json.dump(legacy, fh)
-
-        runner = CachedRunner(root)
-        assert runner.stats()["legacy_imported"] == 1
-        migrated = runner.simulate(tiny_spec, 8)
-        assert runner.hits == 1 and runner.misses == 0
-        assert migrated.cycles == result.cycles
-        # Entries were flushed into a shard, so the next load no longer
-        # depends on the legacy file.
-        os.remove(root + ".json")
-        rerun = CachedRunner(root)
-        rerun.simulate(tiny_spec, 8)
-        assert rerun.hits == 1 and rerun.misses == 0
-
-    def test_json_cache_path_spelling_still_works(self, tmp_path, tiny_spec):
-        """The pre-sharding ``.../simcache.json`` path keeps working."""
-        path = str(tmp_path / "simcache.json")
-        CachedRunner(path).simulate(tiny_spec, 8)
-        runner = CachedRunner(path)
-        runner.simulate(tiny_spec, 8)
-        assert runner.hits == 1 and runner.misses == 0
-
-    def test_truncated_legacy_file_warns_and_recomputes(
-        self, tmp_path, tiny_spec
-    ):
-        root = str(tmp_path / "simcache")
-        with open(root + ".json", "w") as fh:
-            fh.write('{"sim|abcd|efgh": {"workload": "va", "cyc')  # truncated
-        with pytest.warns(UserWarning, match="legacy cache"):
-            runner = CachedRunner(root)
-        runner.simulate(tiny_spec, 8)
-        assert runner.misses == 1
-        assert runner.stats()["legacy_corrupt"] == 1
 
 
 class TestSerialParallelIdentity:

@@ -200,16 +200,13 @@ class TestWorkloadCharacterization:
 
 class TestSensitivityAblation:
     def test_input_sensitivity_table(self, runner):
-        from repro.core.profile import ScaleModelProfile
         from repro.core.sensitivity import sensitivity_report
+        from repro.core.workflow import predict_strong_scaling
 
-        spec = STRONG_SCALING["dct"]
-        sims = {n: runner.simulate(spec, n) for n in (8, 16)}
-        profile = ScaleModelProfile(
-            "dct", (8, 16), (sims[8].ipc, sims[16].ipc),
-            f_mem=sims[16].memory_stall_fraction,
-            curve=runner.miss_rate_curve(spec),
-        )
+        profile = predict_strong_scaling(
+            STRONG_SCALING["dct"], target_sizes=(128,),
+            include_actuals=False, runner=runner,
+        ).profile
         report = sensitivity_report(profile, 128)
         emit(render_table(["input", "perturbation", "prediction change"],
                           report.as_rows(),

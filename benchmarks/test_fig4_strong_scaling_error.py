@@ -10,7 +10,7 @@ import pytest
 
 from conftest import emit
 from repro.analysis.experiments import figure4_strong_accuracy
-from repro.core.model import ScaleModelPredictor
+from repro.core.workflow import predict_strong_scaling
 from repro.workloads import STRONG_SCALING, ScalingBehavior
 
 
@@ -83,15 +83,8 @@ class TestFigure4b:
 
 def test_prediction_from_cached_profile(runner):
     """The prediction step needs only two scale-model runs and a curve."""
-    from repro.core.profile import ScaleModelProfile
-
-    spec = STRONG_SCALING["dct"]
-    sims = {n: runner.simulate(spec, n) for n in (8, 16)}
-    profile = ScaleModelProfile(
-        workload="dct", sizes=(8, 16),
-        ipcs=(sims[8].ipc, sims[16].ipc),
-        f_mem=sims[16].memory_stall_fraction,
-        curve=runner.miss_rate_curve(spec),
+    study = predict_strong_scaling(
+        STRONG_SCALING["dct"], runner=runner, include_actuals=False
     )
-    predictor = ScaleModelPredictor(profile)
-    assert all(predictor.predict(t).ipc > 0 for t in (32, 64, 128))
+    assert set(study.results) == {8, 16}
+    assert all(study.predictions["scale-model"][t] > 0 for t in (32, 64, 128))

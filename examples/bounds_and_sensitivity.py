@@ -18,7 +18,7 @@ import sys
 from repro.analytical import analyze, stats_from_result
 from repro.analysis.runner import CachedRunner
 from repro.analysis.tables import render_table
-from repro.core import ScaleModelProfile
+from repro.core import predict_strong_scaling
 from repro.core.sensitivity import region_stability, sensitivity_report
 from repro.gpu import GPUConfig
 from repro.workloads import STRONG_SCALING
@@ -45,12 +45,11 @@ def main() -> None:
     print(render_table(["system", "simulated IPC", "analytical IPC",
                         "bottleneck"], rows))
 
-    sims = {n: runner.simulate(spec, n) for n in (8, 16)}
-    curve = runner.miss_rate_curve(spec)
-    profile = ScaleModelProfile(
-        abbr, (8, 16), (sims[8].ipc, sims[16].ipc),
-        f_mem=sims[16].memory_stall_fraction, curve=curve,
-    )
+    # The measured inputs of the 128-SM prediction: (8, 16)-SM IPCs,
+    # f_mem and the miss-rate curve, as the Figure-3 workflow profiles them.
+    profile = predict_strong_scaling(
+        spec, target_sizes=(128,), include_actuals=False, runner=runner
+    ).profile
     report = sensitivity_report(profile, 128)
     print(f"\nPrediction sensitivity at the 128-SM target "
           f"(base prediction {report.base_ipc:.0f} IPC):")
@@ -58,7 +57,7 @@ def main() -> None:
                        report.as_rows()))
 
     print("\nCliff-structure stability under per-point MPKI noise:")
-    for noise, stable in region_stability(curve).items():
+    for noise, stable in region_stability(profile.curve).items():
         print(f"  ±{noise:.0%}: {'stable' if stable else 'UNSTABLE'}")
 
 

@@ -14,7 +14,8 @@ simulating anything larger than 16 SMs.
 import numpy as np
 
 from repro import GPUConfig, collect_miss_rate_curve, simulate
-from repro.core import ScaleModelPredictor, ScaleModelProfile
+from repro.core import study
+from repro.core.accuracy import prediction_error
 from repro.mrc import analyze_regions
 from repro.trace import patterns
 from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
@@ -53,40 +54,44 @@ def build_attention_like(capacity_scale: float) -> WorkloadTrace:
 
 
 def main() -> None:
-    ipcs, f_mem = {}, None
-    for sms in (8, 16):
+    def run(sms: int):
         config = GPUConfig.paper_system(sms)
-        result = simulate(config, build_attention_like(config.capacity_scale))
-        ipcs[sms] = result.ipc
-        f_mem = result.memory_stall_fraction
-        print(f"scale model {sms:2d} SMs: IPC {result.ipc:7.1f} "
-              f"f_mem {f_mem:.2f} MPKI {result.mpki:.2f}")
+        return simulate(config, build_attention_like(config.capacity_scale))
 
-    base = GPUConfig.paper_baseline()
-    curve = collect_miss_rate_curve(build_attention_like(base.capacity_scale),
-                                    config=base)
+    def collect_curve():
+        base = GPUConfig.paper_baseline()
+        return collect_miss_rate_curve(
+            build_attention_like(base.capacity_scale), config=base
+        )
+
+    # The Figure-3 flow with our own simulate/curve callables; the targets
+    # are predicted only (include_actuals=False), never simulated.
+    result = study(
+        "attn", "strong", run, (8, 16), (32, 64, 128),
+        curve=collect_curve, include_actuals=False,
+    )
+    for sms in result.scale_sizes:
+        r = result.results[sms]
+        print(f"scale model {sms:2d} SMs: IPC {r.ipc:7.1f} "
+              f"f_mem {r.memory_stall_fraction:.2f} MPKI {r.mpki:.2f}")
+
+    curve = result.profile.curve
     print("MRC:", "  ".join(f"{mb:g}MB={m:.2f}" for mb, m in curve.as_rows()))
     analysis = analyze_regions(curve)
     if analysis.has_cliff:
         low, high = analysis.cliff_capacities
         print(f"cliff detected between {low / MB:.2f} and {high / MB:.2f} MB")
 
-    profile = ScaleModelProfile(
-        workload="attn", sizes=(8, 16), ipcs=(ipcs[8], ipcs[16]),
-        f_mem=f_mem, curve=curve,
-    )
-    predictor = ScaleModelPredictor(profile)
     print("\npredictions:")
-    for target in (32, 64, 128):
-        result = predictor.predict(target)
-        print(f"  {target:3d} SMs: IPC {result.ipc:8.1f}  [{result.region.value}]")
+    for target, prediction in result.scale_model.items():
+        print(f"  {target:3d} SMs: IPC {prediction.ipc:8.1f}  "
+              f"[{prediction.region.value}]")
 
     # Verify the most interesting point — right after the cliff.
-    config = GPUConfig.paper_system(32)
-    actual = simulate(config, build_attention_like(config.capacity_scale))
-    predicted = predictor.predict(32).ipc
-    err = abs(predicted - actual.ipc) / actual.ipc
-    print(f"\n32-SM check: predicted {predicted:.1f} vs actual {actual.ipc:.1f} "
+    actual = run(32).ipc
+    predicted = result.scale_model[32].ipc
+    err = prediction_error(predicted, actual)
+    print(f"\n32-SM check: predicted {predicted:.1f} vs actual {actual:.1f} "
           f"({100 * err:.1f}% error)")
 
 

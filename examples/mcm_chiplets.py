@@ -5,19 +5,17 @@ Run:  python examples/mcm_chiplets.py [benchmark]   (default: va)
 
 Predicts a 16-chiplet (1,024-SM) MCM GPU's performance from 4- and
 8-chiplet scale models, using weak scaling (work proportional to chiplet
-count).  The same per-workload predictor handles chiplet counts exactly
-as it handles SM counts.
+count).  The same Figure-3 flow (`repro.core.study`) handles chiplet
+counts exactly as it handles SM counts: only the `simulate` callable
+differs.
 """
 
 import sys
 import time
 
-from repro.core import ScaleModelPredictor, ScaleModelProfile
-from repro.core.baselines import make_predictor
+from repro.core import study
 from repro.gpu import McmConfig, simulate_mcm
 from repro.workloads import WEAK_SCALING, build_trace
-
-CHIPLETS = (4, 8, 16)
 
 
 def main() -> None:
@@ -28,8 +26,7 @@ def main() -> None:
     for key, value in target.describe().items():
         print(f"  {key:18s} {value}")
 
-    results = {}
-    for chiplets in CHIPLETS:
+    def simulate(chiplets: int):
         config = target.scaled(chiplets)
         trace = build_trace(
             spec,
@@ -37,31 +34,19 @@ def main() -> None:
             capacity_scale=config.chiplet.capacity_scale,
         )
         start = time.perf_counter()
-        results[chiplets] = simulate_mcm(config, trace)
-        r = results[chiplets]
+        r = simulate_mcm(config, trace)
         print(f"\n  {chiplets:2d} chiplets ({config.total_sms} SMs): "
               f"IPC {r.ipc:8.1f}  remote accesses "
               f"{100 * r.extra['remote_fraction']:.0f}%  "
               f"({time.perf_counter() - start:.1f}s)")
+        return r
 
-    profile = ScaleModelProfile(
-        workload=abbr, sizes=(4, 8),
-        ipcs=(results[4].ipc, results[8].ipc),
-        f_mem=results[8].memory_stall_fraction,
-    )
-    predictor = ScaleModelPredictor(profile)
-    actual = results[16].ipc
-    print(f"\n  16-chiplet prediction vs actual IPC {actual:.1f}:")
+    result = study(abbr, "mcm-weak", simulate, (4, 8), (16,))
+    print(f"\n  16-chiplet prediction vs actual IPC {result.actuals[16]:.1f}:")
     for method in ("scale-model", "proportional", "linear", "power-law",
                    "logarithmic"):
-        if method == "scale-model":
-            pred = predictor.predict(16).ipc
-        else:
-            pred = make_predictor(method).fit(
-                profile.sizes, profile.ipcs
-            ).predict(16)
-        err = abs(pred - actual) / actual
-        print(f"    {method:14s} {pred:9.1f}  error {100 * err:5.1f}%")
+        print(f"    {method:14s} {result.predictions[method][16]:9.1f}  "
+              f"error {100 * result.errors(method)[16]:5.1f}%")
 
 
 if __name__ == "__main__":

@@ -5,19 +5,18 @@ target anyway to check the prediction.
 
 Run:  python examples/quickstart.py  [benchmark]   (default: dct)
 
-Steps (the workflow of Figure 3 in the paper):
+`predict_strong_scaling` is the workflow of Figure 3 in the paper:
   1. simulate the two scale models (detailed timing),
   2. collect the miss-rate curve (functional, one cheap pass),
-  3. feed both to the scale-model predictor (Eqs. 1-4),
-  4. compare against proportional scaling and the regression baselines.
+  3. feed both to the scale-model predictor (Eqs. 1-4) and to
+     proportional scaling and the regression baselines,
+  4. simulate the target and score every method against it.
 """
 
 import sys
-import time
 
-from repro import GPUConfig, build_trace, collect_miss_rate_curve, get_benchmark, simulate
-from repro.core import METHOD_NAMES, ScaleModelPredictor, ScaleModelProfile
-from repro.core.baselines import make_predictor
+from repro import get_benchmark
+from repro.core import predict_strong_scaling
 
 
 def main() -> None:
@@ -25,48 +24,32 @@ def main() -> None:
     spec = get_benchmark(abbr)
     print(f"=== {spec.name} ({abbr}) — paper scaling class: {spec.scaling.value}")
 
-    # 1. Simulate the scale models (8 and 16 SMs).
-    results = {}
-    for sms in (8, 16):
-        config = GPUConfig.paper_system(sms)
-        trace = build_trace(spec, capacity_scale=config.capacity_scale)
-        start = time.perf_counter()
-        results[sms] = simulate(config, trace)
-        print(f"  scale model {sms:2d} SMs: IPC = {results[sms].ipc:7.1f}  "
-              f"f_mem = {results[sms].memory_stall_fraction:.2f}  "
-              f"({time.perf_counter() - start:.1f}s)")
+    study = predict_strong_scaling(spec, target_sizes=(128,))
 
-    # 2. Collect the miss-rate curve (one functional pass, all capacities).
-    trace = build_trace(spec)
-    curve = collect_miss_rate_curve(trace)
-    points = ", ".join(f"{mb:g}MB:{m:.2f}" for mb, m in curve.as_rows())
+    # 1. What was measured on the scale models (8 and 16 SMs).
+    for sms in study.scale_sizes:
+        result = study.results[sms]
+        print(f"  scale model {sms:2d} SMs: IPC = {result.ipc:7.1f}  "
+              f"f_mem = {result.memory_stall_fraction:.2f}  "
+              f"({result.wall_time_s:.1f}s)")
+
+    # 2. The miss-rate curve (one functional pass, all capacities).
+    points = ", ".join(
+        f"{mb:g}MB:{m:.2f}" for mb, m in study.profile.curve.as_rows()
+    )
     print(f"  miss-rate curve (MPKI): {points}")
 
-    # 3. Predict the 128-SM target.
-    profile = ScaleModelProfile(
-        workload=abbr,
-        sizes=(8, 16),
-        ipcs=(results[8].ipc, results[16].ipc),
-        f_mem=results[16].memory_stall_fraction,
-        curve=curve,
-    )
-    predictor = ScaleModelPredictor(profile)
-    prediction = predictor.predict(128)
+    # 3. The 128-SM prediction, with the region and C it was made from.
+    prediction = study.scale_model[128]
     print(f"  scale-model prediction for 128 SMs: IPC = {prediction.ipc:.1f} "
           f"({prediction.region.value} region, C = {prediction.correction_factor:.3f})")
 
     # 4. Ground truth plus the baselines the paper compares against.
-    config = GPUConfig.paper_system(128)
-    actual = simulate(config, build_trace(spec, capacity_scale=config.capacity_scale))
-    print(f"  actual 128-SM IPC: {actual.ipc:.1f}")
+    print(f"  actual 128-SM IPC: {study.actuals[128]:.1f}")
     print(f"\n  {'method':14s} {'predicted':>10s} {'error':>8s}")
-    for method in METHOD_NAMES:
-        if method == "scale-model":
-            value = prediction.ipc
-        else:
-            value = make_predictor(method).fit(profile.sizes, profile.ipcs).predict(128)
-        err = abs(value - actual.ipc) / actual.ipc
-        print(f"  {method:14s} {value:10.1f} {100 * err:7.1f}%")
+    for method, per_target in study.predictions.items():
+        err = study.errors(method)[128]
+        print(f"  {method:14s} {per_target[128]:10.1f} {100 * err:7.1f}%")
 
 
 if __name__ == "__main__":

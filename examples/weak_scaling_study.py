@@ -13,62 +13,43 @@ simulation-time speedup is reported at the end (the paper's Figure 7).
 
 import sys
 
-from repro.core import ScaleModelPredictor, ScaleModelProfile
-from repro.core.baselines import make_predictor
-from repro.gpu import GPUConfig, simulate
-from repro.workloads import WEAK_SCALING, build_trace
+from repro.core import predict_weak_scaling
+from repro.workloads import WEAK_SCALING
 
-SIZES = (8, 16, 32, 64, 128)
 BASE = 8
 
 
-def study(abbr: str) -> None:
+def report(abbr: str) -> None:
     spec = WEAK_SCALING[abbr]
     print(f"\n=== {spec.name} ({abbr}) — weak scaling, expected "
           f"{spec.weak_scaling.value}")
 
-    results = {}
-    for sms in SIZES:
-        config = GPUConfig.paper_system(sms)
-        trace = build_trace(
-            spec, work_scale=sms / BASE, capacity_scale=config.capacity_scale
-        )
-        results[sms] = simulate(config, trace)
-        r = results[sms]
+    study = predict_weak_scaling(spec, base_size=BASE)
+    for sms, r in study.results.items():
         print(f"  {sms:3d} SMs (input x{sms // BASE:2d}): IPC {r.ipc:8.1f}  "
               f"sim time {r.wall_time_s:5.2f}s")
 
-    profile = ScaleModelProfile(
-        workload=abbr, sizes=(8, 16),
-        ipcs=(results[8].ipc, results[16].ipc),
-        f_mem=results[16].memory_stall_fraction,
-        curve=None,  # not needed under weak scaling
-    )
-    predictor = ScaleModelPredictor(profile)
-    print(f"  correction factor C = {profile.correction_factor():.3f}")
+    # No miss-rate curve was collected: study.profile.curve is None.
+    print(f"  correction factor C = {study.profile.correction_factor():.3f}")
     print(f"  {'target':>8s} {'scale-model':>12s} {'proportional':>13s} "
           f"{'actual':>9s} {'sm error':>9s}")
-    for target in (32, 64, 128):
-        sm = predictor.predict(target).ipc
-        prop = make_predictor("proportional").fit(
-            profile.sizes, profile.ipcs
-        ).predict(target)
-        actual = results[target].ipc
-        err = abs(sm - actual) / actual
-        print(f"  {target:6d}SM {sm:12.1f} {prop:13.1f} {actual:9.1f} "
-              f"{100 * err:8.1f}%")
+    errors = study.errors("scale-model")
+    for target in study.target_sizes:
+        print(f"  {target:6d}SM {study.predictions['scale-model'][target]:12.1f} "
+              f"{study.predictions['proportional'][target]:13.1f} "
+              f"{study.actuals[target]:9.1f} {100 * errors[target]:8.1f}%")
 
     # Figure 7: simulation-time speedup of predicting instead of simulating.
-    scale_cost = results[8].wall_time_s + results[16].wall_time_s
+    scale_cost = sum(study.results[n].wall_time_s for n in study.scale_sizes)
     print("  simulation speedup vs simulating the target directly:")
-    for target in (32, 64, 128):
-        speedup = results[target].wall_time_s / scale_cost
+    for target in study.target_sizes:
+        speedup = study.results[target].wall_time_s / scale_cost
         print(f"    {target:3d} SMs: {speedup:4.1f}x")
 
 
 def main() -> None:
     for abbr in (sys.argv[1:] or ["va", "bfs"]):
-        study(abbr)
+        report(abbr)
 
 
 if __name__ == "__main__":

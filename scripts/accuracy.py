@@ -17,9 +17,8 @@ import argparse
 import sys
 
 from repro.analysis.cli import add_execution_flags, build_runner
-from repro.analysis.parallel import RunRequest
-from repro.core import METHOD_NAMES, ScaleModelPredictor, ScaleModelProfile
-from repro.core.baselines import make_predictor
+from repro.analysis.experiments import RunnerStudy
+from repro.core import METHOD_NAMES
 from repro.exceptions import ReproError, ShutdownRequested
 from repro.resilience import EXIT_FAILURES, EXIT_INTERRUPTED, EXIT_OK
 from repro.workloads import STRONG_SCALING
@@ -40,49 +39,28 @@ def main(argv=None) -> int:
     per_method = {m: [] for m in METHOD_NAMES}
     failed = []
     interrupted = None
+    plans = [RunnerStudy(STRONG_SCALING[abbr], scales, targets) for abbr in names]
     try:
-        runner.prefetch(
-            [
-                RunRequest("sim", STRONG_SCALING[abbr], size=n)
-                for abbr in names
-                for n in scales + targets
-            ]
-            + [RunRequest("mrc", STRONG_SCALING[abbr]) for abbr in names]
-        )
-        for abbr in names:
-            spec = STRONG_SCALING[abbr]
+        runner.prefetch([run for plan in plans for run in plan.requests()])
+        for plan in plans:
+            spec = plan.spec
             try:
-                sims = {n: runner.simulate(spec, n) for n in scales + targets}
-                curve = runner.miss_rate_curve(spec)
+                study = plan.run(runner)
             except ReproError as error:
                 if not args.keep_going:
                     raise
-                failed.append(abbr)
-                print(f"{abbr:6s} [skipped: {error}]")
+                failed.append(spec.abbr)
+                print(f"{spec.abbr:6s} [skipped: {error}]")
                 continue
-            profile = ScaleModelProfile(
-                workload=abbr,
-                sizes=tuple(scales),
-                ipcs=tuple(sims[n].ipc for n in scales),
-                f_mem=sims[max(scales)].memory_stall_fraction,
-                curve=curve,
-            )
-            predictor = ScaleModelPredictor(profile)
-            row = [f"{abbr:6s} [{spec.scaling.value:12s}]"]
+            row = [f"{spec.abbr:6s} [{spec.scaling.value:12s}]"]
             for t in targets:
-                actual = sims[t].ipc
-                errs = {}
+                errs = {m: study.errors(m)[t] for m in METHOD_NAMES}
                 for m in METHOD_NAMES:
-                    if m == "scale-model":
-                        pred = predictor.predict(t).ipc
-                    else:
-                        pred = make_predictor(m).fit(profile.sizes, profile.ipcs).predict(t)
-                    errs[m] = abs(pred - actual) / actual
                     per_method[m].append(errs[m])
                 row.append(
                     f"T{t}: " + " ".join(f"{m[:4]}={100*errs[m]:5.1f}%" for m in METHOD_NAMES)
                 )
-            region = predictor._region_of(targets[-1]).value if curve else "?"
+            region = study.scale_model[targets[-1]].region.value
             print("  ".join(row) + f"  region@{targets[-1]}={region}")
     except (ShutdownRequested, KeyboardInterrupt) as stop:
         interrupted = stop

@@ -323,6 +323,23 @@ def write_experiments_md(classification, fig2, fig4a, fig4b, fig6, fig7,
         f"| 128 SMs | {method_row(abl)} |",
         f"| 64 SMs | {method_row(abl64)} |",
         "",
+        "- the curve's capacity axis is mapped to system sizes from the"
+        " configuration it was collected on (`llc_size / num_sms`).  While it"
+        " was guessed from the smallest scale model, Eq. 3 never fired with"
+        " 16/32-SM models (scale-model equalled power-law in all 21 rows at"
+        " 64 SMs) and this table read 19.5% / 46.8% and 6.6% / 45.7%: most"
+        " of the gap to the paper's 10% / 5% was that bug.",
+        "- deviation: the paper's direction (16/32 worse than 8/16) does not"
+        f" reproduce — {render_percent(abl.mean_error('scale-model'))} vs"
+        f" {render_percent(fig4a.mean_error('scale-model'))} at 128 SMs,"
+        f" {render_percent(abl64.mean_error('scale-model'))} vs"
+        f" {render_percent(fig4b.mean_error('scale-model'))} at 64: here the"
+        " larger error share is one `C` carried over several doublings, and"
+        " larger scale models extrapolate over fewer of them.",
+        "- not covered: a cliff at or below the largest scale model still"
+        " gets the `1 / (1 - f_mem)` boost (ROADMAP item 1(d)); no"
+        " full-input Table II benchmark is in that position.",
+        "",
     ]
     if trained is not None:
         lines += [

@@ -15,6 +15,11 @@ equivalent JSON bundle from this repository's (cached) runs:
 Each per-benchmark file is exactly the input the ``gpu-scale-model`` CLI
 needs, so the artifact round-trips: predictions can be re-derived from
 the bundle alone.
+
+A record is one :class:`~repro.analysis.experiments.RunnerStudy` — the
+same description the figures run — re-keyed for JSON; the bundle's runs
+are prefetched as one batch from those descriptions, so the weak-scaling
+``base_size`` that sizes the lookups also sizes the prefetch.
 """
 
 from __future__ import annotations
@@ -23,112 +28,85 @@ import json
 import os
 from typing import Dict, Optional, Sequence
 
-from repro.analysis.parallel import RunRequest
+from repro.analysis.experiments import RunnerStudy, run_studies
 from repro.analysis.runner import CachedRunner
-from repro.core.baselines import METHOD_NAMES, make_predictor
-from repro.core.model import ScaleModelPredictor
-from repro.core.profile import ScaleModelProfile
-from repro.gpu.config import GPUConfig, McmConfig, PAPER_SYSTEM_SIZES
+from repro.core.workflow import ScaleModelStudy
+from repro.gpu.config import (
+    PAPER_SCALE_MODEL_SIZES,
+    PAPER_SYSTEM_SIZES,
+    PAPER_TARGET_SIZES,
+    GPUConfig,
+    McmConfig,
+)
 from repro.workloads import (
     STRONG_SCALING,
     WEAK_SCALING,
     strong_scaling_names,
     weak_scaling_names,
 )
+from repro.workloads.spec import BenchmarkSpec
+
+#: The system size the Table IV inputs are catalogued at (work_scale 1).
+_WEAK_BASE_SIZE = 8
 
 
-def _predictions(profile: ScaleModelProfile, targets: Sequence[int]) -> Dict:
-    predictor = ScaleModelPredictor(profile)
-    out: Dict[str, Dict[str, float]] = {}
-    for method in METHOD_NAMES:
-        if method == "scale-model":
-            out[method] = {str(t): predictor.predict(t).ipc for t in targets}
-        else:
-            fitted = make_predictor(method).fit(profile.sizes, profile.ipcs)
-            out[method] = {str(t): fitted.predict(t) for t in targets}
-    return out
-
-
-def _errors(predictions: Dict, actuals: Dict[str, float]) -> Dict:
-    out: Dict[str, Dict[str, float]] = {}
-    for method, per_target in predictions.items():
-        out[method] = {
-            t: abs(pred - actuals[t]) / actuals[t]
-            for t, pred in per_target.items()
-            if t in actuals
+def _record(spec: BenchmarkSpec, study: ScaleModelStudy) -> Dict:
+    """One benchmark's study as its JSON record (sizes keyed as strings)."""
+    record = {
+        "benchmark": spec.abbr,
+        "suite": spec.suite,
+        "scenario": study.scenario,
+        "scale_model_ipc": {
+            str(n): study.results[n].ipc for n in study.scale_sizes
+        },
+        "f_mem": study.profile.f_mem,
+    }
+    curve = study.profile.curve
+    if curve is not None:
+        record["miss_rate_curve"] = {
+            "capacities_mb": list(curve.capacities_mb),
+            "mpki": list(curve.mpki),
         }
-    return out
+    record["target_ipc"] = {str(t): ipc for t, ipc in study.actuals.items()}
+    record["predictions"] = {
+        method: {str(t): ipc for t, ipc in per_target.items()}
+        for method, per_target in study.predictions.items()
+    }
+    record["errors"] = {
+        method: {str(t): error for t, error in study.errors(method).items()}
+        for method in study.predictions
+    }
+    if curve is None:
+        # Weak scaling: the wall times behind Figure 7.
+        record["simulation_seconds"] = {
+            str(n): result.wall_time_s for n, result in study.results.items()
+        }
+    return record
 
 
 def strong_benchmark_record(
     abbr: str,
     runner: CachedRunner,
-    scale_sizes: Sequence[int] = (8, 16),
-    target_sizes: Sequence[int] = (32, 64, 128),
+    scale_sizes: Sequence[int] = PAPER_SCALE_MODEL_SIZES,
+    target_sizes: Sequence[int] = PAPER_TARGET_SIZES,
 ) -> Dict:
     """The artifact record for one strong-scaling benchmark."""
-    spec = STRONG_SCALING[abbr]
-    sims = {n: runner.simulate(spec, n) for n in (*scale_sizes, *target_sizes)}
-    curve = runner.miss_rate_curve(spec)
-    profile = ScaleModelProfile(
-        workload=abbr,
-        sizes=tuple(scale_sizes),
-        ipcs=tuple(sims[n].ipc for n in scale_sizes),
-        f_mem=sims[max(scale_sizes)].memory_stall_fraction,
-        curve=curve,
-    )
-    predictions = _predictions(profile, target_sizes)
-    actuals = {str(t): sims[t].ipc for t in target_sizes}
-    return {
-        "benchmark": abbr,
-        "suite": spec.suite,
-        "scenario": "strong",
-        "scale_model_ipc": {str(n): sims[n].ipc for n in scale_sizes},
-        "f_mem": profile.f_mem,
-        "miss_rate_curve": {
-            "capacities_mb": list(curve.capacities_mb),
-            "mpki": list(curve.mpki),
-        },
-        "target_ipc": actuals,
-        "predictions": predictions,
-        "errors": _errors(predictions, actuals),
-    }
+    plan = RunnerStudy(STRONG_SCALING[abbr], scale_sizes, target_sizes)
+    return _record(plan.spec, plan.run(runner))
 
 
 def weak_benchmark_record(
     abbr: str,
     runner: CachedRunner,
-    scale_sizes: Sequence[int] = (8, 16),
-    target_sizes: Sequence[int] = (32, 64, 128),
-    base_size: int = 8,
+    scale_sizes: Sequence[int] = PAPER_SCALE_MODEL_SIZES,
+    target_sizes: Sequence[int] = PAPER_TARGET_SIZES,
+    base_size: int = _WEAK_BASE_SIZE,
 ) -> Dict:
     """The artifact record for one weak-scaling benchmark."""
-    spec = WEAK_SCALING[abbr]
-    sims = {
-        n: runner.simulate(spec, n, work_scale=n / base_size)
-        for n in (*scale_sizes, *target_sizes)
-    }
-    profile = ScaleModelProfile(
-        workload=abbr,
-        sizes=tuple(scale_sizes),
-        ipcs=tuple(sims[n].ipc for n in scale_sizes),
-        f_mem=sims[max(scale_sizes)].memory_stall_fraction,
+    plan = RunnerStudy(
+        WEAK_SCALING[abbr], scale_sizes, target_sizes, base_size=base_size
     )
-    predictions = _predictions(profile, target_sizes)
-    actuals = {str(t): sims[t].ipc for t in target_sizes}
-    return {
-        "benchmark": abbr,
-        "suite": spec.suite,
-        "scenario": "weak",
-        "scale_model_ipc": {str(n): sims[n].ipc for n in scale_sizes},
-        "f_mem": profile.f_mem,
-        "target_ipc": actuals,
-        "predictions": predictions,
-        "errors": _errors(predictions, actuals),
-        "simulation_seconds": {
-            str(n): sims[n].wall_time_s for n in sims
-        },
-    }
+    return _record(plan.spec, plan.run(runner))
 
 
 def configs_record() -> Dict:
@@ -149,22 +127,15 @@ def export_artifact(
 ) -> Dict[str, int]:
     """Write the full artifact bundle; returns file counts per section."""
     runner = runner or CachedRunner()
-    strong = list(benchmarks or strong_scaling_names())
-    weak = list(weak_benchmarks or weak_scaling_names())
-    requests = [
-        RunRequest("sim", STRONG_SCALING[abbr], size=n)
-        for abbr in strong
-        for n in (8, 16, 32, 64, 128)
+    sizes = (PAPER_SCALE_MODEL_SIZES, PAPER_TARGET_SIZES)
+    plans = [
+        RunnerStudy(STRONG_SCALING[abbr], *sizes)
+        for abbr in benchmarks or strong_scaling_names()
+    ] + [
+        RunnerStudy(WEAK_SCALING[abbr], *sizes, base_size=_WEAK_BASE_SIZE)
+        for abbr in weak_benchmarks or weak_scaling_names()
     ]
-    requests += [RunRequest("mrc", STRONG_SCALING[abbr]) for abbr in strong]
-    requests += [
-        RunRequest("sim", WEAK_SCALING[abbr], size=n, work_scale=n / 8)
-        for abbr in weak
-        for n in (8, 16, 32, 64, 128)
-    ]
-    prefetch = getattr(runner, "prefetch", None)
-    if prefetch is not None:
-        prefetch(requests)
+    studies = run_studies(runner, plans)
     counts = {"strong": 0, "weak": 0}
     os.makedirs(os.path.join(out_dir, "strong"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "weak"), exist_ok=True)
@@ -173,18 +144,13 @@ def export_artifact(
         json.dump(configs_record(), fh, indent=2)
 
     summary: Dict[str, Dict] = {"strong": {}, "weak": {}}
-    for abbr in strong:
-        record = strong_benchmark_record(abbr, runner)
-        with open(os.path.join(out_dir, "strong", f"{abbr}.json"), "w") as fh:
+    for plan, study in zip(plans, studies):
+        record = _record(plan.spec, study)
+        section, abbr = record["scenario"], record["benchmark"]
+        with open(os.path.join(out_dir, section, f"{abbr}.json"), "w") as fh:
             json.dump(record, fh, indent=2)
-        summary["strong"][abbr] = record["errors"]
-        counts["strong"] += 1
-    for abbr in weak:
-        record = weak_benchmark_record(abbr, runner)
-        with open(os.path.join(out_dir, "weak", f"{abbr}.json"), "w") as fh:
-            json.dump(record, fh, indent=2)
-        summary["weak"][abbr] = record["errors"]
-        counts["weak"] += 1
+        summary[section][abbr] = record["errors"]
+        counts[section] += 1
 
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)

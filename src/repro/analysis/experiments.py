@@ -4,6 +4,13 @@ Every runner returns a structured result object with an ``as_text()``
 rendering that prints the same rows/series the paper reports.  Runners
 take a :class:`~repro.analysis.runner.CachedRunner` so repeated
 invocations (tests, benchmarks, the CLI) reuse simulation results.
+
+The prediction figures (4-8) are all the Figure-3 flow on a runner:
+each describes its benchmarks as :class:`RunnerStudy` values, hands
+every study's runs to the runner as one batch (:func:`run_studies`) and
+reshapes the resulting :class:`~repro.core.workflow.ScaleModelStudy`
+objects — no figure builds a profile, loops over methods or scores an
+error itself (``docs/ARCHITECTURE.md`` § "A study, end to end").
 """
 
 from __future__ import annotations
@@ -17,12 +24,10 @@ from repro.analysis.parallel import RunRequest
 from repro.analysis.runner import CachedRunner
 from repro.analysis.tables import render_percent, render_table
 from repro.core.accuracy import ErrorSummary, geometric_mean, summarize_errors
-from repro.core.baselines import METHOD_NAMES, make_predictor
-from repro.core.model import ScaleModelPredictor
-from repro.core.profile import ScaleModelProfile
+from repro.core.baselines import METHOD_NAMES
+from repro.core.workflow import ScaleModelStudy, study, work_scale_at
 from repro.exceptions import PredictionError
 from repro.gpu.config import (
-    PAPER_MCM_SIZES,
     PAPER_SCALE_MODEL_SIZES,
     PAPER_SYSTEM_SIZES,
     GPUConfig,
@@ -36,6 +41,7 @@ from repro.workloads import (
     strong_scaling_names,
     weak_scaling_names,
 )
+from repro.workloads.spec import BenchmarkSpec
 
 #: Benchmarks shown in Figure 4 (the paper plots 18 of the 21; lbm, pf and
 #: bs appear in Table II but 4a/4b label 18 bars + avg — we include all 21
@@ -47,7 +53,7 @@ FIG5_BENCHMARKS = (
 )
 
 
-def _prefetch(runner, requests: Sequence[RunRequest]) -> None:
+def prefetch(runner, requests: Sequence[RunRequest]) -> None:
     """Hand the figure's full run list to the runner's worker pool.
 
     Each experiment enumerates its runs up front and submits them as one
@@ -55,9 +61,82 @@ def _prefetch(runner, requests: Sequence[RunRequest]) -> None:
     pool (``jobs > 1``); runners without a ``prefetch`` method (fakes in
     tests) fall back to lazy in-process execution.
     """
-    prefetch = getattr(runner, "prefetch", None)
-    if prefetch is not None and requests:
-        prefetch(requests)
+    submit = getattr(runner, "prefetch", None)
+    if submit is not None and requests:
+        submit(requests)
+
+
+@dataclass(frozen=True)
+class RunnerStudy:
+    """One Figure-3 study on a cached runner: its run list and its result.
+
+    ``base_size=None`` is strong scaling — every size runs ``work_scale``
+    of the input and the miss-rate curve is collected; otherwise the
+    weak-scaling rule sizes each input and no curve is needed.  With
+    ``kind="mcm"`` the sizes are chiplet counts.
+    """
+
+    spec: BenchmarkSpec
+    scale_sizes: Sequence[int]
+    target_sizes: Sequence[int]
+    base_size: Optional[int] = None
+    kind: str = "sim"
+    work_scale: float = 1.0
+    seed: int = 0
+    methods: Sequence[str] = METHOD_NAMES
+    include_actuals: bool = True
+
+    def _work_scale(self, size: int) -> float:
+        return self.work_scale * work_scale_at(size, self.base_size)
+
+    def requests(self) -> List[RunRequest]:
+        """Every run :meth:`run` will look up, for one ``prefetch``."""
+        sizes = set(self.scale_sizes)
+        if self.include_actuals:
+            sizes.update(self.target_sizes)
+        requests = [
+            RunRequest(self.kind, self.spec, n, self._work_scale(n), self.seed)
+            for n in sorted(sizes)
+        ]
+        if self.base_size is None:
+            requests.append(RunRequest(
+                "mrc", self.spec, work_scale=self.work_scale, seed=self.seed
+            ))
+        return requests
+
+    def run(self, runner) -> ScaleModelStudy:
+        """The study, every run served by (or computed through) ``runner``."""
+        strong, mcm = self.base_size is None, self.kind == "mcm"
+        lookup = runner.simulate_mcm if mcm else runner.simulate
+
+        def simulate(size: int):
+            return lookup(
+                self.spec, size, work_scale=self._work_scale(size), seed=self.seed
+            )
+
+        def curve():
+            return runner.miss_rate_curve(
+                self.spec, work_scale=self.work_scale, seed=self.seed
+            )
+
+        return study(
+            self.spec.abbr,
+            "strong" if strong else "mcm-weak" if mcm else "weak",
+            simulate,
+            self.scale_sizes,
+            self.target_sizes,
+            curve=curve if strong else None,
+            methods=self.methods,
+            include_actuals=self.include_actuals,
+        )
+
+
+def run_studies(
+    runner, plans: Sequence[RunnerStudy]
+) -> List[ScaleModelStudy]:
+    """Run ``plans`` off one prefetch batch; studies in plan order."""
+    prefetch(runner, [r for plan in plans for r in plan.requests()])
+    return [plan.run(runner) for plan in plans]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +223,7 @@ def figure1_scaling(
 ) -> ScalingCurves:
     """Figure 1 (and the Table II classification check)."""
     runner = runner or CachedRunner()
-    _prefetch(runner, [
+    prefetch(runner, [
         RunRequest("sim", STRONG_SCALING[abbr], size=n)
         for abbr in benchmarks
         for n in sizes
@@ -193,7 +272,7 @@ def figure2_miss_rate_curves(
     runner: Optional[CachedRunner] = None,
 ) -> MissRateCurves:
     runner = runner or CachedRunner()
-    _prefetch(runner, [
+    prefetch(runner, [
         RunRequest("mrc", STRONG_SCALING[abbr]) for abbr in benchmarks
     ])
     mpki, cliffs = {}, {}
@@ -265,17 +344,23 @@ class AccuracyExperiment:
         )
 
 
-def _strong_profile(
-    abbr: str, runner: CachedRunner, scale_sizes: Sequence[int]
-) -> ScaleModelProfile:
-    spec = STRONG_SCALING[abbr]
-    sims = {n: runner.simulate(spec, n) for n in scale_sizes}
-    return ScaleModelProfile(
-        workload=abbr,
-        sizes=tuple(scale_sizes),
-        ipcs=tuple(sims[n].ipc for n in scale_sizes),
-        f_mem=sims[max(scale_sizes)].memory_stall_fraction,
-        curve=runner.miss_rate_curve(spec),
+def _accuracy_at(
+    target: int, studies: Sequence[ScaleModelStudy]
+) -> AccuracyExperiment:
+    """One target size of per-benchmark ``studies`` as a figure."""
+    return AccuracyExperiment(
+        scenario=studies[0].scenario,
+        target_size=target,
+        scale_sizes=studies[0].scale_sizes,
+        errors={
+            m: {st.workload: st.errors(m)[target] for st in studies}
+            for m in METHOD_NAMES
+        },
+        predictions={
+            m: {st.workload: st.predictions[m][target] for st in studies}
+            for m in METHOD_NAMES
+        },
+        actuals={st.workload: st.actuals[target] for st in studies},
     )
 
 
@@ -287,40 +372,11 @@ def figure4_strong_accuracy(
 ) -> AccuracyExperiment:
     """Figure 4a (128-SM target) / 4b (64-SM target)."""
     runner = runner or CachedRunner()
-    benches = list(benchmarks or strong_scaling_names())
-    _prefetch(runner, [
-        RunRequest("sim", STRONG_SCALING[abbr], size=n)
-        for abbr in benches
-        for n in (*scale_sizes, target_size)
-    ] + [RunRequest("mrc", STRONG_SCALING[abbr]) for abbr in benches])
-    errors = {m: {} for m in METHOD_NAMES}
-    predictions: Dict[str, Dict[str, float]] = {m: {} for m in METHOD_NAMES}
-    actuals = {}
-    for abbr in benches:
-        spec = STRONG_SCALING[abbr]
-        profile = _strong_profile(abbr, runner, scale_sizes)
-        actual = runner.simulate(spec, target_size).ipc
-        actuals[abbr] = actual
-        predictor = ScaleModelPredictor(profile)
-        for method in METHOD_NAMES:
-            if method == "scale-model":
-                pred = predictor.predict(target_size).ipc
-            else:
-                pred = (
-                    make_predictor(method)
-                    .fit(profile.sizes, profile.ipcs)
-                    .predict(target_size)
-                )
-            predictions[method][abbr] = pred
-            errors[method][abbr] = abs(pred - actual) / actual
-    return AccuracyExperiment(
-        scenario="strong",
-        target_size=target_size,
-        scale_sizes=tuple(scale_sizes),
-        errors=errors,
-        predictions=predictions,
-        actuals=actuals,
-    )
+    studies = run_studies(runner, [
+        RunnerStudy(STRONG_SCALING[abbr], scale_sizes, (target_size,))
+        for abbr in benchmarks or strong_scaling_names()
+    ])
+    return _accuracy_at(target_size, studies)
 
 
 @dataclass
@@ -364,28 +420,31 @@ def figure5_prediction_curves(
     target_sizes: Sequence[int] = (32, 64, 128),
 ) -> PredictionCurves:
     runner = runner or CachedRunner()
-    real: Dict[str, Dict[int, float]] = {}
-    predicted: Dict[str, Dict[str, Dict[int, float]]] = {}
-    sizes = tuple(sorted(set(scale_sizes) | set(target_sizes)))
-    _prefetch(runner, [
-        RunRequest("sim", STRONG_SCALING[abbr], size=n)
+    studies = run_studies(runner, [
+        RunnerStudy(STRONG_SCALING[abbr], scale_sizes, target_sizes)
         for abbr in benchmarks
-        for n in sizes
-    ] + [RunRequest("mrc", STRONG_SCALING[abbr]) for abbr in benchmarks])
-    for abbr in benchmarks:
-        spec = STRONG_SCALING[abbr]
-        profile = _strong_profile(abbr, runner, scale_sizes)
-        real[abbr] = {n: runner.simulate(spec, n).ipc for n in sizes}
-        predictor = ScaleModelPredictor(profile)
-        predicted[abbr] = {"scale-model": {}}
-        for t in target_sizes:
-            predicted[abbr]["scale-model"][t] = predictor.predict(t).ipc
-        for method in ("proportional", "linear", "power-law", "logarithmic"):
-            fitted = make_predictor(method).fit(profile.sizes, profile.ipcs)
-            predicted[abbr][method] = {t: fitted.predict(t) for t in target_sizes}
+    ])
+    sizes = tuple(sorted(set(scale_sizes) | set(target_sizes)))
     return PredictionCurves(
-        benchmarks=list(benchmarks), sizes=sizes, real=real, predicted=predicted
+        benchmarks=list(benchmarks),
+        sizes=sizes,
+        real={
+            st.workload: {n: st.results[n].ipc for n in sizes} for st in studies
+        },
+        predicted={st.workload: st.predictions for st in studies},
     )
+
+
+def _weak_studies(
+    runner, scale_sizes: Sequence[int], target_sizes: Sequence[int], base_size: int
+) -> List[ScaleModelStudy]:
+    """The Table IV benchmarks under weak scaling (Figures 6 and 7)."""
+    return run_studies(runner, [
+        RunnerStudy(
+            WEAK_SCALING[abbr], scale_sizes, target_sizes, base_size=base_size
+        )
+        for abbr in weak_scaling_names()
+    ])
 
 
 def figure6_weak_accuracy(
@@ -396,52 +455,8 @@ def figure6_weak_accuracy(
 ) -> Dict[int, AccuracyExperiment]:
     """Figure 6: weak-scaling prediction error per target size."""
     runner = runner or CachedRunner()
-    _prefetch(runner, [
-        RunRequest("sim", WEAK_SCALING[abbr], size=n, work_scale=n / base_size)
-        for abbr in weak_scaling_names()
-        for n in sorted(set(scale_sizes) | set(target_sizes))
-    ])
-    out = {}
-    for target in target_sizes:
-        errors = {m: {} for m in METHOD_NAMES}
-        predictions: Dict[str, Dict[str, float]] = {m: {} for m in METHOD_NAMES}
-        actuals = {}
-        for abbr in weak_scaling_names():
-            spec = WEAK_SCALING[abbr]
-            sims = {
-                n: runner.simulate(spec, n, work_scale=n / base_size)
-                for n in scale_sizes
-            }
-            profile = ScaleModelProfile(
-                workload=abbr,
-                sizes=tuple(scale_sizes),
-                ipcs=tuple(sims[n].ipc for n in scale_sizes),
-                f_mem=sims[max(scale_sizes)].memory_stall_fraction,
-                curve=None,
-            )
-            actual = runner.simulate(spec, target, work_scale=target / base_size).ipc
-            actuals[abbr] = actual
-            predictor = ScaleModelPredictor(profile)
-            for method in METHOD_NAMES:
-                if method == "scale-model":
-                    pred = predictor.predict(target).ipc
-                else:
-                    pred = (
-                        make_predictor(method)
-                        .fit(profile.sizes, profile.ipcs)
-                        .predict(target)
-                    )
-                predictions[method][abbr] = pred
-                errors[method][abbr] = abs(pred - actual) / actual
-        out[target] = AccuracyExperiment(
-            scenario="weak",
-            target_size=target,
-            scale_sizes=tuple(scale_sizes),
-            errors=errors,
-            predictions=predictions,
-            actuals=actuals,
-        )
-    return out
+    studies = _weak_studies(runner, scale_sizes, target_sizes, base_size)
+    return {target: _accuracy_at(target, studies) for target in target_sizes}
 
 
 # ---------------------------------------------------------------------------
@@ -486,26 +501,15 @@ def figure7_speedup(
     the numbers reflect the first (real) execution of each simulation.
     """
     runner = runner or CachedRunner()
-    _prefetch(runner, [
-        RunRequest("sim", WEAK_SCALING[abbr], size=n, work_scale=n / base_size)
-        for abbr in weak_scaling_names()
-        for n in sorted(set(scale_sizes) | set(target_sizes))
-    ])
     speedups: Dict[str, Dict[int, float]] = {}
-    for abbr in weak_scaling_names():
-        spec = WEAK_SCALING[abbr]
-        scale_cost = sum(
-            runner.simulate(spec, n, work_scale=n / base_size).wall_time_s
-            for n in scale_sizes
-        )
-        speedups[abbr] = {}
-        for target in target_sizes:
-            target_cost = runner.simulate(
-                spec, target, work_scale=target / base_size
-            ).wall_time_s
-            if scale_cost <= 0:
-                raise PredictionError("scale-model wall time not recorded")
-            speedups[abbr][target] = target_cost / scale_cost
+    for st in _weak_studies(runner, scale_sizes, target_sizes, base_size):
+        scale_cost = sum(st.results[n].wall_time_s for n in st.scale_sizes)
+        if scale_cost <= 0:
+            raise PredictionError("scale-model wall time not recorded")
+        speedups[st.workload] = {
+            target: st.results[target].wall_time_s / scale_cost
+            for target in target_sizes
+        }
     return SpeedupExperiment(
         target_sizes=tuple(target_sizes), speedups=speedups
     )
@@ -526,48 +530,11 @@ def figure8_mcm_accuracy(
     of Table IV.
     """
     runner = runner or CachedRunner()
-    _prefetch(runner, [
-        RunRequest("mcm", WEAK_SCALING[abbr], size=c, work_scale=float(c))
-        for abbr in MCM_WEAK_BENCHMARKS
-        for c in (*scale_chiplets, target_chiplets)
-    ])
-    errors = {m: {} for m in METHOD_NAMES}
-    predictions: Dict[str, Dict[str, float]] = {m: {} for m in METHOD_NAMES}
-    actuals = {}
-    for abbr in MCM_WEAK_BENCHMARKS:
-        spec = WEAK_SCALING[abbr]
-        sims = {
-            c: runner.simulate_mcm(spec, c, work_scale=float(c))
-            for c in scale_chiplets
-        }
-        profile = ScaleModelProfile(
-            workload=abbr,
-            sizes=tuple(scale_chiplets),
-            ipcs=tuple(sims[c].ipc for c in scale_chiplets),
-            f_mem=sims[max(scale_chiplets)].memory_stall_fraction,
-            curve=None,
+    studies = run_studies(runner, [
+        RunnerStudy(
+            WEAK_SCALING[abbr], scale_chiplets, (target_chiplets,),
+            base_size=1, kind="mcm",
         )
-        actual = runner.simulate_mcm(
-            spec, target_chiplets, work_scale=float(target_chiplets)
-        ).ipc
-        actuals[abbr] = actual
-        predictor = ScaleModelPredictor(profile)
-        for method in METHOD_NAMES:
-            if method == "scale-model":
-                pred = predictor.predict(target_chiplets).ipc
-            else:
-                pred = (
-                    make_predictor(method)
-                    .fit(profile.sizes, profile.ipcs)
-                    .predict(target_chiplets)
-                )
-            predictions[method][abbr] = pred
-            errors[method][abbr] = abs(pred - actual) / actual
-    return AccuracyExperiment(
-        scenario="mcm-weak",
-        target_size=target_chiplets,
-        scale_sizes=tuple(scale_chiplets),
-        errors=errors,
-        predictions=predictions,
-        actuals=actuals,
-    )
+        for abbr in MCM_WEAK_BENCHMARKS
+    ])
+    return _accuracy_at(target_chiplets, studies)

@@ -16,7 +16,8 @@ predictor estimates target-system IPC without ever simulating the target
 :mod:`repro.core.baselines` implements the four comparison methods
 (proportional scaling, linear, power-law and logarithmic regression);
 :mod:`repro.core.workflow` wires simulator, MRC collection and prediction
-into the end-to-end flow of Figure 3.
+into the end-to-end flow of Figure 3 (:func:`study`), which every figure,
+artifact and campaign runs through.
 """
 
 from repro.core.model import PredictionResult, ScaleModelPredictor
@@ -34,8 +35,10 @@ from repro.core.baselines import (
 from repro.core.accuracy import prediction_error, summarize_errors
 from repro.core.workflow import (
     ScaleModelStudy,
+    predict_all,
     predict_strong_scaling,
     predict_weak_scaling,
+    study,
 )
 
 __all__ = [
@@ -54,6 +57,8 @@ __all__ = [
     "prediction_error",
     "summarize_errors",
     "ScaleModelStudy",
+    "predict_all",
     "predict_strong_scaling",
     "predict_weak_scaling",
+    "study",
 ]

@@ -15,6 +15,18 @@ def prediction_error(predicted: float, actual: float) -> float:
     return abs(predicted - actual) / actual
 
 
+def prediction_error_pct(predicted: float, actual: float) -> float:
+    """:func:`prediction_error` in percent — the one percent spelling.
+
+    Evaluated left to right, ``(100 * |pred - real|) / real``, which is
+    not ``100 * prediction_error(...)`` in the last bit: zoo artifacts
+    have carried this form since schema 1 and stay bit-identical.
+    """
+    if actual <= 0:
+        raise PredictionError(f"actual IPC must be positive, got {actual}")
+    return 100.0 * abs(predicted - actual) / actual
+
+
 @dataclass(frozen=True)
 class ErrorSummary:
     """Average and maximum error of one method across benchmarks."""

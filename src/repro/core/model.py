@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.exceptions import PredictionError
 from repro.mrc.cliff import CliffAnalysis, Region, analyze_regions
@@ -133,9 +133,6 @@ class ScaleModelPredictor:
             correction_factor=correction,
             details=details,
         )
-
-    def predict_many(self, target_sizes: List[int]) -> List[PredictionResult]:
-        return [self.predict(t) for t in sorted(target_sizes)]
 
     def _first_size_beyond_cliff(self) -> int:
         """System size whose LLC is the first capacity past the cliff."""

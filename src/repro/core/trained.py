@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping, Sequence
 
+from repro.core.accuracy import prediction_error
 from repro.exceptions import PredictionError
 
 
@@ -116,5 +117,5 @@ def leave_one_out_errors(
                 f"{held_out}: curve lacks anchor or target size"
             )
         predicted = model.predict(anchor, target_size)
-        errors[held_out] = abs(predicted - actual) / actual
+        errors[held_out] = prediction_error(predicted, actual)
     return errors

@@ -1,39 +1,43 @@
-"""The end-to-end scale-model simulation workflow (Figure 3).
+"""The end-to-end scale-model simulation workflow (Figure 3), once.
 
-Strong scaling: simulate the two scale models (detailed timing), collect
-the miss-rate curve (functional, one-time cost), predict every target.
-Weak scaling: simulate the scale models with proportionally scaled inputs;
-no miss-rate curve is needed because the working set scales with the
-system and no cliff can occur.
+:func:`study` is the whole flow: simulate the scale models (detailed
+timing), collect the miss-rate curve under strong scaling (functional,
+one-time cost), build the one :class:`ScaleModelProfile`, predict every
+target with every method (:func:`predict_all`), optionally simulate the
+targets, and score.  Weak scaling simulates the scale models with
+proportionally scaled inputs and needs no miss-rate curve: the working
+set scales with the system, so no cliff can occur.
 
-The heavy steps are injected as callables so callers can swap in cached
-runners (see :mod:`repro.analysis.runner`) or fakes in tests:
+The heavy steps are callables, so the same body serves the plain
+simulator, cached runners and fakes in tests.
+:func:`predict_strong_scaling` and :func:`predict_weak_scaling` are the
+per-benchmark front doors; they take
 
 * ``simulate_fn(num_sms, work_scale) -> SimulationResult``
 * ``mrc_fn() -> MissRateCurve``
 
-Passing ``runner=`` (a :class:`repro.analysis.runner.CachedRunner`)
-instead derives both callables from the cache, enumerates the study's
-runs up front and submits them as one batch, so misses execute across
-the runner's worker pool.  A runner-backed workflow also inherits the
-runner's fault tolerance and checkpoint/resume behaviour: long timing
-runs snapshot at kernel boundaries and a retried run resumes from its
-latest valid snapshot (see :mod:`repro.checkpoint`), so a crashed
-workflow invocation re-run with the same cache loses at most one
-kernel's worth of simulation per in-flight run.
+and default both to the detailed simulator and the exact collector.
+With ``runner=`` (a :class:`repro.analysis.runner.CachedRunner`) the
+run list and the lookups come from
+:class:`repro.analysis.experiments.RunnerStudy` — the description every
+figure, the artifact bundle and the zoo campaign use — and the study's
+runs are submitted as one batch first, so misses execute across the
+runner's worker pool (``docs/ARCHITECTURE.md`` § "A study, end to end").
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from repro.core.accuracy import prediction_error
 from repro.core.baselines import METHOD_NAMES, make_predictor
-from repro.core.model import ScaleModelPredictor
+from repro.core.model import PredictionResult, ScaleModelPredictor
 from repro.core.profile import ScaleModelProfile
 from repro.exceptions import ExecutionError, PredictionError
-from repro.gpu import GPUConfig, simulate
+from repro.gpu import GPUConfig, simulate as simulate_detailed
 from repro.gpu.results import SimulationResult
 from repro.mrc import MissRateCurve, collect_miss_rate_curve
 from repro.workloads import build_trace
@@ -42,7 +46,13 @@ from repro.workloads.spec import BenchmarkSpec
 
 @dataclass
 class ScaleModelStudy:
-    """All predictions (every method) for one workload and scenario."""
+    """All predictions (every method) for one workload and scenario.
+
+    ``results`` keeps the detailed run of every scale-model size (and of
+    every target size once the actuals ran); ``scale_model`` keeps the
+    :class:`PredictionResult` — region, correction factor, details —
+    behind each ``predictions["scale-model"]`` entry.
+    """
 
     workload: str
     scenario: str
@@ -51,6 +61,8 @@ class ScaleModelStudy:
     profile: ScaleModelProfile
     predictions: Dict[str, Dict[int, float]] = field(default_factory=dict)
     actuals: Dict[int, float] = field(default_factory=dict)
+    results: Dict[int, SimulationResult] = field(default_factory=dict)
+    scale_model: Dict[int, PredictionResult] = field(default_factory=dict)
 
     def errors(self, method: str) -> Dict[int, float]:
         """Relative errors per target size (requires actuals)."""
@@ -60,93 +72,166 @@ class ScaleModelStudy:
             )
         if not self.actuals:
             raise PredictionError(f"{self.workload}: no actuals recorded")
-        out = {}
-        for size, predicted in self.predictions[method].items():
-            actual = self.actuals.get(size)
-            if actual is None:
-                continue
-            out[size] = abs(predicted - actual) / actual
-        return out
+        return {
+            size: prediction_error(predicted, self.actuals[size])
+            for size, predicted in self.predictions[method].items()
+            if size in self.actuals
+        }
 
 
-def _wire_runner(
-    spec: BenchmarkSpec,
-    runner,
-    simulate_fn: Optional[Callable],
-    mrc_fn: Optional[Callable],
-    sizes: Sequence[int],
-    base_size: Optional[int],
-    want_mrc: bool,
-) -> tuple:
-    """Derive the workflow callables from a cached runner and prefetch.
+#: Every curve in this repository is collected on the paper baseline's
+#: capacity points, so the capacity axis maps to system sizes through
+#: that configuration — not through whichever scale model is smallest.
+_BASELINE = GPUConfig.paper_baseline()
+_LLC_BYTES_PER_SM = _BASELINE.llc_size / _BASELINE.num_sms
 
-    ``base_size=None`` selects strong scaling (work_scale 1 everywhere);
-    otherwise the weak-scaling ``n / base_size`` rule applies.
+
+def work_scale_at(size: int, base_size: Optional[int]) -> float:
+    """Share of the catalogued input a size-``size`` system runs.
+
+    ``base_size=None`` is strong scaling: every system runs the whole
+    input.  Otherwise the weak-scaling rule applies — the input grows
+    with the system, ``size / base_size`` (Table IV; the MCM case study
+    scales by chiplet count, base 1).
     """
-    # Deferred: repro.core must stay importable without repro.analysis.
-    from repro.analysis.parallel import RunRequest
-
-    def scale_of(n: int) -> float:
-        return 1.0 if base_size is None else n / base_size
-
-    if simulate_fn is None:
-        def simulate_fn(num_sms: int, work_scale: float) -> SimulationResult:
-            return runner.simulate(spec, num_sms, work_scale=work_scale)
-
-    if want_mrc and mrc_fn is None:
-        def mrc_fn() -> MissRateCurve:
-            return runner.miss_rate_curve(spec)
-
-    requests = [
-        RunRequest("sim", spec, size=n, work_scale=scale_of(n))
-        for n in sorted(set(sizes))
-    ]
-    if want_mrc:
-        requests.append(RunRequest("mrc", spec))
-    prefetch = getattr(runner, "prefetch", None)
-    if prefetch is not None:
-        # The prefetch is an optimization: it fans cache misses across a
-        # worker pool.  If the batch fails (worker faults, timeouts), the
-        # completed results are already merged into the store, so the
-        # study can still proceed — the lazy in-process path below
-        # recomputes whatever is missing and surfaces the underlying
-        # error only if the run fails deterministically.
-        try:
-            prefetch(requests)
-        except ExecutionError as error:
-            warnings.warn(
-                f"{spec.abbr}: parallel prefetch failed ({error}); "
-                "continuing with in-process execution for the missing runs"
-            )
-    return simulate_fn, mrc_fn
+    return 1.0 if base_size is None else size / base_size
 
 
-def _default_simulate(spec: BenchmarkSpec, scenario: str) -> Callable:
-    def run(num_sms: int, work_scale: float) -> SimulationResult:
-        config = GPUConfig.paper_system(num_sms)
-        trace = build_trace(
-            spec, work_scale=work_scale, capacity_scale=config.capacity_scale
-        )
-        return simulate(config, trace)
-
-    return run
-
-
-def _run_all_methods(
+def predict_all(
     profile: ScaleModelProfile,
     target_sizes: Sequence[int],
-) -> Dict[str, Dict[int, float]]:
+    methods: Sequence[str] = METHOD_NAMES,
+) -> Tuple[Dict[str, Dict[int, float]], Dict[int, PredictionResult]]:
+    """Predict every target with every method — the one method loop.
+
+    Returns ``predictions[method][target]`` (IPC, in ``methods`` order)
+    and the :class:`PredictionResult` per target behind its
+    ``"scale-model"`` row (empty when that method is not asked for).
+    """
     predictions: Dict[str, Dict[int, float]] = {}
-    scale_model = ScaleModelPredictor(profile)
-    predictions["scale-model"] = {
-        t: scale_model.predict(t).ipc for t in target_sizes
-    }
-    for name in METHOD_NAMES:
-        if name == "scale-model":
-            continue
-        baseline = make_predictor(name).fit(profile.sizes, profile.ipcs)
-        predictions[name] = {t: baseline.predict(t) for t in target_sizes}
-    return predictions
+    scale_model: Dict[int, PredictionResult] = {}
+    for method in methods:
+        if method == "scale-model":
+            predictor = ScaleModelPredictor(
+                profile,
+                capacity_per_unit=(
+                    _LLC_BYTES_PER_SM if profile.curve is not None else None
+                ),
+            )
+            scale_model = {t: predictor.predict(t) for t in target_sizes}
+            predictions[method] = {t: r.ipc for t, r in scale_model.items()}
+        else:
+            fitted = make_predictor(method).fit(profile.sizes, profile.ipcs)
+            predictions[method] = {t: fitted.predict(t) for t in target_sizes}
+    return predictions, scale_model
+
+
+def study(
+    workload: str,
+    scenario: str,
+    simulate: Callable[[int], SimulationResult],
+    scale_sizes: Sequence[int],
+    target_sizes: Sequence[int],
+    curve: Optional[Callable[[], MissRateCurve]] = None,
+    methods: Sequence[str] = METHOD_NAMES,
+    include_actuals: bool = True,
+) -> ScaleModelStudy:
+    """Figure 3 for one workload.
+
+    Calls ``simulate(size)`` for the scale models in ascending size,
+    then ``curve()`` (strong scaling only), predicts, and — with
+    ``include_actuals`` — calls ``simulate`` for every target.
+    """
+    if max(scale_sizes) > min(target_sizes):
+        raise PredictionError(
+            f"scale models {scale_sizes} must be smaller than targets {target_sizes}"
+        )
+    sizes = tuple(sorted(scale_sizes))
+    results = {n: simulate(n) for n in sizes}
+    profile = ScaleModelProfile(
+        workload=workload,
+        sizes=sizes,
+        ipcs=tuple(results[n].ipc for n in sizes),
+        f_mem=results[sizes[-1]].memory_stall_fraction,
+        curve=curve() if curve is not None else None,
+    )
+    predictions, scale_model = predict_all(profile, target_sizes, methods)
+    if include_actuals:
+        for t in target_sizes:
+            results[t] = simulate(t)
+    return ScaleModelStudy(
+        workload=workload,
+        scenario=scenario,
+        scale_sizes=tuple(scale_sizes),
+        target_sizes=tuple(target_sizes),
+        profile=profile,
+        predictions=predictions,
+        actuals=(
+            {t: results[t].ipc for t in target_sizes} if include_actuals else {}
+        ),
+        results=results,
+        scale_model=scale_model,
+    )
+
+
+def _default_simulate(
+    spec: BenchmarkSpec, num_sms: int, work_scale: float
+) -> SimulationResult:
+    config = GPUConfig.paper_system(num_sms)
+    trace = build_trace(
+        spec, work_scale=work_scale, capacity_scale=config.capacity_scale
+    )
+    return simulate_detailed(config, trace)
+
+
+def _default_curve(spec: BenchmarkSpec) -> MissRateCurve:
+    trace = build_trace(spec, capacity_scale=_BASELINE.capacity_scale)
+    return collect_miss_rate_curve(trace, config=_BASELINE)
+
+
+def _predict(
+    spec: BenchmarkSpec,
+    scale_sizes: Sequence[int],
+    target_sizes: Sequence[int],
+    base_size: Optional[int],
+    simulate_fn: Optional[Callable],
+    curve: Optional[Callable],
+    include_actuals: bool,
+    runner,
+) -> ScaleModelStudy:
+    """Both front doors: ``base_size=None`` is strong scaling."""
+    if runner is None:
+        run = simulate_fn or partial(_default_simulate, spec)
+        return study(
+            spec.abbr,
+            "strong" if base_size is None else "weak",
+            lambda n: run(n, work_scale_at(n, base_size)),
+            scale_sizes,
+            target_sizes,
+            curve=curve,
+            include_actuals=include_actuals,
+        )
+    # Deferred: repro.core must stay importable without repro.analysis.
+    from repro.analysis.experiments import RunnerStudy, prefetch
+
+    plan = RunnerStudy(
+        spec, scale_sizes, target_sizes,
+        base_size=base_size, include_actuals=include_actuals,
+    )
+    # The prefetch is an optimization: it fans cache misses across a
+    # worker pool.  If the batch fails (worker faults, timeouts), the
+    # completed results are already merged into the store, so the study
+    # can still proceed — the lazy in-process path below recomputes
+    # whatever is missing and surfaces the underlying error only if the
+    # run fails deterministically.
+    try:
+        prefetch(runner, plan.requests())
+    except ExecutionError as error:
+        warnings.warn(
+            f"{spec.abbr}: parallel prefetch failed ({error}); "
+            "continuing with in-process execution for the missing runs"
+        )
+    return plan.run(runner)
 
 
 def predict_strong_scaling(
@@ -158,44 +243,14 @@ def predict_strong_scaling(
     include_actuals: bool = True,
     runner=None,
 ) -> ScaleModelStudy:
-    """Run the full strong-scaling workflow for one benchmark."""
-    if max(scale_sizes) > min(target_sizes):
-        raise PredictionError(
-            f"scale models {scale_sizes} must be smaller than targets {target_sizes}"
-        )
-    if runner is not None:
-        sizes = list(scale_sizes) + (list(target_sizes) if include_actuals else [])
-        simulate_fn, mrc_fn = _wire_runner(
-            spec, runner, simulate_fn, mrc_fn, sizes, None, want_mrc=True
-        )
-    run = simulate_fn or _default_simulate(spec, "strong")
-    results = {n: run(n, 1.0) for n in scale_sizes}
-    if mrc_fn is None:
-        config = GPUConfig.paper_baseline()
-        trace = build_trace(spec, capacity_scale=config.capacity_scale)
-        curve = collect_miss_rate_curve(trace, config=config)
-    else:
-        curve = mrc_fn()
-    largest = max(scale_sizes)
-    profile = ScaleModelProfile(
-        workload=spec.abbr,
-        sizes=tuple(sorted(scale_sizes)),
-        ipcs=tuple(results[n].ipc for n in sorted(scale_sizes)),
-        f_mem=results[largest].memory_stall_fraction,
-        curve=curve,
+    """Run the full strong-scaling workflow for one benchmark.
+
+    ``runner=`` takes the place of both callables.
+    """
+    return _predict(
+        spec, scale_sizes, target_sizes, None, simulate_fn,
+        mrc_fn or partial(_default_curve, spec), include_actuals, runner,
     )
-    study = ScaleModelStudy(
-        workload=spec.abbr,
-        scenario="strong",
-        scale_sizes=tuple(scale_sizes),
-        target_sizes=tuple(target_sizes),
-        profile=profile,
-        predictions=_run_all_methods(profile, target_sizes),
-    )
-    if include_actuals:
-        for t in target_sizes:
-            study.actuals[t] = run(t, 1.0).ipc
-    return study
 
 
 def predict_weak_scaling(
@@ -208,32 +263,13 @@ def predict_weak_scaling(
     runner=None,
 ) -> ScaleModelStudy:
     """Run the weak-scaling workflow: inputs scale with system size and
-    the miss-rate curve is unnecessary (pre-cliff by construction)."""
+    the miss-rate curve is unnecessary (pre-cliff by construction).
+
+    ``runner=`` takes the place of ``simulate_fn``.
+    """
     if not spec.weak_scalable:
         raise PredictionError(f"{spec.abbr} has no weak-scaling inputs")
-    if runner is not None:
-        sizes = list(scale_sizes) + (list(target_sizes) if include_actuals else [])
-        simulate_fn, __ = _wire_runner(
-            spec, runner, simulate_fn, None, sizes, base_size, want_mrc=False
-        )
-    run = simulate_fn or _default_simulate(spec, "weak")
-    results = {n: run(n, n / base_size) for n in scale_sizes}
-    profile = ScaleModelProfile(
-        workload=spec.abbr,
-        sizes=tuple(sorted(scale_sizes)),
-        ipcs=tuple(results[n].ipc for n in sorted(scale_sizes)),
-        f_mem=results[max(scale_sizes)].memory_stall_fraction,
-        curve=None,
+    return _predict(
+        spec, scale_sizes, target_sizes, base_size, simulate_fn, None,
+        include_actuals, runner,
     )
-    study = ScaleModelStudy(
-        workload=spec.abbr,
-        scenario="weak",
-        scale_sizes=tuple(scale_sizes),
-        target_sizes=tuple(target_sizes),
-        profile=profile,
-        predictions=_run_all_methods(profile, target_sizes),
-    )
-    if include_actuals:
-        for t in target_sizes:
-            study.actuals[t] = run(t, t / base_size).ipc
-    return study

@@ -11,7 +11,6 @@ never as Python objects per access.
 """
 
 from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
-from repro.trace.sampling import SievePlan, sieve_sample
 from repro.trace import patterns
 from repro.trace.io import trace_digest
 
@@ -20,8 +19,6 @@ __all__ = [
     "CTATrace",
     "KernelTrace",
     "WorkloadTrace",
-    "SievePlan",
-    "sieve_sample",
     "patterns",
     "trace_digest",
 ]

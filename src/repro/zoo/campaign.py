@@ -1,9 +1,11 @@
 """The zoo campaign driver: generated workloads through the cached runner.
 
-A campaign draws a stratified batch of generated specs, sweeps every one
-across the plan's system sizes through a :class:`~repro.analysis.runner.
-CachedRunner` (parallel prefetch, retries, breakers and checkpointing
-come for free), then asks two questions per workload:
+A campaign draws a stratified batch of generated specs and runs every
+one as a :class:`~repro.analysis.experiments.RunnerStudy` — the
+Figure-3 flow the paper's figures use, with the plan's ``work_scale``
+and ``seed`` — through a :class:`~repro.analysis.runner.CachedRunner`
+(parallel prefetch, retries, breakers and checkpointing come for free),
+then asks two questions per workload:
 
 * what scaling regime did the detailed simulation *measure*
   (:func:`~repro.analysis.classify.classify_scaling` over the IPC/size
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.classify import classify_scaling
-from repro.analysis.parallel import RunRequest
+from repro.analysis.experiments import RunnerStudy
 from repro.analysis.runner import CachedRunner
 from repro.campaign import CampaignBudget, CampaignJournal, run_units
-from repro.core import ScaleModelPredictor, ScaleModelProfile
+from repro.core.accuracy import prediction_error_pct
 from repro.exceptions import (
     CampaignIncomplete,
     ReproError,
@@ -109,58 +111,38 @@ def plan_payload(plan: CampaignPlan) -> dict:
     }
 
 
-def _requests(
-    plan: CampaignPlan, specs: Sequence[GeneratedSpec]
-) -> List[RunRequest]:
-    requests = [
-        RunRequest(
-            "sim", spec, size=size, work_scale=plan.work_scale, seed=plan.seed
-        )
-        for spec in specs
-        for size in plan.sizes
-    ]
-    requests += [
-        RunRequest("mrc", spec, work_scale=plan.work_scale, seed=plan.seed)
-        for spec in specs
-    ]
-    return requests
+def _study(plan: CampaignPlan, spec: GeneratedSpec) -> RunnerStudy:
+    """One workload of the plan as a Figure-3 study.  The record reports
+    the scale-model method alone, so the baselines are not fitted."""
+    return RunnerStudy(
+        spec,
+        plan.scales,
+        (plan.target,),
+        work_scale=plan.work_scale,
+        seed=plan.seed,
+        methods=("scale-model",),
+    )
 
 
 def _measure(
     plan: CampaignPlan, runner: CachedRunner, spec: GeneratedSpec
 ) -> dict:
     """Sweep, classify and score one generated workload."""
-    sims = {
-        size: runner.simulate(
-            spec, size, work_scale=plan.work_scale, seed=plan.seed
-        )
-        for size in plan.sizes
-    }
-    measured = classify_scaling(
-        [sims[size].ipc for size in plan.sizes], plan.sizes
-    ).value
-    profile = ScaleModelProfile(
-        workload=spec.abbr,
-        sizes=tuple(plan.scales),
-        ipcs=tuple(sims[size].ipc for size in plan.scales),
-        f_mem=sims[max(plan.scales)].memory_stall_fraction,
-        curve=runner.miss_rate_curve(
-            spec, work_scale=plan.work_scale, seed=plan.seed
-        ),
-    )
-    predicted = ScaleModelPredictor(profile).predict(plan.target).ipc
-    actual = sims[plan.target].ipc
+    study = _study(plan, spec).run(runner)
+    ipcs = {size: study.results[size].ipc for size in plan.sizes}
+    predicted = study.predictions["scale-model"][plan.target]
+    actual = study.actuals[plan.target]
     return {
         "abbr": spec.abbr,
         "digest": spec.digest,
         "intent": spec.intent,
-        "measured": measured,
+        "measured": classify_scaling(list(ipcs.values()), plan.sizes).value,
         "families": sorted({phase.family for phase in spec.phases}),
         "phases": len(spec.phases),
-        "ipcs": {str(size): sims[size].ipc for size in plan.sizes},
+        "ipcs": {str(size): ipc for size, ipc in ipcs.items()},
         "predicted_ipc": predicted,
         "actual_ipc": actual,
-        "ape_pct": 100.0 * abs(predicted - actual) / actual,
+        "ape_pct": prediction_error_pct(predicted, actual),
         "payload": spec.payload(),
     }
 
@@ -254,7 +236,9 @@ def run_campaign(
     sealed = journal.completed if journal is not None else {}
     pending = [by_unit[unit] for unit in allowed if unit not in sealed]
     try:
-        runner.prefetch(_requests(plan, pending))
+        runner.prefetch(
+            [run for spec in pending for run in _study(plan, spec).requests()]
+        )
     except ShutdownRequested:
         # Drain arrived mid-prefetch.  Completed runs are already merged
         # into the cache store (the parallel layer guarantees that), and
@@ -318,7 +302,9 @@ def run_campaign(
         },
         "campaign": {
             "wall_s": wall,
-            "runs": len(_requests(plan, specs_done)),
+            "runs": sum(
+                len(_study(plan, spec).requests()) for spec in specs_done
+            ),
             "workloads": len(specs_done),
             "failed": len(failures),
             "workloads_per_sec": len(records) / wall if wall > 0 else 0.0,

@@ -126,6 +126,62 @@ class TestFigure5WithFakes:
         assert "Figure 5: pf" in result.as_text()
 
 
+class TestEveryFrontDoorIsOneFlow:
+    """One fake world through every consumer of the Figure-3 flow: the
+    scale-model prediction and its error are the same bits everywhere."""
+
+    BENCH, TARGET = "dct", 128
+
+    def world(self):
+        return FakeRunner(
+            cliff_at=128, boost=2.5, mpki=(2.0, 2.0, 2.0, 2.0, 0.1)
+        )
+
+    def test_same_prediction_and_error_everywhere(self):
+        from repro.analysis.artifact import strong_benchmark_record
+        from repro.core.workflow import predict_strong_scaling
+        from repro.workloads import STRONG_SCALING
+
+        spec, target = STRONG_SCALING[self.BENCH], self.TARGET
+        study = predict_strong_scaling(spec, runner=self.world())
+        fig4 = exp.figure4_strong_accuracy(
+            target, benchmarks=(self.BENCH,), runner=self.world()
+        )
+        fig5 = exp.figure5_prediction_curves((self.BENCH,), self.world())
+        record = strong_benchmark_record(self.BENCH, self.world())
+        zoo_style = exp.RunnerStudy(
+            spec, (8, 16), (target,), methods=("scale-model",)
+        ).run(self.world())
+
+        predicted = study.predictions["scale-model"][target]
+        assert predicted == fig4.predictions["scale-model"][self.BENCH]
+        assert predicted == fig5.predicted[self.BENCH]["scale-model"][target]
+        assert predicted == record["predictions"]["scale-model"][str(target)]
+        assert predicted == zoo_style.predictions["scale-model"][target]
+        error = study.errors("scale-model")[target]
+        assert error == fig4.errors["scale-model"][self.BENCH]
+        assert error == record["errors"]["scale-model"][str(target)]
+        assert error == zoo_style.errors("scale-model")[target]
+
+    def test_weak_base_size_reaches_prefetch_and_lookup(self):
+        from repro.analysis.artifact import weak_benchmark_record
+
+        class RecordingRunner(FakeRunner):
+            def prefetch(self, requests):
+                self.prefetched = [
+                    (r.spec.abbr, r.size, r.work_scale) for r in requests
+                ]
+
+        runner = RecordingRunner()
+        weak_benchmark_record("va", runner, base_size=16)
+        expected = [("va", n, n / 16) for n in (8, 16, 32, 64, 128)]
+        assert runner.calls == expected
+        exp.run_studies(runner, [exp.RunnerStudy(
+            exp.WEAK_SCALING["va"], (8, 16), (32, 64, 128), base_size=16
+        )])
+        assert runner.prefetched == expected
+
+
 class TestStaticTables:
     def test_table1(self):
         text = exp.table1_text()

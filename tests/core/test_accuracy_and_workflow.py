@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core.accuracy import geometric_mean, prediction_error, summarize_errors
-from repro.core.workflow import predict_strong_scaling, predict_weak_scaling
+from repro.core.model import ScaleModelPredictor
+from repro.core.workflow import predict_strong_scaling, predict_weak_scaling, study
 from repro.exceptions import PredictionError
 from repro.gpu.results import SimulationResult
+from repro.mrc.collector import paper_capacity_points
+from repro.mrc.cliff import Region
 from repro.mrc.curve import MissRateCurve
 from repro.units import MB
 from repro.workloads import get_benchmark
@@ -117,6 +120,78 @@ class TestStrongWorkflow:
         )
         with pytest.raises(PredictionError):
             study.errors("nope")
+
+
+class TestCapacityMapping:
+    """The capacity axis belongs to the configuration the curve was
+    collected on, not to whichever scale model is smallest."""
+
+    #: One clean cliff between the 32- and the 64-SM capacity.
+    CURVE = MissRateCurve(
+        "c", tuple(paper_capacity_points()), (10.0, 9.8, 9.6, 1.0, 0.9)
+    )
+
+    def predict(self, ipcs):
+        def run(num_sms, work_scale):
+            return fake_result(num_sms, ipcs[num_sms], f_mem=0.5)
+
+        return predict_strong_scaling(
+            get_benchmark("lu"), scale_sizes=tuple(ipcs),
+            target_sizes=(64, 128), simulate_fn=run,
+            mrc_fn=lambda: self.CURVE, include_actuals=False,
+        )
+
+    def test_larger_scale_models_see_the_same_cliff(self):
+        from_16_32 = self.predict({16: 190.0, 32: 360.0})
+        # Eq. 3 at 64 SMs: 360 * 2 / (1 - 0.5).  With the axis guessed
+        # from the smallest scale model this read pre-cliff, 682 IPC.
+        assert from_16_32.predictions["scale-model"][64] == pytest.approx(1440)
+        regions = {t: r.region for t, r in from_16_32.scale_model.items()}
+        assert regions == {64: Region.CLIFF, 128: Region.POST_CLIFF}
+        from_8_16 = self.predict({8: 100.0, 16: 190.0})
+        assert regions == {
+            t: r.region for t, r in from_8_16.scale_model.items()
+        }
+
+
+class TestStudyKeepsWhatItHadInHand:
+    def test_results_and_prediction_results_cover_every_size(self):
+        from repro.verify import hooks
+
+        def cliffy(num_sms):
+            ipc = {8: 100, 16: 190, 32: 360, 64: 1500, 128: 2900}[num_sms]
+            return fake_result(num_sms, ipc, f_mem=0.5)
+
+        curve = TestCapacityMapping.CURVE
+        hooks.reset_stats()
+        with hooks.paranoia(True):
+            result = study(
+                "c", "strong", cliffy, (8, 16), (32, 64, 128),
+                curve=lambda: curve,
+            )
+            # Every scale-model prediction went through the checked
+            # ``ScaleModelPredictor.predict``: one per (workload, target).
+            assert hooks.VERIFY_STATS["predictions_checked"] == 3
+        assert list(result.results) == [8, 16, 32, 64, 128]
+        assert result.actuals == {
+            t: result.results[t].ipc for t in (32, 64, 128)
+        }
+        reference = ScaleModelPredictor(result.profile, capacity_per_unit=PER_SM)
+        for target in (32, 64, 128):
+            kept, expected = result.scale_model[target], reference.predict(target)
+            assert kept.region is expected.region
+            assert kept.correction_factor == expected.correction_factor
+            assert kept.ipc == result.predictions["scale-model"][target]
+        assert [r.region for r in result.scale_model.values()] == [
+            Region.PRE_CLIFF, Region.CLIFF, Region.POST_CLIFF,
+        ]
+
+    def test_only_the_requested_methods_are_fitted(self):
+        result = study(
+            "fake", "strong", lambda n: fake_result(n, 30.0 * n), (8, 16),
+            (32,), curve=flat_curve, methods=("scale-model",),
+        )
+        assert list(result.predictions) == ["scale-model"]
 
 
 class TestWeakWorkflow:

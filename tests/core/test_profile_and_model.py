@@ -70,10 +70,6 @@ class TestPreCliff:
         with pytest.raises(PredictionError):
             ScaleModelPredictor(profile()).predict(8)
 
-    def test_predict_many_sorted(self):
-        results = ScaleModelPredictor(profile()).predict_many([128, 32, 64])
-        assert [r.target_size for r in results] == [32, 64, 128]
-
 
 class TestCliff:
     def test_eq3_uses_f_mem(self):

@@ -26,4 +26,4 @@ def test_expected_examples_present():
     names = {p.name for p in EXAMPLES}
     assert {"quickstart.py", "strong_scaling_study.py",
             "weak_scaling_study.py", "mcm_chiplets.py",
-            "custom_workload.py", "sieve_sampling.py"} <= names
+            "custom_workload.py"} <= names

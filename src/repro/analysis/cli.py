@@ -195,7 +195,7 @@ def build_runner(args, *output_dirs: str):
     """Start a campaign process from :func:`add_execution_flags`' flags.
 
     Returns ``(obs, coordinator, runner)``.  The order matters:
-    observability first, so the profiling hooks are installed before the
+    observability first, so recording is switched on before the
     runner constructs its store (shard loads are traced too); then
     resilience — the first SIGINT/SIGTERM drains (exit 75, resumable),
     the second force-quits, and ``REPRO_MAX_RSS`` caps this process the

@@ -79,6 +79,7 @@ run, so a retried run misbehaves identically.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -667,6 +668,7 @@ class _FaultDirective:
     arg: Optional[float]  # fail: attempt bound; hang/slow-io: seconds; io: fire count
 
 
+@functools.lru_cache(maxsize=4)
 def parse_fault_plan(plan: str) -> Tuple[_FaultDirective, ...]:
     """Parse a ``REPRO_FAULT_INJECT`` value (see module docstring)."""
     directives = []
@@ -705,6 +707,16 @@ def parse_fault_plan(plan: str) -> Tuple[_FaultDirective, ...]:
     return tuple(directives)
 
 
+def active_plan() -> Tuple[_FaultDirective, ...]:
+    """The armed ``REPRO_FAULT_INJECT`` directives; empty when unset.
+
+    The one reader of the variable.  Parsing is memoised on the raw
+    string, so the seams that ask per call (every ``fsio`` write while a
+    plan is armed) pay one environment lookup.
+    """
+    return parse_fault_plan(os.environ.get(FAULT_INJECT_ENV, ""))
+
+
 def maybe_inject(
     key: str,
     kind: str,
@@ -720,11 +732,8 @@ def maybe_inject(
     ``die`` directive into a raised :class:`InjectedFaultError` so the
     host process survives.
     """
-    plan = os.environ.get(FAULT_INJECT_ENV)
-    if not plan:
-        return
     targets = (key, f"{kind}|{shard}")
-    for directive in parse_fault_plan(plan):
+    for directive in active_plan():
         if directive.action in _IO_ACTIONS:
             # Filesystem seams, consumed through next_io_fault.
             continue
@@ -770,11 +779,8 @@ def engine_fault_budget(action: str, *targets: str) -> int:
     workload trace name, at minimum).  Budgets of several matching
     directives add up; the default per directive is 1.
     """
-    plan = os.environ.get(FAULT_INJECT_ENV)
-    if not plan:
-        return 0
     total = 0
-    for directive in parse_fault_plan(plan):
+    for directive in active_plan():
         if directive.action != action or directive.action not in _ENGINE_ACTIONS:
             continue
         if not any(t.startswith(directive.prefix) for t in targets):
@@ -798,13 +804,10 @@ def kernel_kill_hook(
     just-saved boundary is in the directive's kill set — *after* the
     snapshot became durable, so the retry exercises real resume.
     """
-    plan = os.environ.get(FAULT_INJECT_ENV)
-    if not plan:
-        return None
     targets = (key, f"{kind}|{shard}")
     boundaries = {
         int(directive.arg)
-        for directive in parse_fault_plan(plan)
+        for directive in active_plan()
         if directive.action == "die-at-kernel"
         and any(t.startswith(directive.prefix) for t in targets)
     }
@@ -852,10 +855,7 @@ def next_io_fault(op: str) -> Optional[Tuple[str, Optional[float]]]:
     retried flush models a disk that recovered.  First matching
     directive wins.
     """
-    plan = os.environ.get(FAULT_INJECT_ENV)
-    if not plan:
-        return None
-    for directive in parse_fault_plan(plan):
+    for directive in active_plan():
         if directive.action not in _IO_ACTIONS:
             continue
         if not op.startswith(directive.prefix):

@@ -78,6 +78,7 @@ from repro.analysis.faults import (
 from repro.analysis.simcache import ResultStore, sibling_dir
 from repro.checkpoint import CheckpointPolicy
 from repro.exceptions import ExecutionError, ReproError, ShutdownRequested
+from repro.obs.metrics import get_registry
 from repro.obs.profile_hooks import ensure_worker
 from repro.obs.tracing import get_tracer
 from repro.resilience import apply_memory_limit, get_coordinator
@@ -173,7 +174,7 @@ def execute_attempt(
     a snapshot a dead predecessor left behind.
 
     This is also the pool workers' observability entry point:
-    :func:`repro.obs.profile_hooks.ensure_worker` arms the hooks when
+    :func:`repro.obs.profile_hooks.ensure_worker` turns recording on when
     ``REPRO_OBS`` is set (one env lookup otherwise) and the attempt's
     spans spill to ``REPRO_OBS_SPILL`` before the worker moves on, so
     the parent's exporter sees them even if the worker dies later.
@@ -181,9 +182,8 @@ def execute_attempt(
     ensure_worker()
     # Same self-arm for paranoia mode: pool workers inherit REPRO_VERIFY
     # through the environment, so a --verify campaign checks every run
-    # regardless of which process executes it.  Curve checks in
-    # particular hook ``runner.compute_mrc``, which never passes through
-    # a simulator's own self-arm.
+    # regardless of which process executes it.  MRC collections in
+    # particular never pass through a simulator's own self-arm.
     ensure_paranoia()
     tracer = get_tracer()
     try:
@@ -366,7 +366,9 @@ class ParallelRunner:
             if not self.store.contains(key)
         ]
         tracer = get_tracer()
+        start_us = 0.0
         if tracer.enabled:
+            start_us = tracer.now_us()
             tracer.instant(
                 "batch.submit", cat="run",
                 args={"requested": len(unique), "pending": len(pending)},
@@ -407,6 +409,14 @@ class ParallelRunner:
         )
         self.last_report = report
         settle_outcomes(self.store, self.ledger, report.outcomes)
+        if tracer.enabled:
+            # Before any failure propagates: a batch that raises counts too.
+            wall_us = tracer.now_us() - start_us
+            tracer.complete("batch", "run", start_us, wall_us)
+            registry = get_registry()
+            registry.observe("batch.wall_us", wall_us)
+            for status, count in report.counts().items():
+                registry.inc(f"batch.{status}", count)
         if shutdown is not None:
             raise shutdown
         failures = report.failures

@@ -198,50 +198,54 @@ class ResultStore:
         results stay queryable and the next flush retries, so transient
         pressure costs durability only until space recovers.
         """
-        if not self._pending or not self.root:
-            self._pending.clear()
-            return 0
-        if not get_disk_guard().ok(self.root):
-            # Low disk: keep computing from memory, skip persistence.
-            self._stats["skipped_flushes"] += 1
-            return 0
-        os.makedirs(self.root, exist_ok=True)
-        by_shard: Dict[str, List[Tuple[str, str, dict]]] = {}
-        for record in self._pending:
-            by_shard.setdefault(record[0], []).append(record)
-        written = 0
-        remaining: List[Tuple[str, str, dict]] = []
-        for shard, records in sorted(by_shard.items()):
-            path = os.path.join(self.root, _shard_filename(shard))
-            text = "".join(
-                _record_line(key, payload) for _, key, payload in records
-            )
-            if shard in self._dirty_shards:
-                # The previous append may have torn its last line; a
-                # leading newline isolates the fragment as one corrupt
-                # line instead of letting it corrupt this record too.
-                text = "\n" + text
-            try:
-                fsio.append_text(path, text, op="store")
-            except OSError as error:
-                self._dirty_shards.add(shard)
-                self._stats["write_errors"] += 1
-                remaining.extend(records)
-                get_disk_guard().note_failure(self.root)
-                if not self._warned_write_failure:
-                    self._warned_write_failure = True
-                    warnings.warn(
-                        f"simcache: append to shard {path} failed "
-                        f"({error}); keeping records pending and "
-                        "continuing from memory"
-                    )
-            else:
-                self._dirty_shards.discard(shard)
-                written += len(records)
-        self._pending = remaining
-        if written:
-            self._stats["flushes"] += 1
-            self._stats["appended_records"] += written
+        tracer = get_tracer()
+        with tracer.span("cache.flush", cat="cache"):
+            if not self._pending or not self.root:
+                self._pending.clear()
+                return 0
+            if not get_disk_guard().ok(self.root):
+                # Low disk: keep computing from memory, skip persistence.
+                self._stats["skipped_flushes"] += 1
+                return 0
+            os.makedirs(self.root, exist_ok=True)
+            by_shard: Dict[str, List[Tuple[str, str, dict]]] = {}
+            for record in self._pending:
+                by_shard.setdefault(record[0], []).append(record)
+            written = 0
+            remaining: List[Tuple[str, str, dict]] = []
+            for shard, records in sorted(by_shard.items()):
+                path = os.path.join(self.root, _shard_filename(shard))
+                text = "".join(
+                    _record_line(key, payload) for _, key, payload in records
+                )
+                if shard in self._dirty_shards:
+                    # The previous append may have torn its last line; a
+                    # leading newline isolates the fragment as one corrupt
+                    # line instead of letting it corrupt this record too.
+                    text = "\n" + text
+                try:
+                    fsio.append_text(path, text, op="store")
+                except OSError as error:
+                    self._dirty_shards.add(shard)
+                    self._stats["write_errors"] += 1
+                    remaining.extend(records)
+                    get_disk_guard().note_failure(self.root)
+                    if not self._warned_write_failure:
+                        self._warned_write_failure = True
+                        warnings.warn(
+                            f"simcache: append to shard {path} failed "
+                            f"({error}); keeping records pending and "
+                            "continuing from memory"
+                        )
+                else:
+                    self._dirty_shards.discard(shard)
+                    written += len(records)
+            self._pending = remaining
+            if written:
+                self._stats["flushes"] += 1
+                self._stats["appended_records"] += written
+        if tracer.enabled:
+            get_registry().inc("cache.flushed_records", written)
         return written
 
     def clear(self) -> None:
@@ -286,43 +290,48 @@ class ResultStore:
             self._load_one_shard(os.path.join(self.root, fname))
 
     def _load_one_shard(self, path: str) -> None:
-        try:
-            with open(path) as fh:
-                raw_lines = fh.readlines()
-        except OSError as error:
-            warnings.warn(f"simcache: cannot read shard {path}: {error}")
-            return
-        good: List[Tuple[str, dict]] = []
-        bad = 0
-        digest_bad = 0
-        for line in raw_lines:
-            if not line.strip():
-                continue
+        with get_tracer().span(
+            "cache.load_shard", cat="cache", shard=os.path.basename(path)
+        ):
             try:
-                record = json.loads(line)
-                key, payload = record["key"], record["payload"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                bad += 1
-                continue
-            if not isinstance(key, str) or not isinstance(payload, dict):
-                bad += 1
-                continue
-            # Records written before content digests existed carry none;
-            # they load unverified (re-written on quarantine with one).
-            digest = record.get("digest")
-            if digest is not None and digest != content_digest(payload):
-                digest_bad += 1
-                continue
-            good.append((key, payload))
-        for key, payload in good:
-            self._entries[key] = payload
-        self._stats["shards_loaded"] += 1
-        if digest_bad:
-            self._stats["digest_mismatches"] += digest_bad
-        if bad:
-            self._stats["corrupt_lines"] += bad
-        if bad or digest_bad:
-            self._quarantine(path, good)
+                with open(path) as fh:
+                    raw_lines = fh.readlines()
+            except OSError as error:
+                warnings.warn(f"simcache: cannot read shard {path}: {error}")
+                return
+            good: List[Tuple[str, dict]] = []
+            bad = 0
+            digest_bad = 0
+            for line in raw_lines:
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                    key, payload = record["key"], record["payload"]
+                except (json.JSONDecodeError, KeyError, TypeError):
+                    bad += 1
+                    continue
+                if not isinstance(key, str) or not isinstance(payload, dict):
+                    bad += 1
+                    continue
+                # Records written before content digests existed carry none;
+                # they load unverified (re-written on quarantine with one).
+                digest = record.get("digest")
+                if digest is not None and digest != content_digest(payload):
+                    digest_bad += 1
+                    continue
+                good.append((key, payload))
+            for key, payload in good:
+                self._entries[key] = payload
+            self._stats["shards_loaded"] += 1
+            if get_tracer().enabled:
+                get_registry().inc("cache.shards_loaded")
+            if digest_bad:
+                self._stats["digest_mismatches"] += digest_bad
+            if bad:
+                self._stats["corrupt_lines"] += bad
+            if bad or digest_bad:
+                self._quarantine(path, good)
 
     def _quarantine(self, path: str, salvaged: List[Tuple[str, dict]]) -> None:
         """Move a corrupt shard aside and rewrite only its salvaged records."""

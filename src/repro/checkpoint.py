@@ -42,6 +42,7 @@ from typing import Callable, List, Optional
 
 from repro import fsio
 from repro.exceptions import CheckpointError
+from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
 from repro.resilience import get_disk_guard
 
@@ -204,31 +205,42 @@ class Checkpointer:
         version-drifted files.
         """
         kernels_completed = int(payload["kernels_completed"])
-        payload = dict(payload, run_key=self.run_key)
-        record = {
-            "schema": SCHEMA_VERSION,
-            "sha256": _payload_digest(payload),
-            "payload": payload,
-        }
-        path = self.path_for(kernels_completed)
-        if not get_disk_guard().ok(self.directory):
+        tracer = get_tracer()
+        with tracer.span(
+            "checkpoint.save", cat="checkpoint", boundary=kernels_completed
+        ):
+            payload = dict(payload, run_key=self.run_key)
+            record = {
+                "schema": SCHEMA_VERSION,
+                "sha256": _payload_digest(payload),
+                "payload": payload,
+            }
+            path = self.path_for(kernels_completed)
             # Low disk: the simulation keeps running, just unprotected —
             # the next interval retries once space recovers.
-            return False
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            fsio.atomic_write_text(path, json.dumps(record), op="checkpoint")
-        except (OSError, TypeError, ValueError) as error:
-            get_disk_guard().note_failure(self.directory)
-            warnings.warn(
-                f"checkpoint: cannot write {path}: {error}; "
-                "continuing without this snapshot"
+            durable = get_disk_guard().ok(self.directory)
+            if durable:
+                try:
+                    os.makedirs(self.directory, exist_ok=True)
+                    fsio.atomic_write_text(
+                        path, json.dumps(record), op="checkpoint"
+                    )
+                except (OSError, TypeError, ValueError) as error:
+                    durable = False
+                    get_disk_guard().note_failure(self.directory)
+                    warnings.warn(
+                        f"checkpoint: cannot write {path}: {error}; "
+                        "continuing without this snapshot"
+                    )
+        if tracer.enabled:
+            get_registry().inc(
+                "checkpoint.saves" if durable else "checkpoint.save_failures"
             )
-            return False
-        self.saves += 1
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(kernels_completed)
-        return True
+        if durable:
+            self.saves += 1
+            if self.on_checkpoint is not None:
+                self.on_checkpoint(kernels_completed)
+        return durable
 
     # --- reading ---------------------------------------------------------------
     def available(self) -> List[int]:
@@ -253,11 +265,14 @@ class Checkpointer:
         """
         if not self.resume:
             return None
-        for kernels_completed in self.available():
-            path = self.path_for(kernels_completed)
-            payload = self._load_one(path)
-            if payload is not None:
-                return payload
+        tracer = get_tracer()
+        with tracer.span("checkpoint.load", cat="checkpoint"):
+            for kernels_completed in self.available():
+                payload = self._load_one(self.path_for(kernels_completed))
+                if payload is not None:
+                    if tracer.enabled:
+                        get_registry().inc("checkpoint.loads")
+                    return payload
         return None
 
     def _load_one(self, path: str) -> Optional[dict]:

@@ -10,6 +10,7 @@ from repro.exceptions import PredictionError
 from repro.mrc.cliff import CliffAnalysis, Region, analyze_regions
 from repro.core.profile import ScaleModelProfile
 from repro.validate import degenerate_curve_reason
+from repro.verify import runtime as verify_runtime
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class ScaleModelPredictor:
                 "anchor_size": float(cliff_size),
                 "anchor_ipc": ipc_k,
             }
-        return PredictionResult(
+        result = PredictionResult(
             workload=profile.workload,
             target_size=target_size,
             ipc=ipc,
@@ -133,6 +134,11 @@ class ScaleModelPredictor:
             correction_factor=correction,
             details=details,
         )
+        if verify_runtime.paranoid:
+            from repro.verify import invariants
+
+            invariants.check_prediction(self, result)
+        return result
 
     def _first_size_beyond_cliff(self) -> int:
         """System size whose LLC is the first capacity past the cliff."""

@@ -13,6 +13,11 @@ therefore tracks the *live* entry count separately — ``len(queue)``
 reports only events that will still fire, so a queue holding nothing but
 cancelled corpses is empty for every caller that matters (the kernel's
 snapshot gate above all).
+
+:class:`CheckedEventQueue` is the same queue with paranoia mode's
+per-event checks in its ``pop_entry``; a kernel constructed while
+``repro.verify.runtime.paranoid`` is on pops from one, so the kernel has
+one run loop and the unchecked queue carries no verification code.
 """
 
 from __future__ import annotations
@@ -21,14 +26,12 @@ import heapq
 from typing import Any, Callable, List, Optional
 
 from repro.exceptions import InvariantError
+from repro.verify.runtime import VERIFY_STATS
 
-#: Paranoia mode (set by ``repro.verify.hooks.install``): firing a
-#: cancelled event becomes a hard :class:`InvariantError` instead of a
-#: counted no-op, and the kernel's checked run loop calls
-#: :meth:`EventQueue.consistency_check` periodically.  A module flag
-#: rather than per-queue state so the zero-overhead-off contract holds:
-#: the fast path reads it only on the (cold) cancelled-fire branch.
-PARANOIA = False
+#: Pops between full O(n) consistency scans of a :class:`CheckedEventQueue`.
+#: Small enough to localize a corruption to a tight event window, large
+#: enough that paranoia mode stays usable on the quick tier.
+QUEUE_CHECK_INTERVAL = 2048
 
 _TIME = 0
 _SEQ = 1
@@ -80,21 +83,17 @@ class Event:
         An event cancelled *between* being popped and being fired (the
         pop hands ownership to the caller, so a model component may still
         hold a handle and cancel it) is a counted no-op — the owning
-        queue's ``cancelled_fires`` tally — or, under paranoia mode, a
-        hard :class:`repro.exceptions.InvariantError`: the simulation
-        kernel never fires through :class:`Event`, so a cancelled fire
-        here means a model component is replaying a handle it gave up.
+        queue's ``cancelled_fires`` tally — or, on a
+        :class:`CheckedEventQueue`, a hard
+        :class:`repro.exceptions.InvariantError`: the simulation kernel
+        never fires through :class:`Event`, so a cancelled fire here
+        means a model component is replaying a handle it gave up.
         """
         entry = self._entry
         callback = entry[_CALLBACK]
         if callback is None:
-            if PARANOIA:
-                raise InvariantError(
-                    f"fired a cancelled event (time={entry[_TIME]}, "
-                    f"seq={entry[_SEQ]})"
-                )
             if self._queue is not None:
-                self._queue.cancelled_fires += 1
+                self._queue._cancelled_fire(entry)
             return
         callback(*entry[_ARGS])
 
@@ -130,6 +129,10 @@ class EventQueue:
     def _discard_live(self) -> None:
         """A live in-heap entry was cancelled; forget it from the count."""
         self._live -= 1
+
+    def _cancelled_fire(self, entry: list) -> None:
+        """A handle to a cancelled entry was fired anyway: count it."""
+        self.cancelled_fires += 1
 
     def post(self, time: float, callback: Callable[..., None], args: tuple) -> list:
         """Schedule ``callback(*args)`` at absolute ``time`` without a handle.
@@ -240,8 +243,8 @@ class EventQueue:
     def consistency_check(self) -> None:
         """Assert the live count and heap bookkeeping agree (paranoia).
 
-        O(heap size); called periodically by the checked run loop that
-        :mod:`repro.verify.hooks` installs, never on the fast path.
+        O(heap size); called by :class:`CheckedEventQueue` and the
+        kernel-boundary sweep, never on the fast path.
         Verifies three facts the event loop's correctness rests on:
         every heap member is marked in-heap, the tracked live count
         equals the number of uncancelled heap members, and the heap
@@ -271,3 +274,54 @@ class EventQueue:
                 f"event-queue live count drifted: tracked {self._live}, "
                 f"heap scan found {live} live of {len(heap)} entries"
             )
+
+
+class CheckedEventQueue(EventQueue):
+    """Paranoia mode's queue: every pop is checked.
+
+    ``clock`` is the owning kernel, read for ``now``.  Each pop asserts
+    that the entry is live and would not run the clock backwards; every
+    :data:`QUEUE_CHECK_INTERVAL` pops, and once when the queue drains
+    (the end of a run), the whole heap is scanned.  Delivery order and
+    bookkeeping are the base queue's — differential replay diffs checked
+    runs against unchecked ones and any drift here would read as an
+    engine bug.
+    """
+
+    def __init__(self, clock) -> None:
+        super().__init__()
+        self._clock = clock
+        self._pops = 0
+
+    def _scan(self) -> None:
+        self.consistency_check()
+        VERIFY_STATS["queue_scans"] += 1
+
+    def pop_entry(self) -> Optional[list]:
+        entry = super().pop_entry()
+        if entry is None:
+            self._scan()
+            VERIFY_STATS["runs_checked"] += 1
+            return None
+        if entry[_CALLBACK] is None:
+            raise InvariantError(
+                f"pop_entry returned a cancelled entry (time={entry[_TIME]}, "
+                f"seq={entry[_SEQ]}); the queue's lazy-cancellation "
+                "compaction is broken"
+            )
+        if entry[_TIME] < self._clock.now:
+            raise InvariantError(
+                f"clock would run backwards: event (time={entry[_TIME]}, "
+                f"seq={entry[_SEQ]}) fired at now={self._clock.now}"
+            )
+        VERIFY_STATS["events_checked"] += 1
+        self._pops += 1
+        if self._pops % QUEUE_CHECK_INTERVAL == 0:
+            self._scan()
+        return entry
+
+    def _cancelled_fire(self, entry: list) -> None:
+        raise InvariantError(
+            f"fired a cancelled event (time={entry[_TIME]}, "
+            f"seq={entry[_SEQ]})"
+        )

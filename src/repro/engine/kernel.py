@@ -1,19 +1,23 @@
-"""The simulation kernel: clock plus event loop."""
+"""The simulation kernel: clock plus event loop.
+
+There is one run loop.  Observability is a site in it — per-``run()``
+accounting behind ``get_tracer().enabled``, read once per call, never
+per event — and paranoia mode is the queue the kernel picks at
+construction: a :class:`~repro.engine.event.CheckedEventQueue` when
+``repro.verify.runtime.paranoid`` is on, whose ``pop_entry`` carries the
+per-event checks, and the plain queue otherwise.
+"""
 
 from __future__ import annotations
 
 import time as _time
 from typing import Any, Callable, Optional
 
-from repro.engine.event import Event, EventQueue
+from repro.engine.event import CheckedEventQueue, Event, EventQueue
 from repro.exceptions import SimulationError
-
-#: Optional observability hook, set by ``repro.obs.profile_hooks.install``.
-#: Called as ``_run_observer(kernel, fired, duration_s)`` after each
-#: :meth:`SimulationKernel.run` returns.  ``None`` (the default) keeps the
-#: event loop's disabled-observability cost at a single ``is None`` check
-#: per ``run()`` call — never per event.
-_run_observer: Optional[Callable[["SimulationKernel", int, float], None]] = None
+from repro.obs.metrics import get_registry
+from repro.obs.tracing import get_tracer
+from repro.verify import runtime as verify_runtime
 
 
 class SimulationKernel:
@@ -27,7 +31,10 @@ class SimulationKernel:
     """
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
+        # Picked once: a kernel is checked iff paranoia mode is on now.
+        self._queue = (
+            CheckedEventQueue(self) if verify_runtime.paranoid else EventQueue()
+        )
         #: Current simulation time in cycles.  A plain attribute, not a
         #: property: every model callback reads it once per event.
         self.now = 0.0
@@ -73,8 +80,9 @@ class SimulationKernel:
         self._running = True
         fired = 0
         queue = self._queue
-        observer = _run_observer
-        start = _time.perf_counter() if observer is not None else 0.0
+        tracer = get_tracer()
+        recording = tracer.enabled
+        start = _time.perf_counter() if recording else 0.0
         try:
             while self._running:
                 if max_events is not None and fired >= max_events:
@@ -101,8 +109,16 @@ class SimulationKernel:
                 fired += 1
         finally:
             self._running = False
-            if observer is not None:
-                observer(self, fired, _time.perf_counter() - start)
+            if recording:
+                duration_us = (_time.perf_counter() - start) * 1e6
+                registry = get_registry()
+                registry.inc("engine.events", fired)
+                registry.observe("engine.run_us", duration_us)
+                tracer.complete(
+                    "engine.run", "kernel",
+                    tracer.now_us() - duration_us, duration_us,
+                    args={"events": fired},
+                )
 
     def stop(self) -> None:
         """Ask a running :meth:`run` loop to return after the current event."""

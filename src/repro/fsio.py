@@ -52,11 +52,6 @@ __all__ = [
 
 NO_FSYNC_ENV = "REPRO_NO_FSYNC"
 
-#: Mirrors :data:`repro.analysis.faults.FAULT_INJECT_ENV`; duplicated as
-#: a literal so this leaf module never imports the analysis package at
-#: import time (simcache/checkpoint/export all import this module).
-_FAULT_ENV = "REPRO_FAULT_INJECT"
-
 
 def fsync_enabled() -> bool:
     """False when ``REPRO_NO_FSYNC=1`` disables the durability syncs."""
@@ -87,11 +82,11 @@ def fsync_dir(path: str) -> None:
 def _io_fault(op: Optional[str]) -> Optional[Tuple[str, Optional[float]]]:
     """The armed io-fault ``(action, arg)`` for ``op``, or ``None``.
 
-    Imports the fault grammar lazily: the common case (no plan armed)
-    must cost one environment lookup, and a module-level import would
-    cycle through ``repro.analysis``.
+    Imports the fault grammar lazily: a module-level import would cycle
+    through ``repro.analysis`` (simcache/checkpoint/export all import
+    this leaf).  With no plan armed the cost is one environment lookup.
     """
-    if not op or not os.environ.get(_FAULT_ENV):
+    if not op:
         return None
     from repro.analysis.faults import next_io_fault
 

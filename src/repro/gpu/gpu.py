@@ -9,6 +9,13 @@ memory accesses resolved analytically by the shared memory subsystem.
 
 The event count is about one heap event per warp memory access, which is
 what keeps the pure-Python simulator usable for the paper's full sweep.
+
+Instrumentation is inline and guarded: the run and kernel spans sit
+behind the tracer's ``enabled`` switch (read once per ``run()``), and the
+kernel-boundary sweep and result checks behind
+``repro.verify.runtime.paranoid``.  Constructing the simulator self-arms
+paranoia mode from ``REPRO_VERIFY`` *before* the event kernel is built,
+because the kernel picks its (checked or plain) queue at construction.
 """
 
 from __future__ import annotations
@@ -27,16 +34,7 @@ from repro.gpu.results import SimulationResult
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.trace.kernel import WarpTrace, WorkloadTrace
 from repro.validate import validate_config, validate_trace
-from repro.verify.runtime import ensure_paranoia
-
-#: Optional kernel-boundary observer, set by ``repro.verify.hooks.install``.
-#: Called as ``_boundary_observer(sim, kernels_completed)`` after kernel
-#: ``kernels_completed - 1`` drains — the event queue is empty there, so
-#: the whole simulator state is plain counters and cache contents — for
-#: every boundary *including* the final one (which ``_maybe_checkpoint``
-#: never sees).  ``None`` (the default) keeps the disabled-verification
-#: cost at a single ``is None`` check per kernel boundary, never per event.
-_boundary_observer = None
+from repro.verify import runtime as verify_runtime
 
 
 class _WarpRun:
@@ -76,6 +74,10 @@ class GPUSimulator:
         validate_config(config)
         self.config = config
         self._issue_width = config.issue_width
+        # Self-arm paranoia mode (REPRO_VERIFY=1) before the kernel picks
+        # its queue, so direct simulate() callers and pool workers are
+        # checked too, not just runner-mediated paths.
+        verify_runtime.ensure_paranoia()
         self.kernel_clock = SimulationKernel()
         if memory_factory is None and memory is None:
             memory_factory = lambda: MemorySubsystem(config)  # noqa: E731
@@ -113,12 +115,6 @@ class GPUSimulator:
         # generates them: wall_time_s has always covered trace generation.
         wall_start = _time.perf_counter()
         validate_trace(workload)
-        # Self-arm paranoia mode (REPRO_VERIFY=1): installing here means
-        # direct simulate() callers and pool workers get the checked run
-        # loop too, not just runner-mediated paths.  The class-level
-        # patches take effect for the kernel_clock.run() call below even
-        # though this frame entered through the unpatched run().
-        ensure_paranoia()
         self._arm_engine_faults(workload)
         self._workload = workload
         self._checkpointer = checkpointer
@@ -235,9 +231,13 @@ class GPUSimulator:
         # Kernel drained: move to the next one, or finish the workload.
         self._trace_kernel_end()
         self._kernel_index += 1
-        observer = _boundary_observer
-        if observer is not None:
-            observer(self, self._kernel_index)
+        if verify_runtime.paranoid:
+            # Every boundary *including* the final one: the event queue
+            # is empty here, so the whole simulator state is plain
+            # counters and cache contents.
+            from repro.verify import invariants
+
+            invariants.check_boundary(self, self._kernel_index)
         if self._kernel_index < len(self._workload.kernels):
             # The boundary is the checkpoint cut: the event queue is
             # empty (every warp of every CTA has retired), so the whole
@@ -457,7 +457,7 @@ class GPUSimulator:
         f_mem = stall_weighted / active_total if active_total > 0 else 0.0
         threads = self.config.threads_per_warp
         mem = self.memory
-        return SimulationResult(
+        result = SimulationResult(
             workload=self._workload.name,
             system=self.config.name,
             num_sms=self.config.num_sms,
@@ -474,6 +474,12 @@ class GPUSimulator:
             wall_time_s=wall_time_s,
             extra=mem.extra_stats(end),
         )
+        if verify_runtime.paranoid:
+            from repro.verify import invariants
+
+            invariants.check_conservation(self)
+            invariants.check_result(result)
+        return result
 
 
 def simulate(

@@ -27,6 +27,8 @@ from repro.mrc.stack_distance import (
 )
 from repro.mrc.statstack import reuse_miss_ratios
 from repro.trace.kernel import WorkloadTrace
+from repro.verify import runtime as verify_runtime
+
 
 def paper_capacity_points(
     baseline: Optional[GPUConfig] = None,
@@ -131,7 +133,7 @@ def collect_miss_rate_curve(
     kilo_instructions = thread_instructions / 1000.0
     mpki = [m / kilo_instructions for m in misses]
     elapsed = _time.perf_counter() - start
-    return MissRateCurve(
+    curve = MissRateCurve(
         workload=workload.name,
         capacities_bytes=tuple(caps),
         mpki=tuple(mpki),
@@ -144,3 +146,9 @@ def collect_miss_rate_curve(
             "collection_seconds": elapsed,
         },
     )
+    if verify_runtime.paranoid:
+        # Every curve is built here, whoever asked for it.
+        from repro.verify import invariants
+
+        invariants.check_curve(curve)
+    return curve

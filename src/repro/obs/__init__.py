@@ -9,9 +9,9 @@ time go":
   buffers and JSONL spill (:func:`get_tracer`);
 * :mod:`repro.obs.export` — Chrome ``trace_event`` / Perfetto JSON and
   flat metrics reports;
-* :mod:`repro.obs.profile_hooks` — the ``REPRO_OBS`` opt-in wrappers
-  around the simulator event loop, the parallel runner, store I/O and
-  checkpointing (zero overhead when disabled);
+* :mod:`repro.obs.profile_hooks` — the ``REPRO_OBS`` switch over the
+  guarded recording sites in the simulator event loop, the parallel
+  runner, store I/O and checkpointing;
 * :mod:`repro.obs.logging` — the one structured-logging setup
   (``--log-format human|json``).
 

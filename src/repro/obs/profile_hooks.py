@@ -1,12 +1,12 @@
-"""Opt-in profiling hooks: zero overhead unless ``REPRO_OBS`` asks.
+"""Observability on and off: the ``REPRO_OBS`` switch over the tracer.
 
-The hot paths this module instruments — the simulation event loop, the
-parallel runner's dispatch, result-store I/O and checkpoint
-save/restore — are *not* modified when observability is off: the
-wrappers are installed by monkey-patching the real entry points only
-when :func:`install` runs, so the disabled cost is literally nothing.
-(The handful of in-line recording sites elsewhere in the repository all
-guard on ``tracer.enabled``, one attribute check.)
+A recording site is a call behind one switch read, in the module that
+owns the code: ``get_tracer().enabled`` (or ``tracer.span(...)``, which
+reads it) at the event loop's per-run accounting, the parallel runner's
+batch, result-store I/O, checkpoint save/restore and the simulator's
+run/kernel spans.  :func:`install` turns that switch on and
+:func:`uninstall` turns it off; nothing is patched in or out, so the
+disabled cost of a site is the one attribute check.
 
 Activation:
 
@@ -20,14 +20,13 @@ Activation:
 
 Workers self-arm: :func:`repro.analysis.parallel.execute_attempt` calls
 :func:`ensure_worker` (one env lookup when the variable is unset) so a
-forked/spawned pool worker installs the same hooks and spills its spans
-after every attempt.
+forked/spawned pool worker records too and spills its spans after every
+attempt.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from typing import Optional
 
 from repro.obs.metrics import get_registry
@@ -45,158 +44,36 @@ __all__ = [
 OBS_ENV = "REPRO_OBS"
 SPILL_ENV = "REPRO_OBS_SPILL"
 
-_FALSY = {"", "0", "false", "off", "no"}
-
-_installed = False
-_originals: dict = {}
-
 
 def obs_enabled(value: Optional[str] = None) -> bool:
     """Is observability requested? (``REPRO_OBS``, tolerantly parsed)."""
-    if value is None:
-        value = os.environ.get(OBS_ENV, "")
-    return value.strip().lower() not in _FALSY
+    # Deferred: repro.resilience imports repro.obs at module scope.
+    from repro.resilience import env_flag
 
+    return env_flag(OBS_ENV, value)
 
-# --- wrappers -------------------------------------------------------------------
-
-def _observe_engine_run(kernel, fired: int, duration_s: float) -> None:
-    """Per-``SimulationKernel.run`` accounting (events + loop time)."""
-    registry = get_registry()
-    registry.inc("engine.events", fired)
-    registry.observe("engine.run_us", duration_s * 1e6)
-    get_tracer().complete(
-        "engine.run",
-        "kernel",
-        get_tracer().now_us() - duration_s * 1e6,
-        duration_s * 1e6,
-        args={"events": fired},
-    )
-
-
-def _wrap_store(store_cls) -> None:
-    _originals["store.flush"] = store_cls.flush
-    _originals["store._load_one_shard"] = store_cls._load_one_shard
-
-    def flush(self):
-        with get_tracer().span("cache.flush", cat="cache"):
-            written = _originals["store.flush"](self)
-        get_registry().inc("cache.flushed_records", written)
-        return written
-
-    def _load_one_shard(self, path):
-        with get_tracer().span(
-            "cache.load_shard", cat="cache",
-            shard=os.path.basename(path),
-        ):
-            result = _originals["store._load_one_shard"](self, path)
-        get_registry().inc("cache.shards_loaded")
-        return result
-
-    store_cls.flush = flush
-    store_cls._load_one_shard = _load_one_shard
-
-
-def _wrap_checkpointer(ckpt_cls) -> None:
-    _originals["ckpt.save"] = ckpt_cls.save
-    _originals["ckpt.load_latest"] = ckpt_cls.load_latest
-
-    def save(self, payload):
-        with get_tracer().span(
-            "checkpoint.save", cat="checkpoint",
-            boundary=int(payload.get("kernels_completed", -1)),
-        ):
-            durable = _originals["ckpt.save"](self, payload)
-        get_registry().inc(
-            "checkpoint.saves" if durable else "checkpoint.save_failures"
-        )
-        return durable
-
-    def load_latest(self):
-        with get_tracer().span("checkpoint.load", cat="checkpoint"):
-            payload = _originals["ckpt.load_latest"](self)
-        if payload is not None:
-            get_registry().inc("checkpoint.loads")
-        return payload
-
-    ckpt_cls.save = save
-    ckpt_cls.load_latest = load_latest
-
-
-def _wrap_parallel_runner(runner_cls) -> None:
-    _originals["runner.run_batch_report"] = runner_cls.run_batch_report
-
-    def run_batch_report(self, requests):
-        start = time.perf_counter()
-        with get_tracer().span("batch", cat="run"):
-            report = _originals["runner.run_batch_report"](self, requests)
-        registry = get_registry()
-        registry.observe(
-            "batch.wall_us", (time.perf_counter() - start) * 1e6
-        )
-        for status, count in report.counts().items():
-            registry.inc(f"batch.{status}", count)
-        return report
-
-    runner_cls.run_batch_report = run_batch_report
-
-
-# --- installation ---------------------------------------------------------------
 
 def install(spill_dir: Optional[str] = None) -> None:
-    """Enable recording and patch the profiling wrappers in (idempotent)."""
-    global _installed
+    """Turn recording on, span durations feeding the registry (idempotent)."""
     tracer = get_tracer()
     tracer.metrics = get_registry()
     tracer.enable(
         spill_dir if spill_dir is not None else os.environ.get(SPILL_ENV)
     )
-    if _installed:
-        return
-    # Deferred imports: repro.obs must stay importable on its own, and
-    # the patch targets must not import obs hooks back at module scope.
-    from repro.analysis.parallel import ParallelRunner
-    from repro.analysis.simcache import ResultStore
-    from repro.checkpoint import Checkpointer
-    from repro.engine import kernel as engine_kernel
-
-    _originals["engine._run_observer"] = engine_kernel._run_observer
-    engine_kernel._run_observer = _observe_engine_run
-    _wrap_store(ResultStore)
-    _wrap_checkpointer(Checkpointer)
-    _wrap_parallel_runner(ParallelRunner)
-    _installed = True
 
 
 def uninstall() -> None:
-    """Restore the unwrapped entry points and stop recording."""
-    global _installed
+    """Turn recording off."""
     tracer = get_tracer()
     tracer.disable()
     tracer.metrics = None
-    if not _installed:
-        return
-    from repro.analysis.parallel import ParallelRunner
-    from repro.analysis.simcache import ResultStore
-    from repro.checkpoint import Checkpointer
-    from repro.engine import kernel as engine_kernel
-
-    engine_kernel._run_observer = _originals["engine._run_observer"]
-    ResultStore.flush = _originals["store.flush"]
-    ResultStore._load_one_shard = _originals["store._load_one_shard"]
-    Checkpointer.save = _originals["ckpt.save"]
-    Checkpointer.load_latest = _originals["ckpt.load_latest"]
-    ParallelRunner.run_batch_report = _originals["runner.run_batch_report"]
-    _originals.clear()
-    _installed = False
 
 
 def ensure_worker() -> None:
     """Arm observability inside a pool worker (no-op when already armed).
 
     Called from the worker entry point when ``REPRO_OBS`` is set; safe
-    to call repeatedly — installation is idempotent and the tracer
-    handles fork inheritance itself.
+    to call repeatedly — the tracer handles fork inheritance itself.
     """
     if obs_enabled():
         install()

@@ -73,6 +73,7 @@ __all__ = [
     "breaker_threshold",
     "parse_tolerant",
     "tolerant_env",
+    "env_flag",
     "env_float",
     "env_int",
 ]
@@ -126,6 +127,20 @@ def tolerant_env(name, default, parse, expected="a value"):
     :func:`parse_tolerant` for the parsing contract.
     """
     return parse_tolerant(name, os.environ.get(name), default, parse, expected)
+
+
+_FALSY = {"", "0", "false", "off", "no"}
+
+
+def env_flag(name: str, value: Optional[str] = None) -> bool:
+    """An on/off switch (``REPRO_OBS``, ``REPRO_VERIFY``): on unless falsy.
+
+    ``value`` stands in for the environment's when given.  Anything but
+    unset/empty, ``0``, ``false``, ``off`` or ``no`` (any case) is on.
+    """
+    if value is None:
+        value = os.environ.get(name, "")
+    return value.strip().lower() not in _FALSY
 
 
 def _parse_nonneg_float(raw: str) -> Optional[float]:

@@ -1,12 +1,11 @@
 """Correctness verification: invariants, differential replay, goldens.
 
-Four pillars, all opt-in (``REPRO_VERIFY=1`` or ``--verify``) and
-zero-cost when off:
+Four pillars, all opt-in (``REPRO_VERIFY=1`` or ``--verify``):
 
 * :mod:`repro.verify.invariants` — the runtime invariant catalog
   paranoia mode asserts at kernel boundaries and event-queue operations.
-* :mod:`repro.verify.hooks` — the opt-in seam that installs those
-  checks over the live engine (mirrors the ``repro.obs`` pattern).
+* :mod:`repro.verify.runtime` / :mod:`repro.verify.hooks` — the one
+  switch the guarded check sites read, and the on/off API over it.
 * :mod:`repro.verify.replay` — differential replay: one workload, two
   execution paths, first-divergence reporting at kernel-boundary
   granularity.
@@ -16,9 +15,10 @@ zero-cost when off:
   driving the invariant checker and differential replay.
 
 Only the import-light leaves (:mod:`repro.verify.digest`,
-:mod:`repro.verify.runtime`) load at package scope; :mod:`repro.gpu.gpu`
-imports this package, so anything that reaches back into the model or
-analysis layers must stay behind deferred imports.
+:mod:`repro.verify.runtime`, :mod:`repro.verify.hooks`) load at package
+scope; the engine, :mod:`repro.gpu.gpu` and the predictor import this
+package, so anything that reaches back into the model or analysis layers
+must stay behind deferred imports.
 """
 
 from repro.verify.digest import (
@@ -29,6 +29,7 @@ from repro.verify.digest import (
     state_digest,
     state_field_digests,
 )
+from repro.verify.hooks import install, uninstall
 from repro.verify.runtime import VERIFY_ENV, ensure_paranoia, verify_enabled
 
 __all__ = [
@@ -45,16 +46,3 @@ __all__ = [
     "verify_enabled",
 ]
 
-
-def install() -> None:
-    """Install paranoia-mode hooks over the engine (idempotent)."""
-    from repro.verify import hooks
-
-    hooks.install()
-
-
-def uninstall() -> None:
-    """Remove paranoia-mode hooks, restoring the pristine engine."""
-    from repro.verify import hooks
-
-    hooks.uninstall()

@@ -5,7 +5,7 @@ Each check guards a specific piece of the model's algebra (see
 
 * **Event queue** — live-count/heap consistency and heap ordering
   (:meth:`repro.engine.event.EventQueue.consistency_check`), plus clock
-  monotonicity per fired event in the checked run loop.
+  monotonicity per popped event in ``CheckedEventQueue.pop_entry``.
 * **Kernel boundaries** — the queue must be drained, the clock and event
   counter must not run backwards across boundaries, and the conservation
   identities must hold exactly:
@@ -37,6 +37,7 @@ from typing import Iterable, List
 
 from repro.exceptions import InvariantError
 from repro.mrc.cliff import Region
+from repro.verify.runtime import VERIFY_STATS
 
 __all__ = [
     "check_queue",
@@ -121,8 +122,8 @@ def check_conservation(sim) -> None:
 def check_boundary(sim, kernels_completed: int) -> None:
     """Full invariant sweep at a kernel boundary.
 
-    Called by the installed boundary observer after kernel
-    ``kernels_completed - 1`` drains.  The ``_verify_prev_boundary``
+    Called by the simulator after kernel ``kernels_completed - 1``
+    drains.  The ``_verify_prev_boundary``
     attribute this leaves on the simulator is bookkeeping for the
     cross-boundary monotonicity checks only — it is not model state and
     never reaches a checkpoint.
@@ -158,6 +159,7 @@ def check_boundary(sim, kernels_completed: int) -> None:
         kernels_completed, clock.now, clock.events_processed,
     )
     check_conservation(sim)
+    VERIFY_STATS["boundaries_checked"] += 1
 
 
 def check_result(result) -> None:
@@ -194,6 +196,7 @@ def check_result(result) -> None:
             "are not a whole multiple of warp instructions "
             f"({result.warp_instructions})"
         )
+    VERIFY_STATS["results_checked"] += 1
 
 
 def check_curve(curve) -> None:
@@ -217,6 +220,7 @@ def check_curve(curve) -> None:
                 f"{name}: miss ratio increases with LLC capacity "
                 f"({a} -> {b})"
             )
+    VERIFY_STATS["curves_checked"] += 1
 
 
 def _close(a: float, b: float) -> bool:
@@ -282,3 +286,4 @@ def check_prediction(predictor, result) -> None:
             f"predicted IPC {result.ipc} does not reproduce from the "
             f"profile (expected {expected}) — Eq. 2-4 algebra drifted"
         )
+    VERIFY_STATS["predictions_checked"] += 1

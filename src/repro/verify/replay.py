@@ -17,9 +17,9 @@ Shipped differentials:
 * :func:`replay_cold_vs_resume` — an uninterrupted run vs. one resumed
   from a mid-run checkpoint of the first; every boundary after the
   resume point and the final result must digest identically.
-* :func:`replay_checked_vs_plain` — the paranoia-mode checked event loop
-  vs. the pristine one; guards the checked loop's semantics against
-  drifting from the code it replaces.
+* :func:`replay_checked_vs_plain` — a run popped through paranoia
+  mode's checked event queue vs. one popped through the plain queue;
+  guards the checked queue against changing what the engine delivers.
 
 The serial-vs-parallel differential lives at the analysis layer (store
 payload comparison; see ``tests/verify/``): worker processes cannot ship
@@ -240,11 +240,10 @@ def replay_checked_vs_plain(
     simulator_factory: Callable[[], object],
     workload,
 ) -> Tuple[ReplayTrace, ReplayTrace, Optional[Divergence]]:
-    """Differential: paranoia-mode checked event loop vs. the pristine one.
+    """Differential: paranoia mode's checked event queue vs. the plain one.
 
-    The checked loop is a reimplementation of ``SimulationKernel.run``;
-    this differential is the sync guard that keeps the two semantically
-    identical.
+    The checked queue and the guarded check sites must observe, never
+    change, a run; this differential is the reference that keeps it so.
     """
     import os
 
@@ -252,7 +251,7 @@ def replay_checked_vs_plain(
     from repro.verify.runtime import VERIFY_ENV
 
     # The plain run must stay plain even under REPRO_VERIFY=1: simulators
-    # self-arm at run start, so the env override comes off for its leg.
+    # self-arm when constructed, so the env override comes off for its leg.
     saved = os.environ.pop(VERIFY_ENV, None)
     try:
         with hooks.paranoia(False):

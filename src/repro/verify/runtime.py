@@ -1,52 +1,90 @@
-"""Activation gate for paranoia mode: the ``REPRO_VERIFY`` switch.
+"""The paranoia switch: one flag, what it has checked, and ``REPRO_VERIFY``.
 
-Kept import-light on purpose — :mod:`repro.gpu.gpu` imports this module
-at package scope so simulators can self-arm, and nothing here may import
-back into the model layers.  The hook installation itself lives in
-:mod:`repro.verify.hooks` and is reached only through a deferred import
-once the environment actually asks for verification.
+A verification site is a call behind one switch read, in the module that
+owns the code: ``if runtime.paranoid:`` at the kernel-boundary sweep and
+result build (:mod:`repro.gpu.gpu`), in ``ScaleModelPredictor.predict``,
+where every miss-rate curve is built (:mod:`repro.mrc.collector`), and
+where a :class:`~repro.engine.kernel.SimulationKernel` picks its event
+queue.  Nothing is patched in or out; :mod:`repro.verify.hooks` is the
+on/off API over this flag.
+
+Kept import-light on purpose — the engine, the GPU model and the
+predictor import this module at package scope, so nothing here may
+import back into them.  The checks themselves
+(:mod:`repro.verify.invariants`) load behind the flag.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Dict, Optional
 
-__all__ = ["VERIFY_ENV", "arm_from_flag", "ensure_paranoia", "verify_enabled"]
+from repro.resilience import env_flag
+
+__all__ = [
+    "VERIFY_ENV",
+    "VERIFY_STATS",
+    "arm_from_flag",
+    "ensure_paranoia",
+    "reset_stats",
+    "set_paranoid",
+    "verify_enabled",
+]
 
 VERIFY_ENV = "REPRO_VERIFY"
 
-_FALSY = {"", "0", "false", "off", "no"}
+#: The switch every check site reads.  Only :func:`set_paranoid` writes it.
+paranoid = False
+
+#: What paranoia mode has checked so far (process-wide, cumulative).
+#: Plain counters for tests and the CLIs' ``--verify`` summary lines.
+VERIFY_STATS: Dict[str, int] = {}
+
+
+def reset_stats() -> None:
+    VERIFY_STATS.update(
+        runs_checked=0,
+        events_checked=0,
+        queue_scans=0,
+        boundaries_checked=0,
+        results_checked=0,
+        curves_checked=0,
+        predictions_checked=0,
+    )
+
+
+reset_stats()
+
+
+def set_paranoid(on: bool) -> None:
+    global paranoid
+    paranoid = bool(on)
 
 
 def verify_enabled(value: Optional[str] = None) -> bool:
     """Is paranoia mode requested? (``REPRO_VERIFY``, tolerantly parsed)."""
-    if value is None:
-        value = os.environ.get(VERIFY_ENV, "")
-    return value.strip().lower() not in _FALSY
+    return env_flag(VERIFY_ENV, value)
 
 
 def ensure_paranoia() -> None:
-    """Install the verify hooks when ``REPRO_VERIFY`` asks (idempotent).
+    """Turn paranoia mode on when ``REPRO_VERIFY`` asks (idempotent).
 
-    Called at simulator run start and at the execution layer's worker /
-    serial entry points, mirroring how ``repro.obs`` workers self-arm.
+    Called where a simulator is constructed and at the execution layer's
+    attempt entry point, mirroring how ``repro.obs`` workers self-arm.
     One env lookup when the variable is unset — the entire disabled cost.
     """
     if verify_enabled():
-        from repro.verify.hooks import install
-
-        install()
+        set_paranoid(True)
 
 
 def arm_from_flag(enabled: bool) -> None:
     """CLI ``--verify`` handler: arm this process *and* its children.
 
     Exports ``REPRO_VERIFY=1`` (pool workers inherit the environment and
-    self-arm through :func:`ensure_paranoia`) and installs the hooks in
+    self-arm through :func:`ensure_paranoia`) and turns the switch on in
     the current process immediately.  A no-op when ``enabled`` is false —
     an unset flag must not clear an operator's exported variable.
     """
     if enabled:
         os.environ[VERIFY_ENV] = "1"
-        ensure_paranoia()
+        set_paranoid(True)

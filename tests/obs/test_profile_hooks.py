@@ -1,8 +1,10 @@
-"""Profiling hooks: strictly opt-in, no-op when ``REPRO_OBS`` is unset,
-fully removable, and recording the advertised span categories when on."""
+"""Observability: strictly opt-in, no-op when ``REPRO_OBS`` is unset, one
+switch that rebinds nothing, and recording the advertised span and
+counter names when on."""
 
 import json
 import os
+import re
 
 import pytest
 
@@ -19,6 +21,8 @@ from repro.obs.profile_hooks import (
 )
 from repro.obs.tracing import get_tracer
 from repro.workloads import get_benchmark
+
+from tests.verify.conftest import instrumented_targets
 
 
 @pytest.fixture
@@ -60,20 +64,11 @@ class TestOptIn:
 
 class TestNoOpWhenDisabled:
     def test_hot_paths_untouched_without_env(self, clean_obs):
-        from repro.analysis.parallel import ParallelRunner
-        from repro.analysis.simcache import ResultStore
-        from repro.checkpoint import Checkpointer
-        from repro.engine import kernel as engine_kernel
-
-        flush = ResultStore.flush
-        save = Checkpointer.save
-        batch = ParallelRunner.run_batch_report
-        ensure_worker()  # REPRO_OBS unset: must install nothing
-        assert ResultStore.flush is flush
-        assert Checkpointer.save is save
-        assert ParallelRunner.run_batch_report is batch
-        assert engine_kernel._run_observer is None
+        before = instrumented_targets()
+        ensure_worker()  # REPRO_OBS unset: must switch nothing on
+        assert instrumented_targets() == before
         assert get_tracer().enabled is False
+        assert get_tracer().metrics is None
 
     def test_simulation_records_nothing_when_disabled(
         self, clean_obs, tiny_spec
@@ -87,39 +82,30 @@ class TestNoOpWhenDisabled:
 
 
 class TestInstallUninstall:
-    def test_install_patches_and_uninstall_restores(self, clean_obs):
-        from repro.analysis.simcache import ResultStore
-        from repro.checkpoint import Checkpointer
-        from repro.engine import kernel as engine_kernel
-
-        flush = ResultStore.flush
-        save = Checkpointer.save
+    def test_install_flips_the_switch_and_rebinds_nothing(self, clean_obs):
+        before = instrumented_targets()
         install()
-        assert ResultStore.flush is not flush
-        assert Checkpointer.save is not save
-        assert engine_kernel._run_observer is not None
         assert get_tracer().enabled is True
+        assert get_tracer().metrics is get_registry()
+        for original, current in zip(before, instrumented_targets()):
+            assert current is original
         uninstall()
-        assert ResultStore.flush is flush
-        assert Checkpointer.save is save
-        assert engine_kernel._run_observer is None
         assert get_tracer().enabled is False
+        assert get_tracer().metrics is None
+        for original, current in zip(before, instrumented_targets()):
+            assert current is original
 
     def test_install_is_idempotent(self, clean_obs):
-        from repro.analysis.simcache import ResultStore
-
         install()
-        once = ResultStore.flush
         install()
-        assert ResultStore.flush is once  # not double-wrapped
-        uninstall()
+        assert get_tracer().enabled is True
+        uninstall()  # one uninstall undoes any number of installs
+        assert get_tracer().enabled is False
 
     def test_ensure_worker_arms_when_env_set(self, clean_obs, monkeypatch):
-        from repro.engine import kernel as engine_kernel
-
         monkeypatch.setenv(OBS_ENV, "1")
         ensure_worker()
-        assert engine_kernel._run_observer is not None
+        assert get_tracer().enabled is True
 
     def test_installed_hooks_record_metrics(self, clean_obs, tiny_spec):
         from repro.analysis.runner import CachedRunner
@@ -132,6 +118,68 @@ class TestInstallUninstall:
         assert get_registry().histogram("engine.run_us").count > 0
         cats = {e["cat"] for e in get_tracer().events()}
         assert "kernel" in cats and "sim" in cats and "run" in cats
+
+
+class TestRecordedNames:
+    """The inline sites' vocabulary, captured before they were inlined."""
+
+    def test_span_and_counter_names_are_pinned(
+        self, clean_obs, tiny_spec, tmp_path
+    ):
+        from repro.analysis.parallel import ParallelRunner, RunRequest
+        from repro.analysis.runner import CachedRunner
+        from repro.analysis.simcache import ResultStore
+        from repro.checkpoint import Checkpointer
+
+        install()
+        cache = str(tmp_path / "cache")
+        runner = CachedRunner(cache_path=cache)
+        runner.simulate(tiny_spec, 8)
+        runner.simulate(tiny_spec, 8)  # one hit
+        batch = ParallelRunner(
+            runner.store, jobs=1, checkpoint=runner.checkpoint
+        )
+        batch.run_batch_report([
+            RunRequest("sim", tiny_spec, 16, 1.0, 0),
+            RunRequest("mrc", tiny_spec, 0, 1.0, 0),
+        ])
+        runner.flush()
+        ResultStore(cache)  # reopen: the read side
+        snapshots = Checkpointer(str(tmp_path / "ckpt"), "k")
+        assert snapshots.save({"kernels_completed": 1})
+        assert snapshots.load_latest() is not None
+
+        spans = {
+            (re.sub(r"\[\d+\]", "[N]", e["name"]), e["cat"], e["ph"])
+            for e in get_tracer().events()
+        }
+        assert spans == {
+            ("attempt:va", "run", "X"),
+            ("batch", "run", "X"),
+            ("batch.submit", "run", "i"),
+            ("cache.flush", "cache", "X"),
+            ("cache.load_shard", "cache", "X"),
+            ("checkpoint.load", "checkpoint", "X"),
+            ("checkpoint.save", "checkpoint", "X"),
+            ("engine.run", "kernel", "X"),
+            ("kernel[N]:va-k0", "kernel", "X"),
+            ("run.hit", "run", "i"),
+            ("run.miss", "run", "i"),
+            ("sim:va", "sim", "X"),
+        }
+        snapshot = get_registry().snapshot()
+        assert set(snapshot["counters"]) == {
+            "batch.failed", "batch.interrupted", "batch.ok", "batch.oom",
+            "batch.pool_deaths", "batch.resumed", "batch.retries",
+            "batch.skipped", "batch.timeout", "cache.flushed_records",
+            "cache.hits", "cache.misses", "cache.shards_loaded",
+            "checkpoint.loads", "checkpoint.saves", "engine.events",
+        }
+        assert set(snapshot["histograms"]) == {
+            "batch.wall_us", "engine.run_us", "span.cache.us",
+            "span.checkpoint.us", "span.kernel.us", "span.run.us",
+            "span.sim.us",
+        }
 
 
 class TestBootstrapEndToEnd:

@@ -1,9 +1,9 @@
-"""Verify-subsystem fixtures: pristine hooks and env around every test.
+"""Verify-subsystem fixtures: pristine switch and env around every test.
 
-Paranoia mode is process-global (module flags, patched methods), so a
-leaked install would silently change the semantics of every later test.
-The autouse fixture clears ``REPRO_VERIFY`` / ``REPRO_FAULT_INJECT`` and
-force-uninstalls the hooks on both sides of each test.
+Paranoia mode is process-global (one flag), so a leaked install would
+silently change the semantics of every later test.  The autouse fixture
+clears ``REPRO_VERIFY`` / ``REPRO_FAULT_INJECT`` and turns the switch
+off on both sides of each test.
 """
 
 import pytest
@@ -34,3 +34,30 @@ def small_setup(abbr="btree", size=4, work_scale=0.1, seed=0):
         seed=seed,
     )
     return config, trace
+
+
+def instrumented_targets():
+    """Every callable an instrumentation system once rebound.
+
+    Both ``install()`` functions only flip a switch now, so each of
+    these must be the very same object before, during and after.
+    """
+    import repro.analysis.runner as runner_mod
+    from repro.analysis.parallel import ParallelRunner
+    from repro.analysis.simcache import ResultStore
+    from repro.checkpoint import Checkpointer
+    from repro.core.model import ScaleModelPredictor
+    from repro.engine.kernel import SimulationKernel
+    from repro.gpu.gpu import GPUSimulator
+
+    return (
+        SimulationKernel.run,
+        GPUSimulator._build_result,
+        ScaleModelPredictor.predict,
+        runner_mod.compute_mrc,
+        ResultStore.flush,
+        ResultStore._load_one_shard,
+        Checkpointer.save,
+        Checkpointer.load_latest,
+        ParallelRunner.run_batch_report,
+    )

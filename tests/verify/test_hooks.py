@@ -1,53 +1,51 @@
-"""The zero-overhead-off contract: uninstall restores the pristine engine."""
+"""Paranoia mode is one switch: install/uninstall flip it, nothing is
+rebound, and a kernel is checked iff it was built while the switch was on."""
 
-import repro.analysis.runner as runner_mod
-import repro.engine.event as event_mod
-import repro.gpu.gpu as gpu_mod
-from repro.core.model import ScaleModelPredictor
+from repro.engine.event import CheckedEventQueue, EventQueue
 from repro.engine.kernel import SimulationKernel
-from repro.gpu.gpu import GPUSimulator
-from repro.verify import hooks
+from repro.obs import profile_hooks
+from repro.verify import hooks, runtime
 
-
-def _pristine_snapshot():
-    return (
-        SimulationKernel.run,
-        GPUSimulator._build_result,
-        ScaleModelPredictor.predict,
-        runner_mod.compute_mrc,
-        gpu_mod._boundary_observer,
-        event_mod.PARANOIA,
-    )
+from tests.verify.conftest import instrumented_targets
 
 
 class TestInstallUninstall:
-    def test_uninstall_restores_identity(self):
-        before = _pristine_snapshot()
+    def test_install_rebinds_nothing(self):
+        before = instrumented_targets()
         hooks.install()
-        assert SimulationKernel.run is not before[0]
-        assert event_mod.PARANOIA is True
-        assert gpu_mod._boundary_observer is not None
-        hooks.uninstall()
-        after = _pristine_snapshot()
-        for original, restored in zip(before, after):
-            assert restored is original
+        profile_hooks.install()
+        try:
+            assert hooks.installed() and runtime.paranoid is True
+            for original, current in zip(before, instrumented_targets()):
+                assert current is original
+        finally:
+            profile_hooks.uninstall()
+            hooks.uninstall()
+        for original, current in zip(before, instrumented_targets()):
+            assert current is original
 
     def test_install_is_idempotent(self):
-        before = _pristine_snapshot()
         hooks.install()
-        patched = SimulationKernel.run
         hooks.install()
-        assert SimulationKernel.run is patched
+        assert hooks.installed()
+        hooks.uninstall()  # one uninstall undoes any number of installs
+        assert not hooks.installed()
         hooks.uninstall()
-        hooks.uninstall()
-        assert SimulationKernel.run is before[0]
+        assert not hooks.installed()
 
     def test_disabled_by_default(self):
-        # The shipped engine carries no paranoia state: flag off, no
-        # observer, and the hooks module reports not-installed.
+        # The shipped engine carries no paranoia state: switch off, and a
+        # kernel built now pops from the plain queue.
         assert not hooks.installed()
-        assert event_mod.PARANOIA is False
-        assert gpu_mod._boundary_observer is None
+        assert runtime.paranoid is False
+        assert type(SimulationKernel()._queue) is EventQueue
+
+    def test_a_kernel_is_checked_iff_built_under_paranoia(self):
+        hooks.install()
+        checked = SimulationKernel()
+        hooks.uninstall()
+        assert type(checked._queue) is CheckedEventQueue
+        assert type(SimulationKernel()._queue) is EventQueue
 
 
 class TestParanoiaContext:

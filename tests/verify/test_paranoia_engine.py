@@ -4,10 +4,15 @@ engine mutations (``REPRO_FAULT_INJECT=drop-miss:...``) are caught."""
 import pytest
 
 from repro.analysis.faults import FAULT_INJECT_ENV
+# Bound here, long before any install(): what user code and the perf
+# benchmark do, and what a patch of the module attribute never reached.
+from repro.analysis.runner import compute_mrc, compute_sim
 from repro.exceptions import InvariantError
 from repro.gpu import GPUSimulator
 from repro.verify import hooks
 from repro.verify.runtime import VERIFY_ENV
+
+from repro.workloads import get_benchmark
 
 from tests.verify.conftest import small_setup
 
@@ -32,6 +37,43 @@ class TestCleanRuns:
         assert stats["queue_scans"] >= 1
         assert stats["boundaries_checked"] == len(trace.kernels)
         assert stats["results_checked"] == 1
+
+
+    def test_stats_pinned_on_the_benchmark_probe(self):
+        # compute_sim(va, 8, 0.25, 0) is what the perf benchmark times
+        # under paranoia; the work the checks do there is pinned.
+        with hooks.paranoia(True):
+            hooks.reset_stats()
+            compute_sim(get_benchmark("va"), 8, 0.25, 0)
+        assert hooks.VERIFY_STATS == {
+            "runs_checked": 1,
+            "events_checked": 57344,
+            "queue_scans": 29,
+            "boundaries_checked": 1,
+            "results_checked": 1,
+            "curves_checked": 0,
+            "predictions_checked": 0,
+        }
+
+
+class TestEveryCurveIsChecked:
+    """The check sits where curves are built, not on a module attribute."""
+
+    def test_compute_mrc_bound_before_install(self):
+        with hooks.paranoia(True):
+            compute_mrc(get_benchmark("va"), 0.05, "stack", 0)
+        assert hooks.VERIFY_STATS["curves_checked"] == 1
+
+    def test_runner_less_figure3_path(self):
+        from repro.core.workflow import _default_curve
+
+        with hooks.paranoia(True):
+            _default_curve(get_benchmark("va"))
+        assert hooks.VERIFY_STATS["curves_checked"] == 1
+
+    def test_unchecked_when_off(self):
+        compute_mrc(get_benchmark("va"), 0.05, "stack", 0)
+        assert hooks.VERIFY_STATS["curves_checked"] == 0
 
 
 class TestSeededEngineMutation:

@@ -3,7 +3,7 @@
 
 Each trial builds a fresh result store, arms a randomized-but-seeded
 ``REPRO_FAULT_INJECT`` plan (run faults plus filesystem faults at the
-store/checkpoint write seams), executes a small simulation matrix with
+store write seam), executes a small simulation matrix with
 ``keep_going``, clears the faults, drains whatever the failed flushes
 kept pending, reruns the campaign to completion, and then asserts the
 resilience invariants this repository promises:
@@ -54,7 +54,7 @@ from repro.verify.golden import audit_store, pin_store
 from repro.workloads import STRONG_SCALING
 
 # Two cheap multi-kernel workloads at a reduced work scale keep one
-# trial under ~10 s while still crossing kernel/checkpoint boundaries.
+# trial under ~10 s while still crossing kernel boundaries.
 ABBRS = ("va", "btree")
 SIZE = 8
 WORK_SCALE = 0.25
@@ -82,7 +82,6 @@ def fault_plan(rng: random.Random) -> str:
         f"fail:sim|{rng.choice(ABBRS)}",         # terminal failure
         "enospc:store:1",                        # one flush hits ENOSPC
         "partial-write:store:1",                 # one flush tears a line
-        "enospc:checkpoint:1",                   # one snapshot lost
         "slow-io:store:0.01",                    # every flush is slow
     ]
     return ",".join(rng.sample(candidates, rng.randint(1, 3)))

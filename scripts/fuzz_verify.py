@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Bounded seeded fuzz sweep for CI: random workloads through the
-verify oracles (paranoia run, determinism differential, cold-vs-resume
+verify oracles (paranoia run, determinism differential, checked-vs-plain
 replay), with greedy shrinking of anything that fails.
 
   python scripts/fuzz_verify.py                  # default seed range

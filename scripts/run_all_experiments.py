@@ -13,12 +13,8 @@ Execution is fault-tolerant: ``--max-retries`` / ``--run-timeout``
 bound retries and hangs per run, and ``--keep-going`` completes every
 experiment it can when one fails, exiting 1 with a failure summary
 instead of a traceback; failed runs are recorded under
-``results/failures/``.
-
-Long simulations checkpoint at kernel boundaries (snapshots under
-``results/checkpoints/``) so a retried or killed run resumes instead of
-starting cold; ``--checkpoint-interval`` / ``--checkpoint-dir`` /
-``--no-resume`` tune this (see docs/ARCHITECTURE.md § "Checkpointing").
+``results/failures/``.  A retried or killed run is re-run from its
+start; every completed result is already in the store.
 """
 
 from __future__ import annotations

@@ -53,7 +53,6 @@ def _make_runner(cache_dir: str, jobs: int) -> CachedRunner:
         os.path.join(cache_dir, "simcache"),
         jobs=jobs,
         policy=ExecutionPolicy(),
-        checkpoint=None,
     )
 
 

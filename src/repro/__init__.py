@@ -23,9 +23,7 @@ Quickstart::
     print(study.predictions["scale-model"][128], study.actuals[128])
 """
 
-from repro.checkpoint import Checkpointer, CheckpointPolicy
 from repro.exceptions import (
-    CheckpointError,
     ConfigurationError,
     PredictionError,
     ReproError,
@@ -71,10 +69,7 @@ __all__ = [
     "TraceError",
     "PredictionError",
     "WorkloadError",
-    "CheckpointError",
-    # checkpointing & validation
-    "CheckpointPolicy",
-    "Checkpointer",
+    # validation
     "validate_config",
     "validate_trace",
     # gpu

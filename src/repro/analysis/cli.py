@@ -28,22 +28,16 @@ Interrupts are drains, not losses (``docs/ARCHITECTURE.md``
 in-flight runs finish, flushes completed results and the failure
 manifest, and exits with the resumable code 75 — rerun the same command
 to resume from the cache.  A second signal force-quits (``128+signum``).
-A free-disk guard (``REPRO_MIN_FREE_MB``) pauses cache/checkpoint writes
-under pressure instead of crashing; ``REPRO_MAX_RSS`` caps per-process
+A free-disk guard (``REPRO_MIN_FREE_MB``) pauses cache writes under
+pressure instead of crashing; ``REPRO_MAX_RSS`` caps per-process
 memory so a pathological run fails alone.  Configs that keep failing
 (``REPRO_BREAKER_THRESHOLD`` consecutive terminal failures on record)
 are skipped by later ``--keep-going`` invocations until
-``--retry-quarantined`` re-arms them.
-
-Long simulations checkpoint at kernel boundaries under
-``results/checkpoints/`` and a retried run resumes from its latest valid
-snapshot instead of starting cold.  ``--checkpoint-interval N`` (or
-``REPRO_CHECKPOINT_INTERVAL``) snapshots every N kernel boundaries
-(``0`` disables), ``--checkpoint-dir`` relocates the snapshots and
-``--no-resume`` keeps writing them but always starts runs cold.
+``--retry-quarantined`` re-arms them.  The run is the unit of recovery:
+a run that dies is re-run from its start, and nothing finished is lost.
 
 Observability (see ``docs/ARCHITECTURE.md`` § "Observability"):
-``--trace-out trace.json`` records run/kernel/cache/checkpoint spans —
+``--trace-out trace.json`` records run/sim/kernel/cache spans —
 including pool workers' — into a Chrome ``trace_event`` file loadable in
 ``chrome://tracing`` or Perfetto; ``--metrics-out metrics.json`` writes
 the counters/gauges/histograms snapshot; ``--log-format json`` switches
@@ -59,13 +53,7 @@ import sys
 
 from repro.analysis import experiments as exp
 from repro.analysis.faults import ExecutionPolicy
-from repro.analysis.runner import (
-    CachedRunner,
-    DEFAULT_CACHE,
-    default_checkpoint_policy,
-    default_jobs,
-)
-from repro.checkpoint import default_checkpoint_interval, parse_checkpoint_interval
+from repro.analysis.runner import CachedRunner, DEFAULT_CACHE, default_jobs
 from repro.exceptions import ReproError, ShutdownRequested
 from repro.obs import bootstrap, get_logger
 from repro.resilience import (
@@ -112,17 +100,6 @@ def add_execution_flags(
     parser.add_argument("--retry-quarantined", action="store_true",
                         help="re-attempt configs the per-config circuit "
                              "breaker would skip (see results/failures/)")
-    # Parsed tolerantly (warn + default on garbage), so no type=int here.
-    parser.add_argument("--checkpoint-interval", default=None,
-                        help="kernel boundaries between mid-run snapshots "
-                             "(0 disables; default: "
-                             "REPRO_CHECKPOINT_INTERVAL or 1)")
-    parser.add_argument("--checkpoint-dir", default=None,
-                        help="snapshot directory "
-                             "(default: <cache parent>/checkpoints)")
-    parser.add_argument("--no-resume", action="store_true",
-                        help="keep writing checkpoints but always start "
-                             "runs cold")
     parser.add_argument("--trace-out", default=None,
                         help="write a Chrome trace_event JSON "
                              "(chrome://tracing / Perfetto) of this run")
@@ -164,18 +141,6 @@ def _cache_path(args):
     return getattr(args, "cache", DEFAULT_CACHE)
 
 
-def build_checkpoint(args):
-    """Map the CLI's checkpoint flags onto a CheckpointPolicy (or None)."""
-    return default_checkpoint_policy(
-        _cache_path(args),
-        interval=parse_checkpoint_interval(
-            args.checkpoint_interval, default_checkpoint_interval()
-        ),
-        resume=not args.no_resume,
-        root=args.checkpoint_dir,
-    )
-
-
 def build_policy(args) -> ExecutionPolicy:
     """Map the CLI's fault-tolerance flags onto an ExecutionPolicy."""
     defaults = ExecutionPolicy()
@@ -212,14 +177,8 @@ def build_runner(args, *output_dirs: str):
         _cache_path(args),
         jobs=args.jobs if args.jobs is not None else default_jobs(),
         policy=build_policy(args),
-        checkpoint=build_checkpoint(args),
     )
-    preflight_disk(
-        runner.store.root,
-        runner.ledger.root,
-        runner.checkpoint.root if runner.checkpoint else None,
-        *output_dirs,
-    )
+    preflight_disk(runner.store.root, runner.ledger.root, *output_dirs)
     return obs, coordinator, runner
 
 

@@ -33,9 +33,6 @@ Fault-injection grammar (comma-separated directives)::
     fail:<prefix>[:<n>]        raise on attempts 1..n (always, if n omitted)
     hang:<prefix>[:<s>]        sleep s seconds (default 3600) — trips timeouts
     die:<prefix>               kill the worker process (BrokenProcessPool)
-    die-at-kernel:<prefix>:<k> kill the worker right after the checkpoint
-                               at kernel boundary ``k`` becomes durable —
-                               the crash window checkpoint/resume covers
     enospc:<op>[:<n>]          raise OSError(ENOSPC) on the first n writes
                                of that seam (default 1)
     partial-write:<op>[:<n>]   persist a truncated prefix, then raise —
@@ -49,12 +46,6 @@ Fault-injection grammar (comma-separated directives)::
                                result, invisible to crash handling and
                                caught only by repro.verify's invariants
 
-``die-at-kernel`` is armed through :func:`kernel_kill_hook` (wired into
-the checkpointer's post-save callback) rather than :func:`maybe_inject`:
-the kill must land *after* a snapshot is durable, mid-run.  A resumed
-attempt restarts past boundary ``k``, so the directive fires at most
-once per run directory — exactly one crash, then recovery.
-
 A run directive matches a run when ``<prefix>`` is a prefix of either
 the cache key (``sim|<digest>|<digest>``) or the human-readable
 pseudo-id ``<kind>|<benchmark abbr>`` (e.g. ``sim|va``).  Prefixes
@@ -62,9 +53,10 @@ therefore never contain ``:`` or ``,``.
 
 The filesystem directives (``enospc``/``partial-write``/``slow-io``)
 target *write seams*, not runs: ``<op>`` prefix-matches one of
-:data:`IO_OPS` (``store``, ``checkpoint``, ``trace``, ``metrics``,
-``manifest``, ``journal``), the labels :mod:`repro.fsio` writers are
-called with.
+:data:`IO_OPS` (``store``, ``trace``, ``metrics``, ``manifest``,
+``journal``), the labels :mod:`repro.fsio` writers are called with; an
+``<op>`` that matches none is refused at parse time, so a mistyped
+chaos schedule cannot pass green while injecting nothing.
 They are consumed through :func:`next_io_fault`; the fired-count
 bookkeeping is per process (pool workers count their own), and
 :func:`reset_io_faults` rewinds it between chaos phases.
@@ -88,7 +80,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import fsio
 from repro.exceptions import ReproError
@@ -114,7 +106,6 @@ __all__ = [
     "parse_fault_plan",
     "maybe_inject",
     "engine_fault_budget",
-    "kernel_kill_hook",
     "next_io_fault",
     "reset_io_faults",
     "retryable",
@@ -142,7 +133,7 @@ SKIPPED = "skipped"
 _STREAK_STATUSES = frozenset((FAILED, TIMEOUT, OOM))
 
 #: Write-seam labels the filesystem directives can target.
-IO_OPS = ("store", "checkpoint", "trace", "metrics", "manifest", "journal")
+IO_OPS = ("store", "trace", "metrics", "manifest", "journal")
 
 #: Size ceiling (MiB) for one failure-manifest shard before it is
 #: compacted; 0 disables rotation.  Multi-hundred-workload campaigns
@@ -157,7 +148,7 @@ _DEFAULT_MANIFEST_MAX_MB = 16.0
 STREAK = "streak"
 
 _IO_ACTIONS = ("enospc", "partial-write", "slow-io")
-_RUN_ACTIONS = ("fail", "hang", "die", "die-at-kernel")
+_RUN_ACTIONS = ("fail", "hang", "die")
 _ENGINE_ACTIONS = ("drop-miss",)
 
 _SHARD_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
@@ -236,10 +227,6 @@ class RunOutcome:
     work_scale: float = 1.0
     seed: int = 0
     method: str = "stack"
-    #: Kernel boundary a checkpoint resume restarted from (None = cold).
-    resumed_from_kernel: Optional[int] = None
-    #: Simulated cycles the resume skipped re-executing.
-    cycles_saved: float = 0.0
 
     @classmethod
     def of(
@@ -248,12 +235,9 @@ class RunOutcome:
         status: str,
         attempts: int,
         error: Optional[str] = None,
-        meta: Optional[dict] = None,
     ) -> "RunOutcome":
         """How ``request`` (a :class:`repro.analysis.parallel.RunRequest`)
-        ended; ``meta`` is the resume telemetry ``execute_attempt``
-        returns beside a payload."""
-        meta = meta or {}
+        ended."""
         return cls(
             key=request.key,
             kind=request.kind,
@@ -265,8 +249,6 @@ class RunOutcome:
             work_scale=request.work_scale,
             seed=request.seed,
             method=request.method,
-            resumed_from_kernel=meta.get("resumed_from_kernel"),
-            cycles_saved=float(meta.get("cycles_saved", 0.0)),
         )
 
     @property
@@ -276,10 +258,6 @@ class RunOutcome:
     @property
     def retried(self) -> bool:
         return self.attempts > 1
-
-    @property
-    def resumed(self) -> bool:
-        return self.resumed_from_kernel is not None
 
 
 @dataclass(frozen=True)
@@ -305,14 +283,6 @@ class BatchReport:
         # started) made no retry, not minus one.
         return sum(max(0, o.attempts - 1) for o in self.outcomes)
 
-    @property
-    def checkpoints_resumed(self) -> int:
-        return sum(1 for o in self.outcomes if o.resumed)
-
-    @property
-    def cycles_saved(self) -> float:
-        return sum(o.cycles_saved for o in self.outcomes if o.resumed)
-
     def counts(self) -> Dict[str, int]:
         by_status = Counter(o.status for o in self.outcomes)
         return {
@@ -324,18 +294,13 @@ class BatchReport:
             "skipped": by_status[SKIPPED],
             "retries": self.retries,
             "pool_deaths": self.pool_deaths,
-            "resumed": self.checkpoints_resumed,
         }
 
     def summary(self) -> str:
-        return health_sentence(
-            self.counts(), self.cycles_saved, self.degraded_to_serial
-        )
+        return health_sentence(self.counts(), self.degraded_to_serial)
 
 
-def health_sentence(
-    counts: Dict[str, int], cycles_saved: float, degraded: bool
-) -> str:
+def health_sentence(counts: Dict[str, int], degraded: bool) -> str:
     """The one-line execution summary, from :meth:`BatchReport.counts`
     keys.  Scripts and tests grep it, so the wording is fixed."""
     text = (
@@ -350,11 +315,6 @@ def health_sentence(
         text += f", {counts['interrupted']} interrupted"
     if counts["skipped"]:
         text += f", {counts['skipped']} skipped (circuit breaker)"
-    if counts["resumed"]:
-        text += (
-            f", {counts['resumed']} resumed from checkpoints "
-            f"({cycles_saved:.0f} cycles saved)"
-        )
     if degraded:
         text += " (degraded to serial)"
     return text
@@ -663,7 +623,7 @@ class FailureLedger:
 
 @dataclass(frozen=True)
 class _FaultDirective:
-    action: str  # fail | hang | die | die-at-kernel | enospc | partial-write | slow-io
+    action: str  # fail | hang | die | enospc | partial-write | slow-io | drop-miss
     prefix: str
     arg: Optional[float]  # fail: attempt bound; hang/slow-io: seconds; io: fire count
 
@@ -698,10 +658,12 @@ def parse_fault_plan(plan: str) -> Tuple[_FaultDirective, ...]:
             )
         if not prefix:
             raise ReproError(f"fault injection: empty prefix in {part!r}")
-        if action == "die-at-kernel" and arg is None:
+        if action in _IO_ACTIONS and not any(
+            op.startswith(prefix) for op in IO_OPS
+        ):
             raise ReproError(
-                f"fault injection: {part!r} needs a kernel boundary "
-                "(die-at-kernel:<prefix>:<k>)"
+                f"fault injection: {part!r} names no write seam "
+                f"(expected a prefix of one of {', '.join(IO_OPS)})"
             )
         directives.append(_FaultDirective(action, prefix, arg))
     return tuple(directives)
@@ -741,9 +703,6 @@ def maybe_inject(
             # Engine-corruption seams, consumed through engine_fault_budget.
             continue
         if not any(t.startswith(directive.prefix) for t in targets):
-            continue
-        if directive.action == "die-at-kernel":
-            # Armed mid-run via kernel_kill_hook, not per attempt.
             continue
         if directive.action == "fail":
             bound = directive.arg if directive.arg is not None else float("inf")
@@ -789,51 +748,13 @@ def engine_fault_budget(action: str, *targets: str) -> int:
     return total
 
 
-def kernel_kill_hook(
-    key: str,
-    kind: str,
-    shard: str,
-    allow_exit: bool = True,
-) -> Optional[Callable[[int], None]]:
-    """Post-checkpoint kill callback for ``die-at-kernel`` directives.
-
-    Returns ``None`` unless the ``REPRO_FAULT_INJECT`` plan holds a
-    matching ``die-at-kernel`` directive; otherwise a callable suitable
-    as :class:`repro.checkpoint.Checkpointer`'s ``on_checkpoint`` hook.
-    The hook kills the process (or raises, serial mode) when the
-    just-saved boundary is in the directive's kill set — *after* the
-    snapshot became durable, so the retry exercises real resume.
-    """
-    targets = (key, f"{kind}|{shard}")
-    boundaries = {
-        int(directive.arg)
-        for directive in active_plan()
-        if directive.action == "die-at-kernel"
-        and any(t.startswith(directive.prefix) for t in targets)
-    }
-    if not boundaries:
-        return None
-
-    def hook(kernels_completed: int) -> None:
-        if kernels_completed not in boundaries:
-            return
-        if allow_exit:
-            os._exit(3)
-        raise InjectedFaultError(
-            f"injected post-checkpoint death for {key} at kernel "
-            f"boundary {kernels_completed} (serial mode: raising)"
-        )
-
-    return hook
-
-
 # --- filesystem fault directives -------------------------------------------------
 #
 # Fired-count bookkeeping for enospc/partial-write: per process, keyed
 # by (action, prefix).  Pool workers inherit the *plan* through the
-# environment but count independently — checkpoint writes happen inside
-# workers, store/manifest writes in the coordinator, so each seam's
-# budget is spent where the seam lives.
+# environment but count independently — each seam's budget is spent in
+# the process whose writer owns it (store and manifest writes happen in
+# the coordinator).
 
 _IO_FIRED: Dict[Tuple[str, str], int] = {}
 

@@ -71,12 +71,10 @@ from repro.analysis.faults import (
     FailureLedger,
     RunOutcome,
     failure_status,
-    kernel_kill_hook,
     maybe_inject,
     retryable,
 )
 from repro.analysis.simcache import ResultStore, sibling_dir
-from repro.checkpoint import CheckpointPolicy
 from repro.exceptions import ExecutionError, ReproError, ShutdownRequested
 from repro.obs.metrics import get_registry
 from repro.obs.profile_hooks import ensure_worker
@@ -90,7 +88,6 @@ __all__ = [
     "ParallelRunner",
     "execute_request",
     "execute_attempt",
-    "settle_outcomes",
     "worker_init",
     "shutdown_pool",
 ]
@@ -131,9 +128,7 @@ class RunRequest:
         return _runner.mrc_key(self.spec, self.work_scale, self.method, self.seed)
 
 
-def execute_request(
-    request: RunRequest, checkpointer=None
-) -> Tuple[str, str, dict]:
+def execute_request(request: RunRequest) -> Tuple[str, str, dict]:
     """Run one request to completion; returns ``(key, shard, payload)``.
 
     Module-level and pure so it pickles into pool workers; also the
@@ -141,14 +136,12 @@ def execute_request(
     """
     if request.kind == "sim":
         result = _runner.compute_sim(
-            request.spec, request.size, request.work_scale, request.seed,
-            checkpointer=checkpointer,
+            request.spec, request.size, request.work_scale, request.seed
         )
         payload = asdict(result)
     elif request.kind == "mcm":
         result = _runner.compute_mcm(
-            request.spec, request.size, request.work_scale, request.seed,
-            checkpointer=checkpointer,
+            request.spec, request.size, request.work_scale, request.seed
         )
         payload = asdict(result)
     else:
@@ -160,18 +153,14 @@ def execute_request(
 
 
 def execute_attempt(
-    request: RunRequest,
-    attempt: int = 1,
-    allow_exit: bool = True,
-    checkpoint: Optional[CheckpointPolicy] = None,
-) -> Tuple[str, str, dict, dict]:
+    request: RunRequest, attempt: int = 1, allow_exit: bool = True
+) -> Tuple[str, str, dict]:
     """One guarded attempt: fault injection first, then the real run.
 
     The attempt number travels with the call so ``fail:<prefix>:<n>``
     directives behave deterministically even though worker processes
-    share no state.  Returns ``(key, shard, payload, meta)``; ``meta``
-    carries checkpoint-resume telemetry when the attempt restarted from
-    a snapshot a dead predecessor left behind.
+    share no state.  Returns ``(key, shard, payload)``, like
+    :func:`execute_request`.
 
     This is also the pool workers' observability entry point:
     :func:`repro.obs.profile_hooks.ensure_worker` turns recording on when
@@ -195,29 +184,7 @@ def execute_attempt(
                 request.key, request.kind, request.spec.abbr, attempt,
                 allow_exit=allow_exit,
             )
-            checkpointer = None
-            if checkpoint is not None and request.kind != "mrc":
-                # MRC collections have no kernel boundaries to snapshot.
-                # The ``die-at-kernel`` hook is armed through the
-                # checkpointer so an injected crash only fires after a
-                # snapshot is durable.
-                checkpointer = checkpoint.checkpointer_for(
-                    request.key,
-                    on_checkpoint=kernel_kill_hook(
-                        request.key, request.kind, request.spec.abbr,
-                        allow_exit=allow_exit,
-                    ),
-                )
-            key, shard, payload = execute_request(
-                request, checkpointer=checkpointer
-            )
-        meta = {}
-        if checkpointer is not None and checkpointer.resumed_from is not None:
-            meta = {
-                "resumed_from_kernel": checkpointer.resumed_from,
-                "cycles_saved": checkpointer.cycles_saved,
-            }
-        return key, shard, payload, meta
+            return execute_request(request)
     finally:
         if tracer.enabled and tracer.spill_dir:
             tracer.flush_spill()
@@ -285,17 +252,6 @@ def _park(
     )
 
 
-def settle_outcomes(
-    store: ResultStore, ledger: FailureLedger, outcomes: Tuple[RunOutcome, ...]
-) -> None:
-    """What finished runs owe the books, whichever path ran them: resume
-    telemetry to the store, the recording rule to the ledger."""
-    for outcome in outcomes:
-        if outcome.resumed:
-            store.record_resume(outcome.cycles_saved)
-    ledger.record(outcomes)
-
-
 class ParallelRunner:
     """Executes the cache misses of a request batch across processes.
 
@@ -305,12 +261,7 @@ class ParallelRunner:
     :class:`repro.analysis.runner.CachedRunner` passes its own so lazy
     and batch runs share one, and a standalone runner opens the ledger
     of ``<store parent>/failures/`` (memory-only for a memory-only
-    store).  ``checkpoint`` governs intra-run snapshots: by default
-    (with a persistent store) runs checkpoint under
-    ``<store parent>/checkpoints/`` and a retried run resumes from its
-    latest valid snapshot; pass an explicit
-    :class:`repro.checkpoint.CheckpointPolicy` to relocate or disable
-    it.  Memory-only stores never checkpoint.
+    store).
     """
 
     def __init__(
@@ -318,7 +269,6 @@ class ParallelRunner:
         store: ResultStore,
         jobs: int = 0,
         policy: Optional[ExecutionPolicy] = None,
-        checkpoint: Optional[CheckpointPolicy] = None,
         ledger: Optional[FailureLedger] = None,
     ) -> None:
         self.store = store
@@ -327,9 +277,6 @@ class ParallelRunner:
         self.ledger = ledger or FailureLedger(
             sibling_dir(store.root, "failures"), self.policy.breaker_threshold
         )
-        if checkpoint is None:
-            checkpoint = _runner.default_checkpoint_policy(store.root)
-        self.checkpoint = checkpoint
         self.last_report = BatchReport()
 
     def run_batch(self, requests: Iterable[RunRequest]) -> int:
@@ -408,7 +355,7 @@ class ParallelRunner:
             degraded_to_serial=state.degraded,
         )
         self.last_report = report
-        settle_outcomes(self.store, self.ledger, report.outcomes)
+        self.ledger.record(report.outcomes)
         if tracer.enabled:
             # Before any failure propagates: a batch that raises counts too.
             wall_us = tracer.now_us() - start_us
@@ -466,7 +413,7 @@ class ParallelRunner:
         self,
         request: RunRequest,
         attempt: int,
-        result: Callable[[], Tuple[str, str, dict, dict]],
+        result: Callable[[], Tuple[str, str, dict]],
         outcomes: Dict[str, RunOutcome],
         executed: List[Tuple[str, str, dict]],
         draining: bool = False,
@@ -484,7 +431,7 @@ class ParallelRunner:
         so it is recorded ``interrupted``.
         """
         try:
-            key, shard, payload, meta = result()
+            key, shard, payload = result()
         except Exception as error:
             if draining:
                 outcomes[request.key] = RunOutcome.of(
@@ -509,7 +456,7 @@ class ParallelRunner:
             )
             return False
         executed.append((key, shard, payload))
-        outcomes[request.key] = RunOutcome.of(request, OK, attempt, meta=meta)
+        outcomes[request.key] = RunOutcome.of(request, OK, attempt)
         return False
 
     def _run_serial(
@@ -534,10 +481,7 @@ class ParallelRunner:
                 coordinator.check()
             while self._conclude(
                 request, attempt,
-                lambda: execute_attempt(
-                    request, attempt, allow_exit=False,
-                    checkpoint=self.checkpoint,
-                ),
+                lambda: execute_attempt(request, attempt, allow_exit=False),
                 outcomes, executed,
             ):
                 time.sleep(self.policy.backoff(attempt))
@@ -587,8 +531,7 @@ class ParallelRunner:
                     )
                     try:
                         future = pool.submit(
-                            execute_attempt, request, attempt, True,
-                            self.checkpoint,
+                            execute_attempt, request, attempt, True
                         )
                     except (BrokenProcessPool, RuntimeError):
                         queue.appendleft((request, attempt))

@@ -54,7 +54,7 @@ from repro.analysis.faults import (
     health_sentence,
 )
 from repro.analysis.simcache import ResultStore, sibling_dir
-from repro.checkpoint import CheckpointPolicy, default_checkpoint_interval
+from repro.checkpoint import CheckpointPolicy
 from repro.exceptions import ExecutionError, ReproError
 from repro.resilience import get_coordinator, tolerant_env
 from repro.gpu import GPUConfig, McmConfig, simulate, simulate_mcm
@@ -160,11 +160,7 @@ def mrc_key(spec: BenchmarkSpec, work_scale: float, method: str, seed: int) -> s
 # --- pure compute functions (shared by the lazy path and pool workers) ---------
 
 def compute_sim(
-    spec: BenchmarkSpec,
-    num_sms: int,
-    work_scale: float,
-    seed: int,
-    checkpointer=None,
+    spec: BenchmarkSpec, num_sms: int, work_scale: float, seed: int
 ) -> SimulationResult:
     config = GPUConfig.paper_baseline().scaled(num_sms)
     trace = build_trace(
@@ -173,15 +169,11 @@ def compute_sim(
         capacity_scale=config.capacity_scale,
         seed=seed,
     )
-    return simulate(config, trace, checkpointer=checkpointer)
+    return simulate(config, trace)
 
 
 def compute_mcm(
-    spec: BenchmarkSpec,
-    num_chiplets: int,
-    work_scale: float,
-    seed: int,
-    checkpointer=None,
+    spec: BenchmarkSpec, num_chiplets: int, work_scale: float, seed: int
 ) -> SimulationResult:
     config = McmConfig.paper_target().scaled(num_chiplets)
     trace = build_trace(
@@ -190,7 +182,7 @@ def compute_mcm(
         capacity_scale=config.chiplet.capacity_scale,
         seed=seed,
     )
-    return simulate_mcm(config, trace, checkpointer=checkpointer)
+    return simulate_mcm(config, trace)
 
 
 def compute_mrc(
@@ -270,34 +262,6 @@ def safe_curve_from_payload(payload: object) -> Optional[MissRateCurve]:
         return None
 
 
-def default_checkpoint_policy(
-    cache_path: Optional[str],
-    interval: Optional[int] = None,
-    resume: bool = True,
-    root: Optional[str] = None,
-) -> Optional[CheckpointPolicy]:
-    """The checkpoint policy matching a cache location.
-
-    Checkpoints live beside the result store and the failure manifest
-    (``<cache parent>/checkpoints/``) unless ``root`` overrides the
-    location.  A memory-only cache (``cache_path=None``) without an
-    explicit ``root`` disables checkpointing — there is no durable
-    result for the snapshots to protect.  ``interval=None`` defers to
-    ``REPRO_CHECKPOINT_INTERVAL`` (default: every kernel boundary).
-    """
-    if root is None:
-        root = sibling_dir(cache_path, "checkpoints")
-        if root is None:
-            return None
-    return CheckpointPolicy(
-        root=root,
-        interval=(
-            interval if interval is not None else default_checkpoint_interval()
-        ),
-        resume=resume,
-    )
-
-
 #: The ``exec.<name>`` counters behind :meth:`CachedRunner.stats` and
 #: :meth:`CachedRunner.execution_health`.
 _EXEC_COUNTERS = (
@@ -312,6 +276,12 @@ class CachedRunner:
     ``jobs`` sets the worker-pool size used by :meth:`prefetch`; the
     individual ``simulate``/``miss_rate_curve`` calls always execute
     in-process so their results are bit-identical regardless of ``jobs``.
+
+    ``checkpoint`` is accepted and ignored: the run is the only recovery
+    unit.  It survives only for ``benchmarks/perf/workloads.py``, which
+    passes ``CheckpointPolicy(root=None)``; the benchmark change that
+    drops that argument deletes this parameter and
+    :mod:`repro.checkpoint`.
     """
 
     def __init__(
@@ -324,9 +294,6 @@ class CachedRunner:
         self.store = ResultStore(cache_path)
         self.jobs = jobs if jobs is not None else 1
         self.policy = policy or ExecutionPolicy()
-        if checkpoint is None:
-            checkpoint = default_checkpoint_policy(cache_path)
-        self.checkpoint = checkpoint
         self.last_report: Optional[BatchReport] = None
         # One ledger for the lazy in-process runs and every batch this
         # runner prefetches: serial and parallel runs feed, and are
@@ -364,8 +331,7 @@ class CachedRunner:
         if self.jobs <= 1:
             return 0
         runner = _parallel.ParallelRunner(
-            self.store, jobs=self.jobs, policy=self.policy,
-            checkpoint=self.checkpoint, ledger=self.ledger,
+            self.store, jobs=self.jobs, policy=self.policy, ledger=self.ledger
         )
         try:
             return runner.run_batch(requests)
@@ -415,9 +381,9 @@ class CachedRunner:
         tripped config on a ``keep_going`` policy is refused before it
         computes (the CLI's keep-going handler skips it), the attempt
         body is :func:`repro.analysis.parallel.execute_attempt` — fault
-        injection, checkpoint resume and paranoia mode included — and
-        the outcome reaches the ledger and the ``exec.*`` telemetry
-        before a failure's original exception propagates.
+        injection and paranoia mode included — and the outcome reaches
+        the ledger and the ``exec.*`` telemetry before a failure's
+        original exception propagates.
         """
         # Serial campaigns drain at run granularity: a requested
         # shutdown stops before the next compute starts (everything
@@ -427,8 +393,8 @@ class CachedRunner:
         if refusal is not None:
             raise ExecutionError(refusal)
         try:
-            key, shard, payload, meta = _parallel.execute_attempt(
-                request, 1, allow_exit=False, checkpoint=self.checkpoint
+            key, shard, payload = _parallel.execute_attempt(
+                request, 1, allow_exit=False
             )
         except Exception as error:
             self._settle(
@@ -437,13 +403,13 @@ class CachedRunner:
                 )
             )
             raise
-        self._settle(RunOutcome.of(request, OK, 1, meta=meta))
+        self._settle(RunOutcome.of(request, OK, 1))
         self.store.put(key, payload, shard=shard)
         return payload
 
     def _settle(self, outcome: RunOutcome) -> None:
         report = BatchReport(outcomes=(outcome,))
-        _parallel.settle_outcomes(self.store, self.ledger, report.outcomes)
+        self.ledger.record(report.outcomes)
         self._absorb_report(report)
 
     # --- timing runs ------------------------------------------------------------
@@ -521,12 +487,8 @@ class CachedRunner:
         """One-line end-of-run execution summary for CLI/script output:
         :func:`repro.analysis.faults.health_sentence` over every run
         this runner executed, lazy or prefetched."""
-        store = self.store.stats()
-        counts = self._exec_counts()
-        counts["resumed"] = store.get("checkpoints_resumed", 0)
         return health_sentence(
-            counts,
-            store.get("cycles_saved", 0.0),
+            self._exec_counts(),
             self.last_report is not None
             and self.last_report.degraded_to_serial,
         )

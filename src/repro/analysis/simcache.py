@@ -60,8 +60,8 @@ _SHARD_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
 
 def sibling_dir(store_root: Optional[str], name: str) -> Optional[str]:
     """``<store parent>/<name>``: where the failure manifest
-    (``failures``) and the checkpoints (``checkpoints``) live beside a
-    result store.  A memory-only store (no root) has no siblings."""
+    (``failures``) lives beside a result store.  A memory-only store (no
+    root) has no siblings."""
     if not store_root:
         return None
     return os.path.join(os.path.dirname(store_root) or ".", name)
@@ -123,8 +123,6 @@ class ResultStore:
             "digest_mismatches": 0,
             "schema_mismatches": 0,
             "quarantined_shards": 0,
-            "checkpoints_resumed": 0,
-            "cycles_saved": 0.0,
             "skipped_flushes": 0,
             "write_errors": 0,
         })
@@ -263,12 +261,6 @@ class ResultStore:
     def stats(self) -> Dict[str, float]:
         """A snapshot of the store's counters (see module docstring)."""
         return self._stats.as_dict()
-
-    def record_resume(self, cycles_saved: float = 0.0) -> None:
-        """Count one run resumed from a checkpoint instead of cold-started;
-        ``cycles_saved`` is the simulated progress the resume skipped."""
-        self._stats["checkpoints_resumed"] += 1
-        self._stats["cycles_saved"] += float(cycles_saved)
 
     def record_schema_mismatch(self, key: str = "") -> None:
         """Count a cached payload whose schema drifted from the current

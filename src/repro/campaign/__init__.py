@@ -1,7 +1,7 @@
 """Campaign resilience: journaled, crash-safe, resumable sweeps.
 
-The per-run layers (retry/checkpoint/breaker, PRs 2/3/5) make a single
-simulation survivable; this package makes the *campaign* survivable.
+The per-run layers (retry and breaker) make a single simulation
+survivable; this package makes the *campaign* survivable.
 Three pieces:
 
 * :mod:`repro.campaign.journal` — the append-only progress journal

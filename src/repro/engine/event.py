@@ -111,7 +111,7 @@ class EventQueue:
         self._seq = 0
         self._live = 0
         #: Cancelled events whose handles were fired anyway (no-op'd).
-        #: Telemetry only — never part of checkpoint state.
+        #: Telemetry only — never part of boundary state.
         self.cancelled_fires = 0
 
     def __len__(self) -> int:
@@ -119,12 +119,8 @@ class EventQueue:
 
     @property
     def seq(self) -> int:
-        """Next sequence number to be assigned (checkpointable state)."""
+        """Next sequence number to be assigned (boundary state)."""
         return self._seq
-
-    @seq.setter
-    def seq(self, value: int) -> None:
-        self._seq = int(value)
 
     def _discard_live(self) -> None:
         """A live in-heap entry was cancelled; forget it from the count."""
@@ -233,8 +229,8 @@ class EventQueue:
 
         Unlike :meth:`clear`, the sequence counter rewinds too, so a
         reset queue schedules events with the same seqs as a fresh one —
-        checkpoints taken after a reset compare bit-identical to those
-        from a new kernel.
+        boundary state read after a reset compares bit-identical to that
+        of a new kernel.
         """
         self.clear()
         self._seq = 0

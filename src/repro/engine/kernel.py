@@ -101,9 +101,9 @@ class SimulationKernel:
                     self.now = until
                     break
                 self.now = time
-                # Count before firing: checkpoints are taken *inside* a
-                # callback (kernel boundaries), and the snapshot must
-                # include the event that carried the simulation there.
+                # Count before firing: boundary state is read *inside* a
+                # callback (kernel boundaries), and it must include the
+                # event that carried the simulation there.
                 self._events_processed += 1
                 popped[2](*popped[3])
                 fired += 1
@@ -128,22 +128,22 @@ class SimulationKernel:
         """Drop all pending events and rewind the clock to zero.
 
         The event queue's sequence counter rewinds with it: a reset
-        kernel must be indistinguishable from a fresh one, or
-        checkpoints taken after a reset carry a different ``queue_seq``
-        and bit-identical state comparison across resets breaks.
+        kernel must be indistinguishable from a fresh one, or boundary
+        state read after a reset carries a different ``queue_seq`` and
+        bit-identical state comparison across resets breaks.
         """
         self._queue.reset()
         self.now = 0.0
         self._events_processed = 0
 
-    # --- checkpointing ----------------------------------------------------------
+    # --- boundary state ---------------------------------------------------------
     def state_dict(self) -> dict:
-        """Clock state for a checkpoint taken with an *empty* event queue.
+        """Clock state, read with an *empty* event queue.
 
-        Callbacks cannot be serialized, so snapshots are only defined at
-        points where no events are pending (kernel boundaries in the GPU
-        model); the queue's seq counter is captured so event ordering
-        stays deterministic across a resume.
+        Callbacks cannot be serialized, so boundary state is only defined
+        at points where no events are pending (kernel boundaries in the
+        GPU model); the queue's seq counter is included because it
+        decides the order of every later same-time event.
         """
         if len(self._queue):
             raise SimulationError(
@@ -155,13 +155,3 @@ class SimulationKernel:
             "events_processed": self._events_processed,
             "queue_seq": self._queue.seq,
         }
-
-    def load_state(self, state: dict) -> None:
-        """Restore clock state captured by :meth:`state_dict`."""
-        if len(self._queue):
-            raise SimulationError(
-                "cannot restore the clock over a non-empty event queue"
-            )
-        self.now = float(state["now"])
-        self._events_processed = int(state["events_processed"])
-        self._queue.seq = int(state["queue_seq"])

@@ -74,12 +74,6 @@ class FifoServer:
             "requests": self._requests,
         }
 
-    def load_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        self._next_free = float(state["next_free"])
-        self._busy_time = float(state["busy_time"])
-        self._requests = int(state["requests"])
-
 
 class BandwidthResource(FifoServer):
     """A link or channel with a fixed transfer rate in bytes per cycle.
@@ -117,10 +111,6 @@ class BandwidthResource(FifoServer):
         state = super().state_dict()
         state["bytes_moved"] = self._bytes_moved
         return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self._bytes_moved = float(state["bytes_moved"])
 
 
 class TokenPool:
@@ -183,11 +173,3 @@ class TokenPool:
             "acquired": self._acquired,
             "wait_time": self._wait_time,
         }
-
-    def load_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        releases = [float(t) for t in state["releases"]]
-        heapq.heapify(releases)
-        self._releases = releases
-        self._acquired = int(state["acquired"])
-        self._wait_time = float(state["wait_time"])

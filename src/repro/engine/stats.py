@@ -106,12 +106,3 @@ class StateTimeTracker:
             "since": self._since,
             "time_in": dict(self._time_in),
         }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`."""
-        self._state = str(state["state"])
-        self._since = float(state["since"])
-        self._time_in = {
-            str(name): float(value)
-            for name, value in state["time_in"].items()
-        }

@@ -32,16 +32,6 @@ class WorkloadError(ReproError):
     """An unknown benchmark or an unsupported workload configuration."""
 
 
-class CheckpointError(ReproError):
-    """A simulation checkpoint cannot be written, read or applied.
-
-    Raised only for programming errors (snapshotting mid-kernel) —
-    corrupt or version-drifted checkpoint *files* never raise; they are
-    quarantined and resume degrades to an older snapshot or a cold
-    start (see :mod:`repro.checkpoint`).
-    """
-
-
 class InvariantError(ReproError):
     """A paranoia-mode invariant check failed: simulator state is
     internally inconsistent.

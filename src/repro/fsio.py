@@ -1,11 +1,11 @@
 """Durable filesystem writes, shared by every persistence seam.
 
-Three modules used to carry their own "atomic" tmp + rename writers
-(:mod:`repro.analysis.simcache`, :mod:`repro.checkpoint`,
-:mod:`repro.obs.export`) — and none of them ``fsync``'d the file or its
-directory, so a power loss shortly after the rename could still surface
-a truncated file under the final name.  This module is the single
-implementation all of them now use:
+Several modules used to carry their own "atomic" tmp + rename writers
+(:mod:`repro.analysis.simcache`, :mod:`repro.obs.export` among them) —
+and none of them ``fsync``'d the file or its directory, so a power loss
+shortly after the rename could still surface a truncated file under the
+final name.  This module is the single implementation all of them now
+use:
 
 * :func:`atomic_write_text` — write to ``<path>.tmp``, flush + fsync,
   rename over ``path``, fsync the directory.  A crash at any point
@@ -23,9 +23,9 @@ implementation all of them now use:
   escape hatch for test suites and throwaway runs where the fsync cost
   dominates.
 
-Chaos seams: every writer takes an ``op`` label (``store``,
-``checkpoint``, ``trace``, ``metrics``, ``manifest``) checked against
-the ``REPRO_FAULT_INJECT`` plan (see :mod:`repro.analysis.faults`).
+Chaos seams: every writer takes an ``op`` label (``store``, ``trace``,
+``metrics``, ``manifest``, ``journal``) checked against the
+``REPRO_FAULT_INJECT`` plan (see :mod:`repro.analysis.faults`).
 ``enospc:<op>`` raises :class:`OSError` ``ENOSPC`` before any byte is
 written; ``partial-write:<op>`` persists a truncated prefix and *then*
 raises, modelling a disk that filled mid-write; ``slow-io:<op>``
@@ -83,8 +83,8 @@ def _io_fault(op: Optional[str]) -> Optional[Tuple[str, Optional[float]]]:
     """The armed io-fault ``(action, arg)`` for ``op``, or ``None``.
 
     Imports the fault grammar lazily: a module-level import would cycle
-    through ``repro.analysis`` (simcache/checkpoint/export all import
-    this leaf).  With no plan armed the cost is one environment lookup.
+    through ``repro.analysis`` (simcache, the manifest and export all
+    import this leaf).  With no plan armed the cost is one environment lookup.
     """
     if not op:
         return None

@@ -104,7 +104,7 @@ class SetAssocCache:
             cache_set.clear()
         self.reset_stats()
 
-    # --- checkpointing ---------------------------------------------------------
+    # --- boundary state --------------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-able snapshot: per-set resident lines in LRU order."""
         return {
@@ -112,33 +112,6 @@ class SetAssocCache:
             "hits": self.hits,
             "misses": self.misses,
         }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`.
-
-        The geometry (set count, associativity) must match — snapshots
-        are keyed by a config digest upstream, so a mismatch means a
-        corrupt or foreign snapshot.
-        """
-        sets = state["sets"]
-        if len(sets) != self.num_sets:
-            raise ConfigurationError(
-                f"{self.name}: snapshot has {len(sets)} sets, "
-                f"expected {self.num_sets}"
-            )
-        restored = []
-        for lines in sets:
-            if len(lines) > self.assoc:
-                raise ConfigurationError(
-                    f"{self.name}: snapshot set holds {len(lines)} lines, "
-                    f"associativity is {self.assoc}"
-                )
-            # dict.fromkeys preserves order, reproducing the LRU recency
-            # ordering (oldest first) the lists were captured in.
-            restored.append(dict.fromkeys(int(line) for line in lines))
-        self._sets = restored
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
 
     def __repr__(self) -> str:
         return (

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.resource import BandwidthResource
-from repro.exceptions import ConfigurationError
 from repro.gpu.config import GPUConfig, McmConfig
-from repro.gpu.gpu import GPUSimulator
+from repro.gpu.gpu import BoundaryHook, GPUSimulator
 from repro.gpu.memory import MemorySubsystem
 from repro.gpu.results import SimulationResult
 from repro.trace.kernel import WorkloadTrace
@@ -135,7 +134,7 @@ class McmMemory:
     def merged(self) -> int:
         return sum(s.merged for s in self.subsystems)
 
-    # --- checkpointing ---------------------------------------------------------
+    # --- boundary state --------------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-able snapshot: per-chiplet subsystems, links, page table."""
         return {
@@ -146,32 +145,6 @@ class McmMemory:
             "remote_accesses": self.remote_accesses,
             "local_accesses": self.local_accesses,
         }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`."""
-        for field, components in (
-            ("subsystems", self.subsystems),
-            ("links_request", self.links_request),
-            ("links_response", self.links_response),
-        ):
-            if len(state[field]) != len(components):
-                raise ConfigurationError(
-                    f"mcm snapshot: {field} has {len(state[field])} "
-                    f"entries, expected {len(components)}"
-                )
-        for sub, sub_state in zip(self.subsystems, state["subsystems"]):
-            sub.load_state(sub_state)
-        for link, link_state in zip(self.links_request, state["links_request"]):
-            link.load_state(link_state)
-        for link, link_state in zip(
-            self.links_response, state["links_response"]
-        ):
-            link.load_state(link_state)
-        self.page_home = {
-            int(page): int(home) for page, home in state["page_home"]
-        }
-        self.remote_accesses = int(state["remote_accesses"])
-        self.local_accesses = int(state["local_accesses"])
 
     def extra_stats(self, end_time: float) -> Dict[str, float]:
         total = self.remote_accesses + self.local_accesses
@@ -201,21 +174,17 @@ class McmSimulator:
     def __init__(self, config: McmConfig) -> None:
         self.config = config
         self.memory = McmMemory(config)
-        self._core = GPUSimulator(
-            _flat_config(config),
-            memory=self.memory,
-            memory_factory=lambda: McmMemory(config),
-        )
+        self._core = GPUSimulator(_flat_config(config), memory=self.memory)
 
-    def run(self, workload: WorkloadTrace, checkpointer=None) -> SimulationResult:
-        result = self._core.run(workload, checkpointer=checkpointer)
+    def run(
+        self, workload: WorkloadTrace, on_boundary: Optional[BoundaryHook] = None
+    ) -> SimulationResult:
+        result = self._core.run(workload, on_boundary=on_boundary)
         extra = dict(result.extra)
         extra["num_chiplets"] = float(self.config.num_chiplets)
         return replace(result, extra=extra)
 
 
-def simulate_mcm(
-    config: McmConfig, workload: WorkloadTrace, checkpointer=None
-) -> SimulationResult:
+def simulate_mcm(config: McmConfig, workload: WorkloadTrace) -> SimulationResult:
     """Convenience wrapper: simulate ``workload`` on an MCM configuration."""
-    return McmSimulator(config).run(workload, checkpointer=checkpointer)
+    return McmSimulator(config).run(workload)

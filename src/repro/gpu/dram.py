@@ -55,12 +55,6 @@ class DramBank:
             "row_misses": self.row_misses,
         }
 
-    def load_state(self, state: dict) -> None:
-        self.server.load_state(state["server"])
-        self.open_row = int(state["open_row"])
-        self.row_hits = int(state["row_hits"])
-        self.row_misses = int(state["row_misses"])
-
 
 class BankedDram:
     """A memory controller with ``num_banks`` banks and a shared data bus.
@@ -116,18 +110,6 @@ class BankedDram:
             "banks": [bank.state_dict() for bank in self.banks],
             "accesses": self.accesses,
         }
-
-    def load_state(self, state: dict) -> None:
-        banks = state["banks"]
-        if len(banks) != len(self.banks):
-            raise ConfigurationError(
-                f"{self.name}: snapshot has {len(banks)} banks, "
-                f"expected {len(self.banks)}"
-            )
-        self.bus.load_state(state["bus"])
-        for bank, bank_state in zip(self.banks, banks):
-            bank.load_state(bank_state)
-        self.accesses = int(state["accesses"])
 
     @property
     def row_hit_rate(self) -> float:

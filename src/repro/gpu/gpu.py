@@ -21,11 +21,10 @@ because the kernel picks its (checked or plain) queue at construction.
 from __future__ import annotations
 
 import time as _time
-import warnings
 from typing import Callable, List, Optional
 
 from repro.engine.kernel import SimulationKernel
-from repro.exceptions import CheckpointError, ConfigurationError, SimulationError
+from repro.exceptions import SimulationError
 from repro.gpu.config import GPUConfig
 from repro.obs.tracing import get_tracer
 from repro.gpu.cta import CTADispatcher
@@ -35,6 +34,10 @@ from repro.gpu.sm import StreamingMultiprocessor
 from repro.trace.kernel import WarpTrace, WorkloadTrace
 from repro.validate import validate_config, validate_trace
 from repro.verify import runtime as verify_runtime
+
+#: ``on_boundary(kernels_completed, cycles, state)``: called at every
+#: internal kernel boundary with the simulator's complete boundary state.
+BoundaryHook = Callable[[int, float, dict], None]
 
 
 class _WarpRun:
@@ -65,12 +68,7 @@ class _WarpRun:
 class GPUSimulator:
     """Runs workloads on a monolithic GPU configuration."""
 
-    def __init__(
-        self,
-        config: GPUConfig,
-        memory=None,
-        memory_factory: Optional[Callable[[], object]] = None,
-    ) -> None:
+    def __init__(self, config: GPUConfig, memory=None) -> None:
         validate_config(config)
         self.config = config
         self._issue_width = config.issue_width
@@ -79,16 +77,13 @@ class GPUSimulator:
         # checked too, not just runner-mediated paths.
         verify_runtime.ensure_paranoia()
         self.kernel_clock = SimulationKernel()
-        if memory_factory is None and memory is None:
-            memory_factory = lambda: MemorySubsystem(config)  # noqa: E731
-        self._memory_factory = memory_factory
-        self.memory = memory if memory is not None else memory_factory()
+        self.memory = memory if memory is not None else MemorySubsystem(config)
         self.sms: List[StreamingMultiprocessor] = [
             StreamingMultiprocessor(i, config) for i in range(config.num_sms)
         ]
         self.dispatcher = CTADispatcher(self.sms, policy=config.cta_scheduler)
         self._workload: Optional[WorkloadTrace] = None
-        self._checkpointer = None
+        self._on_boundary: Optional[BoundaryHook] = None
         self._tracer = None  # set per run() when observability is on
         self._kernel_start_us = 0.0
         self._kernel_index = 0
@@ -99,15 +94,15 @@ class GPUSimulator:
 
     # --- public API --------------------------------------------------------
     def run(
-        self, workload: WorkloadTrace, checkpointer=None
+        self, workload: WorkloadTrace, on_boundary: Optional[BoundaryHook] = None
     ) -> SimulationResult:
         """Simulate ``workload`` to completion and return the result.
 
-        With a :class:`repro.checkpoint.Checkpointer`, the run snapshots
-        its state at kernel boundaries and — when a valid snapshot from
-        an earlier (killed) attempt exists — resumes from it instead of
-        starting cold.  A resumed run is cycle-identical to an
-        uninterrupted one: only ``wall_time_s`` (host time) differs.
+        ``on_boundary(kernels_completed, cycles, state)`` observes every
+        internal kernel boundary — the one point where the event queue is
+        empty, so ``state`` is the simulator's complete state as plain
+        JSON-able data.  Differential replay digests it; the run itself
+        is unchanged by it.
         """
         if self._workload is not None:
             raise SimulationError("GPUSimulator instances are single-use")
@@ -117,14 +112,12 @@ class GPUSimulator:
         validate_trace(workload)
         self._arm_engine_faults(workload)
         self._workload = workload
-        self._checkpointer = checkpointer
+        self._on_boundary = on_boundary
         tracer = get_tracer()
         self._tracer = tracer if tracer.enabled else None
         run_start_us = tracer.now_us() if self._tracer is not None else 0.0
-        if not (checkpointer is not None and self._try_resume(workload)):
-            self._prewarm(workload)
-            self._kernel_index = 0
-            self._launch_kernel()
+        self._prewarm(workload)
+        self._launch_kernel()
         self.kernel_clock.run()
         if not self._finished:
             raise SimulationError(
@@ -144,10 +137,6 @@ class GPUSimulator:
                     "events": result.events,
                 },
             )
-        if checkpointer is not None:
-            # The result is durable in the caller's store; the snapshots
-            # have nothing left to protect.
-            checkpointer.cleanup()
         return result
 
     def _arm_engine_faults(self, workload: WorkloadTrace) -> None:
@@ -239,11 +228,15 @@ class GPUSimulator:
 
             invariants.check_boundary(self, self._kernel_index)
         if self._kernel_index < len(self._workload.kernels):
-            # The boundary is the checkpoint cut: the event queue is
-            # empty (every warp of every CTA has retired), so the whole
-            # simulator state is plain counters and cache contents.
-            self._maybe_checkpoint()
-            self._launch_next_kernel()
+            if self._on_boundary is not None:
+                self._on_boundary(
+                    self._kernel_index, self.kernel_clock.now, self._state_dict()
+                )
+            overhead = self.config.kernel_launch_overhead
+            if overhead > 0:
+                self.kernel_clock.schedule(overhead, self._launch_kernel)
+            else:
+                self._launch_kernel()
         else:
             self._finished = True
 
@@ -261,92 +254,6 @@ class GPUSimulator:
             args={"sim_cycles": self.kernel_clock.now},
         )
 
-    def _launch_next_kernel(self) -> None:
-        """Launch the kernel at ``_kernel_index`` from a boundary.
-
-        Shared by the in-run boundary transition and checkpoint resume so
-        both schedule the launch identically (same event, same seq) —
-        the resumed event stream must replay the original exactly.
-        """
-        overhead = self.config.kernel_launch_overhead
-        if overhead > 0:
-            self.kernel_clock.schedule(overhead, self._launch_kernel)
-        else:
-            self._launch_kernel()
-
-    # --- checkpoint / resume -------------------------------------------------
-    def _maybe_checkpoint(self) -> None:
-        """Snapshot at the current kernel boundary if the policy says so."""
-        checkpointer = self._checkpointer
-        if checkpointer is None or not checkpointer.should_checkpoint(
-            self._kernel_index
-        ):
-            return
-        checkpointer.save(
-            {
-                "kernels_completed": self._kernel_index,
-                "num_kernels": len(self._workload.kernels),
-                "workload": self._workload.name,
-                "system": self.config.name,
-                "cycles": self.kernel_clock.now,
-                "state": self._state_dict(),
-            }
-        )
-
-    def _try_resume(self, workload: WorkloadTrace) -> bool:
-        """Restore the latest valid snapshot; False means cold start.
-
-        Every failure mode here — no snapshot, a snapshot for a
-        different run, a restore that blows up mid-way — degrades to a
-        cold start with at most a warning.  Crash-resume must never be
-        worse than not having checkpoints at all.
-        """
-        snapshot = self._checkpointer.load_latest()
-        if snapshot is None:
-            return False
-        if not self._snapshot_matches(snapshot, workload):
-            warnings.warn(
-                f"{workload.name}: checkpoint describes a different run "
-                "(workload/system/kernel-count mismatch); cold start"
-            )
-            return False
-        try:
-            self._restore(snapshot)
-        except Exception as error:  # noqa: BLE001 - degrade, never crash
-            warnings.warn(
-                f"{workload.name}: checkpoint restore failed ({error}); "
-                "cold start"
-            )
-            self._rebuild_fresh()
-            return False
-        self._checkpointer.mark_resumed(
-            self._kernel_index, self.kernel_clock.now
-        )
-        if self._tracer is not None:
-            self._tracer.instant(
-                "sim.resume",
-                cat="checkpoint",
-                args={
-                    "workload": workload.name,
-                    "kernels_completed": self._kernel_index,
-                    "cycles_saved": self.kernel_clock.now,
-                },
-            )
-        self._launch_next_kernel()
-        return True
-
-    def _snapshot_matches(self, snapshot: dict, workload: WorkloadTrace) -> bool:
-        try:
-            completed = int(snapshot["kernels_completed"])
-            return (
-                snapshot["workload"] == workload.name
-                and snapshot["system"] == self.config.name
-                and int(snapshot["num_kernels"]) == len(workload.kernels)
-                and 1 <= completed < len(workload.kernels)
-            )
-        except (KeyError, TypeError, ValueError):
-            return False
-
     def _state_dict(self) -> dict:
         """Complete simulator state at a kernel boundary (JSON-able)."""
         return {
@@ -356,44 +263,6 @@ class GPUSimulator:
             "accesses": self._accesses,
             "cta_seq": self._cta_seq,
         }
-
-    def _restore(self, snapshot: dict) -> None:
-        state = snapshot["state"]
-        if len(state["sms"]) != len(self.sms):
-            raise ConfigurationError(
-                f"snapshot has {len(state['sms'])} SMs, "
-                f"expected {len(self.sms)}"
-            )
-        self.kernel_clock.load_state(state["clock"])
-        for sm, sm_state in zip(self.sms, state["sms"]):
-            sm.load_state(sm_state)
-        self.memory.load_state(state["memory"])
-        self._accesses = int(state["accesses"])
-        self._cta_seq = int(state["cta_seq"])
-        self._kernel_index = int(snapshot["kernels_completed"])
-        self._live_ctas = {}
-        self._finished = False
-
-    def _rebuild_fresh(self) -> None:
-        """Replace possibly partially-restored components with fresh ones."""
-        if self._memory_factory is None:
-            raise CheckpointError(
-                "cannot fall back to a cold start: this simulator was "
-                "built with an injected memory subsystem and no "
-                "memory_factory to rebuild it"
-            )
-        config = self.config
-        self.kernel_clock = SimulationKernel()
-        self.memory = self._memory_factory()
-        self.sms = [
-            StreamingMultiprocessor(i, config) for i in range(config.num_sms)
-        ]
-        self.dispatcher = CTADispatcher(self.sms, policy=config.cta_scheduler)
-        self._kernel_index = 0
-        self._live_ctas = {}
-        self._cta_seq = 0
-        self._accesses = 0
-        self._finished = False
 
     # --- warp execution -----------------------------------------------------
     def _advance_warp(self, run: _WarpRun) -> None:
@@ -482,8 +351,6 @@ class GPUSimulator:
         return result
 
 
-def simulate(
-    config: GPUConfig, workload: WorkloadTrace, checkpointer=None
-) -> SimulationResult:
+def simulate(config: GPUConfig, workload: WorkloadTrace) -> SimulationResult:
     """Convenience wrapper: simulate ``workload`` on ``config``."""
-    return GPUSimulator(config).run(workload, checkpointer=checkpointer)
+    return GPUSimulator(config).run(workload)

@@ -27,7 +27,6 @@ from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine.resource import BandwidthResource, FifoServer, TokenPool
-from repro.exceptions import ConfigurationError
 from repro.gpu.cache import SetAssocCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.dram import BankedDram
@@ -74,14 +73,6 @@ class L1Cache:
             "in_flight": [[line, t] for line, t in self.in_flight.items()],
             "merged": self.merged,
         }
-
-    def load_state(self, state: dict) -> None:
-        self.cache.load_state(state["cache"])
-        self.mshrs.load_state(state["mshrs"])
-        self.in_flight = {
-            int(line): float(t) for line, t in state["in_flight"]
-        }
-        self.merged = int(state["merged"])
 
 
 class MemorySubsystem:
@@ -369,7 +360,7 @@ class MemorySubsystem:
             "l1_merged": float(self.merged),
         }
 
-    # --- checkpointing ---------------------------------------------------------
+    # --- boundary state --------------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-able snapshot of every stateful component and counter."""
         return {
@@ -388,45 +379,6 @@ class MemorySubsystem:
             "llc_misses": self.llc_misses,
             "merged": self.merged,
         }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`.
-
-        Geometry is validated *before* any component mutates, so a
-        mismatched snapshot leaves the subsystem pristine for a cold
-        start.
-        """
-        for field, components in (
-            ("l1s", self.l1s),
-            ("llc_slices", self.llc_slices),
-            ("llc_ports", self.llc_ports),
-            ("mcs", self.mcs),
-            ("banked_mcs", self.banked_mcs),
-        ):
-            if len(state[field]) != len(components):
-                raise ConfigurationError(
-                    f"memory snapshot: {field} has {len(state[field])} "
-                    f"entries, expected {len(components)}"
-                )
-        for l1, l1_state in zip(self.l1s, state["l1s"]):
-            l1.load_state(l1_state)
-        self.noc_request.load_state(state["noc_request"])
-        self.noc_response.load_state(state["noc_response"])
-        for cache, cache_state in zip(self.llc_slices, state["llc_slices"]):
-            cache.load_state(cache_state)
-        for port, port_state in zip(self.llc_ports, state["llc_ports"]):
-            port.load_state(port_state)
-        for mc, mc_state in zip(self.mcs, state["mcs"]):
-            mc.load_state(mc_state)
-        for banked, banked_state in zip(self.banked_mcs, state["banked_mcs"]):
-            banked.load_state(banked_state)
-        self._rng_state = int(state["rng_state"])
-        self._prune_countdown = int(state["prune_countdown"])
-        self.l1_hits = int(state["l1_hits"])
-        self.l1_misses = int(state["l1_misses"])
-        self.llc_hits = int(state["llc_hits"])
-        self.llc_misses = int(state["llc_misses"])
-        self.merged = int(state["merged"])
 
     def stats(self) -> Dict[str, float]:
         return {

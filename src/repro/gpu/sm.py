@@ -115,12 +115,12 @@ class StreamingMultiprocessor:
         """Total time with zero live warps (includes inactive periods)."""
         return self._no_live_time
 
-    # --- checkpointing ---------------------------------------------------------
+    # --- boundary state --------------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-able snapshot, taken at a kernel boundary.
 
         At a boundary no CTA is resident and no warp is live, so only the
-        accumulated counters and trackers need to travel; ``max_resident``
+        accumulated counters and trackers carry state; ``max_resident``
         is re-derived by the dispatcher when the next kernel loads.
         """
         if self.resident_ctas or self._live_warps:
@@ -137,18 +137,6 @@ class StreamingMultiprocessor:
             "no_live_time": self._no_live_time,
             "no_live_since": self._no_live_since,
         }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a kernel-boundary snapshot from :meth:`state_dict`."""
-        self.pipeline.load_state(state["pipeline"])
-        self.warp_instructions = int(state["warp_instructions"])
-        self.accesses = int(state["accesses"])
-        self._occupancy.load_state(state["occupancy"])
-        self._last_time = float(state["last_time"])
-        self._live_warps = 0
-        self.resident_ctas = 0
-        self._no_live_time = float(state["no_live_time"])
-        self._no_live_since = float(state["no_live_since"])
 
     def memory_stall_fraction(self) -> float:
         """Fraction of active time all live warps wait on memory (f_mem).

@@ -11,7 +11,7 @@ time go":
   flat metrics reports;
 * :mod:`repro.obs.profile_hooks` — the ``REPRO_OBS`` switch over the
   guarded recording sites in the simulator event loop, the parallel
-  runner, store I/O and checkpointing;
+  runner and store I/O;
 * :mod:`repro.obs.logging` — the one structured-logging setup
   (``--log-format human|json``).
 

@@ -22,9 +22,11 @@ import warnings
 from typing import Dict, Iterable, List, Optional
 
 from repro import fsio
+# The module, not the name: ``repro.resilience`` imports ``repro.obs``
+# and may still be initializing when this module loads.
+from repro import resilience
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import Tracer, get_tracer
-from repro.resilience import get_disk_guard
 
 __all__ = [
     "collect_events",
@@ -85,7 +87,7 @@ def _export_json(path: str, text: str, op: str) -> bool:
     injected fault costs the artifact, not the campaign.  Returns True
     when the file landed.
     """
-    if not get_disk_guard().ok(os.path.dirname(path) or "."):
+    if not resilience.get_disk_guard().ok(os.path.dirname(path) or "."):
         warnings.warn(
             f"obs export: skipping {path} (disk space low); "
             "the in-memory data is unaffected"
@@ -97,7 +99,7 @@ def _export_json(path: str, text: str, op: str) -> bool:
             os.makedirs(parent, exist_ok=True)
         fsio.atomic_write_text(path, text, op=op)
     except OSError as error:
-        get_disk_guard().note_failure(os.path.dirname(path) or ".")
+        resilience.get_disk_guard().note_failure(os.path.dirname(path) or ".")
         warnings.warn(f"obs export: cannot write {path}: {error}")
         return False
     return True

@@ -3,8 +3,7 @@
 A recording site is a call behind one switch read, in the module that
 owns the code: ``get_tracer().enabled`` (or ``tracer.span(...)``, which
 reads it) at the event loop's per-run accounting, the parallel runner's
-batch, result-store I/O, checkpoint save/restore and the simulator's
-run/kernel spans.  :func:`install` turns that switch on and
+batch, result-store I/O and the simulator's run/kernel spans.  :func:`install` turns that switch on and
 :func:`uninstall` turns it off; nothing is patched in or out, so the
 disabled cost of a site is the one attribute check.
 

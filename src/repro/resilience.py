@@ -11,7 +11,7 @@ module makes those events survivable instead of fatal:
   :data:`EXIT_INTERRUPTED`.  A second signal force-quits
   (``128 + signum``).
 * :class:`DiskGuard` — a free-space preflight plus cheap periodic
-  checks; below the threshold the store and checkpointer stop *writing*
+  checks; below the threshold the store stops *writing*
   (computation continues from memory), a warning fires once and the
   ``resilience.resource_pressure`` counter records the episode.
 * :func:`apply_memory_limit` — an optional per-process address-space
@@ -35,7 +35,7 @@ Exit-code contract for every CLI entry point (documented in
 ``75`` is ``EX_TEMPFAIL`` from ``sysexits.h`` — "temporary failure,
 retrying later will succeed", which is exactly the contract: everything
 completed before the signal is durable, and a rerun picks up from the
-cache and the checkpoints.
+cache.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ class DiskGuard:
     :meth:`note_failure` to force the low state immediately (the kernel
     is a better authority than statvfs).
 
-    The store and the checkpointer skip writes while low — computation
+    The store skips writes while low — computation
     continues from memory and everything still pending is flushed once
     space recovers.
     """
@@ -348,7 +348,7 @@ class DiskGuard:
             warnings.warn(
                 f"disk guard: free space under {path}{where} is below the "
                 f"{self.min_free_bytes // (1024 * 1024)} MB threshold "
-                f"({MIN_FREE_ENV}); cache shards and checkpoints are "
+                f"({MIN_FREE_ENV}); writes there are "
                 "paused — computation continues, pending records flush "
                 "once space recovers"
             )

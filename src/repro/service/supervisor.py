@@ -168,7 +168,7 @@ class WorkerSlot:
                 abort_task.cancel()
             if worker_future in done:
                 try:
-                    key, shard, payload, _meta = worker_future.result()
+                    key, shard, payload = worker_future.result()
                 except BrokenProcessPool:
                     # The worker died (segfault, injected `die`).  The
                     # pool is useless now either way; retry only if the

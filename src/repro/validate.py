@@ -2,8 +2,8 @@
 
 The dataclasses in :mod:`repro.gpu.config` and :mod:`repro.trace.kernel`
 reject structurally impossible inputs at construction; this module adds
-the *physical-plausibility* layer the checkpoint/resume machinery and
-long batch runs depend on — a nonsense input should fail loudly at the
+the *physical-plausibility* layer long batch runs depend on — a
+nonsense input should fail loudly at the
 boundary, with an actionable message, instead of producing a simulation
 that silently runs forever or divides by zero three layers down.
 

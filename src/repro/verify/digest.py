@@ -77,7 +77,7 @@ def payload_digest(
     are volatile wherever they sit (``wall_time_s`` at a simulation
     payload's top level, ``collection_seconds`` inside an MRC payload's
     ``metadata``), and everything else must digest identically between
-    serial/parallel and cold/resumed runs of the same config.
+    serial/parallel and checked/plain runs of the same config.
     """
     return content_digest(_scrub(payload, frozenset(exclude)))
 

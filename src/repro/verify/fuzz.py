@@ -8,7 +8,8 @@ the verify subsystem has:
 * a paranoia-mode run (every invariant at every boundary and event);
 * a determinism differential (two runs of the same case must digest
   identically at every boundary);
-* a cold-vs-resume differential replay for multi-kernel cases.
+* a checked-vs-plain differential replay (paranoia mode must observe a
+  run, never change it).
 
 Everything is seeded: the same ``seed`` always generates the same spec
 and the same verdict, so CI runs a fixed seed list and a red case is
@@ -143,7 +144,7 @@ def check_case(case: FuzzCase) -> Optional[str]:
     from repro.verify.replay import (
         digest_run,
         first_divergence,
-        replay_cold_vs_resume,
+        replay_checked_vs_plain,
     )
     from repro.workloads import build_trace
 
@@ -165,10 +166,9 @@ def check_case(case: FuzzCase) -> Optional[str]:
             divergence = first_divergence(first, second)
             if divergence is not None:
                 return f"nondeterministic replay: {divergence}"
-            if len(trace.kernels) >= 2:
-                _, _, divergence = replay_cold_vs_resume(factory, trace)
-                if divergence is not None:
-                    return f"cold-vs-resume divergence: {divergence}"
+        _, _, divergence = replay_checked_vs_plain(factory, trace)
+        if divergence is not None:
+            return f"checked-vs-plain divergence: {divergence}"
     except ReproError as error:
         return f"{type(error).__name__}: {error}"
     return None

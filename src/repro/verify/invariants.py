@@ -126,7 +126,7 @@ def check_boundary(sim, kernels_completed: int) -> None:
     drains.  The ``_verify_prev_boundary``
     attribute this leaves on the simulator is bookkeeping for the
     cross-boundary monotonicity checks only — it is not model state and
-    never reaches a checkpoint.
+    never reaches the boundary state replay digests.
     """
     name = _workload_of(sim)
     clock = sim.kernel_clock

@@ -4,7 +4,7 @@ A campaign draws a stratified batch of generated specs and runs every
 one as a :class:`~repro.analysis.experiments.RunnerStudy` — the
 Figure-3 flow the paper's figures use, with the plan's ``work_scale``
 and ``seed`` — through a :class:`~repro.analysis.runner.CachedRunner`
-(parallel prefetch, retries, breakers and checkpointing come for free),
+(parallel prefetch, retries and breakers come for free),
 then asks two questions per workload:
 
 * what scaling regime did the detailed simulation *measure*

@@ -20,6 +20,7 @@ from repro.analysis.faults import (
     TIMEOUT,
     BatchReport,
     ExecutionPolicy,
+    FailureLedger,
     FailureManifest,
     InjectedFaultError,
     RunOutcome,
@@ -66,6 +67,17 @@ class TestFaultPlan:
     def test_malformed_directive_rejected(self, bad):
         with pytest.raises(ReproError):
             parse_fault_plan(bad)
+
+    def test_io_directive_must_name_a_write_seam(self):
+        # A mistyped seam used to parse and then never fire, so a chaos
+        # schedule passed green while injecting nothing.
+        for bad in ("enospc:stroe", "partial-write:zzz:2", "slow-io:x",
+                    "enospc:checkpoint"):
+            with pytest.raises(ReproError, match="store, trace, metrics"):
+                parse_fault_plan(bad)
+        # Prefixes of a real seam label still match it.
+        for good in ("enospc:st", "partial-write:journal:2", "slow-io:m"):
+            assert parse_fault_plan(good)
 
     def test_noop_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
@@ -504,6 +516,26 @@ class TestManifestAndReportUnits:
         assert report.retries == 2
         assert report.counts()["retries"] == 2
         assert "2 retries" in report.summary()
+
+    def test_manifest_lines_with_resume_fields_still_seed_streaks(
+        self, tmp_path
+    ):
+        # Manifests written while runs could resume from checkpoints
+        # carry two more fields per record; they must still count.
+        root = tmp_path / "failures"
+        root.mkdir()
+        record = {
+            "key": "sim|a|b", "kind": "sim", "shard": "va",
+            "status": FAILED, "attempts": 3, "error": "boom", "size": 8,
+            "work_scale": 1.0, "seed": 0, "method": "stack",
+            "resumed_from_kernel": None, "cycles_saved": 0.0,
+            "recorded_at": 1.0,
+        }
+        line = json.dumps(record) + "\n"
+        (root / "va.jsonl").write_text(line * 2)
+        ledger = FailureLedger(str(root), threshold=2)
+        assert ledger.streak("sim|a|b") == 2
+        assert ledger.tripped("sim|a|b")
 
 
 class TestCliKeepGoing:

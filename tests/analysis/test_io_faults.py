@@ -1,6 +1,6 @@
 """Injected filesystem faults at every persistence seam (satellite):
-``ResultStore.flush``, ``Checkpointer.save`` and the trace/metrics
-exporters survive ENOSPC and partial writes — pending data is kept in
+``ResultStore.flush`` and the trace/metrics exporters survive ENOSPC
+and partial writes — pending data is kept in
 memory, retried once the disk recovers, and a torn append never
 corrupts a neighbouring record."""
 
@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis.faults import FAULT_INJECT_ENV, reset_io_faults
 from repro.analysis.simcache import ResultStore
-from repro.checkpoint import Checkpointer
 from repro.obs.export import (
     validate_trace_events,
     write_chrome_trace,
@@ -99,34 +98,6 @@ class TestStoreFlush:
         reset_disk_guard()
         assert store.flush() == 1
         assert ResultStore(str(tmp_path / "simcache")).contains("k1")
-
-
-class TestCheckpointSave:
-    @pytest.mark.parametrize("fault", FAULTS)
-    def test_failed_save_degrades_to_a_warning(
-        self, tmp_path, monkeypatch, fault
-    ):
-        arm(monkeypatch, f"{fault}:checkpoint:1")
-        ckpt = Checkpointer(str(tmp_path / "run"), run_key="k")
-        with pytest.warns(UserWarning, match="continuing without this snapshot"):
-            assert ckpt.save({"kernels_completed": 1, "state": [1]}) is False
-        assert ckpt.saves == 0
-        # The next boundary retries and the snapshot round-trips.
-        disarm(monkeypatch)
-        assert ckpt.save({"kernels_completed": 2, "state": [2]}) is True
-        payload = ckpt.load_latest()
-        assert payload is not None
-        assert payload["kernels_completed"] == 2
-
-    def test_low_disk_skips_the_save(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MIN_FREE_MB", str(10 ** 12))
-        monkeypatch.setenv("REPRO_DISK_CHECK_INTERVAL", "0")
-        reset_disk_guard()
-        directory = str(tmp_path / "run")
-        ckpt = Checkpointer(directory, run_key="k")
-        with pytest.warns(UserWarning, match="disk guard"):
-            assert ckpt.save({"kernels_completed": 1}) is False
-        assert not os.path.exists(directory)  # nothing was even created
 
 
 class TestExportSeams:

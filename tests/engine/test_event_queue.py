@@ -201,7 +201,7 @@ class TestLiveCount:
 
     def test_reset_rewinds_seq(self):
         # Regression: clear() kept the seq counter, so a reset queue and
-        # a fresh queue disagreed on checkpointed queue_seq.
+        # a fresh queue disagreed on the boundary state's queue_seq.
         q = EventQueue()
         q.push(1.0, lambda: None)
         q.push(2.0, lambda: None)

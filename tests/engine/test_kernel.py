@@ -118,6 +118,9 @@ class TestRunControl:
 
 
 class TestCheckpointState:
+    """The read side of kernel-boundary state (``state_dict``), which
+    differential replay digests."""
+
     def test_snapshot_allowed_with_only_cancelled_events(self):
         # Regression: cancelled entries linger in the heap until popped,
         # and state_dict() used to refuse a kernel-boundary snapshot
@@ -140,9 +143,9 @@ class TestCheckpointState:
 
     def test_reset_kernel_checkpoints_like_fresh_kernel(self):
         # Regression: reset() kept the queue's seq counter, so the same
-        # schedule replayed after a reset checkpointed a different
-        # queue_seq than a fresh kernel — breaking bit-identical state
-        # comparison across resets.
+        # schedule replayed after a reset reported a different queue_seq
+        # than a fresh kernel — breaking bit-identical state comparison
+        # across resets.
         def drive(kernel):
             kernel.schedule(1.0, lambda: None)
             kernel.schedule(2.0, lambda: None)
@@ -154,12 +157,3 @@ class TestCheckpointState:
         drive(reused)
         reused.reset()
         assert drive(reused) == fresh
-
-    def test_cancelled_events_survive_in_load_state_gate(self):
-        # load_state must accept a queue holding only corpses too.
-        k = SimulationKernel()
-        handle = k.schedule(3.0, lambda: None)
-        handle.cancel()
-        k.load_state({"now": 7.0, "events_processed": 4, "queue_seq": 9})
-        assert k.now == 7.0
-        assert k.schedule(1.0, lambda: None).seq == 9

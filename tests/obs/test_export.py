@@ -35,14 +35,14 @@ class TestChromeTrace:
         with t.span("sim", cat="sim"):
             with t.span("kernel", cat="kernel"):
                 pass
-        t.instant("resume", cat="checkpoint")
+        t.instant("hit", cat="run")
         path = tmp_path / "trace.json"
         count = write_chrome_trace(str(path), tracer=t)
         assert count == 3
         document = json.loads(path.read_text())
         assert validate_trace_events(document) == []
         cats = {e["cat"] for e in document["traceEvents"]}
-        assert cats == {"sim", "kernel", "checkpoint"}
+        assert cats == {"sim", "kernel", "run"}
 
     def test_events_sorted_by_timestamp(self, tmp_path):
         t = make_tracer()

@@ -129,25 +129,19 @@ class TestRecordedNames:
         from repro.analysis.parallel import ParallelRunner, RunRequest
         from repro.analysis.runner import CachedRunner
         from repro.analysis.simcache import ResultStore
-        from repro.checkpoint import Checkpointer
 
         install()
         cache = str(tmp_path / "cache")
         runner = CachedRunner(cache_path=cache)
         runner.simulate(tiny_spec, 8)
         runner.simulate(tiny_spec, 8)  # one hit
-        batch = ParallelRunner(
-            runner.store, jobs=1, checkpoint=runner.checkpoint
-        )
+        batch = ParallelRunner(runner.store, jobs=1)
         batch.run_batch_report([
             RunRequest("sim", tiny_spec, 16, 1.0, 0),
             RunRequest("mrc", tiny_spec, 0, 1.0, 0),
         ])
         runner.flush()
         ResultStore(cache)  # reopen: the read side
-        snapshots = Checkpointer(str(tmp_path / "ckpt"), "k")
-        assert snapshots.save({"kernels_completed": 1})
-        assert snapshots.load_latest() is not None
 
         spans = {
             (re.sub(r"\[\d+\]", "[N]", e["name"]), e["cat"], e["ph"])
@@ -159,8 +153,6 @@ class TestRecordedNames:
             ("batch.submit", "run", "i"),
             ("cache.flush", "cache", "X"),
             ("cache.load_shard", "cache", "X"),
-            ("checkpoint.load", "checkpoint", "X"),
-            ("checkpoint.save", "checkpoint", "X"),
             ("engine.run", "kernel", "X"),
             ("kernel[N]:va-k0", "kernel", "X"),
             ("run.hit", "run", "i"),
@@ -170,15 +162,13 @@ class TestRecordedNames:
         snapshot = get_registry().snapshot()
         assert set(snapshot["counters"]) == {
             "batch.failed", "batch.interrupted", "batch.ok", "batch.oom",
-            "batch.pool_deaths", "batch.resumed", "batch.retries",
-            "batch.skipped", "batch.timeout", "cache.flushed_records",
-            "cache.hits", "cache.misses", "cache.shards_loaded",
-            "checkpoint.loads", "checkpoint.saves", "engine.events",
+            "batch.pool_deaths", "batch.retries", "batch.skipped",
+            "batch.timeout", "cache.flushed_records", "cache.hits",
+            "cache.misses", "cache.shards_loaded", "engine.events",
         }
         assert set(snapshot["histograms"]) == {
             "batch.wall_us", "engine.run_us", "span.cache.us",
-            "span.checkpoint.us", "span.kernel.us", "span.run.us",
-            "span.sim.us",
+            "span.kernel.us", "span.run.us", "span.sim.us",
         }
 
 
@@ -205,7 +195,7 @@ class TestBootstrapEndToEnd:
         document = json.loads((tmp_path / "trace.json").read_text())
         assert validate_trace_events(document) == []
         cats = {e["cat"] for e in document["traceEvents"]}
-        assert {"run", "kernel", "cache", "checkpoint"} <= cats
+        assert {"run", "sim", "kernel", "cache"} <= cats
 
         snapshot = json.loads((tmp_path / "metrics.json").read_text())
         assert snapshot["counters"]["runner.runner.hits"] == 1

@@ -137,7 +137,7 @@ class TestInjectedIoFaults:
         assert open(path).read() == "no op label"
 
     def test_unrelated_seam_is_untouched(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "enospc:checkpoint")
+        monkeypatch.setenv(FAULT_INJECT_ENV, "enospc:journal")
         path = str(tmp_path / "shard.jsonl")
         fsio.append_text(path, "store seam\n", op="store")
         assert open(path).read() == "store seam\n"

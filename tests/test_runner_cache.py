@@ -175,6 +175,23 @@ class TestSerialParallelIdentity:
         assert runner.hits == 2 and runner.misses == 0
 
 
+class TestRunIsTheRecoveryUnit:
+    def test_simulate_writes_no_snapshots_beside_the_store(self, tmp_path):
+        # Every persistent store used to snapshot each run at every kernel
+        # boundary under a ``checkpoints/`` sibling.
+        runner = CachedRunner(str(tmp_path / "simcache"))
+        runner.simulate(get_benchmark("dct"), 16, 0.25)
+        assert sorted(os.listdir(tmp_path)) == ["simcache"]
+
+    def test_checkpoint_policy_stub_refuses_a_root(self):
+        from repro.checkpoint import CheckpointPolicy
+        from repro.exceptions import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="removed"):
+            CheckpointPolicy(root="x")
+        CachedRunner(None, checkpoint=CheckpointPolicy(root=None))
+
+
 class TestStoreTelemetry:
     def test_flush_batching(self, tmp_path):
         store = ResultStore(str(tmp_path / "s"), flush_every=3)

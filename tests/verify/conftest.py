@@ -45,7 +45,6 @@ def instrumented_targets():
     import repro.analysis.runner as runner_mod
     from repro.analysis.parallel import ParallelRunner
     from repro.analysis.simcache import ResultStore
-    from repro.checkpoint import Checkpointer
     from repro.core.model import ScaleModelPredictor
     from repro.engine.kernel import SimulationKernel
     from repro.gpu.gpu import GPUSimulator
@@ -57,7 +56,5 @@ def instrumented_targets():
         runner_mod.compute_mrc,
         ResultStore.flush,
         ResultStore._load_one_shard,
-        Checkpointer.save,
-        Checkpointer.load_latest,
         ParallelRunner.run_batch_report,
     )

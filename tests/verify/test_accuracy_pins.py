@@ -19,7 +19,6 @@ import pytest
 
 from repro.analysis.faults import ExecutionPolicy
 from repro.analysis.runner import CachedRunner, compute_mrc, compute_sim
-from repro.checkpoint import CheckpointPolicy
 from repro.core.workflow import predict_strong_scaling
 from repro.workloads import get_benchmark
 from repro.zoo import CampaignPlan, run_campaign
@@ -74,7 +73,6 @@ def test_zoo_sample_accuracy(tmp_path):
         os.path.join(tmp_path, "store"),
         jobs=1,
         policy=ExecutionPolicy(keep_going=True),
-        checkpoint=CheckpointPolicy(root=None),
     )
     artifact = run_campaign(CampaignPlan(n=6, seed=9, work_scale=0.1), runner)
     assert artifact["failures"] == []

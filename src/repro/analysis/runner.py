@@ -63,6 +63,7 @@ from repro.mrc import MissRateCurve, collect_miss_rate_curve
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import get_tracer
 from repro.workloads import build_trace
+from repro.workloads.generators import TRACE_CONTRACT
 from repro.workloads.spec import BenchmarkSpec, KernelShape
 
 DEFAULT_CACHE = os.path.join("results", "simcache")
@@ -90,8 +91,11 @@ _KERNEL_FIELDS = tuple(sorted(f.name for f in fields(KernelShape)))
 def _spec_digest(spec: BenchmarkSpec, extra: str = "") -> str:
     # Derived from the spec's *contents* on every call — ``params`` is a
     # mutable mapping, so nothing here may be memoized on spec identity.
+    # ``TRACE_CONTRACT`` covers how a spec becomes a trace: results of an
+    # earlier generator are never served under today's keys.
     payload = repr(
         (
+            TRACE_CONTRACT,
             spec.abbr,
             spec.family,
             sorted(spec.params.items()),

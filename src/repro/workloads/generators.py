@@ -2,7 +2,9 @@
 
 Each family turns a :class:`~repro.workloads.spec.BenchmarkSpec` into a
 :class:`~repro.trace.kernel.WorkloadTrace`.  All generators are
-deterministic in ``(spec, work_scale, capacity_scale, seed)``.
+deterministic in ``(spec, work_scale, capacity_scale, seed)``, and each
+generates a whole kernel at once: a few sized random draws per kernel
+(see :class:`_Grid`), then array arithmetic — no loop over CTAs or warps.
 
 Families
 --------
@@ -44,7 +46,7 @@ what makes bfs and bs sub-linear under weak scaling.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -83,62 +85,78 @@ def _clamped_ctas(shape: KernelShape, work_scale: float) -> int:
     return max(1, min(MAX_CTAS, scaled))
 
 
-class _Grid:
-    """The draws of one kernel's grid, CTA by CTA.
+#: Version of the draw-order contract of :class:`_Grid`.  Result-store
+#: keys and campaign plans carry it, so nothing computed from traces of
+#: another contract is ever served for this one.
+TRACE_CONTRACT = 2
 
-    Drawing is the only per-CTA work in trace generation, and its order is
-    the determinism contract: CTA ``c`` of kernel ``k`` owns a PCG64 stream
-    seeded ``(seed, k, c)`` and draws the family's values first, then per
-    warp its compute bursts followed by its launch offset
-    (:meth:`draw_warps`).  Consecutive draws from one distribution may be
-    fused into one sized call — same stream — but never reordered.
-    Everything that does not draw runs once, on the whole kernel.
+#: Draw purposes: the third word of a kernel's stream seeds.
+_WORK, _FAMILY, _BURSTS, _OFFSETS = range(4)
+
+
+class _Grid:
+    """One kernel's grid and the draws that define it.
+
+    The draw-order contract: kernel ``k`` draws each purpose's values
+    from its own PCG64 stream, seeded ``(seed, k, purpose)``, and reads
+    that stream with one sized call in CTA-then-warp order — the per-CTA
+    lognormal work factors (:meth:`cta_counts`, only when ``sigma > 0``),
+    the family's own line, coin or child draws (:meth:`stream`), the
+    compute bursts and the launch offsets (:meth:`compile`).  Since a
+    sized draw's first values do not depend on its size, CTA ``c``'s work
+    factor, bursts and offsets do not depend on how many CTAs the grid
+    has.
     """
 
     def __init__(
         self, ctx: "_TraceContext", cpa: float, kernel_idx: int,
         num_ctas: int, warps: int,
     ) -> None:
+        self.ctx = ctx
+        self.cpa = cpa
+        self.kernel_idx = kernel_idx
+        self.num_ctas = num_ctas
         self.warps = warps
         self.num_warps = num_ctas * warps
-        self._seeds = [(ctx.seed, kernel_idx, cta_id) for cta_id in range(num_ctas)]
-        self._burst_range = patterns.burst_range(cpa)
-        self._lead_in = ctx.lead_in
-        self._bursts: List[np.ndarray] = []
-        self._offsets: List[int] = []
-        self._lengths: List[int] = []
 
-    def rngs(self) -> Iterator[np.random.Generator]:
+    def stream(self, purpose: int) -> np.random.Generator:
         # What ``default_rng(seed)`` builds, minus its argument sniffing.
-        return map(np.random.Generator, map(np.random.PCG64, self._seeds))
+        seed = (self.ctx.seed, self.kernel_idx, purpose)
+        return np.random.Generator(np.random.PCG64(seed))
 
-    def draw_warps(self, rng: np.random.Generator, accesses: int) -> None:
-        """The draws that end a CTA whose warps make ``accesses`` each."""
-        low, high = self._burst_range
-        lead_in = self._lead_in
-        uniform, integers = rng.uniform, rng.integers
-        bursts, offsets = self._bursts, self._offsets
-        for __ in range(self.warps):
-            bursts.append(uniform(low, high, accesses))
-            # Stagger warp launch (scheduler and launch overhead) so warps
-            # do not issue memory in lockstep: identical warp periods would
-            # otherwise resonate into synchronized request bursts no real
-            # GPU exhibits.  The offset is idle time, not instructions.
-            if lead_in > 0:
-                offsets.append(integers(0, lead_in))
-        self._lengths.append(accesses)
+    def cta_counts(self, mean: int, floor: int) -> np.ndarray:
+        """Per-CTA ``mean`` times a lognormal work factor of unit mean,
+        rounded, and at least ``floor``."""
+        sigma = self.ctx.sigma
+        factors = np.ones(self.num_ctas)
+        if sigma > 0:
+            z = self.stream(_WORK).standard_normal(self.num_ctas)
+            factors = np.exp(sigma * z - 0.5 * sigma * sigma)
+        return np.maximum(floor, np.rint(mean * factors)).astype(np.int64)
 
-    def warp_lengths(self) -> np.ndarray:
-        return np.repeat(np.asarray(self._lengths, dtype=np.int64), self.warps)
-
-    def compile(self, lines: np.ndarray) -> CompiledKernel:
-        offsets = self._offsets if self._lead_in > 0 else [0] * self.num_warps
+    def compile(
+        self, lines: np.ndarray, accesses: Union[int, np.ndarray]
+    ) -> CompiledKernel:
+        """The kernel whose warps of CTA ``c`` make ``accesses[c]`` accesses
+        each (or ``accesses``, when it is one number) to ``lines``."""
+        lengths = np.repeat(np.broadcast_to(accesses, self.num_ctas), self.warps)
+        low, high = patterns.burst_range(self.cpa)
+        bursts = self.stream(_BURSTS).uniform(low, high, len(lines))
+        # Stagger warp launch (scheduler and launch overhead) so warps do
+        # not issue memory in lockstep: identical warp periods would
+        # otherwise resonate into synchronized request bursts no real GPU
+        # exhibits.  The offset is idle time, not instructions.
+        offsets = np.zeros(self.num_warps)
+        if self.ctx.lead_in > 0:
+            offsets = self.stream(_OFFSETS).integers(
+                0, self.ctx.lead_in, self.num_warps
+            )
         return CompiledKernel(
             lines,
-            patterns.round_bursts(np.concatenate(self._bursts)),
-            np.concatenate(([0], np.cumsum(self.warp_lengths()))),
+            patterns.round_bursts(bursts),
+            np.concatenate(([0], np.cumsum(lengths))),
             np.zeros(self.num_warps, dtype=np.int64),
-            np.asarray(offsets, dtype=np.float64),
+            offsets.astype(np.float64),
             np.arange(0, self.num_warps + 1, self.warps),
         )
 
@@ -162,7 +180,7 @@ class _TraceContext:
         self.cpa = spec.param("cpa", 8.0)
         self.apw = int(spec.param("apw", 24))
         # Default start-up stagger: comparable to one memory round trip so
-        # warp generations decorrelate (see _Grid.draw_warps); overridable.
+        # warp generations decorrelate (see _Grid.compile); overridable.
         self.lead_in = int(
             spec.param("lead_in", max(900, round(2 * self.cpa * self.apw)))
         )
@@ -175,13 +193,6 @@ class _TraceContext:
     def footprint_lines(self, key: str = "fp_mb", default: float = None) -> int:
         mb = self.spec.param(key, default if default is not None else self.spec.footprint_mb)
         return lines_for_mb(mb * self.work_scale, self.capacity_scale)
-
-    def cta_work_factor(self, rng: np.random.Generator) -> float:
-        """Lognormal per-CTA work multiplier with unit mean."""
-        if self.sigma <= 0:
-            return 1.0
-        z = rng.standard_normal()
-        return float(np.exp(self.sigma * z - 0.5 * self.sigma * self.sigma))
 
 
 # --------------------------------------------------------------------------
@@ -198,16 +209,10 @@ def _sweep_kernel(
     # repeats hit the private L1, as they do in the real kernels.
     l1_reuse = max(1, int(ctx.spec.param("l1_reuse", 2)))
     distinct = max(1, ctx.apw // l1_reuse)
-    accesses = distinct * l1_reuse
     cold_lines_total = max(
         1, ctx.footprint_lines() - hot_lines if cold_frac > 0 else 1
     )
     grid = _Grid(ctx, ctx.cpa, kernel_idx, num_ctas, shape.warps_per_cta)
-    cold_draws = []
-    for rng in grid.rngs():
-        if cold_frac > 0:
-            cold_draws.append(rng.random(grid.warps * accesses))
-        grid.draw_warps(rng, accesses)
     # Warp g sweeps ``distinct`` lines from g * distinct on: back to back,
     # the warps of the grid make one long sweep.
     lines = np.repeat(
@@ -219,8 +224,9 @@ def _sweep_kernel(
         # adds bandwidth pressure and an MPKI floor without polluting the
         # shared cache.
         cold = patterns.cyclic_sweep(BYPASS_BASE, cold_lines_total, len(lines))
-        lines = np.where(np.concatenate(cold_draws) < cold_frac, cold, lines)
-    return grid.compile(lines)
+        coins = grid.stream(_FAMILY).random(len(lines))
+        lines = np.where(coins < cold_frac, cold, lines)
+    return grid.compile(lines, distinct * l1_reuse)
 
 
 def _irregular_kernel(
@@ -228,49 +234,37 @@ def _irregular_kernel(
 ) -> CompiledKernel:
     fp_lines = ctx.footprint_lines()
     zipf_exp = ctx.spec.param("zipf_exp", 0.0)
+    grid = _Grid(ctx, ctx.cpa, kernel_idx, num_ctas, shape.warps_per_cta)
+    apw = grid.cta_counts(ctx.apw, floor=2)
+    count = grid.warps * int(apw.sum())
+    draws = grid.stream(_FAMILY)
     if zipf_exp > 0:
-        base = HOT_BASE
         weights = patterns.zipf_weights(fp_lines, zipf_exp)
+        lines = HOT_BASE + draws.choice(fp_lines, size=count, p=weights)
     else:
         base = STREAM_BASE + kernel_idx * _KERNEL_STRIDE
-    grid = _Grid(ctx, ctx.cpa, kernel_idx, num_ctas, shape.warps_per_cta)
-    picks = []
-    for rng in grid.rngs():
-        apw = max(2, int(round(ctx.apw * ctx.cta_work_factor(rng))))
-        count = grid.warps * apw
-        if zipf_exp > 0:
-            picks.append(rng.choice(fp_lines, size=count, p=weights))
-        else:
-            picks.append(rng.integers(0, fp_lines, size=count, dtype=np.int64))
-        grid.draw_warps(rng, apw)
-    return grid.compile(base + np.concatenate(picks))
+        lines = base + draws.integers(0, fp_lines, size=count, dtype=np.int64)
+    return grid.compile(lines, apw)
 
 
 def _stream_kernel(
     ctx: _TraceContext, shape: KernelShape, kernel_idx: int, num_ctas: int
 ) -> CompiledKernel:
     fp_lines = ctx.footprint_lines()
-    random_access = ctx.spec.param("random", 0.0) > 0
-    no_reuse = ctx.spec.param("no_reuse", 0.0) > 0
     kbase = STREAM_BASE + kernel_idx * _KERNEL_STRIDE
     grid = _Grid(ctx, ctx.cpa, kernel_idx, num_ctas, shape.warps_per_cta)
-    count = grid.warps * ctx.apw
-    picks = []
-    for rng in grid.rngs():
-        if random_access:
-            picks.append(rng.integers(0, fp_lines, size=count, dtype=np.int64))
-        grid.draw_warps(rng, ctx.apw)
-    total = num_ctas * count
-    if random_access:
-        lines = kbase + np.concatenate(picks)
-    elif no_reuse:
+    total = grid.num_warps * ctx.apw
+    if ctx.spec.param("random", 0.0) > 0:
+        draws = grid.stream(_FAMILY)
+        lines = kbase + draws.integers(0, fp_lines, size=total, dtype=np.int64)
+    elif ctx.spec.param("no_reuse", 0.0) > 0:
         # Fresh lines per access: models kernels that never touch the
         # same data twice (ht): every reference is a cold miss.
         lines = patterns.sequential(kbase, total)
     else:
         # Warp g streams ``apw`` lines from g * apw on, wrapping.
         lines = patterns.cyclic_sweep(kbase, fp_lines, total)
-    return grid.compile(lines)
+    return grid.compile(lines, ctx.apw)
 
 
 def _tiled_kernel(
@@ -289,11 +283,9 @@ def _tiled_kernel(
     folded_cpa = reps * (ctx.cpa + 1.0) - 1.0
     kbase = TILE_BASE + kernel_idx * _KERNEL_STRIDE
     grid = _Grid(ctx, folded_cpa, kernel_idx, num_ctas, shape.warps_per_cta)
-    for rng in grid.rngs():
-        grid.draw_warps(rng, ctx.apw)
     # Warp g owns the ``apw`` lines from g * apw on, wrapping.
     return grid.compile(
-        patterns.cyclic_sweep(kbase, fp_lines, grid.num_warps * ctx.apw)
+        patterns.cyclic_sweep(kbase, fp_lines, grid.num_warps * ctx.apw), ctx.apw
     )
 
 
@@ -304,33 +296,15 @@ def _chase_kernel(
     levels = int(ctx.spec.param("levels", 5))
     # Pick the fanout so the full tree holds about fp_lines nodes.
     fanout = max(2, int(round(fp_lines ** (1.0 / max(1, levels - 1)))))
-    walks = max(1, ctx.apw // levels)
     grid = _Grid(ctx, ctx.cpa, kernel_idx, num_ctas, shape.warps_per_cta)
-    draws = []
-    for rng in grid.rngs():
-        nwalks = max(1, int(round(walks * ctx.cta_work_factor(rng))))
-        # Per warp, one child pick per walk for each level below the root.
-        draws.append(
-            rng.integers(
-                0, fanout, size=grid.warps * (levels - 1) * nwalks, dtype=np.int64
-            )
-        )
-        grid.draw_warps(rng, nwalks * levels)
-    draws = np.concatenate(draws)
-    # Walk i of a warp finds its pick for level k at k * nwalks + i of the
-    # warp's (levels - 1) * nwalks draws.
-    nwalks = grid.warp_lengths() // levels
-    first_draw = np.cumsum(nwalks * (levels - 1)) - nwalks * (levels - 1)
-    walk = _positions_in_runs(nwalks) + np.repeat(first_draw, nwalks)
-    stride = np.repeat(nwalks, nwalks)
-    picks = [draws[walk + level * stride] for level in range(levels - 1)]
-    return grid.compile(patterns.tree_paths(TREE_BASE, fanout, len(walk), picks))
-
-
-def _positions_in_runs(lengths: np.ndarray) -> np.ndarray:
-    """``0 .. n-1`` for each run length ``n`` in turn."""
-    starts = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts, lengths)
+    nwalks = grid.cta_counts(max(1, ctx.apw // levels), floor=1)
+    # Walk after walk, one child pick per level below the root.
+    picks = grid.stream(_FAMILY).integers(
+        0, fanout, size=(grid.warps * int(nwalks.sum()), levels - 1),
+        dtype=np.int64,
+    )
+    lines = patterns.tree_paths(TREE_BASE, fanout, len(picks), picks.T)
+    return grid.compile(lines, nwalks * levels)
 
 
 def _hotcold_kernel(
@@ -344,27 +318,28 @@ def _hotcold_kernel(
         hot_lines = max(1, int(round(hot_lines * ctx.work_scale)))
     hot_frac = ctx.spec.param("hot_frac", 0.2)
     zipf_exp = ctx.spec.param("zipf_exp", 1.1)
-    if zipf_exp > 0:
-        weights = patterns.zipf_weights(hot_lines, zipf_exp)
     kbase = COLD_BASE + kernel_idx * _KERNEL_STRIDE
     grid = _Grid(ctx, ctx.cpa, kernel_idx, num_ctas, shape.warps_per_cta)
-    hot_draws, picks = [], []
-    for rng in grid.rngs():
-        n = max(2, int(round(ctx.apw * ctx.cta_work_factor(rng))))
-        for __ in range(grid.warps):
-            hot_draws.append(rng.random(n))
-            if zipf_exp > 0:
-                picks.append(rng.choice(hot_lines, size=n, p=weights))
-            else:
-                picks.append(rng.integers(0, hot_lines, size=n, dtype=np.int64))
-        grid.draw_warps(rng, n)
-    lengths = grid.warp_lengths()
-    # Cold traffic (edge lists, one-shot payload data) never repeats:
-    # fresh lines per warp, so the MPKI floor never caches away.
-    first_cold = kbase + np.arange(grid.num_warps, dtype=np.int64) * (ctx.apw * 4)
-    cold = np.repeat(first_cold, lengths) + _positions_in_runs(lengths)
-    is_hot = np.concatenate(hot_draws) < hot_frac
-    return grid.compile(np.where(is_hot, HOT_BASE + np.concatenate(picks), cold))
+    accesses = grid.cta_counts(ctx.apw, floor=2)
+    total = grid.warps * int(accesses.sum())
+    # Cold traffic (edge lists, one-shot payload data) never repeats: each
+    # warp's range starts where the previous warp's ended, so the MPKI
+    # floor never caches away.
+    lines = kbase + np.arange(total, dtype=np.int64)
+    # One uniform per access is both the coin and, below ``hot_frac``
+    # (where it is uniform again on [0, 1) once divided by it), the pick.
+    coins = grid.stream(_FAMILY).random(total)
+    is_hot = coins < hot_frac
+    if zipf_exp > 0:
+        cdf = np.cumsum(patterns.zipf_weights(hot_lines, zipf_exp))
+    else:
+        cdf = np.arange(1.0, hot_lines + 1)
+    picks = np.searchsorted(
+        cdf, coins[is_hot] / hot_frac * cdf[-1], side="right"
+    )
+    # A coin just below ``hot_frac`` can land on the last bound itself.
+    lines[is_hot] = HOT_BASE + np.minimum(picks, hot_lines - 1)
+    return grid.compile(lines, accesses)
 
 
 def _phase(ctx: _TraceContext, kernel_idx: int):
@@ -392,7 +367,7 @@ def _generated_kernel(
     A generated spec carries one :class:`~repro.zoo.grammar.PhaseSpec`
     per kernel; each kernel delegates to its phase's underlying family
     with the phase parameters overlaid.  The original ``kernel_idx``
-    is passed through so every phase keeps its own RNG stream and
+    is passed through so every phase keeps its own RNG streams and
     (for private regions) its own address range; sweep/hotspot phases
     deliberately share ``HOT_BASE`` so working-set ramps and phased
     mixes reuse the same hot region across phases.

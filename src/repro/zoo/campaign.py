@@ -39,6 +39,7 @@ from repro.exceptions import (
     ShutdownRequested,
     WorkloadError,
 )
+from repro.workloads.generators import TRACE_CONTRACT
 from repro.zoo.grammar import GeneratedSpec
 from repro.zoo.sample import REGIMES, sample_batch
 
@@ -99,8 +100,11 @@ class CampaignPlan:
 
 def plan_payload(plan: CampaignPlan) -> dict:
     """The plan as JSON — both the artifact ``plan`` block and the
-    payload the campaign journal's sealed header binds its digest to."""
+    payload the campaign journal's sealed header binds its digest to.
+    ``trace_contract`` names the generators the results come from, so a
+    journal sealed under another contract is never resumed."""
     return {
+        "trace_contract": TRACE_CONTRACT,
         "n": plan.n,
         "seed": plan.seed,
         "scales": list(plan.scales),

@@ -41,7 +41,7 @@ __all__ = ["REGIMES", "sample_batch", "sample_spec"]
 REGIMES: Tuple[str, ...] = tuple(b.value for b in ScalingBehavior)
 
 #: Domain-separation salt so zoo RNG streams never collide with the
-#: generators' own ``(seed, kernel, cta)`` streams.
+#: generators' own ``(seed, kernel, purpose)`` streams.
 _SALT = 0x5A00_CAFE
 
 

@@ -5,8 +5,9 @@ the same bytes — and must never answer for a spec that has changed.
 The pins are the stored keys themselves: ``results/golden/ledger.json``
 for the paper suite, and the literal table below for the zoo sample the
 perf benchmark's ``campaign_store`` workload sweeps
-(``CampaignPlan(n=6, seed=9)``), taken before the config half was
-memoized and ``dataclasses.asdict`` left the spec half.
+(``CampaignPlan(n=6, seed=9)``).  The spec halves include the
+generators' ``TRACE_CONTRACT``, so they move exactly when the way a spec
+becomes a trace does.
 """
 
 import json
@@ -18,10 +19,12 @@ import pytest
 from repro.analysis import runner as runner_module
 from repro.analysis.parallel import RunRequest
 from repro.analysis.runner import MAX_SYSTEM_SIZE, mcm_key, mrc_key, sim_key
+from repro.campaign import plan_digest
 from repro.service.api import ApiError, parse_prediction_request
 from repro.workloads import get_benchmark
 from repro.workloads.spec import KernelShape
-from repro.zoo import sample_batch
+from repro.zoo import CampaignPlan, plan_payload, sample_batch
+from repro.zoo.campaign import ZOO_ARTIFACT_KIND
 
 LEDGER = os.path.join(
     os.path.dirname(__file__), "..", "..", "results", "golden", "ledger.json"
@@ -37,12 +40,12 @@ CONFIG_HALF = {
 }
 #: Spec half of the zoo sample's keys: ``abbr -> (sim, mrc)``.
 ZOO_SPEC_HALF = {
-    "z8a2cad1114a2": ("6d336320deb2eb2a", "16be84814acae848"),
-    "zb7b2937b0132": ("76a541dc201b3fa2", "bb29b93c0ab552be"),
-    "zec2428d89c6c": ("e38e9258a8a23536", "d38d52d18aeffa8e"),
-    "z16224780c1c8": ("df992d08f2f4e77e", "eceed31471669085"),
-    "z91d540ceb9a5": ("514f1eb215af01a7", "9e2cbbd2e081a596"),
-    "z94b59e426c5e": ("244f44ee2b3e4a65", "504a0af4907ae186"),
+    "z8a2cad1114a2": ("0c2ca3f551e491c6", "b5d196c1bd609e3a"),
+    "zb7b2937b0132": ("39beed4cd47d50d5", "a677a7a863c0e4f5"),
+    "zec2428d89c6c": ("f3b53642cf494eb7", "26e8f97d8d3c5306"),
+    "z16224780c1c8": ("867b2b8d24a79f0d", "3f5a40d8c81b043d"),
+    "z91d540ceb9a5": ("8c658cb74399d4e8", "589ffbd94525b7e2"),
+    "z94b59e426c5e": ("398972aef181f729", "ef1ec9882b9fbeb6"),
 }
 
 
@@ -85,6 +88,23 @@ class TestStoredKeysRecompute:
         assert RunRequest("mcm", spec, size=4).key == mcm_key(spec, 4, 1.0, 0)
         assert RunRequest("mrc", spec, method="lru").key == mrc_key(
             spec, 1.0, "lru", 0
+        )
+
+
+class TestTraceContractVersionsKeys:
+    """The literals are what trace contract 1 wrote: a store, service
+    store or campaign journal holding them must not answer for traces of
+    a later contract."""
+
+    def test_sim_key_moved_off_the_previous_contract(self):
+        assert sim_key(get_benchmark("va"), 8, 1.0, 0) != (
+            "sim|66cd57de36bb99df|b5ef46454c28173e"
+        )
+
+    def test_campaign_plan_digest_moved_off_the_previous_contract(self):
+        plan = CampaignPlan(n=6, seed=9, work_scale=0.1)
+        assert plan_digest(ZOO_ARTIFACT_KIND, plan_payload(plan)) != (
+            "a326df4ab4964ae2"
         )
 
 

@@ -180,8 +180,9 @@ def test_completed_journal_replays_without_any_execution(tmp_path):
 
 #: Work-counter gate, the small-input twin of the perf benchmark's
 #: ``campaign.bytes_per_unit``: this sealed 6-workload journal measures
-#: 844.5–844.7 bytes per workload today (header and complete marker
-#: included; each record is mostly the spec payload plus its digest).
+#: 847.8–848.2 bytes per workload today (header, with the plan's
+#: ``trace_contract``, and complete marker included; each record is
+#: mostly the spec payload plus its digest).
 #: ~5 % headroom absorbs timestamp digits, not a second copy of a field.
 JOURNAL_BYTES_PER_UNIT_BUDGET = 887
 

@@ -7,10 +7,11 @@ regimes and on the seeded zoo sample.  Both recipes are the ones behind
 ``BENCHMARK.json`` (``benchmarks/perf/workloads.py``), where they are
 reported but deliberately not gated.
 
-Every constant is deterministic per seed and was computed at the parent
-of the commit that added this file.  A change that moves one must say
-so and re-pin it on purpose, the way a model change re-blesses the
-ledger; a refactor must not move any.
+Every constant is deterministic per seed and was last re-pinned when
+the trace generators' draw-order contract changed (``TRACE_CONTRACT``
+2), together with the ledger.  A change that moves one must say so and
+re-pin it on purpose, the way a model change re-blesses the ledger; a
+refactor must not move any.
 """
 
 import os
@@ -28,9 +29,9 @@ EXACT = dict(rel=1e-9, abs=0.0)
 #: Scale-model APE (%) predicting 32 SMs from (8, 16) at a quarter of
 #: the Table II input, seed 0 — one benchmark per scaling class.
 QUICK_APE_PCT = {
-    "va": 16.931401272902388,     # super-linear (falls off its cliff at 32)
-    "btree": 18.351004522029413,  # sub-linear
-    "bs": 10.2966439979562,       # linear
+    "va": 17.730258125629454,     # super-linear (falls off its cliff at 32)
+    "btree": 17.581537378164487,  # sub-linear
+    "bs": 6.1352008449489555,     # linear
 }
 WORK_SCALE = 0.25
 
@@ -52,19 +53,19 @@ def test_quick_tier_scale_model_ape(abbr):
 #: ``CampaignPlan(n=6, seed=9, work_scale=0.1)``, serial: (intent,
 #: measured, APE %) per generated workload in plan order.
 ZOO_WORKLOADS = [
-    ("linear", "sub-linear", 71.52221473936574),
-    ("sub-linear", "sub-linear", 6.929957218683848),
+    ("linear", "sub-linear", 72.40768787906532),
+    ("sub-linear", "sub-linear", 9.522023818904204),
     # The two intended-super-linear rows are the known-wrong part of the
     # zoo result (ROADMAP item 3): at this sample neither even measures
     # super-linear, and at the default campaign scale the super-linear
     # bucket's MAPE is 341 %.  Item 3 is expected to move these values
     # *on purpose*; they are pinned so nothing else moves them silently.
-    ("super-linear", "sub-linear", 3.579746436885429),
-    ("linear", "sub-linear", 4.183560669539054),
-    ("sub-linear", "sub-linear", 28.79272826288807),
-    ("super-linear", "sub-linear", 61.32841909960436),
+    ("super-linear", "sub-linear", 10.062165391908009),
+    ("linear", "sub-linear", 2.5546340925378948),
+    ("sub-linear", "sub-linear", 25.43882408995505),
+    ("super-linear", "sub-linear", 51.161306090327784),
 ]
-ZOO_MAPE_PCT = 29.38943773782775
+ZOO_MAPE_PCT = 28.524440227116376
 ZOO_MATCH_RATE = 2 / 6
 
 

@@ -17,27 +17,27 @@ def _factory(config):
 
 
 #: dct at 16 SMs, work_scale 0.25, seed 0: per-boundary state digests and
-#: the result digest, recorded when boundary state still reached replay
-#: through the checkpoint interface.  The ``on_boundary`` seam must see
+#: the result digest, recorded under trace contract 2 (one random stream
+#: per kernel and draw purpose).  The ``on_boundary`` seam must see
 #: exactly the same state at exactly the same points.
 DCT_16_BOUNDARIES = (
-    (1, 17450.140413484747, {
-        "clock": "sha256:6fc6f84b616c2eeba8a900335e86c7d2809bc93b7caa6c2f6eaa8376fe4bd5d2",
-        "sms": "sha256:0827075af986cb5b447deda42ce6342f5635b70c799e3310e4b0258c90c7543d",
-        "memory": "sha256:7a4f10adfacb6aeee66301551ff65660179d410b2500b5bd7f09aae8275c1546",
+    (1, 16912.709057851902, {
+        "clock": "sha256:25b43c41073436c49aec11179f7fc1b85da13d9882ed7c71a87b14dcca436c37",
+        "sms": "sha256:ab0ce498208e80f282e32af20af76007faa6046ed135a725f3883881107dc25d",
+        "memory": "sha256:8f1dd7a488d736df47d2b5822d2646b494d8635483a638eacde5a46c9fdb1e6b",
         "accesses": "sha256:d12f874987021cd333ba1cff4973abf657227b5742f9dfbf73a1aa09b29aba55",
         "cta_seq": "sha256:f3457dabe1b412ed6374d56fe8fe3b969c761b77dcc80ecc0964b7c7641d219b",
     }),
-    (2, 62092.0213654142, {
-        "clock": "sha256:85a5709b211800a46ad942f9598637f59de7c5c56fca0bc7f9b38ac90364c5f2",
-        "sms": "sha256:b79319b73a47f44fa45ac5084c00df2f240813b84b37f83ee35fe37b1a3ea37f",
-        "memory": "sha256:0523f40f029d5d37a2256ff0b26c2e874ebb9a3ca3a3e62eca2bf5eccca768ae",
+    (2, 63000.11052833623, {
+        "clock": "sha256:93ba8bec8c23920a5bc556af70c7121472be6dba155203763a18386082ddbd6c",
+        "sms": "sha256:e55a768764a3076fa029bcae5fbb775299ee1bb5dfcad8f0c15b097c380c7a7c",
+        "memory": "sha256:d60a370779753972f9d3b2a08dc4f708edb6c6b8760cfb381088897a02cd5a0e",
         "accesses": "sha256:11ed2d3cc60b6fdd68cbc8eb90a5762d27be4364580a5430532fbb2d00061b9e",
         "cta_seq": "sha256:44c59909f17c296d6f2ec4a53efac3a951add75aa67616d9c5d9d2f5fbb44f04",
     }),
 )
 DCT_16_RESULT = (
-    "sha256:de642806b72892733d57e92f48cd2ba0ac02215e1076856fccbbc61133ce9b5d"
+    "sha256:7fc6fd255b069e8f702ae487827d0fd73137600023ffba5744391c69f6abb6a0"
 )
 
 

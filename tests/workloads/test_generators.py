@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import WorkloadError
 from repro.memory_regions import BYPASS_BASE
 from repro.workloads import STRONG_SCALING, WEAK_SCALING, build_trace
-from repro.workloads.generators import MAX_CTAS, lines_for_mb
+from repro.workloads.generators import COLD_BASE, MAX_CTAS, lines_for_mb
 from repro.workloads.spec import BenchmarkSpec, KernelShape, ScalingBehavior
 
 
@@ -148,6 +148,46 @@ class TestHotColdFamily:
         big = build_trace(spec, work_scale=8.0)
         lines = [l for w in big.kernels[0].build_cta(0).warps for l in w.lines]
         assert max(lines) < 100
+
+    @pytest.mark.parametrize("spec,work_scale", [
+        *((spec, 1.0) for spec in STRONG_SCALING.values()
+          if spec.family == "hotcold"),
+        *((spec, scale) for spec in WEAK_SCALING.values()
+          if spec.family == "hotcold" for scale in (4.0, 16.0)),
+    ], ids=lambda value: getattr(value, "abbr", value))
+    def test_no_cold_line_is_touched_by_two_warps(self, spec, work_scale):
+        # Lognormal work gives some warps far more accesses than ``apw``;
+        # their cold lines must still be theirs alone.
+        for kernel in build_trace(spec, work_scale=work_scale).kernels:
+            compiled = kernel.compiled()
+            warp = np.repeat(
+                np.arange(len(compiled.tails)), np.diff(compiled.warp_bounds)
+            )
+            cold = compiled.lines >= COLD_BASE
+            owners = np.unique(
+                np.stack((compiled.lines[cold], warp[cold])), axis=1
+            )
+            assert len(np.unique(owners[0])) == owners.shape[1]
+
+
+class TestGridPrefix:
+    """CTA ``c``'s work, compute bursts and launch offset do not depend on
+    how many CTAs the grid has — what weak scaling relies on."""
+
+    @pytest.mark.parametrize("abbr", ["va", "btree"])
+    def test_first_ctas_draw_alike_at_half_the_grid(self, abbr):
+        spec = STRONG_SCALING[abbr]
+        assert spec.family == "sweep" or spec.param("sigma", 0.0) > 0
+        half, full = (
+            build_trace(spec, work_scale=scale).kernels for scale in (0.5, 1.0)
+        )
+        for small, large in zip(half, full):
+            assert large.num_ctas > small.num_ctas
+            a, b = small.compiled(), large.compiled()
+            warps, accesses = len(a.tails), len(a.lines)
+            assert np.array_equal(a.warp_bounds, b.warp_bounds[: warps + 1])
+            assert np.array_equal(a.compute, b.compute[:accesses])
+            assert np.array_equal(a.offsets, b.offsets[:warps])
 
 
 class TestWeakScaling:

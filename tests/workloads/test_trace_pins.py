@@ -1,15 +1,18 @@
 """Cross-commit pins on the generated traces.
 
-``build_trace`` draws from one ``numpy.random.Generator`` per CTA in a
-fixed order, and the golden ledger, the result-store keys and the zoo
-spec digests all assume the streams never move.  These ``trace_digest``
-values were recorded on the CTA-at-a-time generators (commit 3f4ffab,
-NumPy 2.4) before generation went whole-kernel; one case per generator
-branch — every family, every parameter that selects a different draw
-sequence, ragged CTAs (``sigma``), weak scaling and several kernels.
+``build_trace`` draws each kernel from one ``numpy.random.Generator``
+per draw purpose, each read by one sized call (the draw-order contract
+of ``repro.workloads.generators._Grid``), and the golden ledger and the
+zoo accuracy pins assume the streams never move.  These ``trace_digest``
+values were recorded under ``TRACE_CONTRACT`` 2 (NumPy 2.4); one case
+per generator branch — every family, every parameter that selects a
+different draw sequence, ragged CTAs (``sigma``), weak scaling and
+several kernels.
 
 A digest that moves means the trace moved: fix the generator, do not
-re-record, unless the ledger is being re-blessed for the same reason.
+re-record — unless the contract itself changes, in which case
+``TRACE_CONTRACT`` is bumped and the ledger re-blessed for the same
+reason.
 """
 
 from dataclasses import replace
@@ -48,29 +51,29 @@ CASES = {
 }
 
 PINS = {
-    "family.sweep": "sha256:a4d03c5d7f0d818430887153147f609ed58ff8d8fe1a4284fc00cee515edbda7",
-    "family.hotcold": "sha256:eb5704e89a618b654e95d236e3debdda472b8e8b764f79d58bce800daa8d8878",
-    "family.stream": "sha256:8c603bb9fa4cf509d80edbbdb277fc86993eb22498568242385b84910280fecc",
-    "family.tiled": "sha256:aba1084154e8710945b7f954e2ec4f25dee998aef30409d53f8ca2e3c4428781",
-    "family.chase": "sha256:0870f5a260d43e5aba1ebc9cf4d82f323274a61e02f887d30df6a64763b586b0",
-    "family.irregular": "sha256:7f74fa4d1ecef17ed4242824fedd450fd6ea9c183cafde120fbee8a4eedb8214",
-    "family.generated": "sha256:0eb293d9bf64a66c0371e0d611e2efe1d0e1d3c96b74b66649a5c2cb136bf7db",
-    "generated.full_scale": "sha256:0969493a050a7810902751bf336ce1ed5f1d3b4b1f5cec04f25572ab1e18bad7",
-    "sweep.cold_frac": "sha256:96ea9f52b01c7a4cb92bcdcb90c9ee00e76ad5aa82eaee5d2e43cd06ed121751",
-    "sweep.l1_reuse3": "sha256:9f01cce4ddbe66687a1e518658e98977de706bf7a280a1f8959d289d1e8dd9bb",
-    "sweep.three_kernels": "sha256:b6fc253f3cd358959610178e954b5a5c2b5001149d78f4a8973ddeef90ee3575",
-    "stream.sequential": "sha256:3506318bb3592305e4d70edf561fec1aba7a3d8f109454d10218d49997509405",
-    "stream.no_reuse": "sha256:eaefa12593851e6ce7ae9184fd807c8b389d4ac350509002a81167918d2f3ca4",
-    "stream.no_lead_in": "sha256:0d674deb5c1576544d50a3f72ca852e2ef9bc7c49a74f258354f7ff7dc25595c",
-    "tiled.two_kernels": "sha256:710590b99e401f78e79b303ac889bda74fce0ed85b4c6d6c0815970f5ea52a7b",
-    "irregular.zipf": "sha256:6aa625b06d2930b5a6d0eb92b744f3acea6d12f1054cd9398d5072de0edb6d4b",
-    "irregular.sigma0": "sha256:3b31f51d4779482e13c88ecb08dc1020d73f2a017a45870cafe63f69806bd3f0",
-    "hotcold.zipf": "sha256:2127dbd76aff634b003ac4229afa107441e534fbcaa486fd82887c4debda4d73",
-    "hotcold.sigma0": "sha256:e399c5d9127d50d6cfd2c1fa855baffc1321b8564f28e9494def2720eeee11de",
-    "hotcold.four_kernels": "sha256:d7245444c1e4cad4f81cba692bcc447dcfed3f06f32cb26e32fb47667ffb3231",
-    "hotcold.weak_x2": "sha256:812525750e0abc58bbe5d42652eef63abe16a832d2eb6f6e714ca7e854c396c5",
-    "chase.sigma0": "sha256:b17f0847c6ee72af9b7986a16b743c6de37df1d612e873617ead6fe577770bda",
-    "chase.weak_x2": "sha256:915d30167518adfae246a87cc8cd52362851a7f76c2809985c1ac0be16f12ddc",
+    "family.sweep": "sha256:bba0e01a70886e8a856b566ef491c6bcad2782850f9e1cd58f74f93afdea0b50",
+    "family.hotcold": "sha256:2f7f68d44eb2f5959683a272c044d8d80a1acd68e7a2e82e7d2063cd8a651c99",
+    "family.stream": "sha256:4058401d9d00e06f1f58f0ba173b9b2d15d30075e709760622a3f7898108d788",
+    "family.tiled": "sha256:ee7de9f1ea8fe44e43aa693616cf3dd04193c71b032ed083a7580696cfe461c7",
+    "family.chase": "sha256:7d20958e6c054d7ecc171f527478e50025d250d273f905acb8b6c2015c18b5cf",
+    "family.irregular": "sha256:75fda3094154fbe86dbc11e871208ea43742a6875014a73187c853719c07e7f4",
+    "family.generated": "sha256:2f14870cc6fcf6fbb41e10e2a42094554fb29b3fc6f3bbb260a996ebd1b4e624",
+    "generated.full_scale": "sha256:573b3486873c67b8dbd1303b84b2f32ff390d87b27637793f111f014092cc702",
+    "sweep.cold_frac": "sha256:43775a11c61c24eee43ac60704a70af447ec347f07b7f0f66f407ff9d2582761",
+    "sweep.l1_reuse3": "sha256:8d8e0c4dc04996b4aaccec5bffa16cc0ec8b45e27e8dcede4ee6dbd05116a9dc",
+    "sweep.three_kernels": "sha256:bc51ab8d1d8b55ab374b2ec266f5bfe42d4e74ccce636e6c0c33c3c2be100998",
+    "stream.sequential": "sha256:eeef867903fa95b4af186b59537b2a1d003408bc53239b0a81169f4306606130",
+    "stream.no_reuse": "sha256:47ebbeafbf4c86acccafec2331d4ac0a462a9b400f19c58f0115c985b5e4e1b6",
+    "stream.no_lead_in": "sha256:95e970068cbe08dabf204af75dda979421aadac2c1345cc9775ed478d1ca3f9b",
+    "tiled.two_kernels": "sha256:46ccfd76dcc8dbe2abf1ddb123c137b0e5ec13e7d9fcf7f71852dfe752c98ba2",
+    "irregular.zipf": "sha256:ee6d8a889806c100ae4a8af8e57913d5802de97d2143d4c6c43eb78c5edb6990",
+    "irregular.sigma0": "sha256:c63af66aaff601bc8b3f05002c710c78222f4866010074a446d41c47b4090ca2",
+    "hotcold.zipf": "sha256:c0b62ce75c933ca23f0d37bfd26e91c8a8bacf192e96259819ba122091316580",
+    "hotcold.sigma0": "sha256:726de8afc3b03462ebe3235a01b7678ff1a7eb3fb182e517388fb87661f7b77a",
+    "hotcold.four_kernels": "sha256:fd86cbf13996efed5332cd5ce578b460241d0ff97eb1325d817dbd15ec92fa49",
+    "hotcold.weak_x2": "sha256:92107ad94c354c0cedfab75fad096a9957d51e80ab3b7a64b862e30589013f62",
+    "chase.sigma0": "sha256:90cddb0fa1124f888c953725c9fd09d023020bad253cb00be8d1ebd0a27a2fcd",
+    "chase.weak_x2": "sha256:bfb9d9c77c2d94ef71e5fb26f5fe4f39587aadca1216ca69c749aa25691eb38f",
 }
 
 

@@ -3,33 +3,29 @@
 This package is the substrate underneath the GPU timing simulator
 (:mod:`repro.gpu`).  It provides:
 
-* :class:`~repro.engine.kernel.SimulationKernel` — the event loop and clock;
+* :class:`~repro.engine.kernel.SimulationKernel` — the clock and a heap
+  of ``(time, seq, callback, arg)`` tuples, popped by one run loop;
 * resource primitives (:class:`~repro.engine.resource.FifoServer`,
   :class:`~repro.engine.resource.BandwidthResource`,
   :class:`~repro.engine.resource.TokenPool`) that model contended hardware
   structures with *next-free-time* accounting, so a request's queueing delay
   can be computed analytically at issue time;
-* statistics helpers (:mod:`repro.engine.stats`) for utilization and
-  time-weighted state tracking.
+* :class:`~repro.engine.stats.StateTimeTracker` for time-weighted state
+  (SM occupancy).
 
-The design goal is throughput: the GPU model schedules roughly one heap
-event per warp resume, which keeps full benchmark runs in pure Python at
-interactive speeds.
+The design goal is throughput: the GPU model schedules one heap event
+per warp memory access, and the per-event path carries only what the
+model uses — no handles, no cancellation, no run horizon.
 """
 
-from repro.engine.event import Event, EventQueue
 from repro.engine.kernel import SimulationKernel
 from repro.engine.resource import BandwidthResource, FifoServer, TokenPool
-from repro.engine.stats import BusyTracker, Counter, StateTimeTracker
+from repro.engine.stats import StateTimeTracker
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "SimulationKernel",
     "FifoServer",
     "BandwidthResource",
     "TokenPool",
-    "Counter",
-    "BusyTracker",
     "StateTimeTracker",
 ]

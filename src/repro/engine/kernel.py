@@ -1,116 +1,125 @@
 """The simulation kernel: clock plus event loop.
 
+The event queue is a heap of ``(time, seq, callback, arg)`` tuples owned
+by the kernel.  The unique ``seq`` keeps tuple comparison from ever
+reaching the callback and gives deterministic FIFO order among
+same-time events.  Every pushed event is popped — nothing is cancelled —
+so the number of events fired is ``seq - len(heap)``.
+
 There is one run loop.  Observability is a site in it — per-``run()``
 accounting behind ``get_tracer().enabled``, read once per call, never
-per event — and paranoia mode is the queue the kernel picks at
-construction: a :class:`~repro.engine.event.CheckedEventQueue` when
-``repro.verify.runtime.paranoid`` is on, whose ``pop_entry`` carries the
-per-event checks, and the plain queue otherwise.
+per event.  Paranoia mode is bound at construction: a kernel built while
+``repro.verify.runtime.paranoid`` is on posts through a checked ``post``
+that refuses a past time and scans the heap every
+:data:`QUEUE_CHECK_INTERVAL` posts, and its loop scans once more when it
+drains.  An unchecked kernel carries no verification code per event.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Callable, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Tuple
 
-from repro.engine.event import CheckedEventQueue, Event, EventQueue
-from repro.exceptions import SimulationError
+from repro.exceptions import InvariantError, SimulationError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
 from repro.verify import runtime as verify_runtime
+
+#: Posts between full O(n) heap scans of a checked kernel.  Small enough
+#: to localize a corruption to a tight event window, large enough that
+#: paranoia mode stays usable on the quick tier.
+QUEUE_CHECK_INTERVAL = 2048
+
+Callback = Callable[[Any], None]
 
 
 class SimulationKernel:
     """A discrete-event simulation clock.
 
     The kernel owns the global clock (in cycles, as a float so fractional
-    service times compose without rounding drift) and the event queue.
-    Model components schedule callbacks with :meth:`schedule` (relative
-    delay) or :meth:`schedule_at` (absolute time) and the loop in
-    :meth:`run` fires them in deterministic time order.
+    service times compose without rounding drift) and the event heap.
+    Model components schedule ``callback(arg)`` with :meth:`post`
+    (absolute time) or :meth:`schedule` (relative delay) and :meth:`run`
+    fires them in deterministic time order.
     """
 
     def __init__(self) -> None:
-        # Picked once: a kernel is checked iff paranoia mode is on now.
-        self._queue = (
-            CheckedEventQueue(self) if verify_runtime.paranoid else EventQueue()
-        )
+        self.heap: List[Tuple[float, int, Callback, Any]] = []
+        #: Sequence number of the next posted event (boundary state).
+        self.seq = 0
         #: Current simulation time in cycles.  A plain attribute, not a
         #: property: every model callback reads it once per event.
         self.now = 0.0
-        self._events_processed = 0
-        self._running = False
-        #: Handle-free ``post(time, callback, args)`` at an absolute time,
-        #: for model components whose event times are monotone by
-        #: construction: no past-time check, no :class:`Event` allocated.
-        self.post = self._queue.post
+        # Picked once: a kernel is checked iff paranoia mode is on now.
+        # The bound method makes a checked kernel a reference cycle;
+        # paranoia mode is a debugging mode, and the collector frees it.
+        self._checked = verify_runtime.paranoid
+        if self._checked:
+            self.post = self._checked_post
 
-    # --- clock ---------------------------------------------------------------
     @property
     def events_processed(self) -> int:
-        """Number of events fired so far; a deterministic work proxy."""
-        return self._events_processed
+        """Number of events fired so far; a deterministic work proxy.
 
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
+        Counted before the callback runs: boundary state is read inside a
+        callback, and it includes the event that carried the simulation
+        there.
+        """
+        return self.seq - len(self.heap)
 
     # --- scheduling ------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback`` to fire ``delay`` cycles from now."""
+    def post(self, time: float, callback: Callback, arg: Any = None) -> None:
+        """Schedule ``callback(arg)`` at absolute ``time``.
+
+        No past-time check: the model's event times are monotone by
+        construction, and a checked kernel verifies that claim.
+        """
+        seq = self.seq
+        self.seq = seq + 1
+        heappush(self.heap, (time, seq, callback, arg))
+
+    def _checked_post(self, time: float, callback: Callback, arg: Any = None) -> None:
+        if time < self.now:
+            raise InvariantError(
+                f"clock would run backwards: event (time={time}, "
+                f"seq={self.seq}) posted at now={self.now}"
+            )
+        SimulationKernel.post(self, time, callback, arg)
+        verify_runtime.VERIFY_STATS["events_checked"] += 1
+        if self.seq % QUEUE_CHECK_INTERVAL == 0:
+            self._scan()
+
+    def _scan(self) -> None:
+        from repro.verify import invariants
+
+        invariants.check_queue(self.heap)
+        verify_runtime.VERIFY_STATS["queue_scans"] += 1
+
+    def schedule(self, delay: float, callback: Callback, arg: Any = None) -> None:
+        """Schedule ``callback(arg)`` to fire ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._queue.push(self.now + delay, callback, *args)
-
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback`` at absolute ``time`` cycles."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self.now})"
-            )
-        return self._queue.push(time, callback, *args)
+        self.post(self.now + delay, callback, arg)
 
     # --- execution ------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Fire events until the queue drains, ``until`` passes, or
-        ``max_events`` have been processed this call.
-
-        ``until`` is inclusive: an event at exactly ``until`` still fires.
-        """
-        self._running = True
-        fired = 0
-        queue = self._queue
+    def run(self) -> None:
+        """Fire events in time order until the heap drains."""
+        heap = self.heap
         tracer = get_tracer()
         recording = tracer.enabled
-        start = _time.perf_counter() if recording else 0.0
+        if recording:
+            start = _time.perf_counter()
+            before = self.events_processed
         try:
-            while self._running:
-                if max_events is not None and fired >= max_events:
-                    break
-                popped = queue.pop_entry()
-                if popped is None:
-                    break
-                time = popped[0]
-                if until is not None and time > until:
-                    # Re-insert the *same* entry list: its seq keeps the
-                    # FIFO slot among same-time events, and Event handles
-                    # wrapping it stay live (cancellable) across the pause.
-                    queue.push_entry(
-                        time, popped[2], popped[3], seq=popped[1], entry=popped
-                    )
-                    self.now = until
-                    break
+            while heap:
+                time, __, callback, arg = heappop(heap)
                 self.now = time
-                # Count before firing: boundary state is read *inside* a
-                # callback (kernel boundaries), and it must include the
-                # event that carried the simulation there.
-                self._events_processed += 1
-                popped[2](*popped[3])
-                fired += 1
+                callback(arg)
         finally:
-            self._running = False
             if recording:
                 duration_us = (_time.perf_counter() - start) * 1e6
+                fired = self.events_processed - before
                 registry = get_registry()
                 registry.inc("engine.events", fired)
                 registry.observe("engine.run_us", duration_us)
@@ -119,39 +128,26 @@ class SimulationKernel:
                     tracer.now_us() - duration_us, duration_us,
                     args={"events": fired},
                 )
-
-    def stop(self) -> None:
-        """Ask a running :meth:`run` loop to return after the current event."""
-        self._running = False
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero.
-
-        The event queue's sequence counter rewinds with it: a reset
-        kernel must be indistinguishable from a fresh one, or boundary
-        state read after a reset carries a different ``queue_seq`` and
-        bit-identical state comparison across resets breaks.
-        """
-        self._queue.reset()
-        self.now = 0.0
-        self._events_processed = 0
+        if self._checked:
+            self._scan()
+            verify_runtime.VERIFY_STATS["runs_checked"] += 1
 
     # --- boundary state ---------------------------------------------------------
     def state_dict(self) -> dict:
-        """Clock state, read with an *empty* event queue.
+        """Clock state, read with an *empty* event heap.
 
         Callbacks cannot be serialized, so boundary state is only defined
         at points where no events are pending (kernel boundaries in the
-        GPU model); the queue's seq counter is included because it
-        decides the order of every later same-time event.
+        GPU model); the seq counter is included because it decides the
+        order of every later same-time event.
         """
-        if len(self._queue):
+        if self.heap:
             raise SimulationError(
-                f"cannot snapshot the clock with {len(self._queue)} "
+                f"cannot snapshot the clock with {len(self.heap)} "
                 "events pending"
             )
         return {
             "now": self.now,
-            "events_processed": self._events_processed,
-            "queue_seq": self._queue.seq,
+            "events_processed": self.events_processed,
+            "queue_seq": self.seq,
         }

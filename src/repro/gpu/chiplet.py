@@ -22,10 +22,12 @@ from dataclasses import replace
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.engine.resource import BandwidthResource
 from repro.gpu.config import GPUConfig, McmConfig
 from repro.gpu.gpu import BoundaryHook, GPUSimulator
-from repro.gpu.memory import MemorySubsystem
+from repro.gpu.memory import MemorySubsystem, hash_lines
 from repro.gpu.results import SimulationResult
 from repro.trace.kernel import WorkloadTrace
 
@@ -75,33 +77,41 @@ class McmMemory:
         First-touch pages are not assigned here; warming only loads the
         cache arrays, so the first toucher still becomes the page home.
         """
-        for line in range(base, base + count):
+        lines = np.arange(base, base + count)
+        for line, hashed in zip(lines.tolist(), hash_lines(lines).tolist()):
             home = self.page_home.get(line // self._lines_per_page)
             if home is None:
                 continue
-            sub = self.subsystems[home]
-            sub.llc_slices[sub.hash_line(line) % len(sub.llc_slices)].fill(line)
+            slices = self.subsystems[home].llc_slices
+            slices[hashed % len(slices)].fill(line)
 
     # --- the access path ----------------------------------------------------
-    def access(self, sm_id: int, line: int, now: float) -> Tuple[float, int]:
-        """Resolve a memory access from a (globally numbered) SM."""
+    def access(
+        self, sm_id: int, line: int, hashed: int, now: float
+    ) -> Tuple[float, int]:
+        """Resolve a memory access from a (globally numbered) SM.
+
+        ``hashed`` is the line's address hash; the home chiplet's LLC and
+        DRAM interleave on it like the local ones.
+        """
         chiplet_id = sm_id // self._sms_per_chiplet
         local_sm = sm_id % self._sms_per_chiplet
         local = self.subsystems[chiplet_id]
         home_id = self.home_of(line, chiplet_id)
         if home_id == chiplet_id:
             self.local_accesses += 1
-            return local.access(local_sm, line, now)
+            return local.access(local_sm, line, hashed, now)
 
         # Remote access: the local chiplet's own access path (L1, MSHR,
         # local NoC both ways) around a detour to the home chiplet.
         self.remote_accesses += 1
         return local.access(
-            local_sm, line, now, partial(self._home_leg, chiplet_id, home_id)
+            local_sm, line, hashed, now,
+            partial(self._home_leg, chiplet_id, home_id),
         )
 
     def _home_leg(
-        self, chiplet_id: int, home_id: int, line: int, t: float
+        self, chiplet_id: int, home_id: int, line: int, hashed: int, t: float
     ) -> Tuple[float, int]:
         """The inter-chiplet round trip into the home chiplet's LLC/DRAM."""
         home = self.subsystems[home_id]
@@ -109,7 +119,7 @@ class McmMemory:
         noc_latency = self._noc_latency
         t = self.links_request[chiplet_id].transfer(t, self._request_bytes) + hop
         t = home.noc_request.transfer(t, self._request_bytes) + noc_latency
-        t, where = home.llc_dram_path(line, t)
+        t, where = home.llc_dram_path(line, hashed, t)
         t = home.noc_response.transfer(t, self._line_size) + noc_latency
         return self.links_response[home_id].transfer(t, self._line_size) + hop, where
 

@@ -7,15 +7,19 @@ within a kernel, CTAs are dispatched round-robin with greedy backfill;
 each resident warp alternates compute bursts on the SM issue pipeline with
 memory accesses resolved analytically by the shared memory subsystem.
 
-The event count is about one heap event per warp memory access, which is
-what keeps the pure-Python simulator usable for the paper's full sweep.
+The event count is one heap event per warp memory access plus one per
+warp start.  Everything that need not be per access is done once per
+kernel in NumPy (the address hash, the burst service times, the sign
+check) or once per CTA (slicing the kernel's arrays into CTA-level lists,
+and the SM instruction/access and pipeline request counters — exact at
+every kernel boundary and at the end, the only points they are read).
 
 Instrumentation is inline and guarded: the run and kernel spans sit
 behind the tracer's ``enabled`` switch (read once per ``run()``), and the
 kernel-boundary sweep and result checks behind
 ``repro.verify.runtime.paranoid``.  Constructing the simulator self-arms
 paranoia mode from ``REPRO_VERIFY`` *before* the event kernel is built,
-because the kernel picks its (checked or plain) queue at construction.
+because the kernel binds its (checked or plain) ``post`` at construction.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from repro.exceptions import SimulationError
 from repro.gpu.config import GPUConfig
 from repro.obs.tracing import get_tracer
 from repro.gpu.cta import CTADispatcher
-from repro.gpu.memory import MemorySubsystem
+from repro.gpu.memory import MemorySubsystem, hash_lines
 from repro.gpu.results import SimulationResult
 from repro.gpu.sm import StreamingMultiprocessor
-from repro.trace.kernel import WarpTrace, WorkloadTrace
+from repro.trace.kernel import WorkloadTrace
 from repro.validate import validate_config, validate_trace
 from repro.verify import runtime as verify_runtime
 
@@ -41,28 +45,31 @@ BoundaryHook = Callable[[int, float, dict], None]
 
 
 class _WarpRun:
-    """Mutable per-warp execution cursor."""
+    """Mutable per-warp execution cursor over its CTA's lists.
+
+    The warp owns ``lines[idx:end]`` (``hashed`` and ``service`` alike):
+    every warp of a CTA shares the CTA-level lists.
+    """
 
     __slots__ = (
-        "sm", "cta_key", "compute", "lines", "idx", "end", "tail", "offset",
-        "started",
+        "sm", "sm_id", "pipeline", "cta_key", "lines", "hashed", "service",
+        "idx", "end", "tail",
     )
 
     def __init__(
-        self, sm: StreamingMultiprocessor, cta_key: int, trace: WarpTrace
+        self, sm: StreamingMultiprocessor, cta_key: int,
+        lines: list, hashed: list, service: list, idx: int, end: int, tail: int,
     ) -> None:
-        # _advance_warp skips StreamingMultiprocessor.issue's sign check.
-        if trace.compute and min(trace.compute) < 0:
-            raise SimulationError(f"SM {sm.sm_id}: negative burst in {trace.compute}")
         self.sm = sm
+        self.sm_id = sm.sm_id
+        self.pipeline = sm.pipeline
         self.cta_key = cta_key
-        self.compute = trace.compute
-        self.lines = trace.lines
-        self.idx = 0
-        self.end = len(trace.lines)
-        self.tail = trace.tail_compute
-        self.offset = trace.start_offset
-        self.started = False
+        self.lines = lines
+        self.hashed = hashed
+        self.service = service
+        self.idx = idx
+        self.end = end
+        self.tail = tail
 
 
 class GPUSimulator:
@@ -87,6 +94,8 @@ class GPUSimulator:
         self._tracer = None  # set per run() when observability is on
         self._kernel_start_us = 0.0
         self._kernel_index = 0
+        # The running kernel's arrays: (compiled, hashed lines, service).
+        self._arrays = None
         self._live_ctas = {}
         self._cta_seq = 0
         self._accesses = 0
@@ -177,10 +186,20 @@ class GPUSimulator:
         warm(base, count)
 
     # --- kernel / CTA lifecycle ------------------------------------------------
-    def _launch_kernel(self) -> None:
+    def _launch_kernel(self, _arg=None) -> None:
         if self._tracer is not None:
             self._kernel_start_us = self._tracer.now_us()
         kernel = self._workload.kernels[self._kernel_index]
+        compiled = kernel.compiled()
+        # _advance_warp skips StreamingMultiprocessor.issue's sign check.
+        if (compiled.compute < 0).any():
+            raise SimulationError(f"{kernel.name}: negative compute burst")
+        # A burst is its compute plus the memory instruction itself.
+        self._arrays = (
+            compiled,
+            hash_lines(compiled.lines),
+            (compiled.compute + 1) / self._issue_width,
+        )
         max_resident = self.config.max_resident_ctas(kernel.threads_per_cta)
         self.dispatcher.load_kernel(kernel.num_ctas, max_resident)
         placements = self.dispatcher.initial_placements()
@@ -191,21 +210,34 @@ class GPUSimulator:
     def _start_cta(
         self, cta_id: int, sm_id: int, now: float, stagger: bool = False
     ) -> None:
-        kernel = self._workload.kernels[self._kernel_index]
-        cta = kernel.build_cta(cta_id)
+        compiled, kernel_hashes, kernel_service = self._arrays
+        first, last = compiled.cta_bounds[cta_id : cta_id + 2].tolist()
+        bounds = compiled.warp_bounds[first : last + 1].tolist()
+        base, top = bounds[0], bounds[-1]
+        lines = compiled.lines[base:top].tolist()
+        hashed = kernel_hashes[base:top].tolist()
+        service = kernel_service[base:top].tolist()
+        tails = compiled.tails[first:last].tolist()
+        offsets = compiled.offsets[first:last].tolist()
         sm = self.sms[sm_id]
         sm.cta_started(now)
+        # The CTA's bursts and accesses, counted up front: these counters
+        # are read only at kernel boundaries and at the end.
+        accesses = top - base
+        sm.warp_instructions += int(compiled.compute[base:top].sum()) + accesses
+        sm.accesses += accesses
+        sm.pipeline._requests += accesses
+        self._accesses += accesses
         key = self._cta_seq
         self._cta_seq += 1
-        self._live_ctas[key] = len(cta.warps)
+        self._live_ctas[key] = last - first
         post = self.kernel_clock.post
-        advance = self._advance_warp
-        for warp_trace in cta.warps:
-            run = _WarpRun(sm, key, warp_trace)
+        for lo, hi, tail, offset in zip(bounds, bounds[1:], tails, offsets):
+            run = _WarpRun(sm, key, lines, hashed, service, lo - base, hi - base, tail)
             # Launch stagger applies to the initial wave only: backfilled
             # CTAs start at their predecessor's (already spread) completion
             # time, so re-staggering them would just waste issue slots.
-            post(now + (run.offset if stagger else 0.0), advance, (run,))
+            post(now + (offset if stagger else 0.0), self._first_step, run)
 
     def _cta_done(self, cta_key: int, now: float, sm_id: int) -> None:
         del self._live_ctas[cta_key]
@@ -265,41 +297,41 @@ class GPUSimulator:
         }
 
     # --- warp execution -----------------------------------------------------
+    def _first_step(self, run: _WarpRun) -> None:
+        """A warp's first event: its launch stagger is over."""
+        run.sm.warp_started(self.kernel_clock.now)
+        self._advance_warp(run)
+
     def _advance_warp(self, run: _WarpRun) -> None:
         """The per-event callback: one compute burst and one memory access.
 
-        Inlines ``StreamingMultiprocessor.issue`` and re-schedules through
-        the handle-free ``post``: completions never precede ``now`` and no
-        warp event is ever cancelled (docs/ARCHITECTURE.md, "Hot path").
+        Inlines ``FifoServer.service`` for the SM pipeline (its request
+        count advances per CTA) and posts the warp's next event at the
+        access's completion, which never precedes ``now``
+        (docs/ARCHITECTURE.md, "Hot path").
         """
         clock = self.kernel_clock
         now = clock.now
-        sm = run.sm
-        if not run.started:
-            run.started = True
-            sm.warp_started(now)
         idx = run.idx
         if idx < run.end:
             # Compute burst plus the memory instruction itself, then the
             # access; the warp resumes when the data arrives.
-            burst = run.compute[idx] + 1
-            sm.warp_instructions += burst
-            service = burst / self._issue_width
-            pipeline = sm.pipeline
+            service = run.service[idx]
+            pipeline = run.pipeline
             start = pipeline._next_free
             if now > start:
                 start = now
             finish = start + service
             pipeline._next_free = finish
             pipeline._busy_time += service
-            pipeline._requests += 1
-            completion, __ = self.memory.access(sm.sm_id, run.lines[idx], finish)
-            self._accesses += 1
-            sm.accesses += 1
+            completion, __ = self.memory.access(
+                run.sm_id, run.lines[idx], run.hashed[idx], finish
+            )
             run.idx = idx + 1
-            clock.post(completion, self._advance_warp, (run,))
+            clock.post(completion, self._advance_warp, run)
             return
         # Tail compute, then the warp retires.
+        sm = run.sm
         finish = sm.issue(now, run.tail) if run.tail else now
         sm.warp_finished(now)
         remaining = self._live_ctas[run.cta_key] - 1

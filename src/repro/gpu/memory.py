@@ -24,7 +24,10 @@ Structure per the paper's Table III:
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.engine.resource import BandwidthResource, FifoServer, TokenPool
 from repro.gpu.cache import SetAssocCache
@@ -32,11 +35,76 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.dram import BankedDram
 from repro.memory_regions import BYPASS_BASE
 
-#: The latency-jitter LCG (Knuth's MMIX constants) and its output scale.
+#: The latency-jitter LCG (Knuth's MMIX constants), its seed and its
+#: output scale.
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
+_LCG_SEED = 0x9E3779B97F4A7C15
 _MASK_64 = 0xFFFFFFFFFFFFFFFF
 _TWO_53 = float(1 << 53)
+
+#: Jitter draws made per NumPy pass.
+TAPE_CHUNK = 4096
+
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+_HASH_SHIFT = np.uint64(20)
+
+
+def hash_lines(lines: np.ndarray) -> np.ndarray:
+    """The address hash of every line: ``(line * K) mod 2**64 >> 20``.
+
+    Lines are hashed before interleaving (as real GPU memory systems hash
+    channel/slice selection): plain modulo lets strided streams
+    phase-lock onto one controller at a time — every warp walking lines
+    4g..4g+3 hits MC (k mod 4) in lockstep at the 4-controller size,
+    which serializes the whole machine at that size only.  ``hash %
+    llc_slices`` picks a line's LLC slice, ``hash % num_mcs`` its memory
+    controller.  NumPy ``uint64`` multiplication wraps modulo 2**64.
+    """
+    return (np.asarray(lines).astype(np.uint64) * _HASH_MUL) >> _HASH_SHIFT
+
+
+def _lcg_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """``(A_i, C_i)`` for i = 1..TAPE_CHUNK: ``state_i = A_i*state + C_i``."""
+    powers = np.cumprod(np.full(TAPE_CHUNK, _LCG_MUL, dtype=np.uint64))
+    # C_i = C * (1 + A + ... + A**(i-1)), every sum and product mod 2**64.
+    partial_sums = np.cumsum(
+        np.concatenate((np.ones(1, dtype=np.uint64), powers[:-1]))
+    )
+    return powers, partial_sums * np.uint64(_LCG_INC)
+
+
+_JUMP_MUL, _JUMP_INC = _lcg_tables()
+
+
+def _jitter_tape(jitter: float) -> Iterator[List[float]]:
+    """Latency scale factors ``1 + jitter * (2u - 1)``, one chunk per pass.
+
+    ``u`` is the top 53 bits of successive LCG states from the seed —
+    the same draws, in the same order, as stepping the LCG once per
+    jittered latency.  Holds no reference to its subsystem.
+    """
+    state = np.uint64(_LCG_SEED)
+    while True:
+        states = _JUMP_MUL * state + _JUMP_INC
+        state = states[-1]
+        u = (states >> np.uint64(11)) / _TWO_53
+        yield (1.0 + jitter * (2.0 * u - 1.0)).tolist()
+
+
+def lcg_jump(state: int, draws: int) -> int:
+    """The LCG state ``draws`` steps after ``state`` (O(log draws))."""
+    mul, inc = _LCG_MUL, _LCG_INC
+    acc_mul, acc_inc = 1, 0
+    while draws:
+        if draws & 1:
+            acc_mul = acc_mul * mul & _MASK_64
+            acc_inc = (acc_inc * mul + inc) & _MASK_64
+        inc = (mul + 1) * inc & _MASK_64
+        mul = mul * mul & _MASK_64
+        draws >>= 1
+    return (acc_mul * state + acc_inc) & _MASK_64
+
 
 #: Result tags for where an access was served.
 L1_HIT = 0
@@ -127,8 +195,14 @@ class MemorySubsystem:
         self._dram_latency = config.dram_latency
         # Deterministic LCG driving per-access latency jitter (see
         # GPUConfig.latency_jitter): reproducible, yet decorrelates warps.
-        self._rng_state = 0x9E3779B97F4A7C15
+        # Every non-bypass LLC probe and every simple-model DRAM read
+        # takes the next scale factor off the tape.
         self._jitter = config.latency_jitter
+        self._next_scale = (
+            chain.from_iterable(_jitter_tape(self._jitter)).__next__
+            if self._jitter
+            else repeat(1.0).__next__
+        )
         # Aggregate counters.
         self.l1_hits = 0
         self.l1_misses = 0
@@ -143,32 +217,14 @@ class MemorySubsystem:
         # not model state.
         self._drop_miss_budget = 0
 
-    # --- address mapping -------------------------------------------------
-    # Lines are hashed before interleaving (as real GPU memory systems
-    # hash channel/slice selection): plain modulo lets strided streams
-    # phase-lock onto one controller at a time — every warp walking lines
-    # 4g..4g+3 hits MC (k mod 4) in lockstep at the 4-controller size,
-    # which serializes the whole machine at that size only.
-    @staticmethod
-    def hash_line(line: int) -> int:
-        h = (line * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        return h >> 20
-
-    def slice_for(self, line: int) -> int:
-        return self.hash_line(line) % len(self.llc_slices)
-
-    def mc_for(self, line: int) -> int:
-        return self.hash_line(line) % len(self.mcs)
-
     def warm_lines(self, base: int, count: int) -> None:
         """Pre-fill the LLC slices with ``count`` lines starting at ``base``
         (no latency, no statistics) — steady-state warm-up."""
         slices = self.llc_slices
         n = len(slices)
-        for line in range(base, base + count):
-            if line >= BYPASS_BASE:
-                continue
-            slices[self.hash_line(line) % n].fill(line)
+        lines = np.arange(base, min(base + count, BYPASS_BASE))
+        for line, hashed in zip(lines.tolist(), hash_lines(lines).tolist()):
+            slices[hashed % n].fill(line)
 
     # --- the access path ----------------------------------------------------
     # Straight-line code (docs/ARCHITECTURE.md, "Hot path"): it inlines
@@ -180,17 +236,21 @@ class MemorySubsystem:
         self,
         sm_id: int,
         line: int,
+        hashed: int,
         now: float,
-        llc_leg: Optional[Callable[[int, float], Tuple[float, int]]] = None,
+        llc_leg: Optional[Callable[[int, int, float], Tuple[float, int]]] = None,
     ) -> Tuple[float, int]:
         """Resolve one warp memory access to ``line`` issued at ``now``.
 
-        Returns ``(completion_time, where)`` with ``where`` one of
-        :data:`L1_HIT`, :data:`LLC_HIT`, :data:`DRAM`, :data:`MERGED`.
+        ``hashed`` is the line's :func:`hash_lines` value, computed once
+        per kernel by the simulator.  Returns ``(completion_time, where)``
+        with ``where`` one of :data:`L1_HIT`, :data:`LLC_HIT`,
+        :data:`DRAM`, :data:`MERGED`.
 
-        ``llc_leg(line, t)`` replaces :meth:`llc_dram_path` between the
-        request and response NoC hops of a primary miss: the multi-chiplet
-        model passes a detour through the line's home chiplet.
+        ``llc_leg(line, hashed, t)`` replaces :meth:`llc_dram_path`
+        between the request and response NoC hops of a primary miss: the
+        multi-chiplet model passes a detour through the line's home
+        chiplet.
         """
         l1 = self.l1s[sm_id]
         cache = l1.cache
@@ -243,9 +303,9 @@ class MemorySubsystem:
         link._bytes_moved += self._request_bytes
         t += self._noc_latency
         if llc_leg is None:
-            t, where = self.llc_dram_path(line, t)
+            t, where = self.llc_dram_path(line, hashed, t)
         else:
-            t, where = llc_leg(line, t)
+            t, where = llc_leg(line, hashed, t)
 
         # Response line crosses the NoC back to the SM and frees the MSHR.
         link = self.noc_response
@@ -269,14 +329,13 @@ class MemorySubsystem:
             l1.prune_in_flight(now)
         return t, where
 
-    def llc_dram_path(self, line: int, t: float) -> Tuple[float, int]:
+    def llc_dram_path(self, line: int, hashed: int, t: float) -> Tuple[float, int]:
         """LLC slice probe plus DRAM on a miss; the post-NoC leg of a request.
 
         Separate from :meth:`access` so the multi-chiplet model can route a
         remote request into its *home* chiplet's LLC/DRAM after crossing
         the inter-chiplet network.
         """
-        hashed = ((line * 0x9E3779B97F4A7C15) & _MASK_64) >> 20  # hash_line
         slice_id = hashed % self._num_slices
         port = self.llc_ports[slice_id]
         if port._next_free > t:
@@ -286,7 +345,6 @@ class MemorySubsystem:
         port._next_free = t
         port._busy_time += service
         port._requests += 1
-        jitter = self._jitter
         if line < BYPASS_BASE:
             cache = self.llc_slices[slice_id]
             cache_set = cache._sets[line % cache.num_sets]
@@ -301,13 +359,7 @@ class MemorySubsystem:
                         break
                     del cache_set[victim]
             cache_set[line] = None
-            scale = 1.0
-            if jitter:
-                state = self._rng_state = (
-                    self._rng_state * _LCG_MUL + _LCG_INC
-                ) & _MASK_64
-                scale += jitter * (2.0 * ((state >> 11) / _TWO_53) - 1.0)
-            t += self._llc_latency * scale
+            t += self._llc_latency * self._next_scale()
             if hit:
                 self.llc_hits += 1
                 return t, LLC_HIT
@@ -330,13 +382,7 @@ class MemorySubsystem:
         mc._busy_time += service
         mc._requests += 1
         mc._bytes_moved += self._line_size
-        scale = 1.0
-        if jitter:
-            state = self._rng_state = (
-                self._rng_state * _LCG_MUL + _LCG_INC
-            ) & _MASK_64
-            scale += jitter * (2.0 * ((state >> 11) / _TWO_53) - 1.0)
-        return t + self._dram_latency * scale, DRAM
+        return t + self._dram_latency * self._next_scale(), DRAM
 
     # --- statistics ------------------------------------------------------------
     @property
@@ -361,6 +407,18 @@ class MemorySubsystem:
         }
 
     # --- boundary state --------------------------------------------------------
+    def rng_state(self) -> int:
+        """The scalar LCG state after the jitter draws made so far.
+
+        One draw per non-bypass LLC probe (the slices count those) and
+        per simple-model DRAM read (the controllers count those).
+        """
+        if not self._jitter:
+            return _LCG_SEED
+        draws = sum(s.hits + s.misses for s in self.llc_slices)
+        draws += sum(mc._requests for mc in self.mcs)
+        return lcg_jump(_LCG_SEED, draws)
+
     def state_dict(self) -> dict:
         """JSON-able snapshot of every stateful component and counter."""
         return {
@@ -371,7 +429,7 @@ class MemorySubsystem:
             "llc_ports": [p.state_dict() for p in self.llc_ports],
             "mcs": [mc.state_dict() for mc in self.mcs],
             "banked_mcs": [b.state_dict() for b in self.banked_mcs],
-            "rng_state": self._rng_state,
+            "rng_state": self.rng_state(),
             "prune_countdown": self._prune_countdown,
             "l1_hits": self.l1_hits,
             "l1_misses": self.l1_misses,

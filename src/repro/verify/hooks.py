@@ -3,9 +3,9 @@
 :func:`install` turns the switch on, :func:`uninstall` turns it off,
 :func:`paranoia` scopes it.  No code is replaced either way: the checks
 are guarded sites in the modules that own the checked code (listed in
-:mod:`repro.verify.runtime`), and the per-event ones live in
-:class:`repro.engine.event.CheckedEventQueue`, which a
-:class:`~repro.engine.kernel.SimulationKernel` picks at construction.
+:mod:`repro.verify.runtime`), and the per-event ones live in the checked
+``post`` a :class:`~repro.engine.kernel.SimulationKernel` binds at
+construction.
 So a kernel is checked iff paranoia is on when it is constructed —
 simulators are single-use and built per run, so turning the switch on
 before building the simulator is the whole protocol.

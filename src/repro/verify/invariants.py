@@ -3,9 +3,10 @@
 Each check guards a specific piece of the model's algebra (see
 ``docs/ARCHITECTURE.md`` § Verification for the full table):
 
-* **Event queue** — live-count/heap consistency and heap ordering
-  (:meth:`repro.engine.event.EventQueue.consistency_check`), plus clock
-  monotonicity per popped event in ``CheckedEventQueue.pop_entry``.
+* **Event queue** — the heap property of the kernel's event heap
+  (:func:`check_queue`), scanned by a checked kernel's ``post`` every
+  ``QUEUE_CHECK_INTERVAL`` posts and when its run drains, plus clock
+  monotonicity per posted event in that ``post``.
 * **Kernel boundaries** — the queue must be drained, the clock and event
   counter must not run backwards across boundaries, and the conservation
   identities must hold exactly:
@@ -62,9 +63,21 @@ def _workload_of(sim) -> str:
     return getattr(workload, "name", "?")
 
 
-def check_queue(queue) -> None:
-    """Live-count/heap consistency scan (delegates to the queue)."""
-    queue.consistency_check()
+def check_queue(heap: List[tuple]) -> None:
+    """Heap-property scan of a kernel's ``(time, seq, callback, arg)`` heap.
+
+    A corrupted heap — an entry replaced or reordered behind
+    ``heapq``'s back — would silently reorder event delivery.
+    """
+    for index in range(1, len(heap)):
+        parent = heap[(index - 1) >> 1]
+        if heap[index] < parent:
+            entry = heap[index]
+            raise InvariantError(
+                f"heap property violated at index {index}: entry "
+                f"(time={entry[0]}, seq={entry[1]}) sorts before its "
+                f"parent (time={parent[0]}, seq={parent[1]})"
+            )
 
 
 def _l1_caches(memory) -> List:
@@ -130,13 +143,12 @@ def check_boundary(sim, kernels_completed: int) -> None:
     """
     name = _workload_of(sim)
     clock = sim.kernel_clock
-    if clock.pending_events:
+    if clock.heap:
         raise InvariantError(
             f"{name}: kernel boundary {kernels_completed} reached with "
-            f"{clock.pending_events} events still pending — boundaries "
+            f"{len(clock.heap)} events still pending — boundaries "
             "are defined by a drained queue"
         )
-    check_queue(clock._queue)
     previous = getattr(sim, "_verify_prev_boundary", None)
     if previous is not None:
         prev_k, prev_now, prev_events = previous

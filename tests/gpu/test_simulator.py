@@ -169,3 +169,50 @@ class TestKernelLaunchOverhead:
         from repro.exceptions import ConfigurationError
         with pytest.raises(ConfigurationError):
             tiny_config(kernel_launch_overhead=-1.0)
+
+
+class TestNoReferenceCycle:
+    """A finished simulator is freed by reference counting alone.
+
+    Storing a bound method of the simulator on itself (or a generator
+    that holds its subsystem) makes a cycle that keeps the whole model —
+    caches included — alive until the next collection, which shows up as
+    peak RSS.
+    """
+
+    @staticmethod
+    def _dies_without_the_collector(factory, trace) -> bool:
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            sim = factory()
+            sim.run(trace)
+            refs = [weakref.ref(sim), weakref.ref(sim.memory)]
+            del sim
+            return all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_gpu_simulator(self):
+        from repro.workloads import STRONG_SCALING, build_trace
+
+        config = GPUConfig.paper_baseline().scaled(4)
+        trace = build_trace(STRONG_SCALING["btree"], work_scale=0.05,
+                            capacity_scale=config.capacity_scale)
+        assert self._dies_without_the_collector(
+            lambda: GPUSimulator(config), trace
+        )
+
+    def test_mcm_simulator(self):
+        from repro.gpu.chiplet import McmSimulator
+        from repro.gpu.config import McmConfig
+        from repro.workloads import STRONG_SCALING, build_trace
+
+        config = McmConfig.paper_target().scaled(2)
+        trace = build_trace(STRONG_SCALING["btree"], work_scale=0.05,
+                            capacity_scale=config.chiplet.capacity_scale)
+        assert self._dies_without_the_collector(
+            lambda: McmSimulator(config), trace
+        )

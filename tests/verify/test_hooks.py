@@ -1,7 +1,6 @@
 """Paranoia mode is one switch: install/uninstall flip it, nothing is
 rebound, and a kernel is checked iff it was built while the switch was on."""
 
-from repro.engine.event import CheckedEventQueue, EventQueue
 from repro.engine.kernel import SimulationKernel
 from repro.obs import profile_hooks
 from repro.verify import hooks, runtime
@@ -35,17 +34,17 @@ class TestInstallUninstall:
 
     def test_disabled_by_default(self):
         # The shipped engine carries no paranoia state: switch off, and a
-        # kernel built now pops from the plain queue.
+        # kernel built now posts through the plain ``post``.
         assert not hooks.installed()
         assert runtime.paranoid is False
-        assert type(SimulationKernel()._queue) is EventQueue
+        assert "post" not in vars(SimulationKernel())
 
     def test_a_kernel_is_checked_iff_built_under_paranoia(self):
         hooks.install()
         checked = SimulationKernel()
         hooks.uninstall()
-        assert type(checked._queue) is CheckedEventQueue
-        assert type(SimulationKernel()._queue) is EventQueue
+        assert "post" in vars(checked)
+        assert "post" not in vars(SimulationKernel())
 
 
 class TestParanoiaContext:

@@ -1,11 +1,11 @@
-"""Invariant catalog unit tests on hand-built fakes and bare queues."""
+"""Invariant catalog unit tests on hand-built fakes and bare event heaps."""
 
 import heapq
 from types import SimpleNamespace
 
 import pytest
 
-from repro.engine.event import EventQueue
+from repro.engine.kernel import SimulationKernel
 from repro.exceptions import InvariantError
 from repro.mrc.cliff import Region
 from repro.verify.invariants import (
@@ -16,42 +16,27 @@ from repro.verify.invariants import (
 )
 
 
-def _noop():
+def _noop(__):
     pass
 
 
 class TestQueueConsistency:
     def test_clean_queue_passes(self):
-        queue = EventQueue()
-        for t in (3.0, 1.0, 2.0):
-            queue.push(t, _noop)
-        queue.pop_entry()
-        check_queue(queue)
-
-    def test_live_count_drift_detected(self):
-        queue = EventQueue()
-        queue.push(1.0, _noop)
-        queue._live += 1
-        with pytest.raises(InvariantError, match="live count drifted"):
-            check_queue(queue)
+        kernel = SimulationKernel()
+        for t in (3.0, 1.0, 2.0, 2.0):
+            kernel.post(t, _noop)
+        heapq.heappop(kernel.heap)
+        check_queue(kernel.heap)
 
     def test_heap_property_violation_detected(self):
-        queue = EventQueue()
+        kernel = SimulationKernel()
         for t in (1.0, 2.0, 3.0):
-            queue.push(t, _noop)
-        # Mutating a pushed entry's time behind the heap's back is
-        # exactly the corruption the scan exists to catch.
-        queue._heap[-1][0] = -99.0
+            kernel.post(t, _noop)
+        # Replacing a pushed entry behind the heap's back is exactly the
+        # corruption the scan exists to catch.
+        kernel.heap[-1] = (-99.0,) + kernel.heap[-1][1:]
         with pytest.raises(InvariantError, match="heap property"):
-            check_queue(queue)
-
-    def test_out_of_heap_marker_detected(self):
-        queue = EventQueue()
-        queue.push(1.0, _noop)
-        entry = queue.pop_entry()
-        heapq.heappush(queue._heap, entry)  # re-inserted without the flag
-        with pytest.raises(InvariantError, match="out-of-heap"):
-            check_queue(queue)
+            check_queue(kernel.heap)
 
 
 def _fake_result(**overrides):

@@ -177,7 +177,7 @@ def run_trial(
             )
         final = ResultStore(os.path.join(root, "simcache"))
         for request in matrix():
-            payload = final._entries.get(request.key)
+            payload = final.get(request.key)
             if payload is None:
                 problems.append(
                     f"trial {trial}: resumed store is missing {request.key}"
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
             return 1
         ref_store = ResultStore(os.path.join(ref_root, "simcache"))
         reference = {
-            request.key: stripped(ref_store._entries[request.key])
+            request.key: stripped(ref_store.get(request.key))
             for request in matrix()
         }
         ledger = pin_store(

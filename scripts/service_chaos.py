@@ -334,14 +334,14 @@ def phase_golden_integrity(rng, quick, violations):
     with Phase("golden-ref") as ref_phase:
         drive(ref_phase, "clean")
     reference = ResultStore(ref_phase.store)
-    if not reference._entries:
+    if not len(reference):
         check(False,
               "golden-integrity: clean server persisted nothing to pin",
               violations)
         shutil.rmtree(ref_phase.tmp, ignore_errors=True)
         return
     ledger = pin_store(
-        reference, sorted(reference._entries),
+        reference, sorted(reference.keys()),
         reason="service-chaos clean reference server",
     )
     env = {"REPRO_FAULT_INJECT": "enospc:store:1,partial-write:store:1"}

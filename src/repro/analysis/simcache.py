@@ -19,11 +19,22 @@ Durability rules:
   stat, quarantine, recompute as a miss) — a payload silently altered on
   disk can never poison downstream experiments.  Records written before
   digests existed load unverified.
-* **Loads are tolerant.** A shard line that fails to parse is counted
-  and skipped.  A shard containing any bad line is *quarantined*: the
-  original file moves to ``<root>/quarantine/`` and the salvaged records
-  are rewritten atomically (tmp + rename), so the corruption never
-  crashes a run and never survives to the next load.
+* **Loads are lazy and tolerant.** Opening a store only indexes keys:
+  each shard's lines are read and every record line's key is decoded
+  from its ``{"key": "`` prefix, nothing more.  A shard is parsed and
+  digest-verified on first use — a ``get``/``contains`` of a key the
+  index places in it — and every unread shard is read before a
+  whole-store answer (``stats``, ``len``, ``keys``, ``items``,
+  ``clear``).  The answers equal an eager load's: a ``put`` since open
+  beats the on-disk record, and of a key held by several shards the
+  later shard in sorted file order wins.  A shard line that fails to
+  parse is counted and skipped.  A shard containing any bad line is
+  *quarantined* when it is read — at open if some line is not even
+  indexable (a torn tail, garbage), else on first use: the original is
+  copied to ``<root>/quarantine/`` and the salvaged records are
+  rewritten atomically (tmp + rename), so the corruption never crashes
+  a run and never survives to the next load.  If that rewrite fails,
+  the original stays in place and the salvage is served from memory.
 * **Appends are durable and failure-tolerant.**  Writes go through
   :mod:`repro.fsio` (flush + fsync, ``REPRO_NO_FSYNC=1`` to skip), and a
   failed append — ``ENOSPC``, a partial write, a paused disk guard —
@@ -42,7 +53,9 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import warnings
+from json.decoder import scanstring
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import fsio
@@ -57,6 +70,13 @@ QUARANTINE_DIR = "quarantine"
 
 _SHARD_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
 
+#: How every record line starts (``json.dumps`` of ``{"key": ...}``);
+#: the open-time index decodes the key that follows it.
+_KEY_PREFIX = '{"key": "'
+
+#: The rank of a value ``put`` since open: no shard read later beats it.
+_PUT_RANK = 1 << 62
+
 
 def sibling_dir(store_root: Optional[str], name: str) -> Optional[str]:
     """``<store parent>/<name>``: where the failure manifest
@@ -70,6 +90,32 @@ def sibling_dir(store_root: Optional[str], name: str) -> Optional[str]:
 def _shard_filename(shard: str) -> str:
     name = _SHARD_SANITIZER.sub("_", shard) or "misc"
     return f"{name}.jsonl"
+
+
+def _indexed_keys(lines: List[str]) -> Optional[List[str]]:
+    """The key of every record line, or ``None`` when a non-blank line is
+    not indexable: it must start with the key prefix, end with ``}`` and
+    a newline, and its key must decode as a JSON string."""
+    keys = []
+    for line in lines:
+        if line.startswith(_KEY_PREFIX) and line.endswith("}\n"):
+            try:
+                key, _ = scanstring(line, len(_KEY_PREFIX))
+            except ValueError:
+                return None
+            keys.append(key)
+        elif line.strip():
+            return None
+    return keys
+
+
+def _read_lines(path: str) -> Optional[List[str]]:
+    try:
+        with open(path) as fh:
+            return fh.readlines()
+    except OSError as error:
+        warnings.warn(f"simcache: cannot read shard {path}: {error}")
+        return None
 
 
 def _record_line(key: str, payload: dict) -> str:
@@ -107,6 +153,14 @@ class ResultStore:
         self.root = root
         self.flush_every = flush_every
         self._entries: Dict[str, dict] = {}
+        # Lazy loading: shards indexed at open but not yet read (by
+        # rank, their position in sorted file order), the unread shards
+        # each indexed key appears in, and the rank of the shard (or
+        # ``_PUT_RANK``) that supplied each held value while any shard
+        # is unread.  All three are empty once every shard is read.
+        self._unread: Dict[int, str] = {}
+        self._index: Dict[str, Tuple[int, ...]] = {}
+        self._rank: Dict[str, int] = {}
         self._pending: List[Tuple[str, str, dict]] = []  # (shard, key, payload)
         # Per-store telemetry on the shared stat-bag primitive; the
         # process-wide registry additionally mirrors hit/miss totals
@@ -126,18 +180,20 @@ class ResultStore:
             "skipped_flushes": 0,
             "write_errors": 0,
         })
-        # Shards whose last append failed mid-write: the file may end
-        # with a torn line, so the next successful append leads with a
-        # newline (blank lines are skipped by the loader).
+        # Shard paths that may end with a torn line (an append failed
+        # mid-write, or a corrupt shard could not be rewritten), so the
+        # next successful append leads with a newline (blank lines are
+        # skipped by the loader).
         self._dirty_shards: set = set()
         self._warned_write_failure = False
         if self.root:
-            self._load_shards()
-        self._stats["entries"] = len(self._entries)
+            self._index_shards()
 
     # --- lookups ---------------------------------------------------------------
     def get(self, key: str) -> Optional[dict]:
         """Return the payload for ``key`` (counting a hit) or ``None``."""
+        if key in self._index:
+            self._touch(key)
         payload = self._entries.get(key)
         if payload is None:
             self._stats["misses"] += 1
@@ -151,6 +207,8 @@ class ResultStore:
 
     def contains(self, key: str) -> bool:
         """Membership test that does not touch the hit/miss telemetry."""
+        if key in self._index:
+            self._touch(key)
         return key in self._entries
 
     @property
@@ -164,12 +222,15 @@ class ResultStore:
         return len(self._pending)
 
     def __len__(self) -> int:
+        self._read_all()
         return len(self._entries)
 
     def keys(self) -> Iterator[str]:
+        self._read_all()
         return iter(self._entries)
 
     def items(self) -> Iterator[Tuple[str, dict]]:
+        self._read_all()
         return iter(self._entries.items())
 
     # --- writes ----------------------------------------------------------------
@@ -177,7 +238,8 @@ class ResultStore:
         """Stage one record; flushes once ``flush_every`` records pend."""
         self._entries[key] = payload
         self._stats["puts"] += 1
-        self._stats["entries"] = len(self._entries)
+        if self._unread:
+            self._rank[key] = _PUT_RANK
         if not self.root:
             return
         self._pending.append((shard, key, payload))
@@ -216,7 +278,7 @@ class ResultStore:
                 text = "".join(
                     _record_line(key, payload) for _, key, payload in records
                 )
-                if shard in self._dirty_shards:
+                if path in self._dirty_shards:
                     # The previous append may have torn its last line; a
                     # leading newline isolates the fragment as one corrupt
                     # line instead of letting it corrupt this record too.
@@ -224,19 +286,15 @@ class ResultStore:
                 try:
                     fsio.append_text(path, text, op="store")
                 except OSError as error:
-                    self._dirty_shards.add(shard)
-                    self._stats["write_errors"] += 1
+                    self._dirty_shards.add(path)
                     remaining.extend(records)
-                    get_disk_guard().note_failure(self.root)
-                    if not self._warned_write_failure:
-                        self._warned_write_failure = True
-                        warnings.warn(
-                            f"simcache: append to shard {path} failed "
-                            f"({error}); keeping records pending and "
-                            "continuing from memory"
-                        )
+                    self._write_failed(
+                        f"simcache: append to shard {path} failed "
+                        f"({error}); keeping records pending and "
+                        "continuing from memory"
+                    )
                 else:
-                    self._dirty_shards.discard(shard)
+                    self._dirty_shards.discard(path)
                     written += len(records)
             self._pending = remaining
             if written:
@@ -248,9 +306,9 @@ class ResultStore:
 
     def clear(self) -> None:
         """Drop every record, in memory and on disk."""
+        self._read_all()
         self._entries.clear()
         self._pending.clear()
-        self._stats["entries"] = 0
         if not self.root or not os.path.isdir(self.root):
             return
         for fname in os.listdir(self.root):
@@ -260,6 +318,8 @@ class ResultStore:
     # --- telemetry -------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
         """A snapshot of the store's counters (see module docstring)."""
+        self._read_all()
+        self._stats["entries"] = len(self._entries)
         return self._stats.as_dict()
 
     def record_schema_mismatch(self, key: str = "") -> None:
@@ -272,25 +332,77 @@ class ResultStore:
                 "current result schema; recomputing"
             )
 
+    def _write_failed(self, message: str) -> None:
+        """Count a failed write, tell the disk guard, warn once."""
+        self._stats["write_errors"] += 1
+        get_disk_guard().note_failure(self.root)
+        if not self._warned_write_failure:
+            self._warned_write_failure = True
+            warnings.warn(message)
+
     # --- loading ---------------------------------------------------------------
-    def _load_shards(self) -> None:
+    def _index_shards(self) -> None:
+        """Index every shard's keys; read only the shards that cannot be
+        indexed (they hold a torn or garbage line to quarantine)."""
         if not os.path.isdir(self.root):
             return
-        for fname in sorted(os.listdir(self.root)):
-            if not fname.endswith(".jsonl"):
+        names = sorted(f for f in os.listdir(self.root) if f.endswith(".jsonl"))
+        index = self._index
+        for rank, fname in enumerate(names):
+            path = os.path.join(self.root, fname)
+            lines = _read_lines(path)
+            if lines is None:
                 continue
-            self._load_one_shard(os.path.join(self.root, fname))
+            keys = _indexed_keys(lines)
+            if keys is None:
+                self._load_one_shard(path, rank, lines)
+                continue
+            self._unread[rank] = path
+            for key in keys:
+                held = index.get(key)
+                if held is None:
+                    index[key] = (rank,)
+                elif held[-1] != rank:
+                    index[key] = held + (rank,)
+        self._settle()
 
-    def _load_one_shard(self, path: str) -> None:
+    def _touch(self, key: str) -> None:
+        """Read every unread shard the index places ``key`` in."""
+        for rank in self._index.pop(key):
+            path = self._unread.pop(rank, None)
+            if path is not None:
+                self._load_one_shard(path, rank)
+        self._settle()
+
+    def _read_all(self) -> None:
+        """Read every shard not yet read, in sorted file order."""
+        for rank in sorted(self._unread):
+            self._load_one_shard(self._unread.pop(rank), rank)
+        self._settle()
+
+    def _settle(self) -> None:
+        # With every shard read, no later load can override a value.
+        if not self._unread:
+            self._index.clear()
+            self._rank.clear()
+
+    def _load_one_shard(
+        self, path: str, rank: int, raw_lines: Optional[List[str]] = None
+    ) -> None:
+        """Parse, digest-verify and (if corrupt) quarantine one shard.
+
+        ``raw_lines`` is the shard as the open-time index read it; a
+        shard read later is re-read, so it includes what this process
+        appended since open.  A record only replaces a held value from a
+        shard earlier in sorted order (never a ``put`` since open).
+        """
         with get_tracer().span(
             "cache.load_shard", cat="cache", shard=os.path.basename(path)
         ):
-            try:
-                with open(path) as fh:
-                    raw_lines = fh.readlines()
-            except OSError as error:
-                warnings.warn(f"simcache: cannot read shard {path}: {error}")
-                return
+            if raw_lines is None:
+                raw_lines = _read_lines(path)
+                if raw_lines is None:
+                    return
             good: List[Tuple[str, dict]] = []
             bad = 0
             digest_bad = 0
@@ -313,8 +425,12 @@ class ResultStore:
                     digest_bad += 1
                     continue
                 good.append((key, payload))
+            entries, ranks = self._entries, self._rank
             for key, payload in good:
-                self._entries[key] = payload
+                if ranks.get(key, -1) > rank:
+                    continue
+                entries[key] = payload
+                ranks[key] = rank
             self._stats["shards_loaded"] += 1
             if get_tracer().enabled:
                 get_registry().inc("cache.shards_loaded")
@@ -326,24 +442,42 @@ class ResultStore:
                 self._quarantine(path, good)
 
     def _quarantine(self, path: str, salvaged: List[Tuple[str, dict]]) -> None:
-        """Move a corrupt shard aside and rewrite only its salvaged records."""
+        """Copy a corrupt shard aside, then rewrite only its salvaged records.
+
+        The copy comes first and the rewrite is atomic, so the live shard
+        is always the original or the salvage, never absent.  A failed
+        copy or rewrite (``ENOSPC``, a partial write) leaves the original
+        in place: the salvaged records are served from memory and the
+        next open quarantines the shard again.
+        """
         qdir = os.path.join(self.root, QUARANTINE_DIR)
-        os.makedirs(qdir, exist_ok=True)
         base = os.path.basename(path)
         dest = os.path.join(qdir, base)
         suffix = 0
         while os.path.exists(dest):
             suffix += 1
             dest = os.path.join(qdir, f"{base}.{suffix}")
-        fsio.replace_file(path, dest)
-        if salvaged:
-            fsio.atomic_write_text(
-                path,
-                "".join(_record_line(k, p) for k, p in salvaged),
-                op="store",
+        try:
+            os.makedirs(qdir, exist_ok=True)
+            shutil.copyfile(path, dest)
+            if salvaged:
+                fsio.atomic_write_text(
+                    path,
+                    "".join(_record_line(k, p) for k, p in salvaged),
+                    op="store",
+                )
+            else:
+                os.remove(path)
+        except OSError as error:
+            self._dirty_shards.add(path)
+            self._write_failed(
+                f"simcache: quarantine of shard {path} failed ({error}); "
+                f"left it in place, serving its {len(salvaged)} salvaged "
+                "records from memory"
             )
+            return
         self._stats["quarantined_shards"] += 1
         warnings.warn(
-            f"simcache: shard {path} had corrupt lines; original moved to "
+            f"simcache: shard {path} had corrupt lines; original copied to "
             f"{dest}, {len(salvaged)} records salvaged"
         )

@@ -1,58 +1,8 @@
-"""Statistics helpers: counters, busy trackers and time-weighted states."""
+"""Statistics helpers: time-weighted state tracking."""
 
 from __future__ import annotations
 
 from typing import Dict
-
-from repro.obs.metrics import CounterBag
-
-
-class Counter(CounterBag):
-    """A named bag of integer counters with dict-like access.
-
-    Thin shim over :class:`repro.obs.metrics.CounterBag`, the shared
-    stat-bag primitive of the observability subsystem; kept so existing
-    engine components and callers are untouched.
-    """
-
-    def get(self, key: str, default: int = 0) -> int:
-        return int(super().get(key, default))
-
-
-class BusyTracker:
-    """Accumulates busy time from explicit (start, end) intervals.
-
-    Overlapping intervals are the caller's responsibility to avoid; the GPU
-    model only reports disjoint per-warp service intervals per resource.
-    """
-
-    def __init__(self) -> None:
-        self._busy = 0.0
-        self._last_end = 0.0
-
-    @property
-    def busy_time(self) -> float:
-        return self._busy
-
-    @property
-    def last_end(self) -> float:
-        return self._last_end
-
-    def record(self, start: float, end: float) -> None:
-        if end < start:
-            raise ValueError(f"interval ends before it starts: [{start}, {end}]")
-        self._busy += end - start
-        if end > self._last_end:
-            self._last_end = end
-
-    def utilization(self, total_time: float) -> float:
-        if total_time <= 0:
-            return 0.0
-        return min(1.0, self._busy / total_time)
-
-    def reset(self) -> None:
-        self._busy = 0.0
-        self._last_end = 0.0
 
 
 class StateTimeTracker:

@@ -16,9 +16,6 @@ use:
   JSONL shards (result store, failure manifest).  The directory is only
   fsync'd when the append created the file (that is the only case where
   the *name* is new).
-* :func:`replace_file` — ``os.replace`` with a copy + unlink fallback
-  for ``EXDEV`` (rename across filesystems, e.g. a quarantine directory
-  symlinked to scratch storage).
 * ``REPRO_NO_FSYNC=1`` skips the fsync calls (not the atomicity) — an
   escape hatch for test suites and throwaway runs where the fsync cost
   dominates.
@@ -37,7 +34,6 @@ from __future__ import annotations
 
 import errno
 import os
-import shutil
 import time
 from typing import Optional, Tuple
 
@@ -47,7 +43,6 @@ __all__ = [
     "fsync_dir",
     "atomic_write_text",
     "append_text",
-    "replace_file",
 ]
 
 NO_FSYNC_ENV = "REPRO_NO_FSYNC"
@@ -162,22 +157,3 @@ def append_text(path: str, text: str, op: Optional[str] = None) -> None:
         parent = os.path.dirname(path)
         if parent:
             fsync_dir(parent)
-
-
-def replace_file(src: str, dst: str) -> None:
-    """``os.replace`` that survives ``EXDEV`` (cross-filesystem move).
-
-    ``results/`` layouts where the quarantine directory is a symlink to
-    scratch storage put ``src`` and ``dst`` on different filesystems;
-    rename fails with ``EXDEV`` there, so fall back to copy + unlink.
-    The copy is not atomic, but quarantine destinations are never
-    load-bearing — the unique name is picked immediately before the
-    move.
-    """
-    try:
-        os.replace(src, dst)
-    except OSError as error:
-        if error.errno != errno.EXDEV:
-            raise
-        shutil.copy2(src, dst)
-        os.unlink(src)

@@ -1,9 +1,8 @@
 """Process-wide metrics: counters, gauges and streaming histograms.
 
 The registry is the single substrate for every stat bag in the
-repository: the engine's :class:`repro.engine.stats.Counter`, the result
-store's telemetry dict and the per-run execution counters are all thin
-views over the primitives here (see the "Observability" section of
+repository: the result store's telemetry dict and the per-run execution
+counters are both thin views over the primitives here (see the "Observability" section of
 ``docs/ARCHITECTURE.md``).
 
 Design constraints, in order:

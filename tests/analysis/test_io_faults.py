@@ -1,8 +1,8 @@
-"""Injected filesystem faults at every persistence seam (satellite):
-``ResultStore.flush`` and the trace/metrics exporters survive ENOSPC
-and partial writes — pending data is kept in
-memory, retried once the disk recovers, and a torn append never
-corrupts a neighbouring record."""
+"""Injected filesystem faults at every persistence seam:
+``ResultStore.flush``, the store's quarantine rewrite and the
+trace/metrics exporters survive ENOSPC and partial writes — pending
+data is kept in memory, retried once the disk recovers, a torn append
+never corrupts a neighbouring record, and a shard is never lost."""
 
 import json
 import os
@@ -98,6 +98,37 @@ class TestStoreFlush:
         reset_disk_guard()
         assert store.flush() == 1
         assert ResultStore(str(tmp_path / "simcache")).contains("k1")
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_failed_quarantine_rewrite_keeps_the_shard(
+        self, tmp_path, monkeypatch, fault
+    ):
+        root = str(tmp_path / "simcache")
+        ResultStore(root).put("good", {"value": 1}, shard="va")
+        shard = tmp_path / "simcache" / "va.jsonl"
+        with open(shard, "a") as fh:
+            fh.write('{"key": "torn')  # a torn tail: no closing, no newline
+        original = shard.read_text()
+        arm(monkeypatch, f"{fault}:store")
+        with pytest.warns(UserWarning, match="quarantine of shard .* failed"):
+            store = ResultStore(root)
+        # The live shard is still the original, a copy sits in
+        # quarantine, and the salvaged record is served from memory.
+        assert shard.read_text() == original
+        assert (tmp_path / "simcache" / "quarantine" / "va.jsonl").exists()
+        assert store.get("good") == {"value": 1}
+        stats = store.stats()
+        assert stats["write_errors"] == 1
+        assert stats["quarantined_shards"] == 0
+        # Appends to the shard still land, clear of the torn tail; the
+        # next open (disk recovered) quarantines it and salvages both.
+        store.put("more", {"value": 2}, shard="va")
+        disarm(monkeypatch)
+        with pytest.warns(UserWarning, match="2 records salvaged"):
+            reopened = ResultStore(root)
+        assert reopened.get("good") == {"value": 1}
+        assert reopened.get("more") == {"value": 2}
+        assert "torn" not in shard.read_text()
 
 
 class TestExportSeams:

@@ -3,6 +3,9 @@
 import json
 import os
 
+import pytest
+
+from repro.analysis import simcache
 from repro.analysis.simcache import ResultStore
 from repro.verify.digest import content_digest
 
@@ -13,11 +16,13 @@ def _shard_path(root):
     return os.path.join(root, files[0])
 
 
-def _fresh_store(tmp_path, payloads):
+def _fresh_store(tmp_path, shards):
+    """A store root holding ``{shard: {key: payload}}``."""
     root = os.path.join(tmp_path, "simcache")
-    store = ResultStore(root)
-    for key, payload in payloads.items():
-        store.put(key, payload, shard="bench")
+    store = ResultStore(root, flush_every=10**6)
+    for shard, records in shards.items():
+        for key, payload in records.items():
+            store.put(key, payload, shard=shard)
     store.flush()
     return root
 
@@ -30,7 +35,7 @@ PAYLOADS = {
 
 class TestDigestOnWrite:
     def test_every_record_carries_a_matching_digest(self, tmp_path):
-        root = _fresh_store(tmp_path, PAYLOADS)
+        root = _fresh_store(tmp_path, {"bench": PAYLOADS})
         with open(_shard_path(root)) as handle:
             records = [json.loads(line) for line in handle if line.strip()]
         assert len(records) == len(PAYLOADS)
@@ -40,13 +45,13 @@ class TestDigestOnWrite:
 
 class TestVerifyOnRead:
     def test_clean_reload_counts_no_mismatches(self, tmp_path):
-        root = _fresh_store(tmp_path, PAYLOADS)
+        root = _fresh_store(tmp_path, {"bench": PAYLOADS})
         reloaded = ResultStore(root)
         assert reloaded.get("sim|one") == PAYLOADS["sim|one"]
         assert reloaded.stats()["digest_mismatches"] == 0
 
     def test_corrupt_payload_degrades_to_miss(self, tmp_path):
-        root = _fresh_store(tmp_path, PAYLOADS)
+        root = _fresh_store(tmp_path, {"bench": PAYLOADS})
         shard = _shard_path(root)
         with open(shard) as handle:
             lines = [json.loads(line) for line in handle if line.strip()]
@@ -66,7 +71,7 @@ class TestVerifyOnRead:
         assert stats["quarantined_shards"] == 1
 
     def test_quarantine_salvage_survives_another_reload(self, tmp_path):
-        root = _fresh_store(tmp_path, PAYLOADS)
+        root = _fresh_store(tmp_path, {"bench": PAYLOADS})
         shard = _shard_path(root)
         with open(shard) as handle:
             lines = [json.loads(line) for line in handle if line.strip()]
@@ -74,7 +79,8 @@ class TestVerifyOnRead:
         with open(shard, "w") as handle:
             for record in lines:
                 handle.write(json.dumps(record) + "\n")
-        ResultStore(root)  # quarantines + salvages the good record
+        # A whole-store read: quarantines + salvages the good record.
+        ResultStore(root).stats()
         salvaged = ResultStore(root)
         assert salvaged.get("sim|two") == PAYLOADS["sim|two"]
         assert salvaged.stats()["digest_mismatches"] == 0
@@ -90,3 +96,178 @@ class TestVerifyOnRead:
         store = ResultStore(root)
         assert store.get("sim|old") == {"cycles": 5.0}
         assert store.stats()["digest_mismatches"] == 0
+
+
+def _alter_payload(root, shard, key):
+    """Change ``key``'s payload in ``shard`` but keep its recorded digest:
+    the line stays indexable, so only the read-time check can catch it."""
+    path = os.path.join(root, f"{shard}.jsonl")
+    with open(path) as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
+    for record in records:
+        if record["key"] == key:
+            record["payload"]["cycles"] = -1.0
+    with open(path, "w") as handle:
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+
+
+def _eager_items(root):
+    """What loading every shard at open gives: each line parsed and
+    verified in sorted file order, a later record winning."""
+    entries = {}
+    for fname in sorted(os.listdir(root)):
+        if not fname.endswith(".jsonl"):
+            continue
+        with open(os.path.join(root, fname)) as handle:
+            for line in handle:
+                record = json.loads(line)
+                digest = record.get("digest")
+                if digest is None or digest == content_digest(record["payload"]):
+                    entries[record["key"]] = record["payload"]
+    return entries
+
+
+TWO_SHARDS = {
+    "a": {"sim|a1": {"cycles": 1.0}, "sim|a2": {"cycles": 2.0}},
+    "b": {"sim|b1": {"cycles": 3.0}, "sim|b2": {"cycles": 4.0}},
+}
+
+
+class TestLazyLoad:
+    """Open indexes keys; a shard is parsed and verified on first use,
+    and every answer equals what loading all shards at open gave."""
+
+    @pytest.mark.parametrize("touch", ["get", "contains", "stats"])
+    def test_corruption_in_an_untouched_shard_waits_for_its_first_use(
+        self, tmp_path, touch
+    ):
+        root = _fresh_store(tmp_path, TWO_SHARDS)
+        _alter_payload(root, "b", "sim|b1")
+        quarantined = os.path.join(root, "quarantine", "b.jsonl")
+        store = ResultStore(root)
+        assert store.get("sim|a1") == {"cycles": 1.0}
+        assert not os.path.exists(quarantined)
+        with pytest.warns(UserWarning, match="corrupt lines"):
+            if touch == "get":
+                assert store.get("sim|b1") is None
+            elif touch == "contains":
+                assert not store.contains("sim|b1")
+            else:
+                store.stats()
+        assert os.path.exists(quarantined)
+        stats = store.stats()
+        assert stats["digest_mismatches"] == 1
+        assert stats["quarantined_shards"] == 1
+        assert stats["entries"] == 3
+        assert store.get("sim|b2") == {"cycles": 4.0}
+
+    def test_put_after_open_beats_the_on_disk_record(self, tmp_path):
+        root = _fresh_store(tmp_path, TWO_SHARDS)
+        store = ResultStore(root)
+        store.put("sim|a1", {"cycles": 10.0}, shard="a")
+        store.put("sim|b1", {"cycles": 30.0}, shard="elsewhere")
+        # Reading the shards afterwards (the first through the record
+        # this store just appended to it) must not resurrect old values.
+        assert store.get("sim|a1") == {"cycles": 10.0}
+        assert store.get("sim|b1") == {"cycles": 30.0}
+        assert dict(store.items())["sim|b1"] == {"cycles": 30.0}
+        assert store.get("sim|a2") == {"cycles": 2.0}
+
+    @pytest.mark.parametrize("first", ["sim|a1", "sim|b1", "sim|dup"])
+    def test_cross_shard_duplicates_resolve_in_sorted_file_order(
+        self, tmp_path, first
+    ):
+        shards = {
+            "a": {"sim|dup": {"cycles": 1.0}, "sim|a1": {"cycles": 2.0}},
+            "b": {"sim|dup": {"cycles": 5.0}, "sim|b1": {"cycles": 6.0}},
+        }
+        root = _fresh_store(tmp_path, shards)
+        store = ResultStore(root)
+        store.get(first)  # whichever shard is read first, b.jsonl wins
+        assert store.get("sim|dup") == {"cycles": 5.0}
+        assert dict(store.items()) == _eager_items(root)
+
+    def test_a_bad_later_duplicate_falls_back_to_the_earlier_shard(
+        self, tmp_path
+    ):
+        shards = {
+            "a": {"sim|dup": {"cycles": 1.0}},
+            "b": {"sim|dup": {"cycles": 5.0}, "sim|b1": {"cycles": 6.0}},
+        }
+        root = _fresh_store(tmp_path, shards)
+        _alter_payload(root, "b", "sim|dup")
+        store = ResultStore(root)
+        with pytest.warns(UserWarning, match="corrupt lines"):
+            assert store.get("sim|dup") == {"cycles": 1.0}
+
+    def test_touch_time_quarantine_keeps_records_appended_since_open(
+        self, tmp_path
+    ):
+        root = _fresh_store(tmp_path, TWO_SHARDS)
+        _alter_payload(root, "a", "sim|a2")
+        store = ResultStore(root)
+        store.put("sim|a3", {"cycles": 7.0}, shard="a")  # appended
+        with pytest.warns(UserWarning, match="2 records salvaged"):
+            assert store.get("sim|a1") == {"cycles": 1.0}
+        reopened = ResultStore(root)
+        assert reopened.get("sim|a3") == {"cycles": 7.0}
+        assert reopened.get("sim|a1") == {"cycles": 1.0}
+        assert reopened.get("sim|a2") is None
+        assert reopened.stats()["quarantined_shards"] == 0
+
+    def test_shard_bytes_read_to_the_eager_items(self, tmp_path):
+        # Lines exactly as every earlier store version writes them: one
+        # per record, a later one re-recording a key, and a record from
+        # before content digests.
+        root = os.path.join(tmp_path, "simcache")
+        os.makedirs(root)
+        lines = {
+            "va.jsonl": [
+                ("sim|x", {"cycles": 1.0, "extra": {}}),
+                ("sim|y", {"cycles": 2.0, "note": "kéy \"q\""}),
+                ("sim|x", {"cycles": 3.0, "extra": {}}),
+            ],
+            "bp.jsonl": [("sim|y", {"cycles": 9.0}), ("mrc|z", {"v": [1, 2]})],
+        }
+        for fname, records in lines.items():
+            with open(os.path.join(root, fname), "w") as handle:
+                for key, payload in records:
+                    handle.write(json.dumps({
+                        "key": key, "payload": payload,
+                        "digest": content_digest(payload),
+                    }) + "\n")
+        with open(os.path.join(root, "legacy.jsonl"), "w") as handle:
+            handle.write(
+                json.dumps({"key": "sim|old", "payload": {"c": 5}}) + "\n"
+            )
+        expected = _eager_items(root)
+        assert dict(ResultStore(root).items()) == expected
+        touched = ResultStore(root)
+        for key in ("mrc|z", "sim|old", "sim|y", "sim|x"):
+            assert touched.get(key) == expected[key]
+        assert dict(touched.items()) == expected
+
+    def test_a_get_verifies_only_its_own_shard(self, tmp_path, monkeypatch):
+        # Work-counter gate: opening 16 shards x 16 records and reading
+        # one key digests that key's shard, not the store.
+        shards = {
+            f"s{s:02d}": {
+                f"sim|{s:02d}|{r:02d}": {"cycles": float(16 * s + r)}
+                for r in range(16)
+            }
+            for s in range(16)
+        }
+        root = _fresh_store(tmp_path, shards)
+        calls = []
+
+        def counting_digest(payload):
+            calls.append(1)
+            return content_digest(payload)
+
+        monkeypatch.setattr(simcache, "content_digest", counting_digest)
+        store = ResultStore(root)
+        assert store.get("sim|07|03") == {"cycles": 115.0}
+        assert len(calls) == 16
+        assert store.stats()["entries"] == 256
+        assert len(calls) == 256

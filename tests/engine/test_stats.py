@@ -2,63 +2,7 @@
 
 import pytest
 
-from repro.engine.stats import BusyTracker, Counter, StateTimeTracker
-
-
-class TestCounter:
-    def test_add_and_get(self):
-        c = Counter()
-        c.add("hits")
-        c.add("hits", 4)
-        assert c.get("hits") == 5
-        assert c["hits"] == 5
-
-    def test_missing_key_is_zero(self):
-        assert Counter().get("nothing") == 0
-
-    def test_as_dict_copies(self):
-        c = Counter()
-        c.add("x")
-        d = c.as_dict()
-        d["x"] = 99
-        assert c.get("x") == 1
-
-    def test_reset(self):
-        c = Counter()
-        c.add("x")
-        c.reset()
-        assert c.get("x") == 0
-
-    def test_repr_sorted(self):
-        c = Counter()
-        c.add("b")
-        c.add("a")
-        assert repr(c) == "Counter(a=1, b=1)"
-
-
-class TestBusyTracker:
-    def test_accumulates_intervals(self):
-        t = BusyTracker()
-        t.record(0.0, 5.0)
-        t.record(10.0, 12.0)
-        assert t.busy_time == 7.0
-        assert t.last_end == 12.0
-
-    def test_utilization(self):
-        t = BusyTracker()
-        t.record(0.0, 30.0)
-        assert t.utilization(100.0) == pytest.approx(0.3)
-        assert t.utilization(0.0) == 0.0
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            BusyTracker().record(5.0, 3.0)
-
-    def test_reset(self):
-        t = BusyTracker()
-        t.record(0.0, 5.0)
-        t.reset()
-        assert t.busy_time == 0.0
+from repro.engine.stats import StateTimeTracker
 
 
 class TestStateTimeTracker:

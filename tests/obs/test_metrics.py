@@ -40,15 +40,6 @@ class TestCounterBag:
         bag.add("a")
         assert snap == {"a": 1}
 
-    def test_engine_counter_is_a_counterbag(self):
-        # Satellite: the engine's stat bag is a shim over the shared one.
-        from repro.engine.stats import Counter
-
-        counter = Counter()
-        assert isinstance(counter, CounterBag)
-        counter.add("events", 2)
-        assert counter.get("events") == 2
-
 
 class TestHistogram:
     def test_empty(self):

@@ -141,7 +141,7 @@ class TestRecordedNames:
             RunRequest("mrc", tiny_spec, 0, 1.0, 0),
         ])
         runner.flush()
-        ResultStore(cache)  # reopen: the read side
+        ResultStore(cache).stats()  # reopen, read every shard: the read side
 
         spans = {
             (re.sub(r"\[\d+\]", "[N]", e["name"]), e["cat"], e["ph"])

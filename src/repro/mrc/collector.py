@@ -23,7 +23,7 @@ from repro.memory_regions import BYPASS_BASE
 from repro.mrc.curve import MissRateCurve
 from repro.mrc.interleave import interleaved_stream
 from repro.mrc.stack_distance import (
-    MultiCapacityLRU, previous_occurrences, stack_distances,
+    lru_misses, previous_occurrences, stack_distances,
 )
 from repro.mrc.statstack import reuse_miss_ratios
 from repro.trace.kernel import WorkloadTrace
@@ -110,10 +110,7 @@ def collect_miss_rate_curve(
     bypass_misses = llc_accesses - len(profiled)
     del vsm, lines, llc  # the largest arrays alive; the counting needs room
     if method == "lru":
-        lru = MultiCapacityLRU(cap_lines)
-        for first in range(0, len(profiled), 4096):  # bounds the int objects alive
-            lru.consume(profiled[first : first + 4096].tolist())
-        misses = lru.miss_curve(cap_lines)
+        misses = lru_misses(profiled, cap_lines)
     else:
         previous = previous_occurrences(profiled)
         cold = np.count_nonzero(previous < 0)

@@ -11,11 +11,14 @@ a whole stream held as arrays (what the collector runs).
 :class:`StackDistanceProfiler` takes one reference at a time, keeping a
 Fenwick (binary indexed) tree over stream positions with a 1 at the last
 occurrence of each line: the streaming API, and the oracle the array pass
-is tested against.
+is tested against.  :func:`lru_misses` simulates an LRU cache per
+capacity instead, sharing none of that code: the collector's independent
+exact reference.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
@@ -219,43 +222,38 @@ class StackDistanceProfiler:
         return self.misses_at(capacity_lines) / self.accesses
 
 
-class MultiCapacityLRU:
-    """Exact fully-associative LRU miss counting at a fixed set of
-    capacities, in one pass.
+def lru_misses(lines: Sequence[int], capacities_lines: Sequence[int]) -> List[int]:
+    """Exact fully-associative LRU miss counts of ``lines`` at each capacity.
 
-    Functionally a restriction of :class:`StackDistanceProfiler` to known
-    capacities that shares no code with it or :func:`stack_distances`:
-    the collector's ``"lru"`` method, the reference for ``"stack"``.
+    The collector's ``"lru"`` method, the reference for ``"stack"``: it
+    shares no code with :class:`StackDistanceProfiler` or
+    :func:`stack_distances`.  One pass per capacity over one
+    ``OrderedDict``, so only one cache is alive at a time and both a hit
+    (``move_to_end``) and an eviction (``popitem(last=False)``) cost O(1).
+    A plain ``dict`` would not: ``del d[next(iter(d))]`` leaves a dummy
+    slot at the front of the entries array until the next resize, and
+    every later ``next(iter(d))`` walks past all of them, O(capacity) per
+    eviction.  The stream is read in 4,096-line ``tolist()`` chunks,
+    which bounds the Python ints alive.
     """
-
-    def __init__(self, capacities_lines: Sequence[int]) -> None:
-        if not capacities_lines:
-            raise PredictionError("need at least one capacity")
-        if any(c < 1 for c in capacities_lines):
-            raise PredictionError(f"capacities must be >= 1: {capacities_lines}")
-        self.capacities = list(capacities_lines)
-        self._lru: List[Dict[int, None]] = [dict() for __ in self.capacities]
-        self.misses = [0] * len(self.capacities)
-        self.accesses = 0
-
-    def access(self, line: int) -> None:
-        self.accesses += 1
-        for i, cache in enumerate(self._lru):
-            if line in cache:
-                del cache[line]
-            else:
-                self.misses[i] += 1
-                if len(cache) >= self.capacities[i]:
-                    del cache[next(iter(cache))]
-            cache[line] = None
-
-    def consume(self, lines: Iterable[int]) -> None:
-        for line in lines:
-            self.access(line)
-
-    def miss_curve(self, capacities_lines: Sequence[int]) -> List[int]:
-        if list(capacities_lines) != self.capacities:
-            raise PredictionError(
-                "MultiCapacityLRU can only report its configured capacities"
-            )
-        return list(self.misses)
+    if not capacities_lines:
+        raise PredictionError("need at least one capacity")
+    if any(c < 1 for c in capacities_lines):
+        raise PredictionError(f"capacities must be >= 1: {capacities_lines}")
+    stream = np.asarray(lines, dtype=np.int64)
+    misses = []
+    for capacity in capacities_lines:
+        cache: OrderedDict[int, None] = OrderedDict()
+        hit, evict = cache.move_to_end, cache.popitem
+        count = 0
+        for first in range(0, len(stream), 4096):
+            for line in stream[first : first + 4096].tolist():
+                if line in cache:
+                    hit(line)
+                else:
+                    count += 1
+                    if len(cache) >= capacity:
+                        evict(last=False)
+                    cache[line] = None
+        misses.append(count)
+    return misses

@@ -28,6 +28,7 @@ kills the worker (running).
 from __future__ import annotations
 
 import asyncio
+from collections import OrderedDict
 from typing import Dict, Optional
 
 from repro.analysis.parallel import RunRequest
@@ -155,7 +156,8 @@ class JobTable:
 
     def __init__(self) -> None:
         self._by_key: Dict[str, Job] = {}
-        self._alias: Dict[str, str] = {}  # idempotency_key -> cache key
+        # idempotency_key -> cache key, oldest first.
+        self._alias: OrderedDict[str, str] = OrderedDict()
 
     def active(self, key: str) -> Optional[Job]:
         job = self._by_key.get(key)
@@ -178,7 +180,7 @@ class JobTable:
             idempotency_key not in self._alias
             and len(self._alias) >= self.MAX_ALIASES
         ):
-            self._alias.pop(next(iter(self._alias)))
+            self._alias.popitem(last=False)  # O(1), unlike a dict's first key
         self._alias[idempotency_key] = key
 
     def reap(self, job: Job) -> None:

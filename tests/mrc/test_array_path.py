@@ -4,7 +4,7 @@
 tree: it derives L1 hits and LLC misses from stack distances counted
 offline on whole arrays.  Each stage is checked here against the
 streaming implementation of the same definition — ``StackDistanceProfiler``
-(Fenwick tree), ``MultiCapacityLRU`` and ``SetAssocCache`` (LRU
+(Fenwick tree), ``lru_misses`` and ``SetAssocCache`` (LRU
 simulation), ``ReuseDistanceSampler`` — which stay in the tree as the
 public streaming API and as this oracle.
 """
@@ -19,7 +19,7 @@ from repro.memory_regions import BYPASS_BASE
 from repro.mrc.collector import collect_miss_rate_curve, l1_miss_mask
 from repro.mrc.interleave import interleaved_stream
 from repro.mrc.stack_distance import (
-    COLD, MultiCapacityLRU, StackDistanceProfiler,
+    COLD, StackDistanceProfiler, lru_misses,
     previous_occurrences, stack_distances,
 )
 from repro.mrc.statstack import ReuseDistanceSampler
@@ -61,13 +61,11 @@ class TestStackDistances:
         profiler = StackDistanceProfiler(expected_length=4)
         assert distances.tolist() == [profiler.access(line) for line in stream]
 
-        lru = MultiCapacityLRU(CAPACITIES)
-        lru.consume(stream)
         cold = np.count_nonzero(distances == COLD)
         assert [
             cold + np.count_nonzero(distances >= capacity)
             for capacity in CAPACITIES
-        ] == lru.miss_curve(CAPACITIES)
+        ] == lru_misses(stream, CAPACITIES)
 
     @settings(max_examples=60, deadline=None)
     @given(streams())

@@ -10,6 +10,7 @@ from repro.mrc.collector import collect_miss_rate_curve, paper_capacity_points
 from repro.mrc.interleave import interleaved_stream
 from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
 from repro.units import MB
+from repro.workloads import build_trace, get_benchmark, strong_scaling_names
 
 
 def cfg(scale=1.0):
@@ -109,10 +110,21 @@ class TestCollector:
         assert curve.mpki[4] == pytest.approx(cold_only, rel=0.05)
 
     def test_methods_agree_exact(self):
-        wl = sweep_workload(2000, num_ctas=64, apw=32)
-        stack = collect_miss_rate_curve(wl, config=cfg(1.0), method="stack")
-        lru = collect_miss_rate_curve(wl, config=cfg(1.0), method="lru")
-        assert stack.mpki == pytest.approx(lru.mpki)
+        # The independent LRU simulation against the stack distances: on a
+        # synthetic sweep, then on every Table II benchmark at quarter scale.
+        def cases():
+            yield sweep_workload(2000, num_ctas=64, apw=32), cfg(1.0)
+            config = GPUConfig.paper_baseline()
+            for abbr in strong_scaling_names():
+                yield build_trace(
+                    get_benchmark(abbr), work_scale=0.25,
+                    capacity_scale=config.capacity_scale,
+                ), config
+
+        for wl, config in cases():
+            stack = collect_miss_rate_curve(wl, config=config, method="stack")
+            lru = collect_miss_rate_curve(wl, config=config, method="lru")
+            assert stack.mpki == lru.mpki, wl.name
 
     def test_statstack_close_to_exact(self):
         def build(cta_id):

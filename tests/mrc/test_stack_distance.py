@@ -10,8 +10,8 @@ from repro.trace import patterns
 from repro.mrc.stack_distance import (
     COLD,
     FenwickTree,
-    MultiCapacityLRU,
     StackDistanceProfiler,
+    lru_misses,
 )
 
 
@@ -164,9 +164,7 @@ class TestAgainstMultiCapacityLRU:
         stream = make(np.random.default_rng(7), 5000)
         profiler = StackDistanceProfiler(expected_length)
         profiler.consume(stream)
-        lru = MultiCapacityLRU(CAPACITIES)
-        lru.consume(stream)
-        assert profiler.miss_curve(CAPACITIES) == lru.miss_curve(CAPACITIES)
+        assert profiler.miss_curve(CAPACITIES) == lru_misses(stream, CAPACITIES)
         assert profiler.accesses == len(stream)
 
     def test_growth_does_not_change_the_histogram(self):
@@ -183,17 +181,12 @@ class TestMultiCapacityLRU:
     @given(st.lists(st.integers(min_value=0, max_value=25), min_size=1, max_size=150))
     def test_agrees_with_stack_distance(self, stream):
         capacities = [1, 3, 8]
-        fast = MultiCapacityLRU(capacities)
-        fast.consume(stream)
         exact = StackDistanceProfiler()
         exact.consume(stream)
-        assert fast.miss_curve(capacities) == exact.miss_curve(capacities)
+        assert lru_misses(stream, capacities) == exact.miss_curve(capacities)
 
     def test_validation(self):
         with pytest.raises(PredictionError):
-            MultiCapacityLRU([])
+            lru_misses([1, 2], [])
         with pytest.raises(PredictionError):
-            MultiCapacityLRU([0])
-        lru = MultiCapacityLRU([2, 4])
-        with pytest.raises(PredictionError):
-            lru.miss_curve([2])
+            lru_misses([1, 2], [0])

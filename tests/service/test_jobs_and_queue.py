@@ -6,6 +6,7 @@ that went terminal while waiting, and never lose a wakeup when a
 timeout races a put."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -100,6 +101,27 @@ class TestJobTable:
         # Re-remembering an existing token must not evict anything.
         table.remember_alias("token-3", "key-3")
         assert table.resolve_alias("token-1") == "key-1"
+
+    def test_eviction_cost_does_not_grow_with_the_table(self):
+        # At the bound every new alias evicts the oldest, so inserting at
+        # a full 64k table may cost no more than at a full 64-entry one
+        # (a plain dict's first key costs O(size) to find after deletions
+        # from its front).  Interleaved runs, each side's minimum.
+        tables = {}
+        for size in (64, JobTable.MAX_ALIASES):
+            table = tables[size] = JobTable()
+            table.MAX_ALIASES = size
+            for index in range(size):
+                table.remember_alias(f"fill-{index}", "key")
+        best = dict.fromkeys(tables, float("inf"))
+        for run in range(3):
+            for size, table in tables.items():
+                tokens = [f"token-{run}-{index}" for index in range(20_000)]
+                start = time.perf_counter()
+                for token in tokens:
+                    table.remember_alias(token, "key")
+                best[size] = min(best[size], time.perf_counter() - start)
+        assert best[JobTable.MAX_ALIASES] <= 3.0 * best[64], best
 
 
 class TestAdmissionQueue:

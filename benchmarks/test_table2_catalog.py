@@ -74,7 +74,9 @@ class TestTable2:
             spec = STRONG_SCALING[abbr]
             t1 = build_trace(spec)
             t2 = build_trace(spec)
-            cta1 = t1.kernels[0].build_cta(0)
-            cta2 = t2.kernels[0].build_cta(0)
-            assert cta1.warps[0].lines == cta2.warps[0].lines, abbr
-            assert cta1.num_warps == t1.kernels[0].warps_per_cta, abbr
+            k1, k2 = t1.kernels[0].compiled(), t2.kernels[0].compiled()
+            warp1 = k1.lines[k1.warp_bounds[0] : k1.warp_bounds[1]]
+            warp2 = k2.lines[k2.warp_bounds[0] : k2.warp_bounds[1]]
+            assert warp1.tolist() == warp2.tolist(), abbr
+            warps = k1.cta_bounds[1] - k1.cta_bounds[0]
+            assert warps == spec.kernels[0].warps_per_cta, abbr

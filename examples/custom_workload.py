@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Bring your own workload: build a trace with the library's pattern
-primitives and run the full scale-model workflow on it.
+"""Bring your own workload: build a kernel's arrays with the library's
+pattern primitives and run the full scale-model workflow on it.
 
 Run:  python examples/custom_workload.py
 
@@ -18,9 +18,10 @@ from repro.core import study
 from repro.core.accuracy import prediction_error
 from repro.mrc import analyze_regions
 from repro.trace import patterns
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import CompiledKernel, KernelTrace, WorkloadTrace
 from repro.units import MB
 
+NUM_CTAS = 8192
 WARPS_PER_CTA = 4
 ACCESSES_PER_WARP = 6
 COMPUTE_PER_ACCESS = 12.0
@@ -28,26 +29,21 @@ COMPUTE_PER_ACCESS = 12.0
 
 def build_attention_like(capacity_scale: float) -> WorkloadTrace:
     kv_lines = int(10 * MB * capacity_scale / 128)  # 10 MB shared KV cache
-
-    def build_cta(cta_id: int) -> CTATrace:
-        rng = np.random.default_rng(cta_id)
-        warps = []
-        for w in range(WARPS_PER_CTA):
-            gidx = cta_id * WARPS_PER_CTA + w
-            lines = patterns.cyclic_sweep(
-                0, kv_lines, ACCESSES_PER_WARP, offset=gidx * ACCESSES_PER_WARP
-            )
-            compute = patterns.interleave_compute(
-                ACCESSES_PER_WARP, COMPUTE_PER_ACCESS, rng
-            )
-            warps.append(
-                WarpTrace(compute.tolist(), lines.tolist(),
-                          start_offset=float(rng.integers(0, 900)))
-            )
-        return CTATrace(cta_id, warps)
-
-    kernel = KernelTrace("attention", num_ctas=8192, threads_per_cta=128,
-                         build_cta=build_cta)
+    warps = NUM_CTAS * WARPS_PER_CTA
+    accesses = warps * ACCESSES_PER_WARP
+    rng = np.random.default_rng(0)
+    # The whole grid as arrays: warp g reads the next ACCESSES_PER_WARP
+    # lines after warp g - 1's, so together the warps sweep the KV cache
+    # cyclically; each warp starts up to 900 cycles late.
+    compiled = CompiledKernel(
+        lines=patterns.cyclic_sweep(0, kv_lines, accesses),
+        compute=patterns.interleave_compute(accesses, COMPUTE_PER_ACCESS, rng),
+        warp_bounds=np.arange(0, accesses + 1, ACCESSES_PER_WARP),
+        tails=np.zeros(warps, dtype=np.int64),
+        offsets=rng.integers(0, 900, size=warps).astype(np.float64),
+        cta_bounds=np.arange(0, warps + 1, WARPS_PER_CTA),
+    )
+    kernel = KernelTrace("attention", threads_per_cta=128, compiled=lambda: compiled)
     workload = WorkloadTrace("attn", [kernel])
     workload.metadata["warm_region"] = (0, kv_lines)  # steady-state warm-up
     return workload

@@ -115,7 +115,7 @@ class GPUSimulator:
         """
         if self._workload is not None:
             raise SimulationError("GPUSimulator instances are single-use")
-        # Before validation, which builds CTA 0 of every kernel and so
+        # Before validation, which reads every kernel's arrays and so
         # generates them: wall_time_s has always covered trace generation.
         wall_start = _time.perf_counter()
         validate_trace(workload)
@@ -191,9 +191,6 @@ class GPUSimulator:
             self._kernel_start_us = self._tracer.now_us()
         kernel = self._workload.kernels[self._kernel_index]
         compiled = kernel.compiled()
-        # _advance_warp skips StreamingMultiprocessor.issue's sign check.
-        if (compiled.compute < 0).any():
-            raise SimulationError(f"{kernel.name}: negative compute burst")
         # A burst is its compute plus the memory instruction itself.
         self._arrays = (
             compiled,

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import TraceError
 from repro.memory_regions import BYPASS_BASE
 from repro.mrc.stack_distance import StackDistanceProfiler
@@ -55,11 +57,10 @@ def characterize(workload: WorkloadTrace, max_accesses: Optional[int] = None) ->
     """
     profiler = StackDistanceProfiler()
     bypass: set = set()
-    seen = 0
-    for line in workload.iter_accesses():
-        if max_accesses is not None and seen >= max_accesses:
-            break
-        seen += 1
+    stream = np.concatenate([k.compiled().lines for k in workload.kernels])
+    stream = stream[:max_accesses]
+    seen = len(stream)
+    for line in stream.tolist():
         if line >= BYPASS_BASE:
             bypass.add(line)
         else:

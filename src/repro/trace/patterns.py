@@ -1,22 +1,20 @@
 """Address-pattern generators.
 
-Each generator returns a numpy array of cache-line numbers.  The
-benchmark miniatures in :mod:`repro.workloads` compose these primitives to
-match the published footprint, reuse and sharing behaviour of each
-benchmark:
+Each generator returns a numpy array of cache-line numbers or of
+compute-burst lengths.  The benchmark miniatures in
+:mod:`repro.workloads` compose these primitives to match the published
+footprint, reuse and sharing behaviour of each benchmark:
 
 * :func:`sequential` — streaming, no temporal reuse (cold misses only);
 * :func:`cyclic_sweep` — repeated passes over a working set; under LRU this
   produces the textbook cliff at the working-set size, the mechanism behind
   the paper's super-linearly scaling workloads (dct, fwt, ...);
-* :func:`uniform_random` — uniform references in a region, giving a smooth,
-  gradually decaying miss-rate curve (bfs-like);
-* :func:`zipf` — skewed popularity, concave miss-rate curve;
-* :func:`strided` — fixed-stride walks;
-* :func:`stencil_rows` — neighbour reuse along rows (stencil codes);
-* :func:`pointer_chase_tree` — root-to-leaf walks in a B-tree-like
-  structure whose top levels are shared and hot (camping on LLC slices);
-* :func:`hot_cold` — a mix of hot shared lines and cold private lines.
+* :func:`zipf_weights` — skewed popularity for Zipf references;
+* :func:`pointer_chase_tree` / :func:`tree_paths` — root-to-leaf walks in
+  a B-tree-like structure whose top levels are shared and hot (camping on
+  LLC slices);
+* :func:`interleave_compute` / :func:`burst_range` /
+  :func:`round_bursts` — compute-burst lengths between accesses.
 """
 
 from __future__ import annotations
@@ -42,11 +40,6 @@ def sequential(start: int, count: int, stride: int = 1) -> np.ndarray:
     return start + stride * np.arange(count, dtype=np.int64)
 
 
-def strided(start: int, count: int, stride: int) -> np.ndarray:
-    """Alias of :func:`sequential` with a mandatory stride argument."""
-    return sequential(start, count, stride)
-
-
 def cyclic_sweep(base: int, ws_lines: int, count: int, offset: int = 0) -> np.ndarray:
     """Repeated in-order passes over a working set of ``ws_lines`` lines.
 
@@ -59,35 +52,8 @@ def cyclic_sweep(base: int, ws_lines: int, count: int, offset: int = 0) -> np.nd
     return base + idx
 
 
-def uniform_random(
-    base: int, ws_lines: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniformly random references within a region of ``ws_lines`` lines."""
-    _check_positive(ws_lines=ws_lines, count=count)
-    return base + rng.integers(0, ws_lines, size=count, dtype=np.int64)
-
-
-def zipf(
-    base: int,
-    ws_lines: int,
-    count: int,
-    rng: np.random.Generator,
-    exponent: float = 1.2,
-) -> np.ndarray:
-    """Zipf-distributed references: line ``k`` has weight ``(k+1)**-exponent``.
-
-    A random per-call permutation would break determinism of repeated
-    builds, so popularity rank equals line index; callers who want hot
-    lines spread across LLC slices should pass a scattered ``base`` or
-    post-process.
-    """
-    _check_positive(count=count)
-    weights = zipf_weights(ws_lines, exponent)
-    return base + rng.choice(ws_lines, size=count, p=weights).astype(np.int64)
-
-
 def zipf_weights(ws_lines: int, exponent: float) -> np.ndarray:
-    """Popularity of each of ``ws_lines`` lines under :func:`zipf`."""
+    """Zipf popularity: line ``k`` has weight ``(k+1)**-exponent``."""
     _check_positive(ws_lines=ws_lines)
     if exponent <= 0:
         raise TraceError(f"zipf exponent must be positive, got {exponent}")
@@ -95,29 +61,6 @@ def zipf_weights(ws_lines: int, exponent: float) -> np.ndarray:
     weights = ranks**-exponent
     weights /= weights.sum()
     return weights
-
-
-def stencil_rows(
-    base: int,
-    row_lines: int,
-    num_rows: int,
-    count: int,
-    offset_row: int = 0,
-) -> np.ndarray:
-    """Row-sweep with neighbour reuse: each step touches the line above.
-
-    Models 2D stencils (hotspot, srad): the sweep reads row ``r`` and row
-    ``r-1``, so each line is reused once with a short reuse distance
-    (captured by a cache of about one row).
-    """
-    _check_positive(row_lines=row_lines, num_rows=num_rows, count=count)
-    pos = np.arange(count, dtype=np.int64)
-    row = (offset_row + pos // (2 * row_lines)) % num_rows
-    col = (pos // 2) % row_lines
-    is_north = pos % 2 == 1
-    north_row = np.where(row > 0, row - 1, row)
-    eff_row = np.where(is_north, north_row, row)
-    return base + eff_row * row_lines + col
 
 
 def pointer_chase_tree(
@@ -157,30 +100,6 @@ def tree_paths(
         out[:, level] = base + level_base + node
         level_base += fanout**level
     return out.reshape(-1)
-
-
-def hot_cold(
-    hot_base: int,
-    hot_lines: int,
-    cold_base: int,
-    cold_lines: int,
-    count: int,
-    hot_fraction: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Mix of hot shared lines and a cold streaming region.
-
-    ``hot_fraction`` of references go to the hot region (uniform over
-    ``hot_lines``); the rest stream sequentially through the cold region.
-    """
-    _check_positive(hot_lines=hot_lines, cold_lines=cold_lines, count=count)
-    if not 0.0 <= hot_fraction <= 1.0:
-        raise TraceError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
-    is_hot = rng.random(count) < hot_fraction
-    hot = hot_base + rng.integers(0, hot_lines, size=count, dtype=np.int64)
-    cold_idx = np.cumsum(~is_hot) - 1
-    cold = cold_base + np.mod(cold_idx, cold_lines, dtype=np.int64)
-    return np.where(is_hot, hot, cold)
 
 
 def interleave_compute(

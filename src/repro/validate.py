@@ -15,9 +15,10 @@ Three families of checks:
 * :func:`validate_proportional_scaling` — a (scale-model, target) pair
   whose shared-resource ratios break the proportional-scaling rule that
   Eq. 1 of the paper assumes (→ ``ConfigurationError``);
-* :func:`validate_trace` — structural trace health sampled per kernel:
-  finite, non-negative compute bursts, line addresses and launch
-  offsets (→ :class:`repro.exceptions.TraceError`);
+* :func:`validate_trace` — structural trace health over every CTA:
+  non-negative compute bursts, tails and line addresses, finite,
+  non-negative launch offsets, consistent index bounds
+  (→ :class:`repro.exceptions.TraceError`);
 * :func:`degenerate_curve_reason` — miss-rate curves with NaN/infinite
   points or non-positive capacities; the predictor degrades these to
   proportional scaling with a warning instead of raising (see
@@ -29,9 +30,11 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError, TraceError
 from repro.gpu.config import GPUConfig, McmConfig
-from repro.trace.kernel import WorkloadTrace
+from repro.trace.kernel import CompiledKernel, WorkloadTrace
 
 __all__ = [
     "validate_config",
@@ -190,46 +193,66 @@ def validate_proportional_scaling(
     return factor
 
 
-def _is_count(value) -> bool:
-    """True for a finite, non-negative, integral number (int or float)."""
-    try:
-        return math.isfinite(value) and value >= 0 and value == int(value)
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
 def validate_trace(workload: WorkloadTrace) -> WorkloadTrace:
-    """Structural health checks on a workload trace, sampled per kernel.
+    """Structural health checks over every kernel's whole arrays.
 
-    CTAs are built lazily and must be deterministic in ``cta_id``, so
-    checking the first CTA of every kernel validates each generator at
-    O(kernels) cost.  Catches what the dataclasses cannot: NaN launch
-    offsets (NaN compares false against every bound), negative compute
-    bursts and negative line addresses.
+    Catches what the generators and :meth:`CompiledKernel.from_warps`
+    do not: NaN or negative launch offsets (NaN compares false against
+    every bound), negative tails, compute bursts and line addresses,
+    and index bounds that do not partition the arrays.
     """
     for kernel in workload.kernels:
-        cta = kernel.build_cta(0)
-        for warp_id, warp in enumerate(cta.warps):
-            if not math.isfinite(warp.start_offset):
-                raise TraceError(
-                    f"{workload.name}/{kernel.name}: warp {warp_id} has "
-                    f"non-finite start_offset {warp.start_offset}"
-                )
-            for burst in warp.compute:
-                if not _is_count(burst):
-                    raise TraceError(
-                        f"{workload.name}/{kernel.name}: warp {warp_id} "
-                        f"has invalid compute burst {burst!r} (need a "
-                        "non-negative integer instruction count)"
-                    )
-            for line in warp.lines:
-                if not _is_count(line):
-                    raise TraceError(
-                        f"{workload.name}/{kernel.name}: warp {warp_id} "
-                        f"has invalid line address {line!r} (need a "
-                        "non-negative integer line number)"
-                    )
+        problem = _kernel_problem(kernel.compiled())
+        if problem is not None:
+            raise TraceError(f"{workload.name}/{kernel.name}: {problem}")
     return workload
+
+
+def _kernel_problem(kernel: CompiledKernel) -> Optional[str]:
+    """What is wrong with one kernel's arrays, or ``None``."""
+    warp_bounds, cta_bounds = kernel.warp_bounds, kernel.cta_bounds
+    num_warps = len(kernel.tails)
+    if not (
+        len(cta_bounds) >= 2 and cta_bounds[0] == 0
+        and cta_bounds[-1] == num_warps == len(kernel.offsets)
+        and len(warp_bounds) == num_warps + 1 and warp_bounds[0] == 0
+        and warp_bounds[-1] == len(kernel.lines) == len(kernel.compute)
+    ):
+        return "array lengths disagree with warp_bounds and cta_bounds"
+    if (np.diff(warp_bounds) < 0).any() or (np.diff(cta_bounds) <= 0).any():
+        return "bounds are not monotone (or a CTA has no warps)"
+    for what, values in (
+        ("compute burst", kernel.compute),
+        ("line address", kernel.lines),
+        ("tail", kernel.tails),
+    ):
+        if values.dtype.kind not in "iu":
+            return f"{what} values are {values.dtype}, not integers"
+        if (values < 0).any():
+            index = int((values < 0).argmax())
+            warp = index if what == "tail" else _owner(warp_bounds, index)
+            return (
+                f"{_where(kernel, warp)} has invalid {what} {values[index]} "
+                "(need a non-negative integer)"
+            )
+    bad = ~(np.isfinite(kernel.offsets) & (kernel.offsets >= 0))
+    if bad.any():
+        warp = int(bad.argmax())
+        return (
+            f"{_where(kernel, warp)} has invalid start_offset "
+            f"{kernel.offsets[warp]} (need finite and >= 0)"
+        )
+    return None
+
+
+def _owner(bounds: np.ndarray, index: int) -> int:
+    """The segment of ``bounds`` that holds ``index``."""
+    return int(np.searchsorted(bounds, index, side="right")) - 1
+
+
+def _where(kernel: CompiledKernel, warp: int) -> str:
+    cta = _owner(kernel.cta_bounds, warp)
+    return f"CTA {cta} warp {warp - int(kernel.cta_bounds[cta])}"
 
 
 def degenerate_curve_reason(curve) -> Optional[str]:

@@ -453,9 +453,7 @@ def build_trace(
         kernels.append(
             KernelTrace(
                 name=f"{spec.abbr}-k{kernel_idx}",
-                num_ctas=num_ctas,
                 threads_per_cta=shape.threads_per_cta,
-                build_cta=lambda cta_id, c=compiled: c().build_cta(cta_id),
                 compiled=compiled,
             )
         )

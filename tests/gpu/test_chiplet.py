@@ -6,10 +6,11 @@ from dataclasses import replace
 
 from repro.gpu.chiplet import McmMemory, McmSimulator, simulate_mcm
 from repro.gpu.config import GPUConfig, McmConfig
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import WorkloadTrace
 from repro.units import GHZ, MB
 
 from tests.gpu.test_memory import access
+from tests.hand_traces import hand_kernel
 
 
 def tiny_mcm(num_chiplets=2) -> McmConfig:
@@ -37,10 +38,11 @@ def workload(num_ctas=8, accesses=6, stride=1, compute=4):
         for w in range(2):
             base = (cta_id * 2 + w) * accesses * stride
             lines = [base + i * stride for i in range(accesses)]
-            warps.append(WarpTrace([compute] * accesses, lines))
-        return CTATrace(cta_id, warps)
+            warps.append(([compute] * accesses, lines, 0, 0.0))
+        return warps
 
-    return WorkloadTrace("mcm-wl", [KernelTrace("k", num_ctas, 64, build)])
+    ctas = [build(c) for c in range(num_ctas)]
+    return WorkloadTrace("mcm-wl", [hand_kernel("k", 64, ctas)])
 
 
 class TestFirstTouchPlacement:
@@ -89,11 +91,9 @@ class TestMcmSimulator:
         assert result.extra["remote_fraction"] < 0.2
 
     def test_shared_data_goes_remote(self):
-        def build(cta_id):
-            lines = list(range(64))  # everyone reads the same pages
-            return CTATrace(cta_id, [WarpTrace([2] * 64, lines)])
-
-        wl = WorkloadTrace("shared", [KernelTrace("k", 8, 32, build)])
+        lines = list(range(64))  # everyone reads the same pages
+        ctas = [[([2] * 64, lines, 0, 0.0)]] * 8
+        wl = WorkloadTrace("shared", [hand_kernel("k", 32, ctas)])
         result = simulate_mcm(tiny_mcm(), wl)
         assert result.extra["remote_fraction"] > 0.2
 

@@ -6,7 +6,8 @@ from repro.exceptions import ConfigurationError
 from repro.gpu import GPUConfig, simulate
 from repro.gpu.cta import CTADispatcher
 from repro.gpu.sm import StreamingMultiprocessor
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import WorkloadTrace
+from tests.hand_traces import hand_kernel
 
 
 def sms(n=2):
@@ -50,10 +51,11 @@ class TestPolicyAffectsLocality:
         def build(cta_id):
             chunk = (cta_id // 2) * 64  # pairs of CTAs share a chunk
             lines = [chunk + i for i in range(32)]
-            return CTATrace(cta_id, [WarpTrace([2] * 32, lines)])
+            return [([2] * 32, lines, 0, 0.0)]
 
         def workload():
-            return WorkloadTrace("loc", [KernelTrace("k", 8, 64, build)])
+            ctas = [build(c) for c in range(8)]
+            return WorkloadTrace("loc", [hand_kernel("k", 64, ctas)])
 
         base = dict(num_sms=4, llc_slices=2, num_mcs=1, capacity_scale=1.0,
                     latency_jitter=0.0, name="t")

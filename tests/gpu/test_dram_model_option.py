@@ -5,9 +5,10 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.gpu import GPUConfig, simulate
 from repro.gpu.memory import MemorySubsystem
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import WorkloadTrace
 
 from tests.gpu.test_memory import access
+from tests.hand_traces import hand_kernel
 
 
 def config(model="banked", **overrides):
@@ -23,9 +24,10 @@ def stream_workload(num_ctas=8, accesses=16):
     def build(cta_id):
         base = cta_id * accesses * 64
         lines = [base + i for i in range(accesses)]  # row-friendly stream
-        return CTATrace(cta_id, [WarpTrace([4] * accesses, lines)])
+        return [([4] * accesses, lines, 0, 0.0)]
 
-    return WorkloadTrace("w", [KernelTrace("k", num_ctas, 32, build)])
+    ctas = [build(c) for c in range(num_ctas)]
+    return WorkloadTrace("w", [hand_kernel("k", 32, ctas)])
 
 
 class TestBankedOption:

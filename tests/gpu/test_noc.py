@@ -5,7 +5,8 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.gpu import GPUConfig, simulate
 from repro.gpu.noc import build_noc_model
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import WorkloadTrace
+from tests.hand_traces import hand_kernel
 
 
 class TestNocModel:
@@ -59,8 +60,9 @@ class TestTopologyInConfig:
         def workload():
             def build(cta_id):
                 lines = [cta_id * 64 + i for i in range(32)]
-                return CTATrace(cta_id, [WarpTrace([1] * 32, lines)])
-            return WorkloadTrace("w", [KernelTrace("k", 16, 32, build)])
+                return [([1] * 32, lines, 0, 0.0)]
+            ctas = [build(c) for c in range(16)]
+            return WorkloadTrace("w", [hand_kernel("k", 32, ctas)])
 
         base = dict(num_sms=4, llc_slices=2, num_mcs=2, capacity_scale=1.0,
                     latency_jitter=0.0, name="t")

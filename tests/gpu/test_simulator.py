@@ -4,7 +4,8 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.gpu import GPUConfig, GPUSimulator, simulate
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import WorkloadTrace
+from tests.hand_traces import hand_kernel
 
 
 def tiny_config(**overrides) -> GPUConfig:
@@ -34,10 +35,12 @@ def uniform_workload(
         for w in range(warps_per_cta):
             base = (cta_id * warps_per_cta + w) * accesses * line_stride
             lines = [base + i * line_stride for i in range(accesses)]
-            warps.append(WarpTrace([compute] * accesses, lines))
-        return CTATrace(cta_id, warps)
+            warps.append(([compute] * accesses, lines, 0, 0.0))
+        return warps
 
-    kernel = KernelTrace(name + "-k0", num_ctas, threads_per_cta, build)
+    kernel = hand_kernel(
+        name + "-k0", threads_per_cta, [build(c) for c in range(num_ctas)]
+    )
     return WorkloadTrace(name, [kernel])
 
 
@@ -65,30 +68,21 @@ class TestBasicExecution:
         assert r1.thread_instructions == r2.thread_instructions
 
     def test_multi_kernel_sequential(self):
-        def build(cta_id):
-            return CTATrace(cta_id, [WarpTrace([1], [cta_id])])
-
-        k1 = KernelTrace("k1", 2, 32, build)
-        k2 = KernelTrace("k2", 2, 32, build)
+        ctas = [[([1], [cta_id], 0, 0.0)] for cta_id in range(2)]
+        k1 = hand_kernel("k1", 32, ctas)
+        k2 = hand_kernel("k2", 32, ctas)
         result = simulate(tiny_config(), WorkloadTrace("two", [k1, k2]))
         assert result.warp_instructions == 4 * 2
 
     def test_tail_compute_counted(self):
-        def build(cta_id):
-            return CTATrace(cta_id, [WarpTrace([2], [0], tail_compute=10)])
-
-        result = simulate(
-            tiny_config(), WorkloadTrace("tail", [KernelTrace("k", 1, 32, build)])
-        )
+        kernel = hand_kernel("k", 32, [[([2], [0], 10, 0.0)]])
+        result = simulate(tiny_config(), WorkloadTrace("tail", [kernel]))
         assert result.warp_instructions == 13
 
     def test_start_offset_delays_completion(self):
         def build_with(offset):
-            def build(cta_id):
-                return CTATrace(
-                    cta_id, [WarpTrace([1], [0], start_offset=offset)]
-                )
-            return WorkloadTrace("o", [KernelTrace("k", 1, 32, build)])
+            kernel = hand_kernel("k", 32, [[([1], [0], 0, offset)]])
+            return WorkloadTrace("o", [kernel])
 
         base = simulate(tiny_config(), build_with(0.0)).cycles
         delayed = simulate(tiny_config(), build_with(500.0)).cycles
@@ -106,14 +100,9 @@ class TestScalingSanity:
     def test_compute_bound_ipc_near_peak(self):
         # One CTA of 2 warps with huge compute bursts: IPC per SM should
         # approach issue_width * threads_per_warp on the active SM.
-        def build(cta_id):
-            return CTATrace(
-                cta_id,
-                [WarpTrace([5000], [w]) for w in range(2)],
-            )
-
+        kernel = hand_kernel("k", 64, [[([5000], [w], 0, 0.0) for w in range(2)]])
         cfg = tiny_config(num_sms=1)
-        result = simulate(cfg, WorkloadTrace("c", [KernelTrace("k", 1, 64, build)]))
+        result = simulate(cfg, WorkloadTrace("c", [kernel]))
         peak = cfg.issue_width * cfg.threads_per_warp
         assert result.ipc > 0.8 * peak
 
@@ -143,10 +132,8 @@ class TestResultDerived:
 
 class TestKernelLaunchOverhead:
     def _two_kernel_workload(self):
-        def build(cta_id):
-            return CTATrace(cta_id, [WarpTrace([2], [cta_id])])
-
-        kernels = [KernelTrace(f"k{i}", 2, 32, build) for i in range(2)]
+        ctas = [[([2], [cta_id], 0, 0.0)] for cta_id in range(2)]
+        kernels = [hand_kernel(f"k{i}", 32, ctas) for i in range(2)]
         return WorkloadTrace("two", kernels)
 
     def test_overhead_adds_between_kernels(self):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu import GPUConfig, simulate
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import WorkloadTrace
+from tests.hand_traces import hand_kernel
 
 
 def tiny_config(seed_free=True):
@@ -41,19 +42,14 @@ def build_workload(params) -> WorkloadTrace:
     ]
 
     def build(cta_id):
-        warps = [
-            WarpTrace(
-                [params["compute"]] * accesses,
-                pregen[cta_id][w],
-                tail_compute=params["tail"],
-            )
+        return [
+            ([params["compute"]] * accesses, pregen[cta_id][w], params["tail"], 0.0)
             for w in range(params["warps"])
         ]
-        return CTATrace(cta_id, warps)
 
     threads = params["warps"] * 32
     return WorkloadTrace(
-        "prop", [KernelTrace("k", ctas, threads, build)]
+        "prop", [hand_kernel("k", threads, [build(c) for c in range(ctas)])]
     )
 
 

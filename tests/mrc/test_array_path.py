@@ -24,8 +24,9 @@ from repro.mrc.stack_distance import (
 )
 from repro.mrc.statstack import ReuseDistanceSampler
 from repro.trace import patterns
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import WorkloadTrace
 from repro.workloads import build_trace, get_benchmark
+from tests.hand_traces import hand_kernel, warps_of
 from tests.mrc.test_stack_distance import CAPACITIES
 from tests.workloads.test_trace_pins import variant
 
@@ -86,7 +87,7 @@ def reference_interleave(workload, num_virtual_sms, ctas_per_sm):
         for first in range(0, kernel.num_ctas, window):
             merged = []
             for cta_id in range(first, min(first + window, kernel.num_ctas)):
-                warps = [w.lines for w in kernel.build_cta(cta_id).warps]
+                warps = [lines.tolist() for __, lines in warps_of(kernel, cta_id)]
                 merged.append((cta_id, [
                     w[slot] for slot in range(max(map(len, warps)))
                     for w in warps if slot < len(w)
@@ -116,9 +117,9 @@ def replay_l1s(vsm, lines, config, num_virtual_sms):
 
 
 def hand_built_workload(seed):
-    """Two kernels nothing but ``build_cta`` describes: ragged warps, an
-    empty warp, bypass lines, and lines the second kernel re-reads so L1
-    state has to carry over from the first."""
+    """Two hand-written kernels: ragged warps, an empty warp, bypass
+    lines, and lines the second kernel re-reads so L1 state has to carry
+    over from the first."""
     rng = np.random.default_rng(seed)
 
     def kernel(name, num_ctas, footprint):
@@ -129,9 +130,9 @@ def hand_built_workload(seed):
                 n = 0 if (cta_id + w) % 7 == 0 else int(rng.integers(1, 90))
                 lines = rng.integers(0, footprint, size=n)
                 lines[rng.random(n) < 0.1] += BYPASS_BASE
-                warps.append(WarpTrace([2] * n, lines.tolist(), tail_compute=w))
-            ctas.append(CTATrace(cta_id, warps))
-        return KernelTrace(name, num_ctas, 128, ctas.__getitem__)
+                warps.append(([2] * n, lines.tolist(), w, 0.0))
+            ctas.append(warps)
+        return hand_kernel(name, 128, ctas)
 
     return WorkloadTrace("hand", [kernel("a", 130, 300), kernel("b", 37, 120)])
 

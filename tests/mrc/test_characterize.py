@@ -6,14 +6,13 @@ from repro.exceptions import TraceError
 from repro.memory_regions import BYPASS_BASE
 from repro.mrc.characterize import characterize, working_set_knees
 from repro.mrc.stack_distance import StackDistanceProfiler
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import WorkloadTrace
+from tests.hand_traces import hand_kernel
 
 
 def workload_from_stream(stream, name="w"):
-    def build(cta_id):
-        return CTATrace(0, [WarpTrace([1] * len(stream), list(stream))])
-
-    return WorkloadTrace(name, [KernelTrace("k", 1, 32, build)])
+    warp = ([1] * len(stream), list(stream), 0, 0.0)
+    return WorkloadTrace(name, [hand_kernel("k", 32, [[warp]])])
 
 
 class TestCharacterize:

@@ -8,9 +8,10 @@ from repro.gpu.config import GPUConfig
 from repro.memory_regions import BYPASS_BASE
 from repro.mrc.collector import collect_miss_rate_curve, paper_capacity_points
 from repro.mrc.interleave import interleaved_stream
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import KernelTrace, WorkloadTrace
 from repro.units import MB
 from repro.workloads import build_trace, get_benchmark, strong_scaling_names
+from tests.hand_traces import hand_kernel
 
 
 def cfg(scale=1.0):
@@ -23,10 +24,11 @@ def sweep_workload(ws_lines, num_ctas=32, apw=64, name="sweep"):
         for w in range(2):
             gidx = cta_id * 2 + w
             lines = [(gidx * apw + i) % ws_lines for i in range(apw)]
-            warps.append(WarpTrace([1] * apw, lines))
-        return CTATrace(cta_id, warps)
+            warps.append(([1] * apw, lines, 0, 0.0))
+        return warps
 
-    return WorkloadTrace(name, [KernelTrace("k", num_ctas, 64, build)])
+    ctas = [build(c) for c in range(num_ctas)]
+    return WorkloadTrace(name, [hand_kernel("k", 64, ctas)])
 
 
 class TestPaperCapacityPoints:
@@ -39,8 +41,8 @@ class TestPaperCapacityPoints:
 
 
 def one_cta(*warp_lines):
-    cta = CTATrace(0, [WarpTrace([1] * len(w), list(w)) for w in warp_lines])
-    return WorkloadTrace("w", [KernelTrace("k", 1, 64, [cta].__getitem__)])
+    cta = [([1] * len(w), list(w), 0, 0.0) for w in warp_lines]
+    return WorkloadTrace("w", [hand_kernel("k", 64, [cta])])
 
 
 class TestInterleave:
@@ -60,7 +62,7 @@ class TestInterleave:
             interleaved_stream(one_cta([1]), ctas_per_sm=0)
 
     def test_kernel_without_accesses(self):
-        idle = KernelTrace("idle", 3, 32, lambda i: CTATrace(i, [WarpTrace([], [], 4)]))
+        idle = hand_kernel("idle", 32, [[([], [], 4, 0.0)]] * 3)
         busy = one_cta([5, 6]).kernels[0]
         vsm, lines = interleaved_stream(WorkloadTrace("w", [idle, busy, idle]))
         assert (vsm.tolist(), lines.tolist()) == ([0, 0], [5, 6])
@@ -79,11 +81,9 @@ class TestInterleave:
         # Three CTAs of one warp each, 40 / 70 / 5 accesses, two per window.
         def build(cta_id):
             n = (40, 70, 5)[cta_id]
-            return CTATrace(
-                cta_id, [WarpTrace([0] * n, [100 * cta_id + i for i in range(n)])]
-            )
+            return [([0] * n, [100 * cta_id + i for i in range(n)], 0, 0.0)]
 
-        wl = WorkloadTrace("w", [KernelTrace("k", 3, 32, build)])
+        wl = WorkloadTrace("w", [hand_kernel("k", 32, [build(c) for c in range(3)])])
         vsm, lines = interleaved_stream(wl, 2, 1)
         assert lines.tolist() == (
             list(range(0, 32)) + list(range(100, 132))
@@ -130,9 +130,10 @@ class TestCollector:
         def build(cta_id):
             rng = np.random.default_rng(cta_id)
             lines = rng.integers(0, 60000, 64).tolist()
-            return CTATrace(cta_id, [WarpTrace([1] * 64, lines)])
+            return [([1] * 64, lines, 0, 0.0)]
 
-        wl = WorkloadTrace("rand", [KernelTrace("k", 128, 32, build)])
+        ctas = [build(c) for c in range(128)]
+        wl = WorkloadTrace("rand", [hand_kernel("k", 32, ctas)])
         stack = collect_miss_rate_curve(wl, config=cfg(1.0), method="stack")
         stat = collect_miss_rate_curve(wl, config=cfg(1.0), method="statstack")
         for a, b in zip(stack.mpki, stat.mpki):
@@ -141,9 +142,10 @@ class TestCollector:
     def test_bypass_lines_always_miss(self):
         def build(cta_id):
             lines = [BYPASS_BASE + cta_id * 8 + i for i in range(8)]
-            return CTATrace(cta_id, [WarpTrace([1] * 8, lines)])
+            return [([1] * 8, lines, 0, 0.0)]
 
-        wl = WorkloadTrace("byp", [KernelTrace("k", 16, 32, build)])
+        ctas = [build(c) for c in range(16)]
+        wl = WorkloadTrace("byp", [hand_kernel("k", 32, ctas)])
         curve = collect_miss_rate_curve(wl, config=cfg(1.0))
         # Identical MPKI at every capacity, and every access misses.
         assert len(set(curve.mpki)) == 1
@@ -198,9 +200,9 @@ class TestCollector:
         assert list(curve.capacities_bytes) == paper_capacity_points(cfg(1.0))
 
     def test_method_is_checked_before_any_work(self):
-        def build(cta_id):
+        def compiled():
             raise AssertionError("the trace must not be generated")
 
-        wl = WorkloadTrace("w", [KernelTrace("k", 4, 32, build)])
+        wl = WorkloadTrace("w", [KernelTrace("k", 32, compiled)])
         with pytest.raises(PredictionError, match="magic"):
             collect_miss_rate_curve(wl, config=cfg(1.0), method="magic")

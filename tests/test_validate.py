@@ -11,6 +11,7 @@ import math
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core import ScaleModelPredictor, ScaleModelProfile
@@ -18,7 +19,7 @@ from repro.exceptions import ConfigurationError, TraceError
 from repro.gpu.config import GPUConfig, McmConfig
 from repro.mrc import MissRateCurve
 from repro.mrc.cliff import Region
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import CompiledKernel, KernelTrace, WorkloadTrace
 from repro.validate import (
     degenerate_curve_reason,
     validate_config,
@@ -26,6 +27,7 @@ from repro.validate import (
     validate_proportional_scaling,
     validate_trace,
 )
+from tests.hand_traces import hand_kernel
 
 
 class TestValidateConfig:
@@ -110,46 +112,102 @@ class TestProportionalScaling:
             validate_proportional_scaling(small, large)
 
 
-def single_warp_workload(warp: WarpTrace) -> WorkloadTrace:
-    kernel = KernelTrace("k0", 1, 64, lambda cta_id: CTATrace(cta_id, [warp]))
-    return WorkloadTrace("wl", [kernel])
+def workload_of(*ctas) -> WorkloadTrace:
+    return WorkloadTrace("wl", [hand_kernel("k0", 64, ctas)])
+
+
+def single_warp_workload(warp) -> WorkloadTrace:
+    return workload_of([warp])
+
+
+def raw_workload(**arrays) -> WorkloadTrace:
+    """One warp of one access, with some arrays replaced verbatim."""
+    fields = dict(
+        lines=np.array([0]), compute=np.array([3]),
+        warp_bounds=np.array([0, 1]), tails=np.array([0]),
+        offsets=np.array([0.0]), cta_bounds=np.array([0, 1]),
+    )
+    compiled = CompiledKernel(**{**fields, **arrays})
+    return WorkloadTrace("wl", [KernelTrace("k0", 64, lambda: compiled)])
+
+
+HEALTHY = ([3, 2], [0, 1], 0, 0.0)
 
 
 class TestValidateTrace:
     def test_healthy_trace_returned_unchanged(self):
-        workload = single_warp_workload(WarpTrace([3, 2], [0, 1]))
+        workload = single_warp_workload(HEALTHY)
         assert validate_trace(workload) is workload
 
     def test_nan_start_offset_rejected(self):
-        # NaN slips past the dataclass guard (NaN < 0 is False).
-        warp = WarpTrace([3], [0], start_offset=float("nan"))
+        # NaN compares false against every bound.
+        warp = ([3], [0], 0, float("nan"))
         with pytest.raises(TraceError, match="start_offset"):
             validate_trace(single_warp_workload(warp))
 
     def test_negative_compute_burst_rejected(self):
-        warp = WarpTrace([-4], [0])
+        warp = ([-4], [0], 0, 0.0)
         with pytest.raises(TraceError, match="compute burst"):
             validate_trace(single_warp_workload(warp))
 
     def test_nan_compute_burst_rejected(self):
-        warp = WarpTrace([float("nan")], [0])
+        workload = raw_workload(compute=np.array([float("nan")]))
         with pytest.raises(TraceError, match="compute burst"):
-            validate_trace(single_warp_workload(warp))
+            validate_trace(workload)
 
     def test_negative_line_address_rejected(self):
-        warp = WarpTrace([3], [-1])
+        warp = ([3], [-1], 0, 0.0)
         with pytest.raises(TraceError, match="line address"):
             validate_trace(single_warp_workload(warp))
 
     def test_fractional_line_address_rejected(self):
-        warp = WarpTrace([3], [1.5])
+        workload = raw_workload(lines=np.array([1.5]))
         with pytest.raises(TraceError, match="line address"):
-            validate_trace(single_warp_workload(warp))
+            validate_trace(workload)
 
     def test_error_names_workload_and_kernel(self):
-        warp = WarpTrace([3], [float("inf")])
+        warp = ([3], [-1], 0, 0.0)
         with pytest.raises(TraceError, match="wl/k0"):
             validate_trace(single_warp_workload(warp))
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (([3], [0], 0, float("nan")), "start_offset nan"),
+            (([3], [0], 0, -1.0), "start_offset -1.0"),
+            (([-4], [0], 0, 0.0), "compute burst -4"),
+            (([3], [-1], 0, 0.0), "line address -1"),
+            (([3], [0], -1, 0.0), "tail -1"),
+        ],
+        ids=[
+            "nan-offset", "negative-offset", "negative-compute",
+            "negative-line", "negative-tail",
+        ],
+    )
+    def test_bad_value_in_last_cta_rejected(self, bad, match):
+        workload = workload_of([HEALTHY], [HEALTHY, HEALTHY], [HEALTHY, bad])
+        with pytest.raises(TraceError, match=f"wl/k0: CTA 2 warp 1 .*{match}"):
+            validate_trace(workload)
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            dict(cta_bounds=np.array([0, 2])),
+            dict(warp_bounds=np.array([0, 2])),
+            dict(cta_bounds=np.array([0])),
+        ],
+        ids=["cta-bounds-overrun", "warp-bounds-overrun", "no-cta"],
+    )
+    def test_inconsistent_bounds_rejected(self, arrays):
+        with pytest.raises(TraceError, match="bounds"):
+            validate_trace(raw_workload(**arrays))
+
+    def test_empty_cta_rejected(self):
+        workload = raw_workload(
+            warp_bounds=np.array([0, 1]), cta_bounds=np.array([0, 0, 1]),
+        )
+        with pytest.raises(TraceError, match="no warps"):
+            validate_trace(workload)
 
 
 class TestDegenerateCurves:

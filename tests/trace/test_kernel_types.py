@@ -3,72 +3,86 @@
 import pytest
 
 from repro.exceptions import TraceError
-from repro.trace.kernel import CTATrace, KernelTrace, WarpTrace, WorkloadTrace
+from repro.trace.kernel import CompiledKernel, KernelTrace, WorkloadTrace
 
 
-def warp(n=3, compute=2, tail=0, offset=0.0):
-    return WarpTrace([compute] * n, list(range(n)), tail_compute=tail,
-                     start_offset=offset)
+def warp(n=3, compute=2):
+    return ([compute] * n, list(range(n)), 0, 0.0)
 
 
-class TestWarpTrace:
+def kernel(ctas, name="k", threads=64):
+    compiled = CompiledKernel.from_warps(ctas)
+    return KernelTrace(name, threads, lambda: compiled)
+
+
+class TestFromWarps:
     def test_instruction_count(self):
-        w = WarpTrace([2, 3], [10, 20], tail_compute=4)
-        assert w.warp_instructions == 2 + 3 + 2 + 4
-        assert w.num_accesses == 2
+        compiled = CompiledKernel.from_warps([[([2, 3], [10, 20], 4, 0.0)]])
+        assert compiled.warp_instructions == 2 + 3 + 2 + 4
+        assert len(compiled.lines) == 2
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(TraceError):
-            WarpTrace([1, 2], [10])
-
-    def test_negative_tail_rejected(self):
-        with pytest.raises(TraceError):
-            WarpTrace([1], [1], tail_compute=-1)
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(TraceError):
-            WarpTrace([1], [1], start_offset=-0.5)
+        with pytest.raises(TraceError, match="equal length"):
+            CompiledKernel.from_warps([[([1, 2], [10], 0, 0.0)]])
 
     def test_empty_warp_allowed(self):
-        w = WarpTrace([], [], tail_compute=5)
-        assert w.warp_instructions == 5
-        assert w.num_accesses == 0
+        compiled = CompiledKernel.from_warps([[([], [], 5, 0.0)]])
+        assert compiled.warp_instructions == 5
+        assert len(compiled.lines) == 0
 
-
-class TestCTATrace:
     def test_aggregates(self):
-        cta = CTATrace(0, [warp(3), warp(2)])
-        assert cta.num_warps == 2
-        assert cta.num_accesses == 5
-        assert cta.warp_instructions == (3 * 3) + (2 * 3)
+        compiled = CompiledKernel.from_warps([[warp(3), warp(2)]])
+        assert compiled.cta_bounds.tolist() == [0, 2]
+        assert compiled.warp_bounds.tolist() == [0, 3, 5]
+        assert compiled.warp_instructions == (3 * 3) + (2 * 3)
 
     def test_empty_cta_rejected(self):
-        with pytest.raises(TraceError):
-            CTATrace(0, [])
+        with pytest.raises(TraceError, match="CTA 1 has no warps"):
+            CompiledKernel.from_warps([[warp()], []])
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (([1.5], [0], 0, 0.0), "compute burst 1.5"),
+            (([1], [float("nan")], 0, 0.0), "line address nan"),
+            (([1], [float("inf")], 0, 0.0), "line address inf"),
+            (([1], ["a"], 0, 0.0), "line address 'a'"),
+            (([1], [0], 0.5, 0.0), "tail 0.5"),
+        ],
+        ids=["fractional-compute", "nan-line", "inf-line", "str-line",
+             "fractional-tail"],
+    )
+    def test_non_integral_values_rejected(self, bad, match):
+        with pytest.raises(TraceError, match=match):
+            CompiledKernel.from_warps([[warp()], [bad]])
+
+    def test_packs_in_cta_then_warp_order(self):
+        compiled = CompiledKernel.from_warps([
+            [([1, 2], [10, 11], 3, 0.0), ([], [], 0, 2.5)],
+            [([4], [12], 1, 7.0)],
+        ])
+        assert compiled.lines.tolist() == [10, 11, 12]
+        assert compiled.compute.tolist() == [1, 2, 4]
+        assert compiled.tails.tolist() == [3, 0, 1]
+        assert compiled.offsets.tolist() == [0.0, 2.5, 7.0]
+        assert compiled.warp_bounds.tolist() == [0, 2, 2, 3]
+        assert compiled.cta_bounds.tolist() == [0, 2, 3]
 
 
 class TestKernelTrace:
-    def _kernel(self, num_ctas=4):
-        return KernelTrace("k", num_ctas, 64, lambda cid: CTATrace(cid, [warp()]))
-
-    def test_warps_per_cta_from_threads(self):
-        assert KernelTrace("k", 1, 256, lambda c: None).warps_per_cta == 8
-        assert KernelTrace("k", 1, 32, lambda c: None).warps_per_cta == 1
-
-    def test_iter_ctas(self):
-        ids = [cta.cta_id for cta in self._kernel(3).iter_ctas()]
-        assert ids == [0, 1, 2]
+    def test_num_ctas_from_cta_bounds(self):
+        assert kernel([[warp()]] * 3).num_ctas == 3
 
     def test_validation(self):
+        with pytest.raises(TraceError, match="at least one CTA"):
+            kernel([])
         with pytest.raises(TraceError):
-            KernelTrace("k", 0, 64, lambda c: None)
-        with pytest.raises(TraceError):
-            KernelTrace("k", 1, 0, lambda c: None)
+            kernel([[warp()]], threads=0)
 
 
 class TestWorkloadTrace:
     def _workload(self):
-        k = KernelTrace("k", 2, 64, lambda cid: CTATrace(cid, [warp(2), warp(2)]))
+        k = kernel([[warp(2), warp(2)]] * 2)
         return WorkloadTrace("w", [k, k])
 
     def test_counts(self):
@@ -77,12 +91,6 @@ class TestWorkloadTrace:
         assert wl.count_accesses() == 4 * 2 * 2
         # each warp: 2 accesses x (2 compute + 1) = 6 warp instructions
         assert wl.count_instructions(32) == 4 * 2 * 6 * 32
-
-    def test_iter_accesses_order(self):
-        wl = self._workload()
-        lines = list(wl.iter_accesses())
-        assert len(lines) == wl.count_accesses()
-        assert lines[:2] == [0, 1]
 
     def test_empty_workload_rejected(self):
         with pytest.raises(TraceError):

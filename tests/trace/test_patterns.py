@@ -18,7 +18,7 @@ class TestSequential:
         assert out.tolist() == [100, 101, 102, 103, 104]
 
     def test_stride(self):
-        assert patterns.strided(0, 3, 4).tolist() == [0, 4, 8]
+        assert patterns.sequential(0, 3, stride=4).tolist() == [0, 4, 8]
 
     def test_validation(self):
         with pytest.raises(TraceError):
@@ -47,41 +47,19 @@ class TestCyclicSweep:
         assert out.max() < ws
 
 
-class TestUniformRandom:
-    def test_within_bounds_and_deterministic(self):
-        a = patterns.uniform_random(50, 100, 1000, rng(7))
-        b = patterns.uniform_random(50, 100, 1000, rng(7))
-        assert (a == b).all()
-        assert a.min() >= 50 and a.max() < 150
-
-    def test_covers_most_lines(self):
-        out = patterns.uniform_random(0, 20, 2000, rng(1))
-        assert len(np.unique(out)) == 20
-
-
 class TestZipf:
     def test_skew_orders_popularity(self):
-        out = patterns.zipf(0, 50, 20000, rng(3), exponent=1.2)
-        counts = np.bincount(out, minlength=50)
+        weights = patterns.zipf_weights(50, exponent=1.2)
+        assert weights.sum() == pytest.approx(1.0)
+        assert (np.diff(weights) < 0).all()
         # Rank 0 must be much hotter than rank 40.
-        assert counts[0] > 5 * max(1, counts[40])
+        assert weights[0] > 5 * weights[40]
 
     def test_validation(self):
         with pytest.raises(TraceError):
-            patterns.zipf(0, 10, 5, rng(), exponent=0.0)
-
-
-class TestStencilRows:
-    def test_touches_north_neighbour(self):
-        out = patterns.stencil_rows(0, row_lines=4, num_rows=3, count=8,
-                                    offset_row=1)
-        # Pairs (cell, north) alternate: row 1 cells then row 0 cells.
-        assert out[0] == 4  # row 1 col 0
-        assert out[1] == 0  # row 0 col 0 (north)
-
-    def test_row_zero_has_no_north(self):
-        out = patterns.stencil_rows(0, 4, 3, 4, offset_row=0)
-        assert out[1] == out[0]
+            patterns.zipf_weights(10, exponent=0.0)
+        with pytest.raises(TraceError):
+            patterns.zipf_weights(0, exponent=1.2)
 
 
 class TestPointerChase:
@@ -99,21 +77,6 @@ class TestPointerChase:
         level2 = out[2::3]
         assert level1.min() >= 1 and level1.max() <= 4
         assert level2.min() >= 5 and level2.max() <= 20
-
-
-class TestHotCold:
-    def test_mix_fraction(self):
-        out = patterns.hot_cold(0, 10, 10_000, 1000, 5000, 0.5, rng(4))
-        hot = np.count_nonzero(out < 10_000)
-        assert 0.4 < hot / 5000 < 0.6
-
-    def test_all_cold(self):
-        out = patterns.hot_cold(0, 10, 10_000, 100, 50, 0.0, rng(4))
-        assert (out >= 10_000).all()
-
-    def test_validation(self):
-        with pytest.raises(TraceError):
-            patterns.hot_cold(0, 10, 100, 10, 10, 1.5, rng())
 
 
 class TestInterleaveCompute:

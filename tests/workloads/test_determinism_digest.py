@@ -1,6 +1,6 @@
 """Cross-process trace determinism for every generator family.
 
-``build_cta(cta_id)`` must return the same trace for the same
+``build_trace`` must return the same arrays for the same
 ``(spec, work_scale, capacity_scale, seed)`` no matter which process
 builds it — the cache keys, the golden ledger and the zoo spec digests
 all assume it.  These tests hash one representative workload per family

@@ -8,6 +8,7 @@ from repro.memory_regions import BYPASS_BASE
 from repro.workloads import STRONG_SCALING, WEAK_SCALING, build_trace
 from repro.workloads.generators import COLD_BASE, MAX_CTAS, lines_for_mb
 from repro.workloads.spec import BenchmarkSpec, KernelShape, ScalingBehavior
+from tests.hand_traces import warps_of
 
 
 def spec_for(family, params, ctas=32, threads=128, footprint=4.0):
@@ -40,16 +41,16 @@ class TestBuildTrace:
 
     def test_deterministic_across_builds(self):
         spec = spec_for("irregular", {"apw": 8, "sigma": 0.5})
-        a = build_trace(spec, seed=3).kernels[0].build_cta(5)
-        b = build_trace(spec, seed=3).kernels[0].build_cta(5)
-        assert a.warps[0].lines == b.warps[0].lines
-        assert a.warps[0].start_offset == b.warps[0].start_offset
+        a = build_trace(spec, seed=3).kernels[0].compiled()
+        b = build_trace(spec, seed=3).kernels[0].compiled()
+        assert np.array_equal(a.lines, b.lines)
+        assert np.array_equal(a.offsets, b.offsets)
 
     def test_seed_changes_trace(self):
         spec = spec_for("irregular", {"apw": 8})
-        a = build_trace(spec, seed=0).kernels[0].build_cta(5)
-        b = build_trace(spec, seed=1).kernels[0].build_cta(5)
-        assert a.warps[0].lines != b.warps[0].lines
+        __, a = warps_of(build_trace(spec, seed=0).kernels[0], 5)[0]
+        __, b = warps_of(build_trace(spec, seed=1).kernels[0], 5)[0]
+        assert not np.array_equal(a, b)
 
     def test_cta_clamp(self):
         spec = spec_for("stream", {"apw": 2}, ctas=5000)
@@ -65,24 +66,22 @@ class TestBuildTrace:
 class TestSweepFamily:
     def test_hot_lines_within_working_set(self):
         spec = spec_for("sweep", {"hot_mb": 2.0, "apw": 8})
-        cta = build_trace(spec).kernels[0].build_cta(0)
         hot_lines = lines_for_mb(2.0, 0.125)
-        for warp in cta.warps:
-            assert max(warp.lines) < hot_lines
+        for __, lines in warps_of(build_trace(spec).kernels[0], 0):
+            assert lines.max() < hot_lines
 
     def test_l1_reuse_repeats_lines(self):
         spec = spec_for("sweep", {"hot_mb": 2.0, "apw": 8, "l1_reuse": 2})
-        warp = build_trace(spec).kernels[0].build_cta(0).warps[0]
-        assert warp.lines[0] == warp.lines[1]
-        assert warp.lines[2] == warp.lines[3]
+        __, lines = warps_of(build_trace(spec).kernels[0], 0)[0]
+        assert lines[0] == lines[1]
+        assert lines[2] == lines[3]
 
     def test_cold_fraction_goes_to_bypass_region(self):
         spec = spec_for("sweep", {"hot_mb": 2.0, "apw": 16, "cold_frac": 0.5})
         trace = build_trace(spec)
-        lines = [l for k in trace.kernels for c in k.iter_ctas()
-                 for w in c.warps for l in w.lines]
-        cold = [l for l in lines if l >= BYPASS_BASE]
-        assert 0.3 < len(cold) / len(lines) < 0.7
+        lines = np.concatenate([k.compiled().lines for k in trace.kernels])
+        cold = np.count_nonzero(lines >= BYPASS_BASE)
+        assert 0.3 < cold / len(lines) < 0.7
 
     def test_warm_region_covers_hot_set(self):
         spec = spec_for("sweep", {"hot_mb": 2.0, "apw": 8})
@@ -96,10 +95,7 @@ class TestIrregularFamily:
     def test_sigma_varies_cta_work(self):
         spec = spec_for("irregular", {"apw": 16, "sigma": 1.0})
         trace = build_trace(spec)
-        lengths = {
-            trace.kernels[0].build_cta(c).warps[0].num_accesses
-            for c in range(20)
-        }
+        lengths = {len(warps_of(trace.kernels[0], c)[0][1]) for c in range(20)}
         assert len(lengths) > 3  # strongly varying CTA work
 
     def test_sigma_growth_under_weak_scaling(self):
@@ -109,7 +105,7 @@ class TestIrregularFamily:
         big = build_trace(spec, work_scale=16.0)
 
         def spread(trace):
-            lengths = [trace.kernels[0].build_cta(c).warps[0].num_accesses
+            lengths = [len(warps_of(trace.kernels[0], c)[0][1])
                        for c in range(trace.kernels[0].num_ctas)]
             return np.std(lengths) / np.mean(lengths)
 
@@ -119,18 +115,17 @@ class TestIrregularFamily:
 class TestTiledFamily:
     def test_folded_compute(self):
         spec = spec_for("tiled", {"apw": 4, "cpa": 10.0, "reps": 3})
-        warp = build_trace(spec).kernels[0].build_cta(0).warps[0]
+        compute, lines = warps_of(build_trace(spec).kernels[0], 0)[0]
         # folded cpa = 3*(10+1)-1 = 32 per access on average.
-        mean_compute = sum(warp.compute) / len(warp.compute)
-        assert mean_compute == pytest.approx(32, rel=0.3)
-        assert warp.num_accesses == 4
+        assert compute.mean() == pytest.approx(32, rel=0.3)
+        assert len(lines) == 4
 
 
 class TestChaseFamily:
     def test_walks_touch_all_levels(self):
         spec = spec_for("chase", {"apw": 8, "levels": 4}, footprint=2.0)
-        warp = build_trace(spec).kernels[0].build_cta(0).warps[0]
-        assert warp.num_accesses == 8  # 2 walks x 4 levels
+        __, lines = warps_of(build_trace(spec).kernels[0], 0)[0]
+        assert len(lines) == 8  # 2 walks x 4 levels
 
 
 class TestHotColdFamily:
@@ -139,15 +134,15 @@ class TestHotColdFamily:
                   "zipf_exp": 0.0, "hot_scaled": 1.0}
         spec = spec_for("hotcold", params)
         big = build_trace(spec, work_scale=8.0)
-        lines = [l for w in big.kernels[0].build_cta(0).warps for l in w.lines]
-        assert max(lines) >= 100  # beyond the unscaled region
+        lines = np.concatenate([l for __, l in warps_of(big.kernels[0], 0)])
+        assert lines.max() >= 100  # beyond the unscaled region
 
     def test_hot_fixed_without_flag(self):
         params = {"apw": 8, "hot_lines": 100, "hot_frac": 1.0, "zipf_exp": 0.0}
         spec = spec_for("hotcold", params)
         big = build_trace(spec, work_scale=8.0)
-        lines = [l for w in big.kernels[0].build_cta(0).warps for l in w.lines]
-        assert max(lines) < 100
+        lines = np.concatenate([l for __, l in warps_of(big.kernels[0], 0)])
+        assert lines.max() < 100
 
     @pytest.mark.parametrize("spec,work_scale", [
         *((spec, 1.0) for spec in STRONG_SCALING.values()

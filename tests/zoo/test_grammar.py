@@ -17,6 +17,7 @@ from repro.zoo import (
     realize,
     spec_from_payload,
 )
+from tests.hand_traces import warps_of
 
 
 class TestPrimitiveValidation:
@@ -166,9 +167,9 @@ class TestGeneratedFamily:
         )
         trace = build_trace(spec, work_scale=0.02, seed=0)
         assert len(trace.kernels) == 2
-        cta = trace.kernels[0].build_cta(0)
-        assert cta.warps
-        assert any(len(w.lines) for w in cta.warps)
+        warps = warps_of(trace.kernels[0], 0)
+        assert warps
+        assert any(len(lines) for __, lines in warps)
 
     def test_plain_spec_with_generated_family_rejected(self):
         spec = BenchmarkSpec(

@@ -24,40 +24,37 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.resource import BandwidthResource
 from repro.gpu.config import GPUConfig, McmConfig
+from repro.gpu.fifo import new_queue, queue_state, serve, utilization
 from repro.gpu.gpu import BoundaryHook, GPUSimulator
 from repro.gpu.memory import MemorySubsystem, hash_lines
 from repro.gpu.results import SimulationResult
 from repro.trace.kernel import WorkloadTrace
+from repro.validate import validate_mcm_config
 
 
 class McmMemory:
     """Memory backend routing accesses across chiplets with first-touch pages."""
 
     def __init__(self, config: McmConfig) -> None:
-        self.config = config
+        self.config = validate_mcm_config(config)
         self.subsystems: List[MemorySubsystem] = [
             MemorySubsystem(config.chiplet) for _ in range(config.num_chiplets)
         ]
         chiplet = config.chiplet
         bytes_per_cycle = config.inter_chiplet_bw_per_chiplet_bps / chiplet.sm_clock_hz
-        # Separate request/response channels per chiplet so late response
-        # bookings never block earlier requests (see repro.gpu.memory).
-        self.links_request: List[BandwidthResource] = [
-            BandwidthResource(bytes_per_cycle, name=f"xlink-req{i}")
-            for i in range(config.num_chiplets)
-        ]
-        self.links_response: List[BandwidthResource] = [
-            BandwidthResource(bytes_per_cycle, name=f"xlink-rsp{i}")
-            for i in range(config.num_chiplets)
-        ]
+        # Separate request/response link queues (repro.gpu.fifo) per
+        # chiplet so late response bookings never block earlier requests
+        # (see repro.gpu.memory).
+        self.links_request = [new_queue() for _ in range(config.num_chiplets)]
+        self.links_response = [new_queue() for _ in range(config.num_chiplets)]
         self.page_home: Dict[int, int] = {}
         self._lines_per_page = max(1, config.page_size // chiplet.line_size)
         self._sms_per_chiplet = chiplet.num_sms
         self._line_size = chiplet.line_size
         self._request_bytes = chiplet.noc_request_bytes
-        self._noc_latency = chiplet.effective_noc_latency
+        self._request_service = chiplet.noc_request_bytes / bytes_per_cycle
+        self._response_service = chiplet.line_size / bytes_per_cycle
         self.remote_accesses = 0
         self.local_accesses = 0
 
@@ -113,15 +110,13 @@ class McmMemory:
     def _home_leg(
         self, chiplet_id: int, home_id: int, line: int, hashed: int, t: float
     ) -> Tuple[float, int]:
-        """The inter-chiplet round trip into the home chiplet's LLC/DRAM."""
-        home = self.subsystems[home_id]
+        """The inter-chiplet round trip: the request link, the home
+        chiplet's shared path (its NoC, LLC and DRAM), the response link."""
         hop = self.config.inter_chiplet_latency
-        noc_latency = self._noc_latency
-        t = self.links_request[chiplet_id].transfer(t, self._request_bytes) + hop
-        t = home.noc_request.transfer(t, self._request_bytes) + noc_latency
-        t, where = home.llc_dram_path(line, hashed, t)
-        t = home.noc_response.transfer(t, self._line_size) + noc_latency
-        return self.links_response[home_id].transfer(t, self._line_size) + hop, where
+        t = serve(self.links_request[chiplet_id], t, self._request_service) + hop
+        t, where = self.subsystems[home_id].shared_path(line, hashed, t)
+        t = serve(self.links_response[home_id], t, self._response_service)
+        return t + hop, where
 
     # --- aggregate statistics ----------------------------------------------
     @property
@@ -149,8 +144,12 @@ class McmMemory:
         """JSON-able snapshot: per-chiplet subsystems, links, page table."""
         return {
             "subsystems": [s.state_dict() for s in self.subsystems],
-            "links_request": [l.state_dict() for l in self.links_request],
-            "links_response": [l.state_dict() for l in self.links_response],
+            "links_request": [
+                queue_state(link, self._request_bytes) for link in self.links_request
+            ],
+            "links_response": [
+                queue_state(link, self._line_size) for link in self.links_response
+            ],
             "page_home": [[page, home] for page, home in self.page_home.items()],
             "remote_accesses": self.remote_accesses,
             "local_accesses": self.local_accesses,
@@ -159,7 +158,7 @@ class McmMemory:
     def extra_stats(self, end_time: float) -> Dict[str, float]:
         total = self.remote_accesses + self.local_accesses
         link_util = max(
-            (link.utilization(end_time) for link in self.links_response),
+            (utilization(link, end_time) for link in self.links_response),
             default=0.0,
         )
         return {
@@ -183,7 +182,7 @@ class McmSimulator:
 
     def __init__(self, config: McmConfig) -> None:
         self.config = config
-        self.memory = McmMemory(config)
+        self.memory = McmMemory(config)  # validates the package first
         self._core = GPUSimulator(_flat_config(config), memory=self.memory)
 
     def run(

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.engine.resource import FifoServer
 from repro.exceptions import ConfigurationError
+from repro.gpu.fifo import new_queue, queue_state, serve
 
 
 class DramBank:
-    """One DRAM bank: a FIFO service pipeline plus an open-row register."""
+    """One DRAM bank: a FIFO service queue plus an open-row register."""
 
-    def __init__(self, name: str, t_cas: float, t_ras: float, t_rp: float) -> None:
-        self.server = FifoServer(name=name)
+    def __init__(self, t_cas: float, t_ras: float, t_rp: float) -> None:
+        self.queue = new_queue()
         self.open_row: int = -1
         self.t_cas = t_cas            # column access (row-buffer hit)
         self.t_ras = t_ras            # activate
@@ -45,11 +45,11 @@ class DramBank:
             self.row_misses += 1
             service = self.t_rp + self.t_ras + self.t_cas
             self.open_row = row
-        return self.server.service(now, service)
+        return serve(self.queue, now, service)
 
     def state_dict(self) -> dict:
         return {
-            "server": self.server.state_dict(),
+            "server": queue_state(self.queue),
             "open_row": self.open_row,
             "row_hits": self.row_hits,
             "row_misses": self.row_misses,
@@ -80,11 +80,9 @@ class BankedDram:
             raise ConfigurationError(
                 f"{name}: row must hold at least one line"
             )
-        self.name = name
-        self.bus = FifoServer(name=f"{name}-bus")
+        self.bus = new_queue()
         self.banks: List[DramBank] = [
-            DramBank(f"{name}-bank{i}", t_cas, t_ras, t_rp)
-            for i in range(num_banks)
+            DramBank(t_cas, t_ras, t_rp) for _ in range(num_banks)
         ]
         self._bus_service = line_size / bytes_per_cycle
         self._lines_per_row = row_bytes // line_size
@@ -102,11 +100,11 @@ class BankedDram:
         self.accesses += 1
         bank = self.banks[self.bank_of(line)]
         ready = bank.access(now, self.row_of(line))
-        return self.bus.service(ready, self._bus_service)
+        return serve(self.bus, ready, self._bus_service)
 
     def state_dict(self) -> dict:
         return {
-            "bus": self.bus.state_dict(),
+            "bus": queue_state(self.bus),
             "banks": [bank.state_dict() for bank in self.banks],
             "accesses": self.accesses,
         }
@@ -116,6 +114,3 @@ class BankedDram:
         hits = sum(b.row_hits for b in self.banks)
         total = hits + sum(b.row_misses for b in self.banks)
         return hits / total if total else 0.0
-
-    def utilization(self, total_time: float) -> float:
-        return self.bus.utilization(total_time)

@@ -52,7 +52,7 @@ class _WarpRun:
     """
 
     __slots__ = (
-        "sm", "sm_id", "pipeline", "cta_key", "lines", "hashed", "service",
+        "sm", "sm_id", "cta_key", "lines", "hashed", "service",
         "idx", "end", "tail",
     )
 
@@ -62,7 +62,6 @@ class _WarpRun:
     ) -> None:
         self.sm = sm
         self.sm_id = sm.sm_id
-        self.pipeline = sm.pipeline
         self.cta_key = cta_key
         self.lines = lines
         self.hashed = hashed
@@ -223,7 +222,7 @@ class GPUSimulator:
         accesses = top - base
         sm.warp_instructions += int(compiled.compute[base:top].sum()) + accesses
         sm.accesses += accesses
-        sm.pipeline._requests += accesses
+        sm.pipeline[2] += accesses
         self._accesses += accesses
         key = self._cta_seq
         self._cta_seq += 1
@@ -302,9 +301,9 @@ class GPUSimulator:
     def _advance_warp(self, run: _WarpRun) -> None:
         """The per-event callback: one compute burst and one memory access.
 
-        Inlines ``FifoServer.service`` for the SM pipeline (its request
-        count advances per CTA) and posts the warp's next event at the
-        access's completion, which never precedes ``now``
+        Writes the FIFO step on the SM's pipeline queue inline (its
+        request count advances per CTA) and posts the warp's next event at
+        the access's completion, which never precedes ``now``
         (docs/ARCHITECTURE.md, "Hot path").
         """
         clock = self.kernel_clock
@@ -314,13 +313,13 @@ class GPUSimulator:
             # Compute burst plus the memory instruction itself, then the
             # access; the warp resumes when the data arrives.
             service = run.service[idx]
-            pipeline = run.pipeline
-            start = pipeline._next_free
+            pipeline = run.sm.pipeline
+            start = pipeline[0]
             if now > start:
                 start = now
             finish = start + service
-            pipeline._next_free = finish
-            pipeline._busy_time += service
+            pipeline[0] = finish
+            pipeline[1] += service
             completion, __ = self.memory.access(
                 run.sm_id, run.lines[idx], run.hashed[idx], finish
             )
@@ -342,7 +341,7 @@ class GPUSimulator:
         end = self.kernel_clock.now
         for sm in self.sms:
             # Pipelines may drain slightly after the last event fired.
-            end = max(end, sm.pipeline.next_free)
+            end = max(end, sm.pipeline[0])
         total_warp_instructions = 0
         stall_weighted = 0.0
         active_total = 0.0

@@ -4,7 +4,8 @@ The subsystem resolves one warp-level memory access analytically: given the
 issue time, it walks the resource chain (L1 → NoC → LLC slice → memory
 controller → NoC) and returns the completion time.  Because the simulation
 kernel delivers accesses in global time order, the FIFO next-free-time
-bookkeeping in each resource is an exact queueing model.
+bookkeeping of each queue (:mod:`repro.gpu.fifo`) is an exact queueing
+model.  The subsystem owns every queue on that chain.
 
 Structure per the paper's Table III:
 
@@ -14,10 +15,10 @@ Structure per the paper's Table III:
   necessary here so that a response booked far in the future never blocks
   an earlier request — each channel sees near-time-ordered arrivals);
 * the LLC split into address-interleaved slices, each with a tag-pipeline
-  throughput server — concurrent accesses to the same slice serialize,
+  throughput port — concurrent accesses to the same slice serialize,
   which is the "camping" congestion mechanism the paper cites for
   sub-linear scaling;
-* one bandwidth server per memory controller; lines map to MCs by address
+* one bandwidth queue per memory controller; lines map to MCs by address
   interleaving.
 """
 
@@ -29,11 +30,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.resource import BandwidthResource, FifoServer, TokenPool
 from repro.gpu.cache import SetAssocCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.dram import BankedDram
+from repro.gpu.fifo import new_queue, queue_state, utilization
 from repro.memory_regions import BYPASS_BASE
+from repro.validate import validate_config
 
 #: The latency-jitter LCG (Knuth's MMIX constants), its seed and its
 #: output scale.
@@ -114,7 +116,12 @@ MERGED = 3
 
 
 class L1Cache:
-    """Per-SM L1 with an MSHR file and in-flight miss merging."""
+    """Per-SM L1 with an MSHR file and in-flight miss merging.
+
+    The MSHR file is a min-heap of fill times, at most ``mshr_capacity``
+    long: a primary miss with every MSHR held waits for the earliest
+    release.
+    """
 
     def __init__(self, config: GPUConfig, sm_id: int) -> None:
         self.cache = SetAssocCache(
@@ -122,7 +129,10 @@ class L1Cache:
             assoc=config.l1_assoc,
             name=f"l1-sm{sm_id}",
         )
-        self.mshrs = TokenPool(config.l1_mshrs, name=f"mshr-sm{sm_id}")
+        self.mshr_capacity = config.l1_mshrs
+        self.mshr_releases: List[float] = []
+        self.mshr_acquired = 0
+        self.mshr_wait = 0.0
         self.in_flight: Dict[int, float] = {}
         self.merged = 0
 
@@ -137,7 +147,11 @@ class L1Cache:
         # (line, completion-time) pairs in insertion order.
         return {
             "cache": self.cache.state_dict(),
-            "mshrs": self.mshrs.state_dict(),
+            "mshrs": {
+                "releases": list(self.mshr_releases),
+                "acquired": self.mshr_acquired,
+                "wait_time": self.mshr_wait,
+            },
             "in_flight": [[line, t] for line, t in self.in_flight.items()],
             "merged": self.merged,
         }
@@ -147,26 +161,21 @@ class MemorySubsystem:
     """All shared memory resources of one (monolithic) GPU."""
 
     def __init__(self, config: GPUConfig) -> None:
-        self.config = config
+        # Rejects the non-positive rates and capacities the queues and
+        # the MSHR heap cannot serve.
+        self.config = validate_config(config)
         self.l1s: List[L1Cache] = [L1Cache(config, i) for i in range(config.num_sms)]
-        self.noc_request = BandwidthResource(
-            config.noc_bytes_per_cycle, name="noc-req"
-        )
-        self.noc_response = BandwidthResource(
-            config.noc_bytes_per_cycle, name="noc-rsp"
-        )
+        # The queues (repro.gpu.fifo): NoC request and response channels,
+        # one tag port per LLC slice, one simple-model controller per MC.
+        self.noc_request = new_queue()
+        self.noc_response = new_queue()
         sets = config.llc_sets_per_slice
         self.llc_slices: List[SetAssocCache] = [
             SetAssocCache(sets, config.llc_assoc, name=f"llc-slice{i}")
             for i in range(config.llc_slices)
         ]
-        self.llc_ports: List[FifoServer] = [
-            FifoServer(name=f"llc-port{i}") for i in range(config.llc_slices)
-        ]
-        self.mcs: List[BandwidthResource] = [
-            BandwidthResource(config.mc_bytes_per_cycle, name=f"mc{i}")
-            for i in range(config.num_mcs)
-        ]
+        self.llc_ports = [new_queue() for _ in range(config.llc_slices)]
+        self.mcs = [new_queue() for _ in range(config.num_mcs)]
         self.banked_mcs: List[BankedDram] = (
             [
                 BankedDram(
@@ -186,8 +195,8 @@ class MemorySubsystem:
         self._slice_service = 1.0 / config.llc_slice_throughput
         self._line_size = config.line_size
         self._request_bytes = config.noc_request_bytes
-        self._request_service = config.noc_request_bytes / self.noc_request.bytes_per_cycle
-        self._response_service = config.line_size / self.noc_response.bytes_per_cycle
+        self._request_service = config.noc_request_bytes / config.noc_bytes_per_cycle
+        self._response_service = config.line_size / config.noc_bytes_per_cycle
         self._mc_service = config.line_size / config.mc_bytes_per_cycle
         self._noc_latency = config.effective_noc_latency
         self._l1_hit_latency = config.l1_hit_latency
@@ -227,11 +236,9 @@ class MemorySubsystem:
             slices[hashed % n].fill(line)
 
     # --- the access path ----------------------------------------------------
-    # Straight-line code (docs/ARCHITECTURE.md, "Hot path"): it inlines
-    # SetAssocCache.access, TokenPool.acquire/hold, BandwidthResource.transfer
-    # and FifoServer.service, writing the same fields of the same objects
-    # those methods would.  The objects still own the state; the methods
-    # are the reference the differential test replays against.
+    # Straight-line code (docs/ARCHITECTURE.md, "Hot path"): the L1 and
+    # LLC lookups and every FIFO step are written out inline, on the
+    # queues and MSHR heap this subsystem owns.
     def access(
         self,
         sm_id: int,
@@ -247,10 +254,8 @@ class MemorySubsystem:
         with ``where`` one of :data:`L1_HIT`, :data:`LLC_HIT`,
         :data:`DRAM`, :data:`MERGED`.
 
-        ``llc_leg(line, hashed, t)`` replaces :meth:`llc_dram_path`
-        between the request and response NoC hops of a primary miss: the
-        multi-chiplet model passes a detour through the line's home
-        chiplet.
+        ``llc_leg`` is passed on to :meth:`shared_path`: the multi-chiplet
+        model detours a remote line through its home chiplet.
         """
         l1 = self.l1s[sm_id]
         cache = l1.cache
@@ -282,127 +287,120 @@ class MemorySubsystem:
                 self.merged += 1
                 return pending, MERGED
 
-        # Primary miss: wait for an MSHR, cross the NoC, probe the LLC side.
+        # Primary miss: wait for an MSHR, then the shared side.
         t = now
-        mshrs = l1.mshrs
-        releases = mshrs._releases
-        full = len(releases) >= mshrs.capacity
+        releases = l1.mshr_releases
+        full = len(releases) >= l1.mshr_capacity
         if full:
             if releases[0] > now:
                 t = releases[0]
-            mshrs._wait_time += t - now
-        t += self._l1_hit_latency
-        link = self.noc_request
-        if link._next_free > t:
-            t = link._next_free
-        service = self._request_service
-        t += service
-        link._next_free = t
-        link._busy_time += service
-        link._requests += 1
-        link._bytes_moved += self._request_bytes
-        t += self._noc_latency
-        if llc_leg is None:
-            t, where = self.llc_dram_path(line, hashed, t)
-        else:
-            t, where = llc_leg(line, hashed, t)
-
-        # Response line crosses the NoC back to the SM and frees the MSHR.
-        link = self.noc_response
-        if link._next_free > t:
-            t = link._next_free
-        service = self._response_service
-        t += service
-        link._next_free = t
-        link._busy_time += service
-        link._requests += 1
-        link._bytes_moved += self._line_size
-        t += self._noc_latency
+            l1.mshr_wait += t - now
+        t, where = self.shared_path(line, hashed, t + self._l1_hit_latency, llc_leg)
+        # The fill lands and frees the MSHR.
         in_flight[line] = t
         if full:
             heappop(releases)
         heappush(releases, t)
-        mshrs._acquired += 1
+        l1.mshr_acquired += 1
         self._prune_countdown -= 1
         if self._prune_countdown <= 0:
             self._prune_countdown = 4096
             l1.prune_in_flight(now)
         return t, where
 
-    def llc_dram_path(self, line: int, hashed: int, t: float) -> Tuple[float, int]:
-        """LLC slice probe plus DRAM on a miss; the post-NoC leg of a request.
+    def shared_path(
+        self,
+        line: int,
+        hashed: int,
+        t: float,
+        llc_leg: Optional[Callable[[int, int, float], Tuple[float, int]]] = None,
+    ) -> Tuple[float, int]:
+        """The shared side of a primary miss leaving its L1 at ``t``.
 
-        Separate from :meth:`access` so the multi-chiplet model can route a
-        remote request into its *home* chiplet's LLC/DRAM after crossing
-        the inter-chiplet network.
+        Request hop → LLC port and slice → DRAM on a miss → response
+        hop; returns ``(fill_time, where)``.  ``llc_leg(line, hashed, t)``
+        replaces the LLC and DRAM part between the two hops: the
+        multi-chiplet model crosses to the line's home chiplet and runs
+        *that* subsystem's shared path.
         """
-        slice_id = hashed % self._num_slices
-        port = self.llc_ports[slice_id]
-        if port._next_free > t:
-            t = port._next_free
-        service = self._slice_service
+        link = self.noc_request
+        if link[0] > t:
+            t = link[0]
+        service = self._request_service
         t += service
-        port._next_free = t
-        port._busy_time += service
-        port._requests += 1
-        if line < BYPASS_BASE:
-            cache = self.llc_slices[slice_id]
-            cache_set = cache._sets[line % cache.num_sets]
-            hit = line in cache_set
-            if hit:
-                del cache_set[line]
-                cache.hits += 1
-            else:
-                cache.misses += 1
-                if len(cache_set) >= cache.assoc:
-                    for victim in cache_set:
-                        break
-                    del cache_set[victim]
-            cache_set[line] = None
-            t += self._llc_latency * self._next_scale()
+        link[0] = t
+        link[1] += service
+        link[2] += 1
+        t += self._noc_latency
+        if llc_leg is not None:
+            t, where = llc_leg(line, hashed, t)
+        else:
+            slice_id = hashed % self._num_slices
+            port = self.llc_ports[slice_id]
+            if port[0] > t:
+                t = port[0]
+            service = self._slice_service
+            t += service
+            port[0] = t
+            port[1] += service
+            port[2] += 1
+            hit = False
+            if line < BYPASS_BASE:
+                cache = self.llc_slices[slice_id]
+                cache_set = cache._sets[line % cache.num_sets]
+                hit = line in cache_set
+                if hit:
+                    del cache_set[line]
+                    cache.hits += 1
+                else:
+                    cache.misses += 1
+                    if len(cache_set) >= cache.assoc:
+                        for victim in cache_set:
+                            break
+                        del cache_set[victim]
+                cache_set[line] = None
+                t += self._llc_latency * self._next_scale()
             if hit:
                 self.llc_hits += 1
-                return t, LLC_HIT
-        # An LLC miss, or a no-allocate streaming line (never cached).
-        self.llc_misses += 1
+                where = LLC_HIT
+            else:
+                # An LLC miss, or a no-allocate streaming line (never
+                # cached): one line read through the memory backend.
+                self.llc_misses += 1
+                where = DRAM
+                if self.banked_mcs:
+                    # Banked model: row-buffer state supplies the latency
+                    # variation (no synthetic jitter on top); a fixed
+                    # controller overhead stands in for command queues
+                    # and the PHY.
+                    banked = self.banked_mcs[hashed % len(self.banked_mcs)]
+                    t = banked.access(t, line) + 0.5 * self._dram_latency
+                else:
+                    mc = self.mcs[hashed % self._num_mcs]
+                    if mc[0] > t:
+                        t = mc[0]
+                    service = self._mc_service
+                    t += service
+                    mc[0] = t
+                    mc[1] += service
+                    mc[2] += 1
+                    t += self._dram_latency * self._next_scale()
 
-        # One line read through the configured memory backend.
-        if self.banked_mcs:
-            # Banked model: row-buffer state supplies the latency variation
-            # (no synthetic jitter on top); a fixed controller overhead
-            # stands in for command queues and the PHY.
-            banked = self.banked_mcs[hashed % len(self.banked_mcs)]
-            return banked.access(t, line) + 0.5 * self._dram_latency, DRAM
-        mc = self.mcs[hashed % self._num_mcs]
-        if mc._next_free > t:
-            t = mc._next_free
-        service = self._mc_service
+        # The response line crosses the NoC back to the SM.
+        link = self.noc_response
+        if link[0] > t:
+            t = link[0]
+        service = self._response_service
         t += service
-        mc._next_free = t
-        mc._busy_time += service
-        mc._requests += 1
-        mc._bytes_moved += self._line_size
-        return t + self._dram_latency * self._next_scale(), DRAM
-
-    # --- statistics ------------------------------------------------------------
-    @property
-    def llc_accesses(self) -> int:
-        return self.llc_hits + self.llc_misses
-
-    @property
-    def dram_accesses(self) -> int:
-        return self.llc_misses
-
-    def llc_miss_rate(self) -> float:
-        total = self.llc_accesses
-        if total == 0:
-            return 0.0
-        return self.llc_misses / total
+        link[0] = t
+        link[1] += service
+        link[2] += 1
+        return t + self._noc_latency, where
 
     def extra_stats(self, end_time: float) -> Dict[str, float]:
         """Diagnostics attached to the simulation result."""
         return {
-            "noc_utilization": self.noc_response.utilization(end_time),
+            "noc_utilization": utilization(self.noc_response, end_time),
             "l1_merged": float(self.merged),
         }
 
@@ -416,18 +414,18 @@ class MemorySubsystem:
         if not self._jitter:
             return _LCG_SEED
         draws = sum(s.hits + s.misses for s in self.llc_slices)
-        draws += sum(mc._requests for mc in self.mcs)
+        draws += sum(mc[2] for mc in self.mcs)
         return lcg_jump(_LCG_SEED, draws)
 
     def state_dict(self) -> dict:
         """JSON-able snapshot of every stateful component and counter."""
         return {
             "l1s": [l1.state_dict() for l1 in self.l1s],
-            "noc_request": self.noc_request.state_dict(),
-            "noc_response": self.noc_response.state_dict(),
+            "noc_request": queue_state(self.noc_request, self._request_bytes),
+            "noc_response": queue_state(self.noc_response, self._line_size),
             "llc_slices": [s.state_dict() for s in self.llc_slices],
-            "llc_ports": [p.state_dict() for p in self.llc_ports],
-            "mcs": [mc.state_dict() for mc in self.mcs],
+            "llc_ports": [queue_state(p) for p in self.llc_ports],
+            "mcs": [queue_state(mc, self._line_size) for mc in self.mcs],
             "banked_mcs": [b.state_dict() for b in self.banked_mcs],
             "rng_state": self.rng_state(),
             "prune_countdown": self._prune_countdown,
@@ -436,15 +434,4 @@ class MemorySubsystem:
             "llc_hits": self.llc_hits,
             "llc_misses": self.llc_misses,
             "merged": self.merged,
-        }
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "l1_hits": self.l1_hits,
-            "l1_misses": self.l1_misses,
-            "l1_merged": self.merged,
-            "llc_hits": self.llc_hits,
-            "llc_misses": self.llc_misses,
-            "noc_bytes": self.noc_request.bytes_moved + self.noc_response.bytes_moved,
-            "dram_bytes": sum(mc.bytes_moved for mc in self.mcs),
         }

@@ -20,10 +20,10 @@ in the LLC; idle that is not memory stall must not be amplified.
 
 from __future__ import annotations
 
-from repro.engine.resource import FifoServer
 from repro.engine.stats import StateTimeTracker
 from repro.exceptions import SimulationError
 from repro.gpu.config import GPUConfig
+from repro.gpu.fifo import new_queue, queue_state, serve
 
 ACTIVE = "active"
 IDLE = "idle"
@@ -35,7 +35,9 @@ class StreamingMultiprocessor:
     def __init__(self, sm_id: int, config: GPUConfig) -> None:
         self.sm_id = sm_id
         self.config = config
-        self.pipeline = FifoServer(name=f"sm{sm_id}-pipeline")
+        # The issue pipeline's queue (repro.gpu.fifo); the simulator's
+        # per-access step writes it inline.
+        self.pipeline = new_queue()
         self.resident_ctas = 0
         self.max_resident = 1  # set per kernel by the dispatcher
         self.warp_instructions = 0
@@ -80,7 +82,7 @@ class StreamingMultiprocessor:
             )
         self.warp_instructions += warp_instructions
         service = warp_instructions / self.config.issue_width
-        return self.pipeline.service(now, service)
+        return serve(self.pipeline, now, service)
 
     # --- warp-state tracking ----------------------------------------------
     def warp_started(self, now: float) -> None:
@@ -129,7 +131,7 @@ class StreamingMultiprocessor:
                 f"({self.resident_ctas} CTAs, {self._live_warps} warps live)"
             )
         return {
-            "pipeline": self.pipeline.state_dict(),
+            "pipeline": queue_state(self.pipeline),
             "warp_instructions": self.warp_instructions,
             "accesses": self.accesses,
             "occupancy": self._occupancy.state_dict(),
@@ -150,5 +152,5 @@ class StreamingMultiprocessor:
             return 0.0
         idle = self._occupancy.time_in(IDLE)
         no_live_active = max(0.0, self._no_live_time - idle)
-        stall = active - min(self.pipeline.busy_time, active) - no_live_active
+        stall = active - min(self.pipeline[1], active) - no_live_active
         return min(1.0, max(0.0, stall / active))

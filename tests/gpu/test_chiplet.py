@@ -4,6 +4,7 @@ import pytest
 
 from dataclasses import replace
 
+from repro.exceptions import ConfigurationError
 from repro.gpu.chiplet import McmMemory, McmSimulator, simulate_mcm
 from repro.gpu.config import GPUConfig, McmConfig
 from repro.trace.kernel import WorkloadTrace
@@ -112,6 +113,27 @@ class TestMcmSimulator:
         mem = sim.memory
         assert result.l1_misses == mem.l1_misses
         assert mem.llc_hits == sum(s.llc_hits for s in mem.subsystems)
+
+
+class TestMcmValidation:
+    """``simulate_mcm`` validates the package before building its memory:
+    a nonsense interconnect must not produce a cycle count."""
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"inter_chiplet_latency": -500.0}, "inter_chiplet_latency"),
+            ({"inter_chiplet_latency": float("nan")}, "inter_chiplet_latency"),
+            ({"inter_chiplet_bw_per_chiplet_bps": 0.0}, "inter-chiplet bandwidth"),
+        ],
+        ids=["negative-latency", "nan-latency", "zero-bandwidth"],
+    )
+    def test_invalid_interconnect_rejected(self, overrides, match):
+        lines = list(range(64))  # shared pages: half the accesses remote
+        ctas = [[([2] * 64, lines, 0, 0.0)]] * 8
+        wl = WorkloadTrace("shared", [hand_kernel("k", 32, ctas)])
+        with pytest.raises(ConfigurationError, match=match):
+            simulate_mcm(replace(tiny_mcm(), **overrides), wl)
 
 
 class TestMcmScaling:

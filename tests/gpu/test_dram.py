@@ -8,21 +8,24 @@ from repro.gpu.dram import BankedDram, DramBank
 
 class TestDramBank:
     def test_row_hit_is_cheap(self):
-        bank = DramBank("b", t_cas=20, t_ras=30, t_rp=30)
+        bank = DramBank(t_cas=20, t_ras=30, t_rp=30)
         first = bank.access(0.0, row=5)
         assert first == pytest.approx(80.0)  # precharge+activate+cas
         second = bank.access(first, row=5)
         assert second - first == pytest.approx(20.0)  # cas only
         assert bank.row_hits == 1 and bank.row_misses == 1
+        assert bank.state_dict()["server"] == {
+            "next_free": second, "busy_time": 100.0, "requests": 2,
+        }
 
     def test_row_switch_pays_full_cost(self):
-        bank = DramBank("b", 20, 30, 30)
+        bank = DramBank(20, 30, 30)
         t1 = bank.access(0.0, row=1)
         t2 = bank.access(t1, row=2)
         assert t2 - t1 == pytest.approx(80.0)
 
     def test_bank_serializes(self):
-        bank = DramBank("b", 20, 30, 30)
+        bank = DramBank(20, 30, 30)
         bank.access(0.0, row=1)
         done = bank.access(0.0, row=1)  # queued behind the first
         assert done == pytest.approx(100.0)
@@ -72,6 +75,9 @@ class TestBankedDram:
             self.make(row_bytes=64)
 
     def test_utilization(self):
+        """One line read holds the bus for one line's transfer time."""
         dram = self.make()
-        dram.access(0.0, 0)
-        assert 0.0 < dram.utilization(1000.0) <= 1.0
+        done = dram.access(0.0, 0)
+        bus = dram.state_dict()["bus"]
+        assert bus == {"next_free": done, "busy_time": 2.0, "requests": 1}
+        assert 0.0 < bus["busy_time"] / 1000.0 <= 1.0

@@ -1,5 +1,7 @@
 """Memory-subsystem tests: access path, merging, MSHRs, statistics."""
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,22 +172,29 @@ class TestAddressMapping:
 
 class TestStatistics:
     def test_stats_dict(self):
-        mem = MemorySubsystem(small_config())
+        """The counters and the boundary state account for one miss and
+        one hit: a request and a response line on the NoC, one line
+        read from DRAM."""
+        cfg = small_config()
+        mem = MemorySubsystem(cfg)
         access(mem, 0, 1, 0.0)
         access(mem, 0, 1, 500.0)
-        stats = mem.stats()
-        assert stats["l1_hits"] == 1
-        assert stats["l1_misses"] == 1
-        assert stats["llc_misses"] == 1
-        assert stats["noc_bytes"] > 0
-        assert stats["dram_bytes"] == 128
+        assert (mem.l1_hits, mem.l1_misses, mem.llc_misses) == (1, 1, 1)
+        state = mem.state_dict()
+        assert state["noc_request"]["bytes_moved"] == cfg.noc_request_bytes
+        assert state["noc_response"]["bytes_moved"] == cfg.line_size
+        assert state["mcs"][0]["bytes_moved"] == 128
+        assert state["mcs"][0]["requests"] == 1
 
     def test_miss_rates(self):
         mem = MemorySubsystem(small_config())
-        assert mem.llc_miss_rate() == 0.0
+        assert mem.llc_hits + mem.llc_misses == 0
         access(mem, 0, 1, 0.0)
-        assert mem.llc_miss_rate() == 1.0
-        assert mem.dram_accesses == 1
+        assert (mem.llc_hits, mem.llc_misses) == (0, 1)
+        assert [mc["requests"] for mc in mem.state_dict()["mcs"]] == [1]
+        access(mem, 1, 1, 5000.0)  # the other SM's L1 misses, the LLC hits
+        assert (mem.llc_hits, mem.llc_misses) == (1, 1)
+        assert [mc["requests"] for mc in mem.state_dict()["mcs"]] == [1]
 
     def test_extra_stats(self):
         mem = MemorySubsystem(small_config())
@@ -195,16 +204,42 @@ class TestStatistics:
         assert extra["l1_merged"] == 0.0
 
 
+def fifo(queue, now: float, service: float) -> float:
+    """The FIFO recurrence on a ``[next_free, busy, requests]`` queue,
+    written out independently of the model's."""
+    queue[0] = max(now, queue[0]) + service
+    queue[1] += service
+    queue[2] += 1
+    return queue[0]
+
+
+def mshr_acquire(l1, now: float) -> float:
+    """Earliest time an MSHR is free: ``now`` unless all are held."""
+    if len(l1.mshr_releases) < l1.mshr_capacity:
+        return now
+    start = max(now, l1.mshr_releases[0])
+    l1.mshr_wait += start - now
+    return start
+
+
+def mshr_hold(l1, release: float) -> None:
+    """Hold an MSHR until ``release``, retiring the earliest when full."""
+    if len(l1.mshr_releases) >= l1.mshr_capacity:
+        heapq.heappop(l1.mshr_releases)
+    heapq.heappush(l1.mshr_releases, release)
+    l1.mshr_acquired += 1
+
+
 def reference_access(
     mem: MemorySubsystem, lcg: ScalarLcg, sm_id: int, line: int, now: float
 ):
-    """The access path composed from the public primitives.
+    """The access path composed step by step.
 
-    What ``MemorySubsystem.access`` inlines, written as the chain of
-    ``SetAssocCache.access`` / ``TokenPool.acquire``+``hold`` /
-    ``BandwidthResource.transfer`` / ``FifoServer.service`` calls it
-    stands for, with the scalar address hash and the scalar jitter LCG —
-    the executable definition the flat path must match.
+    What ``MemorySubsystem.access`` inlines, written as
+    ``SetAssocCache.access`` calls and the test-local :func:`fifo`,
+    :func:`mshr_acquire` and :func:`mshr_hold` steps on the subsystem's
+    queues and MSHR heap, with the scalar address hash and the scalar
+    jitter LCG — the executable definition the flat path must match.
     """
     cfg = mem.config
 
@@ -213,7 +248,8 @@ def reference_access(
             banked = mem.banked_mcs[hashed % len(mem.banked_mcs)]
             return banked.access(t, line) + 0.5 * cfg.dram_latency
         mc = mem.mcs[hashed % len(mem.mcs)]
-        return mc.transfer(t, cfg.line_size) + cfg.dram_latency * lcg.scale()
+        t = fifo(mc, t, cfg.line_size / cfg.mc_bytes_per_cycle)
+        return t + cfg.dram_latency * lcg.scale()
 
     l1 = mem.l1s[sm_id]
     if l1.cache.access(line):
@@ -225,11 +261,12 @@ def reference_access(
         l1.merged += 1
         mem.merged += 1
         return pending, MERGED
-    t = l1.mshrs.acquire(now) + cfg.l1_hit_latency
-    t = mem.noc_request.transfer(t, cfg.noc_request_bytes) + cfg.effective_noc_latency
+    t = mshr_acquire(l1, now) + cfg.l1_hit_latency
+    t = fifo(mem.noc_request, t, cfg.noc_request_bytes / cfg.noc_bytes_per_cycle)
+    t += cfg.effective_noc_latency
     hashed = scalar_hash(line)
     slice_id = hashed % len(mem.llc_slices)
-    t = mem.llc_ports[slice_id].service(t, 1.0 / cfg.llc_slice_throughput)
+    t = fifo(mem.llc_ports[slice_id], t, 1.0 / cfg.llc_slice_throughput)
     if line >= BYPASS_BASE:
         mem.llc_misses += 1
         t, where = dram(hashed, t), DRAM
@@ -242,9 +279,10 @@ def reference_access(
         else:
             mem.llc_misses += 1
             t, where = dram(hashed, t), DRAM
-    t = mem.noc_response.transfer(t, cfg.line_size) + cfg.effective_noc_latency
+    t = fifo(mem.noc_response, t, cfg.line_size / cfg.noc_bytes_per_cycle)
+    t += cfg.effective_noc_latency
     l1.in_flight[line] = t
-    l1.mshrs.hold(t)
+    mshr_hold(l1, t)
     mem._prune_countdown -= 1
     if mem._prune_countdown <= 0:
         mem._prune_countdown = 4096
@@ -276,6 +314,8 @@ ACCESS_STREAM = st.lists(
 
 
 class TestFlatPathMatchesPrimitives:
+    """The inlined path against the step-by-step reference."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         stream=ACCESS_STREAM,

@@ -56,9 +56,9 @@ ZOO_WORKLOADS = [
     ("linear", "sub-linear", 72.40768787906532),
     ("sub-linear", "sub-linear", 9.522023818904204),
     # The two intended-super-linear rows are the known-wrong part of the
-    # zoo result (ROADMAP item 3): at this sample neither even measures
+    # zoo result (ROADMAP item 1): at this sample neither even measures
     # super-linear, and at the default campaign scale the super-linear
-    # bucket's MAPE is 341 %.  Item 3 is expected to move these values
+    # bucket's MAPE is 341 %.  Item 1 is expected to move these values
     # *on purpose*; they are pinned so nothing else moves them silently.
     ("super-linear", "sub-linear", 10.062165391908009),
     ("linear", "sub-linear", 2.5546340925378948),

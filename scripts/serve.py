@@ -52,7 +52,7 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         help="consecutive terminal failures before a config fast-fails "
-        "(0 disables; default REPRO_BREAKER_THRESHOLD or 3)",
+        "(0 disables; default 3)",
     )
     args = parser.parse_args(argv)
 
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     if args.breaker_threshold is not None:
         overrides["breaker_threshold"] = max(0, args.breaker_threshold)
 
-    config = ServiceConfig.from_env(**overrides)
+    config = ServiceConfig(**overrides)
     service = PredictionService(config)
 
     async def run() -> int:

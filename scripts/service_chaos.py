@@ -365,11 +365,8 @@ def phase_golden_integrity(rng, quick, violations):
 
 def phase_breaker(rng, quick, violations):
     bench = rng.choice(FAST_BENCHES)
-    env = {
-        "REPRO_FAULT_INJECT": f"die:sim|{bench}",
-        "REPRO_BREAKER_THRESHOLD": "2",
-    }
-    with Phase("breaker", env) as phase:
+    env = {"REPRO_FAULT_INJECT": f"die:sim|{bench}"}
+    with Phase("breaker", env, args=["--breaker-threshold", "2"]) as phase:
         for attempt in range(2):
             status, data, _ = phase.request(body_for(bench))
             check(

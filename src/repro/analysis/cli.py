@@ -13,12 +13,13 @@ Usage::
 Simulations are cached in sharded JSONL files under
 ``results/simcache/``; the first run of the heavier experiments takes
 minutes, repeats are instantaneous.
-``--jobs N`` (or ``REPRO_JOBS``) fans cache misses out across N worker
-processes; results are identical to a serial run.
+``--jobs N`` (default ``cpu_count() - 1``) fans cache misses out across
+N worker processes; results are identical to a serial run.
 
 Execution is fault-tolerant: a raising or hung run costs that run, not
 the batch.  ``--max-retries`` bounds re-execution of failed runs,
-``--run-timeout`` arms a per-run watchdog, and ``--keep-going`` finishes
+``--run-timeout`` arms a per-run watchdog (a timeout that is not above
+zero, or a negative retry count, exits 2), and ``--keep-going`` finishes
 the remaining experiments when one fails, exiting with a failure summary
 (and exit code 1) instead of a traceback.  Failed runs are recorded in
 ``results/failures/<benchmark>.jsonl`` with enough context to re-run.
@@ -31,10 +32,10 @@ to resume from the cache.  A second signal force-quits (``128+signum``).
 A free-disk guard (``REPRO_MIN_FREE_MB``) pauses cache writes under
 pressure instead of crashing; ``REPRO_MAX_RSS`` caps per-process
 memory so a pathological run fails alone.  Configs that keep failing
-(``REPRO_BREAKER_THRESHOLD`` consecutive terminal failures on record)
-are skipped by later ``--keep-going`` invocations until
-``--retry-quarantined`` re-arms them.  The run is the unit of recovery:
-a run that dies is re-run from its start, and nothing finished is lost.
+(3 consecutive terminal failures on record) are skipped by later
+``--keep-going`` invocations until ``--retry-quarantined`` re-arms them.
+The run is the unit of recovery: a run that dies is re-run from its
+start, and nothing finished is lost.
 
 Observability (see ``docs/ARCHITECTURE.md`` § "Observability"):
 ``--trace-out trace.json`` records run/sim/kernel/cache spans —
@@ -54,7 +55,7 @@ import sys
 from repro.analysis import experiments as exp
 from repro.analysis.faults import ExecutionPolicy
 from repro.analysis.runner import CachedRunner, DEFAULT_CACHE, default_jobs
-from repro.exceptions import ReproError, ShutdownRequested
+from repro.exceptions import ConfigurationError, ReproError, ShutdownRequested
 from repro.obs import bootstrap, get_logger
 from repro.resilience import (
     EXIT_ERROR,
@@ -85,14 +86,13 @@ def add_execution_flags(
                             help="keep results in memory only")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for cache misses "
-                             "(default: REPRO_JOBS or cpu_count()-1; "
-                             "1 disables the pool)")
+                             "(default: cpu_count()-1; 1 disables the pool)")
     parser.add_argument("--max-retries", type=int, default=None,
                         help="re-executions of a failed run before it is "
                              "recorded as a casualty (default 2)")
     parser.add_argument("--run-timeout", type=float, default=None,
-                        help="per-run watchdog timeout in seconds for "
-                             "pool execution (default: unlimited)")
+                        help="per-run watchdog timeout in seconds (> 0) "
+                             "for pool execution (default: unlimited)")
     parser.add_argument("--keep-going", action="store_true",
                         help="finish everything that can run when a run "
                              "fails; exit 1 with a failure summary "
@@ -142,25 +142,31 @@ def _cache_path(args):
 
 
 def build_policy(args) -> ExecutionPolicy:
-    """Map the CLI's fault-tolerance flags onto an ExecutionPolicy."""
+    """Map the CLI's fault-tolerance flags onto an ExecutionPolicy;
+    a value the policy rejects exits :data:`EXIT_ERROR`."""
     defaults = ExecutionPolicy()
-    return ExecutionPolicy(
-        max_retries=(
-            defaults.max_retries
-            if args.max_retries is None
-            else args.max_retries
-        ),
-        run_timeout=args.run_timeout,
-        keep_going=args.keep_going,
-        retry_quarantined=args.retry_quarantined,
-    )
+    try:
+        return ExecutionPolicy(
+            max_retries=(
+                defaults.max_retries
+                if args.max_retries is None
+                else args.max_retries
+            ),
+            run_timeout=args.run_timeout,
+            keep_going=args.keep_going,
+            retry_quarantined=args.retry_quarantined,
+        )
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(EXIT_ERROR) from None
 
 
 def build_runner(args, *output_dirs: str):
     """Start a campaign process from :func:`add_execution_flags`' flags.
 
-    Returns ``(obs, coordinator, runner)``.  The order matters:
-    observability first, so recording is switched on before the
+    Returns ``(obs, coordinator, runner)``.  The order matters: the
+    flags are checked first, so a rejected value starts nothing; then
+    observability, so recording is switched on before the
     runner constructs its store (shard loads are traced too); then
     resilience — the first SIGINT/SIGTERM drains (exit 75, resumable),
     the second force-quits, and ``REPRO_MAX_RSS`` caps this process the
@@ -168,6 +174,7 @@ def build_runner(args, *output_dirs: str):
     the runner, and a free-space preflight over everything the campaign
     writes (``output_dirs`` adds the caller's own targets).
     """
+    policy = build_policy(args)
     obs = bootstrap(args.trace_out, args.metrics_out, args.log_format)
     coordinator = install_shutdown_handlers()
     coordinator.reset()
@@ -176,7 +183,7 @@ def build_runner(args, *output_dirs: str):
     runner = CachedRunner(
         _cache_path(args),
         jobs=args.jobs if args.jobs is not None else default_jobs(),
-        policy=build_policy(args),
+        policy=policy,
     )
     preflight_disk(runner.store.root, runner.ledger.root, *output_dirs)
     return obs, coordinator, runner

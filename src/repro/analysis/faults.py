@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import re
 import threading
@@ -83,8 +84,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import fsio
-from repro.exceptions import ReproError
-from repro.resilience import breaker_threshold, env_float
+from repro.exceptions import ConfigurationError, ReproError
 
 __all__ = [
     "ExecutionPolicy",
@@ -95,7 +95,8 @@ __all__ = [
     "InjectedFaultError",
     "FAULT_INJECT_ENV",
     "IO_OPS",
-    "MANIFEST_MAX_MB_ENV",
+    "DEFAULT_BREAKER_THRESHOLD",
+    "MANIFEST_MAX_BYTES",
     "STREAK",
     "OK",
     "FAILED",
@@ -135,13 +136,15 @@ _STREAK_STATUSES = frozenset((FAILED, TIMEOUT, OOM))
 #: Write-seam labels the filesystem directives can target.
 IO_OPS = ("store", "trace", "metrics", "manifest", "journal")
 
-#: Size ceiling (MiB) for one failure-manifest shard before it is
-#: compacted; 0 disables rotation.  Multi-hundred-workload campaigns
-#: append a record per casualty per attempt, so shards are rotated into
+#: Size ceiling for one failure-manifest shard before it is compacted
+#: (0 disables rotation).  Multi-hundred-workload campaigns append a
+#: record per casualty per attempt, so shards are rotated into
 #: synthetic per-key ``streak`` records that preserve the circuit
 #: breaker's consecutive-failure counts while dropping the bulk.
-MANIFEST_MAX_MB_ENV = "REPRO_MANIFEST_MAX_MB"
-_DEFAULT_MANIFEST_MAX_MB = 16.0
+MANIFEST_MAX_BYTES = 16 * 1024 * 1024
+
+#: Consecutive terminal failures that trip a config's circuit breaker.
+DEFAULT_BREAKER_THRESHOLD = 3
 
 #: Status of the synthetic records a rotation leaves behind: one per run
 #: key, carrying that key's consecutive-failure count at rotation time.
@@ -184,24 +187,43 @@ class ExecutionPolicy:
     (seconds, ``None`` = unlimited) arms the per-run watchdog — pool
     execution only; a serial run cannot be interrupted from within.
     ``keep_going`` turns end-of-batch failures into a report instead of
-    an :class:`repro.exceptions.ExecutionError`.  After
-    ``max_pool_deaths`` ``BrokenProcessPool`` events the batch degrades
-    to serial in-process execution for the remaining runs.
+    an :class:`repro.exceptions.ExecutionError`.
 
-    ``breaker_threshold`` (``None`` = ``REPRO_BREAKER_THRESHOLD`` or 3,
-    ``0`` disables) arms the per-config circuit breaker on
-    ``keep_going`` batches: configs with that many consecutive terminal
-    failures in the manifest are skipped, not re-attempted, until
-    ``retry_quarantined`` (``--retry-quarantined``) forces a re-run.
+    ``breaker_threshold`` (``0`` disables) arms the per-config circuit
+    breaker on ``keep_going`` batches: configs with that many
+    consecutive terminal failures in the manifest are skipped, not
+    re-attempted, until ``retry_quarantined`` (``--retry-quarantined``)
+    forces a re-run.
+
+    Nonsense raises :class:`repro.exceptions.ConfigurationError`: a
+    ``run_timeout`` that is not a finite number > 0 (``-1`` would time
+    out every run, ``0`` would read as "unlimited"), or a negative
+    ``max_retries`` or ``backoff_base``.
     """
 
     max_retries: int = 2
     run_timeout: Optional[float] = None
     keep_going: bool = False
     backoff_base: float = 0.05
-    max_pool_deaths: int = 2
     retry_quarantined: bool = False
-    breaker_threshold: Optional[int] = None
+    breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD
+
+    def __post_init__(self) -> None:
+        if self.run_timeout is not None and not (
+            math.isfinite(self.run_timeout) and self.run_timeout > 0
+        ):
+            raise ConfigurationError(
+                f"run_timeout must be a finite number > 0 seconds, "
+                f"got {self.run_timeout}"
+            )
+        if self.max_retries < 0:
+            raise ConfigurationError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        if not self.backoff_base >= 0:
+            raise ConfigurationError(
+                f"backoff_base must be >= 0, got {self.backoff_base}"
+            )
 
     def backoff(self, attempt: int) -> float:
         """Exponential backoff before re-running a failed ``attempt``."""
@@ -328,8 +350,8 @@ class FailureManifest:
     final line, and re-runs simply append fresh records.  ``root=None``
     disables persistence (memory-only stores).
 
-    Shards are bounded: past ``REPRO_MANIFEST_MAX_MB`` (default 16 MiB,
-    0 disables) a shard is *compacted* — its history collapses to one
+    Shards are bounded: past :data:`MANIFEST_MAX_BYTES` (16 MiB) a
+    shard is *compacted* — its history collapses to one
     synthetic ``streak`` record per run key carrying that key's
     consecutive-failure count, so the circuit breaker sees exactly the
     streaks it would have counted from the raw records.  The raw shard
@@ -392,11 +414,10 @@ class FailureManifest:
         Rotation must never mask the run failures being recorded, so any
         I/O error here degrades to a warning, like :meth:`append`.
         """
-        limit = manifest_max_bytes()
-        if limit <= 0:
+        if MANIFEST_MAX_BYTES <= 0:
             return
         try:
-            if os.path.getsize(path) <= limit:
+            if os.path.getsize(path) <= MANIFEST_MAX_BYTES:
                 return
             with open(path) as fh:
                 raw_lines = fh.readlines()
@@ -435,12 +456,6 @@ class FailureManifest:
             f"failure manifest: rotated {path} "
             f"({len(raw_lines)} records -> {len(compact)} streak records)"
         )
-
-
-def manifest_max_bytes() -> int:
-    """The per-shard rotation ceiling in bytes (0 = rotation disabled)."""
-    megabytes = env_float(MANIFEST_MAX_MB_ENV, _DEFAULT_MANIFEST_MAX_MB)
-    return int(megabytes * 1024 * 1024)
 
 
 def _streaks_from_lines(
@@ -494,8 +509,7 @@ class FailureLedger:
     Streaks are seeded once, lazily, from the manifest shards on disk
     (``*.jsonl``; a rotation's ``.old`` copy would double-count) and
     kept live afterwards, so a config that fails in this process gates
-    in this process.  ``threshold`` (``None`` =
-    ``REPRO_BREAKER_THRESHOLD`` or 3) is the streak that trips a config;
+    in this process.  ``threshold`` is the streak that trips a config;
     ``0`` disables the gate.  ``root=None`` switches persistence off,
     not the gate: a memory-only service still trips and recovers.
 
@@ -505,12 +519,10 @@ class FailureLedger:
     """
 
     def __init__(
-        self, root: Optional[str], threshold: Optional[int] = None
+        self, root: Optional[str], threshold: int = DEFAULT_BREAKER_THRESHOLD
     ) -> None:
         self.manifest = FailureManifest(root)
-        self.threshold = (
-            threshold if threshold is not None else breaker_threshold()
-        )
+        self.threshold = threshold
         #: Times any config's streak reached the threshold.
         self.trips = 0
         self._streaks: Optional[Dict[str, int]] = None

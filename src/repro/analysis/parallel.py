@@ -15,7 +15,7 @@ Faults are isolated per run, never per batch:
 * A per-run timeout watchdog (``ExecutionPolicy.run_timeout``) abandons
   hung runs and recycles the pool so their workers stop occupying slots.
 * ``BrokenProcessPool`` (worker OOM/segfault) respawns the pool and
-  resumes the remaining runs; after ``max_pool_deaths`` deaths the batch
+  resumes the remaining runs; after :data:`MAX_POOL_DEATHS` deaths the batch
   degrades to serial in-process execution.
 * Completed results always merge into the store — even when the batch
   ultimately raises :class:`repro.exceptions.ExecutionError` — and every
@@ -93,6 +93,10 @@ __all__ = [
 ]
 
 KINDS = ("sim", "mcm", "mrc")
+
+#: ``BrokenProcessPool`` events after which a batch degrades to serial
+#: in-process execution for its remaining runs.
+MAX_POOL_DEATHS = 2
 
 
 @dataclass(frozen=True)
@@ -593,7 +597,7 @@ class ParallelRunner:
                             args={"deaths": state.pool_deaths},
                         )
                     shutdown_pool(pool)
-                    if state.pool_deaths >= policy.max_pool_deaths:
+                    if state.pool_deaths >= MAX_POOL_DEATHS:
                         state.degraded = True
                         if tracer.enabled:
                             tracer.instant(

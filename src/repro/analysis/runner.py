@@ -56,7 +56,7 @@ from repro.analysis.faults import (
 from repro.analysis.simcache import ResultStore, sibling_dir
 from repro.checkpoint import CheckpointPolicy
 from repro.exceptions import ExecutionError, ReproError
-from repro.resilience import get_coordinator, tolerant_env
+from repro.resilience import get_coordinator
 from repro.gpu import GPUConfig, McmConfig, simulate, simulate_mcm
 from repro.gpu.results import SimulationResult
 from repro.mrc import MissRateCurve, collect_miss_rate_curve
@@ -70,10 +70,7 @@ DEFAULT_CACHE = os.path.join("results", "simcache")
 
 
 def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` if set, else ``cpu_count() - 1``."""
-    jobs = tolerant_env("REPRO_JOBS", None, int, expected="an integer")
-    if jobs is not None:
-        return max(1, jobs)
+    """Worker count when ``--jobs`` is not given: ``cpu_count() - 1``."""
     return max(1, (os.cpu_count() or 2) - 1)
 
 
@@ -477,9 +474,10 @@ class CachedRunner:
         }
 
     def stats(self) -> Dict[str, int]:
-        """Runner + store + execution telemetry (hits, misses, flushes,
-        quarantines, failed/timed-out/retried runs, pool deaths)."""
-        merged = self.store.stats()
+        """This run's runner + store + execution counters (hits, misses,
+        flushes, quarantines, failed/timed-out/retried runs, pool
+        deaths), read without loading a shard the run did not touch."""
+        merged = self.store.counters()
         merged["runner_hits"] = self.hits
         merged["runner_misses"] = self.misses
         merged["jobs"] = self.jobs

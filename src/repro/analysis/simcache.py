@@ -27,7 +27,8 @@ Durability rules:
   whole-store answer (``stats``, ``len``, ``keys``, ``items``,
   ``clear``).  The answers equal an eager load's: a ``put`` since open
   beats the on-disk record, and of a key held by several shards the
-  later shard in sorted file order wins.  A shard line that fails to
+  later shard in sorted file order wins.  ``counters`` is the one
+  telemetry answer that reads nothing (a run's end-of-run summary).  A shard line that fails to
   parse is counted and skipped.  A shard containing any bad line is
   *quarantined* when it is read — at open if some line is not even
   indexable (a torn tail, garbage), else on first use: the original is
@@ -317,9 +318,18 @@ class ResultStore:
 
     # --- telemetry -------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
-        """A snapshot of the store's counters (see module docstring)."""
+        """A snapshot of the store's counters after reading every shard,
+        so ``entries`` and the corruption counts cover the whole store."""
         self._read_all()
-        self._stats["entries"] = len(self._entries)
+        return self.counters()
+
+    def counters(self) -> Dict[str, float]:
+        """A snapshot of the store's counters without reading a shard:
+        the corruption counts cover the shards read so far, and
+        ``entries`` counts the keys held or indexed."""
+        self._stats["entries"] = len(self._entries) + sum(
+            1 for key in self._index if key not in self._entries
+        )
         return self._stats.as_dict()
 
     def record_schema_mismatch(self, key: str = "") -> None:

@@ -18,10 +18,6 @@ module makes those events survivable instead of fatal:
   ceiling (``REPRO_MAX_RSS``, e.g. ``2G``) so a pathological run raises
   :class:`MemoryError` — mapped to a non-retryable run outcome — instead
   of taking the whole worker pool (or the host) down with it.
-* :func:`breaker_threshold` — the per-config circuit breaker's knob
-  (``REPRO_BREAKER_THRESHOLD``); the breaker itself is
-  :class:`repro.analysis.faults.FailureLedger`, which owns the failure
-  manifest it counts over.
 
 Exit-code contract for every CLI entry point (documented in
 ``docs/ARCHITECTURE.md`` § "Resilience")::
@@ -60,8 +56,6 @@ __all__ = [
     "DEFAULT_MIN_FREE_MB",
     "DISK_CHECK_INTERVAL_ENV",
     "MAX_RSS_ENV",
-    "BREAKER_THRESHOLD_ENV",
-    "DEFAULT_BREAKER_THRESHOLD",
     "ShutdownCoordinator",
     "get_coordinator",
     "install_shutdown_handlers",
@@ -70,12 +64,9 @@ __all__ = [
     "preflight_disk",
     "parse_size",
     "apply_memory_limit",
-    "breaker_threshold",
     "parse_tolerant",
-    "tolerant_env",
     "env_flag",
     "env_float",
-    "env_int",
 ]
 
 EXIT_OK = 0
@@ -89,8 +80,6 @@ DEFAULT_MIN_FREE_MB = 64
 DISK_CHECK_INTERVAL_ENV = "REPRO_DISK_CHECK_INTERVAL"
 DEFAULT_DISK_CHECK_INTERVAL = 5.0
 MAX_RSS_ENV = "REPRO_MAX_RSS"
-BREAKER_THRESHOLD_ENV = "REPRO_BREAKER_THRESHOLD"
-DEFAULT_BREAKER_THRESHOLD = 3
 
 
 # --- tolerant environment parsing -------------------------------------------------
@@ -117,18 +106,6 @@ def parse_tolerant(name, raw, default, parse, expected="a value"):
     return value
 
 
-def tolerant_env(name, default, parse, expected="a value"):
-    """Read ``name`` from the environment, degrading to ``default`` on garbage.
-
-    The one shared policy for every ``REPRO_*`` tuning knob: a
-    long-running campaign or service must not refuse to start because an
-    operator fat-fingered a tuning knob; the conservative default plus a
-    loud warning is always the better failure mode.  See
-    :func:`parse_tolerant` for the parsing contract.
-    """
-    return parse_tolerant(name, os.environ.get(name), default, parse, expected)
-
-
 _FALSY = {"", "0", "false", "off", "no"}
 
 
@@ -144,26 +121,21 @@ def env_flag(name: str, value: Optional[str] = None) -> bool:
 
 
 def _parse_nonneg_float(raw: str) -> Optional[float]:
-    value = float(raw)  # ValueError propagates to tolerant_env
-    return value if value >= 0 else None
-
-
-def _parse_nonneg_int(raw: str) -> Optional[int]:
-    value = int(raw)
+    value = float(raw)  # ValueError propagates to parse_tolerant
     return value if value >= 0 else None
 
 
 def env_float(name: str, default: float) -> float:
-    """A non-negative float knob (``REPRO_MIN_FREE_MB``-style), tolerant."""
-    return tolerant_env(
-        name, default, _parse_nonneg_float, expected="a non-negative number"
-    )
+    """A non-negative float knob (``REPRO_MIN_FREE_MB``-style), read
+    from the environment and degrading to ``default`` on garbage.
 
-
-def env_int(name: str, default: int) -> int:
-    """A non-negative integer knob (``REPRO_JOBS``-style), tolerant."""
-    return tolerant_env(
-        name, default, _parse_nonneg_int, expected="a non-negative integer"
+    A long-running campaign or service must not refuse to start because
+    an operator fat-fingered a tuning knob; the conservative default
+    plus a loud warning is always the better failure mode.
+    """
+    return parse_tolerant(
+        name, os.environ.get(name), default, _parse_nonneg_float,
+        expected="a non-negative number",
     )
 
 
@@ -446,9 +418,3 @@ def apply_memory_limit(env: Optional[str] = None) -> Optional[int]:
         return None
     return limit
 
-
-# --- per-config circuit breaker --------------------------------------------------
-
-def breaker_threshold(default: int = DEFAULT_BREAKER_THRESHOLD) -> int:
-    """Threshold from ``REPRO_BREAKER_THRESHOLD`` (0 disables), tolerant."""
-    return env_int(BREAKER_THRESHOLD_ENV, default)

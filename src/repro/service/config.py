@@ -1,33 +1,14 @@
-"""Service tuning knobs, resolved once at startup.
-
-Every knob reads through :func:`repro.resilience.tolerant_env`: a
-fat-fingered value degrades to the default with a warning naming the
-variable — a long-running service must not refuse to boot over a typo
-in a tuning knob (the same policy ``REPRO_JOBS`` and the resource
-guards follow).
-"""
+"""Service configuration: plain data, built by ``scripts/serve.py`` from
+its flags (or by a caller directly), immutable once the server starts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.resilience import env_float, env_int
+from repro.analysis.faults import DEFAULT_BREAKER_THRESHOLD
 
-__all__ = [
-    "ServiceConfig",
-    "QUEUE_DEPTH_ENV",
-    "WORKERS_MIN_ENV",
-    "WORKERS_MAX_ENV",
-    "DEFAULT_DEADLINE_ENV",
-    "MAX_BODY_ENV",
-]
-
-QUEUE_DEPTH_ENV = "REPRO_SERVICE_QUEUE_DEPTH"
-WORKERS_MIN_ENV = "REPRO_SERVICE_WORKERS_MIN"
-WORKERS_MAX_ENV = "REPRO_SERVICE_WORKERS_MAX"
-DEFAULT_DEADLINE_ENV = "REPRO_SERVICE_DEFAULT_DEADLINE"
-MAX_BODY_ENV = "REPRO_SERVICE_MAX_BODY"
+__all__ = ["ServiceConfig"]
 
 DEFAULT_QUEUE_DEPTH = 64
 DEFAULT_WORKERS_MIN = 1
@@ -51,17 +32,9 @@ class ServiceConfig:
     workers_max: int = DEFAULT_WORKERS_MAX
     #: Default per-request deadline (seconds) when the client sends none.
     default_deadline_s: float = DEFAULT_DEADLINE_S
-    #: Hard ceiling on accepted deadlines; longer requests are clamped.
-    max_deadline_s: float = 300.0
     max_body_bytes: int = DEFAULT_MAX_BODY
-    #: Re-executions after a retryable worker failure (within deadline).
-    max_retries: int = 1
-    #: Breaker threshold (None = REPRO_BREAKER_THRESHOLD or 3; 0 disables).
-    breaker_threshold: Optional[int] = None
-    #: Autoscaler poll interval; also the dispatch loops' idle poll.
-    scale_interval_s: float = field(default=0.2, repr=False)
-    #: Idle polls before a surplus worker slot is retired.
-    scale_down_idle_polls: int = field(default=25, repr=False)
+    #: Consecutive terminal failures before a config fast-fails (0 disables).
+    breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
@@ -77,27 +50,3 @@ class ServiceConfig:
             raise ValueError(
                 f"default_deadline_s must be > 0, got {self.default_deadline_s}"
             )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "ServiceConfig":
-        """Build a config from ``REPRO_SERVICE_*`` knobs, tolerantly.
-
-        Explicit keyword overrides (CLI flags) win over the environment.
-        Inconsistent *combinations* still raise — tolerance covers
-        unparseable values, not contradictory explicit requests.
-        """
-        workers_min = max(1, env_int(WORKERS_MIN_ENV, DEFAULT_WORKERS_MIN))
-        config = cls(
-            queue_depth=max(1, env_int(QUEUE_DEPTH_ENV, DEFAULT_QUEUE_DEPTH)),
-            workers_min=workers_min,
-            workers_max=max(
-                workers_min, env_int(WORKERS_MAX_ENV, DEFAULT_WORKERS_MAX)
-            ),
-            default_deadline_s=env_float(
-                DEFAULT_DEADLINE_ENV, DEFAULT_DEADLINE_S
-            ) or DEFAULT_DEADLINE_S,
-            max_body_bytes=max(1024, env_int(MAX_BODY_ENV, DEFAULT_MAX_BODY)),
-        )
-        if overrides:
-            config = replace(config, **overrides)
-        return config

@@ -65,6 +65,9 @@ _MAX_HEADER_BYTES = 16 * 1024
 #: One deadline for reading a whole request, head and body.
 _REQUEST_DEADLINE_S = 30.0
 
+#: Hard ceiling on accepted run deadlines; longer requests are clamped.
+MAX_DEADLINE_S = 300.0
+
 #: The blank line that ends a request head, CRLF or bare LF.
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
 
@@ -198,7 +201,7 @@ class PredictionService:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + min(
             request.deadline_s or self.config.default_deadline_s,
-            self.config.max_deadline_s,
+            MAX_DEADLINE_S,
         )
         if existing is not None:
             existing.attach(deadline)

@@ -19,7 +19,7 @@ Every dispatch races three futures:
 
 The :class:`Supervisor` also runs the autoscaler: queue depth above
 zero grows the fleet toward ``workers_max``; a slot that has polled an
-empty queue ``scale_down_idle_polls`` times retires itself down to
+empty queue :data:`SCALE_DOWN_IDLE_POLLS` times retires itself down to
 ``workers_min``.  Scaling decisions are taken by the slots themselves
 against a shared target — there is no central scaling actor to hang.
 """
@@ -53,6 +53,13 @@ from repro.service.jobs import COMPLETED, FAILED, RUNNING, SHED, Job
 from repro.service.queue import AdmissionQueue
 
 __all__ = ["Supervisor", "WorkerSlot"]
+
+#: Re-executions after a retryable worker failure (within the deadline).
+MAX_RETRIES = 1
+#: Autoscaler poll interval; also the dispatch loops' idle poll.
+SCALE_INTERVAL_S = 0.2
+#: Idle polls before a surplus worker slot is retired.
+SCALE_DOWN_IDLE_POLLS = 25
 
 
 def _swallow_result(future: asyncio.Future) -> None:
@@ -105,9 +112,7 @@ class WorkerSlot:
         supervisor = self.supervisor
         try:
             while not supervisor.stopping:
-                job = await supervisor.queue.get(
-                    timeout=supervisor.config.scale_interval_s
-                )
+                job = await supervisor.queue.get(timeout=SCALE_INTERVAL_S)
                 if job is None:
                     self._idle_polls += 1
                     if supervisor.should_retire(self):
@@ -137,7 +142,6 @@ class WorkerSlot:
             job.finish(SHED, error="no waiters remained at dispatch")
             supervisor.job_finished(job, RUN_INTERRUPTED)
             return
-        policy_retries = supervisor.config.max_retries
         while True:
             remaining = job.deadline - loop.time()
             if remaining <= 0:
@@ -153,7 +157,7 @@ class WorkerSlot:
                 )
             except (BrokenProcessPool, RuntimeError) as error:
                 self._recycle()
-                if job.attempts <= policy_retries:
+                if job.attempts <= MAX_RETRIES:
                     continue
                 self._fail(job, f"worker pool unavailable: {error}")
                 return
@@ -174,12 +178,12 @@ class WorkerSlot:
                     # pool is useless now either way; retry only if the
                     # budget and the deadline both allow.
                     self._recycle()
-                    if job.attempts <= policy_retries:
+                    if job.attempts <= MAX_RETRIES:
                         continue
                     self._fail(job, "worker process died repeatedly")
                     return
                 except Exception as error:  # noqa: BLE001 - worker verdicts
-                    if retryable(error) and job.attempts <= policy_retries:
+                    if retryable(error) and job.attempts <= MAX_RETRIES:
                         continue
                     self._fail(
                         job, traceback.format_exc(),
@@ -303,14 +307,13 @@ class Supervisor:
         return (
             not self.stopping
             and len(self._slots) > self.config.workers_min
-            and slot._idle_polls >= self.config.scale_down_idle_polls
+            and slot._idle_polls >= SCALE_DOWN_IDLE_POLLS
         )
 
     async def _autoscale(self) -> None:
         """Grow toward ``workers_max`` while demand outruns the fleet."""
-        interval = self.config.scale_interval_s
         while not self.stopping:
-            await asyncio.sleep(interval)
+            await asyncio.sleep(SCALE_INTERVAL_S)
             backlog = self.queue.depth
             if (
                 backlog > 0

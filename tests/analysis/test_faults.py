@@ -1,6 +1,6 @@
 """Fault-tolerant execution tests: injected worker exceptions, retries,
-timeouts, pool deaths, partial-progress merge, failure manifests, and
-the cached-payload / REPRO_JOBS robustness satellites.
+timeouts, pool deaths, partial-progress merge, failure manifests,
+policy validation and cached-payload robustness.
 
 Faults are injected deterministically through ``REPRO_FAULT_INJECT``
 (see :mod:`repro.analysis.faults` for the grammar), so every path runs
@@ -30,12 +30,11 @@ from repro.analysis.faults import (
 from repro.analysis.parallel import ParallelRunner, RunRequest
 from repro.analysis.runner import (
     CachedRunner,
-    default_jobs,
     result_from_payload,
     safe_curve_from_payload,
 )
 from repro.analysis.simcache import ResultStore
-from repro.exceptions import ExecutionError, ReproError
+from repro.exceptions import ConfigurationError, ExecutionError, ReproError
 from repro.verify.digest import content_digest
 from repro.workloads import get_benchmark
 
@@ -226,7 +225,7 @@ class TestBrokenPoolRecovery:
         monkeypatch.setenv("REPRO_FAULT_INJECT", "die:sim|va")
         store = store_at(tmp_path)
         policy = ExecutionPolicy(
-            max_retries=1, keep_going=True, max_pool_deaths=2, **FAST
+            max_retries=1, keep_going=True, **FAST
         )
         with pytest.warns(UserWarning, match="degrading to serial"):
             report = ParallelRunner(
@@ -455,18 +454,6 @@ class TestSchemaDriftSatellite:
         assert safe_curve_from_payload({"workload": "va"}) is None
 
 
-class TestDefaultJobsSatellite:
-    def test_invalid_repro_jobs_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "banana")
-        with pytest.warns(UserWarning, match="REPRO_JOBS='banana'"):
-            jobs = default_jobs()
-        assert jobs >= 1
-
-    def test_valid_repro_jobs_silent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_jobs() == 3
-
-
 class TestManifestAndReportUnits:
     def test_manifest_disabled_without_root(self):
         manifest = FailureManifest(None)
@@ -600,3 +587,47 @@ class TestCliFlags:
         assert policy.max_retries == ExecutionPolicy().max_retries
         assert policy.run_timeout is None
         assert policy.keep_going is False
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--run-timeout", "-1"],
+            ["--run-timeout", "0"],
+            ["--run-timeout", "nan"],
+            ["--max-retries", "-1"],
+        ],
+        ids=["negative-timeout", "zero-timeout", "nan-timeout",
+             "negative-retries"],
+    )
+    def test_nonsense_flags_exit_two(self, flags, capsys):
+        from repro.analysis.cli import main
+
+        with pytest.raises(SystemExit) as stop:
+            main(["table1", "--no-cache", "--jobs", "1", *flags])
+        assert stop.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestPolicyValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("run_timeout", -1.0),
+            ("run_timeout", 0.0),
+            ("run_timeout", float("nan")),
+            ("run_timeout", float("inf")),
+            ("max_retries", -1),
+            ("backoff_base", -0.05),
+            ("backoff_base", float("nan")),
+        ],
+    )
+    def test_nonsense_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ExecutionPolicy(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        policy = ExecutionPolicy(
+            run_timeout=None, max_retries=0, backoff_base=0.0
+        )
+        assert policy.backoff(3) == 0.0
+        assert ExecutionPolicy(run_timeout=0.001).run_timeout == 0.001

@@ -7,20 +7,19 @@ import os
 
 import pytest
 
+from repro.analysis import faults
 from repro.analysis.faults import (
     FAILED,
-    MANIFEST_MAX_MB_ENV,
     OK,
     STREAK,
     TIMEOUT,
     FailureLedger,
     FailureManifest,
     RunOutcome,
-    manifest_max_bytes,
 )
 
-#: Rotation ceiling small enough that any append rotates (~104 bytes).
-_TINY = "0.0001"
+#: Rotation ceiling small enough that any append rotates.
+_TINY = 104
 
 
 def outcome(key, status, shard="va"):
@@ -31,8 +30,7 @@ def outcome(key, status, shard="va"):
 
 
 @pytest.fixture
-def root(tmp_path, monkeypatch):
-    monkeypatch.delenv(MANIFEST_MAX_MB_ENV, raising=False)
+def root(tmp_path):
     return str(tmp_path / "failures")
 
 
@@ -42,7 +40,7 @@ def read_records(path):
 
 class TestRotation:
     def test_oversized_shard_compacts_to_streaks(self, root, monkeypatch):
-        monkeypatch.setenv(MANIFEST_MAX_MB_ENV, _TINY)
+        monkeypatch.setattr(faults, "MANIFEST_MAX_BYTES", _TINY)
         manifest = FailureManifest(root)
         with pytest.warns(UserWarning, match="rotated"):
             manifest.append(
@@ -61,7 +59,7 @@ class TestRotation:
     def test_zero_keys_are_dropped_from_the_compact_shard(
         self, root, monkeypatch
     ):
-        monkeypatch.setenv(MANIFEST_MAX_MB_ENV, _TINY)
+        monkeypatch.setattr(faults, "MANIFEST_MAX_BYTES", _TINY)
         manifest = FailureManifest(root)
         with pytest.warns(UserWarning, match="rotated"):
             manifest.append(
@@ -72,8 +70,7 @@ class TestRotation:
         assert [r["key"] for r in records] == ["sim|bbb"]
 
     def test_zero_ceiling_disables_rotation(self, root, monkeypatch):
-        monkeypatch.setenv(MANIFEST_MAX_MB_ENV, "0")
-        assert manifest_max_bytes() == 0
+        monkeypatch.setattr(faults, "MANIFEST_MAX_BYTES", 0)
         manifest = FailureManifest(root)
         manifest.append([outcome("sim|aaa", FAILED)] * 8)
         records = read_records(manifest.path_for("va"))
@@ -96,7 +93,7 @@ class TestBreakerSemantics:
         manifest.append([outcome("sim|bad", FAILED)] * 3)
         before = FailureLedger(root, threshold=3)
         assert before.tripped("sim|bad")
-        monkeypatch.setenv(MANIFEST_MAX_MB_ENV, _TINY)
+        monkeypatch.setattr(faults, "MANIFEST_MAX_BYTES", _TINY)
         with pytest.warns(UserWarning, match="rotated"):
             manifest.append([outcome("sim|other", FAILED)])
         after = FailureLedger(root, threshold=3)
@@ -108,7 +105,7 @@ class TestBreakerSemantics:
     def test_ok_after_rotation_still_closes_the_breaker(
         self, root, monkeypatch
     ):
-        monkeypatch.setenv(MANIFEST_MAX_MB_ENV, _TINY)
+        monkeypatch.setattr(faults, "MANIFEST_MAX_BYTES", _TINY)
         manifest = FailureManifest(root)
         with pytest.warns(UserWarning, match="rotated"):
             manifest.append([outcome("sim|bad", FAILED)] * 3)
@@ -120,7 +117,7 @@ class TestBreakerSemantics:
         assert not breaker.tripped("sim|bad")
 
     def test_repeated_rotations_accumulate_streaks(self, root, monkeypatch):
-        monkeypatch.setenv(MANIFEST_MAX_MB_ENV, _TINY)
+        monkeypatch.setattr(faults, "MANIFEST_MAX_BYTES", _TINY)
         manifest = FailureManifest(root)
         for _ in range(3):
             with pytest.warns(UserWarning, match="rotated"):

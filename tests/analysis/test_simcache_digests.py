@@ -134,6 +134,16 @@ TWO_SHARDS = {
 }
 
 
+#: 16 shards x 16 records: ``sim|SS|RR`` holds ``cycles = 16*SS + RR``.
+SIXTEEN_SHARDS = {
+    f"s{s:02d}": {
+        f"sim|{s:02d}|{r:02d}": {"cycles": float(16 * s + r)}
+        for r in range(16)
+    }
+    for s in range(16)
+}
+
+
 class TestLazyLoad:
     """Open indexes keys; a shard is parsed and verified on first use,
     and every answer equals what loading all shards at open gave."""
@@ -251,14 +261,7 @@ class TestLazyLoad:
     def test_a_get_verifies_only_its_own_shard(self, tmp_path, monkeypatch):
         # Work-counter gate: opening 16 shards x 16 records and reading
         # one key digests that key's shard, not the store.
-        shards = {
-            f"s{s:02d}": {
-                f"sim|{s:02d}|{r:02d}": {"cycles": float(16 * s + r)}
-                for r in range(16)
-            }
-            for s in range(16)
-        }
-        root = _fresh_store(tmp_path, shards)
+        root = _fresh_store(tmp_path, SIXTEEN_SHARDS)
         calls = []
 
         def counting_digest(payload):
@@ -271,3 +274,25 @@ class TestLazyLoad:
         assert len(calls) == 16
         assert store.stats()["entries"] == 256
         assert len(calls) == 256
+
+    def test_cli_summary_line_reads_no_untouched_shard(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The end-of-run ``cache: ...`` line reports this run's counters:
+        # an invocation that reads one key of 16 shards loads one shard.
+        from repro.analysis import cli
+
+        root = _fresh_store(tmp_path, SIXTEEN_SHARDS)
+        runners = []
+
+        def read_one_key(name, args, runner, out):
+            runners.append(runner)
+            assert runner.store.get("sim|07|03") == {"cycles": 115.0}
+
+        monkeypatch.setattr(cli, "run_experiment", read_one_key)
+        assert cli.main(["table1", "--cache", root, "--jobs", "1"]) == 0
+        assert "cache: 1 hits, 0 misses, 0 flushes, 256 entries" in (
+            capsys.readouterr().err
+        )
+        (runner,) = runners
+        assert runner.stats()["shards_loaded"] == 1

@@ -1,5 +1,5 @@
-"""Service config resolution (tolerant env, strict combinations) and
-the admission-side helpers: the 429 backoff hint and the live breaker's
+"""Service config validation (strict combinations) and the
+admission-side helpers: the 429 backoff hint and the live breaker's
 seed-from-manifest / reopen / close behaviour."""
 
 import json
@@ -8,42 +8,12 @@ import pytest
 
 from repro.analysis.faults import FailureLedger, RunOutcome
 from repro.service.admission import retry_after_hint
-from repro.service.config import (
-    DEFAULT_DEADLINE_ENV,
-    DEFAULT_QUEUE_DEPTH,
-    QUEUE_DEPTH_ENV,
-    WORKERS_MAX_ENV,
-    WORKERS_MIN_ENV,
-    ServiceConfig,
-)
+from repro.service.config import ServiceConfig
 
 
 class TestServiceConfig:
-    def test_env_knobs_resolve(self, monkeypatch):
-        monkeypatch.setenv(QUEUE_DEPTH_ENV, "16")
-        monkeypatch.setenv(WORKERS_MIN_ENV, "2")
-        monkeypatch.setenv(WORKERS_MAX_ENV, "6")
-        monkeypatch.setenv(DEFAULT_DEADLINE_ENV, "12.5")
-        config = ServiceConfig.from_env()
-        assert config.queue_depth == 16
-        assert (config.workers_min, config.workers_max) == (2, 6)
-        assert config.default_deadline_s == 12.5
-
-    def test_garbage_env_degrades_with_warning(self, monkeypatch):
-        monkeypatch.setenv(QUEUE_DEPTH_ENV, "many")
-        with pytest.warns(UserWarning, match=QUEUE_DEPTH_ENV):
-            config = ServiceConfig.from_env()
-        assert config.queue_depth == DEFAULT_QUEUE_DEPTH
-
-    def test_env_max_below_min_is_clamped_not_fatal(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_MIN_ENV, "4")
-        monkeypatch.setenv(WORKERS_MAX_ENV, "2")
-        config = ServiceConfig.from_env()
-        assert config.workers_max >= config.workers_min == 4
-
-    def test_overrides_win_and_bad_combinations_raise(self, monkeypatch):
-        monkeypatch.delenv(QUEUE_DEPTH_ENV, raising=False)
-        config = ServiceConfig.from_env(queue_depth=5, workers_min=2)
+    def test_overrides_win_and_bad_combinations_raise(self):
+        config = ServiceConfig(queue_depth=5, workers_min=2)
         assert config.queue_depth == 5 and config.workers_min == 2
         # Explicit contradictions are not knobs to degrade.
         with pytest.raises(ValueError, match="workers_max"):

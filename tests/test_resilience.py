@@ -14,22 +14,25 @@ import warnings
 import pytest
 
 from repro import resilience
-from repro.analysis.faults import FailureLedger
+from repro.analysis.faults import (
+    DEFAULT_BREAKER_THRESHOLD,
+    ExecutionPolicy,
+    FailureLedger,
+)
 from repro.exceptions import ShutdownRequested
 from repro.obs.metrics import get_registry
 from repro.resilience import (
-    DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_MIN_FREE_MB,
     DiskGuard,
     ShutdownCoordinator,
     apply_memory_limit,
-    breaker_threshold,
     get_coordinator,
     install_shutdown_handlers,
     parse_size,
     preflight_disk,
     reset_disk_guard,
 )
+from repro.service.config import ServiceConfig
 
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
@@ -56,13 +59,14 @@ class TestParseSize:
 
 
 class TestTolerantEnv:
-    """The one shared degrade-don't-die policy for every REPRO_* knob."""
+    """The one shared degrade-don't-die policy for every REPRO_* tuning
+    knob."""
 
     def test_unset_and_empty_are_silent_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resilience.env_int("REPRO_TEST_KNOB", 7) == 7
+            assert resilience.env_float("REPRO_TEST_KNOB", 7.0) == 7.0
             monkeypatch.setenv("REPRO_TEST_KNOB", "")
             assert resilience.env_float("REPRO_TEST_KNOB", 2.5) == 2.5
 
@@ -72,11 +76,11 @@ class TestTolerantEnv:
     ):
         monkeypatch.setenv("REPRO_TEST_KNOB", raw)
         with pytest.warns(UserWarning, match="REPRO_TEST_KNOB"):
-            assert resilience.env_int("REPRO_TEST_KNOB", 4) == 4
+            assert resilience.env_float("REPRO_TEST_KNOB", 4.0) == 4.0
 
     def test_valid_values_parse(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "12")
-        assert resilience.env_int("REPRO_TEST_KNOB", 1) == 12
+        assert resilience.env_float("REPRO_TEST_KNOB", 1.0) == 12.0
         monkeypatch.setenv("REPRO_TEST_KNOB", "0.25")
         assert resilience.env_float("REPRO_TEST_KNOB", 1.0) == 0.25
 
@@ -110,21 +114,11 @@ class TestTolerantEnv:
 
 
 class TestBreakerThreshold:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BREAKER_THRESHOLD", raising=False)
-        assert breaker_threshold() == DEFAULT_BREAKER_THRESHOLD
-
-    def test_env_override_and_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "5")
-        assert breaker_threshold() == 5
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "0")
-        assert breaker_threshold() == 0
-
-    @pytest.mark.parametrize("raw", ["banana", "-1"])
-    def test_garbage_warns_and_falls_back(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", raw)
-        with pytest.warns(UserWarning, match="REPRO_BREAKER_THRESHOLD"):
-            assert breaker_threshold() == DEFAULT_BREAKER_THRESHOLD
+    def test_default_when_unset(self):
+        assert DEFAULT_BREAKER_THRESHOLD == 3
+        assert ExecutionPolicy().breaker_threshold == 3
+        assert ServiceConfig().breaker_threshold == 3
+        assert FailureLedger(None).threshold == 3
 
 
 class TestShutdownCoordinator:

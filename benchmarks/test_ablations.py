@@ -102,47 +102,6 @@ class TestCliffThresholdAblation:
         assert bfs_row[2] == "None"  # no false positive on gradual curves
 
 
-class TestSubstrateKnobAblations:
-    """Optional-fidelity knobs: NoC topology and DRAM backend."""
-
-    BENCH = "pf"  # bandwidth-sensitive linear workload
-
-    def _simulate(self, **config_overrides):
-        from dataclasses import replace
-
-        from repro.gpu import GPUConfig, simulate
-        from repro.workloads import STRONG_SCALING, build_trace
-
-        cfg = replace(GPUConfig.paper_system(16), **config_overrides)
-        trace = build_trace(STRONG_SCALING[self.BENCH],
-                            capacity_scale=cfg.capacity_scale)
-        return simulate(cfg, trace)
-
-    def test_noc_topology_ordering(self):
-        xbar = self._simulate()
-        mesh = self._simulate(noc_topology="mesh")
-        rows = [
-            ["crossbar", f"{xbar.ipc:.1f}"],
-            ["mesh", f"{mesh.ipc:.1f}"],
-        ]
-        emit(render_table(["topology", "IPC (pf @16SM)"], rows,
-                          title="Ablation: NoC topology"))
-        assert mesh.ipc < xbar.ipc
-
-    def test_dram_backend_comparison(self):
-        simple = self._simulate()
-        banked = self._simulate(dram_model="banked", latency_jitter=0.0)
-        rows = [
-            ["simple", f"{simple.ipc:.1f}"],
-            ["banked", f"{banked.ipc:.1f}"],
-        ]
-        emit(render_table(["backend", "IPC (pf @16SM)"], rows,
-                          title="Ablation: DRAM backend"))
-        # Both land in the same regime (within 2x), confirming the flat
-        # model is an adequate default for the methodology.
-        assert 0.5 < banked.ipc / simple.ipc < 2.0
-
-
 class TestThirdScaleModelAblation:
     """Does adding a 32-SM third scale model help each method?
 

@@ -10,9 +10,10 @@ Prints one line once the socket is listening::
 
 so harnesses can bind ``--port 0`` and parse the assigned port.
 
-Exit codes follow the repository contract: 0 clean stop, 75 drained on
-SIGTERM/SIGINT (everything accepted was answered or manifested; rerun
-or restart to resume), 128+signum on a second signal.
+Exit codes follow the repository contract: 0 clean stop, 2 on an
+out-of-range flag (before anything binds), 75 drained on SIGTERM/SIGINT
+(everything accepted was answered or manifested; rerun or restart to
+resume), 128+signum on a second signal.
 """
 
 from __future__ import annotations
@@ -23,8 +24,21 @@ import os
 import sys
 
 from repro.obs import bootstrap
-from repro.resilience import apply_memory_limit, install_shutdown_handlers
+from repro.resilience import (
+    EXIT_ERROR,
+    apply_memory_limit,
+    install_shutdown_handlers,
+)
 from repro.service import PredictionService, ServiceConfig
+
+#: Flags that override the ``ServiceConfig`` field of the same name.
+FLAG_FIELDS = (
+    "workers_min",
+    "workers_max",
+    "queue_depth",
+    "default_deadline_s",
+    "breaker_threshold",
+)
 
 
 def main(argv=None) -> int:
@@ -43,6 +57,7 @@ def main(argv=None) -> int:
     parser.add_argument("--queue-depth", type=int, default=None)
     parser.add_argument(
         "--default-deadline",
+        dest="default_deadline_s",
         type=float,
         default=None,
         help="per-request deadline in seconds when the client sends none",
@@ -56,26 +71,22 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    # Unclamped: ServiceConfig rejects an out-of-range flag, and the
+    # service then exits 2 before it binds, as the batch CLIs do.
+    overrides = {"host": args.host, "port": args.port}
+    overrides["store_root"] = args.store or None
+    for name in FLAG_FIELDS:
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
+    try:
+        config = ServiceConfig(**overrides)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_ERROR
+
     bootstrap()
     apply_memory_limit()
     install_shutdown_handlers()
-
-    overrides = {"host": args.host, "port": args.port}
-    overrides["store_root"] = args.store or None
-    if args.workers_min is not None:
-        overrides["workers_min"] = max(1, args.workers_min)
-    if args.workers_max is not None:
-        overrides["workers_max"] = max(
-            overrides.get("workers_min", 1), args.workers_max
-        )
-    if args.queue_depth is not None:
-        overrides["queue_depth"] = max(1, args.queue_depth)
-    if args.default_deadline is not None:
-        overrides["default_deadline_s"] = max(0.1, args.default_deadline)
-    if args.breaker_threshold is not None:
-        overrides["breaker_threshold"] = max(0, args.breaker_threshold)
-
-    config = ServiceConfig(**overrides)
     service = PredictionService(config)
 
     async def run() -> int:

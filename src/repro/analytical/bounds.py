@@ -91,7 +91,7 @@ def analyze(
         hit = config.l1_hit_latency
         llc = (
             config.l1_hit_latency
-            + 2 * config.effective_noc_latency
+            + 2 * config.noc_latency
             + config.llc_latency
         )
         dram = llc + config.dram_latency

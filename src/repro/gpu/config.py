@@ -80,9 +80,6 @@ class GPUConfig:
     noc_bisection_bps: float = 2606.0 * GBPS
     noc_request_bytes: int = 32
     noc_latency: float = 20.0
-    # Interconnect topology: "crossbar" (the paper's NoC, default) or
-    # "mesh"/"ring" for design-space ablations (see repro.gpu.noc).
-    noc_topology: str = "crossbar"
 
     # DRAM (per-MC bandwidth fixed; MC count scaled proportionally).
     num_mcs: int = 16
@@ -97,10 +94,6 @@ class GPUConfig:
     # realism this decorrelates warp phases; without it, deterministic
     # latencies lock thousands of warps into synchronized request bursts.
     latency_jitter: float = 0.3
-    # Memory backend: "simple" (bandwidth server + jittered latency, the
-    # calibrated default) or "banked" (explicit banks with row buffers,
-    # see repro.gpu.dram; used for fidelity ablations).
-    dram_model: str = "simple"
 
     # Fixed host-side overhead between back-to-back kernel launches, in
     # cycles (~5 us on real hardware).  Default 0: the paper's simulations
@@ -131,14 +124,6 @@ class GPUConfig:
         if self.cta_scheduler not in ("round_robin", "contiguous"):
             raise ConfigurationError(
                 f"unknown cta_scheduler {self.cta_scheduler!r}"
-            )
-        if self.noc_topology not in ("crossbar", "mesh", "ring"):
-            raise ConfigurationError(
-                f"unknown noc_topology {self.noc_topology!r}"
-            )
-        if self.dram_model not in ("simple", "banked"):
-            raise ConfigurationError(
-                f"dram_model must be 'simple' or 'banked', got {self.dram_model!r}"
             )
         if not (0 <= self.latency_jitter < 1):
             raise ConfigurationError(
@@ -202,19 +187,8 @@ class GPUConfig:
 
     @property
     def noc_bytes_per_cycle(self) -> float:
-        """Effective NoC bytes/cycle for the configured topology."""
-        from repro.gpu.noc import build_noc_model
-
-        model = build_noc_model(self.noc_topology, self.num_sms + self.llc_slices)
-        return model.effective_bandwidth(self.noc_bisection_bps) / self.sm_clock_hz
-
-    @property
-    def effective_noc_latency(self) -> float:
-        """Per-traversal NoC latency for the configured topology."""
-        from repro.gpu.noc import build_noc_model
-
-        model = build_noc_model(self.noc_topology, self.num_sms + self.llc_slices)
-        return model.traversal_latency(self.noc_latency)
+        """Crossbar bisection bytes/cycle seen by the timing model."""
+        return self.noc_bisection_bps / self.sm_clock_hz
 
     @property
     def mc_bytes_per_cycle(self) -> float:

@@ -1,17 +1,17 @@
 """FIFO queue state as plain numbers.
 
 Every contended resource of the GPU model — SM issue pipelines, NoC
-channels, LLC ports, memory controllers, DRAM banks and buses, MCM
-links — is a non-preemptive FIFO server: a request arriving at ``now``
-starts at ``max(now, next_free)`` and holds the server for its service
-time.  The simulation kernel delivers requests in time order, so this
+channels, LLC ports, memory controllers, MCM links — is a
+non-preemptive FIFO server: a request arriving at ``now`` starts at
+``max(now, next_free)`` and holds the server for its service time.
+The simulation kernel delivers requests in time order, so this
 next-free-time recurrence is an exact queueing model.
 
 A queue is a ``[next_free, busy_time, requests]`` list owned by the
 module that serves it.  The per-access paths
 (``MemorySubsystem.shared_path`` and ``GPUSimulator._advance_warp``) write
-the recurrence inline; the cold paths (SM tails, banked DRAM, MCM links)
-call :func:`serve`.
+the recurrence inline; the cold paths (SM tails, MCM links) call
+:func:`serve`.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.gpu.cache import SetAssocCache
 from repro.gpu.config import GPUConfig
-from repro.gpu.dram import BankedDram
 from repro.gpu.fifo import new_queue, queue_state, utilization
 from repro.memory_regions import BYPASS_BASE
 from repro.validate import validate_config
@@ -166,7 +165,7 @@ class MemorySubsystem:
         self.config = validate_config(config)
         self.l1s: List[L1Cache] = [L1Cache(config, i) for i in range(config.num_sms)]
         # The queues (repro.gpu.fifo): NoC request and response channels,
-        # one tag port per LLC slice, one simple-model controller per MC.
+        # one tag port per LLC slice, one bandwidth queue per MC.
         self.noc_request = new_queue()
         self.noc_response = new_queue()
         sets = config.llc_sets_per_slice
@@ -176,18 +175,6 @@ class MemorySubsystem:
         ]
         self.llc_ports = [new_queue() for _ in range(config.llc_slices)]
         self.mcs = [new_queue() for _ in range(config.num_mcs)]
-        self.banked_mcs: List[BankedDram] = (
-            [
-                BankedDram(
-                    config.mc_bytes_per_cycle,
-                    line_size=config.line_size,
-                    name=f"mc{i}",
-                )
-                for i in range(config.num_mcs)
-            ]
-            if config.dram_model == "banked"
-            else []
-        )
         # Constants of the access path, bound once instead of read off
         # ``config`` per access.
         self._num_slices = config.llc_slices
@@ -198,14 +185,14 @@ class MemorySubsystem:
         self._request_service = config.noc_request_bytes / config.noc_bytes_per_cycle
         self._response_service = config.line_size / config.noc_bytes_per_cycle
         self._mc_service = config.line_size / config.mc_bytes_per_cycle
-        self._noc_latency = config.effective_noc_latency
+        self._noc_latency = config.noc_latency
         self._l1_hit_latency = config.l1_hit_latency
         self._llc_latency = config.llc_latency
         self._dram_latency = config.dram_latency
         # Deterministic LCG driving per-access latency jitter (see
         # GPUConfig.latency_jitter): reproducible, yet decorrelates warps.
-        # Every non-bypass LLC probe and every simple-model DRAM read
-        # takes the next scale factor off the tape.
+        # Every non-bypass LLC probe and every DRAM read takes the next
+        # scale factor off the tape.
         self._jitter = config.latency_jitter
         self._next_scale = (
             chain.from_iterable(_jitter_tape(self._jitter)).__next__
@@ -365,26 +352,18 @@ class MemorySubsystem:
                 where = LLC_HIT
             else:
                 # An LLC miss, or a no-allocate streaming line (never
-                # cached): one line read through the memory backend.
+                # cached): one line read through its memory controller.
                 self.llc_misses += 1
                 where = DRAM
-                if self.banked_mcs:
-                    # Banked model: row-buffer state supplies the latency
-                    # variation (no synthetic jitter on top); a fixed
-                    # controller overhead stands in for command queues
-                    # and the PHY.
-                    banked = self.banked_mcs[hashed % len(self.banked_mcs)]
-                    t = banked.access(t, line) + 0.5 * self._dram_latency
-                else:
-                    mc = self.mcs[hashed % self._num_mcs]
-                    if mc[0] > t:
-                        t = mc[0]
-                    service = self._mc_service
-                    t += service
-                    mc[0] = t
-                    mc[1] += service
-                    mc[2] += 1
-                    t += self._dram_latency * self._next_scale()
+                mc = self.mcs[hashed % self._num_mcs]
+                if mc[0] > t:
+                    t = mc[0]
+                service = self._mc_service
+                t += service
+                mc[0] = t
+                mc[1] += service
+                mc[2] += 1
+                t += self._dram_latency * self._next_scale()
 
         # The response line crosses the NoC back to the SM.
         link = self.noc_response
@@ -409,7 +388,7 @@ class MemorySubsystem:
         """The scalar LCG state after the jitter draws made so far.
 
         One draw per non-bypass LLC probe (the slices count those) and
-        per simple-model DRAM read (the controllers count those).
+        per DRAM read (the controllers count those).
         """
         if not self._jitter:
             return _LCG_SEED
@@ -426,7 +405,6 @@ class MemorySubsystem:
             "llc_slices": [s.state_dict() for s in self.llc_slices],
             "llc_ports": [queue_state(p) for p in self.llc_ports],
             "mcs": [queue_state(mc, self._line_size) for mc in self.mcs],
-            "banked_mcs": [b.state_dict() for b in self.banked_mcs],
             "rng_state": self.rng_state(),
             "prune_countdown": self._prune_countdown,
             "l1_hits": self.l1_hits,

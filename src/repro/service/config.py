@@ -46,7 +46,11 @@ class ServiceConfig:
                 f"workers_max ({self.workers_max}) must be >= "
                 f"workers_min ({self.workers_min})"
             )
-        if self.default_deadline_s <= 0:
+        if not self.default_deadline_s > 0:
             raise ValueError(
                 f"default_deadline_s must be > 0, got {self.default_deadline_s}"
+            )
+        if self.breaker_threshold < 0:
+            raise ValueError(
+                f"breaker_threshold must be >= 0, got {self.breaker_threshold}"
             )

@@ -323,7 +323,8 @@ class PredictionService:
                 "recycles": self.supervisor.recycles,
             },
             "breaker": self.breaker.snapshot(),
-            "store": self.store.stats(),
+            # The counters read so far: a stats call loads no shard.
+            "store": self.store.counters(),
             "draining": self.draining,
             "metrics": snapshot,
         }

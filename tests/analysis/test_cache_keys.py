@@ -33,10 +33,10 @@ LEDGER = os.path.join(
 #: System half of a key, by size; ``None`` is the unscaled baseline an
 #: MRC is collected against.
 CONFIG_HALF = {
-    8: "b5ef46454c28173e",
-    16: "ed60bfc66d8a5f59",
-    32: "546e082ba6b2bcb8",
-    None: "d5f0b39d6d003a4e",
+    8: "1a9ba5954505028f",
+    16: "07aef57d1b1d5ba1",
+    32: "c92688db18b61009",
+    None: "3992c4b1ffe7338c",
 }
 #: Spec half of the zoo sample's keys: ``abbr -> (sim, mrc)``.
 ZOO_SPEC_HALF = {

@@ -357,7 +357,11 @@ class TestWorkflowDegradation:
 
 class TestMergeExceptionSafety:
     def test_staged_records_flush_when_a_put_raises(self, tmp_path):
-        poison_key = req(BP, size=16).key
+        requests = [req(BP), req(BP, size=16), req(VA)]
+        # The merge puts in key order: poisoning the last key leaves
+        # every other record staged before the failure, whatever the
+        # key hashes are.
+        poison_key = max(request.key for request in requests)
 
         class PoisonedStore(ResultStore):
             def put(self, key, payload, shard="misc"):
@@ -368,12 +372,15 @@ class TestMergeExceptionSafety:
         store = PoisonedStore(str(tmp_path / "simcache"))
         runner = ParallelRunner(store, jobs=1)
         with pytest.raises(ValueError, match="disk full"):
-            runner.run_batch([req(BP), req(BP, size=16), req(VA)])
+            runner.run_batch(requests)
         # The batching window was restored and everything staged before
         # (and despite) the failure reached disk.
         assert store.flush_every == 1
         reloaded = ResultStore(str(tmp_path / "simcache"))
-        assert reloaded.contains(req(BP).key)
+        for request in requests:
+            assert reloaded.contains(request.key) == (
+                request.key != poison_key
+            )
 
     def test_merge_preserves_flush_every(self, tmp_path):
         store = ResultStore(str(tmp_path / "simcache"), flush_every=5)

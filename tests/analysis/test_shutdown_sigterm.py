@@ -8,7 +8,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -20,27 +19,50 @@ SRC = os.path.join(
     "src",
 )
 
-# A small campaign slow enough (~2.3 s per run) that a SIGTERM a few
-# seconds after READY is guaranteed to land mid-batch.  Completed
-# results merge to the store when the batch winds down (the drain path
-# merges too), so the parent cannot watch the shard for progress — it
-# waits for READY and then signals on a timer.
+# With a third argument the child prints CONCLUDED when the batch's
+# first run concludes, then holds the coordinator until the parent's
+# SIGTERM has landed.  So the signal arrives mid-batch by construction,
+# on any host: one run is done, at most one more is in flight
+# (jobs <= 2), and at least four of the six were never started.
+# Completed results merge to the store when the batch winds down (the
+# drain path merges too).
 CHILD = """\
-import os, sys
+import os, sys, time
 
 from repro.analysis.faults import ExecutionPolicy
 from repro.analysis.parallel import ParallelRunner, RunRequest
 from repro.analysis.simcache import ResultStore
 from repro.exceptions import ShutdownRequested
-from repro.resilience import EXIT_INTERRUPTED, EXIT_OK, install_shutdown_handlers
+from repro.resilience import (
+    EXIT_INTERRUPTED, EXIT_OK, get_coordinator, install_shutdown_handlers,
+)
 from repro.workloads import STRONG_SCALING
+
+
+class AnnouncingRunner(ParallelRunner):
+    announced = len(sys.argv) < 4  # the rerun neither announces nor waits
+
+    def _conclude(self, *args, **kwargs):
+        retry = super()._conclude(*args, **kwargs)
+        if not self.announced:
+            self.announced = True
+            print("CONCLUDED", flush=True)
+            deadline = time.monotonic() + 60.0
+            while not get_coordinator().requested:
+                if time.monotonic() > deadline:
+                    sys.exit("no SIGTERM within 60 s of CONCLUDED")
+                time.sleep(0.01)
+        return retry
+
 
 root, jobs = sys.argv[1], int(sys.argv[2])
 install_shutdown_handlers()
 store = ResultStore(os.path.join(root, "simcache"))
-runner = ParallelRunner(store, jobs=jobs, policy=ExecutionPolicy(keep_going=True))
+runner = AnnouncingRunner(
+    store, jobs=jobs, policy=ExecutionPolicy(keep_going=True)
+)
 requests = [
-    RunRequest("sim", STRONG_SCALING["va"], size=8, work_scale=2.0, seed=seed)
+    RunRequest("sim", STRONG_SCALING["va"], size=8, work_scale=0.5, seed=seed)
     for seed in range(6)
 ]
 print("READY", flush=True)
@@ -66,16 +88,14 @@ def test_sigterm_mid_batch_drains_resumably(tmp_path, jobs):
     root = tmp_path / "results"
     argv = [sys.executable, str(script), str(root), str(jobs)]
     proc = subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=campaign_env(),
+        argv + ["announce"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=campaign_env(),
     )
     try:
         assert proc.stdout.readline().strip() == "READY"
-        # ~3 s into an ~14 s (serial) / ~7 s (pool, three waves of two)
-        # batch: some runs are done, some are in flight, some were never
-        # started — on a host twice as slow the first wave is still in
-        # flight and completes during the drain.
-        time.sleep(3.0)
+        assert proc.stdout.readline().strip() == "CONCLUDED", (
+            proc.communicate()
+        )
         assert proc.poll() is None, proc.communicate()
         proc.send_signal(signal.SIGTERM)
         out, err = proc.communicate(timeout=120)

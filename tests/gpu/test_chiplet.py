@@ -147,16 +147,11 @@ class TestMcmScaling:
 
 class TestRemoteSharesTheLocalPath:
     """The remote path runs the chiplet's own ``MemorySubsystem.access``
-    around a home-chiplet detour; three things a hand-copied L1 front
-    half used to get wrong."""
+    around a home-chiplet detour; two things a hand-copied L1 front half
+    used to get wrong."""
 
-    def remote_setup(self, **chiplet_overrides):
-        config = tiny_mcm()
-        if chiplet_overrides:
-            config = replace(
-                config, chiplet=replace(config.chiplet, **chiplet_overrides)
-            )
-        mem = McmMemory(config)
+    def remote_setup(self):
+        mem = McmMemory(tiny_mcm())
         # Chiplet 0 first-touches the pages; SM 2 (chiplet 1) is remote.
         for line in range(0, 8192, 32):
             mem.home_of(line, toucher=0)
@@ -182,20 +177,3 @@ class TestRemoteSharesTheLocalPath:
         assert mem.remote_accesses == 5
         assert local._drop_miss_budget == 0
         assert local.l1_misses == 2  # three increments swallowed
-
-    @pytest.mark.parametrize("topology", ["mesh", "ring"])
-    def test_remote_latency_uses_the_topology_noc_latency(self, topology):
-        # 16 NoC endpoints per chiplet: enough for both topologies to
-        # average more than one hop.  SM 8 is chiplet 1's first.
-        size = dict(num_sms=8, llc_slices=8)
-        crossbar = self.remote_setup(**size)
-        derated = self.remote_setup(noc_topology=topology, **size)
-        t_crossbar, __ = access(crossbar, 8, 0, 0.0)
-        t_derated, __ = access(derated, 8, 0, 0.0)
-        assert derated.remote_accesses == 1
-        chiplet = derated.config.chiplet
-        extra_hop = chiplet.effective_noc_latency - chiplet.noc_latency
-        assert extra_hop > 0
-        # Four NoC traversals (local and home, each way) pay the
-        # topology's latency; the derated bisection adds transfer time.
-        assert t_derated - t_crossbar >= 4 * extra_hop

@@ -244,9 +244,6 @@ def reference_access(
     cfg = mem.config
 
     def dram(hashed, t):
-        if mem.banked_mcs:
-            banked = mem.banked_mcs[hashed % len(mem.banked_mcs)]
-            return banked.access(t, line) + 0.5 * cfg.dram_latency
         mc = mem.mcs[hashed % len(mem.mcs)]
         t = fifo(mc, t, cfg.line_size / cfg.mc_bytes_per_cycle)
         return t + cfg.dram_latency * lcg.scale()
@@ -263,7 +260,7 @@ def reference_access(
         return pending, MERGED
     t = mshr_acquire(l1, now) + cfg.l1_hit_latency
     t = fifo(mem.noc_request, t, cfg.noc_request_bytes / cfg.noc_bytes_per_cycle)
-    t += cfg.effective_noc_latency
+    t += cfg.noc_latency
     hashed = scalar_hash(line)
     slice_id = hashed % len(mem.llc_slices)
     t = fifo(mem.llc_ports[slice_id], t, 1.0 / cfg.llc_slice_throughput)
@@ -280,7 +277,7 @@ def reference_access(
             mem.llc_misses += 1
             t, where = dram(hashed, t), DRAM
     t = fifo(mem.noc_response, t, cfg.line_size / cfg.noc_bytes_per_cycle)
-    t += cfg.effective_noc_latency
+    t += cfg.noc_latency
     l1.in_flight[line] = t
     mshr_hold(l1, t)
     mem._prune_countdown -= 1
@@ -290,14 +287,13 @@ def reference_access(
     return t, where
 
 
-def differential_config(jitter: float, dram_model: str, topology="crossbar"):
+def differential_config(jitter: float):
     """Tiny caches, so a short stream already hits, merges, evicts and
     waits for MSHRs."""
     return small_config(
         l1_size=4 * 128, l1_assoc=2, l1_mshrs=2,
         llc_size=16 * 128, llc_assoc=2, num_mcs=2,
-        latency_jitter=jitter, dram_model=dram_model,
-        noc_topology=topology,
+        latency_jitter=jitter,
     )
 
 
@@ -320,11 +316,9 @@ class TestFlatPathMatchesPrimitives:
     @given(
         stream=ACCESS_STREAM,
         jitter=st.sampled_from([0.0, 0.25]),
-        dram_model=st.sampled_from(["simple", "banked"]),
-        topology=st.sampled_from(["crossbar", "mesh"]),
     )
-    def test_differential(self, stream, jitter, dram_model, topology):
-        cfg = differential_config(jitter, dram_model, topology)
+    def test_differential(self, stream, jitter):
+        cfg = differential_config(jitter)
         flat, reference = MemorySubsystem(cfg), MemorySubsystem(cfg)
         lcg = ScalarLcg(jitter)
         # A shortened prune period so streams this short cross it.
@@ -365,10 +359,9 @@ class TestJitterTape:
             lcg.scale()
             assert lcg_jump(_LCG_SEED, draws) == lcg.state
 
-    @pytest.mark.parametrize("dram_model", ["simple", "banked"])
     @pytest.mark.parametrize("jitter", [0.25, 0.3])
-    def test_tape_matches_scalar_lcg_across_chunks(self, jitter, dram_model):
-        cfg = differential_config(jitter, dram_model)
+    def test_tape_matches_scalar_lcg_across_chunks(self, jitter):
+        cfg = differential_config(jitter)
         flat, reference = MemorySubsystem(cfg), MemorySubsystem(cfg)
         lcg = ScalarLcg(jitter)
         rng = np.random.default_rng(3)

@@ -3,6 +3,9 @@ admission-side helpers: the 429 backoff hint and the live breaker's
 seed-from-manifest / reopen / close behaviour."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +25,38 @@ class TestServiceConfig:
             ServiceConfig(queue_depth=0)
         with pytest.raises(ValueError, match="default_deadline_s"):
             ServiceConfig(default_deadline_s=0)
+        # 0 disables the breaker; below that is nonsense.
+        assert ServiceConfig(breaker_threshold=0).breaker_threshold == 0
+        with pytest.raises(ValueError, match="breaker_threshold"):
+            ServiceConfig(breaker_threshold=-1)
+
+
+REPO = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--queue-depth", "0", "queue_depth"),
+        ("--workers-min", "0", "workers_min"),
+        ("--default-deadline", "-5", "default_deadline_s"),
+        ("--default-deadline", "nan", "default_deadline_s"),
+        ("--breaker-threshold", "-1", "breaker_threshold"),
+    ],
+)
+def test_serve_rejects_out_of_range_flags_before_binding(flag, value, field):
+    # Unclamped, as the batch CLIs: exit 2 and never announce a socket.
+    done = subprocess.run(
+        [sys.executable, os.path.join(REPO, "scripts", "serve.py"),
+         "--port", "0", "--store", "", flag, value],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")),
+    )
+    assert done.returncode == 2, (done.stdout, done.stderr)
+    assert "listening" not in done.stdout
+    assert field in done.stderr
 
 
 class TestRetryAfterHint:

@@ -10,6 +10,7 @@ every assertion: worker spawn costs ~1s and is the dominant term.
 
 import asyncio
 
+from repro.analysis.simcache import ResultStore
 from repro.service import PredictionService, ServiceConfig
 
 from .harness import post
@@ -88,3 +89,17 @@ async def scenario(tmp_path):
 
 def test_service_end_to_end(tmp_path):
     asyncio.run(scenario(tmp_path))
+
+
+def test_statsz_reads_no_shard(tmp_path):
+    # /statsz reports the store's counters so far: over a 16-shard store
+    # it parses and verifies none of them.
+    root = str(tmp_path / "simcache")
+    store = ResultStore(root)
+    for shard in range(16):
+        store.put(f"sim|{shard:02d}", {"cycles": 1.0}, shard=f"s{shard:02d}")
+    store.flush()
+    service = PredictionService(ServiceConfig(store_root=root))
+    stats = service._statsz()["store"]
+    assert stats["shards_loaded"] == 0
+    assert stats["entries"] == 16

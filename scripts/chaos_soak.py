@@ -14,8 +14,8 @@ resilience invariants this repository promises:
 2. **Cache shards stay parseable** — the fresh load itself is the check:
    a torn append may cost one corrupt *line* (quarantined + salvaged),
    never a crash and never a neighbouring record.
-3. **Every failure has a manifest entry** — each ``failed``/``timeout``/
-   ``oom`` outcome appears in ``failures/<shard>.jsonl`` with its key.
+3. **Every failure has a failure record** — each ``failed``/``timeout``/
+   ``oom`` outcome has a failure record under its key in the store.
 4. **A resumed campaign converges** — after the faults clear, a rerun
    over the same store completes every run and the final payloads are
    bit-identical (``wall_time_s``, a host-time measurement, excluded)
@@ -34,7 +34,6 @@ otherwise.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import shutil
@@ -73,9 +72,10 @@ def matrix() -> list:
 def fault_plan(rng: random.Random) -> str:
     """One seeded schedule: 1-3 directives over runs and write seams.
 
-    Manifest/trace/metrics seams are deliberately not broken here — the
-    "every failure has a manifest entry" invariant needs the manifest
-    writable (dedicated tests cover those seams degrading gracefully).
+    Trace/metrics seams are deliberately not broken here (dedicated
+    tests cover them degrading gracefully).  Failure records ride the
+    store seam, so invariant 3 also checks that a failed append keeps
+    them pending until the drain flush.
     """
     candidates = [
         f"fail:sim|{rng.choice(ABBRS)}:1",       # fails once, retry wins
@@ -118,27 +118,6 @@ def run_campaign(root: str, jobs: int, plan: str = "") -> tuple:
     return report, store.stats()
 
 
-def manifest_keys(root: str) -> set:
-    keys = set()
-    failures = os.path.join(root, "failures")
-    if not os.path.isdir(failures):
-        return keys
-    for fname in sorted(os.listdir(failures)):
-        if not fname.endswith(".jsonl"):
-            continue
-        with open(os.path.join(failures, fname)) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn trailing line: tolerated by contract
-                if isinstance(record, dict) and record.get("status") != OK:
-                    keys.add(record.get("key"))
-    return keys
-
-
 def run_trial(
     trial: int, rng: random.Random, reference: dict, ledger: dict
 ) -> list:
@@ -158,14 +137,13 @@ def run_trial(
                     f"trial {trial}: completed result {outcome.key} "
                     "missing from the reloaded store"
                 )
-        # 3: every run that did not complete is in the manifest (a
+        # 3: every run that did not complete has a failure record (a
         # skipped one through the records that tripped its breaker).
-        recorded = manifest_keys(root)
         for outcome in report.failures:
-            if outcome.key not in recorded:
+            if not reloaded.failures(outcome.key):
                 problems.append(
                     f"trial {trial}: {outcome.status} run {outcome.key} "
-                    "has no failure-manifest entry"
+                    "has no failure record"
                 )
         # 4: the resumed campaign completes and converges.
         resumed, _ = run_campaign(root, jobs)

@@ -12,8 +12,8 @@ repeated runs are served from the sharded store in results/simcache/.
 Execution is fault-tolerant: ``--max-retries`` / ``--run-timeout``
 bound retries and hangs per run, and ``--keep-going`` completes every
 experiment it can when one fails, exiting 1 with a failure summary
-instead of a traceback; failed runs are recorded under
-``results/failures/``.  A retried or killed run is re-run from its
+instead of a traceback; failed runs are recorded as failure records in
+the result store.  A retried or killed run is re-run from its
 start; every completed result is already in the store.
 """
 

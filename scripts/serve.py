@@ -12,7 +12,7 @@ so harnesses can bind ``--port 0`` and parse the assigned port.
 
 Exit codes follow the repository contract: 0 clean stop, 2 on an
 out-of-range flag (before anything binds), 75 drained on SIGTERM/SIGINT
-(everything accepted was answered or manifested; rerun or restart to
+(everything accepted was answered or recorded; rerun or restart to
 resume), 128+signum on a second signal.
 """
 

@@ -33,8 +33,8 @@ Phases:
                  cache hits sent into the same burst are 200, never
                  429 — a memoized answer takes no queue slot
   drain          SIGTERM mid-load: in-flight finishes (200), queued
-                 drains (503 ``drained``), manifest records the
-                 casualties, exit code is 75
+                 drains (503 ``drained``), store failure records
+                 name the casualties, exit code is 75
 
 Usage:
   PYTHONPATH=src python scripts/service_chaos.py --quick
@@ -513,26 +513,23 @@ def phase_drain(rng, quick, violations):
             f"drain: queued runs should report drained, got {statuses}",
             violations,
         )
-        manifest_root = os.path.join(
-            os.path.dirname(phase.store), "failures"
-        )
         interrupted = 0
-        if os.path.isdir(manifest_root):
-            for name in os.listdir(manifest_root):
+        if os.path.isdir(phase.store):
+            for name in os.listdir(phase.store):
                 if not name.endswith(".jsonl"):
                     continue
-                with open(os.path.join(manifest_root, name)) as handle:
+                with open(os.path.join(phase.store, name)) as handle:
                     for line in handle:
                         if not line.strip():
                             continue
-                        record = json.loads(line)
-                        if record.get("status") == "interrupted":
+                        failure = json.loads(line).get("failure") or {}
+                        if failure.get("status") == "interrupted":
                             interrupted += 1
         drained_count = statuses.count("drained")
         check(
             interrupted >= drained_count,
             f"drain: {drained_count} drained job(s) but only {interrupted} "
-            "interrupted manifest record(s) — a rerun could not find them",
+            "interrupted failure record(s) — a rerun could not find them",
             violations,
         )
     print("  phase drain: ok")

@@ -226,7 +226,7 @@ def main(argv=None) -> int:
         cache_dir = tempfile.mkdtemp(prefix="repro-zoo-")
     try:
         # keep_going: one pathological generated workload is a recorded
-        # casualty (manifest + breaker), never the whole campaign.
+        # casualty (failure record + breaker), never the whole campaign.
         runner = CachedRunner(
             os.path.join(cache_dir, "simcache"),
             jobs=jobs,

@@ -7,7 +7,6 @@ from repro.analysis.classify import classify_scaling
 from repro.analysis.faults import (
     BatchReport,
     ExecutionPolicy,
-    FailureManifest,
     RunOutcome,
 )
 from repro.analysis.parallel import ParallelRunner, RunRequest
@@ -19,7 +18,6 @@ __all__ = [
     "BatchReport",
     "CachedRunner",
     "ExecutionPolicy",
-    "FailureManifest",
     "ParallelRunner",
     "ResultStore",
     "RunOutcome",

@@ -22,18 +22,20 @@ the batch.  ``--max-retries`` bounds re-execution of failed runs,
 zero, or a negative retry count, exits 2), and ``--keep-going`` finishes
 the remaining experiments when one fails, exiting with a failure summary
 (and exit code 1) instead of a traceback.  Failed runs are recorded in
-``results/failures/<benchmark>.jsonl`` with enough context to re-run.
+the result store, as failure records under their keys, with enough
+context to re-run.
 
 Interrupts are drains, not losses (``docs/ARCHITECTURE.md``
 § "Resilience"): the first SIGINT/SIGTERM stops submitting runs, lets
-in-flight runs finish, flushes completed results and the failure
-manifest, and exits with the resumable code 75 — rerun the same command
+in-flight runs finish, flushes completed results and failure records,
+and exits with the resumable code 75 — rerun the same command
 to resume from the cache.  A second signal force-quits (``128+signum``).
 A free-disk guard (``REPRO_MIN_FREE_MB``) pauses cache writes under
 pressure instead of crashing; ``REPRO_MAX_RSS`` caps per-process
 memory so a pathological run fails alone.  Configs that keep failing
 (3 consecutive terminal failures on record) are skipped by later
-``--keep-going`` invocations until ``--retry-quarantined`` re-arms them.
+``--keep-going`` invocations until ``--retry-quarantined`` re-runs them
+and a success supersedes their failure record.
 The run is the unit of recovery: a run that dies is re-run from its
 start, and nothing finished is lost.
 
@@ -99,7 +101,8 @@ def add_execution_flags(
                              "instead of a traceback")
     parser.add_argument("--retry-quarantined", action="store_true",
                         help="re-attempt configs the per-config circuit "
-                             "breaker would skip (see results/failures/)")
+                             "breaker would skip; a success supersedes "
+                             "their failure record and re-arms them")
     parser.add_argument("--trace-out", default=None,
                         help="write a Chrome trace_event JSON "
                              "(chrome://tracing / Perfetto) of this run")
@@ -185,7 +188,7 @@ def build_runner(args, *output_dirs: str):
         jobs=args.jobs if args.jobs is not None else default_jobs(),
         policy=policy,
     )
-    preflight_disk(runner.store.root, runner.ledger.root, *output_dirs)
+    preflight_disk(runner.store.root, *output_dirs)
     return obs, coordinator, runner
 
 

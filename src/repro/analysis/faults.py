@@ -16,13 +16,12 @@ path (:class:`repro.analysis.parallel.ParallelRunner`) and the service
 * :class:`BatchReport` — the per-batch aggregate: outcomes in key order,
   pool-death count, whether execution degraded to serial;
   :func:`health_sentence` is the one summary line.
-* :class:`FailureManifest` — append-only ``results/failures/<shard>.jsonl``
-  records with enough context (kind, benchmark, size, scale, seed,
-  method, traceback) to re-run every casualty.
-* :class:`FailureLedger` — the manifest plus the live per-config
-  failure streaks and the circuit-breaker gate over them: the one
-  recording rule (:meth:`FailureLedger.record`) and the one answer to
-  "is this config tripped?" (:meth:`FailureLedger.tripped`).
+* :class:`FailureLedger` — the per-config failure streaks, kept as
+  failure records in the result store with enough context (kind,
+  benchmark, size, scale, seed, method, traceback) to re-run every
+  casualty, and the circuit-breaker gate over them: the one recording
+  rule (:meth:`FailureLedger.record`) and the one answer to "is this
+  config tripped?" (:meth:`FailureLedger.tripped`).
 * **Deterministic fault injection** — the ``REPRO_FAULT_INJECT``
   environment variable arms :func:`maybe_inject`, which the worker entry
   point calls before every attempt.  Tests (and CI) use it to exercise
@@ -53,10 +52,10 @@ therefore never contain ``:`` or ``,``.
 
 The filesystem directives (``enospc``/``partial-write``/``slow-io``)
 target *write seams*, not runs: ``<op>`` prefix-matches one of
-:data:`IO_OPS` (``store``, ``trace``, ``metrics``, ``manifest``,
-``journal``), the labels :mod:`repro.fsio` writers are called with; an
-``<op>`` that matches none is refused at parse time, so a mistyped
-chaos schedule cannot pass green while injecting nothing.
+:data:`IO_OPS` (``store``, ``trace``, ``metrics``, ``journal``), the
+labels :mod:`repro.fsio` writers are called with; an ``<op>`` that
+matches none is refused at parse time, so a mistyped chaos schedule
+cannot pass green while injecting nothing.
 They are consumed through :func:`next_io_fault`; the fired-count
 bookkeeping is per process (pool workers count their own), and
 :func:`reset_io_faults` rewinds it between chaos phases.
@@ -72,32 +71,25 @@ run, so a retried run misbehaves identically.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
-import re
 import threading
 import time
-import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro import fsio
 from repro.exceptions import ConfigurationError, ReproError
 
 __all__ = [
     "ExecutionPolicy",
     "RunOutcome",
     "BatchReport",
-    "FailureManifest",
     "FailureLedger",
     "InjectedFaultError",
     "FAULT_INJECT_ENV",
     "IO_OPS",
     "DEFAULT_BREAKER_THRESHOLD",
-    "MANIFEST_MAX_BYTES",
-    "STREAK",
     "OK",
     "FAILED",
     "TIMEOUT",
@@ -134,27 +126,14 @@ SKIPPED = "skipped"
 _STREAK_STATUSES = frozenset((FAILED, TIMEOUT, OOM))
 
 #: Write-seam labels the filesystem directives can target.
-IO_OPS = ("store", "trace", "metrics", "manifest", "journal")
-
-#: Size ceiling for one failure-manifest shard before it is compacted
-#: (0 disables rotation).  Multi-hundred-workload campaigns append a
-#: record per casualty per attempt, so shards are rotated into
-#: synthetic per-key ``streak`` records that preserve the circuit
-#: breaker's consecutive-failure counts while dropping the bulk.
-MANIFEST_MAX_BYTES = 16 * 1024 * 1024
+IO_OPS = ("store", "trace", "metrics", "journal")
 
 #: Consecutive terminal failures that trip a config's circuit breaker.
 DEFAULT_BREAKER_THRESHOLD = 3
 
-#: Status of the synthetic records a rotation leaves behind: one per run
-#: key, carrying that key's consecutive-failure count at rotation time.
-STREAK = "streak"
-
 _IO_ACTIONS = ("enospc", "partial-write", "slow-io")
 _RUN_ACTIONS = ("fail", "hang", "die")
 _ENGINE_ACTIONS = ("drop-miss",)
-
-_SHARD_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
 
 _DEFAULT_HANG_SECONDS = 3600.0
 
@@ -191,7 +170,7 @@ class ExecutionPolicy:
 
     ``breaker_threshold`` (``0`` disables) arms the per-config circuit
     breaker on ``keep_going`` batches: configs with that many
-    consecutive terminal failures in the manifest are skipped, not
+    consecutive terminal failures on record are skipped, not
     re-attempted, until ``retry_quarantined`` (``--retry-quarantined``)
     forces a re-run.
 
@@ -235,7 +214,7 @@ class RunOutcome:
     """How one run ended: status, attempt count, captured traceback.
 
     ``size``/``work_scale``/``seed``/``method`` mirror the originating
-    :class:`repro.analysis.parallel.RunRequest` so a manifest entry can
+    :class:`repro.analysis.parallel.RunRequest` so a failure record can
     be turned back into a run without consulting anything else.
     """
 
@@ -342,176 +321,26 @@ def health_sentence(counts: Dict[str, int], degraded: bool) -> str:
     return text
 
 
-class FailureManifest:
-    """Append-only JSONL record of failed runs, one shard per benchmark.
-
-    Lives beside the result store (``results/failures/<shard>.jsonl``).
-    Append-only like the store itself: a crash can at worst truncate the
-    final line, and re-runs simply append fresh records.  ``root=None``
-    disables persistence (memory-only stores).
-
-    Shards are bounded: past :data:`MANIFEST_MAX_BYTES` (16 MiB) a
-    shard is *compacted* — its history collapses to one
-    synthetic ``streak`` record per run key carrying that key's
-    consecutive-failure count, so the circuit breaker sees exactly the
-    streaks it would have counted from the raw records.  The raw shard
-    is kept once as ``<shard>.jsonl.old`` (overwritten by the next
-    rotation, so disk stays bounded at ~2x the ceiling per shard).
-    """
-
-    def __init__(self, root: Optional[str]) -> None:
-        self.root = root
-
-    def path_for(self, shard: str) -> Optional[str]:
-        if not self.root:
-            return None
-        name = _SHARD_SANITIZER.sub("_", shard) or "misc"
-        return os.path.join(self.root, f"{name}.jsonl")
-
-    def append(self, outcomes: Iterable[RunOutcome]) -> int:
-        """Append one record per outcome; returns the number written.
-
-        Outcomes are recorded with their status as-is; which outcomes
-        get here is :meth:`FailureLedger.record`'s decision.  Manifest
-        I/O must never mask the failure it is recording, so filesystem
-        errors degrade to a warning.
-        """
-        if not self.root:
-            return 0
-        by_shard: Dict[str, List[str]] = {}
-        # Deliberately wall-clock: ``recorded_at`` is a report timestamp
-        # humans correlate with logs, not a duration measurement (those
-        # use time.monotonic() elsewhere in this package).
-        stamp = time.time()
-        for outcome in outcomes:
-            record = dict(asdict(outcome), recorded_at=stamp)
-            by_shard.setdefault(outcome.shard, []).append(json.dumps(record))
-        if not by_shard:
-            return 0
-        written = 0
-        try:
-            os.makedirs(self.root, exist_ok=True)
-            for shard, lines in sorted(by_shard.items()):
-                path = self.path_for(shard)
-                fsio.append_text(
-                    path,
-                    "".join(line + "\n" for line in lines),
-                    op="manifest",
-                )
-                written += len(lines)
-                self._rotate_if_oversized(shard, path, stamp)
-        except OSError as error:
-            warnings.warn(
-                f"failure manifest: cannot write under {self.root}: {error}"
-            )
-        return written
-
-    def _rotate_if_oversized(
-        self, shard: str, path: str, stamp: float
-    ) -> None:
-        """Compact ``path`` to per-key streak records past the ceiling.
-
-        Rotation must never mask the run failures being recorded, so any
-        I/O error here degrades to a warning, like :meth:`append`.
-        """
-        if MANIFEST_MAX_BYTES <= 0:
-            return
-        try:
-            if os.path.getsize(path) <= MANIFEST_MAX_BYTES:
-                return
-            with open(path) as fh:
-                raw_lines = fh.readlines()
-        except OSError:
-            return
-        streaks = _streaks_from_lines(raw_lines)
-        compact = [
-            json.dumps(
-                {
-                    "key": key,
-                    "status": STREAK,
-                    "count": count,
-                    "shard": shard,
-                    "recorded_at": stamp,
-                }
-            )
-            for key, count in sorted(streaks.items())
-            if count > 0
-        ]
-        try:
-            # Raw history survives one rotation for post-mortems; the
-            # ``.old`` suffix keeps it off the breaker's ``*.jsonl`` scan
-            # (it would double-count against the streak records).
-            os.replace(path, path + ".old")
-            fsio.atomic_write_text(
-                path,
-                "".join(line + "\n" for line in compact),
-                op="manifest",
-            )
-        except OSError as error:
-            warnings.warn(
-                f"failure manifest: cannot rotate {path}: {error}"
-            )
-            return
-        warnings.warn(
-            f"failure manifest: rotated {path} "
-            f"({len(raw_lines)} records -> {len(compact)} streak records)"
-        )
-
-
-def _streaks_from_lines(
-    lines: Iterable[str], streaks: Optional[Dict[str, int]] = None
-) -> Dict[str, int]:
-    """Fold manifest lines into per-key consecutive-failure counts.
-
-    The one reading of the manifest format: ``ok`` resets, terminal
-    failures increment, ``streak`` records (left by a rotation) seed the
-    count, anything else (``interrupted``, foreign or torn lines) is
-    ignored.  ``streaks`` carries counts in from earlier shards.
-    """
-    if streaks is None:
-        streaks = {}
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # truncated trailing line: append-only contract
-        if not isinstance(record, dict):
-            continue
-        key = record.get("key")
-        status = record.get("status")
-        if not isinstance(key, str):
-            continue
-        if status == OK:
-            streaks[key] = 0
-        elif status == STREAK:
-            count = record.get("count")
-            if isinstance(count, int) and not isinstance(count, bool):
-                streaks[key] = max(0, count)
-        elif status in _STREAK_STATUSES:
-            streaks[key] = streaks.get(key, 0) + 1
-    return streaks
-
-
 class FailureLedger:
-    """Failure accounting for one results directory: the manifest, the
-    live per-config streaks and the circuit-breaker gate over them.
+    """Failure accounting over one result store: the live per-config
+    streaks and the circuit-breaker gate over them.
 
     Every execution path — lazy in-process runs, serial and pooled
     batches, service jobs — reports its outcomes to :meth:`record` and
     asks :meth:`tripped` before starting a run, so "what counts toward a
-    streak, when a streak gates a run and what is written to the
-    manifest" has one answer.  A :class:`CachedRunner` and the
+    streak, when a streak gates a run and what is written to the store"
+    has one answer.  A :class:`CachedRunner` and the
     :class:`ParallelRunner` it drives share one ledger, as does a whole
     service process.
 
-    Streaks are seeded once, lazily, from the manifest shards on disk
-    (``*.jsonl``; a rotation's ``.old`` copy would double-count) and
-    kept live afterwards, so a config that fails in this process gates
-    in this process.  ``threshold`` is the streak that trips a config;
-    ``0`` disables the gate.  ``root=None`` switches persistence off,
-    not the gate: a memory-only service still trips and recovers.
+    A key's streak is counted from its failure records in the store on
+    first use (loading only its shard) and kept live afterwards, so a
+    config that fails in this process gates in this process.  Every
+    terminal failure record since the key's last result counts, so
+    records appended by racing processes all count.  ``threshold`` is
+    the streak that trips a config; ``0`` disables the gate.  A
+    memory-only store keeps its records in memory: the gate still trips
+    and recovers.
 
     Streak mutation is lock-guarded: service outcomes normally arrive on
     the event loop, but nothing forbids racing recorders, and a lost
@@ -519,49 +348,33 @@ class FailureLedger:
     """
 
     def __init__(
-        self, root: Optional[str], threshold: int = DEFAULT_BREAKER_THRESHOLD
+        self, store, threshold: int = DEFAULT_BREAKER_THRESHOLD
     ) -> None:
-        self.manifest = FailureManifest(root)
+        self.store = store
         self.threshold = threshold
         #: Times any config's streak reached the threshold.
         self.trips = 0
-        self._streaks: Optional[Dict[str, int]] = None
+        self._streaks: Dict[str, int] = {}
         self._lock = threading.Lock()
-
-    @property
-    def root(self) -> Optional[str]:
-        return self.manifest.root
 
     @property
     def enabled(self) -> bool:
         return self.threshold > 0
 
-    def _live(self) -> Dict[str, int]:
-        if self._streaks is None:
-            with self._lock:
-                if self._streaks is None:
-                    self._streaks = self._seed()
-        return self._streaks
-
-    def _seed(self) -> Dict[str, int]:
-        streaks: Dict[str, int] = {}
-        root = self.root
-        if not (self.enabled and root and os.path.isdir(root)):
-            return streaks
-        for fname in sorted(os.listdir(root)):
-            if not fname.endswith(".jsonl"):
-                continue
-            path = os.path.join(root, fname)
-            try:
-                with open(path) as fh:
-                    _streaks_from_lines(fh, streaks)
-            except OSError as error:
-                warnings.warn(f"circuit breaker: cannot read {path}: {error}")
-        return streaks
+    def _streak(self, key: str) -> int:
+        # Caller holds the lock.
+        count = self._streaks.get(key)
+        if count is None:
+            count = self._streaks[key] = sum(
+                1 for record in self.store.failures(key)
+                if record.get("status") in _STREAK_STATUSES
+            )
+        return count
 
     def streak(self, key: str) -> int:
         """Terminal failures recorded for ``key`` since its last success."""
-        return self._live().get(key, 0)
+        with self._lock:
+            return self._streak(key)
 
     def tripped(self, key: str) -> bool:
         """True when ``key``'s streak has reached the threshold."""
@@ -580,7 +393,7 @@ class FailureLedger:
             or not self.tripped(request.key)
         ):
             return None
-        where = f" in {self.root}" if self.root else ""
+        where = f" in {self.store.root}" if self.store.root else ""
         return (
             f"circuit breaker open for {request.kind}|{request.spec.abbr}: "
             f"{self.streak(request.key)} consecutive terminal failures"
@@ -591,36 +404,42 @@ class FailureLedger:
         """Apply the recording rule to finished runs.
 
         A terminal ``failed``/``timeout``/``oom`` counts toward its
-        key's streak and is appended to the manifest; an ``ok`` resets
-        the streak and is appended only when it closed one (healthy
-        configs never reach the manifest); ``interrupted`` is appended
-        without counting — being drained says nothing about the config;
-        ``skipped`` is neither (the records that tripped it are there).
+        key's streak and is stored as a failure record; ``ok`` resets
+        the streak (the run's result record supersedes the failure
+        records before it); ``interrupted`` is stored without counting —
+        being drained says nothing about the config; ``skipped`` is
+        neither (the records that tripped it are there).  One call's
+        records go out in one store flush.
         """
-        streaks = self._live()
-        appended: List[RunOutcome] = []
-        with self._lock:
+        # Deliberately wall-clock: ``recorded_at`` is a report timestamp
+        # humans correlate with logs, not a duration measurement (those
+        # use time.monotonic() elsewhere in this package).
+        stamp = time.time()
+        with self._lock, self.store.batch():
             for outcome in outcomes:
                 if outcome.status in _STREAK_STATUSES:
-                    count = streaks.get(outcome.key, 0) + 1
-                    streaks[outcome.key] = count
+                    count = self._streak(outcome.key) + 1
+                    self._streaks[outcome.key] = count
                     if count == self.threshold:
                         self.trips += 1
                 elif outcome.status == OK:
-                    if not streaks.get(outcome.key):
-                        continue
-                    streaks[outcome.key] = 0
+                    self._streaks[outcome.key] = 0
+                    continue
                 elif outcome.status != INTERRUPTED:
                     continue
-                appended.append(outcome)
-        self.manifest.append(appended)
+                self.store.put(
+                    outcome.key,
+                    dict(asdict(outcome), recorded_at=stamp),
+                    shard=outcome.shard,
+                    failed=True,
+                )
 
     def snapshot(self) -> dict:
-        """The ``/statsz`` breaker block."""
-        streaks = self._live()
+        """The ``/statsz`` breaker block, over the streaks this process
+        has read or written (it loads no shard)."""
         with self._lock:
             open_configs = sum(
-                1 for streak in streaks.values()
+                1 for streak in self._streaks.values()
                 if self.enabled and streak >= self.threshold
             )
         return {
@@ -765,8 +584,8 @@ def engine_fault_budget(action: str, *targets: str) -> int:
 # Fired-count bookkeeping for enospc/partial-write: per process, keyed
 # by (action, prefix).  Pool workers inherit the *plan* through the
 # environment but count independently — each seam's budget is spent in
-# the process whose writer owns it (store and manifest writes happen in
-# the coordinator).
+# the process whose writer owns it (store writes happen in the
+# coordinator).
 
 _IO_FIRED: Dict[Tuple[str, str], int] = {}
 

@@ -19,8 +19,8 @@ Faults are isolated per run, never per batch:
   degrades to serial in-process execution.
 * Completed results always merge into the store — even when the batch
   ultimately raises :class:`repro.exceptions.ExecutionError` — and every
-  casualty lands in the append-only failure manifest
-  (``results/failures/<shard>.jsonl``) with enough context to re-run.
+  casualty lands in the store as a failure record under its key, with
+  enough context to re-run.
 * A graceful shutdown (SIGINT/SIGTERM through
   :mod:`repro.resilience`, or a bare ``KeyboardInterrupt``) *drains*:
   nothing new starts, in-flight runs finish and merge, undone runs are
@@ -32,8 +32,8 @@ Faults are isolated per run, never per batch:
   owns the drain.
 * On ``keep_going`` batches the per-config circuit breaker
   (:class:`repro.analysis.faults.FailureLedger`) skips configs with a
-  streak of terminal failures (``--retry-quarantined`` re-arms them; a
-  success closes the streak).
+  streak of terminal failures (``--retry-quarantined`` re-runs them; a
+  success supersedes the failure record and closes the streak).
 
 :func:`execute_attempt` is the one body of a run attempt: this module's
 serial and pool paths, the lazy misses of
@@ -74,7 +74,7 @@ from repro.analysis.faults import (
     maybe_inject,
     retryable,
 )
-from repro.analysis.simcache import ResultStore, sibling_dir
+from repro.analysis.simcache import ResultStore
 from repro.exceptions import ExecutionError, ReproError, ShutdownRequested
 from repro.obs.metrics import get_registry
 from repro.obs.profile_hooks import ensure_worker
@@ -122,7 +122,7 @@ class RunRequest:
     def key(self) -> str:
         """The run's cache key, derived on first use and kept for the
         request's life: it is asked for at every hand-off (lookup,
-        journal, manifest, merge).  A request is a frozen value — to
+        journal, ledger, merge).  A request is a frozen value — to
         change the run, ``dataclasses.replace`` it (a new request, a new
         key) rather than mutating the spec's ``params`` underneath it."""
         if self.kind == "sim":
@@ -263,9 +263,8 @@ class ParallelRunner:
     :class:`repro.analysis.faults.ExecutionPolicy`).  ``ledger`` is the
     failure accounting the batch gates on and records to; a
     :class:`repro.analysis.runner.CachedRunner` passes its own so lazy
-    and batch runs share one, and a standalone runner opens the ledger
-    of ``<store parent>/failures/`` (memory-only for a memory-only
-    store).
+    and batch runs share one, and a standalone runner opens one over
+    ``store``.
     """
 
     def __init__(
@@ -279,7 +278,7 @@ class ParallelRunner:
         self.jobs = jobs if jobs >= 1 else _runner.default_jobs()
         self.policy = policy or ExecutionPolicy()
         self.ledger = ledger or FailureLedger(
-            sibling_dir(store.root, "failures"), self.policy.breaker_threshold
+            store, self.policy.breaker_threshold
         )
         self.last_report = BatchReport()
 
@@ -304,7 +303,7 @@ class ParallelRunner:
         A graceful shutdown (:class:`repro.exceptions.ShutdownRequested`
         from the coordinator, or a bare :class:`KeyboardInterrupt`)
         honours the same contract: completed results merge, unfinished
-        runs land in the manifest as ``interrupted``, and the exception
+        runs are recorded ``interrupted``, and the exception
         re-raises only afterwards — so the CLI boundary can exit with
         the resumable code without losing anything.
         """
@@ -343,7 +342,7 @@ class ParallelRunner:
                     self._run_pool(pending, outcomes, executed, state)
         except (ShutdownRequested, KeyboardInterrupt) as exc:
             # Partial-progress contract for interrupts too: fall through
-            # to the merge/manifest below, then re-raise.
+            # to the merge and the ledger below, then re-raise.
             shutdown = exc
         finally:
             # Whatever completed must reach the store even if the
@@ -373,8 +372,8 @@ class ParallelRunner:
         failures = report.failures
         if failures and not self.policy.keep_going:
             where = (
-                f"; failure manifest: {self.ledger.root}"
-                if self.ledger.root
+                f"; failure records: {self.store.root}"
+                if self.store.root
                 else ""
             )
             raise ExecutionError(
@@ -391,8 +390,8 @@ class ParallelRunner:
     ) -> List[RunRequest]:
         """Drop the configs the ledger refuses under this policy.
 
-        Refused runs get a ``skipped`` outcome: zero attempts, not
-        re-recorded in the manifest.
+        Refused runs get a ``skipped`` outcome: zero attempts, and no
+        new failure record.
         """
         kept: List[RunRequest] = []
         for request in pending:
@@ -669,8 +668,8 @@ class ParallelRunner:
         (bounded by their own timeout deadlines, unbounded otherwise — a
         second signal force-quits) and their results collected; runs
         still queued or awaiting a retry slot are marked ``interrupted``
-        with zero new attempts, so the manifest lists exactly what a
-        rerun needs to pick up.
+        with zero new attempts, so the store's failure records list
+        exactly what a rerun needs to pick up.
         """
         for request, attempt in queue:
             _park(outcomes, request, attempt - 1)
@@ -705,16 +704,6 @@ class ParallelRunner:
     # --- merging ---------------------------------------------------------------
     def _merge(self, executed: List[Tuple[str, str, dict]]) -> None:
         """Merge completed results as one batched, key-sorted flush."""
-        if not executed:
-            return
-        previous = self.store.flush_every
-        self.store.flush_every = len(executed) + 1
-        try:
+        with self.store.batch():
             for key, shard, payload in sorted(executed, key=lambda item: item[0]):
                 self.store.put(key, payload, shard=shard)
-        finally:
-            # Restore the batching window and flush whatever was staged
-            # even if a put raised mid-merge — the store must never be
-            # left holding unflushed records with an inflated window.
-            self.store.flush_every = previous
-            self.store.flush()

@@ -53,7 +53,7 @@ from repro.analysis.faults import (
     failure_status,
     health_sentence,
 )
-from repro.analysis.simcache import ResultStore, sibling_dir
+from repro.analysis.simcache import ResultStore
 from repro.checkpoint import CheckpointPolicy
 from repro.exceptions import ExecutionError, ReproError
 from repro.resilience import get_coordinator
@@ -299,9 +299,7 @@ class CachedRunner:
         # One ledger for the lazy in-process runs and every batch this
         # runner prefetches: serial and parallel runs feed, and are
         # gated by, the same per-config failure accounting.
-        self.ledger = FailureLedger(
-            sibling_dir(cache_path, "failures"), self.policy.breaker_threshold
-        )
+        self.ledger = FailureLedger(self.store, self.policy.breaker_threshold)
         # Per-instance registry: tests build several runners per process,
         # so hit/miss/execution telemetry must not conflate through the
         # process-wide registry.  Exporters merge it in with a ``runner.``

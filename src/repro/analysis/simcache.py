@@ -19,6 +19,11 @@ Durability rules:
   stat, quarantine, recompute as a miss) — a payload silently altered on
   disk can never poison downstream experiments.  Records written before
   digests existed load unverified.
+* **A run's terminal failure is a record too.**  ``put(...,
+  failed=True)`` stores it under the run's key through the same append,
+  digest and quarantine path.  Failure records for one key accumulate
+  until a result supersedes them, and a result is superseded by any
+  failure record after it.
 * **Loads are lazy and tolerant.** Opening a store only indexes keys:
   each shard's lines are read and every record line's key is decoded
   from its ``{"key": "`` prefix, nothing more.  A shard is parsed and
@@ -51,10 +56,12 @@ CLI.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
 import shutil
+import sys
 import warnings
 from json.decoder import scanstring
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -65,7 +72,7 @@ from repro.obs.tracing import get_tracer
 from repro.resilience import get_disk_guard
 from repro.verify.digest import content_digest
 
-__all__ = ["ResultStore", "sibling_dir"]
+__all__ = ["ResultStore"]
 
 QUARANTINE_DIR = "quarantine"
 
@@ -74,18 +81,10 @@ _SHARD_SANITIZER = re.compile(r"[^A-Za-z0-9._-]+")
 #: How every record line starts (``json.dumps`` of ``{"key": ...}``);
 #: the open-time index decodes the key that follows it.
 _KEY_PREFIX = '{"key": "'
+_FAILURE_FIELD = ', "failure"'
 
 #: The rank of a value ``put`` since open: no shard read later beats it.
 _PUT_RANK = 1 << 62
-
-
-def sibling_dir(store_root: Optional[str], name: str) -> Optional[str]:
-    """``<store parent>/<name>``: where the failure manifest
-    (``failures``) lives beside a result store.  A memory-only store (no
-    root) has no siblings."""
-    if not store_root:
-        return None
-    return os.path.join(os.path.dirname(store_root) or ".", name)
 
 
 def _shard_filename(shard: str) -> str:
@@ -93,18 +92,19 @@ def _shard_filename(shard: str) -> str:
     return f"{name}.jsonl"
 
 
-def _indexed_keys(lines: List[str]) -> Optional[List[str]]:
-    """The key of every record line, or ``None`` when a non-blank line is
-    not indexable: it must start with the key prefix, end with ``}`` and
-    a newline, and its key must decode as a JSON string."""
+def _indexed_keys(lines: List[str]) -> Optional[List[Tuple[str, bool]]]:
+    """The key of every record line and whether it is a failure record,
+    or ``None`` when a non-blank line is not indexable: it must start
+    with the key prefix, end with ``}`` and a newline, and its key must
+    decode as a JSON string."""
     keys = []
     for line in lines:
         if line.startswith(_KEY_PREFIX) and line.endswith("}\n"):
             try:
-                key, _ = scanstring(line, len(_KEY_PREFIX))
+                key, end = scanstring(line, len(_KEY_PREFIX))
             except ValueError:
                 return None
-            keys.append(key)
+            keys.append((key, line.startswith(_FAILURE_FIELD, end)))
         elif line.strip():
             return None
     return keys
@@ -119,18 +119,20 @@ def _read_lines(path: str) -> Optional[List[str]]:
         return None
 
 
-def _record_line(key: str, payload: dict) -> str:
+def _record_line(key: str, payload: dict, failed: bool = False) -> str:
     """One shard record: key, payload and a sha256 content digest.
 
-    The digest covers the payload's canonical JSON form; the loader
-    verifies it, so a payload silently altered on disk (bit rot, a
-    partial overwrite that still parses, a hand edit) degrades to a
-    recomputed miss instead of poisoning every later experiment that
-    trusts the cache.
+    A result's payload travels under ``"payload"``, a run's terminal
+    outcome under ``"failure"``.  The digest covers the payload's
+    canonical JSON form; the loader verifies it, so a payload silently
+    altered on disk (bit rot, a partial overwrite that still parses, a
+    hand edit) degrades to a recomputed miss instead of poisoning every
+    later experiment that trusts the cache.
     """
+    field = "failure" if failed else "payload"
     return (
         json.dumps(
-            {"key": key, "payload": payload, "digest": content_digest(payload)}
+            {"key": key, field: payload, "digest": content_digest(payload)}
         )
         + "\n"
     )
@@ -142,6 +144,11 @@ class ResultStore:
     ``root=None`` keeps the store memory-only (no I/O at all).  Records
     are plain JSON-serializable dicts; keys are opaque strings built by
     :mod:`repro.analysis.runner`.
+
+    A key holds a result or the run failure records written since its
+    last result (``put(..., failed=True)``).  ``get``, ``contains``,
+    ``keys``, ``items`` and ``len`` answer results only; :meth:`failures`
+    answers a key's failure records.
     """
 
     def __init__(
@@ -154,15 +161,18 @@ class ResultStore:
         self.root = root
         self.flush_every = flush_every
         self._entries: Dict[str, dict] = {}
+        self._failures: Dict[str, List[dict]] = {}
         # Lazy loading: shards indexed at open but not yet read (by
         # rank, their position in sorted file order), the unread shards
-        # each indexed key appears in, and the rank of the shard (or
+        # each indexed key appears in, the indexed keys whose last line
+        # is a failure record, and the rank of the shard (or
         # ``_PUT_RANK``) that supplied each held value while any shard
-        # is unread.  All three are empty once every shard is read.
+        # is unread.  All four are empty once every shard is read.
         self._unread: Dict[int, str] = {}
         self._index: Dict[str, Tuple[int, ...]] = {}
+        self._indexed_failures: set = set()
         self._rank: Dict[str, int] = {}
-        self._pending: List[Tuple[str, str, dict]] = []  # (shard, key, payload)
+        self._pending: List[Tuple[str, str]] = []  # (shard, record line)
         # Per-store telemetry on the shared stat-bag primitive; the
         # process-wide registry additionally mirrors hit/miss totals
         # while observability is recording (see ``get``).
@@ -212,6 +222,12 @@ class ResultStore:
             self._touch(key)
         return key in self._entries
 
+    def failures(self, key: str) -> List[dict]:
+        """``key``'s failure records since its last result, oldest first."""
+        if key in self._index:
+            self._touch(key)
+        return self._failures.get(key, [])
+
     @property
     def pending(self) -> int:
         """Records staged but not yet durably appended to a shard.
@@ -235,17 +251,45 @@ class ResultStore:
         return iter(self._entries.items())
 
     # --- writes ----------------------------------------------------------------
-    def put(self, key: str, payload: dict, shard: str = "misc") -> None:
-        """Stage one record; flushes once ``flush_every`` records pend."""
-        self._entries[key] = payload
-        self._stats["puts"] += 1
+    def put(
+        self, key: str, payload: dict, shard: str = "misc",
+        failed: bool = False,
+    ) -> None:
+        """Stage one record; flushes once ``flush_every`` records pend.
+
+        ``failed`` stages a failure record: it joins ``key``'s earlier
+        failure records and supersedes its result, as a result supersedes
+        them, in memory now and on every later load.
+        """
+        if failed:
+            if key in self._index:
+                self._touch(key)  # the records on disk come first
+            self._entries.pop(key, None)
+            self._failures.setdefault(key, []).append(payload)
+        else:
+            self._failures.pop(key, None)
+            self._entries[key] = payload
+            self._stats["puts"] += 1
         if self._unread:
             self._rank[key] = _PUT_RANK
         if not self.root:
             return
-        self._pending.append((shard, key, payload))
+        self._pending.append((shard, _record_line(key, payload, failed)))
         if len(self._pending) >= self.flush_every:
             self.flush()
+
+    @contextlib.contextmanager
+    def batch(self) -> Iterator["ResultStore"]:
+        """Stage every ``put`` made in the block and append them in one
+        flush when it ends, even if the block raises."""
+        previous = self.flush_every
+        self.flush_every = sys.maxsize
+        try:
+            yield self
+        finally:
+            self.flush_every = previous
+            if self._pending:
+                self.flush()
 
     def flush(self) -> int:
         """Append all pending records to their shards; returns the count.
@@ -269,16 +313,14 @@ class ResultStore:
                 self._stats["skipped_flushes"] += 1
                 return 0
             os.makedirs(self.root, exist_ok=True)
-            by_shard: Dict[str, List[Tuple[str, str, dict]]] = {}
+            by_shard: Dict[str, List[Tuple[str, str]]] = {}
             for record in self._pending:
                 by_shard.setdefault(record[0], []).append(record)
             written = 0
-            remaining: List[Tuple[str, str, dict]] = []
+            remaining: List[Tuple[str, str]] = []
             for shard, records in sorted(by_shard.items()):
                 path = os.path.join(self.root, _shard_filename(shard))
-                text = "".join(
-                    _record_line(key, payload) for _, key, payload in records
-                )
+                text = "".join(line for _, line in records)
                 if path in self._dirty_shards:
                     # The previous append may have torn its last line; a
                     # leading newline isolates the fragment as one corrupt
@@ -309,6 +351,7 @@ class ResultStore:
         """Drop every record, in memory and on disk."""
         self._read_all()
         self._entries.clear()
+        self._failures.clear()
         self._pending.clear()
         if not self.root or not os.path.isdir(self.root):
             return
@@ -326,9 +369,11 @@ class ResultStore:
     def counters(self) -> Dict[str, float]:
         """A snapshot of the store's counters without reading a shard:
         the corruption counts cover the shards read so far, and
-        ``entries`` counts the keys held or indexed."""
+        ``entries`` counts the results held or indexed."""
+        failed = self._indexed_failures
         self._stats["entries"] = len(self._entries) + sum(
-            1 for key in self._index if key not in self._entries
+            1 for key in self._index
+            if key not in self._entries and key not in failed
         )
         return self._stats.as_dict()
 
@@ -368,7 +413,11 @@ class ResultStore:
                 self._load_one_shard(path, rank, lines)
                 continue
             self._unread[rank] = path
-            for key in keys:
+            for key, failed in keys:
+                if failed:
+                    self._indexed_failures.add(key)
+                else:
+                    self._indexed_failures.discard(key)
                 held = index.get(key)
                 if held is None:
                     index[key] = (rank,)
@@ -394,6 +443,7 @@ class ResultStore:
         # With every shard read, no later load can override a value.
         if not self._unread:
             self._index.clear()
+            self._indexed_failures.clear()
             self._rank.clear()
 
     def _load_one_shard(
@@ -413,7 +463,7 @@ class ResultStore:
                 raw_lines = _read_lines(path)
                 if raw_lines is None:
                     return
-            good: List[Tuple[str, dict]] = []
+            good: List[Tuple[str, dict, bool]] = []
             bad = 0
             digest_bad = 0
             for line in raw_lines:
@@ -421,7 +471,9 @@ class ResultStore:
                     continue
                 try:
                     record = json.loads(line)
-                    key, payload = record["key"], record["payload"]
+                    key = record["key"]
+                    failed = "failure" in record
+                    payload = record["failure" if failed else "payload"]
                 except (json.JSONDecodeError, KeyError, TypeError):
                     bad += 1
                     continue
@@ -434,12 +486,17 @@ class ResultStore:
                 if digest is not None and digest != content_digest(payload):
                     digest_bad += 1
                     continue
-                good.append((key, payload))
-            entries, ranks = self._entries, self._rank
-            for key, payload in good:
+                good.append((key, payload, failed))
+            entries, failures, ranks = self._entries, self._failures, self._rank
+            for key, payload, failed in good:
                 if ranks.get(key, -1) > rank:
                     continue
-                entries[key] = payload
+                if failed:
+                    entries.pop(key, None)
+                    failures.setdefault(key, []).append(payload)
+                else:
+                    failures.pop(key, None)
+                    entries[key] = payload
                 ranks[key] = rank
             self._stats["shards_loaded"] += 1
             if get_tracer().enabled:
@@ -451,7 +508,9 @@ class ResultStore:
             if bad or digest_bad:
                 self._quarantine(path, good)
 
-    def _quarantine(self, path: str, salvaged: List[Tuple[str, dict]]) -> None:
+    def _quarantine(
+        self, path: str, salvaged: List[Tuple[str, dict, bool]]
+    ) -> None:
         """Copy a corrupt shard aside, then rewrite only its salvaged records.
 
         The copy comes first and the rewrite is atomic, so the live shard
@@ -473,7 +532,7 @@ class ResultStore:
             if salvaged:
                 fsio.atomic_write_text(
                     path,
-                    "".join(_record_line(k, p) for k, p in salvaged),
+                    "".join(_record_line(*record) for record in salvaged),
                     op="store",
                 )
             else:

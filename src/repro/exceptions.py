@@ -40,7 +40,7 @@ class InvariantError(ReproError):
     / ``--verify``).  Deliberately *not* retried by the execution layer's
     fault handling in spirit — an invariant violation is a model bug, not
     a transient fault — but it derives from :class:`ReproError` so
-    keep-going campaigns record it in the failure manifest like any other
+    keep-going campaigns record it as a failure record like any other
     casualty instead of dying mid-batch.
     """
 
@@ -74,8 +74,8 @@ class ExecutionError(ReproError):
 
     Raised by :class:`repro.analysis.parallel.ParallelRunner` *after* all
     completed results have been merged into the result store, so catching
-    it never costs finished work; the failed runs are described in the
-    failure manifest (``results/failures/``).
+    it never costs finished work; the failed runs are described by their
+    failure records in the same store.
     """
 
 
@@ -87,7 +87,7 @@ class ShutdownRequested(BaseException):
     and a shutdown must never be swallowed that way.  Like
     :class:`KeyboardInterrupt` it derives from :class:`BaseException`
     and is raised only after the partial-progress contract has been
-    honoured — completed results merged, the failure manifest written —
+    honoured — completed results merged, failure records written —
     so catching it at the CLI boundary and exiting with
     :data:`repro.resilience.EXIT_INTERRUPTED` loses nothing.
     """

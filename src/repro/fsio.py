@@ -13,7 +13,7 @@ use:
   never a mixture and never a torn page the rename made visible before
   the data was durable.
 * :func:`append_text` — append + flush + fsync for the append-only
-  JSONL shards (result store, failure manifest).  The directory is only
+  JSONL shards (result store, campaign journal).  The directory is only
   fsync'd when the append created the file (that is the only case where
   the *name* is new).
 * ``REPRO_NO_FSYNC=1`` skips the fsync calls (not the atomicity) — an
@@ -21,7 +21,7 @@ use:
   dominates.
 
 Chaos seams: every writer takes an ``op`` label (``store``, ``trace``,
-``metrics``, ``manifest``, ``journal``) checked against the
+``metrics``, ``journal``) checked against the
 ``REPRO_FAULT_INJECT`` plan (see :mod:`repro.analysis.faults`).
 ``enospc:<op>`` raises :class:`OSError` ``ENOSPC`` before any byte is
 written; ``partial-write:<op>`` persists a truncated prefix and *then*
@@ -78,7 +78,7 @@ def _io_fault(op: Optional[str]) -> Optional[Tuple[str, Optional[float]]]:
     """The armed io-fault ``(action, arg)`` for ``op``, or ``None``.
 
     Imports the fault grammar lazily: a module-level import would cycle
-    through ``repro.analysis`` (simcache, the manifest and export all
+    through ``repro.analysis`` (simcache and export both
     import this leaf).  With no plan armed the cost is one environment lookup.
     """
     if not op:

@@ -136,7 +136,7 @@ class L1Cache:
         self.merged = 0
 
     def prune_in_flight(self, now: float) -> None:
-        """Drop completed fills from the merge table (called sparingly)."""
+        """Drop the fills that landed by ``now`` from the merge table."""
         done = [line for line, t in self.in_flight.items() if t <= now]
         for line in done:
             del self.in_flight[line]
@@ -205,7 +205,6 @@ class MemorySubsystem:
         self.llc_hits = 0
         self.llc_misses = 0
         self.merged = 0
-        self._prune_countdown = 4096
         # Fault-injection seam (REPRO_FAULT_INJECT drop-miss directive):
         # while positive, L1 miss increments are silently swallowed —
         # the seeded model mutation the verify subsystem must catch.
@@ -289,9 +288,10 @@ class MemorySubsystem:
             heappop(releases)
         heappush(releases, t)
         l1.mshr_acquired += 1
-        self._prune_countdown -= 1
-        if self._prune_countdown <= 0:
-            self._prune_countdown = 4096
+        # Prune this L1's merge table every ``mshr_capacity`` primary
+        # misses.  Each SM's access times are monotone, so a fill that
+        # landed by ``now`` can never merge again: no decision changes.
+        if not l1.mshr_acquired % l1.mshr_capacity:
             l1.prune_in_flight(now)
         return t, where
 
@@ -406,7 +406,6 @@ class MemorySubsystem:
             "llc_ports": [queue_state(p) for p in self.llc_ports],
             "mcs": [queue_state(mc, self._line_size) for mc in self.mcs],
             "rng_state": self.rng_state(),
-            "prune_countdown": self._prune_countdown,
             "l1_hits": self.l1_hits,
             "l1_misses": self.l1_misses,
             "llc_hits": self.llc_hits,

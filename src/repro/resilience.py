@@ -7,7 +7,7 @@ module makes those events survivable instead of fatal:
 
 * :class:`ShutdownCoordinator` — SIGINT/SIGTERM become a *drain*: stop
   submitting new runs, let in-flight runs finish, flush every completed
-  result, write the failure manifest, exit with the resumable code
+  result and failure record, exit with the resumable code
   :data:`EXIT_INTERRUPTED`.  A second signal force-quits
   (``128 + signum``).
 * :class:`DiskGuard` — a free-space preflight plus cheap periodic

@@ -11,7 +11,7 @@ same primitives the batch path already trusts:
   queue with explicit backpressure — a full queue answers ``429`` with
   ``Retry-After``, never unbounded memory; the per-config circuit
   breaker (the batch paths' :class:`repro.analysis.faults.FailureLedger`
-  over the same manifest directory) answers ``503`` without burning a
+  over the same result store) answers ``503`` without burning a
   worker on a known-broken config.
 * **Deadlines** (:mod:`repro.service.jobs`): every request carries one
   (client-supplied or the service default) and it propagates all the
@@ -22,9 +22,9 @@ same primitives the batch path already trusts:
   with queue depth; hung or dead workers are recycled with the same
   watchdog machinery the parallel runner uses.
 * **Graceful drain** (:mod:`repro.service.server`): SIGTERM stops
-  admission, finishes in-flight work, flushes the result store,
-  manifests whatever was still queued, and exits with the resumable
-  code 75 (:data:`repro.resilience.EXIT_INTERRUPTED`).
+  admission, finishes in-flight work, records whatever was still
+  queued as interrupted, flushes the result store, and exits with the
+  resumable code 75 (:data:`repro.resilience.EXIT_INTERRUPTED`).
 * **Idempotency and coalescing**: concurrent requests for the same
   config share one computation; a client retry with the same
   ``idempotency_key`` never duplicates work.

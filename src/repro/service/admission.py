@@ -3,11 +3,12 @@
 Two gates decide, and only one lives here:
 
 * the per-config circuit breaker is the service's
-  :class:`repro.analysis.faults.FailureLedger` — the same class, the
-  same manifest directory and therefore the same quarantine history as
-  the batch CLIs.  It seeds its streaks from disk once, tracks outcomes
-  live as jobs finish and appends each to the manifest so the history
-  survives a restart.  An open breaker is a fast-fail 503: no queue
+  :class:`repro.analysis.faults.FailureLedger` — the same class over
+  the same result store, and therefore the same quarantine history, as
+  the batch CLIs.  It counts a key's streak from the store's failure
+  records on first use, tracks outcomes live as jobs finish and writes
+  each failure back, so the history survives a restart.  A success
+  supersedes the records.  An open breaker is a fast-fail 503: no queue
   slot, no worker, and the response says how deep the streak is.
 * :func:`retry_after_hint` — the backoff the 429 path advertises.  It
   scales with queue depth over drain rate so the hint reflects reality

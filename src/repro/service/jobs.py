@@ -16,7 +16,7 @@ asserts every accepted request reaches)::
                                        the worker is aborted, not left
                                        burning
     QUEUED --> DRAINED                 SIGTERM before a worker was free;
-                                       manifested, 503
+                                       recorded interrupted, 503
 
 Waiter accounting drives the deadline contract: each attached request
 holds one reference; :meth:`Job.detach` drops it, and when the last
@@ -52,8 +52,8 @@ FAILED = "failed"
 #: Deadline-driven: either no worker freed up in time or the last
 #: interested client gave up mid-run.  The config is not implicated.
 SHED = "shed"
-#: A graceful drain retired the job before it ran; it is recorded in the
-#: failure manifest (status ``interrupted``) so a rerun can pick it up.
+#: A graceful drain retired the job before it ran; its store failure
+#: record (status ``interrupted``) lets a rerun pick it up.
 DRAINED = "drained"
 
 TERMINAL_STATES = frozenset((COMPLETED, FAILED, SHED, DRAINED))

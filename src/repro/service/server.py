@@ -18,7 +18,7 @@ Graceful drain (SIGTERM/SIGINT via
 :class:`repro.resilience.ShutdownCoordinator`): stop accepting, refuse
 new requests on live connections, let running jobs finish under their
 own deadlines, retire queued jobs as ``drained`` (503 to their waiters,
-``interrupted`` records in the failure manifest so a batch rerun picks
+``interrupted`` failure records in the store so a batch rerun picks
 them up), flush the result store, exit
 :data:`repro.resilience.EXIT_INTERRUPTED` (75).  A second signal
 force-quits — that contract lives in the coordinator, unchanged.
@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 from repro.analysis.faults import INTERRUPTED as RUN_INTERRUPTED
 from repro.analysis.faults import FailureLedger
-from repro.analysis.simcache import ResultStore, sibling_dir
+from repro.analysis.simcache import ResultStore
 from repro.exceptions import ReproError
 from repro.obs.metrics import get_registry
 from repro.obs.resources import current_rss_bytes, peak_rss_bytes
@@ -84,7 +84,7 @@ _STATUS_TEXT = {
     504: "Gateway Timeout",
 }
 
-#: Manifest note on a job the drain retired (recorded ``interrupted``).
+#: Failure-record note on a job the drain retired (recorded ``interrupted``).
 _DRAINED_NOTE = "service drained before completion"
 
 #: HTTP status each terminal job state answers with.
@@ -117,12 +117,9 @@ class PredictionService:
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.store = ResultStore(config.store_root)
-        # Beside the store, so service and batch CLIs share one
-        # quarantine history; memory-only with a memory-only store.
-        self.breaker = FailureLedger(
-            sibling_dir(config.store_root, "failures"),
-            config.breaker_threshold,
-        )
+        # Over the store, so service and batch CLIs share one
+        # quarantine history.
+        self.breaker = FailureLedger(self.store, config.breaker_threshold)
         self.queue = AdmissionQueue(config.queue_depth)
         self.jobs = JobTable()
         self.supervisor = Supervisor(
@@ -215,8 +212,8 @@ class PredictionService:
             raise ApiError(
                 f"circuit breaker open for this configuration "
                 f"({self.breaker.streak(key)} consecutive terminal "
-                "failures on record); fix the config or clear "
-                "results/failures/ to re-arm",
+                "failures on record); fix the config, then re-run it "
+                "with the batch CLI's --retry-quarantined to re-arm",
                 status=503,
             )
 
@@ -481,12 +478,12 @@ class PredictionService:
             self._server.close()
 
         # Queued-but-never-started jobs: terminal state `drained`, 503 to
-        # their waiters, an `interrupted` manifest record for reruns.
+        # their waiters, an `interrupted` failure record for reruns.
         for job in self.queue.drain():
             job.finish(
                 DRAINED,
                 error="service drained before the run started; "
-                "the failure manifest records it for a batch rerun",
+                "its failure record marks it for a batch rerun",
             )
             self.supervisor.job_finished(job, RUN_INTERRUPTED, _DRAINED_NOTE)
 

@@ -1,11 +1,9 @@
 """Per-config circuit breaker, end to end: a config with a streak of
 terminal failures on record is skipped by later ``keep_going``
 invocations, ``--retry-quarantined`` forces it through, and a success
-closes the streak with an ``ok`` manifest record — on both the batch
-(pool) path and the lazy serial path, which share one live
-:class:`repro.analysis.faults.FailureLedger` per runner."""
-
-import json
+closes the streak with a result record that supersedes the failure —
+on both the batch (pool) path and the lazy serial path, which share one
+live :class:`repro.analysis.faults.FailureLedger` per runner."""
 
 import pytest
 
@@ -15,6 +13,8 @@ from repro.analysis.runner import CachedRunner
 from repro.analysis.simcache import ResultStore
 from repro.exceptions import ExecutionError, ReproError
 from repro.workloads import get_benchmark
+
+from tests.conftest import shard_records
 
 VA = get_benchmark("va", weak=True)
 BP = get_benchmark("bp", weak=True)
@@ -29,13 +29,13 @@ def policy(**overrides):
     return ExecutionPolicy(**base)
 
 
-def manifest_records(tmp_path, shard="va"):
-    path = tmp_path / "failures" / f"{shard}.jsonl"
-    return [
-        json.loads(line)
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
+def ledger_records(tmp_path, shard="va"):
+    """The ledger's records and the results after them, in store order."""
+    return shard_records(tmp_path / "simcache", shard)
+
+
+def ledger_at(tmp_path, threshold):
+    return FailureLedger(ResultStore(str(tmp_path / "simcache")), threshold)
 
 
 class TestBatchBreaker:
@@ -49,9 +49,9 @@ class TestBatchBreaker:
             ParallelRunner(store, jobs=jobs, policy=policy()).run_batch_report(
                 [request, RunRequest("sim", BP, size=8)]
             )
-        assert len(manifest_records(tmp_path)) == 2
+        assert len(ledger_records(tmp_path)) == 2
         # Third invocation: breaker open, the config is skipped with
-        # zero attempts and no new manifest record.
+        # zero attempts and no new failure record.
         store = ResultStore(str(tmp_path / "simcache"))
         with pytest.warns(UserWarning, match="circuit breaker"):
             report = ParallelRunner(
@@ -63,9 +63,9 @@ class TestBatchBreaker:
         assert "--retry-quarantined" in outcome.error
         assert "skipped" in report.summary()
         assert not store.contains(request.key)
-        assert len(manifest_records(tmp_path)) == 2
+        assert len(ledger_records(tmp_path)) == 2
         # --retry-quarantined with the fault gone: the run executes and
-        # its success appends the ``ok`` record that closes the streak.
+        # its result record supersedes the failure and closes the streak.
         monkeypatch.delenv("REPRO_FAULT_INJECT")
         store = ResultStore(str(tmp_path / "simcache"))
         report = ParallelRunner(
@@ -74,9 +74,9 @@ class TestBatchBreaker:
         (outcome,) = report.outcomes
         assert outcome.status == OK
         assert store.contains(request.key)
-        closing = manifest_records(tmp_path)[-1]
+        closing = ledger_records(tmp_path)[-1]
         assert closing["status"] == OK and closing["key"] == request.key
-        breaker = FailureLedger(str(tmp_path / "failures"), threshold=2)
+        breaker = ledger_at(tmp_path, threshold=2)
         assert not breaker.tripped(request.key)
 
     def test_fail_fast_batches_never_skip(self, tmp_path, monkeypatch):
@@ -91,7 +91,7 @@ class TestBatchBreaker:
             with pytest.raises(ExecutionError, match="failed"):
                 runner.run_batch_report([request])
         # Streak is far past the threshold, yet the run still executes.
-        assert len(manifest_records(tmp_path)) == 3
+        assert len(ledger_records(tmp_path)) == 3
 
     def test_threshold_zero_disables_skipping(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "fail:sim|va")
@@ -109,12 +109,12 @@ class TestLazyBreaker:
     def test_simulate_gates_records_and_resets(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "fail:sim|va")
         root = str(tmp_path / "simcache")
-        # The serial lazy path feeds the same manifest as the pool path.
+        # The serial lazy path records into the store as the pool path does.
         for _ in range(2):
             runner = CachedRunner(root, policy=policy())
             with pytest.raises(ReproError, match="injected failure"):
                 runner.simulate(VA, 8)
-        records = manifest_records(tmp_path)
+        records = ledger_records(tmp_path)
         assert [r["status"] for r in records] == ["failed", "failed"]
         assert "InjectedFaultError" in records[0]["error"]
         # Streak at threshold: the gate raises before computing.
@@ -126,7 +126,7 @@ class TestLazyBreaker:
         runner = CachedRunner(root, policy=policy(retry_quarantined=True))
         result = runner.simulate(VA, 8)
         assert result.cycles > 0
-        assert [r["status"] for r in manifest_records(tmp_path)] == [
+        assert [r["status"] for r in ledger_records(tmp_path)] == [
             "failed", "failed", "ok",
         ]
         # With a clean streak a plain keep-going runner serves the cache.
@@ -142,7 +142,7 @@ class TestLazyBreaker:
         )
         with pytest.raises(MemoryError):
             runner.miss_rate_curve(VA)
-        (record,) = manifest_records(tmp_path)
+        (record,) = ledger_records(tmp_path)
         assert record["status"] == "oom"
         assert record["kind"] == "mrc"
 
@@ -180,7 +180,7 @@ class TestOneAnswerInsideAProcess:
             for _ in range(2):
                 with pytest.raises(ExecutionError, match="circuit breaker open"):
                     gated.simulate(VA, 8)
-        assert len(manifest_records(tmp_path)) == 2
+        assert len(ledger_records(tmp_path)) == 2
         assert runner.stats()["exec_failed"] == 2
 
     def test_lazy_and_batch_calls_gate_alike(self, tmp_path, monkeypatch):
@@ -208,7 +208,7 @@ class TestOneAnswerInsideAProcess:
         )
         forced.simulate(VA, 8)
         assert forced.ledger.streak(request.key) == 0
-        assert manifest_records(tmp_path)[-1]["status"] == OK
+        assert ledger_records(tmp_path)[-1]["status"] == OK
 
     def test_every_path_writes_the_same_manifest_records(
         self, tmp_path, monkeypatch
@@ -231,7 +231,7 @@ class TestOneAnswerInsideAProcess:
                     ResultStore(str(root / "simcache")),
                     jobs=1 if path == "serial" else 2, policy=policy(),
                 ).run_batch_report(requests)
-            records = sorted(manifest_records(root), key=lambda r: r["key"])
+            records = sorted(ledger_records(root), key=lambda r: r["key"])
             for record in records:
                 assert record.pop("recorded_at") > 0
                 assert "InjectedFaultError" in record.pop("error")
@@ -242,7 +242,7 @@ class TestOneAnswerInsideAProcess:
 
 class TestBreakerConcurrency:
     """Racing recorders must not double-trip a config or lose the
-    closing ``ok`` record, and concurrent manifest appends must never
+    closing ``ok``, and concurrent failure-record appends must never
     tear a line."""
 
     def _outcome(self, status, key="cfg-key", attempts=1):
@@ -256,7 +256,7 @@ class TestBreakerConcurrency:
     def test_racing_failures_trip_exactly_once(self, tmp_path):
         import threading
 
-        breaker = FailureLedger(str(tmp_path / "failures"), threshold=3)
+        breaker = ledger_at(tmp_path, threshold=3)
         barrier = threading.Barrier(8)
 
         def hammer():
@@ -273,7 +273,7 @@ class TestBreakerConcurrency:
         assert breaker.streak("cfg-key") == 200
         assert breaker.trips == 1
         assert breaker.tripped("cfg-key")
-        records = manifest_records(tmp_path)
+        records = ledger_records(tmp_path)
         assert len(records) == 200
         assert all(r["status"] == "failed" for r in records)
 
@@ -282,10 +282,13 @@ class TestBreakerConcurrency:
     ):
         import threading
 
-        breaker = FailureLedger(str(tmp_path / "failures"), threshold=2)
+        breaker = ledger_at(tmp_path, threshold=2)
         for _ in range(2):
             breaker.record([self._outcome("failed", key="sick")])
         assert breaker.tripped("sick")
+        # The recovered run's result, stored as every execution path
+        # stores it before its ``ok`` reaches the ledger.
+        breaker.store.put("sick", {"cycles": 1.0}, shard="va")
 
         barrier = threading.Barrier(5)
 
@@ -312,14 +315,14 @@ class TestBreakerConcurrency:
         # The recovery closed the streak despite the surrounding storm...
         assert not breaker.tripped("sick")
         assert breaker.streak("sick") == 0
-        records = manifest_records(tmp_path)
+        records = ledger_records(tmp_path)
         ok_records = [r for r in records if r["status"] == "ok"]
         assert [r["key"] for r in ok_records] == ["sick"]
         # ...and no concurrent append tore a line (manifest_records
         # would have raised on malformed JSON).
         assert len(records) == 2 + 80 + 1
         # A fresh load-time breaker reads the same verdicts back.
-        reloaded = FailureLedger(str(tmp_path / "failures"), threshold=2)
+        reloaded = ledger_at(tmp_path, threshold=2)
         assert not reloaded.tripped("sick")
         assert reloaded.tripped("other-0")
 
@@ -347,12 +350,35 @@ class TestBreakerConcurrency:
         for thread in threads:
             thread.join()
         assert not failures
-        records = manifest_records(tmp_path)
+        records = ledger_records(tmp_path)
         assert len(records) == 3
         assert all(r["status"] == "failed" for r in records)
         assert all(r["key"] == request.key for r in records)
-        breaker = FailureLedger(str(tmp_path / "failures"), threshold=2)
+        breaker = ledger_at(tmp_path, threshold=2)
         assert breaker.streak(request.key) == 3
+
+    def test_a_stale_ledger_cannot_lower_a_streak_on_disk(self, tmp_path):
+        # A long-lived ledger (a service) read this key before a batch
+        # tripped it; its later failure adds to the streak on disk.
+        stale = ledger_at(tmp_path, threshold=3)
+        assert stale.streak("cfg-key") == 0
+        batch = ledger_at(tmp_path, threshold=3)
+        for _ in range(3):
+            batch.record([self._outcome("failed")])
+        stale.record([self._outcome("failed")])
+        assert stale.streak("cfg-key") == 1
+        fresh = ledger_at(tmp_path, threshold=3)
+        assert fresh.streak("cfg-key") == 4 and fresh.tripped("cfg-key")
+
+    def test_one_record_call_is_one_append(self, tmp_path):
+        # A drain records every queued run at once: one flush, not one
+        # per run.
+        ledger = ledger_at(tmp_path, threshold=3)
+        ledger.record(
+            [self._outcome("interrupted", key=f"k{i}") for i in range(5)]
+        )
+        assert ledger.store.counters()["flushes"] == 1
+        assert len(ledger_records(tmp_path)) == 5
 
 
 class TestCliFlag:
@@ -363,3 +389,31 @@ class TestCliFlag:
         assert build_policy(args).retry_quarantined is True
         args = build_parser().parse_args(["fig4"])
         assert build_policy(args).retry_quarantined is False
+
+
+class TestStoreAppendFailure:
+    def test_failed_append_cannot_mask_a_failure(self, tmp_path, monkeypatch):
+        from repro.analysis.faults import RunOutcome, reset_io_faults
+        from repro.resilience import reset_disk_guard
+
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "enospc:store:1")
+        breaker = ledger_at(tmp_path, threshold=2)
+        failed = RunOutcome(key="sick", kind="sim", shard="va", status="failed")
+        with pytest.warns(UserWarning, match="keeping records pending"):
+            for _ in range(2):
+                breaker.record([failed])
+        # The append failed, yet the breaker tripped in this process...
+        assert breaker.tripped("sick") and breaker.trips == 1
+        # ...and the records wait for the next flush instead of vanishing.
+        assert breaker.store.pending == 2
+        assert not (tmp_path / "simcache" / "va.jsonl").exists()
+        monkeypatch.delenv("REPRO_FAULT_INJECT")
+        reset_io_faults()
+        reset_disk_guard()
+        assert breaker.store.flush() == 2
+        assert [r["status"] for r in ledger_records(tmp_path)] == [
+            "failed", "failed",
+        ]
+        fresh = ledger_at(tmp_path, threshold=2)
+        assert fresh.streak("sick") == breaker.streak("sick") == 2
+        assert fresh.tripped("sick")

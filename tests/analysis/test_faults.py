@@ -1,5 +1,5 @@
 """Fault-tolerant execution tests: injected worker exceptions, retries,
-timeouts, pool deaths, partial-progress merge, failure manifests,
+timeouts, pool deaths, partial-progress merge, failure records,
 policy validation and cached-payload robustness.
 
 Faults are injected deterministically through ``REPRO_FAULT_INJECT``
@@ -21,7 +21,6 @@ from repro.analysis.faults import (
     BatchReport,
     ExecutionPolicy,
     FailureLedger,
-    FailureManifest,
     InjectedFaultError,
     RunOutcome,
     maybe_inject,
@@ -38,6 +37,8 @@ from repro.exceptions import ConfigurationError, ExecutionError, ReproError
 from repro.verify.digest import content_digest
 from repro.workloads import get_benchmark
 
+from tests.conftest import shard_records
+
 VA = get_benchmark("va", weak=True)
 BP = get_benchmark("bp", weak=True)
 
@@ -51,6 +52,15 @@ def store_at(tmp_path):
 
 def req(spec, size=8):
     return RunRequest("sim", spec, size=size)
+
+
+def failure_records(tmp_path, shard="va"):
+    """The failure records in a store shard, in append order."""
+    return [
+        record
+        for record in shard_records(tmp_path / "simcache", shard)
+        if record["status"] != OK
+    ]
 
 
 class TestFaultPlan:
@@ -71,7 +81,7 @@ class TestFaultPlan:
         # A mistyped seam used to parse and then never fire, so a chaos
         # schedule passed green while injecting nothing.
         for bad in ("enospc:stroe", "partial-write:zzz:2", "slow-io:x",
-                    "enospc:checkpoint"):
+                    "enospc:checkpoint", "enospc:manifest"):
             with pytest.raises(ReproError, match="store, trace, metrics"):
                 parse_fault_plan(bad)
         # Prefixes of a real seam label still match it.
@@ -126,11 +136,7 @@ class TestFailureIsolation:
         ParallelRunner(store, jobs=2, policy=policy).run_batch(
             [req(VA), req(BP)]
         )
-        manifest = tmp_path / "failures" / "va.jsonl"
-        assert manifest.exists()
-        (record,) = [
-            json.loads(line) for line in manifest.read_text().splitlines()
-        ]
+        (record,) = failure_records(tmp_path)
         assert record["status"] == FAILED
         assert record["key"] == req(VA).key
         assert record["kind"] == "sim" and record["shard"] == "va"
@@ -179,7 +185,7 @@ class TestRetries:
         assert outcome.ok and outcome.status == OK
         assert outcome.attempts == 3 and outcome.retried
         assert store.contains(req(VA).key)
-        assert not (tmp_path / "failures").exists()  # no casualties
+        assert failure_records(tmp_path) == []  # no casualties
 
     def test_retry_exhaustion_records_final_attempt_count(
         self, tmp_path, monkeypatch
@@ -212,9 +218,7 @@ class TestTimeouts:
         (failure,) = report.failures
         assert failure.status == TIMEOUT
         assert "timeout" in failure.error
-        manifest = tmp_path / "failures" / "va.jsonl"
-        assert manifest.exists()
-        record = json.loads(manifest.read_text().splitlines()[0])
+        record = failure_records(tmp_path)[0]
         assert record["status"] == TIMEOUT
 
 
@@ -245,7 +249,7 @@ class TestBrokenPoolRecovery:
 
 class TestAcceptanceScenario:
     """One raising run + one hung run in the same batch: every other
-    result merges, each casualty gets a manifest entry, and with
+    result merges, each casualty gets a failure record, and with
     keep_going the batch reports instead of raising."""
 
     def test_raise_plus_hang_spares_the_rest(self, tmp_path, monkeypatch):
@@ -265,11 +269,7 @@ class TestAcceptanceScenario:
         for request in survivors:
             assert store.contains(request.key)
         assert {f.status for f in report.failures} == {FAILED, TIMEOUT}
-        manifest = tmp_path / "failures" / "va.jsonl"
-        records = [
-            json.loads(line)
-            for line in manifest.read_text().splitlines()
-        ]
+        records = failure_records(tmp_path)
         assert {r["status"] for r in records} == {FAILED, TIMEOUT}
         assert "failed" in report.summary() and "timed out" in report.summary()
 
@@ -463,18 +463,18 @@ class TestSchemaDriftSatellite:
 
 class TestManifestAndReportUnits:
     def test_manifest_disabled_without_root(self):
-        manifest = FailureManifest(None)
-        outcome = RunOutcome("k", "sim", "va", FAILED)
-        assert manifest.append([outcome]) == 0
-        assert manifest.path_for("va") is None
+        # A memory-only store keeps failure records in memory: no I/O.
+        store = ResultStore(None)
+        FailureLedger(store).record([RunOutcome("k", "sim", "va", FAILED)])
+        assert [r["status"] for r in store.failures("k")] == [FAILED]
+        assert store.pending == 0 and not store.contains("k")
 
     def test_manifest_appends_across_calls(self, tmp_path):
-        manifest = FailureManifest(str(tmp_path / "failures"))
+        ledger = FailureLedger(store_at(tmp_path))
         outcome = RunOutcome("k", "sim", "va", FAILED, error="boom")
-        assert manifest.append([outcome]) == 1
-        assert manifest.append([outcome]) == 1
-        lines = open(manifest.path_for("va")).read().splitlines()
-        assert len(lines) == 2
+        ledger.record([outcome])
+        ledger.record([outcome])
+        assert len(failure_records(tmp_path)) == 2
 
     def test_report_summary_counts(self):
         report = BatchReport(
@@ -514,9 +514,9 @@ class TestManifestAndReportUnits:
     def test_manifest_lines_with_resume_fields_still_seed_streaks(
         self, tmp_path
     ):
-        # Manifests written while runs could resume from checkpoints
-        # carry two more fields per record; they must still count.
-        root = tmp_path / "failures"
+        # A failure record carrying fields this version does not write
+        # (runs could once resume from checkpoints) still seeds a streak.
+        root = tmp_path / "simcache"
         root.mkdir()
         record = {
             "key": "sim|a|b", "kind": "sim", "shard": "va",
@@ -525,9 +525,12 @@ class TestManifestAndReportUnits:
             "resumed_from_kernel": None, "cycles_saved": 0.0,
             "recorded_at": 1.0,
         }
-        line = json.dumps(record) + "\n"
+        line = json.dumps({
+            "key": "sim|a|b", "failure": record,
+            "digest": content_digest(record),
+        }) + "\n"
         (root / "va.jsonl").write_text(line * 2)
-        ledger = FailureLedger(str(root), threshold=2)
+        ledger = FailureLedger(ResultStore(str(root)), threshold=2)
         assert ledger.streak("sim|a|b") == 2
         assert ledger.tripped("sim|a|b")
 

@@ -1,9 +1,8 @@
 """Graceful-shutdown acceptance (satellite): SIGTERM mid-batch drains a
 real subprocess — exit code 75, a parseable store holding every
-completed result, ``interrupted`` entries in the failure manifest, and
+completed result, ``interrupted`` failure records in the store, and
 a rerun of the same campaign that completes it from the cache."""
 
-import json
 import os
 import signal
 import subprocess
@@ -13,6 +12,8 @@ import pytest
 
 from repro.analysis.simcache import ResultStore
 from repro.resilience import EXIT_INTERRUPTED, EXIT_OK
+
+from tests.conftest import shard_records
 
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
@@ -112,12 +113,7 @@ def test_sigterm_mid_batch_drains_resumably(tmp_path, jobs):
     assert completed >= 1
     assert store.stats()["corrupt_lines"] == 0
     # The undone remainder is on record as interrupted, with its keys.
-    manifest = root / "failures" / "va.jsonl"
-    records = [
-        json.loads(line)
-        for line in manifest.read_text().splitlines()
-        if line.strip()
-    ]
+    records = shard_records(root / "simcache")
     interrupted = [r for r in records if r["status"] == "interrupted"]
     assert interrupted
     assert all(r["key"] for r in interrupted)

@@ -296,3 +296,46 @@ class TestLazyLoad:
         )
         (runner,) = runners
         assert runner.stats()["shards_loaded"] == 1
+
+
+class TestFailureRecords:
+    """A run's failure records share the result shards: they accumulate
+    until a result supersedes them and never count as results."""
+
+    def _store(self, tmp_path):
+        root = os.path.join(tmp_path, "simcache")
+        store = ResultStore(root)
+        store.put("sim|ok", {"cycles": 1.0}, shard="va")
+        store.put("sim|bad", {"status": "failed"}, shard="va", failed=True)
+        store.put("sim|flip", {"cycles": 2.0}, shard="va")
+        store.put("sim|flip", {"status": "failed"}, shard="va", failed=True)
+        store.put("sim|other", {"cycles": 3.0}, shard="bp")
+        return root
+
+    def test_counters_count_results_only(self, tmp_path):
+        root = self._store(tmp_path)
+        unread = ResultStore(root)
+        assert unread.counters()["entries"] == 2
+        assert unread.counters()["shards_loaded"] == 0
+        partly_read = ResultStore(root)
+        assert partly_read.get("sim|other") == {"cycles": 3.0}
+        assert partly_read.counters()["entries"] == 2
+        assert len(ResultStore(root)) == 2
+
+    def test_failures_accumulate_until_a_result_supersedes_them(
+        self, tmp_path
+    ):
+        root = self._store(tmp_path)
+        store = ResultStore(root)
+        store.put("sim|bad", {"status": "timeout"}, shard="va", failed=True)
+        assert [r["status"] for r in store.failures("sim|bad")] == [
+            "failed", "timeout",
+        ]
+        assert store.get("sim|flip") is None
+        store.put("sim|bad", {"cycles": 4.0}, shard="va")
+        for reopened in (store, ResultStore(root)):
+            assert reopened.failures("sim|bad") == []
+            assert reopened.get("sim|bad") == {"cycles": 4.0}
+            assert [r["status"] for r in reopened.failures("sim|flip")] == [
+                "failed",
+            ]

@@ -280,9 +280,7 @@ def reference_access(
     t += cfg.noc_latency
     l1.in_flight[line] = t
     mshr_hold(l1, t)
-    mem._prune_countdown -= 1
-    if mem._prune_countdown <= 0:
-        mem._prune_countdown = 4096
+    if l1.mshr_acquired % l1.mshr_capacity == 0:
         l1.prune_in_flight(now)
     return t, where
 
@@ -321,8 +319,6 @@ class TestFlatPathMatchesPrimitives:
         cfg = differential_config(jitter)
         flat, reference = MemorySubsystem(cfg), MemorySubsystem(cfg)
         lcg = ScalarLcg(jitter)
-        # A shortened prune period so streams this short cross it.
-        flat._prune_countdown = reference._prune_countdown = 20
         now = 0.0
         for sm_id, pick, step in stream:
             now += step
@@ -379,3 +375,22 @@ class TestJitterTape:
             assert flat.rng_state() == lcg.state
         assert reference.rng_state() == lcg.state
         assert flat.state_dict() == reference.state_dict()
+
+
+class TestMergeTableStaysBounded:
+    def test_every_l1_holds_at_most_twice_its_mshrs(self):
+        # One shared prune countdown used to prune only the L1 that
+        # reached zero, so every other merge table kept nearly every
+        # completed fill (1,801 entries in one L1 here).
+        from repro.gpu import GPUSimulator
+        from repro.workloads import STRONG_SCALING, build_trace
+
+        config = GPUConfig.paper_baseline().scaled(32)
+        trace = build_trace(
+            STRONG_SCALING["bs"], work_scale=0.25,
+            capacity_scale=config.capacity_scale, seed=0,
+        )
+        simulator = GPUSimulator(config)
+        simulator.run(trace)
+        bound = 2 * config.l1_mshrs
+        assert max(len(l1.in_flight) for l1 in simulator.memory.l1s) <= bound

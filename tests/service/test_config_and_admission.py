@@ -1,8 +1,7 @@
 """Service config validation (strict combinations) and the
 admission-side helpers: the 429 backoff hint and the live breaker's
-seed-from-manifest / reopen / close behaviour."""
+seed-from-store / reopen / close behaviour."""
 
-import json
 import os
 import subprocess
 import sys
@@ -10,8 +9,11 @@ import sys
 import pytest
 
 from repro.analysis.faults import FailureLedger, RunOutcome
+from repro.analysis.simcache import ResultStore
 from repro.service.admission import retry_after_hint
 from repro.service.config import ServiceConfig
+
+from tests.conftest import shard_records
 
 
 class TestServiceConfig:
@@ -75,64 +77,65 @@ def outcome(key, status, shard="va"):
     return RunOutcome(key=key, kind="sim", shard=shard, status=status, attempts=1)
 
 
+def ledger_at(tmp_path, threshold):
+    return FailureLedger(ResultStore(str(tmp_path / "simcache")), threshold)
+
+
 class TestServiceBreaker:
     def test_seeds_streaks_from_the_batch_manifest(self, tmp_path):
-        root = tmp_path / "failures"
-        root.mkdir()
-        records = [
-            {"key": "sick", "status": "failed"},
-            {"key": "sick", "status": "timeout"},
-            {"key": "healed", "status": "failed"},
-            {"key": "healed", "status": "ok"},
-        ]
-        (root / "va.jsonl").write_text(
-            "".join(json.dumps(r) + "\n" for r in records)
-        )
-        breaker = FailureLedger(str(root), threshold=2)
+        # A batch CLI recorded these; the service reads them back.
+        batch = ledger_at(tmp_path, threshold=2)
+        batch.record([
+            outcome("sick", "failed"),
+            outcome("sick", "timeout"),
+            outcome("healed", "failed"),
+        ])
+        batch.store.put("healed", {"cycles": 1.0}, shard="va")
+        batch.record([outcome("healed", "ok")])
+        breaker = ledger_at(tmp_path, threshold=2)
         assert breaker.tripped("sick")
         assert not breaker.tripped("healed")
 
     def test_trips_then_success_closes_with_an_ok_record(self, tmp_path):
-        root = tmp_path / "failures"
-        breaker = FailureLedger(str(root), threshold=2)
+        breaker = ledger_at(tmp_path, threshold=2)
         breaker.record([outcome("cfg", "failed")])
         assert not breaker.tripped("cfg")
         breaker.record([outcome("cfg", "timeout")])
         assert breaker.tripped("cfg") and breaker.trips == 1
+        # The service memoizes the result, then accounts the outcome.
+        breaker.store.put("cfg", {"cycles": 1.0}, shard="va")
         breaker.record([outcome("cfg", "ok")])
         assert not breaker.tripped("cfg")
         statuses = [
-            json.loads(line)["status"]
-            for line in (root / "va.jsonl").read_text().splitlines()
+            r["status"] for r in shard_records(tmp_path / "simcache")
         ]
         assert statuses == ["failed", "timeout", "ok"]
 
     def test_success_without_a_streak_stays_out_of_the_manifest(
         self, tmp_path
     ):
-        root = tmp_path / "failures"
-        breaker = FailureLedger(str(root), threshold=2)
+        breaker = ledger_at(tmp_path, threshold=2)
         breaker.record([outcome("clean", "ok")])
-        assert not (root / "va.jsonl").exists()
+        assert breaker.store.failures("clean") == []
+        assert not (tmp_path / "simcache" / "va.jsonl").exists()
 
     def test_interrupted_is_manifested_without_counting(self, tmp_path):
-        root = tmp_path / "failures"
-        breaker = FailureLedger(str(root), threshold=1)
+        breaker = ledger_at(tmp_path, threshold=1)
         breaker.record([outcome("cfg", "interrupted")])
         assert not breaker.tripped("cfg")
-        (line,) = (root / "va.jsonl").read_text().splitlines()
-        assert json.loads(line)["status"] == "interrupted"
+        (record,) = shard_records(tmp_path / "simcache")
+        assert record["status"] == "interrupted"
 
     def test_threshold_zero_disables(self, tmp_path):
-        breaker = FailureLedger(str(tmp_path / "failures"), threshold=0)
+        breaker = ledger_at(tmp_path, threshold=0)
         for _ in range(5):
             breaker.record([outcome("cfg", "failed")])
         assert not breaker.tripped("cfg")
         assert breaker.snapshot()["enabled"] is False
 
     def test_memory_only_ledger_still_trips_and_recovers(self):
-        # ``--store ''``: no manifest directory, the gate stays live.
-        breaker = FailureLedger(None, threshold=2)
+        # ``--store ''``: a memory-only store, the gate stays live.
+        breaker = FailureLedger(ResultStore(None), threshold=2)
         breaker.record([outcome("cfg", "failed"), outcome("cfg", "oom")])
         assert breaker.tripped("cfg")
         assert breaker.snapshot()["open_configs"] == 1
@@ -140,7 +143,7 @@ class TestServiceBreaker:
         assert not breaker.tripped("cfg")
 
     def test_snapshot_counts_open_configs(self, tmp_path):
-        breaker = FailureLedger(str(tmp_path / "failures"), threshold=1)
+        breaker = ledger_at(tmp_path, threshold=1)
         breaker.record([outcome("one", "failed")])
         breaker.record([outcome("two", "oom")])
         snap = breaker.snapshot()

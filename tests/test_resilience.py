@@ -1,10 +1,9 @@
 """Resilience-layer unit tests: the shutdown coordinator, the disk
 guard, size/threshold parsing, the per-process memory ceiling and the
-circuit breaker's manifest accounting — the failure ledger's reading of
-the manifest (integration with the execution paths lives in
+circuit breaker's accounting — the failure ledger's reading of the
+store's failure records (integration with the execution paths lives in
 ``tests/analysis/test_breaker.py``)."""
 
-import json
 import os
 import signal
 import subprocess
@@ -18,7 +17,9 @@ from repro.analysis.faults import (
     DEFAULT_BREAKER_THRESHOLD,
     ExecutionPolicy,
     FailureLedger,
+    RunOutcome,
 )
+from repro.analysis.simcache import ResultStore
 from repro.exceptions import ShutdownRequested
 from repro.obs.metrics import get_registry
 from repro.resilience import (
@@ -118,7 +119,7 @@ class TestBreakerThreshold:
         assert DEFAULT_BREAKER_THRESHOLD == 3
         assert ExecutionPolicy().breaker_threshold == 3
         assert ServiceConfig().breaker_threshold == 3
-        assert FailureLedger(None).threshold == 3
+        assert FailureLedger(ResultStore(None)).threshold == 3
 
 
 class TestShutdownCoordinator:
@@ -270,42 +271,40 @@ class TestMemoryLimit:
         assert "MEMORY-ERROR-RAISED" in result.stdout
 
 
-def write_manifest(root, lines):
-    os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, "va.jsonl"), "w") as fh:
-        for line in lines:
-            fh.write(
-                json.dumps(line) + "\n" if isinstance(line, dict) else line
-            )
-
-
 def record(key, status):
-    return {"key": key, "status": status, "kind": "sim", "shard": "va"}
+    return RunOutcome(key=key, kind="sim", shard="va", status=status)
+
+
+def recorded(root, outcomes, threshold=3):
+    """Record ``outcomes`` through a ledger over the store at ``root``,
+    then return a fresh ledger over a fresh store on the same root."""
+    FailureLedger(ResultStore(root), threshold).record(outcomes)
+    return FailureLedger(ResultStore(root), threshold)
 
 
 class TestCircuitBreakerAccounting:
     def test_streak_of_terminal_failures_trips(self, tmp_path):
-        root = str(tmp_path / "failures")
-        write_manifest(root, [record("k", s) for s in ("failed", "timeout", "oom")])
-        breaker = FailureLedger(root, threshold=3)
+        root = str(tmp_path / "simcache")
+        breaker = recorded(
+            root, [record("k", s) for s in ("failed", "timeout", "oom")]
+        )
         assert breaker.streak("k") == 3
         assert breaker.tripped("k")
         assert not breaker.tripped("other")
 
     def test_ok_record_closes_the_streak(self, tmp_path):
-        root = str(tmp_path / "failures")
-        write_manifest(
-            root,
-            [record("k", "failed"), record("k", "failed"), record("k", "ok")],
-        )
-        breaker = FailureLedger(root, threshold=2)
+        root = str(tmp_path / "simcache")
+        recorded(root, [record("k", "failed"), record("k", "failed")])
+        # The run's result record is the reset.
+        ResultStore(root).put("k", {"cycles": 1.0}, shard="va")
+        breaker = recorded(root, [record("k", "ok")], threshold=2)
         assert breaker.streak("k") == 0
         assert not breaker.tripped("k")
 
     def test_interrupted_and_skipped_do_not_count(self, tmp_path):
         # Being drained by a SIGTERM says nothing about the config.
-        root = str(tmp_path / "failures")
-        write_manifest(
+        root = str(tmp_path / "simcache")
+        breaker = recorded(
             root,
             [
                 record("k", "failed"),
@@ -314,42 +313,36 @@ class TestCircuitBreakerAccounting:
                 record("k", "failed"),
             ],
         )
-        breaker = FailureLedger(root, threshold=3)
         assert breaker.streak("k") == 2
         assert not breaker.tripped("k")
 
     def test_torn_and_foreign_lines_are_tolerated(self, tmp_path):
-        root = str(tmp_path / "failures")
-        write_manifest(
-            root,
-            [
-                record("k", "failed"),
-                '["not", "a", "dict"]\n',
-                '{"status": "failed"}\n',  # no key
-                record("k", "failed"),
-                '{"key": "k", "sta',  # torn trailing line
-            ],
-        )
-        breaker = FailureLedger(root, threshold=2)
+        root = str(tmp_path / "simcache")
+        recorded(root, [record("k", "failed")] * 2)
+        with open(os.path.join(root, "va.jsonl"), "a") as fh:
+            fh.write('["not", "a", "dict"]\n')
+            fh.write('{"status": "failed"}\n')  # no key
+            fh.write('{"key": "k", "sta')  # torn trailing line
+        with pytest.warns(UserWarning, match="corrupt lines"):
+            breaker = FailureLedger(ResultStore(root), threshold=2)
         assert breaker.streak("k") == 2
         assert breaker.tripped("k")
 
     def test_threshold_zero_or_no_root_disables(self, tmp_path):
-        root = str(tmp_path / "failures")
-        write_manifest(root, [record("k", "failed")] * 10)
-        assert not FailureLedger(root, threshold=0).enabled
-        assert not FailureLedger(root, threshold=0).tripped("k")
-        # No root switches persistence off, not the gate: a fresh
-        # memory-only ledger has read nothing, so it trips nothing.
-        assert FailureLedger(None, threshold=3).enabled
-        assert not FailureLedger(None, threshold=3).tripped("k")
+        root = str(tmp_path / "simcache")
+        recorded(root, [record("k", "failed")] * 10)
+        assert not FailureLedger(ResultStore(root), threshold=0).enabled
+        assert not FailureLedger(ResultStore(root), threshold=0).tripped("k")
+        # A memory-only store switches persistence off, not the gate: a
+        # fresh memory-only ledger has read nothing, so it trips nothing.
+        assert FailureLedger(ResultStore(None), threshold=3).enabled
+        assert not FailureLedger(ResultStore(None), threshold=3).tripped("k")
 
     def test_tripped_keys_filters(self, tmp_path):
-        root = str(tmp_path / "failures")
-        write_manifest(
-            root, [record("bad", "failed")] * 3 + [record("good", "failed")]
+        breaker = recorded(
+            str(tmp_path / "simcache"),
+            [record("bad", "failed")] * 3 + [record("good", "failed")],
         )
-        breaker = FailureLedger(root, threshold=3)
         assert [
             key for key in ("bad", "good", "new") if breaker.tripped(key)
         ] == ["bad"]

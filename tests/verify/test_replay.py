@@ -21,19 +21,21 @@ def _factory(config):
 #: per kernel and draw purpose).  The ``on_boundary`` seam must see
 #: exactly the same state at exactly the same points.  The two
 #: ``memory`` digests were re-recorded when the memory state lost its
-#: always-empty ``banked_mcs`` key; every other value is unchanged.
+#: always-empty ``banked_mcs`` key, and again when it lost the shared
+#: ``prune_countdown`` (each L1 now prunes its own merge table every
+#: ``l1_mshrs`` primary misses); every other value is unchanged.
 DCT_16_BOUNDARIES = (
     (1, 16912.709057851902, {
         "clock": "sha256:25b43c41073436c49aec11179f7fc1b85da13d9882ed7c71a87b14dcca436c37",
         "sms": "sha256:ab0ce498208e80f282e32af20af76007faa6046ed135a725f3883881107dc25d",
-        "memory": "sha256:27bab3ba80d9a82ba0efa8528f2fa4b6f03876b199da7dd98dacf56b14bf0bc0",
+        "memory": "sha256:0cc99dc2f145a544f53b3fb2e6a44269650a6daf0f5811c0bd27bdc61b227733",
         "accesses": "sha256:d12f874987021cd333ba1cff4973abf657227b5742f9dfbf73a1aa09b29aba55",
         "cta_seq": "sha256:f3457dabe1b412ed6374d56fe8fe3b969c761b77dcc80ecc0964b7c7641d219b",
     }),
     (2, 63000.11052833623, {
         "clock": "sha256:93ba8bec8c23920a5bc556af70c7121472be6dba155203763a18386082ddbd6c",
         "sms": "sha256:e55a768764a3076fa029bcae5fbb775299ee1bb5dfcad8f0c15b097c380c7a7c",
-        "memory": "sha256:b8907dc94d37e7d675b8cb306011bbbd7df189e7747a6e22b01c3fedf974691f",
+        "memory": "sha256:533fd80ef6fab15e8358aaf10dc94086bb9a2bd3ded847bb2e717be34bf29796",
         "accesses": "sha256:11ed2d3cc60b6fdd68cbc8eb90a5762d27be4364580a5430532fbb2d00061b9e",
         "cta_seq": "sha256:44c59909f17c296d6f2ec4a53efac3a951add75aa67616d9c5d9d2f5fbb44f04",
     }),

@@ -13,8 +13,8 @@ path (:class:`repro.analysis.parallel.ParallelRunner`) and the service
   timed out, with the attempt count and the captured traceback;
   :meth:`RunOutcome.of` is the one constructor from a request and
   :func:`failure_status` the one ``failed``-vs-``oom`` classifier.
-* :class:`BatchReport` — the per-batch aggregate: outcomes in key order,
-  pool-death count, whether execution degraded to serial;
+* :class:`BatchReport` — the per-batch aggregate: outcomes in key order
+  and the count of worker deaths (each one named one run);
   :func:`health_sentence` is the one summary line.
 * :class:`FailureLedger` — the per-config failure streaks, kept as
   failure records in the result store with enough context (kind,
@@ -267,7 +267,6 @@ class BatchReport:
 
     outcomes: Tuple[RunOutcome, ...] = ()
     pool_deaths: int = 0
-    degraded_to_serial: bool = False
 
     @property
     def executed(self) -> int:
@@ -298,10 +297,10 @@ class BatchReport:
         }
 
     def summary(self) -> str:
-        return health_sentence(self.counts(), self.degraded_to_serial)
+        return health_sentence(self.counts())
 
 
-def health_sentence(counts: Dict[str, int], degraded: bool) -> str:
+def health_sentence(counts: Dict[str, int]) -> str:
     """The one-line execution summary, from :meth:`BatchReport.counts`
     keys.  Scripts and tests grep it, so the wording is fixed."""
     text = (
@@ -316,8 +315,6 @@ def health_sentence(counts: Dict[str, int], degraded: bool) -> str:
         text += f", {counts['interrupted']} interrupted"
     if counts["skipped"]:
         text += f", {counts['skipped']} skipped (circuit breaker)"
-    if degraded:
-        text += " (degraded to serial)"
     return text
 
 

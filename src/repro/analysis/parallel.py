@@ -4,19 +4,21 @@ The experiment harness is embarrassingly parallel: every figure/table is
 a set of independent (benchmark, size) runs, each a pure function of its
 spec, scale and seed.  :class:`ParallelRunner` takes a batch of
 :class:`RunRequest` descriptors, drops the ones the result store already
-has, executes the misses across a ``ProcessPoolExecutor`` and merges the
-results back into the store in deterministic (key-sorted) order.
+has, executes the misses on up to ``jobs`` :class:`ProcessSlot` slots
+and merges the results back into the store in deterministic (key-sorted)
+order.
 
 Faults are isolated per run, never per batch:
 
-* Runs are submitted individually, so one raising worker costs one run.
+* A slot is one worker process running one run at a time, so a raising
+  run, a dead worker and a hung worker each name exactly one run.
 * Failed attempts are retried with exponential backoff, up to
   ``ExecutionPolicy.max_retries`` times.
 * A per-run timeout watchdog (``ExecutionPolicy.run_timeout``) abandons
-  hung runs and recycles the pool so their workers stop occupying slots.
-* ``BrokenProcessPool`` (worker OOM/segfault) respawns the pool and
-  resumes the remaining runs; after :data:`MAX_POOL_DEATHS` deaths the batch
-  degrades to serial in-process execution.
+  a hung run and recycles its slot; every other run keeps running.
+* ``BrokenProcessPool`` (worker OOM/segfault) is a failed attempt of
+  that slot's run: the slot is recycled, the death counted in
+  ``BatchReport.pool_deaths``, and the run retried like any failure.
 * Completed results always merge into the store — even when the batch
   ultimately raises :class:`repro.exceptions.ExecutionError` — and every
   casualty lands in the store as a failure record under its key, with
@@ -27,7 +29,7 @@ Faults are isolated per run, never per batch:
   recorded ``interrupted``, and only then does the batch re-raise so
   the CLI can exit resumable.
 * ``MemoryError`` under the ``REPRO_MAX_RSS`` ceiling is terminal for
-  that run (status ``oom``, never retried); the pool initializer
+  that run (status ``oom``, never retried); the worker initializer
   applies the ceiling per worker and ignores SIGINT so the coordinator
   owns the drain.
 * On ``keep_going`` batches the per-config circuit breaker
@@ -36,9 +38,10 @@ Faults are isolated per run, never per batch:
   success supersedes the failure record and closes the streak).
 
 :func:`execute_attempt` is the one body of a run attempt: this module's
-serial and pool paths, the lazy misses of
+serial and pooled paths, the lazy misses of
 :class:`repro.analysis.runner.CachedRunner` and the service's worker
-slots all execute through it.
+slots (which are :class:`ProcessSlot` slots too) all execute through
+it.
 
 Serial execution of the same batch produces identical payloads for every
 deterministic field; only ``wall_time_s`` (a host-time measurement)
@@ -54,7 +57,12 @@ import time
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -89,14 +97,10 @@ __all__ = [
     "execute_request",
     "execute_attempt",
     "worker_init",
-    "shutdown_pool",
+    "ProcessSlot",
 ]
 
 KINDS = ("sim", "mcm", "mrc")
-
-#: ``BrokenProcessPool`` events after which a batch degrades to serial
-#: in-process execution for its remaining runs.
-MAX_POOL_DEATHS = 2
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,7 @@ def worker_init() -> None:
     their results collected, not die mid-computation.  SIGTERM is reset
     to its *default* — forked workers inherit the coordinator's drain
     handler from the parent, which would otherwise swallow the SIGTERM
-    that :func:`shutdown_pool` uses to put down hung workers.  The
+    that :meth:`ProcessSlot.close` uses to put down hung workers.  The
     optional ``REPRO_MAX_RSS`` ceiling is applied per worker for the
     same reason: one pathological run should raise :class:`MemoryError`
     in its own process, not invite the OOM killer.
@@ -216,31 +220,70 @@ def worker_init() -> None:
     apply_memory_limit()
 
 
-def shutdown_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting on hung or dead workers.
+class ProcessSlot:
+    """One worker process that runs one attempt at a time.
 
-    ``shutdown(wait=True)`` would block forever behind a hung run, so
-    workers are terminated outright; every task we still care about has
-    already been retrieved or will be resubmitted to a fresh pool.
+    The slot owns a single-worker ``ProcessPoolExecutor``, started on
+    the first :meth:`submit` after construction or a :meth:`recycle`.
+    With one process per slot a dead or hung worker names exactly one
+    run, so its owner recycles that slot and nothing else.  The batch
+    runner and the service's worker slots both run on it; the owner
+    picks the multiprocessing context (``None`` is the platform
+    default).
     """
-    workers = list((getattr(pool, "_processes", None) or {}).values())
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    for worker in workers:
+
+    def __init__(self, mp_context=None) -> None:
+        self.mp_context = mp_context
+        self.pool: Optional[ProcessPoolExecutor] = None
+        self.recycles = 0
+
+    def submit(self, request: RunRequest, attempt: int) -> Future:
+        """Start one attempt of ``request`` on this slot's worker.
+
+        A worker that cannot take the attempt (it died while idle, or
+        could not be started) shows up as a future failed with
+        ``BrokenProcessPool``, exactly like a worker dying mid-run.
+        """
         try:
-            worker.terminate()
+            if self.pool is None:
+                self.pool = ProcessPoolExecutor(
+                    max_workers=1,
+                    initializer=worker_init,
+                    mp_context=self.mp_context,
+                )
+            return self.pool.submit(execute_attempt, request, attempt)
+        except (RuntimeError, OSError) as error:  # BrokenProcessPool too
+            broken = BrokenProcessPool(f"worker unavailable: {error}")
+            broken.__cause__ = error
+            future = Future()
+            future.set_exception(broken)
+            return future
+
+    def recycle(self) -> None:
+        """Put the worker down; the next :meth:`submit` starts afresh."""
+        self.close()
+        self.recycles += 1
+
+    def close(self) -> None:
+        """Terminate the worker without waiting on it.
+
+        ``shutdown(wait=True)`` would block forever behind a hung run,
+        so the process is terminated outright; whatever it was running
+        has already been given up by the owner.
+        """
+        pool, self.pool = self.pool, None
+        if pool is None:
+            return
+        workers = list((getattr(pool, "_processes", None) or {}).values())
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
             pass
-
-
-class _BatchState:
-    """Mutable pool-health bookkeeping threaded through one batch."""
-
-    def __init__(self) -> None:
-        self.pool_deaths = 0
-        self.degraded = False
+        for worker in workers:
+            try:
+                worker.terminate()
+            except Exception:
+                pass
 
 
 def _park(
@@ -259,7 +302,7 @@ def _park(
 class ParallelRunner:
     """Executes the cache misses of a request batch across processes.
 
-    ``policy`` governs retries, timeouts and degradation (see
+    ``policy`` governs retries, timeouts and the breaker (see
     :class:`repro.analysis.faults.ExecutionPolicy`).  ``ledger`` is the
     failure accounting the batch gates on and records to; a
     :class:`repro.analysis.runner.CachedRunner` passes its own so lazy
@@ -328,18 +371,15 @@ class ParallelRunner:
             return self.last_report
         outcomes: Dict[str, RunOutcome] = {}
         executed: List[Tuple[str, str, dict]] = []
-        state = _BatchState()
+        deaths: List[str] = []  # the key of each run whose worker died
         pending = self._skip_tripped(pending, outcomes)
         shutdown: Optional[BaseException] = None
         try:
             if pending:
                 if self.jobs <= 1 or len(pending) == 1:
-                    self._run_serial(
-                        [(request, 1) for request in pending],
-                        outcomes, executed,
-                    )
+                    self._run_serial(pending, outcomes, executed)
                 else:
-                    self._run_pool(pending, outcomes, executed, state)
+                    self._run_pool(pending, outcomes, executed, deaths)
         except (ShutdownRequested, KeyboardInterrupt) as exc:
             # Partial-progress contract for interrupts too: fall through
             # to the merge and the ledger below, then re-raise.
@@ -354,8 +394,7 @@ class ParallelRunner:
                     _park(outcomes, request, 0)
         report = BatchReport(
             outcomes=tuple(outcomes[key] for key in sorted(outcomes)),
-            pool_deaths=state.pool_deaths,
-            degraded_to_serial=state.degraded,
+            pool_deaths=len(deaths),
         )
         self.last_report = report
         self.ledger.record(report.outcomes)
@@ -428,8 +467,8 @@ class ParallelRunner:
         A success is staged for the merge.  A failure with retry budget
         left returns True — the caller re-queues the run at
         ``attempt + 1`` after ``policy.backoff(attempt)`` — and any
-        other failure is terminal.  ``BrokenProcessPool`` is the pool's
-        failure, not the run's, and propagates.  While ``draining``
+        other failure is terminal; a worker death (``BrokenProcessPool``)
+        is the run's failed attempt like any other.  While ``draining``
         nothing is retried and a casualty says nothing about the config,
         so it is recorded ``interrupted``.
         """
@@ -443,8 +482,6 @@ class ParallelRunner:
                     + traceback.format_exc(),
                 )
                 return False
-            if isinstance(error, BrokenProcessPool):
-                raise
             if retryable(error) and attempt <= self.policy.max_retries:
                 tracer = get_tracer()
                 if tracer.enabled:
@@ -464,24 +501,22 @@ class ParallelRunner:
 
     def _run_serial(
         self,
-        items: List[Tuple[RunRequest, int]],
+        pending: List[RunRequest],
         outcomes: Dict[str, RunOutcome],
         executed: List[Tuple[str, str, dict]],
     ) -> None:
-        """In-process execution with retries; also the degradation path.
+        """In-process execution with retries.
 
         Per-run timeouts cannot be enforced from within the executing
         process, so ``run_timeout`` only applies to pool execution.
         Between runs the shutdown coordinator is consulted: a requested
-        drain marks the not-yet-started remainder ``interrupted`` and
-        raises, leaving completed results for the caller to merge.
+        drain raises, and the caller merges what completed and marks
+        the not-yet-started remainder ``interrupted``.
         """
         coordinator = get_coordinator()
-        for index, (request, attempt) in enumerate(items):
-            if coordinator.requested:
-                for late_request, late_attempt in items[index:]:
-                    _park(outcomes, late_request, late_attempt - 1)
-                coordinator.check()
+        for request in pending:
+            coordinator.check()
+            attempt = 1
             while self._conclude(
                 request, attempt,
                 lambda: execute_attempt(request, attempt, allow_exit=False),
@@ -495,24 +530,25 @@ class ParallelRunner:
         pending: List[RunRequest],
         outcomes: Dict[str, RunOutcome],
         executed: List[Tuple[str, str, dict]],
-        state: _BatchState,
+        deaths: List[str],
     ) -> None:
+        """Run ``pending`` on ``min(jobs, len(pending))`` slots.
+
+        Each slot runs at most one run, so each run's timeout clock
+        starts when it actually starts running, and a worker death or a
+        timeout recycles only the slot whose run it names.
+        """
         policy = self.policy
         coordinator = get_coordinator()
-        workers = min(self.jobs, len(pending))
+        slots = [ProcessSlot() for _ in range(min(self.jobs, len(pending)))]
+        idle = list(slots)
         queue = deque((request, 1) for request in pending)
         # Min-heap of (ready_time, seq, request, attempt); seq breaks
         # ties because RunRequest does not order.
         retries: List[Tuple[float, int, RunRequest, int]] = []
         seq = itertools.count()
-        inflight: Dict = {}  # future -> (request, attempt, deadline)
-
-        def spawn() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=workers, initializer=worker_init
-            )
-
-        pool = spawn()
+        inflight: Dict = {}  # future -> (request, attempt, deadline, slot)
+        tracer = get_tracer()
         try:
             while queue or retries or inflight:
                 if coordinator.requested:
@@ -522,137 +558,79 @@ class ParallelRunner:
                 while retries and retries[0][0] <= now:
                     _, _, request, attempt = heapq.heappop(retries)
                     queue.append((request, attempt))
-                broken = False
-                # Keep at most ``workers`` runs in flight so each run's
-                # timeout clock starts when it actually starts running.
-                while queue and len(inflight) < workers:
+                while queue and idle:
                     request, attempt = queue.popleft()
+                    slot = idle.pop()
                     deadline = (
                         now + policy.run_timeout
                         if policy.run_timeout
                         else float("inf")
                     )
-                    try:
-                        future = pool.submit(
-                            execute_attempt, request, attempt, True
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        queue.appendleft((request, attempt))
-                        broken = True
-                        break
-                    inflight[future] = (request, attempt, deadline)
-                if not broken and not inflight:
-                    if retries:
-                        time.sleep(
-                            max(0.0, retries[0][0] - time.monotonic())
-                        )
-                        continue
-                    break
-                if not broken:
-                    next_deadline = min(d for _, _, d in inflight.values())
-                    next_retry = retries[0][0] if retries else float("inf")
-                    horizon = min(next_deadline, next_retry)
-                    timeout = (
-                        None
-                        if horizon == float("inf")
-                        else max(0.01, horizon - time.monotonic())
-                    )
-                    done, _ = wait(
-                        set(inflight), timeout=timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        request, attempt, _ = inflight.pop(future)
-                        try:
-                            retry = self._conclude(
-                                request, attempt, future.result,
-                                outcomes, executed,
-                            )
-                        except BrokenProcessPool:
-                            # The casualty is unknown (any worker may have
-                            # died); resubmit at the same attempt number.
-                            queue.append((request, attempt))
-                            broken = True
-                            continue
-                        if retry:
-                            heapq.heappush(
-                                retries,
-                                (
-                                    time.monotonic() + policy.backoff(attempt),
-                                    next(seq),
-                                    request,
-                                    attempt + 1,
-                                ),
-                            )
-                if broken:
-                    for future, (request, attempt, _) in inflight.items():
-                        queue.append((request, attempt))
-                    inflight.clear()
-                    state.pool_deaths += 1
-                    tracer = get_tracer()
-                    if tracer.enabled:
-                        tracer.instant(
-                            "pool.death", cat="run",
-                            args={"deaths": state.pool_deaths},
-                        )
-                    shutdown_pool(pool)
-                    if state.pool_deaths >= MAX_POOL_DEATHS:
-                        state.degraded = True
-                        if tracer.enabled:
-                            tracer.instant(
-                                "pool.degrade", cat="run",
-                                args={
-                                    "remaining": len(queue) + len(retries),
-                                },
-                            )
-                        warnings.warn(
-                            f"parallel runner: worker pool died "
-                            f"{state.pool_deaths} times; degrading to "
-                            f"serial execution for the remaining "
-                            f"{len(queue) + len(retries)} runs"
-                        )
-                        remaining = list(queue) + [
-                            (request, attempt)
-                            for _, _, request, attempt in sorted(retries)
-                        ]
-                        queue.clear()
-                        retries.clear()
-                        self._run_serial(remaining, outcomes, executed)
-                        return
-                    pool = spawn()
+                    future = slot.submit(request, attempt)
+                    inflight[future] = (request, attempt, deadline, slot)
+                if not inflight:
+                    time.sleep(max(0.0, retries[0][0] - time.monotonic()))
                     continue
-                # Per-run timeout sweep: abandon expired runs, recycle the
-                # pool (a hung worker keeps its slot forever otherwise)
-                # and resubmit the innocent in-flight runs.
-                now = time.monotonic()
-                expired = [
-                    future
-                    for future, (_, _, deadline) in inflight.items()
-                    if deadline <= now
-                ]
-                if expired:
-                    tracer = get_tracer()
-                    for future in expired:
-                        request, attempt, _ = inflight.pop(future)
-                        future.cancel()
+                next_deadline = min(entry[2] for entry in inflight.values())
+                next_retry = retries[0][0] if retries else float("inf")
+                horizon = min(next_deadline, next_retry)
+                timeout = (
+                    None
+                    if horizon == float("inf")
+                    else max(0.01, horizon - time.monotonic())
+                )
+                done, _ = wait(
+                    set(inflight), timeout=timeout,
+                    return_when=FIRST_COMPLETED,
+                )
+                for future in done:
+                    request, attempt, _, slot = inflight.pop(future)
+                    idle.append(slot)
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        slot.recycle()
+                        deaths.append(request.key)
                         if tracer.enabled:
                             tracer.instant(
-                                "run.timeout", cat="run",
+                                "pool.death", cat="run",
                                 args={"key": request.key, "attempt": attempt},
                             )
-                        outcomes[request.key] = RunOutcome.of(
-                            request, TIMEOUT, attempt,
-                            f"run exceeded the per-run timeout of "
-                            f"{policy.run_timeout}s",
+                    if self._conclude(
+                        request, attempt, future.result, outcomes, executed
+                    ):
+                        heapq.heappush(
+                            retries,
+                            (
+                                time.monotonic() + policy.backoff(attempt),
+                                next(seq),
+                                request,
+                                attempt + 1,
+                            ),
                         )
-                    for future, (request, attempt, _) in inflight.items():
-                        future.cancel()
-                        queue.append((request, attempt))
-                    inflight.clear()
-                    shutdown_pool(pool)
-                    pool = spawn()
+                # Per-run timeout sweep: abandon expired runs and recycle
+                # their slots (a hung worker keeps its slot forever
+                # otherwise).
+                now = time.monotonic()
+                for future, (request, attempt, deadline, slot) in list(
+                    inflight.items()
+                ):
+                    if deadline > now:
+                        continue
+                    del inflight[future]
+                    slot.recycle()
+                    idle.append(slot)
+                    if tracer.enabled:
+                        tracer.instant(
+                            "run.timeout", cat="run",
+                            args={"key": request.key, "attempt": attempt},
+                        )
+                    outcomes[request.key] = RunOutcome.of(
+                        request, TIMEOUT, attempt,
+                        f"run exceeded the per-run timeout of "
+                        f"{policy.run_timeout}s",
+                    )
         finally:
-            shutdown_pool(pool)
+            for slot in slots:
+                slot.close()
 
     def _drain(
         self,
@@ -679,7 +657,7 @@ class ParallelRunner:
         retries.clear()
         if not inflight:
             return
-        deadline = max(d for _, _, d in inflight.values())
+        deadline = max(entry[2] for entry in inflight.values())
         timeout = (
             None
             if deadline == float("inf")
@@ -687,14 +665,13 @@ class ParallelRunner:
         )
         done, not_done = wait(set(inflight), timeout=timeout)
         for future in done:
-            request, attempt, _ = inflight.pop(future)
+            request, attempt, _, _ = inflight.pop(future)
             self._conclude(
                 request, attempt, future.result, outcomes, executed,
                 draining=True,
             )
         for future in not_done:
-            request, attempt, _ = inflight.pop(future)
-            future.cancel()
+            request, attempt, _, _ = inflight.pop(future)
             outcomes[request.key] = RunOutcome.of(
                 request, INTERRUPTED, attempt,
                 "graceful shutdown: run abandoned at its timeout deadline",

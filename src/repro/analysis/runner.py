@@ -487,11 +487,7 @@ class CachedRunner:
         """One-line end-of-run execution summary for CLI/script output:
         :func:`repro.analysis.faults.health_sentence` over every run
         this runner executed, lazy or prefetched."""
-        return health_sentence(
-            self._exec_counts(),
-            self.last_report is not None
-            and self.last_report.degraded_to_serial,
-        )
+        return health_sentence(self._exec_counts())
 
     def flush(self) -> None:
         self.store.flush()

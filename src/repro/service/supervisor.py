@@ -1,14 +1,15 @@
 """Supervised worker pool: process workers with a watchdog per run.
 
-Each :class:`WorkerSlot` owns a single-process
-``ProcessPoolExecutor`` — one slot, one OS process — because the unit
-of recycling *is* the process: a hung or dead worker is put down with
-:func:`repro.analysis.parallel.shutdown_pool` (terminate, never wait)
-and the slot respawns a fresh pool, exactly the watchdog contract the
-batch runner established.  Runs execute through the same
-:func:`repro.analysis.parallel.execute_attempt` entry point, so fault
-injection, memory ceilings and observability hooks behave identically
-in batch and service mode.
+Each :class:`WorkerSlot` is a :class:`repro.analysis.parallel.ProcessSlot`
+— one slot, one OS process, the same slot the batch runner runs on —
+because the unit of recycling *is* the process: a hung or dead worker
+is terminated (never waited on) and the next attempt starts a fresh
+one.  Runs execute through the same
+:func:`repro.analysis.parallel.execute_attempt` entry point, and a
+failed attempt gets the same verdict as in a batch (a worker death
+recycles the slot; ``retryable``/``failure_status`` decide the rest),
+so fault injection, memory ceilings and observability hooks behave
+identically in batch and service mode.
 
 Every dispatch races three futures:
 
@@ -29,12 +30,10 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional
 
 from repro.analysis.faults import (
-    FAILED as RUN_FAILED,
     INTERRUPTED as RUN_INTERRUPTED,
     OK as RUN_OK,
     TIMEOUT as RUN_TIMEOUT,
@@ -42,11 +41,7 @@ from repro.analysis.faults import (
     failure_status,
     retryable,
 )
-from repro.analysis.parallel import (
-    execute_attempt,
-    shutdown_pool,
-    worker_init,
-)
+from repro.analysis.parallel import ProcessSlot
 from repro.obs.metrics import get_registry
 from repro.service.config import ServiceConfig
 from repro.service.jobs import COMPLETED, FAILED, RUNNING, SHED, Job
@@ -62,23 +57,20 @@ SCALE_INTERVAL_S = 0.2
 SCALE_DOWN_IDLE_POLLS = 25
 
 
-def _swallow_result(future: asyncio.Future) -> None:
-    """Consume an abandoned worker future so its exception (the
-    BrokenProcessPool a recycle provokes) never logs as unretrieved."""
-    if not future.cancelled():
-        future.exception()
-
-
-class WorkerSlot:
+class WorkerSlot(ProcessSlot):
     """One supervised worker process and its dispatch loop."""
 
     def __init__(self, supervisor: "Supervisor", index: int) -> None:
+        # Spawn, not fork: a forked worker inherits every open fd,
+        # including accepted client sockets — it would hold those
+        # connections open (no FIN to the client) for as long as the
+        # worker lives.  Spawned workers start clean; the ~0.4 s spawn
+        # cost is paid only at scale-up and recycle, never per run.
+        super().__init__(multiprocessing.get_context("spawn"))
         self.supervisor = supervisor
         self.index = index
-        self.pool: Optional[ProcessPoolExecutor] = None
         self.task: Optional[asyncio.Task] = None
         self.busy = False
-        self.recycles = 0
         self._idle_polls = 0
 
     def start(self) -> None:
@@ -86,26 +78,8 @@ class WorkerSlot:
             self._run(), name=f"worker-slot-{self.index}"
         )
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self.pool is None:
-            # Spawn, not fork: a forked worker inherits every open fd,
-            # including accepted client sockets — it would hold those
-            # connections open (no FIN to the client) for as long as the
-            # worker lives.  Spawned workers start clean; the ~1s spawn
-            # cost is paid only at scale-up and recycle, never per run.
-            self.pool = ProcessPoolExecutor(
-                max_workers=1,
-                initializer=worker_init,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-        return self.pool
-
-    def _recycle(self) -> None:
-        """Put the worker process down; the next run gets a fresh one."""
-        if self.pool is not None:
-            shutdown_pool(self.pool)
-            self.pool = None
-        self.recycles += 1
+    def recycle(self) -> None:
+        super().recycle()
         get_registry().inc("service.worker_recycles")
 
     async def _run(self) -> None:
@@ -125,9 +99,7 @@ class WorkerSlot:
                 finally:
                     self.busy = False
         finally:
-            if self.pool is not None:
-                self.pool.shutdown(wait=False, cancel_futures=True)
-                self.pool = None
+            self.close()
             supervisor.slot_exited(self)
 
     async def _execute(self, job: Job) -> None:
@@ -146,21 +118,19 @@ class WorkerSlot:
             remaining = job.deadline - loop.time()
             if remaining <= 0:
                 job.finish(SHED, error="deadline expired before the run started")
-                supervisor.job_finished(job, RUN_TIMEOUT, "deadline expired")
+                # A job that never started says nothing about its
+                # config, just as a drained one does: only a deadline
+                # that ran out on a retry counts toward the breaker.
+                supervisor.job_finished(
+                    job,
+                    RUN_TIMEOUT if job.attempts else RUN_INTERRUPTED,
+                    "deadline expired",
+                )
                 return
             job.attempts += 1
-            pool = self._ensure_pool()
-            try:
-                worker_future = asyncio.wrap_future(
-                    pool.submit(execute_attempt, job.request, job.attempts),
-                    loop=loop,
-                )
-            except (BrokenProcessPool, RuntimeError) as error:
-                self._recycle()
-                if job.attempts <= MAX_RETRIES:
-                    continue
-                self._fail(job, f"worker pool unavailable: {error}")
-                return
+            worker_future = asyncio.wrap_future(
+                self.submit(job.request, job.attempts), loop=loop
+            )
             abort_task = loop.create_task(job.abort.wait())
             try:
                 done, _ = await asyncio.wait(
@@ -173,22 +143,16 @@ class WorkerSlot:
             if worker_future in done:
                 try:
                     key, shard, payload = worker_future.result()
-                except BrokenProcessPool:
-                    # The worker died (segfault, injected `die`).  The
-                    # pool is useless now either way; retry only if the
-                    # budget and the deadline both allow.
-                    self._recycle()
-                    if job.attempts <= MAX_RETRIES:
-                        continue
-                    self._fail(job, "worker process died repeatedly")
-                    return
                 except Exception as error:  # noqa: BLE001 - worker verdicts
+                    if isinstance(error, BrokenProcessPool):
+                        # The worker died (segfault, injected `die`): a
+                        # failed attempt of this job, on a dead process.
+                        self.recycle()
                     if retryable(error) and job.attempts <= MAX_RETRIES:
                         continue
-                    self._fail(
-                        job, traceback.format_exc(),
-                        status=failure_status(error),
-                    )
+                    failure = traceback.format_exc()
+                    job.finish(FAILED, error=failure)
+                    supervisor.job_finished(job, failure_status(error), failure)
                     return
                 else:
                     job.finish(COMPLETED, payload=payload)
@@ -196,10 +160,10 @@ class WorkerSlot:
                     supervisor.job_finished(job, RUN_OK)
                     return
             # Abort or timeout won the race: the worker is still running
-            # something nobody wants — kill it, don't abandon it.
-            worker_future.add_done_callback(_swallow_result)
+            # something nobody wants — kill it, don't abandon it.  The
+            # cancelled future drops the BrokenProcessPool this provokes.
             worker_future.cancel()
-            self._recycle()
+            self.recycle()
             if job.abort.is_set():
                 job.finish(SHED, error="every waiter gave up mid-run")
                 supervisor.job_finished(job, RUN_INTERRUPTED)
@@ -213,10 +177,6 @@ class WorkerSlot:
                     job, RUN_TIMEOUT, "run exceeded its deadline"
                 )
             return
-
-    def _fail(self, job: Job, error: str, status: str = RUN_FAILED) -> None:
-        job.finish(FAILED, error=error)
-        self.supervisor.job_finished(job, status, error)
 
 
 class Supervisor:
@@ -268,9 +228,7 @@ class Supervisor:
                 )
             except asyncio.TimeoutError:
                 for slot in list(self._slots):
-                    if slot.pool is not None:
-                        shutdown_pool(slot.pool)
-                        slot.pool = None
+                    slot.close()
                     if slot.task is not None:
                         slot.task.cancel()
 

@@ -26,6 +26,7 @@ from repro.analysis.faults import (
     maybe_inject,
     parse_fault_plan,
 )
+from repro.analysis import parallel
 from repro.analysis.parallel import ParallelRunner, RunRequest
 from repro.analysis.runner import (
     CachedRunner,
@@ -227,24 +228,33 @@ class TestBrokenPoolRecovery:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "die:sim|va")
+        submitted = []
+        submit = parallel.ProcessSlot.submit
+
+        def counting_submit(slot, request, attempt):
+            submitted.append(request.key)
+            return submit(slot, request, attempt)
+
+        monkeypatch.setattr(parallel.ProcessSlot, "submit", counting_submit)
         store = store_at(tmp_path)
         policy = ExecutionPolicy(
             max_retries=1, keep_going=True, **FAST
         )
-        with pytest.warns(UserWarning, match="degrading to serial"):
-            report = ParallelRunner(
-                store, jobs=2, policy=policy
-            ).run_batch_report([req(VA), req(BP), req(BP, size=16)])
-        # The repeatedly dying run degrades the batch to serial execution,
-        # where the injection raises instead of killing the host; the two
-        # innocent runs complete either way.
-        assert report.pool_deaths >= 1
-        assert report.degraded_to_serial
+        report = ParallelRunner(
+            store, jobs=2, policy=policy
+        ).run_batch_report([req(VA), req(BP), req(BP, size=16)])
+        # Each death names its run: the dying run fails after its retry,
+        # one death per attempt, and the two innocent runs complete
+        # without ever being resubmitted.
+        assert report.pool_deaths == 2
         assert report.executed == 2
         assert store.contains(req(BP).key)
         assert store.contains(req(BP, size=16).key)
         (failure,) = report.failures
         assert failure.status == FAILED and failure.shard == "va"
+        assert failure.attempts == 2
+        assert submitted.count(req(BP).key) == 1
+        assert submitted.count(req(BP, size=16).key) == 1
 
 
 class TestAcceptanceScenario:
@@ -484,14 +494,13 @@ class TestManifestAndReportUnits:
                 RunOutcome("c", "mrc", "va", TIMEOUT),
             ),
             pool_deaths=1,
-            degraded_to_serial=True,
         )
         assert report.executed == 1
         assert len(report.failures) == 2
         assert report.retries == 3
         text = report.summary()
         assert "1 ok" in text and "1 failed" in text
-        assert "1 timed out" in text and "degraded to serial" in text
+        assert "1 timed out" in text
 
 
     def test_retries_never_go_negative(self):

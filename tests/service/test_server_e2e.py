@@ -2,10 +2,11 @@
 cache hit, request validation at the wire, health endpoints, idempotent
 retry coalescing and a clean stop.
 
-The heavier failure modes (worker death, hangs, overload, SIGTERM
-drain) live in ``scripts/service_chaos.py`` — this test guards the
-happy-path wiring cheaply enough for tier 1.  One server boot serves
-every assertion: worker spawn costs ~1s and is the dominant term.
+Worker death and hangs are covered below the HTTP layer by
+``test_supervisor_faults.py``; overload and the SIGTERM drain live in
+``scripts/service_chaos.py``.  This test guards the happy-path wiring
+cheaply enough for tier 1.  One server boot serves every assertion:
+worker spawn costs ~0.4 s and is the dominant term.
 """
 
 import asyncio

@@ -130,50 +130,6 @@ class TestThirdScaleModelAblation:
         assert three.mean_error("scale-model") < 2 * two.mean_error("scale-model")
 
 
-class TestWorkloadCharacterization:
-    """Table II cross-check: measured footprints and reuse factors."""
-
-    def test_characterization_table(self):
-        from repro.mrc.characterize import characterize
-        from repro.workloads import build_trace
-
-        rows = []
-        for abbr in ("dct", "bfs", "pf", "ht", "gemm"):
-            spec = STRONG_SCALING[abbr]
-            ch = characterize(build_trace(spec), max_accesses=80000)
-            rows.append([
-                abbr,
-                f"{ch.footprint_mb():.1f}",
-                f"{spec.footprint_mb:g}",
-                f"{ch.reuse_factor:.1f}",
-                spec.scaling.value,
-            ])
-        emit(render_table(
-            ["bench", "measured MB*", "Table II MB", "reuse", "class"],
-            rows,
-            title=("Ablation: trace characterization "
-                   "(*prefix-sampled; sweep traces cover the hot set)"),
-        ))
-        assert len(rows) == 5
-
-
-class TestSensitivityAblation:
-    def test_input_sensitivity_table(self, runner):
-        from repro.core.sensitivity import sensitivity_report
-        from repro.core.workflow import predict_strong_scaling
-
-        profile = predict_strong_scaling(
-            STRONG_SCALING["dct"], target_sizes=(128,),
-            include_actuals=False, runner=runner,
-        ).profile
-        report = sensitivity_report(profile, 128)
-        emit(render_table(["input", "perturbation", "prediction change"],
-                          report.as_rows(),
-                          title="Ablation: predictor input sensitivity (dct)"))
-        # Crossing a cliff: f_mem error is material.
-        assert report.worst_case("f_mem") > 0.02
-
-
 def test_full_fig4_prediction_pipeline(runner):
     """The analysis pipeline end to end covers all 21 benchmarks."""
     result = figure4_strong_accuracy(128, runner=runner)

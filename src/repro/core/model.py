@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -25,9 +26,10 @@ class PredictionResult:
     details: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.ipc <= 0:
+        if not (math.isfinite(self.ipc) and self.ipc > 0):
             raise PredictionError(
-                f"{self.workload}@{self.target_size}: non-positive prediction"
+                f"{self.workload}@{self.target_size}: prediction "
+                f"{self.ipc} is not a finite positive IPC"
             )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -37,8 +38,10 @@ class ScaleModelProfile:
             )
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise PredictionError(f"sizes must be strictly increasing: {self.sizes}")
-        if any(ipc <= 0 for ipc in self.ipcs):
-            raise PredictionError(f"IPCs must be positive: {self.ipcs}")
+        if not all(math.isfinite(ipc) and ipc > 0 for ipc in self.ipcs):
+            raise PredictionError(
+                f"IPCs must be finite and positive: {self.ipcs}"
+            )
         if self.f_mem is not None and not 0.0 <= self.f_mem < 1.0:
             raise PredictionError(
                 f"f_mem must be in [0, 1), got {self.f_mem}"

@@ -41,11 +41,6 @@ class StateTimeTracker:
     def time_in(self, state: str) -> float:
         return self._time_in.get(state, 0.0)
 
-    def fraction_in(self, state: str, total_time: float) -> float:
-        if total_time <= 0:
-            return 0.0
-        return self.time_in(state) / total_time
-
     def as_dict(self) -> Dict[str, float]:
         return dict(self._time_in)
 

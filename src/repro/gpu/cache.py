@@ -77,23 +77,9 @@ class SetAssocCache:
         cache_set[line] = None
         return victim
 
-    def invalidate(self, line: int) -> bool:
-        """Remove ``line`` if present.  Returns True if it was resident."""
-        cache_set = self._sets[line % self.num_sets]
-        if line in cache_set:
-            del cache_set[line]
-            return True
-        return False
-
     def resident_lines(self) -> int:
         """Number of lines currently resident (for occupancy assertions)."""
         return sum(len(s) for s in self._sets)
-
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.misses / total
 
     def reset_stats(self) -> None:
         self.hits = 0

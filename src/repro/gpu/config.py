@@ -95,16 +95,6 @@ class GPUConfig:
     # latencies lock thousands of warps into synchronized request bursts.
     latency_jitter: float = 0.3
 
-    # Fixed host-side overhead between back-to-back kernel launches, in
-    # cycles (~5 us on real hardware).  Default 0: the paper's simulations
-    # measure kernel time only, and the calibrated miniatures follow suit.
-    kernel_launch_overhead: float = 0.0
-
-    # CTA placement for the initial wave: "round_robin" (Table III) or
-    # "contiguous" (fill one SM to residency before the next) — the latter
-    # keeps neighbouring CTAs on one SM/chiplet, a locality ablation.
-    cta_scheduler: str = "round_robin"
-
     line_size: int = 128
     capacity_scale: float = DEFAULT_CAPACITY_SCALE
     name: str = "gpu"
@@ -116,15 +106,6 @@ class GPUConfig:
             raise ConfigurationError(f"llc_slices must be >= 1, got {self.llc_slices}")
         if self.num_mcs < 1:
             raise ConfigurationError(f"num_mcs must be >= 1, got {self.num_mcs}")
-        if self.kernel_launch_overhead < 0:
-            raise ConfigurationError(
-                f"kernel_launch_overhead must be >= 0, "
-                f"got {self.kernel_launch_overhead}"
-            )
-        if self.cta_scheduler not in ("round_robin", "contiguous"):
-            raise ConfigurationError(
-                f"unknown cta_scheduler {self.cta_scheduler!r}"
-            )
         if not (0 <= self.latency_jitter < 1):
             raise ConfigurationError(
                 f"latency_jitter must be in [0, 1), got {self.latency_jitter}"
@@ -158,11 +139,6 @@ class GPUConfig:
         return max(self.line_size, int(self.l1_size * self.capacity_scale))
 
     @property
-    def llc_slice_size(self) -> int:
-        """Nominal capacity of one LLC slice."""
-        return self.llc_size // self.llc_slices
-
-    @property
     def llc_sets_per_slice(self) -> int:
         """Simulated sets per slice (>= 1)."""
         slice_bytes = self.effective_llc_size // self.llc_slices
@@ -171,10 +147,6 @@ class GPUConfig:
     @property
     def l1_sets(self) -> int:
         return max(1, self.effective_l1_size // (self.l1_assoc * self.line_size))
-
-    @property
-    def max_ctas_per_sm_for(self) -> int:  # pragma: no cover - alias, see method
-        raise AttributeError("use max_resident_ctas(threads_per_cta)")
 
     def max_resident_ctas(self, threads_per_cta: int) -> int:
         """How many CTAs of the given size fit on one SM concurrently."""
@@ -218,10 +190,6 @@ class GPUConfig:
             num_mcs=num_mcs,
             name=f"{self.name}-{num_sms}sm",
         )
-
-    def scale_factor_to(self, other: "GPUConfig") -> float:
-        """Relative size of ``other`` versus this configuration (T / S)."""
-        return other.num_sms / self.num_sms
 
     # --- presentation ---------------------------------------------------------
     def describe(self) -> Dict[str, str]:
@@ -293,11 +261,6 @@ class McmConfig:
     @property
     def total_sms(self) -> int:
         return self.num_chiplets * self.chiplet.num_sms
-
-    @property
-    def inter_chiplet_bisection_bps(self) -> float:
-        """Package bisection bandwidth of the inter-chiplet fly network."""
-        return self.inter_chiplet_bw_per_chiplet_bps * self.num_chiplets / 2
 
     def scaled(self, num_chiplets: int) -> "McmConfig":
         """Derive a scale model with ``num_chiplets`` chiplets.

@@ -18,17 +18,9 @@ from repro.gpu.sm import StreamingMultiprocessor
 class CTADispatcher:
     """Tracks pending CTAs of the current kernel and places them on SMs."""
 
-    def __init__(
-        self,
-        sms: List[StreamingMultiprocessor],
-        policy: str = "round_robin",
-    ) -> None:
-        if policy not in ("round_robin", "contiguous"):
-            raise ValueError(f"unknown CTA scheduling policy {policy!r}")
+    def __init__(self, sms: List[StreamingMultiprocessor]) -> None:
         self._sms = sms
-        self._policy = policy
         self._pending: Deque[int] = deque()
-        self._rr_next = 0
 
     def load_kernel(self, num_ctas: int, max_resident: int) -> None:
         """Queue a kernel's CTAs and set the per-SM residency limit."""
@@ -43,30 +35,21 @@ class CTADispatcher:
     def initial_placements(self) -> List[tuple]:
         """Place the initial wave; returns (cta_id, sm_id) pairs.
 
-        ``round_robin`` visits SMs in waves so CTA ``i`` lands on SM
-        ``i % num_sms`` first (Table III's policy); ``contiguous`` fills
-        each SM to its residency limit before moving on, keeping
-        neighbouring CTAs (and their data) together.
+        SMs are visited round-robin in waves, so CTA ``i`` lands on SM
+        ``i % num_sms`` first (Table III's policy).
         """
         placements = []
-        if self._policy == "contiguous":
+        progress = True
+        while self._pending and progress:
+            progress = False
             for sm in self._sms:
-                while self._pending and sm.has_room:
+                if not self._pending:
+                    break
+                if sm.has_room:
                     cta_id = self._pending.popleft()
                     placements.append((cta_id, sm.sm_id))
-                    sm.resident_ctas += 1  # reserve the slot for this wave
-        else:
-            progress = True
-            while self._pending and progress:
-                progress = False
-                for sm in self._sms:
-                    if not self._pending:
-                        break
-                    if sm.has_room:
-                        cta_id = self._pending.popleft()
-                        placements.append((cta_id, sm.sm_id))
-                        sm.resident_ctas += 1  # reserve the slot
-                        progress = True
+                    sm.resident_ctas += 1  # reserve the slot
+                    progress = True
         # Roll back the reservations; the simulator performs the real
         # cta_started() calls (which also drive occupancy tracking).
         for __, sm_id in placements:

@@ -87,7 +87,7 @@ class GPUSimulator:
         self.sms: List[StreamingMultiprocessor] = [
             StreamingMultiprocessor(i, config) for i in range(config.num_sms)
         ]
-        self.dispatcher = CTADispatcher(self.sms, policy=config.cta_scheduler)
+        self.dispatcher = CTADispatcher(self.sms)
         self._workload: Optional[WorkloadTrace] = None
         self._on_boundary: Optional[BoundaryHook] = None
         self._tracer = None  # set per run() when observability is on
@@ -260,11 +260,7 @@ class GPUSimulator:
                 self._on_boundary(
                     self._kernel_index, self.kernel_clock.now, self._state_dict()
                 )
-            overhead = self.config.kernel_launch_overhead
-            if overhead > 0:
-                self.kernel_clock.schedule(overhead, self._launch_kernel)
-            else:
-                self._launch_kernel()
+            self._launch_kernel()
         else:
             self._finished = True
 

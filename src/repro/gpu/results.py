@@ -60,10 +60,6 @@ class SimulationResult:
         return self.thread_instructions / self.cycles
 
     @property
-    def ipc_per_sm(self) -> float:
-        return self.ipc / self.num_sms
-
-    @property
     def mpki(self) -> float:
         """LLC misses per thousand thread instructions."""
         if self.thread_instructions == 0:

@@ -16,7 +16,3 @@ from __future__ import annotations
 #: First line number of the LLC-bypass (no-allocate) region.
 BYPASS_BASE = 1 << 38
 
-
-def is_bypass(line: int) -> bool:
-    """True when the line carries the LLC no-allocate hint."""
-    return line >= BYPASS_BASE

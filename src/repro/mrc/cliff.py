@@ -11,15 +11,16 @@ The prediction model splits the capacity axis into three regions:
 The paper observes at most one cliff for its workloads and system setup
 (a single shared cache level); this analysis mirrors that by reporting
 the *first* qualifying drop and treating everything beyond it as
-post-cliff.  Multi-cliff extension is future work in the paper and is
-left detectable here via :meth:`CliffAnalysis.all_drops`.
+post-cliff.  The ratio of every step stays in
+:attr:`CliffAnalysis.drop_ratios` for callers that look past the first
+cliff (:mod:`repro.core.multicliff`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.exceptions import PredictionError
 from repro.mrc.curve import MissRateCurve
@@ -73,12 +74,6 @@ class CliffAnalysis:
         if index == self.cliff_step + 1:
             return Region.CLIFF
         return Region.POST_CLIFF
-
-    def all_drops(self, threshold: float = CLIFF_DROP_THRESHOLD) -> List[int]:
-        """Indices of every step whose drop exceeds the threshold."""
-        return [
-            i for i, ratio in enumerate(self.drop_ratios) if ratio > threshold
-        ]
 
 
 def analyze_regions(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.exceptions import PredictionError
 from repro.units import MB
@@ -53,16 +53,6 @@ class MissRateCurve:
     def capacities_mb(self) -> Tuple[float, ...]:
         return tuple(c / MB for c in self.capacities_bytes)
 
-    def mpki_at(self, capacity_bytes: int) -> float:
-        """MPKI at an exact capacity point (must be one of the samples)."""
-        for cap, value in zip(self.capacities_bytes, self.mpki):
-            if cap == capacity_bytes:
-                return value
-        raise PredictionError(
-            f"{self.workload}: no MPKI sample at {capacity_bytes} bytes; "
-            f"sampled capacities: {self.capacities_bytes}"
-        )
-
     def drop_ratios(self) -> List[float]:
         """``mpki[i] / mpki[i+1]`` per capacity step (>= 1 means improving).
 
@@ -81,35 +71,3 @@ class MissRateCurve:
         """(capacity_mb, mpki) rows for table rendering."""
         return list(zip(self.capacities_mb, self.mpki))
 
-
-def curve_from_samples(
-    workload: str,
-    samples: Sequence[Tuple[int, float]],
-    miss_ratio: Sequence[float] = (),
-) -> MissRateCurve:
-    """Build a curve from unsorted ``(capacity_bytes, mpki)`` samples.
-
-    ``miss_ratio[i]`` is the diagnostic miss ratio measured at
-    ``samples[i]`` and is reordered *with* its sample: sorting the
-    samples while passing the ratios through in caller order would
-    silently misalign the diagnostics whenever the caller's samples
-    were not already capacity-sorted.
-    """
-    if miss_ratio and len(miss_ratio) != len(samples):
-        raise PredictionError(
-            f"{workload}: got {len(miss_ratio)} miss_ratio values for "
-            f"{len(samples)} samples"
-        )
-    if miss_ratio:
-        ordered = sorted(zip(samples, miss_ratio))
-        ratios = tuple(r for __, r in ordered)
-        pairs = [pair for pair, __ in ordered]
-    else:
-        ratios = ()
-        pairs = sorted(samples)
-    return MissRateCurve(
-        workload=workload,
-        capacities_bytes=tuple(c for c, __ in pairs),
-        mpki=tuple(m for __, m in pairs),
-        miss_ratio=ratios,
-    )

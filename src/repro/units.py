@@ -29,14 +29,6 @@ def bytes_per_cycle(bandwidth_bps: float, clock_hz: float) -> float:
     return bandwidth_bps / clock_hz
 
 
-def cycles_for_bytes(num_bytes: float, bandwidth_bps: float, clock_hz: float) -> float:
-    """Cycles needed to move ``num_bytes`` over a link of the given bandwidth."""
-    per_cycle = bytes_per_cycle(bandwidth_bps, clock_hz)
-    if per_cycle <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
-    return num_bytes / per_cycle
-
-
 def format_bytes(num_bytes: float) -> str:
     """Human-readable capacity string, e.g. ``34.0 MB`` or ``512 KB``."""
     if num_bytes >= GB:

@@ -33,10 +33,10 @@ LEDGER = os.path.join(
 #: System half of a key, by size; ``None`` is the unscaled baseline an
 #: MRC is collected against.
 CONFIG_HALF = {
-    8: "1a9ba5954505028f",
-    16: "07aef57d1b1d5ba1",
-    32: "c92688db18b61009",
-    None: "3992c4b1ffe7338c",
+    8: "ad78f896c967c182",
+    16: "ac470ce8a141b180",
+    32: "a60c3593f7a56f4a",
+    None: "6206b24eb99adea9",
 }
 #: Spec half of the zoo sample's keys: ``abbr -> (sim, mrc)``.
 ZOO_SPEC_HALF = {

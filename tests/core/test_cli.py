@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.core.cli import build_parser, main, run
+from repro.exceptions import PredictionError
 
 
 def run_cli(argv):
@@ -57,6 +58,16 @@ class TestCli:
 
     def test_invalid_small_sms(self):
         assert main(["100", "190", "3", "3", "3", "--small-sms", "0"]) == 2
+
+    @pytest.mark.parametrize("ipcs", [["nan", "190"], ["100", "inf"]])
+    def test_non_finite_ipc_exits_before_any_table(self, ipcs):
+        argv = ipcs + ["8", "8", "1", "1", "1",
+                       "--small-sms", "8", "--f-mem", "0.5"]
+        out = io.StringIO()
+        with pytest.raises(PredictionError, match="finite and positive"):
+            run(build_parser().parse_args(argv), out=out)
+        assert out.getvalue() == ""  # not even "Correction factor C: nan"
+        assert main(argv) == 2
 
     def test_chiplet_mode(self):
         """The artifact supports chiplets by passing chiplet counts."""

@@ -45,6 +45,15 @@ class TestProfile:
         with pytest.raises(PredictionError):
             ScaleModelProfile("t", (8, 16), (100.0, 190.0), f_mem=1.0)
 
+    @pytest.mark.parametrize("ipcs", [
+        (float("nan"), 190.0), (100.0, float("inf")), (100.0, float("nan")),
+    ])
+    def test_non_finite_ipcs_rejected(self, ipcs):
+        # ``ipc <= 0`` is false for NaN and lets inf through, so the
+        # predictor used to return ipc=nan / ipc=inf without complaint.
+        with pytest.raises(PredictionError, match="finite"):
+            ScaleModelProfile("t", (8, 16), ipcs)
+
     def test_accessors(self):
         p = profile()
         assert p.smallest == (8, 100.0)
@@ -128,3 +137,10 @@ class TestPredictionResult:
 
         with pytest.raises(PredictionError):
             PredictionResult("w", 64, 0.0, Region.PRE_CLIFF, 1.0)
+
+    @pytest.mark.parametrize("ipc", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, ipc):
+        from repro.core.model import PredictionResult
+
+        with pytest.raises(PredictionError, match="finite"):
+            PredictionResult("w", 64, ipc, Region.PRE_CLIFF, 1.0)

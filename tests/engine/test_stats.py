@@ -22,13 +22,6 @@ class TestStateTimeTracker:
         assert t.time_in("idle") == 7.0
         assert t.time_in("active") == 4.0
 
-    def test_fraction_in(self):
-        t = StateTimeTracker("a")
-        t.transition(25.0, "b")
-        t.finish(100.0)
-        assert t.fraction_in("a", 100.0) == pytest.approx(0.25)
-        assert t.fraction_in("a", 0.0) == 0.0
-
     def test_time_cannot_go_backwards(self):
         t = StateTimeTracker("a")
         t.transition(10.0, "b")

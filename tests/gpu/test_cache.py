@@ -46,21 +46,12 @@ class TestBasicBehavior:
         assert c.hits == 0 or c.hits == 0  # probe counted nothing
         assert c.accesses == 1
 
-    def test_fill_and_invalidate(self):
+    def test_fill_returns_victim(self):
         c = SetAssocCache(num_sets=1, assoc=1)
         assert c.fill(7) is None
         assert c.probe(7)
         victim = c.fill(9)
         assert victim == 7
-        assert c.invalidate(9) is True
-        assert c.invalidate(9) is False
-
-    def test_miss_rate(self):
-        c = SetAssocCache(num_sets=1, assoc=4)
-        assert c.miss_rate() == 0.0
-        c.access(1)
-        c.access(1)
-        assert c.miss_rate() == pytest.approx(0.5)
 
     def test_clear_and_reset_stats(self):
         c = SetAssocCache(num_sets=1, assoc=2)

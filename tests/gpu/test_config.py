@@ -71,10 +71,6 @@ class TestProportionalScaling:
         assert once.llc_size == twice.llc_size
         assert once.num_mcs == twice.num_mcs
 
-    def test_scale_factor(self):
-        base = GPUConfig.paper_baseline()
-        assert base.scaled(16).scale_factor_to(base) == pytest.approx(8.0)
-
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
             GPUConfig.paper_baseline().scaled(0)
@@ -159,12 +155,6 @@ class TestMcmConfig:
         assert small.num_chiplets == 4
         assert small.chiplet == base.chiplet
         assert small.total_sms == 256
-
-    def test_bisection_scales_with_chiplets(self):
-        base = McmConfig.paper_target()
-        assert base.scaled(4).inter_chiplet_bisection_bps == pytest.approx(
-            base.inter_chiplet_bisection_bps / 4
-        )
 
     def test_describe(self):
         desc = McmConfig.paper_target().describe()

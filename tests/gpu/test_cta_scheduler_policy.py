@@ -1,13 +1,8 @@
-"""CTA scheduling-policy tests (round-robin vs contiguous)."""
+"""CTA scheduling-policy test: Table III's round-robin placement."""
 
-import pytest
-
-from repro.exceptions import ConfigurationError
-from repro.gpu import GPUConfig, simulate
+from repro.gpu import GPUConfig
 from repro.gpu.cta import CTADispatcher
 from repro.gpu.sm import StreamingMultiprocessor
-from repro.trace.kernel import WorkloadTrace
-from tests.hand_traces import hand_kernel
 
 
 def sms(n=2):
@@ -17,51 +12,6 @@ def sms(n=2):
 
 class TestDispatcherPolicies:
     def test_round_robin_spreads(self):
-        d = CTADispatcher(sms(2), policy="round_robin")
+        d = CTADispatcher(sms(2))
         d.load_kernel(4, max_resident=2)
         assert d.initial_placements() == [(0, 0), (1, 1), (2, 0), (3, 1)]
-
-    def test_contiguous_fills(self):
-        d = CTADispatcher(sms(2), policy="contiguous")
-        d.load_kernel(4, max_resident=2)
-        assert d.initial_placements() == [(0, 0), (1, 0), (2, 1), (3, 1)]
-
-    def test_contiguous_partial_last_sm(self):
-        d = CTADispatcher(sms(3), policy="contiguous")
-        d.load_kernel(4, max_resident=2)
-        placements = d.initial_placements()
-        assert [p[1] for p in placements] == [0, 0, 1, 1]
-        assert d.pending == 0
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            CTADispatcher(sms(), policy="random")
-
-    def test_config_validates_policy(self):
-        with pytest.raises(ConfigurationError):
-            GPUConfig(cta_scheduler="hilbert")
-
-
-class TestPolicyAffectsLocality:
-    def test_contiguous_improves_shared_chunk_locality(self):
-        """Neighbouring CTAs share data chunks; contiguous placement puts
-        sharers on one SM so the second CTA hits the first one's L1 fills
-        less often across SMs -> fewer LLC accesses overall is NOT
-        guaranteed, but the placement must at least differ in timing."""
-        def build(cta_id):
-            chunk = (cta_id // 2) * 64  # pairs of CTAs share a chunk
-            lines = [chunk + i for i in range(32)]
-            return [([2] * 32, lines, 0, 0.0)]
-
-        def workload():
-            ctas = [build(c) for c in range(8)]
-            return WorkloadTrace("loc", [hand_kernel("k", 64, ctas)])
-
-        base = dict(num_sms=4, llc_slices=2, num_mcs=1, capacity_scale=1.0,
-                    latency_jitter=0.0, name="t")
-        rr = simulate(GPUConfig(**base), workload())
-        contig = simulate(
-            GPUConfig(cta_scheduler="contiguous", **base), workload()
-        )
-        assert rr.thread_instructions == contig.thread_instructions
-        assert contig.l1_hits >= rr.l1_hits  # sharers colocated

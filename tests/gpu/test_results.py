@@ -21,7 +21,6 @@ class TestDerivedMetrics:
     def test_ipc(self):
         r = result()
         assert r.ipc == pytest.approx(64.0)
-        assert r.ipc_per_sm == pytest.approx(4.0)
 
     def test_mpki(self):
         r = result()

@@ -130,34 +130,6 @@ class TestResultDerived:
         assert result.events >= result.memory_accesses
 
 
-class TestKernelLaunchOverhead:
-    def _two_kernel_workload(self):
-        ctas = [[([2], [cta_id], 0, 0.0)] for cta_id in range(2)]
-        kernels = [hand_kernel(f"k{i}", 32, ctas) for i in range(2)]
-        return WorkloadTrace("two", kernels)
-
-    def test_overhead_adds_between_kernels(self):
-        base = simulate(tiny_config(), self._two_kernel_workload())
-        padded = simulate(
-            tiny_config(kernel_launch_overhead=5000.0),
-            self._two_kernel_workload(),
-        )
-        # One gap between two kernels: exactly one overhead is added.
-        assert padded.cycles == pytest.approx(base.cycles + 5000.0)
-
-    def test_single_kernel_unaffected(self):
-        wl = uniform_workload(num_ctas=2)
-        base = simulate(tiny_config(), wl)
-        wl = uniform_workload(num_ctas=2)
-        padded = simulate(tiny_config(kernel_launch_overhead=5000.0), wl)
-        assert padded.cycles == pytest.approx(base.cycles)
-
-    def test_negative_overhead_rejected(self):
-        from repro.exceptions import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            tiny_config(kernel_launch_overhead=-1.0)
-
-
 class TestNoReferenceCycle:
     """A finished simulator is freed by reference counting alone.
 

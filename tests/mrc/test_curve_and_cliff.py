@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import PredictionError
 from repro.mrc.cliff import CliffAnalysis, Region, analyze_regions
-from repro.mrc.curve import MissRateCurve, curve_from_samples
+from repro.mrc.curve import MissRateCurve
 from repro.units import MB
 
 
@@ -18,12 +18,6 @@ class TestMissRateCurve:
         c = curve([2.0] * 5)
         assert c.capacities_mb == (2.125, 4.25, 8.5, 17.0, 34.0)
         assert len(c) == 5
-
-    def test_mpki_at_exact_point(self):
-        c = curve([4.0, 3.0, 2.0])
-        assert c.mpki_at(c.capacities_bytes[1]) == 3.0
-        with pytest.raises(PredictionError):
-            c.mpki_at(12345)
 
     def test_drop_ratios(self):
         c = curve([4.0, 2.0, 2.0])
@@ -44,36 +38,6 @@ class TestMissRateCurve:
             curve([1.0, -0.1])
         with pytest.raises(PredictionError):
             MissRateCurve("w", (100, 200), (1.0,))
-
-    def test_curve_from_samples_sorts(self):
-        c = curve_from_samples("w", [(200, 1.0), (100, 2.0)])
-        assert c.capacities_bytes == (100, 200)
-        assert c.mpki == (2.0, 1.0)
-
-    def test_curve_from_samples_reorders_miss_ratio_with_samples(self):
-        # Regression: samples were sorted by capacity but miss_ratio was
-        # passed through in caller order, silently misaligning the
-        # diagnostics for unsorted inputs.
-        c = curve_from_samples(
-            "w",
-            [(200, 1.0), (100, 2.0), (400, 0.5)],
-            miss_ratio=[0.2, 0.4, 0.1],
-        )
-        assert c.capacities_bytes == (100, 200, 400)
-        assert c.mpki == (2.0, 1.0, 0.5)
-        assert c.miss_ratio == (0.4, 0.2, 0.1)
-
-    def test_curve_from_samples_sorted_input_keeps_miss_ratio(self):
-        c = curve_from_samples(
-            "w", [(100, 2.0), (200, 1.0)], miss_ratio=[0.4, 0.2]
-        )
-        assert c.miss_ratio == (0.4, 0.2)
-
-    def test_curve_from_samples_rejects_miss_ratio_length_mismatch(self):
-        with pytest.raises(PredictionError):
-            curve_from_samples(
-                "w", [(100, 2.0), (200, 1.0)], miss_ratio=[0.4]
-            )
 
     def test_curve_rejects_miss_ratio_length_mismatch(self):
         with pytest.raises(PredictionError):
@@ -113,7 +77,6 @@ class TestCliffDetection:
     def test_first_of_multiple_drops_wins(self):
         a = analyze_regions(curve([8.0, 2.0, 2.0, 0.4, 0.4]))
         assert a.cliff_step == 0
-        assert a.all_drops() == [0, 2]
 
     def test_threshold_validation(self):
         with pytest.raises(PredictionError):

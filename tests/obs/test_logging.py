@@ -63,7 +63,11 @@ class TestSetup:
         import warnings
 
         setup_logging("json")
-        warnings.warn("tolerated degradation")
+        # Own the filter: under ``-W ignore`` the warning never reaches
+        # the bridge, under ``-W error`` it is raised instead.
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.warn("tolerated degradation")
         err = capsys.readouterr().err
         record = json.loads(err.strip().splitlines()[-1])
         assert "tolerated degradation" in record["msg"]

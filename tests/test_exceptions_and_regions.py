@@ -10,7 +10,7 @@ from repro.exceptions import (
     TraceError,
     WorkloadError,
 )
-from repro.memory_regions import BYPASS_BASE, is_bypass
+from repro.memory_regions import BYPASS_BASE
 
 
 class TestExceptionHierarchy:
@@ -32,11 +32,6 @@ class TestExceptionHierarchy:
 
 
 class TestBypassRegion:
-    def test_boundary(self):
-        assert not is_bypass(BYPASS_BASE - 1)
-        assert is_bypass(BYPASS_BASE)
-        assert is_bypass(BYPASS_BASE + 10**6)
-
     def test_region_above_generator_bases(self):
         from repro.workloads import generators
 

@@ -10,7 +10,6 @@ from repro.units import (
     MB,
     TBPS,
     bytes_per_cycle,
-    cycles_for_bytes,
     format_bandwidth,
     format_bytes,
 )
@@ -38,16 +37,6 @@ class TestBytesPerCycle:
     def test_zero_clock_rejected(self):
         with pytest.raises(ValueError):
             bytes_per_cycle(1.0, 0.0)
-
-
-class TestCyclesForBytes:
-    def test_one_line(self):
-        # A 128-byte line over a 128 B/cycle link takes one cycle.
-        assert cycles_for_bytes(128, 128 * GHZ / 1e9 * 1e9, 1 * GHZ) == pytest.approx(1.0)
-
-    def test_zero_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            cycles_for_bytes(128, 0.0, 1 * GHZ)
 
 
 class TestFormatting:

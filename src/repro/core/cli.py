@@ -74,7 +74,8 @@ def _prompt_float(label: str) -> float:
     return float(value)
 
 
-def run(args: argparse.Namespace, out=sys.stdout) -> int:
+def run(args: argparse.Namespace, out=None) -> int:
+    out = sys.stdout if out is None else out  # whatever stdout is now
     if len(args.mpki) < 3:
         raise PredictionError(
             "need MPKI for at least the two scale models and one target"

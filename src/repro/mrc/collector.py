@@ -1,9 +1,9 @@
 """End-to-end miss-rate-curve collection from a workload trace.
 
 Pipeline (Section V-A of the paper): functional trace → GPU-aware
-interleaving (:mod:`repro.mrc.interleave`) → per-virtual-SM functional L1
-filtering → LLC reference stream → stack distances → MPKI at every LLC
-capacity of interest.  Each stage handles the whole stream as arrays.
+interleaving (:mod:`repro.mrc.interleave`) → functional L1 filtering (one
+pass for all virtual SMs) → LLC reference stream → stack distances → MPKI
+at every LLC capacity of interest.  Each stage handles whole arrays.
 
 This path involves no timing simulation, which is what makes miss-rate
 curves orders of magnitude cheaper to collect than scale-model
@@ -23,7 +23,7 @@ from repro.memory_regions import BYPASS_BASE
 from repro.mrc.curve import MissRateCurve
 from repro.mrc.interleave import interleaved_stream
 from repro.mrc.stack_distance import (
-    lru_misses, previous_occurrences, stack_distances,
+    COLD, lru_misses, previous_occurrences, stack_distances,
 )
 from repro.mrc.statstack import reuse_miss_ratios
 from repro.trace.kernel import WorkloadTrace
@@ -39,6 +39,10 @@ def paper_capacity_points(
     return [base.scaled(n).llc_size for n in sizes]
 
 
+#: Offsets scanned before groups with windows still open get stack distances.
+_WINDOW_STEPS = 32
+
+
 def l1_miss_mask(
     vsm: np.ndarray, lines: np.ndarray, num_sets: int, assoc: int
 ) -> np.ndarray:
@@ -47,19 +51,42 @@ def l1_miss_mask(
     An ``assoc``-way LRU set holds the ``assoc`` lines of the set touched
     most recently, so an access hits iff fewer than ``assoc`` distinct
     lines of its set were touched since the last access to its line: a
-    stack distance below ``assoc`` on the virtual SM's own stream
-    regrouped, in order, by set.  No cache is simulated.
+    stack distance below ``assoc`` on the stream regrouped, in order, by
+    ``(vsm, set)``.  No cache is simulated; one pass serves every virtual
+    SM.  A repeat of the reference before it in its group hits and adds
+    no distinct line to any window, so it is dropped.  Reuse ``i`` of ``p``
+    hits if its window ``(p, i)`` is shorter than ``assoc``; else the first
+    occurrences in it (``previous[j] < p``) are counted offset by offset
+    until they reach ``assoc`` (a miss) or the window ends (a hit).
     """
-    misses = np.ones(len(lines), dtype=bool)
-    by_vsm = np.argsort(vsm, kind="stable")
-    ends = np.cumsum(np.bincount(vsm)).tolist()
-    # One virtual SM at a time keeps the temporaries small.
-    for first, end in zip([0] + ends, ends):
-        own = by_vsm[first:end]
-        sets = (lines[own] % num_sets).astype(np.min_scalar_type(num_sets))
-        by_set = own[np.argsort(sets, kind="stable")]  # radix sort if 16-bit
-        distances = stack_distances(previous_occurrences(lines[by_set]))
-        misses[by_set[(distances >= 0) & (distances < assoc)]] = False
+    group = lines % num_sets + vsm.astype(np.int64) * num_sets
+    group = group.astype(np.min_scalar_type(group.max(initial=0)))
+    order = np.argsort(group, kind="stable")  # a radix sort when 16-bit
+    group, grouped = group[order], lines[order]
+    keep = np.ones(len(lines), dtype=bool)
+    keep[1:] = (grouped[1:] != grouped[:-1]) | (group[1:] != group[:-1])
+    group, grouped = group[keep], grouped[keep]
+    previous = previous_occurrences(grouped)
+    previous[group[previous] != group] = COLD  # last seen by another group
+    hit = previous >= 0  # until a window shows ``assoc`` other lines
+    reuse = np.flatnonzero(hit)
+    reuse = reuse[reuse - previous[reuse] > assoc]
+    start, seen = previous[reuse], np.zeros(len(reuse), dtype=np.int32)
+    for step in range(1, _WINDOW_STEPS + 1):
+        if not len(reuse):
+            break
+        seen += previous[start + step] < start
+        if step >= assoc:  # before that, no count or window can be done
+            hit[reuse[seen >= assoc]] = False
+            open_ = (seen < assoc) & (reuse - start > step + 1)
+            reuse, start, seen = reuse[open_], start[open_], seen[open_]
+    if len(reuse):  # whole groups, so every window stays inside
+        runs = np.flatnonzero(np.isin(group, group[reuse]))
+        last = previous[runs] - runs + np.arange(len(runs))
+        distances = stack_distances(np.where(previous[runs] >= 0, last, COLD))
+        hit[runs] = (distances >= 0) & (distances < assoc)
+    misses = np.zeros(len(lines), dtype=bool)  # a dropped repeat hits
+    misses[order[keep]] = ~hit
     return misses
 
 

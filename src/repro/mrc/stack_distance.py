@@ -30,12 +30,24 @@ COLD = -1
 
 
 def previous_occurrences(keys: np.ndarray) -> np.ndarray:
-    """Position of the previous reference to the same key, ``COLD`` if none."""
-    order = np.argsort(keys, kind="stable")  # equal keys stay in stream order
-    sorted_keys = keys[order]
-    repeats = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    """Position of the previous reference to the same key, ``COLD`` if none:
+    one sort of the distinct ``(key - min) << b | position`` (keys too far
+    apart for an int64 are ranked first), equal keys in stream order."""
     previous = np.full(len(keys), COLD, dtype=np.int32)
-    previous[order[repeats + 1]] = order[repeats]
+    if len(keys) < 2:
+        return previous
+    shift = (len(keys) - 1).bit_length()
+    low = int(keys.min())
+    if (int(keys.max()) - low).bit_length() + shift > 63:
+        keys, low = np.unique(keys, return_inverse=True)[1], 0
+    packed = np.subtract(keys, low, dtype=np.int64)
+    packed <<= shift
+    packed |= np.arange(len(keys))
+    packed.sort()
+    position = packed & ((1 << shift) - 1)
+    packed >>= shift
+    same = packed[1:] == packed[:-1]
+    previous[position[1:][same]] = position[:-1][same]
     return previous
 
 

@@ -1,5 +1,6 @@
 """Artifact-style CLI tests (gpu-scale-model)."""
 
+import contextlib
 import io
 
 import pytest
@@ -52,6 +53,12 @@ class TestCli:
         )
         assert code == 0
         assert "Predicted IPC vs system size" in text
+
+    def test_main_writes_to_the_current_stdout(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["100", "190", "3", "3", "3", "--small-sms", "8"]) == 0
+        assert "Correction factor C (Eq. 1): 0.950" in buf.getvalue()
 
     def test_too_few_mpki_values(self):
         assert main(["100", "190", "3", "3", "--small-sms", "8"]) == 2

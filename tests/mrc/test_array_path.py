@@ -25,7 +25,7 @@ from repro.mrc.stack_distance import (
 from repro.mrc.statstack import ReuseDistanceSampler
 from repro.trace import patterns
 from repro.trace.kernel import WorkloadTrace
-from repro.workloads import build_trace, get_benchmark
+from repro.workloads import build_trace, get_benchmark, strong_scaling_names
 from tests.hand_traces import hand_kernel, warps_of
 from tests.mrc.test_stack_distance import CAPACITIES
 from tests.workloads.test_trace_pins import variant
@@ -79,6 +79,50 @@ class TestStackDistances:
         assert len(stream) - len(warm) == sampler.cold_misses
 
 
+def reference_previous(keys):
+    """Previous position of each key, with a plain dict."""
+    last, previous = {}, []
+    for position, key in enumerate(keys):
+        previous.append(last.get(key, COLD))
+        last[key] = position
+    return previous
+
+
+#: Keys around every edge of the packed sort: the int64 extremes, 2**62,
+#: negative keys and lines at or above ``BYPASS_BASE``.
+EDGE_KEYS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(2**62 - 40, 2**62 + 40),
+    st.integers(-(2**63), -(2**63) + 40),
+    st.integers(2**63 - 41, 2**63 - 1),
+    st.integers(-40, 40),
+    st.integers(BYPASS_BASE - 4, BYPASS_BASE + 40),
+)
+
+
+class TestPreviousOccurrences:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(EDGE_KEYS, min_size=1, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=300)
+    ))
+    def test_equal_a_dict_on_any_int64_keys(self, keys):
+        previous = previous_occurrences(np.asarray(keys, dtype=np.int64))
+        assert previous.tolist() == reference_previous(keys)
+
+    @pytest.mark.parametrize("keys", [
+        [0, 2**61 - 1, 0],  # 61 + 2 bits: the widest span that packs
+        [0, 2**61, 0],  # one bit too many: ranked first
+        [-(2**63), 2**63 - 1, -(2**63), 2**63 - 1],
+        [-(2**63), 0, -(2**63), 0],  # packs only once shifted to 0
+        [BYPASS_BASE + 7, 3, BYPASS_BASE + 7, 3],
+        [5],
+        [],
+    ])
+    def test_packing_edges(self, keys):
+        previous = previous_occurrences(np.asarray(keys, dtype=np.int64))
+        assert previous.tolist() == reference_previous(keys)
+
+
 def reference_interleave(workload, num_virtual_sms, ctas_per_sm):
     """The interleaving model spelled out CTA by CTA, on Python lists."""
     vsm, lines = [], []
@@ -107,11 +151,10 @@ def test_interleaving_equals_the_model_spelled_out(shape):
     assert (vsm.tolist(), lines.tolist()) == reference_interleave(workload, *shape)
 
 
-def replay_l1s(vsm, lines, config, num_virtual_sms):
+def replay_l1s(vsm, lines, num_sets, assoc):
     """The L1 filter as a simulation: one ``SetAssocCache`` per virtual SM."""
     l1s = [
-        SetAssocCache(config.l1_sets, config.l1_assoc)
-        for __ in range(num_virtual_sms)
+        SetAssocCache(num_sets, assoc) for __ in range(int(vsm.max(initial=-1)) + 1)
     ]
     return [not l1s[v].access(line) for v, line in zip(vsm.tolist(), lines.tolist())]
 
@@ -146,16 +189,59 @@ WORKLOADS = {
     "four-kernels": lambda: build_trace(get_benchmark("gr"), work_scale=0.05, seed=2),
 }
 
+#: Every Table II benchmark, small.
+TABLE_II = {
+    f"table-ii.{abbr}": lambda abbr=abbr: build_trace(
+        get_benchmark(abbr), work_scale=0.05, seed=2
+    )
+    for abbr in strong_scaling_names()
+}
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS) + list(TABLE_II))
 @pytest.mark.parametrize("capacity_scale", [0.125, 1.0])
 def test_l1_filter_equals_cache_replay(name, capacity_scale):
-    workload = WORKLOADS[name]()
+    workload = {**WORKLOADS, **TABLE_II}[name]()
     config = GPUConfig.paper_baseline(capacity_scale=capacity_scale)
     vsm, lines = interleaved_stream(workload, 16, 6)
     assert len(lines) == workload.count_accesses()
     mask = l1_miss_mask(vsm, lines, config.l1_sets, config.l1_assoc)
-    assert mask.tolist() == replay_l1s(vsm, lines, config, 16)
+    assert mask.tolist() == replay_l1s(vsm, lines, config.l1_sets, config.l1_assoc)
+
+
+@st.composite
+def l1_streams(draw):
+    """``(vsm, lines, num_sets, assoc)`` of the shapes the window scan
+    treats apart: any stream, one virtual SM, an empty stream, and a
+    window far longer than the scan's offset cap whose first offsets hold
+    fewer than ``assoc`` distinct lines of its group (the stack-distance
+    fallback decides it)."""
+    shape = draw(st.sampled_from(["random", "one_vsm", "empty", "long_window"]))
+    num_sets, assoc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    num_vsms = 1 if shape == "one_vsm" else draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 0 if shape == "empty" else draw(st.integers(1, 600))
+    lines = rng.integers(0, draw(st.integers(1, 60)), size=n)
+    vsm = rng.integers(0, num_vsms, size=n)
+    if shape == "long_window":  # the last virtual SM holds only the window
+        assoc = max(assoc, 3)
+        few = rng.integers(1, assoc, size=draw(st.integers(80, 300)))
+        # Line 0, fewer than ``assoc`` other lines of its set (then, or
+        # not, ``assoc`` more to evict it), line 0.
+        evict = np.arange(assoc, 2 * assoc) if draw(st.booleans()) else []
+        window = np.concatenate(([0], few, evict, [0])) * num_sets
+        at = np.sort(rng.integers(0, n + 1, size=len(window)))
+        lines, vsm = np.insert(lines, at, window), np.insert(vsm, at, num_vsms)
+    return vsm.astype(np.int16), lines.astype(np.int64), num_sets, assoc
+
+
+@settings(max_examples=150, deadline=None)
+@given(l1_streams())
+def test_l1_filter_shapes_equal_cache_replay(stream):
+    vsm, lines, num_sets, assoc = stream
+    mask = l1_miss_mask(vsm, lines, num_sets, assoc)
+    assert mask.dtype == bool and len(mask) == len(lines)
+    assert mask.tolist() == replay_l1s(vsm, lines, num_sets, assoc)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -166,7 +252,9 @@ def test_curve_equals_reference_replay(name):
     config = GPUConfig.paper_baseline()
     vsm, lines = interleaved_stream(workload, 16, 6)
     llc = [
-        line for line, miss in zip(lines.tolist(), replay_l1s(vsm, lines, config, 16))
+        line for line, miss in zip(
+            lines.tolist(), replay_l1s(vsm, lines, config.l1_sets, config.l1_assoc)
+        )
         if miss
     ]
     profiler = StackDistanceProfiler()

@@ -23,7 +23,9 @@ Durability rules:
   failed=True)`` stores it under the run's key through the same append,
   digest and quarantine path.  Failure records for one key accumulate
   until a result supersedes them, and a result is superseded by any
-  failure record after it.
+  failure record after it.  A shard whose superseded failure records
+  outweigh the rest of it is compacted when it is read: rewritten
+  atomically without them, like a salvage but with no quarantine copy.
 * **Loads are lazy and tolerant.** Opening a store only indexes keys:
   each shard's lines are read and every record line's key is decoded
   from its ``{"key": "`` prefix, nothing more.  A shard is parsed and
@@ -136,6 +138,17 @@ def _record_line(key: str, payload: dict, failed: bool = False) -> str:
         )
         + "\n"
     )
+
+
+def _rewrite_shard(path: str, records: List[Tuple[str, dict, bool]]) -> None:
+    """Atomically replace shard ``path`` by ``records`` (none: remove it)."""
+    if records:
+        fsio.atomic_write_text(
+            path, "".join(_record_line(*record) for record in records),
+            op="store",
+        )
+    else:
+        os.remove(path)
 
 
 class ResultStore:
@@ -464,6 +477,7 @@ class ResultStore:
                 if raw_lines is None:
                     return
             good: List[Tuple[str, dict, bool]] = []
+            sizes: List[int] = []
             bad = 0
             digest_bad = 0
             for line in raw_lines:
@@ -487,6 +501,7 @@ class ResultStore:
                     digest_bad += 1
                     continue
                 good.append((key, payload, failed))
+                sizes.append(len(line))
             entries, failures, ranks = self._entries, self._failures, self._rank
             for key, payload, failed in good:
                 if ranks.get(key, -1) > rank:
@@ -507,6 +522,43 @@ class ResultStore:
                 self._stats["corrupt_lines"] += bad
             if bad or digest_bad:
                 self._quarantine(path, good)
+            else:
+                self._compact(path, good, sizes, sum(map(len, raw_lines)))
+
+    def _compact(
+        self, path: str, records: List[Tuple[str, dict, bool]],
+        sizes: List[int], shard_size: int,
+    ) -> None:
+        """Drop the failure records a later result of their key superseded,
+        once they outweigh the rest of the shard.
+
+        ``sizes`` are the records' line lengths and ``shard_size`` the
+        whole shard's, as read.  Every result stays, and so does every
+        line after its key's last result: a key's streak counts those.  A
+        shard that changed since it was read (another process appended)
+        is left for a later read.
+        """
+        superseded = 0
+        keep = [True] * len(records)
+        has_result = set()
+        for i in range(len(records) - 1, -1, -1):
+            key, __, failed = records[i]
+            if not failed:
+                has_result.add(key)
+            elif key in has_result:
+                keep[i] = False
+                superseded += sizes[i]
+        if 2 * superseded <= shard_size:
+            return
+        try:
+            if os.path.getsize(path) != shard_size:
+                return
+            _rewrite_shard(path, [r for r, kept in zip(records, keep) if kept])
+        except OSError as error:
+            self._write_failed(
+                f"simcache: compaction of shard {path} failed ({error}); "
+                "left it in place"
+            )
 
     def _quarantine(
         self, path: str, salvaged: List[Tuple[str, dict, bool]]
@@ -529,14 +581,7 @@ class ResultStore:
         try:
             os.makedirs(qdir, exist_ok=True)
             shutil.copyfile(path, dest)
-            if salvaged:
-                fsio.atomic_write_text(
-                    path,
-                    "".join(_record_line(*record) for record in salvaged),
-                    op="store",
-                )
-            else:
-                os.remove(path)
+            _rewrite_shard(path, salvaged)
         except OSError as error:
             self._dirty_shards.add(path)
             self._write_failed(

@@ -4,12 +4,12 @@ Every contended resource of the GPU model — SM issue pipelines, NoC
 channels, LLC ports, memory controllers, MCM links — is a
 non-preemptive FIFO server: a request arriving at ``now`` starts at
 ``max(now, next_free)`` and holds the server for its service time.
-The simulation kernel delivers requests in time order, so this
+The simulator's event loop delivers requests in time order, so this
 next-free-time recurrence is an exact queueing model.
 
 A queue is a ``[next_free, busy_time, requests]`` list owned by the
 module that serves it.  The per-access paths
-(``MemorySubsystem.shared_path`` and ``GPUSimulator._advance_warp``) write
+(``MemorySubsystem.shared_path`` and ``GPUSimulator._event_loop``) write
 the recurrence inline; the cold paths (SM tails, MCM links) call
 :func:`serve`.
 """

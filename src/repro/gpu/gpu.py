@@ -14,22 +14,34 @@ check) or once per CTA (slicing the kernel's arrays into CTA-level lists,
 and the SM instruction/access and pipeline request counters — exact at
 every kernel boundary and at the end, the only points they are read).
 
-Instrumentation is inline and guarded: the run and kernel spans sit
-behind the tracer's ``enabled`` switch (read once per ``run()``), and the
-kernel-boundary sweep and result checks behind
-``repro.verify.runtime.paranoid``.  Constructing the simulator self-arms
-paranoia mode from ``REPRO_VERIFY`` *before* the event kernel is built,
-because the kernel binds its (checked or plain) ``post`` at construction.
+The simulator owns its event loop: a heap of ``(time, seq, warp)``
+steps, popped in time order by :meth:`GPUSimulator._event_loop`.  The
+unique ``seq`` keeps tuple comparison from ever reaching the warp and
+gives deterministic FIFO order among same-time steps.  Every pushed step
+is popped, so the number of events fired is ``seq - len(heap)``.
+
+Instrumentation is inline and guarded: the run, kernel and
+``engine.run`` spans sit behind the tracer's ``enabled`` switch (read
+once per ``run()``), and the kernel-boundary sweep and result checks
+behind ``repro.verify.runtime.paranoid``.  Paranoia mode's per-step
+checks are chosen at construction: a simulator built while paranoia is
+on pushes every step through :meth:`GPUSimulator._checked_push`, which
+refuses a step timed before ``now`` and scans the heap every
+:data:`QUEUE_CHECK_INTERVAL` pushes and once when the loop drains; a
+plain one pushes with ``heappush`` and carries no check per event.
+Constructing the simulator self-arms paranoia mode from ``REPRO_VERIFY``
+before it makes that choice.
 """
 
 from __future__ import annotations
 
 import time as _time
+from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
-from repro.engine.kernel import SimulationKernel
-from repro.exceptions import SimulationError
+from repro.exceptions import InvariantError, SimulationError
 from repro.gpu.config import GPUConfig
+from repro.obs.metrics import get_registry
 from repro.obs.tracing import get_tracer
 from repro.gpu.cta import CTADispatcher
 from repro.gpu.memory import MemorySubsystem, hash_lines
@@ -43,17 +55,23 @@ from repro.verify import runtime as verify_runtime
 #: internal kernel boundary with the simulator's complete boundary state.
 BoundaryHook = Callable[[int, float, dict], None]
 
+#: Pushes between full O(n) heap scans of a checked simulator.  Small
+#: enough to localize a corruption to a tight step window, large enough
+#: that paranoia mode stays usable on the quick tier.
+QUEUE_CHECK_INTERVAL = 2048
+
 
 class _WarpRun:
     """Mutable per-warp execution cursor over its CTA's lists.
 
     The warp owns ``lines[idx:end]`` (``hashed`` and ``service`` alike):
-    every warp of a CTA shares the CTA-level lists.
+    every warp of a CTA shares the CTA-level lists.  ``started`` turns
+    true at its first step, when its launch stagger is over.
     """
 
     __slots__ = (
         "sm", "sm_id", "cta_key", "lines", "hashed", "service",
-        "idx", "end", "tail",
+        "idx", "end", "tail", "started",
     )
 
     def __init__(
@@ -69,6 +87,7 @@ class _WarpRun:
         self.idx = idx
         self.end = end
         self.tail = tail
+        self.started = False
 
 
 class GPUSimulator:
@@ -78,11 +97,18 @@ class GPUSimulator:
         validate_config(config)
         self.config = config
         self._issue_width = config.issue_width
-        # Self-arm paranoia mode (REPRO_VERIFY=1) before the kernel picks
-        # its queue, so direct simulate() callers and pool workers are
+        # Self-arm paranoia mode (REPRO_VERIFY=1) before the loop is
+        # chosen, so direct simulate() callers and pool workers are
         # checked too, not just runner-mediated paths.
         verify_runtime.ensure_paranoia()
-        self.kernel_clock = SimulationKernel()
+        self._checked = verify_runtime.paranoid
+        #: The event heap of ``(time, seq, warp)`` steps.
+        self.heap: list = []
+        #: Sequence number of the next pushed step (boundary state).
+        self.seq = 0
+        #: Current simulation time in cycles, a float so fractional
+        #: service times compose without rounding drift.
+        self.now = 0.0
         self.memory = memory if memory is not None else MemorySubsystem(config)
         self.sms: List[StreamingMultiprocessor] = [
             StreamingMultiprocessor(i, config) for i in range(config.num_sms)
@@ -126,7 +152,7 @@ class GPUSimulator:
         run_start_us = tracer.now_us() if self._tracer is not None else 0.0
         self._prewarm(workload)
         self._launch_kernel()
-        self.kernel_clock.run()
+        self._event_loop()
         if not self._finished:
             raise SimulationError(
                 f"{workload.name}: event queue drained before workload completed"
@@ -185,7 +211,7 @@ class GPUSimulator:
         warm(base, count)
 
     # --- kernel / CTA lifecycle ------------------------------------------------
-    def _launch_kernel(self, _arg=None) -> None:
+    def _launch_kernel(self) -> None:
         if self._tracer is not None:
             self._kernel_start_us = self._tracer.now_us()
         kernel = self._workload.kernels[self._kernel_index]
@@ -199,7 +225,7 @@ class GPUSimulator:
         max_resident = self.config.max_resident_ctas(kernel.threads_per_cta)
         self.dispatcher.load_kernel(kernel.num_ctas, max_resident)
         placements = self.dispatcher.initial_placements()
-        now = self.kernel_clock.now
+        now = self.now
         for cta_id, sm_id in placements:
             self._start_cta(cta_id, sm_id, now, stagger=True)
 
@@ -227,13 +253,13 @@ class GPUSimulator:
         key = self._cta_seq
         self._cta_seq += 1
         self._live_ctas[key] = last - first
-        post = self.kernel_clock.post
+        push = self._checked_push if self._checked else self._push
         for lo, hi, tail, offset in zip(bounds, bounds[1:], tails, offsets):
             run = _WarpRun(sm, key, lines, hashed, service, lo - base, hi - base, tail)
             # Launch stagger applies to the initial wave only: backfilled
             # CTAs start at their predecessor's (already spread) completion
             # time, so re-staggering them would just waste issue slots.
-            post(now + (offset if stagger else 0.0), self._first_step, run)
+            push(now + (offset if stagger else 0.0), run)
 
     def _cta_done(self, cta_key: int, now: float, sm_id: int) -> None:
         del self._live_ctas[cta_key]
@@ -257,9 +283,7 @@ class GPUSimulator:
             invariants.check_boundary(self, self._kernel_index)
         if self._kernel_index < len(self._workload.kernels):
             if self._on_boundary is not None:
-                self._on_boundary(
-                    self._kernel_index, self.kernel_clock.now, self._state_dict()
-                )
+                self._on_boundary(self._kernel_index, self.now, self._state_dict())
             self._launch_kernel()
         else:
             self._finished = True
@@ -275,66 +299,134 @@ class GPUSimulator:
             "kernel",
             self._kernel_start_us,
             tracer.now_us() - self._kernel_start_us,
-            args={"sim_cycles": self.kernel_clock.now},
+            args={"sim_cycles": self.now},
         )
 
     def _state_dict(self) -> dict:
         """Complete simulator state at a kernel boundary (JSON-able)."""
         return {
-            "clock": self.kernel_clock.state_dict(),
+            # Read with an empty heap: the seq counter is included because
+            # it decides the order of every later same-time step.
+            "clock": {
+                "now": self.now,
+                "events_processed": self.events_processed,
+                "queue_seq": self.seq,
+            },
             "sms": [sm.state_dict() for sm in self.sms],
             "memory": self.memory.state_dict(),
             "accesses": self._accesses,
             "cta_seq": self._cta_seq,
         }
 
-    # --- warp execution -----------------------------------------------------
-    def _first_step(self, run: _WarpRun) -> None:
-        """A warp's first event: its launch stagger is over."""
-        run.sm.warp_started(self.kernel_clock.now)
-        self._advance_warp(run)
+    # --- the event loop ------------------------------------------------------
+    @property
+    def events_processed(self) -> int:
+        """Steps popped so far, the running one included; a deterministic
+        work proxy."""
+        return self.seq - len(self.heap)
 
-    def _advance_warp(self, run: _WarpRun) -> None:
-        """The per-event callback: one compute burst and one memory access.
+    def _push(self, time: float, run: _WarpRun) -> None:
+        seq = self.seq
+        self.seq = seq + 1
+        heappush(self.heap, (time, seq, run))
 
-        Writes the FIFO step on the SM's pipeline queue inline (its
-        request count advances per CTA) and posts the warp's next event at
-        the access's completion, which never precedes ``now``
-        (docs/ARCHITECTURE.md, "Hot path").
-        """
-        clock = self.kernel_clock
-        now = clock.now
-        idx = run.idx
-        if idx < run.end:
-            # Compute burst plus the memory instruction itself, then the
-            # access; the warp resumes when the data arrives.
-            service = run.service[idx]
-            pipeline = run.sm.pipeline
-            start = pipeline[0]
-            if now > start:
-                start = now
-            finish = start + service
-            pipeline[0] = finish
-            pipeline[1] += service
-            completion, __ = self.memory.access(
-                run.sm_id, run.lines[idx], run.hashed[idx], finish
+    def _checked_push(self, time: float, run: _WarpRun) -> None:
+        """:meth:`_push` under paranoia: the clock never runs backwards,
+        and the heap is scanned every :data:`QUEUE_CHECK_INTERVAL` pushes."""
+        if time < self.now:
+            raise InvariantError(
+                f"clock would run backwards: step (time={time}, "
+                f"seq={self.seq}) pushed at now={self.now}"
             )
-            run.idx = idx + 1
-            clock.post(completion, self._advance_warp, run)
-            return
-        # Tail compute, then the warp retires.
-        sm = run.sm
-        finish = sm.issue(now, run.tail) if run.tail else now
-        sm.warp_finished(now)
-        remaining = self._live_ctas[run.cta_key] - 1
-        if remaining:
-            self._live_ctas[run.cta_key] = remaining
-        else:
-            self._cta_done(run.cta_key, finish, sm.sm_id)
+        self._push(time, run)
+        verify_runtime.VERIFY_STATS["events_checked"] += 1
+        if self.seq % QUEUE_CHECK_INTERVAL == 0:
+            self._scan()
+
+    def _scan(self) -> None:
+        from repro.verify import invariants
+
+        invariants.check_queue(self.heap)
+        verify_runtime.VERIFY_STATS["queue_scans"] += 1
+
+    def _event_loop(self) -> None:
+        """Pop steps in time order until the heap drains.
+
+        A step is one compute burst and one memory access: the FIFO step
+        on the SM's pipeline queue is written inline (its request count
+        advances per CTA), and the warp's next step is pushed at the
+        access's completion, which never precedes ``now``
+        (docs/ARCHITECTURE.md, "Hot path").  A warp past its last access
+        runs its tail compute and retires.
+        """
+        heap = self.heap
+        live_ctas = self._live_ctas
+        access = self.memory.access
+        checked = self._checked
+        tracer = get_tracer()
+        recording = tracer.enabled
+        if recording:
+            loop_start = _time.perf_counter()
+            before = self.events_processed
+        try:
+            while heap:
+                now, __, run = heappop(heap)
+                self.now = now
+                if not run.started:
+                    run.started = True
+                    run.sm.warp_started(now)
+                idx = run.idx
+                if idx < run.end:
+                    # Compute burst plus the memory instruction itself,
+                    # then the access; the warp resumes when the data
+                    # arrives.
+                    service = run.service[idx]
+                    pipeline = run.sm.pipeline
+                    start = pipeline[0]
+                    if now > start:
+                        start = now
+                    finish = start + service
+                    pipeline[0] = finish
+                    pipeline[1] += service
+                    completion, __ = access(
+                        run.sm_id, run.lines[idx], run.hashed[idx], finish
+                    )
+                    run.idx = idx + 1
+                    if checked:
+                        self._checked_push(completion, run)
+                    else:
+                        seq = self.seq
+                        self.seq = seq + 1
+                        heappush(heap, (completion, seq, run))
+                    continue
+                # Tail compute, then the warp retires.
+                sm = run.sm
+                finish = sm.issue(now, run.tail) if run.tail else now
+                sm.warp_finished(now)
+                remaining = live_ctas[run.cta_key] - 1
+                if remaining:
+                    live_ctas[run.cta_key] = remaining
+                else:
+                    self._cta_done(run.cta_key, finish, sm.sm_id)
+        finally:
+            if recording:
+                duration_us = (_time.perf_counter() - loop_start) * 1e6
+                fired = self.events_processed - before
+                registry = get_registry()
+                registry.inc("engine.events", fired)
+                registry.observe("engine.run_us", duration_us)
+                tracer.complete(
+                    "engine.run", "kernel",
+                    tracer.now_us() - duration_us, duration_us,
+                    args={"events": fired},
+                )
+        if checked:
+            self._scan()
+            verify_runtime.VERIFY_STATS["runs_checked"] += 1
 
     # --- results ---------------------------------------------------------------
     def _build_result(self, wall_time_s: float) -> SimulationResult:
-        end = self.kernel_clock.now
+        end = self.now
         for sm in self.sms:
             # Pipelines may drain slightly after the last event fired.
             end = max(end, sm.pipeline[0])
@@ -363,7 +455,7 @@ class GPUSimulator:
             l1_misses=mem.l1_misses,
             llc_hits=mem.llc_hits,
             llc_misses=mem.llc_misses,
-            events=self.kernel_clock.events_processed,
+            events=self.events_processed,
             wall_time_s=wall_time_s,
             extra=mem.extra_stats(end),
         )

@@ -20,13 +20,50 @@ in the LLC; idle that is not memory stall must not be amplified.
 
 from __future__ import annotations
 
-from repro.engine.stats import StateTimeTracker
+from typing import Dict
+
 from repro.exceptions import SimulationError
 from repro.gpu.config import GPUConfig
 from repro.gpu.fifo import new_queue, queue_state, serve
 
 ACTIVE = "active"
 IDLE = "idle"
+
+
+class StateTimeTracker:
+    """How long an entity spends in each named state (SM occupancy)."""
+
+    def __init__(self, initial_state: str) -> None:
+        self._state = initial_state
+        self._since = 0.0
+        self._time_in: Dict[str, float] = {}
+
+    def transition(self, now: float, new_state: str) -> None:
+        """Leave the current state at ``now`` and enter ``new_state``."""
+        if now < self._since:
+            raise ValueError(
+                f"time went backwards: now={now} < since={self._since}"
+            )
+        self._time_in[self._state] = self._time_in.get(self._state, 0.0) + (
+            now - self._since
+        )
+        self._state = new_state
+        self._since = now
+
+    def finish(self, now: float) -> None:
+        """Close the open interval at end of simulation."""
+        self.transition(now, self._state)
+
+    def time_in(self, state: str) -> float:
+        return self._time_in.get(state, 0.0)
+
+    def state_dict(self) -> dict:
+        """JSON-able snapshot of the tracker (state, since, accumulators)."""
+        return {
+            "state": self._state,
+            "since": self._since,
+            "time_in": dict(self._time_in),
+        }
 
 
 class StreamingMultiprocessor:

@@ -4,9 +4,8 @@
 :func:`paranoia` scopes it.  No code is replaced either way: the checks
 are guarded sites in the modules that own the checked code (listed in
 :mod:`repro.verify.runtime`), and the per-event ones live in the checked
-``post`` a :class:`~repro.engine.kernel.SimulationKernel` binds at
-construction.
-So a kernel is checked iff paranoia is on when it is constructed —
+push a :class:`~repro.gpu.gpu.GPUSimulator` chooses at construction.
+So a simulator is checked iff paranoia is on when it is constructed —
 simulators are single-use and built per run, so turning the switch on
 before building the simulator is the whole protocol.
 """

@@ -3,10 +3,10 @@
 Each check guards a specific piece of the model's algebra (see
 ``docs/ARCHITECTURE.md`` § Verification for the full table):
 
-* **Event queue** — the heap property of the kernel's event heap
-  (:func:`check_queue`), scanned by a checked kernel's ``post`` every
-  ``QUEUE_CHECK_INTERVAL`` posts and when its run drains, plus clock
-  monotonicity per posted event in that ``post``.
+* **Event queue** — the heap property of the simulator's event heap
+  (:func:`check_queue`), scanned by a checked simulator every
+  ``QUEUE_CHECK_INTERVAL`` pushes and when its loop drains, plus clock
+  monotonicity per pushed step.
 * **Kernel boundaries** — the queue must be drained, the clock and event
   counter must not run backwards across boundaries, and the conservation
   identities must hold exactly:
@@ -64,7 +64,7 @@ def _workload_of(sim) -> str:
 
 
 def check_queue(heap: List[tuple]) -> None:
-    """Heap-property scan of a kernel's ``(time, seq, callback, arg)`` heap.
+    """Heap-property scan of a simulator's ``(time, seq, warp)`` heap.
 
     A corrupted heap — an entry replaced or reordered behind
     ``heapq``'s back — would silently reorder event delivery.
@@ -142,11 +142,10 @@ def check_boundary(sim, kernels_completed: int) -> None:
     never reaches the boundary state replay digests.
     """
     name = _workload_of(sim)
-    clock = sim.kernel_clock
-    if clock.heap:
+    if sim.heap:
         raise InvariantError(
             f"{name}: kernel boundary {kernels_completed} reached with "
-            f"{len(clock.heap)} events still pending — boundaries "
+            f"{len(sim.heap)} events still pending — boundaries "
             "are defined by a drained queue"
         )
     previous = getattr(sim, "_verify_prev_boundary", None)
@@ -157,18 +156,18 @@ def check_boundary(sim, kernels_completed: int) -> None:
                 f"{name}: kernel boundaries out of order: "
                 f"{prev_k} -> {kernels_completed}"
             )
-        if clock.now < prev_now:
+        if sim.now < prev_now:
             raise InvariantError(
                 f"{name}: clock ran backwards across kernel boundaries: "
-                f"{prev_now} -> {clock.now}"
+                f"{prev_now} -> {sim.now}"
             )
-        if clock.events_processed < prev_events:
+        if sim.events_processed < prev_events:
             raise InvariantError(
                 f"{name}: event counter ran backwards across kernel "
-                f"boundaries: {prev_events} -> {clock.events_processed}"
+                f"boundaries: {prev_events} -> {sim.events_processed}"
             )
     sim._verify_prev_boundary = (
-        kernels_completed, clock.now, clock.events_processed,
+        kernels_completed, sim.now, sim.events_processed,
     )
     check_conservation(sim)
     VERIFY_STATS["boundaries_checked"] += 1

@@ -11,10 +11,9 @@ vs. ``memory`` vs. ``clock`` — which localizes an engine bug to one
 kernel's execution and one component, instead of one opaque "results
 differ" at the end of the run.
 
-Shipped differential: :func:`replay_checked_vs_plain` — a run posted
-through paranoia mode's checked ``post`` vs. one posted through the
-plain one; guards the checks against changing what the engine
-delivers.
+Shipped differential: :func:`replay_checked_vs_plain` — a run whose
+steps go through paranoia mode's checked push vs. one through the plain
+loop; guards the checks against changing what the engine delivers.
 
 The serial-vs-parallel differential lives at the analysis layer (store
 payload comparison; see ``tests/verify/``): worker processes cannot ship
@@ -153,9 +152,9 @@ def replay_checked_vs_plain(
     simulator_factory: Callable[[], object],
     workload,
 ) -> Tuple[ReplayTrace, ReplayTrace, Optional[Divergence]]:
-    """Differential: paranoia mode's checked kernel vs. the plain one.
+    """Differential: paranoia mode's checked event loop vs. the plain one.
 
-    The checked ``post`` and the guarded check sites must observe, never
+    The checked push and the guarded check sites must observe, never
     change, a run; this differential is the reference that keeps it so.
     """
     import os

@@ -4,11 +4,11 @@ A verification site is a call behind one switch read, in the module that
 owns the code: ``if runtime.paranoid:`` at the kernel-boundary sweep and
 result build (:mod:`repro.gpu.gpu`), in ``ScaleModelPredictor.predict``,
 where every miss-rate curve is built (:mod:`repro.mrc.collector`), and
-where a :class:`~repro.engine.kernel.SimulationKernel` binds its
-``post``.  Nothing is patched in or out; :mod:`repro.verify.hooks` is the
+where a :class:`~repro.gpu.gpu.GPUSimulator` chooses its checked or
+plain push.  Nothing is patched in or out; :mod:`repro.verify.hooks` is the
 on/off API over this flag.
 
-Kept import-light on purpose — the engine, the GPU model and the
+Kept import-light on purpose — the GPU model and the
 predictor import this module at package scope, so nothing here may
 import back into them.  The checks themselves
 (:mod:`repro.verify.invariants`) load behind the flag.

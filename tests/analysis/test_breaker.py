@@ -5,6 +5,8 @@ closes the streak with a result record that supersedes the failure —
 on both the batch (pool) path and the lazy serial path, which share one
 live :class:`repro.analysis.faults.FailureLedger` per runner."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analysis.faults import OK, SKIPPED, ExecutionPolicy, FailureLedger
@@ -417,3 +419,59 @@ class TestStoreAppendFailure:
         fresh = ledger_at(tmp_path, threshold=2)
         assert fresh.streak("sick") == breaker.streak("sick") == 2
         assert fresh.tripped("sick")
+
+
+class TestSupersededFailureCompaction:
+    """A shard whose failure records a later result superseded is
+    rewritten without them on its next read, and the breaker reads the
+    same streaks and refusals from it."""
+
+    def _outcome(self, status, key):
+        from repro.analysis.faults import RunOutcome
+
+        return RunOutcome(key=key, kind="sim", shard="va", status=status)
+
+    def _answers(self, tmp_path, keys):
+        """Each key's streak and refusal, read by a fresh ledger."""
+        ledger = ledger_at(tmp_path, threshold=2)
+        answers = {}
+        for key in keys:
+            request = SimpleNamespace(key=key, kind="sim", spec=VA)
+            answers[key] = (ledger.streak(key), ledger.refusal(request, policy()))
+        return answers
+
+    def test_superseded_records_are_dropped_and_streaks_kept(self, tmp_path):
+        ledger = ledger_at(tmp_path, threshold=2)
+        store = ledger.store
+        with store.batch():
+            for i in range(200):
+                store.put(f"result-{i}", {"i": i}, shard="va")
+        ledger.record(
+            [self._outcome("failed", "hot")] * 10_000
+            + [self._outcome("interrupted", "hot")] * 10_000
+            + [self._outcome("failed", "open")] * 3
+        )
+        store.put("hot", {"ok": True}, shard="va")
+        ledger.record(
+            [self._outcome("failed", "hot"), self._outcome("interrupted", "hot")]
+            + [self._outcome("failed", "result-7")] * 2
+        )
+        before = ledger_records(tmp_path)
+        last_ok = {r["key"]: i for i, r in enumerate(before) if r["status"] == "ok"}
+        surviving = [
+            r for i, r in enumerate(before)
+            if r["status"] == "ok" or i > last_ok.get(r["key"], -1)
+        ]
+        assert len(before) - len(surviving) == 20_000
+
+        keys = ["hot", "open", "result-7", "result-0"]
+        first = self._answers(tmp_path, keys)  # reads, then compacts
+        assert ledger_records(tmp_path) == surviving
+        assert self._answers(tmp_path, keys) == first
+        assert {key: streak for key, (streak, __) in first.items()} == {
+            "hot": 1, "open": 3, "result-7": 2, "result-0": 0,
+        }
+        assert [key for key, (__, why) in first.items() if why] == [
+            "open", "result-7",
+        ]
+        assert not (tmp_path / "simcache" / "quarantine").exists()

@@ -1,5 +1,5 @@
 """Injected filesystem faults at every persistence seam:
-``ResultStore.flush``, the store's quarantine rewrite and the
+``ResultStore.flush``, the store's quarantine and compaction rewrites and the
 trace/metrics exporters survive ENOSPC and partial writes — pending
 data is kept in memory, retried once the disk recovers, a torn append
 never corrupts a neighbouring record, and a shard is never lost."""
@@ -129,6 +129,25 @@ class TestStoreFlush:
         assert reopened.get("good") == {"value": 1}
         assert reopened.get("more") == {"value": 2}
         assert "torn" not in shard.read_text()
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_failed_compaction_keeps_the_shard(self, tmp_path, monkeypatch, fault):
+        root = str(tmp_path / "simcache")
+        store = ResultStore(root)
+        with store.batch():
+            for attempt in range(20):
+                store.put("k", {"attempt": attempt}, shard="va", failed=True)
+            store.put("k", {"value": 1}, shard="va")
+        shard = tmp_path / "simcache" / "va.jsonl"
+        original = shard.read_text()
+        arm(monkeypatch, f"{fault}:store")
+        with pytest.warns(UserWarning, match="compaction of shard .* failed"):
+            assert ResultStore(root).get("k") == {"value": 1}
+        assert shard.read_text() == original
+        # The disk recovers: the next read compacts the shard.
+        disarm(monkeypatch)
+        assert ResultStore(root).get("k") == {"value": 1}
+        assert shard.read_text().count("\n") == 1
 
 
 class TestExportSeams:

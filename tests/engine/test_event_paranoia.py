@@ -1,68 +1,79 @@
-"""Paranoia mode's per-event checks live in a checked ``post`` that a
-kernel binds at construction: a backwards post is refused, the heap is
-scanned every interval and once when the run drains, a corrupted heap is
-caught, and checked and plain kernels deliver identically."""
+"""Paranoia mode's per-step checks live in the checked push a simulator
+chooses at construction: a backwards step is refused, the heap is
+scanned every interval and once when the loop drains, a corrupted heap
+is caught, and checked and plain loops deliver identically."""
+
+import dataclasses
 
 import pytest
 
-from repro.engine.kernel import QUEUE_CHECK_INTERVAL, SimulationKernel
 from repro.exceptions import InvariantError
+from repro.gpu import GPUSimulator
+from repro.gpu.gpu import QUEUE_CHECK_INTERVAL
 from repro.verify import hooks
 
-
-def _checked_kernel() -> SimulationKernel:
-    with hooks.paranoia(True):
-        return SimulationKernel()
+from tests.engine.conftest import scripted_simulator
+from tests.verify.conftest import small_setup
 
 
 class TestCheckedPop:
     def test_kernel_picks_its_queue_at_construction(self):
-        plain = SimulationKernel()
+        config, trace = small_setup()
+        plain = GPUSimulator(config)
         with hooks.paranoia(True):
-            checked = SimulationKernel()
-            assert "post" not in vars(plain)  # not retrofitted
-        assert "post" in vars(checked)  # stays checked
-        assert "post" not in vars(SimulationKernel())
+            checked = GPUSimulator(config)
+            hooks.reset_stats()
+            plain.run(trace)  # not retrofitted
+            assert hooks.VERIFY_STATS["events_checked"] == 0
+        result = checked.run(trace)  # stays checked
+        assert hooks.VERIFY_STATS["events_checked"] == result.events
 
     def test_clock_going_backwards_is_caught(self):
-        kernel = _checked_kernel()
-        kernel.post(10.0, lambda __: kernel.post(7.0, lambda __: None))
+        config, trace = small_setup()
+        with hooks.paranoia(True):
+            sim, __ = scripted_simulator(config, lambda sim, time, done: -1.0)
         with pytest.raises(InvariantError, match="clock would run backwards"):
-            kernel.run()
+            sim.run(trace)
 
     def test_scans_every_interval_and_when_drained(self):
-        kernel = _checked_kernel()
+        config, trace = small_setup()
+        with hooks.paranoia(True):
+            sim = GPUSimulator(config)
         hooks.reset_stats()
-        for i in range(QUEUE_CHECK_INTERVAL + 1):
-            kernel.post(float(i), lambda __: None)
+        result = sim.run(trace)
         stats = hooks.VERIFY_STATS
-        assert stats["events_checked"] == QUEUE_CHECK_INTERVAL + 1
-        assert stats["queue_scans"] == 1  # the periodic one
-        kernel.run()
-        assert stats["queue_scans"] == 2  # plus one at the drain
+        assert result.events > QUEUE_CHECK_INTERVAL
+        assert stats["events_checked"] == result.events
+        # The periodic scans, plus one at the drain.
+        assert stats["queue_scans"] == result.events // QUEUE_CHECK_INTERVAL + 1
         assert stats["runs_checked"] == 1
 
     def test_interval_scan_sees_a_corrupted_heap(self):
-        kernel = _checked_kernel()
-        for i in range(QUEUE_CHECK_INTERVAL - 1):
-            kernel.post(float(i), lambda __: None)
-        heap = kernel.heap
-        heap[0], heap[-1] = heap[-1], heap[0]  # reordered behind heapq's back
+        # Reorder the heap behind heapq's back just before the push that
+        # triggers the first periodic scan.
+        def corrupt(sim, time, done):
+            if sim.seq + 1 == QUEUE_CHECK_INTERVAL:
+                heap = sim.heap
+                heap[-1] = (-99.0,) + heap[-1][1:]
+            return done
+
+        config, trace = small_setup()
+        with hooks.paranoia(True):
+            sim, __ = scripted_simulator(config, corrupt)
         with pytest.raises(InvariantError, match="heap property"):
-            kernel.post(0.5, lambda __: None)
+            sim.run(trace)
+        assert sim.seq == QUEUE_CHECK_INTERVAL
 
     def test_checked_and_plain_deliver_identically(self):
-        def drive(kernel):
-            order = []
+        config, trace = small_setup()  # btree: 2 kernels
 
-            def spawn(tag):
-                order.append(tag)
-                if tag == "b":
-                    kernel.schedule(2.0, order.append, "d")
+        def drive(paranoid):
+            with hooks.paranoia(paranoid):
+                sim = GPUSimulator(config)
+            states = []
+            result = sim.run(trace, on_boundary=lambda *boundary: states.append(boundary))
+            return dataclasses.replace(result, wall_time_s=0.0), states
 
-            for tag, delay in (("a", 3.0), ("b", 1.0), ("c", 3.0)):
-                kernel.schedule(delay, spawn, tag)
-            kernel.run()
-            return order, kernel.state_dict()
-
-        assert drive(_checked_kernel()) == drive(SimulationKernel())
+        plain, checked = drive(False), drive(True)
+        assert len(plain[1]) == len(trace.kernels) - 1 == 1
+        assert checked == plain

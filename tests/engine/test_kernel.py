@@ -1,87 +1,59 @@
-"""Simulation-kernel (clock + event loop) tests."""
+"""The simulator's clock and event loop: steps fire at their own time,
+cascade, and are counted; the clock's boundary state."""
 
-import pytest
-
-from repro.engine.kernel import SimulationKernel
-from repro.exceptions import SimulationError
+from tests.engine.conftest import one_sm_config, scripted_simulator, warps_workload
 
 
 class TestScheduling:
-    def test_schedule_relative(self):
-        k = SimulationKernel()
-        seen = []
-        k.schedule(5.0, seen.append, "x")
-        k.run()
-        assert seen == ["x"]
-        assert k.now == 5.0
-
     def test_schedule_absolute(self):
-        k = SimulationKernel()
-        seen = []
-        k.post(3.0, lambda arg: seen.append((k.now, arg)), "y")
-        k.run()
-        assert seen == [(3.0, "y")]
-
-    def test_cannot_schedule_into_past(self):
-        k = SimulationKernel()
-        k.post(10.0, lambda __: None)
-        k.run()
-        assert k.now == 10.0
-        with pytest.raises(SimulationError):
-            k.schedule(-1.0, lambda __: None)
+        # A step pushed for time T runs with the clock at T.
+        sim, memory = scripted_simulator(
+            one_sm_config(), lambda sim, time, done: time + 300.0
+        )
+        sim.run(warps_workload(warps=1, accesses=3))
+        issued = [time for __, time, __, __ in memory.log]
+        seen = [now for __, __, now, __ in memory.log]
+        assert seen[0] == 0.0
+        assert seen[1:] == [time + 300.0 for time in issued[:-1]]
 
     def test_events_cascade(self):
-        k = SimulationKernel()
-        order = []
-
-        def first(__):
-            order.append("first")
-            k.schedule(2.0, second)
-
-        def second(__):
-            order.append("second")
-
-        k.schedule(1.0, first)
-        k.run()
-        assert order == ["first", "second"]
-        assert k.now == 3.0
+        # Each access's step pushes the next one: one warp's accesses run
+        # back to back, each issued after the previous one completed.
+        sim, memory = scripted_simulator(one_sm_config())
+        result = sim.run(warps_workload(warps=1, accesses=4))
+        assert [line for line, *__ in memory.log] == [0, 1, 2, 3]
+        issued = [time for __, time, __, __ in memory.log]
+        assert issued == sorted(issued) and len(set(issued)) == 4
+        assert sim.now == result.cycles
 
 
 class TestRunControl:
     def test_events_processed_counter(self):
-        k = SimulationKernel()
-        for i in range(7):
-            k.post(float(i), lambda __: None)
-        k.run()
-        assert k.events_processed == 7
-        assert k.seq == 7
+        # One step per warp start plus one per access, every one popped.
+        sim, __ = scripted_simulator(one_sm_config())
+        result = sim.run(warps_workload(warps=3, accesses=5))
+        assert result.events == 3 + 3 * 5
+        assert sim.seq == result.events
+        assert sim.heap == []
 
     def test_events_processed_counts_the_running_event(self):
-        # Boundary state is read inside a callback and must include the
-        # event that carried the simulation there.
-        k = SimulationKernel()
-        seen = []
-        k.post(1.0, lambda __: seen.append(k.events_processed))
-        k.post(2.0, lambda __: seen.append(k.events_processed))
-        k.run()
-        assert seen == [1, 2]
+        # Boundary state is read inside a step and must include the step
+        # that carried the simulation there.
+        sim, memory = scripted_simulator(one_sm_config())
+        sim.run(warps_workload(warps=1, accesses=3))
+        assert [events for *__, events in memory.log] == [1, 2, 3]
 
 
 class TestCheckpointState:
-    """The read side of kernel-boundary state (``state_dict``), which
-    differential replay digests."""
-
-    def test_snapshot_refused_with_live_events(self):
-        k = SimulationKernel()
-        k.post(1.0, lambda __: None)
-        with pytest.raises(SimulationError):
-            k.state_dict()
+    """The clock's part of kernel-boundary state, which differential
+    replay digests."""
 
     def test_snapshot_of_a_drained_kernel(self):
-        k = SimulationKernel()
-        k.schedule(1.0, lambda __: None)
-        k.schedule(2.0, lambda __: None)
-        k.run()
-        assert k.state_dict() == {
-            "now": 2.0, "events_processed": 2, "queue_seq": 2,
-        }
+        sim, __ = scripted_simulator(one_sm_config())
+        clocks = []
+        sim.run(
+            warps_workload(warps=2, accesses=1, kernels=2),
+            on_boundary=lambda k, cycles, state: clocks.append((cycles, state["clock"])),
+        )
+        [(cycles, clock)] = clocks
+        assert clock == {"now": cycles, "events_processed": 4, "queue_seq": 4}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.stats import StateTimeTracker
+from repro.gpu.sm import StateTimeTracker
 
 
 class TestStateTimeTracker:

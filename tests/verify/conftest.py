@@ -46,11 +46,10 @@ def instrumented_targets():
     from repro.analysis.parallel import ParallelRunner
     from repro.analysis.simcache import ResultStore
     from repro.core.model import ScaleModelPredictor
-    from repro.engine.kernel import SimulationKernel
     from repro.gpu.gpu import GPUSimulator
 
     return (
-        SimulationKernel.run,
+        GPUSimulator._event_loop,
         GPUSimulator._build_result,
         ScaleModelPredictor.predict,
         runner_mod.compute_mrc,

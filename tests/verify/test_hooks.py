@@ -1,11 +1,16 @@
 """Paranoia mode is one switch: install/uninstall flip it, nothing is
-rebound, and a kernel is checked iff it was built while the switch was on."""
+rebound, and a simulator is checked iff it was built while the switch
+was on."""
 
-from repro.engine.kernel import SimulationKernel
+from repro.gpu import GPUConfig, GPUSimulator
 from repro.obs import profile_hooks
 from repro.verify import hooks, runtime
 
 from tests.verify.conftest import instrumented_targets
+
+
+def _simulator() -> GPUSimulator:
+    return GPUSimulator(GPUConfig.paper_baseline().scaled(2))
 
 
 class TestInstallUninstall:
@@ -34,17 +39,17 @@ class TestInstallUninstall:
 
     def test_disabled_by_default(self):
         # The shipped engine carries no paranoia state: switch off, and a
-        # kernel built now posts through the plain ``post``.
+        # simulator built now pushes its steps through the plain loop.
         assert not hooks.installed()
         assert runtime.paranoid is False
-        assert "post" not in vars(SimulationKernel())
+        assert not _simulator()._checked
 
     def test_a_kernel_is_checked_iff_built_under_paranoia(self):
         hooks.install()
-        checked = SimulationKernel()
+        checked = _simulator()
         hooks.uninstall()
-        assert "post" in vars(checked)
-        assert "post" not in vars(SimulationKernel())
+        assert checked._checked
+        assert not _simulator()._checked
 
 
 class TestParanoiaContext:

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.engine.kernel import SimulationKernel
 from repro.exceptions import InvariantError
 from repro.mrc.cliff import Region
 from repro.verify.invariants import (
@@ -16,27 +15,27 @@ from repro.verify.invariants import (
 )
 
 
-def _noop(__):
-    pass
+def _heap_of(times):
+    """A simulator-shaped ``(time, seq, warp)`` heap."""
+    heap = []
+    for seq, time in enumerate(times):
+        heapq.heappush(heap, (time, seq, object()))
+    return heap
 
 
 class TestQueueConsistency:
     def test_clean_queue_passes(self):
-        kernel = SimulationKernel()
-        for t in (3.0, 1.0, 2.0, 2.0):
-            kernel.post(t, _noop)
-        heapq.heappop(kernel.heap)
-        check_queue(kernel.heap)
+        heap = _heap_of((3.0, 1.0, 2.0, 2.0))
+        heapq.heappop(heap)
+        check_queue(heap)
 
     def test_heap_property_violation_detected(self):
-        kernel = SimulationKernel()
-        for t in (1.0, 2.0, 3.0):
-            kernel.post(t, _noop)
+        heap = _heap_of((1.0, 2.0, 3.0))
         # Replacing a pushed entry behind the heap's back is exactly the
         # corruption the scan exists to catch.
-        kernel.heap[-1] = (-99.0,) + kernel.heap[-1][1:]
+        heap[-1] = (-99.0,) + heap[-1][1:]
         with pytest.raises(InvariantError, match="heap property"):
-            check_queue(kernel.heap)
+            check_queue(heap)
 
 
 def _fake_result(**overrides):

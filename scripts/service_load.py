@@ -17,22 +17,18 @@ Exit codes: 0 ok, 1 invariant violation or broken server, 2 bad usage.
 from __future__ import annotations
 
 import argparse
-import http.client
 import json
 import os
 import random
 import re
-import signal
+import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 import threading
 import time
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-_BANNER = re.compile(r"listening on http://([^:]+):(\d+)")
+from chaos import Server, request
 
 #: Fast, distinct configs for the miss side of the mix (sub-second each).
 MISS_BENCHES = ("va", "dct", "sr")
@@ -44,37 +40,6 @@ def percentile(samples, fraction):
     ordered = sorted(samples)
     index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
     return ordered[index]
-
-
-def start_server(store_root, extra_args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        os.path.join(REPO_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    )
-    env.setdefault("REPRO_NO_FSYNC", "1")
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            os.path.join(REPO_ROOT, "scripts", "serve.py"),
-            "--port", "0",
-            "--store", store_root,
-        ]
-        + list(extra_args),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        env=env,
-        text=True,
-    )
-    deadline = time.time() + 30
-    while time.time() < deadline:
-        line = proc.stdout.readline()
-        if not line and proc.poll() is not None:
-            raise RuntimeError("server exited before listening")
-        match = _BANNER.search(line or "")
-        if match:
-            return proc, match.group(1), int(match.group(2))
-    proc.kill()
-    raise RuntimeError("server never announced its port")
 
 
 def run_load(host, port, clients, requests_per_client, seed, deadline_s):
@@ -116,18 +81,12 @@ def run_load(host, port, clients, requests_per_client, seed, deadline_s):
         for body in plan:
             started = time.perf_counter()
             try:
-                conn = http.client.HTTPConnection(host, port, timeout=120)
-                try:
-                    conn.request("POST", "/predict", json.dumps(body))
-                    response = conn.getresponse()
-                    payload = json.loads(response.read() or b"{}")
-                    status = payload.get("status", f"http-{response.status}")
-                finally:
-                    conn.close()
+                code, payload, _ = request(host, port, body)
             except Exception as error:  # noqa: BLE001 - harness boundary
                 with lock:
                     errors.append(repr(error))
                 continue
+            status = payload.get("status", f"http-{code}")
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             with lock:
                 latencies_ms.append(elapsed_ms)
@@ -187,8 +146,7 @@ def main(argv=None) -> int:
     clients = 4 if args.quick else args.clients
     requests_per_client = 3 if args.quick else args.requests
 
-    proc = None
-    tmp = None
+    server = None
     if args.url:
         match = re.match(r"https?://([^:/]+):(\d+)", args.url)
         if not match:
@@ -198,10 +156,11 @@ def main(argv=None) -> int:
         host, port = match.group(1), int(match.group(2))
     else:
         tmp = tempfile.mkdtemp(prefix="svc-load-")
-        proc, host, port = start_server(
-            os.path.join(tmp, "results", "simcache"),
+        server = Server(
+            os.path.join(tmp, "simcache"),
             ["--workers-min", "2", "--workers-max", "4"],
         )
+        host, port = server.host, server.port
 
     try:
         latencies_ms, status_counts, errors, wall_s = run_load(
@@ -209,14 +168,9 @@ def main(argv=None) -> int:
             args.deadline,
         )
     finally:
-        if proc is not None and proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-            try:
-                proc.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            proc.stdout.read()
+        if server is not None:
+            server.stop()
+            shutil.rmtree(tmp, ignore_errors=True)
 
     if errors:
         print(f"[load] FAILED: {len(errors)} transport error(s): "

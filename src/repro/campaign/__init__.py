@@ -17,8 +17,8 @@ Three pieces:
   campaign converged to the uninterrupted artifact.
 
 ``repro.zoo.campaign`` executes through this runtime;
-``scripts/campaign_chaos.py`` kill -9s it at seeded points and asserts
-the contract holds.
+``scripts/chaos.py --target campaign`` kill -9s it at seeded points and
+asserts the contract holds.
 """
 
 from repro.campaign.diff import ArtifactDivergence, first_artifact_divergence

@@ -9,7 +9,8 @@ two artifacts together and names the *first* dotted path where they
 part ways — ``workloads[3].ipcs[1]``, ``confusion.linear.sub-linear`` —
 plus both values at that path.
 
-``scripts/campaign_chaos.py`` and the resume tests assert on this:
+``scripts/chaos.py`` (its one convergence check, for campaign artifacts
+and store payloads alike) and the resume tests assert on this:
 convergence means :func:`first_artifact_divergence` returns ``None``.
 """
 

@@ -31,9 +31,9 @@ same plan replays the records, skips every sealed unit, and the runtime
 
 Chaos seam: ``REPRO_CAMPAIGN_KILL_AFTER=<k>`` SIGKILLs the process the
 moment this process's *k*-th workload record becomes durable — the
-exact crash window ``scripts/campaign_chaos.py`` drills.  The run is the
-smallest unit anything recovers: a workload killed mid-simulation is
-simply re-run.
+exact crash window ``scripts/chaos.py --target campaign`` drills.  The
+run is the smallest unit anything recovers: a workload killed
+mid-simulation is simply re-run.
 """
 
 from __future__ import annotations

@@ -48,8 +48,8 @@ __all__ = [
 #: Artifact fields that legitimately differ between two runs of the same
 #: plan (timestamps, wall-clock throughput, RSS).  Everything else must
 #: converge bit-identically between an uninterrupted campaign and a
-#: crashed-and-resumed one — that is the contract ``scripts/
-#: campaign_chaos.py`` enforces.
+#: crashed-and-resumed one — that is the contract ``scripts/chaos.py
+#: --target campaign`` enforces.
 VOLATILE_ARTIFACT_FIELDS = frozenset(
     {
         "created_unix",

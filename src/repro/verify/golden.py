@@ -26,10 +26,9 @@ every deterministic field, a ledger blessed from a serial run audited
 against a ``--jobs N`` recomputation *is* the serial-vs-parallel
 differential: any scheduling-dependent nondeterminism shows up as drift.
 
-The chaos harnesses (``scripts/chaos_soak.py``, ``service_chaos.py``)
-use the same audit to assert that a fault schedule corrupted nothing:
-results computed under injected crashes/ENOSPC must digest identically
-to a clean run's.
+The store and service drills of ``scripts/chaos.py`` use the same audit
+to assert that a fault schedule corrupted nothing: results computed
+under injected crashes/ENOSPC must digest identically to a clean run's.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ what makes bfs and bs sub-linear under weak scaling.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -401,14 +401,6 @@ _FAMILIES = {
 }
 
 
-#: ``(key, [CompiledKernel or None per kernel])`` of the most recently
-#: requested trace.  One entry, no knob: a prediction runs two simulations
-#: and a miss-rate-curve pass over the same trace back to back, and the
-#: later ones reuse what the first generated.  Replaced as soon as another
-#: trace is requested, so it holds one workload's arrays (~16 B/access).
-_compiled_slot: Tuple[Optional[tuple], List[Optional[CompiledKernel]]] = (None, [])
-
-
 def build_trace(
     spec: BenchmarkSpec,
     work_scale: float = 1.0,
@@ -422,10 +414,10 @@ def build_trace(
     must match the simulated GPU's miniaturization factor.
 
     Each kernel's CTAs are generated on first use, all at once, into a
-    :class:`~repro.trace.kernel.CompiledKernel` that later traces of the
-    same arguments share (``_compiled_slot``).
+    :class:`~repro.trace.kernel.CompiledKernel` that every later
+    ``compiled()`` read of this trace shares; another ``build_trace`` call
+    generates its own.
     """
-    global _compiled_slot
     if spec.family not in _FAMILIES:
         raise WorkloadError(
             f"{spec.abbr}: unknown generator family {spec.family!r}"
@@ -436,11 +428,7 @@ def build_trace(
         # Kernels are generated on first use; a bad spec is rejected now.
         for kernel_idx in range(len(spec.kernels)):
             _phase(ctx, kernel_idx)
-    # repr() of the frozen spec covers every field, phases included.
-    key = (repr(spec), work_scale, capacity_scale, seed)
-    if _compiled_slot[0] != key:
-        _compiled_slot = (key, [None] * len(spec.kernels))
-    slots = _compiled_slot[1]
+    slots: List[Optional[CompiledKernel]] = [None] * len(spec.kernels)
     kernels = []
     for kernel_idx, shape in enumerate(spec.kernels):
         num_ctas = _clamped_ctas(shape, work_scale)

@@ -4,7 +4,7 @@ retry coalescing and a clean stop.
 
 Worker death and hangs are covered below the HTTP layer by
 ``test_supervisor_faults.py``; overload and the SIGTERM drain live in
-``scripts/service_chaos.py``.  This test guards the happy-path wiring
+``scripts/chaos.py --target service``.  This test guards the happy-path wiring
 cheaply enough for tier 1.  One server boot serves every assertion:
 worker spawn costs ~0.4 s and is the dominant term.
 """

@@ -1,9 +1,9 @@
 """Compiled traces: the flat per-kernel arrays.
 
 ``build_trace`` generates each kernel whole into a
-:class:`~repro.trace.kernel.CompiledKernel` and keeps the most recent
-trace's kernels in a single-entry slot, which only an identical request
-may hit.
+:class:`~repro.trace.kernel.CompiledKernel` on its first ``compiled()``
+read; later reads of the same trace share it, and nothing is shared
+between two ``build_trace`` calls.
 """
 
 from dataclasses import replace
@@ -24,11 +24,14 @@ class TestSlot:
         trace = build_trace(spec, **{**self.ARGS, **changes})
         return [kernel.compiled() for kernel in trace.kernels]
 
-    def test_identical_request_reuses_the_arrays(self):
-        spec = get_benchmark("gr")  # four kernels
-        first = self.compiled(spec)
-        again = self.compiled(spec)
+    def test_repeated_reads_of_one_trace_reuse_the_arrays(self):
+        trace = build_trace(get_benchmark("gr"), **self.ARGS)  # four kernels
+        first = [kernel.compiled() for kernel in trace.kernels]
+        again = [kernel.compiled() for kernel in trace.kernels]
         assert all(a is b for a, b in zip(first, again))
+        assert trace_digest(trace) == trace_digest(
+            build_trace(get_benchmark("gr"), **self.ARGS)
+        )
 
     @pytest.mark.parametrize(
         "changes",
@@ -39,7 +42,7 @@ class TestSlot:
         first = self.compiled(spec)
         other = self.compiled(spec, **changes)
         assert all(a is not b for a, b in zip(first, other))
-        # ...and the slot now holds `other`: the first request misses too.
+        # ...and a fresh identical request generates its own arrays too.
         assert all(a is not b for a, b in zip(first, self.compiled(spec)))
 
     def test_differing_spec_misses(self):
